@@ -56,7 +56,6 @@ from .measure import (
     ClairautReport,
     clairaut_verify,
     distance_F,
-    distance_from_vertex,
     f_length,
     h_distance,
     meeting_point,
@@ -118,7 +117,6 @@ __all__ = [
     "ClairautReport",
     "clairaut_verify",
     "distance_F",
-    "distance_from_vertex",
     "f_length",
     "h_distance",
     "meeting_point",

@@ -38,12 +38,7 @@ from .errors import (
     SearchHorizonError,
 )
 from .geodesics import GeodesicPath, GeodesicState, integrate_h
-from .measure import (
-    distance_F,
-    h_connectors,
-    h_distance,
-    shoot_hits,
-)
+from .measure import TwoRadiusConnectors, distance_F, shoot_hits
 from .profile import Profile, SurfacePoint, gauss_curvature, is_von_mangoldt
 from .zermelo import Tangent
 
@@ -69,7 +64,7 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
     """Integrate y'' + G(r(s)) y = 0 along a base h-geodesic path.
 
     The radius along the base is taken from its dense output.  The first
-    sign change of y for s > 0 is refined by bisection to 1e-10 and reported
+    sign change of y for s > 0 is refined to 1e-10 and reported
     as first_zero (None if y keeps its sign over [0, upto]).
     """
     if base.metric_tag != "h":
@@ -148,7 +143,7 @@ def _pair_distance(profile: Profile, r1: float, r2: float, tol: float):
     with a turning point, and far ones by a monotone-radius mirror pair, so
     the full connector enumeration is required here.
     """
-    cands = h_connectors(profile, r1, r2, math.pi, tol=tol)
+    cands = TwoRadiusConnectors(profile, r1, r2, tol=tol).connectors(math.pi)
     best = min(cands, key=lambda c: c.length)
     if best.kind == "chain":
         return best.length, None

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import InvalidParameterError, NotEmbeddableError
-from .geodesics import GeodesicPath
+from .geodesics import GeodesicPath, cumulative_path_integral
 from .profile import Profile, SurfacePoint
 from .zermelo import Tangent, eval_F
 
@@ -70,13 +70,8 @@ def height(profile: Profile, r: float) -> float:
     """Arc-length height z(r) = integral of sqrt(1 - m'(t)^2) from 0 to r."""
     if r == 0.0:
         return 0.0
-
-    def integrand(t: float) -> float:
-        m1 = float(profile.m1(t))
-        return math.sqrt(max(1.0 - m1 * m1, 0.0))
-
-    val = quad(integrand, 0.0, r, epsabs=1e-10, epsrel=1e-12, limit=200,
-               full_output=1)[0]
+    val = quad(lambda t: height_slope(profile, t), 0.0, r, epsabs=1e-10,
+               epsrel=1e-12, limit=200, full_output=1)[0]
     return float(val)
 
 
@@ -192,21 +187,14 @@ def pullback_report(profile: Profile, n: int = 1000, seed: int = 0,
 def embedded_f_length(profile: Profile, path: GeodesicPath,
                       n_gauss: int = 8) -> float:
     """Ambient F~-length of the embedded image of a path."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
     assert_embeddable(profile, float(np.max(path.states[:, 0])))
-    total = 0.0
-    for i in range(len(path.s) - 1):
-        a, b = path.s[i], path.s[i + 1]
-        half = 0.5 * (b - a)
-        acc = 0.0
-        for t, w in zip(nodes, weights):
-            y = path.dense(0.5 * (a + b) + half * t)
-            q = SurfacePoint(max(y[0], 0.0), y[1])
-            point = embed_point(profile, q)
-            Y = pushforward(profile, q, Tangent(y[2], y[3]))
-            acc += w * eval_F_tilde(profile.mu, point, Y)
-        total += half * acc
-    return float(total)
+
+    def F_tilde(r, th, dr, dth):
+        q = SurfacePoint(max(r, 0.0), th)
+        return eval_F_tilde(profile.mu, embed_point(profile, q),
+                            pushforward(profile, q, Tangent(dr, dth)))
+
+    return float(cumulative_path_integral(path, F_tilde, n_gauss)[-1])
 
 
 def export_mesh_obj(profile: Profile, filename, r_max: float | None = None,
@@ -221,15 +209,7 @@ def export_mesh_obj(profile: Profile, filename, r_max: float | None = None,
     assert_embeddable(profile, r_max)
     rr = np.linspace(0.0, r_max, n_r + 1)[1:]
     tt = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)
-    # cumulative heights along the radial grid
-    zz = []
-    z_acc = 0.0
-    r_prev = 0.0
-    for r in rr:
-        z_acc += quad(lambda t: height_slope(profile, t), r_prev, r,
-                      epsabs=1e-10, epsrel=1e-10, limit=100, full_output=1)[0]
-        zz.append(z_acc)
-        r_prev = r
+    zz = [height(profile, float(r)) for r in rr]
     lines = ["# rotational Randers surface mesh"]
     lines.append("v 0 0 0")
     for r, z in zip(rr, zz):

@@ -35,7 +35,6 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import odesolve
 from .errors import (
@@ -45,7 +44,7 @@ from .errors import (
     NumericalBlowupError,
     VertexSingularError,
 )
-from .profile import Profile, SurfacePoint
+from .profile import Profile, SurfacePoint, roots_on_grid
 from .zermelo import Tangent, eval_F
 
 # States with |dtheta| below this are integrated as exact meridians: their
@@ -82,7 +81,8 @@ def clairaut_constant(profile: Profile, state: GeodesicState) -> float:
 class GeodesicPath:
     """Sampled geodesic with dense interpolation.
 
-    samples hold rows (r, theta, dr, dtheta) at the parameters in s.  The
+    samples hold rows (r, theta, dr, dtheta) at the parameters in s.  dense
+    maps a parameter, or an array of them, to the state row(s) there.  The
     arrays are not copied on access; treat paths as immutable once returned.
     """
 
@@ -93,7 +93,7 @@ class GeodesicPath:
     kind: str                  # meridian | twisted-meridian | parallel | generic
     mu: float
     tol: float
-    dense: Callable[[float], np.ndarray] = field(repr=False, default=None)
+    dense: Callable[..., np.ndarray] = field(repr=False, default=None)
     h_preimage: "GeodesicPath | None" = field(repr=False, default=None)
     max_unit_drift: float = 0.0
     max_clairaut_drift: float = 0.0
@@ -106,9 +106,6 @@ class GeodesicPath:
     def state_at(self, s: float) -> GeodesicState:
         y = self.dense(float(s))
         return GeodesicState(*map(float, y))
-
-    def states_at(self, s_values) -> np.ndarray:
-        return np.array([self.dense(float(sv)) for sv in np.atleast_1d(s_values)])
 
     def initial_state(self) -> GeodesicState:
         return GeodesicState(*map(float, self.states[0]))
@@ -132,16 +129,18 @@ def _meridian_path(profile: Profile, state0: GeodesicState, length: float,
     r0, theta0, sgn = state0.r, state0.theta, 1.0 if state0.dr >= 0 else -1.0
     rho = r0 if sgn < 0 else math.inf     # vertex-crossing parameter
 
-    def dense(s: float) -> np.ndarray:
-        if sgn > 0 or s < rho:
-            return np.array([r0 + sgn * s, theta0, sgn, 0.0])
-        return np.array([s - rho, theta0 + math.pi, 1.0, 0.0])
+    def dense(s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        past = s >= rho
+        return np.stack([np.where(past, s - rho, r0 + sgn * s),
+                         np.where(past, theta0 + math.pi, theta0),
+                         np.where(past, 1.0, sgn), np.zeros_like(s)], axis=-1)
 
     h_cap = min(0.1, 0.1 / profile.mu)
     ss = _sample_grid(length, h_cap)
     if sgn < 0 and 0.0 < rho < length:
         ss = np.unique(np.concatenate([ss, [rho]]))
-    states = np.array([dense(s) for s in ss])
+    states = dense(ss)
     return GeodesicPath(
         s=ss, states=states, nu=0.0, metric_tag="h", kind="meridian",
         mu=profile.mu, tol=tol, dense=dense,
@@ -235,10 +234,11 @@ def twist(path: GeodesicPath, mu: float) -> GeodesicPath:
 
     h_dense = path.dense
 
-    def dense(s: float) -> np.ndarray:
+    def dense(s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
         y = h_dense(s).copy()
-        y[1] += mu * s
-        y[3] += mu
+        y[..., 1] += mu * s
+        y[..., 3] += mu
         return y
 
     return GeodesicPath(
@@ -347,6 +347,27 @@ def _spike_breaks(profile: Profile, nu: float, r_end: float) -> tuple:
     return (u_sp, 8.0 * u_sp)
 
 
+def clairaut_leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
+                 turning_left: bool = False, turning_right: bool = False):
+    """(delta_theta, delta_s) over the leg ra < r < rb of an h-geodesic with
+    Clairaut constant nu and increasing r, without validating the leg.
+
+    turning_left / turning_right mark an endpoint as the turning radius of
+    nu: the discriminant zero is pinned there (the left end when both are
+    marked) and a right-end turning point gets its own spike panel breaks.
+    """
+    nu_disc = None
+    if turning_left:
+        nu_disc = float(profile.m(ra))
+    elif turning_right:
+        nu_disc = float(profile.m(rb))
+    xi, eta = _xi_eta(profile, nu, nu_disc)
+    lb = _spike_breaks(profile, nu, ra)
+    rb_breaks = _spike_breaks(profile, nu, rb) if turning_right else ()
+    return (_integrate_desingularized(xi, ra, rb, tol, lb, rb_breaks),
+            _integrate_desingularized(eta, ra, rb, tol, lb, rb_breaks))
+
+
 def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,
                        sign: int, tol_quad: float = 1e-10):
     """Angle, arc-length, and twisted-angle advances over a monotone-r leg.
@@ -371,20 +392,12 @@ def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,
             f"m(r) <= |nu| at interior point r = {bad}; the leg is not a "
             "single monotone arc of a geodesic with this Clairaut constant"
         )
-    # pin the discriminant zero to whichever endpoint is a turning point
-    nu_disc = None
-    if abs(float(profile.m(ra)) - abs(nu)) <= 1e-9 * max(1.0, abs(nu)):
-        nu_disc = float(profile.m(ra))
-    elif abs(float(profile.m(rb)) - abs(nu)) <= 1e-9 * max(1.0, abs(nu)):
-        nu_disc = float(profile.m(rb))
-    xi, eta = _xi_eta(profile, nu, nu_disc)
-    lb = _spike_breaks(profile, nu, ra)
-    rb_breaks = _spike_breaks(profile, nu, rb) if \
-        abs(float(profile.m(rb)) - abs(nu)) < 1e-9 * max(1.0, abs(nu)) else ()
-    dtheta = sign * _integrate_desingularized(xi, ra, rb, tol_quad,
-                                              lb, rb_breaks)
-    ds = sign * _integrate_desingularized(eta, ra, rb, tol_quad,
-                                          lb, rb_breaks)
+    at_turn = 1e-9 * max(1.0, abs(nu))
+    dtheta, ds = clairaut_leg(
+        profile, ra, rb, nu, tol_quad,
+        turning_left=abs(float(profile.m(ra)) - abs(nu)) <= at_turn,
+        turning_right=abs(float(profile.m(rb)) - abs(nu)) <= at_turn)
+    dtheta, ds = sign * dtheta, sign * ds
     return dtheta, ds, dtheta + profile.mu * ds
 
 
@@ -404,42 +417,35 @@ def turning_points(profile: Profile, nu: float, grid) -> list[float]:
     grid = np.asarray(grid, dtype=float)
     anu = abs(nu)
     f = lambda r: float(profile.m(r)) - anu
-    vals = np.array([f(r) for r in grid])
-    roots: list[float] = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            roots.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            roots.append(float(brentq(f, grid[i], grid[i + 1], xtol=1e-12)))
-    if len(grid) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-11:
-            out.append(r)
-    return out
+    return roots_on_grid(f, grid, [f(r) for r in grid], xtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
 # geodesy residual and path utilities
 
 
+def cumulative_path_integral(path: GeodesicPath, integrand,
+                             n_gauss: int = 8) -> np.ndarray:
+    """Integral of integrand(r, theta, dr, dtheta) along the path from its
+    start to each sample, by n_gauss-point Gauss-Legendre quadrature on every
+    sample interval; the dense output is read at all nodes in one call."""
+    t, w = np.polynomial.legendre.leggauss(n_gauss)
+    a, b = path.s[:-1], path.s[1:]
+    half = 0.5 * (b - a)
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * t
+    vals = np.array([integrand(*y) for y in path.dense(nodes.ravel()).tolist()])
+    out = np.zeros(len(path.s))
+    np.cumsum(half * (vals.reshape(nodes.shape) @ w), out=out[1:])
+    return out
+
+
 def cumulative_F_length(profile: Profile, path: GeodesicPath,
                         n_gauss: int = 8) -> np.ndarray:
     """F-length of the path from its start to each sample, by per-interval
     Gauss-Legendre quadrature on the dense output."""
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    out = np.zeros(len(path.s))
-    for i in range(len(path.s) - 1):
-        a, b = path.s[i], path.s[i + 1]
-        half = 0.5 * (b - a)
-        acc = 0.0
-        for t, w in zip(nodes, weights):
-            y = path.dense(0.5 * (a + b) + half * t)
-            acc += w * eval_F(profile, SurfacePoint(max(y[0], 0.0), y[1]),
-                              Tangent(y[2], y[3]))
-        out[i + 1] = out[i] + half * acc
-    return out
+    return cumulative_path_integral(
+        path, lambda r, th, dr, dth: eval_F(profile, SurfacePoint(max(r, 0.0), th),
+                                            Tangent(dr, dth)), n_gauss)
 
 
 def f_geodesic_residual(profile: Profile, path: GeodesicPath) -> float:
@@ -461,14 +467,13 @@ def f_geodesic_residual(profile: Profile, path: GeodesicPath) -> float:
     total = float(sigma[-1])
     ref = integrate_F(profile, x0, vF, total * (1.0 + 1e-9),
                       tol=min(path.tol, 1e-10))
-    dev = 0.0
-    for sk, sig in zip(path.s, sigma):
-        a = path.dense(sk)
-        b = ref.dense(min(sig, ref.s[-1]))
-        m_here = float(profile.m(0.5 * (a[0] + b[0])))
-        dth = math.remainder(a[1] - b[1], 2.0 * math.pi)
-        dev = max(dev, math.hypot(a[0] - b[0], m_here * dth))
-    return dev / total
+    a = path.dense(path.s)
+    b = ref.dense(np.minimum(sigma, ref.s[-1]))
+    m_here = np.asarray(profile.m(0.5 * (a[:, 0] + b[:, 0])), dtype=float)
+    two_pi = 2.0 * math.pi
+    dth = a[:, 1] - b[:, 1]
+    dth -= two_pi * np.round(dth / two_pi)
+    return float(np.max(np.hypot(a[:, 0] - b[:, 0], m_here * dth))) / total
 
 
 def integrate_h_two_sided(profile: Profile, state0: GeodesicState,
@@ -487,10 +492,13 @@ def integrate_h_two_sided(profile: Profile, state0: GeodesicState,
     s_all = np.concatenate([-bwd.s[::-1][:-1], fwd.s])
     states = np.vstack([bwd.states[::-1][:-1] * flip, fwd.states])
 
-    def dense(s: float) -> np.ndarray:
-        if s >= 0.0:
-            return fwd.dense(s)
-        return bwd.dense(-s) * flip
+    def dense(s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        ahead = s >= 0.0
+        out = np.empty(s.shape + (4,))
+        out[ahead] = fwd.dense(s[ahead])
+        out[~ahead] = bwd.dense(-s[~ahead]) * flip
+        return out
 
     return GeodesicPath(
         s=s_all, states=states, nu=fwd.nu, metric_tag="h", kind=fwd.kind,
@@ -511,7 +519,7 @@ def count_self_intersections(path: GeodesicPath, ds: float = 0.05) -> int:
     less than pi in theta.
     """
     ss = np.arange(path.s[0], path.s[-1], ds)
-    pts = np.array([path.dense(s)[:2] for s in ss])
+    pts = path.dense(ss)[:, :2]
     r = pts[:, 0]
     th = pts[:, 1]
     two_pi = 2.0 * math.pi

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .errors import (
@@ -42,13 +41,11 @@ from .errors import (
 from .geodesics import (
     GeodesicPath,
     GeodesicState,
+    clairaut_leg,
     cumulative_F_length,
     integrate_h,
-    _integrate_desingularized,
-    _spike_breaks,
-    _xi_eta,
 )
-from .profile import Profile, SurfacePoint, wrap_angle
+from .profile import Profile, SurfacePoint, roots_on_grid, wrap_angle
 from .zermelo import Tangent, eval_F, navigation_transform
 
 
@@ -69,10 +66,8 @@ def f_length_parallel(profile: Profile, r0: float, delta_theta: float) -> float:
     if r0 <= 0:
         raise InvalidParameterError("parallel arcs require r0 > 0")
     sgn = 1.0 if delta_theta >= 0 else -1.0
-    x = SurfacePoint(r0, 0.0)
-    val, _ = quad(lambda t: eval_F(profile, x, Tangent(0.0, sgn)),
-                  0.0, abs(delta_theta), epsabs=1e-12, epsrel=1e-12)
-    return float(val)
+    # F is constant along a parallel
+    return eval_F(profile, SurfacePoint(r0, 0.0), Tangent(0.0, sgn)) * abs(delta_theta)
 
 
 def h_length_parallel(profile: Profile, r0: float) -> float:
@@ -106,17 +101,14 @@ def meeting_point(profile: Profile, r0: float) -> MeetingPoint:
 
     Returns the closed-form solution
     (pi (1 + mu m0), pi (1 - mu m0), pi mu m0) together with the numeric
-    solve of the same 2x2 linear system built from quadrature F-lengths.
+    solve of the same 2x2 linear system built from the travellers' F-speeds.
     """
     mu = profile.mu
     m0 = float(profile.m(r0))
     x = SurfacePoint(r0, 0.0)
-    # F-speeds of the flow-parametrized travellers, by quadrature over one
-    # parameter unit (the integrand is constant along a parallel).
-    c_plus, _ = quad(lambda t: eval_F(profile, x, Tangent(0.0, mu)), 0.0, 1.0,
-                     epsabs=1e-13, epsrel=1e-13)
-    c_minus, _ = quad(lambda t: eval_F(profile, x, Tangent(0.0, -mu)), 0.0, 1.0,
-                      epsabs=1e-13, epsrel=1e-13)
+    # F-speeds of the flow-parametrized travellers
+    c_plus = eval_F(profile, x, Tangent(0.0, mu))
+    c_minus = eval_F(profile, x, Tangent(0.0, -mu))
     a = np.array([[1.0, 1.0], [c_plus, -c_minus]])
     b = np.array([2.0 * math.pi, 0.0])
     s1n, s2n = np.linalg.solve(a, b)
@@ -133,8 +125,8 @@ def meeting_point(profile: Profile, r0: float) -> MeetingPoint:
 def parallel_loop_report(profile: Profile, r0: float) -> dict:
     """Cross-check of closed-form lengths for the downwind parallel loop.
 
-    Emits the flow-parametrized loop value obtained by integrating the
-    traveller speed over a parameter range of 2 pi, the geometric full-turn
+    Emits the flow-parametrized loop value, the traveller's constant speed
+    times a parameter range of 2 pi, the geometric full-turn
     length (angular extent 2 pi), and the half-turn constant
     pi m / (1 + mu m) sometimes quoted as the closed-geodesic length.  The
     flow value exceeds that constant by the factor 2 mu in general; the
@@ -142,9 +134,7 @@ def parallel_loop_report(profile: Profile, r0: float) -> dict:
     """
     mu = profile.mu
     m0 = float(profile.m(r0))
-    x = SurfacePoint(r0, 0.0)
-    flow_loop, _ = quad(lambda t: eval_F(profile, x, Tangent(0.0, mu)),
-                        0.0, 2.0 * math.pi, epsabs=1e-13, epsrel=1e-13)
+    flow_loop = eval_F(profile, SurfacePoint(r0, 0.0), Tangent(0.0, mu)) * 2.0 * math.pi
     geometric_turn = f_length_parallel(profile, r0, 2.0 * math.pi)
     half_constant = math.pi * m0 / (1.0 + mu * m0)
     ratio = flow_loop / half_constant
@@ -246,23 +236,6 @@ class HConnector:
     swept: float
 
 
-def _leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
-         turning_left: bool = False):
-    """(sweep, length) of a monotone leg, without interior re-validation.
-
-    turning_left pins the discriminant zero to the left endpoint, which must
-    then be the (float) turning radius of nu.
-    """
-    if rb - ra < 1e-15:
-        return 0.0, 0.0
-    nu_disc = float(profile.m(ra)) if turning_left else None
-    xi, eta = _xi_eta(profile, nu, nu_disc)
-    breaks = _spike_breaks(profile, nu, ra)
-    dth = _integrate_desingularized(xi, ra, rb, tol, breaks)
-    ds = _integrate_desingularized(eta, ra, rb, tol, breaks)
-    return dth, ds
-
-
 def _turning_radius(profile: Profile, nu: float, r_below: float) -> float:
     f = lambda r: float(profile.m(r)) - abs(nu)
     lo = 0.0
@@ -271,16 +244,11 @@ def _turning_radius(profile: Profile, nu: float, r_below: float) -> float:
     return float(brentq(f, lo, r_below, xtol=1e-14))
 
 
-def _direct_sweep(profile: Profile, nu: float, r_lo: float, r_hi: float,
-                  tol: float):
-    return _leg(profile, r_lo, r_hi, nu, tol)
-
-
 def _turning_sweep(profile: Profile, nu: float, r1: float, r2: float,
                    tol: float):
     rt = _turning_radius(profile, nu, min(r1, r2))
-    dth1, ds1 = _leg(profile, rt, r1, nu, tol, turning_left=True)
-    dth2, ds2 = _leg(profile, rt, r2, nu, tol, turning_left=True)
+    dth1, ds1 = clairaut_leg(profile, rt, r1, nu, tol, turning_left=True)
+    dth2, ds2 = clairaut_leg(profile, rt, r2, nu, tol, turning_left=True)
     return dth1 + dth2, ds1 + ds2
 
 
@@ -308,7 +276,7 @@ class TwoRadiusConnectors:
         if self.has_direct:
             self.direct_nus = np.linspace(0.0, self.cap, n_sweep // 2)
             self.direct_sweeps = np.array([
-                _direct_sweep(profile, float(nu), self.r_lo, self.r_hi, tol)[0]
+                clairaut_leg(profile, self.r_lo, self.r_hi, float(nu), tol)[0]
                 for nu in self.direct_nus])
         self.turning_nus = np.unique(np.concatenate([
             np.geomspace(1e-6 * self.nu_max, 0.5 * self.nu_max, n_sweep // 2),
@@ -329,50 +297,22 @@ class TwoRadiusConnectors:
             out.append(HConnector("chain", 0.0, self.r1 + self.r2, math.pi))
 
         profile, tol = self.profile, self.tol
-
-        def validated(kind: str, nu_star: float, dth: float, ds: float) -> None:
-            # defensive: a refined root must actually realize the target sweep
-            if abs(dth - delta) <= 1e-6 * max(1.0, delta):
-                out.append(HConnector(kind, float(nu_star), float(ds), float(dth)))
-
+        families = []
         if self.has_direct:
-            miss = self.direct_sweeps - delta
-            for i in range(len(miss) - 1):
-                if miss[i] == 0.0 or miss[i] * miss[i + 1] < 0.0:
-                    nu_star = brentq(
-                        lambda nu: _direct_sweep(profile, nu, self.r_lo,
-                                                 self.r_hi, tol)[0] - delta,
-                        self.direct_nus[i], self.direct_nus[i + 1], xtol=1e-12,
-                    ) if miss[i] != 0.0 else float(self.direct_nus[i])
-                    dth, ds = _direct_sweep(profile, float(nu_star),
-                                            self.r_lo, self.r_hi, tol)
-                    validated("direct", float(nu_star), dth, ds)
-
-        miss = self.turning_sweeps - delta
-        for i in range(len(miss) - 1):
-            if miss[i] == 0.0 or miss[i] * miss[i + 1] < 0.0:
-                nu_star = brentq(
-                    lambda nu: _turning_sweep(profile, nu, self.r1, self.r2,
-                                              tol)[0] - delta,
-                    self.turning_nus[i], self.turning_nus[i + 1], xtol=1e-12,
-                ) if miss[i] != 0.0 else float(self.turning_nus[i])
-                dth, ds = _turning_sweep(profile, float(nu_star), self.r1,
-                                         self.r2, tol)
-                validated("turning", float(nu_star), dth, ds)
+            families.append(("direct", self.direct_nus, self.direct_sweeps,
+                             lambda nu: clairaut_leg(profile, self.r_lo, self.r_hi,
+                                                     nu, tol)))
+        families.append(("turning", self.turning_nus, self.turning_sweeps,
+                         lambda nu: _turning_sweep(profile, nu, self.r1, self.r2,
+                                                   tol)))
+        for kind, nus, sweeps, sweep in families:
+            for nu_star in roots_on_grid(lambda nu: sweep(nu)[0] - delta, nus,
+                                         sweeps - delta, xtol=1e-12):
+                dth, ds = sweep(nu_star)
+                # defensive: a refined root must actually realize the target sweep
+                if abs(dth - delta) <= 1e-6 * max(1.0, delta):
+                    out.append(HConnector(kind, nu_star, float(ds), float(dth)))
         return out
-
-
-def h_connectors(profile: Profile, r1: float, r2: float, delta: float,
-                 tol: float = 1e-10, n_sweep: int = 32) -> list[HConnector]:
-    """Geodesic connectors between radii r1, r2 with swept angle delta.
-
-    delta must lie in [0, pi].  Positive-sweep convention; the mirror image
-    of every connector realizes the sweep -delta at the same length.
-    Assumes a strictly increasing warp over the radii involved (checked by
-    the caller); for delta = pi the meridian chain through the vertex is
-    always included.
-    """
-    return TwoRadiusConnectors(profile, r1, r2, tol, n_sweep).connectors(delta)
 
 
 def _check_increasing_warp(profile: Profile, r_hi: float) -> bool:
@@ -435,6 +375,10 @@ def _h_distance_shooting(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
     return best
 
 
+class _CrossingLost(Exception):
+    """The k-th crossing of a ray vanished inside a heading bracket."""
+
+
 def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
                theta_target: float, headings, horizon: float,
                twist_mu: float = 0.0, tol: float = 1e-9,
@@ -451,7 +395,7 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
 
     Crossings of the target radius are indexed in parameter order and the
     angular miss of the k-th crossing is bracketed between consecutive
-    headings, then refined by bisection in the heading.
+    headings, then refined by root-finding in the heading.
     """
     m_at = float(profile.m(q_from.r))
     headings = np.asarray(headings, dtype=float)
@@ -463,26 +407,10 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
             path = integrate_h(profile, st, horizon, tol=tol_i)
         except NumericalBlowupError:
             return []
-        recs = []
-        rr = path.states[:, 0]
-        for i in range(len(rr) - 1):
-            a, b = rr[i] - r_target, rr[i + 1] - r_target
-            if a == 0.0 or a * b < 0.0:
-                lo, hi = path.s[i], path.s[i + 1]
-                v_lo = a
-                for _ in range(80):
-                    mid = 0.5 * (lo + hi)
-                    v = path.dense(mid)[0] - r_target
-                    if (v < 0) == (v_lo < 0):
-                        lo, v_lo = mid, v
-                    else:
-                        hi = mid
-                    if hi - lo < 1e-12:
-                        break
-                s_c = 0.5 * (lo + hi)
-                y = path.dense(s_c)
-                recs.append((s_c, y[1] + twist_mu * s_c))
-        return recs
+        s_c = np.array(roots_on_grid(lambda s: path.dense(s)[0] - r_target, path.s,
+                                     path.states[:, 0] - r_target, xtol=1e-12))
+        theta = path.dense(s_c)[:, 1] + twist_mu * s_c
+        return list(zip(s_c.tolist(), theta.tolist()))
 
     scanned = [crossings(chi, tol) for chi in headings]
     hits: list[tuple[float, float]] = []
@@ -494,44 +422,31 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
             gb = wrap_angle(cb[k][1] - theta_target)
             if abs(ga) > 2.5 or abs(gb) > 2.5:
                 continue  # avoid brackets straddling the angle wrap
-            if ga == 0.0:
-                hits.append((chi_a, float(ca[k][0])))
-                continue
-            if ga * gb >= 0.0:
-                continue
-            lo, hi, glo = chi_a, chi_b, ga
-            root = None
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                cs = crossings(mid, refine_tol)
+            seen = {chi_a: ca, chi_b: cb}
+
+            def miss(chi: float) -> float:
+                cs = seen[chi] = crossings(chi, refine_tol)
                 if len(cs) <= k:
-                    break
-                gm = wrap_angle(cs[k][1] - theta_target)
-                if abs(gm) < 1e-12 or hi - lo < 1e-13:
-                    root = (mid, cs[k][0])
-                    break
-                if (gm < 0) == (glo < 0):
-                    lo, glo = mid, gm
-                else:
-                    hi = mid
-            if root is not None:
-                hits.append((float(root[0]), float(root[1])))
-    hits.sort()
+                    raise _CrossingLost
+                return wrap_angle(cs[k][1] - theta_target)
+
+            try:
+                roots = roots_on_grid(miss, (chi_a, chi_b), (ga, gb), xtol=1e-13)
+            except _CrossingLost:
+                continue
+            hits += [(chi, float(seen[chi][k][0])) for chi in roots]
+    # headings are compared mod 2 pi: on a closed scan grid [-pi, pi] one
+    # segment can show up at both ends
     out: list[tuple[float, float]] = []
-    for h in hits:
-        if not out or abs(h[0] - out[-1][0]) > 1e-7 or abs(h[1] - out[-1][1]) > 1e-7:
+    for h in sorted(hits):
+        if all(abs(wrap_angle(h[0] - o[0])) > 1e-7 or abs(h[1] - o[1]) > 1e-7
+               for o in out):
             out.append(h)
     return out
 
 
 # ---------------------------------------------------------------------------
 # navigation distances
-
-
-def distance_from_vertex(profile: Profile, q: SurfacePoint) -> float:
-    """Both the background and the navigation distance from the vertex equal
-    the radial coordinate."""
-    return q.r
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 Dormand-Prince 5(4) pair: six function stages plus FSAL, 5th-order
 propagation, 4th-order error estimate, standard step-size controller.
 Between accepted steps the solution can be interpolated by cubic Hermite
-polynomials built from the stored endpoint values and derivatives.
+polynomials built from the stored endpoint values and derivatives; the
+dense output evaluates a whole array of parameters in one vectorized pass.
 
 Two hooks distinguish this driver from a generic ODE call:
 
@@ -13,8 +14,8 @@ Two hooks distinguish this driver from a generic ODE call:
   None to keep the state; it must not mutate its argument.  After a
   replacement the cached FSAL derivative is recomputed.
 * ``events`` are scalar functions of (s, y); their sign changes over accepted
-  steps are refined by bisection on the dense output.  Terminal events stop
-  the integration and truncate the final step at the root.
+  steps are refined by brentq on the step's dense output.  Terminal events
+  stop the integration and truncate the final step at the root.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .profile import roots_on_grid
 
 # Dormand-Prince coefficients.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
@@ -74,20 +77,18 @@ class ODESolution:
     nrejected: int = 0
 
     def __call__(self, s):
-        """Dense evaluation by per-step cubic Hermite interpolation."""
-        s_arr = np.atleast_1d(np.asarray(s, dtype=float))
-        out = np.empty((s_arr.size, self.y.shape[1]))
-        for k, sk in enumerate(s_arr):
-            out[k] = self._eval_one(sk)
-        return out[0] if np.isscalar(s) or np.asarray(s).ndim == 0 else out
-
-    def _eval_one(self, sk: float) -> np.ndarray:
+        """Dense evaluation by per-step cubic Hermite interpolation; an array
+        of parameters gives one state row per entry."""
+        s_arr = np.asarray(s, dtype=float)
         if self.seg_s.size == 0:
-            return self.y[0].copy()
-        i = int(np.searchsorted(self.seg_s, sk, side="right") - 1)
-        i = min(max(i, 0), self.seg_s.size - 1)
+            return np.broadcast_to(self.y[0], s_arr.shape + self.y[0].shape).copy()
+        # the step containing s; parameters outside [s0, s_end] extrapolate
+        # from the first or last step
+        i = np.searchsorted(self.seg_s[1:], s_arr, side="right")
+        # arrays broadcast against the state axis; a scalar stays a scalar
+        col = (..., None) if s_arr.ndim else ()
         return _hermite(
-            sk, self.seg_s[i], self.seg_h[i],
+            s_arr[col], self.seg_s[i][col], self.seg_h[i][col],
             self.seg_y0[i], self.seg_y1[i], self.seg_f0[i], self.seg_f1[i],
         )
 
@@ -108,22 +109,6 @@ def _initial_step(f, s0, y0, f0, tol, h_max):
     d1 = np.max(np.abs(f0)) + 1e-8
     h = 0.01 * d0 / d1
     return min(h, h_max)
-
-
-def _refine_event(g, sol_eval, s_lo, s_hi, g_lo, xtol=1e-10, maxiter=200):
-    # plain bisection on the dense output; robust and cheap.
-    for _ in range(maxiter):
-        if s_hi - s_lo <= xtol:
-            break
-        mid = 0.5 * (s_lo + s_hi)
-        g_mid = g(mid, sol_eval(mid))
-        if g_mid == 0.0:
-            return mid
-        if (g_lo < 0) == (g_mid < 0):
-            s_lo, g_lo = mid, g_mid
-        else:
-            s_hi = mid
-    return 0.5 * (s_lo + s_hi)
 
 
 def integrate(
@@ -217,7 +202,8 @@ def integrate(
                     if ev.direction < 0 and not (g_old > 0.0):
                         crossed = False
                 if crossed:
-                    root = _refine_event(ev.func, seg_eval, s, s_new, g_old)
+                    root = roots_on_grid(lambda sq: ev.func(sq, seg_eval(sq)),
+                                         (s, s_new), (g_old, g_new), xtol=1e-10)[0]
                     ev_records[i].append((root, seg_eval(root)))
                     if ev.terminal and (stop_at is None or root < stop_at):
                         stop_at = root

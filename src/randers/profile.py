@@ -49,6 +49,9 @@ class SurfacePoint:
     theta: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
+            raise InvalidParameterError(
+                f"point coordinates must be finite, got ({self.r}, {self.theta})")
         if self.r < 0:
             raise InvalidParameterError(f"radius must be >= 0, got {self.r}")
 
@@ -78,10 +81,12 @@ class Profile:
     source: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise InvalidParameterError(f"wind strength mu must be > 0, got {self.mu}")
-        if self.r_max <= 0:
-            raise InvalidParameterError(f"r_max must be > 0, got {self.r_max}")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise InvalidParameterError(
+                f"wind strength mu must be finite and > 0, got {self.mu}")
+        if not (math.isfinite(self.r_max) and self.r_max > 0):
+            raise InvalidParameterError(
+                f"r_max must be finite and > 0, got {self.r_max}")
         _validate_profile(self)
 
     @property
@@ -265,28 +270,41 @@ def is_von_mangoldt(profile: Profile, grid) -> VonMangoldtCheck:
     return VonMangoldtCheck(True, None, None)
 
 
+def roots_on_grid(f, grid, values, xtol: float) -> list[float]:
+    """Roots of a scalar function bracketed on a strictly increasing grid.
+
+    values[i] is f(grid[i]), or a value the caller already holds with the
+    same sign.  Each sign change between neighbouring grid points is refined
+    by brentq to xtol; brentq's calls at the bracket ends are answered from
+    values, so f runs only inside brackets and the bracket keeps the signs
+    the caller saw.  Grid points with value exactly zero are roots as they
+    stand.  A root within 10 * xtol of the previous one is dropped: adjacent
+    brackets around one tangential zero report it once.
+    """
+    roots: list[float] = []
+    last = len(grid) - 1
+    for i, v in enumerate(values):
+        if v == 0.0:
+            root = float(grid[i])
+        elif i < last and v * values[i + 1] < 0.0:
+            a, b, vb = float(grid[i]), float(grid[i + 1]), values[i + 1]
+            root = float(brentq(lambda x: v if x == a else vb if x == b else f(x),
+                                a, b, xtol=xtol))
+        else:
+            continue
+        if not roots or abs(root - roots[-1]) > 10.0 * xtol:
+            roots.append(root)
+    return roots
+
+
 def geodesic_parallels(profile: Profile, grid) -> list[float]:
     """Radii r0 with m'(r0) = 0, i.e. parallels that are geodesics.
 
-    Each sign change of m' over the grid is refined by bisection to 1e-10.
-    Grid points where m' vanishes exactly are returned as-is.
+    Each sign change of m' over the grid is refined to 1e-10; grid points
+    where m' vanishes exactly are returned as-is.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise InvalidParameterError("grid must be strictly increasing")
-    roots: list[float] = []
-    vals = np.array([float(profile.m1(r)) for r in grid])
-    for i in range(len(grid) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            roots.append(float(grid[i]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(profile.m1, grid[i], grid[i + 1], xtol=1e-10)))
-    if len(grid) and vals[-1] == 0.0:
-        roots.append(float(grid[-1]))
-    # collapse duplicates from adjacent brackets
-    out: list[float] = []
-    for r in roots:
-        if not out or abs(r - out[-1]) > 1e-9:
-            out.append(r)
-    return out
+    m1 = lambda r: float(profile.m1(r))
+    return roots_on_grid(m1, grid, [m1(r) for r in grid], xtol=1e-10)

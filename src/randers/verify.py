@@ -38,6 +38,12 @@ class CheckResult:
     comparison: str = "<="      # how value relates to threshold when passing
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        # numpy bools and floats from the checks would not serialize to JSON
+        self.passed = bool(self.passed)
+        self.value = float(self.value)
+        self.threshold = float(self.threshold)
+
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return (f"[{status}] {self.name}: value={self.value:.6g} "

@@ -50,6 +50,11 @@ class Tangent:
     y1: float
     y2: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.y1) and math.isfinite(self.y2)):
+            raise InvalidParameterError(
+                f"tangent components must be finite, got ({self.y1}, {self.y2})")
+
     def is_zero(self) -> bool:
         return self.y1 == 0.0 and self.y2 == 0.0
 

@@ -18,8 +18,12 @@ Criteria covered, in suite order:
  13. Parallel-loop closed-form discrepancy is flagged, not reconciled
 """
 
+import json
+
+import numpy as np
 import pytest
 
+from randers import verify
 from randers.verify import ALL_CHECKS, run_all
 
 _EXPECTED_NAMES = [
@@ -71,6 +75,19 @@ def test_discrepancy_is_reported_not_fixed(suite):
     # both closed forms are present in the report
     assert details["flow_loop_length"] > 0
     assert details["half_turn_constant"] > 0
+
+
+def test_numpy_valued_checks_serialize_to_json():
+    # these three checks reduce numpy arrays; `randers verify` writes their
+    # results to verify.json
+    rng = np.random.default_rng(0)
+    ctx = {"rng": rng, "paths": verify._random_f_paths(rng, n=2)}
+    for check in (verify.check_clairaut_F, verify.check_momentum,
+                  verify.check_navigation_unit_speed):
+        res = check(ctx)
+        doc = {"name": res.name, "passed": res.passed, "value": res.value,
+               "threshold": res.threshold}
+        assert json.loads(json.dumps(doc)) == doc
 
 
 def test_suite_is_deterministic(suite):

@@ -83,7 +83,7 @@ def test_cutlocus_command(tmp_path, capsys):
     assert csv[0] == "s,r,theta"
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     # usage error
     assert run(["--no-such-flag", "info"]) == 1
     assert run([]) == 1
@@ -96,6 +96,11 @@ def test_exit_codes(tmp_path):
     degen.write_text(json.dumps({"kind": "custom", "m": "r", "m1": "1",
                                  "m2": "0", "mu": 2.0, "r_max": 5.0}))
     assert run(["info", "--surface", str(degen)]) == 2
+    capsys.readouterr()
+    assert run(["distance", "--from", "nan", "0", "--to", "1", "1",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite" in err and "Traceback" not in err
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):

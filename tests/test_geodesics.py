@@ -16,6 +16,7 @@ from randers import (
 from randers.geodesics import (
     GeodesicState,
     clairaut_constant,
+    clairaut_leg,
     count_self_intersections,
     f_geodesic_residual,
     h_speed,
@@ -28,7 +29,7 @@ from randers.geodesics import (
     turning_points,
     twist,
 )
-from randers.measure import _leg
+from randers.odesolve import _hermite
 
 
 def _launch(profile, r0, phi, theta0=0.0):
@@ -41,6 +42,37 @@ def test_meridian_is_analytic(parab):
     assert path.kind == "meridian" and path.nu == 0.0
     np.testing.assert_allclose(path.states[:, 0], 0.5 + path.s, rtol=0, atol=0)
     assert np.all(path.states[:, 1] == 0.3)
+
+
+def _dense_paths(parab):
+    generic = integrate_h(parab, _launch(parab, 1.0, 0.6), 4.0)
+    return {
+        "generic": generic,
+        "twisted": twist(generic, parab.mu),
+        "meridian-through-vertex": integrate_h(
+            parab, GeodesicState(1.0, 0.0, -1.0, 0.0), 3.0),
+        "two-sided": integrate_h_two_sided(parab, _launch(parab, 1.0, 0.6),
+                                           2.0, 3.0),
+    }
+
+
+@pytest.mark.parametrize("kind", ["generic", "twisted", "meridian-through-vertex",
+                                  "two-sided"])
+def test_dense_reads_arrays(parab, kind):
+    path = _dense_paths(parab)[kind]
+    ss = np.concatenate([path.s, 0.5 * (path.s[1:] + path.s[:-1]), [1.0]])
+    stacked = np.array([path.dense(float(s)) for s in ss])
+    np.testing.assert_array_equal(path.dense(ss), stacked)
+    assert path.dense(ss.reshape(-1, 1)).shape == (len(ss), 1, 4)
+    if kind == "generic":
+        # the per-step Hermite loop the dense output replaced
+        sol = path.dense
+        for s, row in zip(ss, stacked):
+            i = int(np.searchsorted(sol.seg_s, s, side="right") - 1)
+            i = min(max(i, 0), sol.seg_s.size - 1)
+            ref = _hermite(s, sol.seg_s[i], sol.seg_h[i], sol.seg_y0[i],
+                           sol.seg_y1[i], sol.seg_f0[i], sol.seg_f1[i])
+            np.testing.assert_array_equal(row, ref)
 
 
 def test_meridian_chain_through_vertex(parab):
@@ -266,8 +298,7 @@ def test_self_intersections_against_quadrature_count():
     r_in = float(h2.states[h2.s <= 0, 0].max())
     r_out = float(h2.states[h2.s >= 0, 0].max())
     r_common = min(r_in, r_out)
-    dth, _ = _leg(p, rt, r_common, nu, 1e-10)
-    _, ds = _leg(p, rt, r_common, nu, 1e-10)
+    dth, ds = clairaut_leg(p, rt, r_common, nu, 1e-10)
     expected = int((2.0 * (dth + p.mu * ds)) // (2.0 * math.pi))
     assert n_sweep == expected
 

@@ -10,7 +10,6 @@ from randers.measure import (
     clairaut_verify,
     distance_F,
     distance_F_report,
-    distance_from_vertex,
     f_length,
     f_length_parallel,
     h_distance,
@@ -245,8 +244,6 @@ def test_distance_F_vertex_cases(parab):
     assert distance_F(parab, SurfacePoint(0.0, 0.0), SurfacePoint(3.0, 2.0)) == 3.0
     assert distance_F(parab, SurfacePoint(3.0, 2.0), SurfacePoint(0.0, 0.0)) \
         == pytest.approx(3.0, abs=1e-9)
-    assert distance_from_vertex(parab, SurfacePoint(2.0, 1.0)) == 2.0
-    assert distance_from_vertex(parab, SurfacePoint(0.0, 0.0)) == 0.0
 
 
 def test_distance_F_asymmetry_on_parallel(parab):

@@ -7,6 +7,7 @@ import pytest
 from randers import (
     InvalidParameterError,
     SurfacePoint,
+    Tangent,
     gauss_curvature,
     geodesic_parallels,
     is_von_mangoldt,
@@ -15,6 +16,7 @@ from randers import (
     make_paraboloid,
     wrap_angle,
 )
+from randers.profile import roots_on_grid
 
 
 def test_paraboloid_closed_forms(parab):
@@ -83,6 +85,46 @@ def test_geodesic_parallels(parab, bump):
     # m'(r) = 1 - r^4/4 vanishes at r = sqrt(2)
     assert roots[0] == pytest.approx(math.sqrt(2.0), abs=1e-10)
     assert geodesic_parallels(bump, [0.5]) == []
+
+
+def test_roots_on_grid():
+    grid = np.linspace(0.0, 3.0, 7)
+    # an exact zero at a grid point is kept as it stands
+    f = lambda x: x - 1.5
+    assert roots_on_grid(f, grid, [f(x) for x in grid], xtol=1e-12) == [1.5]
+    # one sign change, refined inside its bracket
+    f = lambda x: x * x - 2.0
+    (root,) = roots_on_grid(f, grid, [f(x) for x in grid], xtol=1e-12)
+    assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
+    # none
+    f = lambda x: x + 1.0
+    assert roots_on_grid(f, grid, [f(x) for x in grid], xtol=1e-12) == []
+    # several, in increasing order
+    grid = np.linspace(0.1, 10.0, 200)
+    roots = roots_on_grid(math.sin, grid, np.sin(grid), xtol=1e-12)
+    np.testing.assert_allclose(roots, [math.pi, 2 * math.pi, 3 * math.pi],
+                               rtol=0, atol=1e-12)
+    # bracket ends are answered from the values: f runs only inside
+    calls = []
+    f = lambda x: calls.append(x) or x - 0.7
+    roots_on_grid(f, [0.0, 1.0], [-0.7, 0.3], xtol=1e-12)
+    assert calls and all(0.0 < x < 1.0 for x in calls)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_custom("r", "1", "0", mu=float("nan"), r_max=10.0),
+    lambda: make_custom("r", "1", "0", mu=0.04, r_max=float("nan")),
+    lambda: make_paraboloid(1.0, r_max=float("nan")),
+    lambda: SurfacePoint(float("nan"), 0.0),
+    lambda: SurfacePoint(float("inf"), 0.0),
+    lambda: SurfacePoint(1.0, float("nan")),
+    lambda: Tangent(float("nan"), 1.0),
+    lambda: Tangent(1.0, float("inf")),
+], ids=["custom-mu-nan", "custom-rmax-nan", "paraboloid-rmax-nan", "point-r-nan",
+        "point-r-inf", "point-theta-nan", "tangent-nan", "tangent-inf"])
+def test_rejects_non_finite_input(build):
+    with pytest.raises(InvalidParameterError):
+        build()
 
 
 def test_profile_construction_errors():
