@@ -52,11 +52,6 @@ class JacobiSolution:
     yp: np.ndarray
     first_zero: float | None
 
-    def at(self, s: float) -> tuple[float, float]:
-        i = int(np.searchsorted(self.s, s))
-        i = min(max(i, 0), len(self.s) - 1)
-        return float(self.y[i]), float(self.yp[i])
-
 
 def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
                      yp0: float, upto: float, tol: float = 1e-12

@@ -147,6 +147,17 @@ def _meridian_path(profile: Profile, state0: GeodesicState, length: float,
     )
 
 
+def _h_max(profile: Profile) -> float:
+    """Step cap of the geodesic integrators."""
+    return min(0.1, 0.1 / profile.mu)
+
+
+def _r_floor(nu):
+    """Radius that no geodesic with Clairaut constant nu can reach: it turns
+    where m(r) = |nu|, near r = |nu|.  A ray that gets there has blown up."""
+    return np.maximum(1e-14, 1e-3 * np.abs(nu))
+
+
 def integrate_h(profile: Profile, state0: GeodesicState, length: float,
                 tol: float = 1e-10) -> GeodesicPath:
     """Integrate an h-unit-speed geodesic for the given parameter length.
@@ -196,14 +207,14 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         drift["clairaut"] = max(drift["clairaut"], abs(m * m * out[3] - nu0))
         return out
 
-    r_floor = max(1e-14, 1e-3 * abs(nu0))
+    r_floor = _r_floor(nu0)
     events = [
         odesolve.EventSpec(lambda s, y: y[0] - profile.r_max, terminal=True, direction=1),
         odesolve.EventSpec(lambda s, y: y[0] - r_floor, terminal=True, direction=-1),
     ]
     sol = odesolve.integrate(
         rhs, 0.0, state0.as_array(), length, tol=tol,
-        h_max=min(0.1, 0.1 / profile.mu), post_step=renormalize, events=events,
+        h_max=_h_max(profile), post_step=renormalize, events=events,
     )
     if sol.status == "event:1":
         raise NumericalBlowupError(
@@ -217,6 +228,85 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         dense=sol, max_unit_drift=drift["unit"],
         max_clairaut_drift=drift["clairaut"], exit_reason=exit_reason,
     )
+
+
+def level_crossings(path: GeodesicPath, r_level: float
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters and states where a sampled path crosses the parallel
+    r = r_level: sign changes of r - r_level between samples (and samples
+    exactly on it), refined to 1e-12 by brentq on the dense output."""
+    s_c = np.array(roots_on_grid(lambda s: path.dense(s)[0] - r_level, path.s,
+                                 path.states[:, 0] - r_level, xtol=1e-12))
+    return s_c, path.dense(s_c)
+
+
+def level_crossings_batch(profile: Profile, states0, length: float,
+                          r_level: float, tol: float = 1e-10
+                          ) -> list[tuple[np.ndarray, np.ndarray]]:
+    """level_crossings of the h-geodesic from every row (r, theta, dr,
+    dtheta) of states0 over [0, length], without building the paths.
+
+    Exact meridians take the analytic path of integrate_h.  All other rows
+    run in one odesolve.integrate_batch pass with the right-hand side, unit
+    speed projection, step cap and events of integrate_h; each crossing is
+    refined on the Hermite cubic of its step.  A row that leaves r <= r_max
+    keeps the crossings before its exit; a row that reaches the blow-up
+    floor, where integrate_h raises NumericalBlowupError, has none.
+    """
+    if length <= 0:
+        raise InvalidParameterError(f"length must be positive, got {length}")
+    y0 = np.array(states0, dtype=float).reshape(-1, 4)
+    m0 = np.asarray(profile.m(y0[:, 0]), dtype=float)
+    speed = np.hypot(y0[:, 2], m0 * y0[:, 3])
+    if not np.all(np.abs(speed - 1.0) <= _UNIT_SPEED_PRE_TOL):
+        raise InvalidParameterError(
+            f"initial states are not h-unit speed: |v|_h = {speed}")
+    meridian = np.abs(y0[:, 3]) < _MERIDIAN_EPS
+    if np.any(y0[~meridian, 0] <= 0.0):
+        raise VertexSingularError(
+            "cannot start at the vertex with nonzero angular speed")
+    out = [level_crossings(_meridian_path(profile, GeodesicState(*row), length, tol),
+                           r_level) if merid else None
+           for row, merid in zip(y0.tolist(), meridian.tolist())]
+    ode = np.flatnonzero(~meridian)
+    if ode.size == 0:
+        return out
+    m_fn, m1_fn = profile.m, profile.m1
+
+    def rhs(s, y):
+        dr, dth = y[:, 2], y[:, 3]
+        m = m_fn(y[:, 0])
+        m1 = m1_fn(y[:, 0])
+        return np.stack([dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth],
+                        axis=1)
+
+    def renormalize(s, y):
+        norm = np.hypot(y[:, 2], m_fn(y[:, 0]) * y[:, 3])
+        unit = y.copy()
+        unit[:, 2:] /= norm[:, None]
+        return unit
+
+    nu0 = m0[ode] ** 2 * y0[ode, 3]
+    events = [odesolve.LevelEvent(0, profile.r_max, terminal=True, direction=1),
+              odesolve.LevelEvent(0, _r_floor(nu0), terminal=True, direction=-1),
+              odesolve.LevelEvent(0, r_level)]
+    sol = odesolve.integrate_batch(rhs, 0.0, y0[ode], length, tol=tol,
+                                   h_max=_h_max(profile), post_step=renormalize,
+                                   events=events)
+    rows, s_c, y_c = sol.events[2]
+    ends = np.cumsum(np.bincount(rows, minlength=ode.size))
+    for j, i in enumerate(ode.tolist()):
+        lo = ends[j - 1] if j else 0
+        s_i, y_i = s_c[lo:ends[j]], y_c[lo:ends[j]]
+        if sol.status[j] == "event:1":
+            s_i, y_i = s_i[:0], y_i[:0]
+        elif y0[i, 0] == r_level:
+            # a start exactly on the level is a crossing for level_crossings
+            # (a sample with value zero), not for the event, which needs a
+            # strict sign at the step start
+            s_i, y_i = np.append(0.0, s_i), np.vstack([y0[i], y_i])
+        out[i] = (s_i, y_i)
+    return out
 
 
 _TWIST_KIND = {"meridian": "twisted-meridian", "parallel": "parallel",
@@ -347,6 +437,27 @@ def _spike_breaks(profile: Profile, nu: float, r_end: float) -> tuple:
     return (u_sp, 8.0 * u_sp)
 
 
+def _leg_integral(integrand: int, profile: Profile, ra: float, rb: float,
+                  nu: float, tol: float, turning_left: bool,
+                  turning_right: bool) -> float:
+    """Integral of xi (integrand 0) or eta (1) over a leg of clairaut_leg."""
+    nu_disc = None
+    if turning_left:
+        nu_disc = float(profile.m(ra))
+    elif turning_right:
+        nu_disc = float(profile.m(rb))
+    f = _xi_eta(profile, nu, nu_disc)[integrand]
+    lb = _spike_breaks(profile, nu, ra)
+    rb_breaks = _spike_breaks(profile, nu, rb) if turning_right else ()
+    return _integrate_desingularized(f, ra, rb, tol, lb, rb_breaks)
+
+
+def clairaut_angle(profile: Profile, ra: float, rb: float, nu: float, tol: float,
+                   turning_left: bool = False, turning_right: bool = False) -> float:
+    """delta_theta of clairaut_leg alone, at half its quad calls."""
+    return _leg_integral(0, profile, ra, rb, nu, tol, turning_left, turning_right)
+
+
 def clairaut_leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
                  turning_left: bool = False, turning_right: bool = False):
     """(delta_theta, delta_s) over the leg ra < r < rb of an h-geodesic with
@@ -356,16 +467,8 @@ def clairaut_leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
     nu: the discriminant zero is pinned there (the left end when both are
     marked) and a right-end turning point gets its own spike panel breaks.
     """
-    nu_disc = None
-    if turning_left:
-        nu_disc = float(profile.m(ra))
-    elif turning_right:
-        nu_disc = float(profile.m(rb))
-    xi, eta = _xi_eta(profile, nu, nu_disc)
-    lb = _spike_breaks(profile, nu, ra)
-    rb_breaks = _spike_breaks(profile, nu, rb) if turning_right else ()
-    return (_integrate_desingularized(xi, ra, rb, tol, lb, rb_breaks),
-            _integrate_desingularized(eta, ra, rb, tol, lb, rb_breaks))
+    return (clairaut_angle(profile, ra, rb, nu, tol, turning_left, turning_right),
+            _leg_integral(1, profile, ra, rb, nu, tol, turning_left, turning_right))
 
 
 def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,

@@ -41,9 +41,12 @@ from .errors import (
 from .geodesics import (
     GeodesicPath,
     GeodesicState,
+    clairaut_angle,
     clairaut_leg,
     cumulative_F_length,
     integrate_h,
+    level_crossings,
+    level_crossings_batch,
 )
 from .profile import Profile, SurfacePoint, roots_on_grid, wrap_angle
 from .zermelo import Tangent, eval_F, navigation_transform
@@ -252,6 +255,14 @@ def _turning_sweep(profile: Profile, nu: float, r1: float, r2: float,
     return dth1 + dth2, ds1 + ds2
 
 
+def _turning_angle(profile: Profile, nu: float, r1: float, r2: float,
+                   tol: float) -> float:
+    """The delta_theta of _turning_sweep alone."""
+    rt = _turning_radius(profile, nu, min(r1, r2))
+    return (clairaut_angle(profile, rt, r1, nu, tol, turning_left=True)
+            + clairaut_angle(profile, rt, r2, nu, tol, turning_left=True))
+
+
 class TwoRadiusConnectors:
     """Connector solver between two fixed radii, reusable over many sweep
     targets.
@@ -259,7 +270,9 @@ class TwoRadiusConnectors:
     Builds the monotone direct-family sweep and the graded turning-family
     sweep once; each query brackets on the cached values and refines by
     root-finding.  This matters inside distance_F, whose outer root search
-    re-queries the same radius pair with a rotating target angle.
+    re-queries the same radius pair with a rotating target angle.  Tables
+    and root iterates need the swept angle only; the arc length is
+    integrated once per refined root.
     """
 
     def __init__(self, profile: Profile, r1: float, r2: float,
@@ -276,14 +289,14 @@ class TwoRadiusConnectors:
         if self.has_direct:
             self.direct_nus = np.linspace(0.0, self.cap, n_sweep // 2)
             self.direct_sweeps = np.array([
-                clairaut_leg(profile, self.r_lo, self.r_hi, float(nu), tol)[0]
+                clairaut_angle(profile, self.r_lo, self.r_hi, float(nu), tol)
                 for nu in self.direct_nus])
         self.turning_nus = np.unique(np.concatenate([
             np.geomspace(1e-6 * self.nu_max, 0.5 * self.nu_max, n_sweep // 2),
             np.linspace(0.5 * self.nu_max, self.cap, n_sweep // 2),
         ]))
         self.turning_sweeps = np.array([
-            _turning_sweep(profile, float(nu), r1, r2, tol)[0]
+            _turning_angle(profile, float(nu), r1, r2, tol)
             for nu in self.turning_nus])
 
     def connectors(self, delta: float) -> list[HConnector]:
@@ -297,16 +310,17 @@ class TwoRadiusConnectors:
             out.append(HConnector("chain", 0.0, self.r1 + self.r2, math.pi))
 
         profile, tol = self.profile, self.tol
+        r_lo, r_hi, r1, r2 = self.r_lo, self.r_hi, self.r1, self.r2
         families = []
         if self.has_direct:
             families.append(("direct", self.direct_nus, self.direct_sweeps,
-                             lambda nu: clairaut_leg(profile, self.r_lo, self.r_hi,
-                                                     nu, tol)))
+                             lambda nu: clairaut_angle(profile, r_lo, r_hi, nu, tol),
+                             lambda nu: clairaut_leg(profile, r_lo, r_hi, nu, tol)))
         families.append(("turning", self.turning_nus, self.turning_sweeps,
-                         lambda nu: _turning_sweep(profile, nu, self.r1, self.r2,
-                                                   tol)))
-        for kind, nus, sweeps, sweep in families:
-            for nu_star in roots_on_grid(lambda nu: sweep(nu)[0] - delta, nus,
+                         lambda nu: _turning_angle(profile, nu, r1, r2, tol),
+                         lambda nu: _turning_sweep(profile, nu, r1, r2, tol)))
+        for kind, nus, sweeps, angle, sweep in families:
+            for nu_star in roots_on_grid(lambda nu: angle(nu) - delta, nus,
                                          sweeps - delta, xtol=1e-12):
                 dth, ds = sweep(nu_star)
                 # defensive: a refined root must actually realize the target sweep
@@ -393,12 +407,23 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     included.  With twist_mu nonzero, trajectories are the twisted paths
     theta + twist_mu * s of the shot h-geodesics.
 
-    Crossings of the target radius are indexed in parameter order and the
-    angular miss of the k-th crossing is bracketed between consecutive
-    headings, then refined by root-finding in the heading.
+    The scan runs every heading in one batched integration at tol
+    (geodesics.level_crossings_batch): a ray that leaves r <= r_max keeps
+    the crossings it made before, and a ray that blows up at the vertex
+    floor has none.  Crossings of the target radius are indexed in
+    parameter order and the angular miss of the k-th crossing is bracketed
+    between consecutive headings, then refined by brentq in the heading,
+    each iterate one integrate_h ray at refine_tol.  Brackets with a miss
+    above 2.5 rad are skipped, so that the angle wrap at +-pi does not pass
+    for a zero.
     """
+    if q_from.r <= 0.0:
+        raise VertexSingularError("headings do not parametrize rays from the vertex")
     m_at = float(profile.m(q_from.r))
     headings = np.asarray(headings, dtype=float)
+
+    def twisted(s_c: np.ndarray, y_c: np.ndarray) -> list[tuple[float, float]]:
+        return list(zip(s_c.tolist(), (y_c[:, 1] + twist_mu * s_c).tolist()))
 
     def crossings(chi: float, tol_i: float) -> list[tuple[float, float]]:
         st = GeodesicState(q_from.r, q_from.theta, math.cos(chi),
@@ -407,12 +432,13 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
             path = integrate_h(profile, st, horizon, tol=tol_i)
         except NumericalBlowupError:
             return []
-        s_c = np.array(roots_on_grid(lambda s: path.dense(s)[0] - r_target, path.s,
-                                     path.states[:, 0] - r_target, xtol=1e-12))
-        theta = path.dense(s_c)[:, 1] + twist_mu * s_c
-        return list(zip(s_c.tolist(), theta.tolist()))
+        return twisted(*level_crossings(path, r_target))
 
-    scanned = [crossings(chi, tol) for chi in headings]
+    fan = np.column_stack([np.full(headings.size, q_from.r),
+                           np.full(headings.size, q_from.theta),
+                           np.cos(headings), np.sin(headings) / m_at])
+    scanned = [twisted(*c) for c in
+               level_crossings_batch(profile, fan, horizon, r_target, tol)]
     hits: list[tuple[float, float]] = []
     for i in range(len(headings) - 1):
         chi_a, chi_b = float(headings[i]), float(headings[i + 1])

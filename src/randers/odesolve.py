@@ -1,21 +1,39 @@
-"""Adaptive embedded Runge-Kutta integrator with dense output and events.
+"""Adaptive embedded Runge-Kutta integrators with dense output and events.
 
 Dormand-Prince 5(4) pair: six function stages plus FSAL, 5th-order
-propagation, 4th-order error estimate, standard step-size controller.
-Between accepted steps the solution can be interpolated by cubic Hermite
-polynomials built from the stored endpoint values and derivatives; the
-dense output evaluates a whole array of parameters in one vectorized pass.
+propagation, 4th-order error estimate, standard step-size controller
+(Hairer, Norsett and Wanner, Solving ODEs I, section II.4).  Between accepted
+steps the solution is interpolated by cubic Hermite polynomials built from
+the stored endpoint values and derivatives; the dense output evaluates a
+whole array of parameters in one vectorized pass.
 
-Two hooks distinguish this driver from a generic ODE call:
+Two integrators share the tableau, the controller and the interpolant:
+
+* ``integrate`` runs one trajectory and keeps every accepted step, so its
+  ODESolution is a dense output over the whole range.
+* ``integrate_batch`` runs many independent trajectories of one ODE at once
+  on an (n_rows, dim) state.  Each row keeps its own step size and is
+  accepted or rejected under a mask; rows leave the active set when they
+  reach s_end or a terminal event.  No dense output is stored, so memory
+  stays O(n_rows) plus the event roots.
+
+Both take the same two hooks:
 
 * ``post_step(s, y) -> y_new | None`` runs after every accepted step and may
-  project the state back onto an invariant manifold (the geodesic integrator
-  renormalizes unit speed there).  It must return a replacement array, or
+  project the state back onto an invariant manifold (the geodesic integrators
+  renormalize unit speed there).  It must return a replacement array, or
   None to keep the state; it must not mutate its argument.  After a
-  replacement the cached FSAL derivative is recomputed.
-* ``events`` are scalar functions of (s, y); their sign changes over accepted
-  steps are refined by brentq on the step's dense output.  Terminal events
-  stop the integration and truncate the final step at the root.
+  replacement the FSAL derivative is recomputed, and the step's end state
+  and derivative are the projected ones, so the dense output passes through
+  the sampled states.
+* Events.  ``integrate`` takes EventSpec functions g(s, y); their sign
+  changes over accepted steps are refined by brentq on the step's dense
+  output.  ``integrate_batch`` takes LevelEvents, crossings of one state
+  component through a level (one per row, or shared); the roots of all
+  crossing rows of a step are refined together on the step's Hermite cubic.
+  A crossing counts when g goes from one strict sign to zero or the other
+  sign.  Terminal events stop the integration (a single row, in a batch) and
+  truncate the final step at the root.
 """
 
 from __future__ import annotations
@@ -104,11 +122,11 @@ def _hermite(s, s0, h, y0, y1, f0, f1):
     return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
 
 
-def _initial_step(f, s0, y0, f0, tol, h_max):
-    d0 = np.max(np.abs(y0)) + 1.0
-    d1 = np.max(np.abs(f0)) + 1e-8
-    h = 0.01 * d0 / d1
-    return min(h, h_max)
+def _initial_step(y0, f0, h_max):
+    """First trial step; per row when y0 and f0 hold one state per row."""
+    d0 = np.max(np.abs(y0), axis=-1) + 1.0
+    d1 = np.max(np.abs(f0), axis=-1) + 1e-8
+    return np.minimum(0.01 * d0 / d1, h_max)
 
 
 def integrate(
@@ -141,7 +159,7 @@ def integrate(
     ev_records: dict = {i: [] for i in range(len(events))}
     status = "completed"
 
-    h = min(_initial_step(f, s, y, fs, tol, h_max), s_end - s0, h_max)
+    h = min(_initial_step(y, fs, h_max), s_end - s0, h_max)
     nsteps = 0
     nrejected = 0
     root_n = math.sqrt(float(y.size))
@@ -170,7 +188,7 @@ def integrate(
         ratio = err / scale
         enorm = math.sqrt(float(ratio @ ratio)) / root_n
 
-        if enorm > 1.0:
+        if not enorm <= 1.0:  # a NaN norm (a stage left f's domain) rejects too
             nrejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP)
             continue
@@ -179,6 +197,11 @@ def integrate(
         nsteps += 1
         f_new = k6  # FSAL stage is f(s + h, y_new)
         s_new = s + h
+        if post_step is not None:
+            y_proj = post_step(s_new, y_new)
+            if y_proj is not None:
+                y_new = np.asarray(y_proj, dtype=float)
+                f_new = f(s_new, y_new)
         seg_s.append(s)
         seg_h.append(h)
         seg_y0.append(y)
@@ -186,7 +209,6 @@ def integrate(
         seg_f0.append(k0)
         seg_f1.append(f_new)
 
-        # event handling on the raw accepted step
         stop_at = None
         if events:
             def seg_eval(sq, _s=s, _h=h, _y=y, _yn=y_new, _f0=k0, _fn=f_new):
@@ -220,12 +242,6 @@ def integrate(
             s = stop_at
             break
 
-        if post_step is not None:
-            y_proj = post_step(s_new, y_new)
-            if y_proj is not None:
-                y_new = np.asarray(y_proj, dtype=float)
-                f_new = f(s_new, y_new)
-
         s, y, fs = s_new, y_new, f_new
         ss.append(s)
         ys.append(y)
@@ -249,4 +265,238 @@ def integrate(
         events={i: recs for i, recs in ev_records.items()},
         nsteps=nsteps,
         nrejected=nrejected,
+    )
+
+
+# ---------------------------------------------------------------------------
+# many trajectories of one ODE at once
+
+_ROOT_XTOL = 1e-12
+_ROOT_MAXITER = 200
+
+
+@dataclass
+class LevelEvent:
+    """Crossing of state component ``component`` through ``level`` for
+    integrate_batch; level is one value shared by every row or one per row."""
+
+    component: int
+    level: float | np.ndarray
+    terminal: bool = False
+    direction: int = 0  # as EventSpec.direction
+
+
+@dataclass
+class BatchSolution:
+    """Where each row of a batch integration ended, and the event roots.
+
+    status[i] is ``completed``, ``event:k`` for the terminal event k that
+    stopped row i, or ``max_steps``.  events[k] is a triple of arrays
+    (rows, s, y): the batch row, parameter and state of every root of event
+    k, each row's roots in parameter order.
+    """
+
+    s: np.ndarray
+    y: np.ndarray
+    status: list
+    events: dict
+    nsteps: int = 0      # accepted steps, summed over rows
+    nrejected: int = 0
+
+
+def _level_roots(s0, h, g0, g1, d0, d1, xtol):
+    """Parameters in [s0, s0 + h] where cubic Hermite segments with end
+    values g0, g1 and end slopes d0, d1 vanish, one per row.  g0 is nonzero
+    and g1 is zero or of the other sign.  Newton on the cubic in power form,
+    with a bisection step wherever Newton leaves the bracket."""
+    sgn = np.where(g0 < 0.0, 1.0, -1.0)   # orient every cubic to rise
+    a0 = sgn * g0
+    a1 = sgn * h * d0
+    a2 = sgn * (3.0 * (g1 - g0) - h * (2.0 * d0 + d1))
+    a3 = sgn * (2.0 * (g0 - g1) + h * (d0 + d1))
+    lo, hi = np.zeros_like(g0), np.ones_like(g0)
+    t = g0 / (g0 - g1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAXITER):
+            p = ((a3 * t + a2) * t + a1) * t + a0
+            dp = (3.0 * a3 * t + 2.0 * a2) * t + a1
+            lo = np.where(p < 0.0, t, lo)
+            hi = np.where(p > 0.0, t, hi)
+            t_new = t - p / dp
+            t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * (lo + hi))
+            t_new = np.where(p == 0.0, t, t_new)
+            step = np.abs(t_new - t) * h
+            t = t_new
+            if np.all(step <= xtol):
+                break
+    return s0 + t * h
+
+
+def _crossing_rows(ev: LevelEvent, level, s0, h, y0, y1, f0, f1):
+    """Rows whose segment crosses the event level, and the roots there."""
+    c = ev.component
+    g0 = y0[:, c] - level
+    g1 = y1[:, c] - level
+    crossed = np.zeros(g0.shape, dtype=bool)
+    if ev.direction >= 0:
+        crossed |= (g0 < 0.0) & (g1 >= 0.0)
+    if ev.direction <= 0:
+        crossed |= (g0 > 0.0) & (g1 <= 0.0)
+    hit = np.flatnonzero(crossed)
+    if hit.size == 0:
+        return hit, np.empty(0)
+    return hit, _level_roots(s0[hit], h[hit], g0[hit], g1[hit], f0[hit, c],
+                             f1[hit, c], _ROOT_XTOL)
+
+
+def integrate_batch(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    s0: float,
+    y0,
+    s_end: float,
+    tol: float = 1e-10,
+    h_max: float = np.inf,
+    post_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    events: Sequence[LevelEvent] = (),
+    max_steps: int = 2_000_000,
+) -> BatchSolution:
+    """Integrate y' = f(s, y) from s0 to s_end (s_end > s0) for every row of
+    the (n_rows, dim) array y0.
+
+    f and post_step are called with the parameters (k,) and states (k, dim)
+    of the rows still active and return arrays of the states' shape; rows
+    never interact.  tol, h_max and max_steps (per row) mean what they mean
+    for integrate, and each row takes the steps integrate would take for it,
+    up to rounding.  Event roots are refined to 1e-12 on the Hermite cubic
+    of the step that crosses; a row stopped by a terminal event has that
+    step truncated at the root before later events are looked for in it.
+    """
+    if s_end <= s0:
+        raise ValueError("integrate_batch requires s_end > s0")
+    y = np.array(y0, dtype=float)
+    if y.ndim != 2:
+        raise ValueError("integrate_batch needs an (n_rows, dim) initial state")
+    n, dim = y.shape
+    rows = np.arange(n)
+    s = np.full(n, float(s0))
+    fs = f(s, y)
+    h = np.minimum(np.minimum(_initial_step(y, fs, h_max), s_end - s0), h_max)
+    tries = np.zeros(n, dtype=np.int64)
+    levels = [np.broadcast_to(np.asarray(ev.level, dtype=float), (n,))
+              for ev in events]
+    found: dict = {i: [] for i in range(len(events))}
+    s_out = np.empty(n)
+    y_out = np.empty((n, dim))
+    status = ["completed"] * n
+    nsteps = nrejected = 0
+    root_n = math.sqrt(float(dim))
+
+    def finish(idx, s_fin, y_fin, why):
+        for k, i in enumerate(idx.tolist()):
+            s_out[i] = s_fin[k]
+            y_out[i] = y_fin[k]
+            status[i] = why[k]
+
+    while rows.size:
+        out_of_steps = tries > max_steps
+        if out_of_steps.any():
+            finish(rows[out_of_steps], s[out_of_steps], y[out_of_steps],
+                   ["max_steps"] * int(out_of_steps.sum()))
+            keep = ~out_of_steps
+            rows, s, y, fs, h, tries = (rows[keep], s[keep], y[keep], fs[keep],
+                                        h[keep], tries[keep])
+            continue
+        h = np.minimum(np.minimum(h, s_end - s), h_max)
+        hc = h[:, None]
+
+        # the stages of integrate, one row per trajectory
+        k0 = fs
+        k1 = f(s + 0.2 * h, y + (0.2 * hc) * k0)
+        k2 = f(s + 0.3 * h, y + hc * (0.075 * k0 + 0.225 * k1))
+        k3 = f(s + 0.8 * h, y + hc * (_A[3][0] * k0 + _A[3][1] * k1 + _A[3][2] * k2))
+        k4 = f(s + _C[4] * h, y + hc * (_A[4][0] * k0 + _A[4][1] * k1
+                                        + _A[4][2] * k2 + _A[4][3] * k3))
+        k5 = f(s + h, y + hc * (_A[5][0] * k0 + _A[5][1] * k1 + _A[5][2] * k2
+                                + _A[5][3] * k3 + _A[5][4] * k4))
+        y_new = y + hc * (_B[0] * k0 + _B[2] * k2 + _B[3] * k3
+                          + _B[4] * k4 + _B[5] * k5)
+        k6 = f(s + h, y_new)
+        err = hc * (_E[0] * k0 + _E[2] * k2 + _E[3] * k3 + _E[4] * k4
+                    + _E[5] * k5 + _E[6] * k6)
+        ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        enorm = np.sqrt(np.einsum("ij,ij->i", ratio, ratio)) / root_n
+        # fmax/fmin: a NaN error norm (a stage left f's domain) rejects the
+        # step and shrinks it, as in integrate
+        with np.errstate(divide="ignore"):
+            factor = np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP))
+        tries += 1
+        acc = np.flatnonzero(enorm <= 1.0)
+        nsteps += acc.size
+        nrejected += rows.size - acc.size
+        h_next = h * factor
+        if acc.size == 0:
+            h = h_next
+            continue
+
+        # accepted rows (fancy indexing copies): project, then look for
+        # events on the projected step
+        sa, ha, ya, fa = s[acc], h[acc], y[acc], fs[acc]
+        s1, y1, f1 = sa + ha, y_new[acc], k6[acc]
+        if post_step is not None:
+            y_proj = post_step(s1, y1)
+            if y_proj is not None:
+                y1 = np.asarray(y_proj, dtype=float)
+                f1 = f(s1, y1)
+        stop = np.full(acc.size, np.inf)
+        stop_ev = np.full(acc.size, -1)
+        for i, ev in enumerate(events):
+            if ev.terminal:
+                hit, root = _crossing_rows(ev, levels[i][rows[acc]], sa, ha,
+                                           ya, y1, fa, f1)
+                first = root < stop[hit]
+                stop[hit[first]] = root[first]
+                stop_ev[hit[first]] = i
+        cut = np.flatnonzero(stop_ev >= 0)
+        if cut.size:
+            y_stop = _hermite(stop[cut, None], sa[cut, None], ha[cut, None],
+                              ya[cut], y1[cut], fa[cut], f1[cut])
+            y1[cut] = y_stop
+            f1[cut] = f(stop[cut], y_stop)
+            s1[cut] = stop[cut]
+            ha[cut] = stop[cut] - sa[cut]
+            for i in np.unique(stop_ev[cut]).tolist():
+                mine = cut[stop_ev[cut] == i]
+                found[i].append((rows[acc[mine]], s1[mine], y1[mine]))
+        for i, ev in enumerate(events):
+            if not ev.terminal:
+                hit, root = _crossing_rows(ev, levels[i][rows[acc]], sa, ha,
+                                           ya, y1, fa, f1)
+                if hit.size:
+                    y_root = _hermite(root[:, None], sa[hit, None], ha[hit, None],
+                                      ya[hit], y1[hit], fa[hit], f1[hit])
+                    found[i].append((rows[acc[hit]], root, y_root))
+
+        s[acc], y[acc], fs[acc] = s1, y1, f1
+        done = (stop_ev >= 0) | (s1 >= s_end)
+        h = h_next
+        if done.any():
+            finish(rows[acc[done]], s1[done], y1[done],
+                   [f"event:{i}" if i >= 0 else "completed"
+                    for i in stop_ev[done].tolist()])
+            keep = np.ones(rows.size, dtype=bool)
+            keep[acc[done]] = False
+            rows, s, y, fs, h, tries = (rows[keep], s[keep], y[keep], fs[keep],
+                                        h[keep], tries[keep])
+
+    def stacked(parts):
+        if not parts:
+            return (np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, dim)))
+        r, sr, yr = (np.concatenate(a) for a in zip(*parts))
+        order = np.argsort(r, kind="stable")
+        return r[order], sr[order], yr[order]
+
+    return BatchSolution(
+        s=s_out, y=y_out, status=status,
+        events={i: stacked(parts) for i, parts in found.items()},
+        nsteps=nsteps, nrejected=nrejected,
     )
