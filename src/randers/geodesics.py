@@ -130,6 +130,11 @@ def _meridian_path(profile: Profile, state0: GeodesicState, length: float,
     rho = r0 if sgn < 0 else math.inf     # vertex-crossing parameter
 
     def dense(s) -> np.ndarray:
+        if isinstance(s, (int, float)):
+            # scalar reads (the Jacobi right-hand side) skip the array path
+            if s >= rho:
+                return np.array([s - rho, theta0 + math.pi, 1.0, 0.0])
+            return np.array([r0 + sgn * s, theta0, sgn, 0.0])
         s = np.asarray(s, dtype=float)
         past = s >= rho
         return np.stack([np.where(past, s - rho, r0 + sgn * s),
@@ -458,6 +463,73 @@ def clairaut_angle(profile: Profile, ra: float, rb: float, nu: float, tol: float
     return _leg_integral(0, profile, ra, rb, nu, tol, turning_left, turning_right)
 
 
+# Fixed composite rule of clairaut_angles: per half-leg, _ANGLE_PANELS panels
+# of _ANGLE_NODES Gauss-Legendre nodes each.
+_ANGLE_NODES = 12
+_ANGLE_PANELS = 17
+_ANGLE_T, _ANGLE_W = np.polynomial.legendre.leggauss(_ANGLE_NODES)
+
+
+def _as_array(values, shape) -> np.ndarray:
+    """Profile function values as a float array of the given shape: a
+    constant expression such as m1 = "1" returns a scalar."""
+    return np.broadcast_to(np.asarray(values, dtype=float), shape)
+
+
+def clairaut_angles(profile: Profile, ra, rb, nu, turning_left) -> np.ndarray:
+    """clairaut_angle of every leg (ra[i], rb[i], nu[i], turning_left[i]) by
+    one fixed composite Gauss-Legendre rule.
+
+    The substitutions are those of clairaut_angle: r = ra + u^2 on the left
+    half and r = rb - v^2 on the right half, with the discriminant pinned to
+    m(ra) on turning legs.  Each half is cut into panels graded
+    geometrically from [0, s] up to its half-width, where s is the smaller
+    of the spike scale sqrt(2 |nu| / m') of _spike_breaks and, where the
+    discriminant D = m^2 - a^2 (a = |nu|, or the pinned m(ra)) is positive
+    at that end, its scale sqrt(D / (2 m m')), which is small on
+    near-tangent direct legs.  m is evaluated once on the nodes of every
+    leg.  Legs need ra < rb.  The error is not controlled: the rule is meant
+    for tables that bracket roots, which are then refined on clairaut_angle.
+    """
+    ra, rb, nu, turning_left = np.broadcast_arrays(
+        np.asarray(ra, dtype=float), np.asarray(rb, dtype=float),
+        np.asarray(nu, dtype=float), np.asarray(turning_left, dtype=bool))
+    n = ra.size
+    ends = np.concatenate([ra.ravel(), rb.ravel()])
+    m_end = _as_array(profile.m(ends), ends.shape)
+    m1_end = np.maximum(np.abs(_as_array(profile.m1(ends), ends.shape)), 1e-9)
+    anu = np.tile(np.abs(nu.ravel()), 2)
+    a_disc = np.where(np.tile(turning_left.ravel(), 2), np.tile(m_end[:n], 2), anu)
+    # half-widths in u (left halves) and v (right halves)
+    width = np.tile(np.sqrt(0.5 * (rb - ra).ravel()), 2)
+    d = (m_end - a_disc) * (m_end + a_disc)
+    disc_scale = np.sqrt(np.where(d > 0.0, d, np.inf) / (2.0 * m_end * m1_end))
+    scale = np.minimum(np.sqrt(2.0 * anu / m1_end), disc_scale)
+    # the first panel is at most as wide as a uniform one; tiny scales stay
+    # positive so that the geometric grading is defined
+    s = np.clip(scale, 1e-300, width / _ANGLE_PANELS)
+    k = np.arange(_ANGLE_PANELS) / (_ANGLE_PANELS - 1)
+    breaks = np.empty((2 * n, _ANGLE_PANELS + 1))
+    breaks[:, 0] = 0.0
+    breaks[:, 1:] = s[:, None] * (width / s)[:, None] ** k
+    breaks[:, -1] = width
+    half = 0.5 * np.diff(breaks, axis=1)
+    u = (0.5 * (breaks[:, 1:] + breaks[:, :-1]))[..., None] + half[..., None] * _ANGLE_T
+    sgn = np.repeat([1.0, -1.0], n)[:, None, None]
+    r = ends[:, None, None] + sgn * u * u
+    m = _as_array(profile.m(r.ravel()), (r.size,)).reshape(r.shape)
+    ad = a_disc[:, None, None]
+    # u / (m sqrt(max(m^2 - a^2, 1e-300))), in place
+    g = m - ad
+    g *= m + ad
+    np.maximum(g, 1e-300, out=g)
+    np.sqrt(g, out=g)
+    g *= m
+    np.divide(u, g, out=g)
+    per_half = 2.0 * np.tile(nu.ravel(), 2) * ((g @ _ANGLE_W) * half).sum(axis=1)
+    return (per_half[:n] + per_half[n:]).reshape(ra.shape)
+
+
 def clairaut_leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
                  turning_left: bool = False, turning_right: bool = False):
     """(delta_theta, delta_s) over the leg ra < r < rb of an h-geodesic with
@@ -488,7 +560,7 @@ def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,
         ds = sign * (rb - ra)
         return 0.0, ds, profile.mu * ds
     interior = np.linspace(ra, rb, 101)[1:-1]
-    mm = np.array([float(profile.m(r)) for r in interior])
+    mm = _as_array(profile.m(interior), interior.shape)
     if np.any(mm <= abs(nu)):
         bad = interior[mm <= abs(nu)][0]
         raise InvalidBracketError(

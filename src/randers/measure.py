@@ -42,6 +42,7 @@ from .geodesics import (
     GeodesicPath,
     GeodesicState,
     clairaut_angle,
+    clairaut_angles,
     clairaut_leg,
     cumulative_F_length,
     integrate_h,
@@ -263,16 +264,34 @@ def _turning_angle(profile: Profile, nu: float, r1: float, r2: float,
             + clairaut_angle(profile, rt, r2, nu, tol, turning_left=True))
 
 
+def _turning_radii(profile: Profile, nus: np.ndarray, r_below: float) -> np.ndarray:
+    """Turning radii m(r) = |nu| on [0, r_below] of a whole nu array, by
+    array bisection to float resolution; each returned radius has
+    m(r) >= |nu|."""
+    anu = np.abs(nus)
+    lo, hi = np.zeros_like(anu), np.full_like(anu, r_below)
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not np.any((lo < mid) & (mid < hi)):
+            return hi
+        below = np.asarray(profile.m(mid), dtype=float) < anu
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+
+
 class TwoRadiusConnectors:
     """Connector solver between two fixed radii, reusable over many sweep
     targets.
 
-    Builds the monotone direct-family sweep and the graded turning-family
-    sweep once; each query brackets on the cached values and refines by
-    root-finding.  This matters inside distance_F, whose outer root search
-    re-queries the same radius pair with a rotating target angle.  Tables
-    and root iterates need the swept angle only; the arc length is
-    integrated once per refined root.
+    Tabulates the swept angle of the monotone direct family and of the
+    graded turning family once, on fixed nu grids, in one
+    geodesics.clairaut_angles pass: one evaluation of m on the nodes of
+    every leg, with the turning radii of the whole grid found by one array
+    bisection.  The tables only bracket: each query refines the sign
+    changes of sweep - delta by brentq on the adaptive clairaut_angle (and
+    _turning_angle) at tol, validates each root, and integrates the arc
+    length once per root.  The tables pay off inside distance_F, whose
+    outer root search re-queries the same radius pair with a rotating
+    target angle.
     """
 
     def __init__(self, profile: Profile, r1: float, r2: float,
@@ -286,18 +305,23 @@ class TwoRadiusConnectors:
         self.cap = self.nu_max * (1.0 - 1e-7)
         self.r_lo, self.r_hi = min(r1, r2), max(r1, r2)
         self.has_direct = self.r_hi - self.r_lo > 1e-9 * max(1.0, self.r_hi)
-        if self.has_direct:
-            self.direct_nus = np.linspace(0.0, self.cap, n_sweep // 2)
-            self.direct_sweeps = np.array([
-                clairaut_angle(profile, self.r_lo, self.r_hi, float(nu), tol)
-                for nu in self.direct_nus])
+        self.direct_nus = (np.linspace(0.0, self.cap, n_sweep // 2)
+                           if self.has_direct else np.empty(0))
         self.turning_nus = np.unique(np.concatenate([
             np.geomspace(1e-6 * self.nu_max, 0.5 * self.nu_max, n_sweep // 2),
             np.linspace(0.5 * self.nu_max, self.cap, n_sweep // 2),
         ]))
-        self.turning_sweeps = np.array([
-            _turning_angle(profile, float(nu), r1, r2, tol)
-            for nu in self.turning_nus])
+        nd, nt = self.direct_nus.size, self.turning_nus.size
+        rt = _turning_radii(profile, self.turning_nus, self.r_lo)
+        # legs: direct r_lo -> r_hi, then turning rt -> r1 and rt -> r2
+        sweeps = clairaut_angles(
+            profile,
+            np.concatenate([np.full(nd, self.r_lo), rt, rt]),
+            np.concatenate([np.full(nd, self.r_hi), np.full(nt, r1), np.full(nt, r2)]),
+            np.concatenate([self.direct_nus, self.turning_nus, self.turning_nus]),
+            np.arange(nd + 2 * nt) >= nd)
+        self.direct_sweeps = sweeps[:nd]
+        self.turning_sweeps = sweeps[nd:nd + nt] + sweeps[nd + nt:]
 
     def connectors(self, delta: float) -> list[HConnector]:
         if not (0.0 <= delta <= math.pi + 1e-15):
@@ -331,7 +355,7 @@ class TwoRadiusConnectors:
 
 def _check_increasing_warp(profile: Profile, r_hi: float) -> bool:
     rr = np.linspace(0.0, min(r_hi, profile.r_max), 128)[1:]
-    return bool(np.all(np.array([float(profile.m1(r)) for r in rr]) > 0.0))
+    return bool(np.all(np.asarray(profile.m1(rr), dtype=float) > 0.0))
 
 
 def h_distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
@@ -534,6 +558,11 @@ def distance_F_report(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
             f"no root bracketed below T = {hi}; g({hi}) = {g_hi}",
             lower_bound=hi,
         )
+    if g_hi == 0.0:
+        # the through-vertex bound is the root; brentq would return it
+        # without setting its iteration count
+        return DistanceReport((q1.r, q1.theta), (q2.r, q2.theta), hi, tol, 0,
+                              (0.0, hi), True)
     t_root, res = brentq(g, 0.0, hi, xtol=tol, full_output=True)
     return DistanceReport(
         (q1.r, q1.theta), (q2.r, q2.theta), float(t_root), tol,

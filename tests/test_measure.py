@@ -17,6 +17,7 @@ from randers.measure import (
     meeting_point,
     momentum_p2,
     parallel_loop_report,
+    _check_increasing_warp,
     _h_distance_shooting,
 )
 
@@ -264,6 +265,27 @@ def test_distance_F_report(parab):
     assert d["q1"] == {"r": 1.0, "theta": 0.0}
     assert d["distance"] == rep.distance
     assert d["bracket"][1] == pytest.approx(3.0)
+
+
+def test_distance_F_report_root_at_the_bound(parab):
+    # T = r1 + r2 rotates q2 onto the opposite meridian, where the chain
+    # through the vertex has length exactly r1 + r2: g(hi) == 0
+    rep = distance_F_report(parab, SurfacePoint(0.5, 0.0),
+                            SurfacePoint(0.7, math.pi + 1.2), tol=1e-9)
+    assert rep.distance == 1.2
+    assert rep.iterations == 0 and rep.converged
+    assert rep.bracket == (0.0, 1.2)
+
+
+@pytest.mark.parametrize("name", ["parab", "flat", "sphere", "bump"])
+def test_increasing_warp_check_matches_pointwise(name, request):
+    profile = request.getfixturevalue(name)
+    for r_hi in (0.5, 1.0, 1.7, 2.5, 30.0):
+        rr = np.linspace(0.0, min(r_hi, profile.r_max), 128)[1:]
+        pointwise = all(float(profile.m1(r)) > 0.0 for r in rr)
+        assert _check_increasing_warp(profile, r_hi) is pointwise
+    if name == "bump":
+        assert not _check_increasing_warp(profile, 1.8)
 
 
 def test_distance_F_quasi_metric(parab, rng):
