@@ -178,12 +178,28 @@ def _export_paths(profile, tag, h_path, f_path, outdir, fmt, echo):
 
 
 def _export_embedded_polyline(profile, path, filename):
+    """The embedded image of the path up to where it leaves r <= r_max (the
+    analytic meridians of --fan run on past it)."""
     with open(filename, "w", encoding="utf-8") as fh:
         fh.write("s,x,y,z\n")
         for s, row in zip(path.s, path.states):
+            if row[0] > profile.r_max:
+                break
             q = SurfacePoint(max(row[0], 0.0), row[1])
             pt = embed.embed_point(profile, q)
             fh.write(f"{s:.17g},{pt.x:.17g},{pt.y:.17g},{pt.z:.17g}\n")
+
+
+def _export_pullback_report(profile, args, outdir):
+    """The pullback certification at the default samples, drawn from the
+    part of the default radial range where the surface embeds."""
+    r_hi = min(5.0, profile.embeddable_radius)
+    report = embed.pullback_report(profile, seed=args.seed,
+                                   r_range=(min(0.1, r_hi), r_hi))
+    name = outdir / "pullback_report.json"
+    embed.write_pullback_report({**report, "config": _config_echo(args)}, name)
+    print(f"pullback max residual = {_g(report['max_residual'])}")
+    return name
 
 
 def cmd_geodesic(args) -> int:
@@ -213,6 +229,7 @@ def cmd_geodesic(args) -> int:
             embed.export_mesh_obj(profile, mesh,
                                   r_max=min(profile.r_max, args.length))
             written.append(mesh)
+            written.append(_export_pullback_report(profile, args, outdir))
     else:
         q = SurfacePoint(args.r0, args.theta0)
         if args.r0 == 0.0:
@@ -232,9 +249,10 @@ def cmd_geodesic(args) -> int:
             json.dump({**report.to_dict(), "config": echo}, fh, indent=1)
         written.append(outdir / "clairaut_report.json")
         if args.embed:
-            name = Path(args.out) / "geodesic_F_xyz.csv"
+            name = outdir / "geodesic_F_xyz.csv"
             _export_embedded_polyline(profile, f_path, name)
             written.append(name)
+            written.append(_export_pullback_report(profile, args, outdir))
         print(f"nu = {_g(f_path.nu)}  kind = {f_path.kind}  "
               f"clairaut_drift = {_g(f_path.max_clairaut_drift)}")
         try:

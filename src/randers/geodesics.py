@@ -45,7 +45,7 @@ from .errors import (
     VertexSingularError,
 )
 from .profile import Profile, SurfacePoint, roots_on_grid
-from .zermelo import Tangent, eval_F
+from .zermelo import Tangent, eval_F, eval_F_array
 
 # States with |dtheta| below this are integrated as exact meridians: their
 # turning radius would be ~|nu| < 1e-11, far beyond chart resolution.
@@ -163,6 +163,13 @@ def _r_floor(nu):
     return np.maximum(1e-14, 1e-3 * np.abs(nu))
 
 
+def _check_length_tol(length: float, tol: float) -> None:
+    if not (math.isfinite(length) and length > 0):
+        raise InvalidParameterError(f"length must be finite and > 0, got {length}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+
+
 def integrate_h(profile: Profile, state0: GeodesicState, length: float,
                 tol: float = 1e-10) -> GeodesicPath:
     """Integrate an h-unit-speed geodesic for the given parameter length.
@@ -177,8 +184,7 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     numerical domain r <= r_max it is truncated there and flagged with
     exit_reason = "domain-exit".
     """
-    if length <= 0:
-        raise InvalidParameterError(f"length must be positive, got {length}")
+    _check_length_tol(length, tol)
     speed = h_speed(profile, state0)
     if abs(speed - 1.0) > _UNIT_SPEED_PRE_TOL:
         raise InvalidParameterError(
@@ -226,7 +232,11 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
             f"geodesic with nu = {nu0} reached r = {r_floor}, which no true "
             "geodesic with nonzero Clairaut constant can do"
         )
-    exit_reason = "domain-exit" if sol.status == "event:0" else "completed"
+    exit_reason = "completed"
+    if sol.status == "event:0":
+        exit_reason = "domain-exit"
+        # the exit sample lies on r = r_max; the event root leaves ~1e-15
+        sol.y[-1, 0] = profile.r_max
     return GeodesicPath(
         s=sol.s, states=sol.y, nu=nu0, metric_tag="h",
         kind=_classify(profile, state0), mu=profile.mu, tol=tol,
@@ -258,8 +268,7 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     keeps the crossings before its exit; a row that reaches the blow-up
     floor, where integrate_h raises NumericalBlowupError, has none.
     """
-    if length <= 0:
-        raise InvalidParameterError(f"length must be positive, got {length}")
+    _check_length_tol(length, tol)
     y0 = np.array(states0, dtype=float).reshape(-1, 4)
     m0 = np.asarray(profile.m(y0[:, 0]), dtype=float)
     speed = np.hypot(y0[:, 2], m0 * y0[:, 3])
@@ -353,6 +362,7 @@ def integrate_F(profile: Profile, q: SurfacePoint, yF: Tangent, length: float,
     Subtracting the wind gives the h-initial data (yF.y1, yF.y2 - mu), which
     must be h-unit; the h-geodesic is integrated and twisted back.
     """
+    _check_length_tol(length, tol)
     if q.r == 0.0:
         # Only twisted meridians emanate from the vertex; the angular
         # component of yF is immaterial there (m = 0).
@@ -601,14 +611,17 @@ def turning_points(profile: Profile, nu: float, grid) -> list[float]:
 
 def cumulative_path_integral(path: GeodesicPath, integrand,
                              n_gauss: int = 8) -> np.ndarray:
-    """Integral of integrand(r, theta, dr, dtheta) along the path from its
-    start to each sample, by n_gauss-point Gauss-Legendre quadrature on every
-    sample interval; the dense output is read at all nodes in one call."""
+    """Integral along the path from its start to each sample, by
+    n_gauss-point Gauss-Legendre quadrature on every sample interval.
+
+    The dense output is read at all nodes in one call, and integrand maps
+    the (n_nodes, 4) array of states (r, theta, dr, dtheta) there to their
+    n_nodes values."""
     t, w = np.polynomial.legendre.leggauss(n_gauss)
     a, b = path.s[:-1], path.s[1:]
     half = 0.5 * (b - a)
     nodes = (0.5 * (a + b))[:, None] + half[:, None] * t
-    vals = np.array([integrand(*y) for y in path.dense(nodes.ravel()).tolist()])
+    vals = np.asarray(integrand(path.dense(nodes.ravel())), dtype=float)
     out = np.zeros(len(path.s))
     np.cumsum(half * (vals.reshape(nodes.shape) @ w), out=out[1:])
     return out
@@ -617,10 +630,11 @@ def cumulative_path_integral(path: GeodesicPath, integrand,
 def cumulative_F_length(profile: Profile, path: GeodesicPath,
                         n_gauss: int = 8) -> np.ndarray:
     """F-length of the path from its start to each sample, by per-interval
-    Gauss-Legendre quadrature on the dense output."""
+    Gauss-Legendre quadrature on the dense output, with F evaluated at all
+    nodes in one array pass."""
     return cumulative_path_integral(
-        path, lambda r, th, dr, dth: eval_F(profile, SurfacePoint(max(r, 0.0), th),
-                                            Tangent(dr, dth)), n_gauss)
+        path, lambda y: eval_F_array(profile, np.maximum(y[:, 0], 0.0),
+                                     y[:, 2], y[:, 3]), n_gauss)
 
 
 def f_geodesic_residual(profile: Profile, path: GeodesicPath) -> float:

@@ -34,6 +34,7 @@ from scipy.optimize import brentq
 
 from .errors import (
     InvalidParameterError,
+    MetricDegenerateError,
     NumericalBlowupError,
     SearchHorizonError,
     VertexSingularError,
@@ -50,7 +51,7 @@ from .geodesics import (
     level_crossings_batch,
 )
 from .profile import Profile, SurfacePoint, roots_on_grid, wrap_angle
-from .zermelo import Tangent, eval_F, navigation_transform
+from .zermelo import RandersData, Tangent, eval_F, navigation_transform, randers_data
 
 
 # ---------------------------------------------------------------------------
@@ -165,9 +166,13 @@ def momentum_p2(profile: Profile, state: GeodesicState) -> float:
     """
     if state.r <= 0:
         raise VertexSingularError("momentum undefined at the vertex")
-    data = navigation_transform(profile, state.r)
-    y1, y2 = state.dr, state.dtheta
-    alpha = math.sqrt(data.a11 * y1 * y1 + data.a22 * y2 * y2)
+    return float(_momentum(navigation_transform(profile, state.r),
+                           state.dr, state.dtheta))
+
+
+def _momentum(data: RandersData, y1, y2):
+    # floats, or arrays with data from randers_data of an array
+    alpha = np.sqrt(data.a11 * y1 * y1 + data.a22 * y2 * y2)
     F = alpha + data.b2 * y2
     return F * (data.a22 * y2 / alpha + data.b2)
 
@@ -201,28 +206,27 @@ def clairaut_verify(profile: Profile, pathF: GeodesicPath) -> ClairautReport:
     nu = pathF.nu
     rhs_mom = nu / (1.0 + mu * nu)
     one_mu_nu = 1.0 + mu * nu
-    res_h = res_f1 = res_f2 = res_mom = 0.0
-    for row_f, row_h in zip(pathF.states, pathF.h_preimage.states):
-        r = row_h[0]
-        if r <= 0.0:
-            continue
-        m = float(profile.m(r))
-        dr, dth_h = row_h[2], row_h[3]
-        dth_f = row_f[3]
-        speed = math.sqrt(one_mu_nu * one_mu_nu + mu * mu * m * m - mu * mu * nu * nu)
-        # |P'|_h = sqrt(1 + 2 mu nu + mu^2 m^2), written to stay exact when
-        # the sampled state drifts: (1+mu nu)^2 - mu^2 nu^2 = 1 + 2 mu nu.
-        sin_phi = m * dth_h
-        cos_phi = dr
-        sin_psi = m * dth_f / speed
-        cos_psi = dr / speed
-        res_h = max(res_h, abs(m * m * dth_h - nu))
-        res_f1 = max(res_f1, abs(speed * (cos_psi * cos_phi + sin_psi * sin_phi)
-                                 - one_mu_nu))
-        res_f2 = max(res_f2, abs(m * sin_psi - (nu + mu * m * m) / speed))
-        res_mom = max(res_mom, abs(
-            momentum_p2(profile, GeodesicState(r, row_f[1], row_f[2], dth_f))
-            - rhs_mom))
+    keep = pathF.h_preimage.states[:, 0] > 0.0
+    r, _, dr, dth_h = pathF.h_preimage.states[keep].T
+    dth_f = pathF.states[keep, 3]
+    if r.size == 0:
+        return ClairautReport(nu, 0.0, 0.0, 0.0, 0.0)
+    m = np.broadcast_to(np.asarray(profile.m(r), dtype=float), r.shape)
+    if np.any(mu * m >= 1.0):
+        raise MetricDegenerateError(f"mu*m >= 1 at r = {r[mu * m >= 1.0][0]}")
+    # |P'|_h = sqrt(1 + 2 mu nu + mu^2 m^2), written to stay exact when
+    # the sampled state drifts: (1+mu nu)^2 - mu^2 nu^2 = 1 + 2 mu nu.
+    speed = np.sqrt(one_mu_nu * one_mu_nu + mu * mu * m * m - mu * mu * nu * nu)
+    sin_phi = m * dth_h
+    cos_phi = dr
+    sin_psi = m * dth_f / speed
+    cos_psi = dr / speed
+    res_h = float(np.max(np.abs(m * m * dth_h - nu)))
+    res_f1 = float(np.max(np.abs(speed * (cos_psi * cos_phi + sin_psi * sin_phi)
+                                 - one_mu_nu)))
+    res_f2 = float(np.max(np.abs(m * sin_psi - (nu + mu * m * m) / speed)))
+    res_mom = float(np.max(np.abs(
+        _momentum(randers_data(mu, m), dr, dth_f) - rhs_mom)))
     return ClairautReport(nu, res_h, res_f1, res_f2, res_mom)
 
 

@@ -44,6 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import InvalidParameterError
 from .profile import roots_on_grid
 
 # Dormand-Prince coefficients.
@@ -129,6 +130,14 @@ def _initial_step(y0, f0, h_max):
     return np.minimum(0.01 * d0 / d1, h_max)
 
 
+def _check_span_tol(s0, s_end, tol) -> None:
+    if not (math.isfinite(s0) and math.isfinite(s_end) and s_end > s0):
+        raise InvalidParameterError(
+            f"integration needs finite s0 < s_end, got [{s0}, {s_end}]")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+
+
 def integrate(
     f: Callable[[float, np.ndarray], np.ndarray],
     s0: float,
@@ -140,14 +149,14 @@ def integrate(
     events: Sequence[EventSpec] = (),
     max_steps: int = 2_000_000,
 ) -> ODESolution:
-    """Integrate y' = f(s, y) from s0 to s_end (s_end > s0).
+    """Integrate y' = f(s, y) from s0 to s_end (s_end > s0, both finite).
 
-    tol is used as both absolute and relative per-step tolerance.  Returns an
+    tol (finite, > 0) is used as both absolute and relative per-step
+    tolerance; a bad range or tol raises InvalidParameterError.  Returns an
     ODESolution whose status is ``completed``, the name of a terminal event,
     or ``max_steps``.
     """
-    if s_end <= s0:
-        raise ValueError("integrate requires s_end > s0")
+    _check_span_tol(s0, s_end, tol)
     y = np.asarray(y0, dtype=float).copy()
     s = float(s0)
     fs = f(s, y)
@@ -371,8 +380,7 @@ def integrate_batch(
     of the step that crosses; a row stopped by a terminal event has that
     step truncated at the root before later events are looked for in it.
     """
-    if s_end <= s0:
-        raise ValueError("integrate_batch requires s_end > s0")
+    _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
     if y.ndim != 2:
         raise ValueError("integrate_batch needs an (n_rows, dim) initial state")

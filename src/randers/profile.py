@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -34,6 +35,11 @@ DEFAULT_R_MAX = 20.0
 _VALIDATION_POINTS = 256
 _VERTEX_TOL = 1e-12
 _DERIV_RTOL = 1e-6
+
+# Embeddability: |m'| may exceed 1 by _EMBED_SLACK; _EMBED_GRID points of
+# [0, r_max] bracket the first radius where it exceeds 1 by more.
+_EMBED_SLACK = 1e-12
+_EMBED_GRID = 10_000
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,37 @@ class Profile:
     def r_eps(self) -> float:
         """Radius below which vertex limits replace direct evaluation."""
         return 1e-6 * max(1.0, self.r_max)
+
+    @cached_property
+    def embeddable_radius(self) -> float:
+        """Largest R <= r_max with |m'| <= 1 + 1e-12 on [0, R]: the range
+        over which the surface embeds isometrically in Euclidean 3-space.
+
+        The first grid point of [0, r_max] (_EMBED_GRID points) where |m'|
+        exceeds the bound closes a bracket that roots_on_grid refines; a
+        profile that never exceeds it gives r_max.  Like height_table it is
+        computed on first use and then kept on the instance: a pure function
+        of the immutable profile, so sharing one across threads is safe.
+        """
+        bound = 1.0 + _EMBED_SLACK
+        rr = np.linspace(0.0, self.r_max, _EMBED_GRID)
+        over = np.abs(np.broadcast_to(np.asarray(self.m1(rr), dtype=float), rr.shape)) - bound
+        bad = np.flatnonzero(over > 0.0)
+        if bad.size == 0:
+            return self.r_max
+        i = int(bad[0])
+        if i == 0:
+            return 0.0
+        f = lambda r: abs(float(self.m1(r))) - bound
+        return roots_on_grid(f, rr[i - 1:i + 1], over[i - 1:i + 1], xtol=1e-12)[0]
+
+    @cached_property
+    def height_table(self):
+        """embed.HeightTable of the arc-length height over [0,
+        embeddable_radius], built on first use and kept on the instance."""
+        from .embed import HeightTable  # embed imports this module
+
+        return HeightTable(self)
 
     def boundedness_margin(self, n: int = 2048) -> float:
         """min over a dense grid of 1 - mu*m(r); must stay strictly positive."""

@@ -35,7 +35,8 @@ _DUAL_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class RandersData:
-    """Pointwise navigation coefficients at radius r."""
+    """Pointwise navigation coefficients at radius r (arrays of them when
+    randers_data is given an array of warp values)."""
 
     a11: float
     a22: float
@@ -69,12 +70,19 @@ def navigation_transform(profile: Profile, r: float) -> RandersData:
         raise MetricDegenerateError(
             f"mu*m(r) = {w} >= 1 at r = {r}: wind is not a mild breeze"
         )
+    return randers_data(profile.mu, m)
+
+
+def randers_data(mu: float, m) -> RandersData:
+    """The coefficients of navigation_transform from the warp value m (a
+    float, or an array for arrays of coefficients), unchecked."""
+    w = mu * m
     lam = 1.0 - w * w
     m2 = m * m
     return RandersData(
         a11=1.0 / lam,
         a22=m2 / (lam * lam),
-        b2=-profile.mu * m2 / lam,
+        b2=-mu * m2 / lam,
         lam=lam,
     )
 
@@ -85,7 +93,13 @@ def h_norm(profile: Profile, r: float, y1: float, y2: float) -> float:
     return math.hypot(y1, m * y2)
 
 
-def _F_coeff(m: float, mu: float, y1: float, y2: float) -> float:
+# The two routes to F read floats or broadcastable arrays alike: eval_F and
+# eval_F_array share them.  s is a sum of magnitudes, so neither branch
+# cancels; the branch is taken per value, by a conditional on floats (the
+# cheap path of scalar eval_F) and np.where on arrays.
+
+
+def _F_coeff(m, mu, y1, y2):
     # alpha + beta via the navigation coefficients, with the subtraction
     # rewritten as (alpha^2 - beta^2)/(alpha - beta) when beta < 0 so the
     # downwind cancellation does not lose digits.
@@ -93,23 +107,26 @@ def _F_coeff(m: float, mu: float, y1: float, y2: float) -> float:
     lam = 1.0 - w * w
     m2 = m * m
     alpha2 = (y1 * y1 / lam) + (m2 * y2 * y2) / (lam * lam)
-    alpha = math.sqrt(alpha2)
     beta = -mu * m2 * y2 / lam
-    if beta >= 0.0:
-        return alpha + beta
-    return (alpha2 - beta * beta) / (alpha - beta)
+    if isinstance(alpha2, np.ndarray):
+        s = np.sqrt(alpha2) + np.abs(beta)
+        return np.where(beta >= 0.0, s, (alpha2 - beta * beta) / s)
+    s = math.sqrt(alpha2) + abs(beta)
+    return s if beta >= 0.0 else (alpha2 - beta * beta) / s
 
 
-def _F_navigation(m: float, mu: float, y1: float, y2: float) -> float:
+def _F_navigation(m, mu, y1, y2):
     # (sqrt(lam |y|^2 + W0^2) - W0)/lam, conjugate form for W0 > 0.
     w = mu * m
     lam = 1.0 - w * w
     h2 = y1 * y1 + m * m * y2 * y2
     w0 = mu * m * m * y2
-    root = math.sqrt(lam * h2 + w0 * w0)
-    if w0 <= 0.0:
-        return (root - w0) / lam
-    return h2 / (root + w0)
+    root2 = lam * h2 + w0 * w0
+    if isinstance(root2, np.ndarray):
+        s = np.sqrt(root2) + np.abs(w0)
+        return np.where(w0 <= 0.0, s / lam, h2 / s)
+    s = math.sqrt(root2) + abs(w0)
+    return s / lam if w0 <= 0.0 else h2 / s
 
 
 def eval_F(profile: Profile, x: SurfacePoint, y: Tangent) -> float:
@@ -125,6 +142,30 @@ def eval_F(profile: Profile, x: SurfacePoint, y: Tangent) -> float:
         raise InternalConsistencyError(
             f"navigation-form and coefficient-form values of F disagree: "
             f"{f_ab!r} vs {f_nav!r} at r = {x.r}, y = ({y.y1}, {y.y2})"
+        )
+    return f_ab
+
+
+def eval_F_array(profile: Profile, r, y1, y2) -> np.ndarray:
+    """eval_F at every point (r[i], any theta) and tangent (y1[i], y2[i]),
+    with one array evaluation of m and the same checks."""
+    r, y1, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, y1, y2)))
+    if not np.all(np.isfinite(r) & np.isfinite(y1) & np.isfinite(y2) & (r >= 0.0)):
+        raise InvalidParameterError("radii must be finite and >= 0, tangents finite")
+    if np.any((y1 == 0.0) & (y2 == 0.0)):
+        raise InvalidParameterError("F is undefined on the zero tangent vector")
+    m = np.broadcast_to(np.asarray(profile.m(r), dtype=float), r.shape)
+    if np.any(profile.mu * m >= 1.0):
+        raise MetricDegenerateError(f"mu*m >= 1 at r = {r[profile.mu * m >= 1.0][0]}")
+    f_ab = _F_coeff(m, profile.mu, y1, y2)
+    f_nav = _F_navigation(m, profile.mu, y1, y2)
+    bad = np.abs(f_ab - f_nav) > _DUAL_RTOL * np.maximum(f_ab, f_nav)
+    if np.any(bad):
+        i = np.flatnonzero(bad)[0]
+        raise InternalConsistencyError(
+            f"navigation-form and coefficient-form values of F disagree: "
+            f"{f_ab.flat[i]!r} vs {f_nav.flat[i]!r} at r = {r.flat[i]}, "
+            f"y = ({y1.flat[i]}, {y2.flat[i]})"
         )
     return f_ab
 

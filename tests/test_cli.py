@@ -58,6 +58,24 @@ def test_geodesic_fan_with_embedding(tmp_path):
     assert obj.startswith("#") and "\nf " in obj
     xyz = (tmp_path / "twisted_0_F_xyz.csv").read_text().splitlines()
     assert xyz[0] == "s,x,y,z"
+    doc = json.loads((tmp_path / "pullback_report.json").read_text())
+    assert doc["max_residual"] <= 1e-9
+
+
+def test_geodesic_embed_writes_pullback_report(tmp_path, capsys):
+    rc = run(["geodesic", "--r0", "1", "--heading", "0.5", "--length", "30",
+              "--embed", "--seed", "3", "--out", str(tmp_path)])
+    assert rc == 0
+    doc = json.loads((tmp_path / "pullback_report.json").read_text())
+    assert doc["samples"] == 1000 and doc["seed"] == 3
+    assert doc["height_map"] == "arclength" and doc["r_range"] == [0.1, 5.0]
+    assert doc["max_residual"] <= 1e-9
+    assert doc["config"]["command"] == "geodesic"
+    # the path leaves r <= 20 before s = 30; its exit sample still embeds
+    meta = json.loads((tmp_path / "geodesic_F.json").read_text())
+    assert meta["exit_reason"] == "domain-exit"
+    xyz = (tmp_path / "geodesic_F_xyz.csv").read_text().splitlines()
+    assert len(xyz) == meta["n_samples"] + 1
 
 
 def test_distance_command(tmp_path, capsys):
@@ -101,6 +119,15 @@ def test_exit_codes(tmp_path, capsys):
                 "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
+    # non-finite or non-positive lengths and tolerances are domain errors
+    for flags in (["--length", "nan"], ["--length", "inf"], ["--length", "0"],
+                  ["--tol-ode", "nan"], ["--tol-ode", "0"], ["--tol-ode=-1e-10"]):
+        for mode in ([], ["--fan", "1"]):
+            out = tmp_path / "bad-geodesic"
+            assert run(["geodesic", *mode, *flags, "--out", str(out)]) == 2, flags
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            assert not out.exists() or not any(out.glob("geodesic_*"))
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):

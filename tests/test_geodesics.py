@@ -125,6 +125,26 @@ def test_initial_state_validation(parab):
         integrate_h(parab, GeodesicState(1.0, 0.0, 1.0, 0.0), -1.0)
 
 
+@pytest.mark.parametrize("length,tol", [
+    (math.nan, 1e-10), (math.inf, 1e-10), (0.0, 1e-10),
+    (1.0, 0.0), (1.0, math.nan), (1.0, -1e-10), (1.0, math.inf),
+])
+def test_rejects_non_finite_or_non_positive_length_and_tol(parab, length, tol):
+    # before the check tol = 0 or NaN hung, tol < 0 "completed", length = NaN
+    # gave a one-sample path and length = inf ran on to a domain exit
+    generic = _launch(parab, 1.0, math.pi / 4.0)
+    meridian = GeodesicState(1.0, 0.0, 1.0, 0.0)
+    for state in (generic, meridian):
+        with pytest.raises(InvalidParameterError):
+            integrate_h(parab, state, length, tol=tol)
+    q = SurfacePoint(1.0, 0.0)
+    yF = Tangent(1.0 / eval_F(parab, q, Tangent(1.0, 0.0)), 0.0)
+    for start in (q, SurfacePoint(0.0, 0.0)):
+        with pytest.raises(InvalidParameterError):
+            integrate_F(parab, start, yF if start.r else Tangent(1.0, 0.0),
+                        length, tol=tol)
+
+
 def test_domain_exit_truncates(parab):
     path = integrate_h(parab, _launch(parab, 2.0, math.pi / 4.0), 50.0)
     assert path.exit_reason == "domain-exit"

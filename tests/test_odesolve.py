@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from randers import InvalidParameterError
 from randers.odesolve import EventSpec, LevelEvent, integrate, integrate_batch
 
 
@@ -84,6 +85,18 @@ def test_rejects_backward_range():
         integrate_batch(_oscillator_rows, 1.0, [[0.0, 1.0]], 0.5)
     with pytest.raises(ValueError):  # one row needs shape (1, dim)
         integrate_batch(_oscillator_rows, 0.0, [0.0, 1.0], 0.5)
+
+
+@pytest.mark.parametrize("s_end,tol", [
+    (math.nan, 1e-10), (math.inf, 1e-10),
+    (1.0, 0.0), (1.0, math.nan), (1.0, -1e-10), (1.0, math.inf),
+])
+def test_rejects_non_finite_range_and_bad_tol(s_end, tol):
+    # tol = 0 or NaN never accepts a step, and s_end = NaN or inf never ends
+    with pytest.raises(InvalidParameterError):
+        integrate(_oscillator, 0.0, [0.0, 1.0], s_end, tol=tol)
+    with pytest.raises(InvalidParameterError):
+        integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], s_end, tol=tol)
 
 
 def test_projected_state_ends_each_step():
