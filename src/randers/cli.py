@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, conjugate, embed, measure, verify
-from .errors import GeometryError
+from .errors import GeometryError, InvalidParameterError
 from .geodesics import (
     GeodesicState,
     count_self_intersections,
@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--mu", type=float, default=None,
                         help="wind strength override (default 1.0 paraboloid)")
     common.add_argument("--tol-ode", type=float, default=1e-10)
-    common.add_argument("--tol-quad", type=float, default=1e-10)
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for exported files")
@@ -130,7 +129,7 @@ def _config_echo(args) -> dict:
         "surface": args.surface or {"kind": "paraboloid",
                                     "mu": args.mu if args.mu is not None else 1.0},
         "seed": args.seed,
-        "tolerances": {"tol_ode": args.tol_ode, "tol_quad": args.tol_quad},
+        "tolerances": {"tol_ode": args.tol_ode},
     }
 
 
@@ -178,13 +177,10 @@ def _export_paths(profile, tag, h_path, f_path, outdir, fmt, echo):
 
 
 def _export_embedded_polyline(profile, path, filename):
-    """The embedded image of the path up to where it leaves r <= r_max (the
-    analytic meridians of --fan run on past it)."""
+    """The embedded image of the path."""
     with open(filename, "w", encoding="utf-8") as fh:
         fh.write("s,x,y,z\n")
         for s, row in zip(path.s, path.states):
-            if row[0] > profile.r_max:
-                break
             q = SurfacePoint(max(row[0], 0.0), row[1])
             pt = embed.embed_point(profile, q)
             fh.write(f"{s:.17g},{pt.x:.17g},{pt.y:.17g},{pt.z:.17g}\n")
@@ -236,6 +232,8 @@ def cmd_geodesic(args) -> int:
             f_path = integrate_F(profile, q, Tangent(1.0, 0.0), args.length,
                                  tol=args.tol_ode)
         else:
+            if not math.isfinite(args.heading):
+                raise InvalidParameterError(f"heading must be finite, got {args.heading}")
             m0 = float(profile.m(args.r0))
             u = Tangent(math.cos(args.heading), math.sin(args.heading) / m0)
             F0 = eval_F(profile, q, u)

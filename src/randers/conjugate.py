@@ -201,6 +201,8 @@ def cut_locus(profile: Profile, q: SurfacePoint,
     after time T(t).  At t = c both parametrizations agree and the arc
     starts at the twisted image of the first conjugate point.
     """
+    if s_export_max is not None and not math.isfinite(s_export_max):
+        raise InvalidParameterError(f"s_export_max must be finite, got {s_export_max}")
     c = first_conjugate(profile, q)
     rho = q.r
     if s_export_max is None:

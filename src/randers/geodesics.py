@@ -16,10 +16,12 @@ quadrature form: with
     eta(r, nu) = m / sqrt(m^2 - nu^2),
 
 the angle and arc-length advances are integrals of xi and eta in r, and the
-twisted angular advance adds mu times the arc length.  The inverse-square-
-root endpoint singularity at a turning point r_t is removed by substituting
-r = r_t + u^2, which is regular because m'(r_t) != 0 at any simple turning
-point.
+twisted angular advance adds mu times the arc length.  clairaut_angles
+integrates them on r = r_a + u^2 from one end r_a of a leg, the turning
+radius or the launch radius: the inverse-square-root singularity at a
+turning point becomes regular because m'(r_t) != 0 at any simple turning
+point, and m^2 - nu^2 is written as its value at r_a plus a term built from
+m' alone, so it does not cancel near r_a.
 
 Exact meridians are not sent through the ODE: they are integrated
 analytically, including continuation through the vertex, where theta jumps
@@ -34,17 +36,18 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad  # unused here; bench/tracer.py wraps geodesics.quad
 
 from . import odesolve
 from .errors import (
     InconsistentInputError,
+    InternalConsistencyError,
     InvalidBracketError,
     InvalidParameterError,
     NumericalBlowupError,
     VertexSingularError,
 )
-from .profile import Profile, SurfacePoint, roots_on_grid
+from .profile import Profile, SurfacePoint, as_float_array, roots_on_grid
 from .zermelo import Tangent, eval_F, eval_F_array
 
 # States with |dtheta| below this are integrated as exact meridians: their
@@ -141,14 +144,21 @@ def _meridian_path(profile: Profile, state0: GeodesicState, length: float,
                          np.where(past, theta0 + math.pi, theta0),
                          np.where(past, 1.0, sgn), np.zeros_like(s)], axis=-1)
 
+    # like the ODE path, the meridian stops where it leaves r <= r_max
+    exit_reason = "completed"
+    s_exit = profile.r_max + (r0 if sgn < 0 else -r0)
+    if length > s_exit:
+        length, exit_reason = s_exit, "domain-exit"
     h_cap = min(0.1, 0.1 / profile.mu)
     ss = _sample_grid(length, h_cap)
     if sgn < 0 and 0.0 < rho < length:
         ss = np.unique(np.concatenate([ss, [rho]]))
     states = dense(ss)
+    if exit_reason == "domain-exit":
+        states[-1, 0] = profile.r_max
     return GeodesicPath(
         s=ss, states=states, nu=0.0, metric_tag="h", kind="meridian",
-        mu=profile.mu, tol=tol, dense=dense,
+        mu=profile.mu, tol=tol, dense=dense, exit_reason=exit_reason,
     )
 
 
@@ -392,152 +402,98 @@ def integrate_F(profile: Profile, q: SurfacePoint, yF: Tangent, length: float,
 # quadrature form
 
 
-def _xi_eta(profile: Profile, nu: float, nu_disc: float | None = None):
-    """Closures for the angle and arc-length integrands.
+# Composite Gauss-Legendre rule of clairaut_angles: _LEG_PANELS panels of
+# _LEG_NODES nodes per leg, each panel halved up to _LEG_SPLITS times.
+_LEG_NODES = 8
+_LEG_PANELS = 12
+_LEG_SPLITS = 12
+_LEG_T, _LEG_W = np.polynomial.legendre.leggauss(_LEG_NODES)
+_LEG_GRADING = np.linspace(0.0, 1.0, _LEG_PANELS)
 
-    nu_disc, when given, replaces |nu| inside the discriminant
-    m(r)^2 - nu^2.  Turning legs pass m(r_t) for it so the discriminant
-    vanishes exactly at the computed turning radius; otherwise the ~1e-14
-    float error of the root gets amplified by the inverse square root into
-    O(sqrt(eps_rt / nu)) sweep errors for small Clairaut constants.
+
+def _cumulative_weights(t: np.ndarray) -> np.ndarray:
+    """S with S[i, j] = integral over [-1, t[i]] of the j-th Lagrange basis
+    polynomial of the nodes t: S @ f integrates the interpolant of f from -1
+    to every node."""
+    leg = np.polynomial.legendre
+    n = t.size
+    antiderivs = np.stack([leg.legval(t, leg.legint(np.eye(n)[k], lbnd=-1.0))
+                           for k in range(n)], axis=1)
+    return antiderivs @ np.linalg.inv(leg.legvander(t, n - 1))
+
+
+_LEG_S = _cumulative_weights(_LEG_T)
+
+
+def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
+                    sigma=1.0):
+    """(delta_theta, delta_s) of every leg i of an h-geodesic with Clairaut
+    constant nu[i] over r = ra + sigma u^2, 0 <= u <= sqrt(width[i]), on
+    which m grows away from ra, where m^2 - nu^2 equals disc[i] >= 0.
+
+    disc = 0 anchors a leg at its turning radius; a leg launched at heading
+    chi passes (m cos chi)^2, since m(ra)^2 - nu^2 cancels near tangency,
+    and its width, since ra + width may round to ra there.  The integrands
+    2 u nu / (m sqrt(D)) and 2 u m / sqrt(D) take D = dm (2 m(ra) + dm) +
+    disc with dm = m(r) - m(ra) integrated from m' on the same nodes, so D
+    keeps its relative accuracy near ra.  Gauss-Legendre panels are graded
+    geometrically from the scale where D leaves disc, and halved until both
+    integrals of every leg move by at most tol (or their rounding level);
+    the halved values are returned.  A leg that still moves after
+    _LEG_SPLITS halvings raises InternalConsistencyError.
     """
-    m_fn = profile.m
-    anu = abs(nu)
-    a_disc = anu if nu_disc is None else abs(nu_disc)
-
-    def disc(r: float) -> float:
-        m = float(m_fn(r))
-        return max((m - a_disc) * (m + a_disc), 1e-300)
-
-    def xi(r: float) -> float:
-        return nu / (float(m_fn(r)) * math.sqrt(disc(r)))
-
-    def eta(r: float) -> float:
-        return float(m_fn(r)) / math.sqrt(disc(r))
-
-    return xi, eta
-
-
-def _integrate_desingularized(f, ra: float, rb: float, tol: float,
-                              left_breaks=(), right_breaks=()) -> float:
-    """Integrate f on [ra, rb] with r = ra + u^2 / r = rb - v^2 substitutions
-    on the two halves, removing inverse-square-root endpoint singularities.
-
-    Optional break lists force panel boundaries in the substituted variables;
-    small-Clairaut turning legs concentrate an O(1) contribution of the angle
-    integrand in a spike of width sqrt(2 nu / m') that plain adaptive panels
-    can miss silently.  full_output=1 silences the quadpack roundoff warning
-    that the clamped near-turning-point integrand triggers; the absolute
-    noise it reports is orders below the tolerances used here.
-    """
-    mid = 0.5 * (ra + rb)
-    ua = math.sqrt(mid - ra)
-    ub = math.sqrt(rb - mid)
-    lpts = [u for u in left_breaks if 0.0 < u < ua] or None
-    rpts = [v for v in right_breaks if 0.0 < v < ub] or None
-    left = quad(lambda u: 2.0 * u * f(ra + u * u), 0.0, ua, points=lpts,
-                epsabs=0.25 * tol, epsrel=1e-12, limit=200, full_output=1)[0]
-    right = quad(lambda v: 2.0 * v * f(rb - v * v), 0.0, ub, points=rpts,
-                 epsabs=0.25 * tol, epsrel=1e-12, limit=200, full_output=1)[0]
-    return left + right
-
-
-def _spike_breaks(profile: Profile, nu: float, r_end: float) -> tuple:
-    """Panel boundaries at the turning-point spike scale of the angle
-    integrand after the u-substitution."""
-    if nu == 0.0:
-        return ()
-    mp = max(abs(float(profile.m1(r_end))), 1e-9)
-    u_sp = math.sqrt(2.0 * abs(nu) / mp)
-    return (u_sp, 8.0 * u_sp)
-
-
-def _leg_integral(integrand: int, profile: Profile, ra: float, rb: float,
-                  nu: float, tol: float, turning_left: bool,
-                  turning_right: bool) -> float:
-    """Integral of xi (integrand 0) or eta (1) over a leg of clairaut_leg."""
-    nu_disc = None
-    if turning_left:
-        nu_disc = float(profile.m(ra))
-    elif turning_right:
-        nu_disc = float(profile.m(rb))
-    f = _xi_eta(profile, nu, nu_disc)[integrand]
-    lb = _spike_breaks(profile, nu, ra)
-    rb_breaks = _spike_breaks(profile, nu, rb) if turning_right else ()
-    return _integrate_desingularized(f, ra, rb, tol, lb, rb_breaks)
-
-
-def clairaut_angle(profile: Profile, ra: float, rb: float, nu: float, tol: float,
-                   turning_left: bool = False, turning_right: bool = False) -> float:
-    """delta_theta of clairaut_leg alone, at half its quad calls."""
-    return _leg_integral(0, profile, ra, rb, nu, tol, turning_left, turning_right)
-
-
-# Fixed composite rule of clairaut_angles: per half-leg, _ANGLE_PANELS panels
-# of _ANGLE_NODES Gauss-Legendre nodes each.
-_ANGLE_NODES = 12
-_ANGLE_PANELS = 17
-_ANGLE_T, _ANGLE_W = np.polynomial.legendre.leggauss(_ANGLE_NODES)
-
-
-def _as_array(values, shape) -> np.ndarray:
-    """Profile function values as a float array of the given shape: a
-    constant expression such as m1 = "1" returns a scalar."""
-    return np.broadcast_to(np.asarray(values, dtype=float), shape)
-
-
-def clairaut_angles(profile: Profile, ra, rb, nu, turning_left) -> np.ndarray:
-    """clairaut_angle of every leg (ra[i], rb[i], nu[i], turning_left[i]) by
-    one fixed composite Gauss-Legendre rule.
-
-    The substitutions are those of clairaut_angle: r = ra + u^2 on the left
-    half and r = rb - v^2 on the right half, with the discriminant pinned to
-    m(ra) on turning legs.  Each half is cut into panels graded
-    geometrically from [0, s] up to its half-width, where s is the smaller
-    of the spike scale sqrt(2 |nu| / m') of _spike_breaks and, where the
-    discriminant D = m^2 - a^2 (a = |nu|, or the pinned m(ra)) is positive
-    at that end, its scale sqrt(D / (2 m m')), which is small on
-    near-tangent direct legs.  m is evaluated once on the nodes of every
-    leg.  Legs need ra < rb.  The error is not controlled: the rule is meant
-    for tables that bracket roots, which are then refined on clairaut_angle.
-    """
-    ra, rb, nu, turning_left = np.broadcast_arrays(
-        np.asarray(ra, dtype=float), np.asarray(rb, dtype=float),
-        np.asarray(nu, dtype=float), np.asarray(turning_left, dtype=bool))
-    n = ra.size
-    ends = np.concatenate([ra.ravel(), rb.ravel()])
-    m_end = _as_array(profile.m(ends), ends.shape)
-    m1_end = np.maximum(np.abs(_as_array(profile.m1(ends), ends.shape)), 1e-9)
-    anu = np.tile(np.abs(nu.ravel()), 2)
-    a_disc = np.where(np.tile(turning_left.ravel(), 2), np.tile(m_end[:n], 2), anu)
-    # half-widths in u (left halves) and v (right halves)
-    width = np.tile(np.sqrt(0.5 * (rb - ra).ravel()), 2)
-    d = (m_end - a_disc) * (m_end + a_disc)
-    disc_scale = np.sqrt(np.where(d > 0.0, d, np.inf) / (2.0 * m_end * m1_end))
-    scale = np.minimum(np.sqrt(2.0 * anu / m1_end), disc_scale)
-    # the first panel is at most as wide as a uniform one; tiny scales stay
-    # positive so that the geometric grading is defined
-    s = np.clip(scale, 1e-300, width / _ANGLE_PANELS)
-    k = np.arange(_ANGLE_PANELS) / (_ANGLE_PANELS - 1)
-    breaks = np.empty((2 * n, _ANGLE_PANELS + 1))
+    ra, width, nu, disc, sigma = np.broadcast_arrays(ra, width, nu, disc, sigma)
+    shape = ra.shape
+    angle, length = np.zeros(ra.size), np.zeros(ra.size)
+    todo = np.flatnonzero(width.ravel() > 0.0)
+    if todo.size == 0:
+        return angle.reshape(shape), length.reshape(shape)
+    ra, sigma, nu, disc, top = (np.asarray(v, dtype=float).ravel()[todo]
+                                for v in (ra, sigma, nu, disc, width))
+    m_a = as_float_array(profile.m(ra), todo.shape)
+    legs = [ra, sigma, nu, disc, m_a]
+    top = np.sqrt(top)
+    # D leaves disc at u^2 ~ disc / (2 m m'); from a turning radius the angle
+    # integrand peaks at u^2 ~ 2 m / m'.  Below 1e-12 of the leg the D scale
+    # only trims a sliver of the integral.
+    scale = np.sqrt(np.minimum(2.0 * m_a, np.where(disc > 0.0, disc / (2.0 * m_a), np.inf))
+                    / np.abs(as_float_array(profile.m1(ra), todo.shape)))
+    first = np.clip(scale, 1e-12 * top, top / _LEG_PANELS)
+    breaks = np.empty((todo.size, _LEG_PANELS + 1))
     breaks[:, 0] = 0.0
-    breaks[:, 1:] = s[:, None] * (width / s)[:, None] ** k
-    breaks[:, -1] = width
-    half = 0.5 * np.diff(breaks, axis=1)
-    u = (0.5 * (breaks[:, 1:] + breaks[:, :-1]))[..., None] + half[..., None] * _ANGLE_T
-    sgn = np.repeat([1.0, -1.0], n)[:, None, None]
-    r = ends[:, None, None] + sgn * u * u
-    m = _as_array(profile.m(r.ravel()), (r.size,)).reshape(r.shape)
-    ad = a_disc[:, None, None]
-    # u / (m sqrt(max(m^2 - a^2, 1e-300))), in place
-    g = m - ad
-    g *= m + ad
-    np.maximum(g, 1e-300, out=g)
-    np.sqrt(g, out=g)
-    g *= m
-    np.divide(u, g, out=g)
-    per_half = 2.0 * np.tile(nu.ravel(), 2) * ((g @ _ANGLE_W) * half).sum(axis=1)
-    return (per_half[:n] + per_half[n:]).reshape(ra.shape)
+    breaks[:, 1:] = first[:, None] * (top / first)[:, None] ** _LEG_GRADING
+    breaks[:, -1] = top
+
+    def rule(breaks, legs):
+        ra, sigma, nu, disc, m_a = (v[:, None, None] for v in legs)
+        half = 0.5 * np.diff(breaks, axis=1)[..., None]
+        u = 0.5 * (breaks[:, 1:] + breaks[:, :-1])[..., None] + half * _LEG_T
+        r = ra + sigma * (u * u)
+        dm = (2.0 * sigma * half) * u * as_float_array(
+            profile.m1(r.ravel()), (r.size,)).reshape(r.shape)
+        below = np.cumsum(dm @ _LEG_W, axis=1)
+        dm = dm @ _LEG_S.T
+        dm[:, 1:] += below[:, :-1, None]
+        m = m_a + dm
+        q = (2.0 * half) * u / np.sqrt(dm * (m + m_a) + disc)
+        return nu[:, 0, 0] * ((q / m) @ _LEG_W).sum(axis=1), ((q * m) @ _LEG_W).sum(axis=1)
+
+    coarse = rule(breaks, legs)
+    for _ in range(_LEG_SPLITS):
+        halved = np.empty((todo.size, 2 * breaks.shape[1] - 1))
+        halved[:, ::2] = breaks
+        halved[:, 1::2] = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
+        fine = rule(halved, legs)
+        bound = np.maximum(tol, 64.0 * np.finfo(float).eps * (np.abs(fine[0]) + fine[1]))
+        done = (np.abs(fine[0] - coarse[0]) <= bound) & (np.abs(fine[1] - coarse[1]) <= bound)
+        angle[todo[done]], length[todo[done]] = fine[0][done], fine[1][done]
+        if done.all():
+            return angle.reshape(shape), length.reshape(shape)
+        todo, breaks, legs = todo[~done], halved[~done], [v[~done] for v in legs]
+        coarse = (fine[0][~done], fine[1][~done])
+    raise InternalConsistencyError(
+        f"Clairaut quadrature did not settle to {tol} after {_LEG_SPLITS} "
+        f"halvings on the legs from r = {legs[0].tolist()}")
 
 
 def clairaut_leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
@@ -545,12 +501,22 @@ def clairaut_leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
     """(delta_theta, delta_s) over the leg ra < r < rb of an h-geodesic with
     Clairaut constant nu and increasing r, without validating the leg.
 
-    turning_left / turning_right mark an endpoint as the turning radius of
-    nu: the discriminant zero is pinned there (the left end when both are
-    marked) and a right-end turning point gets its own spike panel breaks.
+    turning_left / turning_right mark an endpoint as a turning radius of nu:
+    the leg is integrated from it with the discriminant pinned to zero
+    there, from both ends to the midpoint when both are marked.  An
+    unmarked left end at or below the turning radius (m(ra) <= |nu|) counts
+    as marked.
     """
-    return (clairaut_angle(profile, ra, rb, nu, tol, turning_left, turning_right),
-            _leg_integral(1, profile, ra, rb, nu, tol, turning_left, turning_right))
+    if turning_left and turning_right:
+        angle, length = clairaut_angles(profile, [ra, rb], 0.5 * (rb - ra), nu, 0.0, tol,
+                                        sigma=[1.0, -1.0])
+    elif turning_right:
+        angle, length = clairaut_angles(profile, rb, rb - ra, nu, 0.0, tol, sigma=-1.0)
+    else:
+        m_a, anu = float(profile.m(ra)), abs(nu)
+        disc = 0.0 if turning_left else max((m_a - anu) * (m_a + anu), 0.0)
+        angle, length = clairaut_angles(profile, ra, rb - ra, nu, disc, tol)
+    return float(np.sum(angle)), float(np.sum(length))
 
 
 def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,
@@ -570,7 +536,7 @@ def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,
         ds = sign * (rb - ra)
         return 0.0, ds, profile.mu * ds
     interior = np.linspace(ra, rb, 101)[1:-1]
-    mm = _as_array(profile.m(interior), interior.shape)
+    mm = as_float_array(profile.m(interior), interior.shape)
     if np.any(mm <= abs(nu)):
         bad = interior[mm <= abs(nu)][0]
         raise InvalidBracketError(

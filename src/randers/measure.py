@@ -18,10 +18,11 @@ Two-point distances use the navigation correspondence: an F-geodesic of
 length T from q1 to q2 is an h-geodesic of length T from q1 to q2 rotated
 back by mu*T.  Since the wind speed mu*m is everywhere below 1, the function
 T -> d_h(q1, rot(-mu T) q2) - T is strictly decreasing and its unique zero
-is the F-distance.  The background distance d_h itself is computed from the
-Clairaut quadrature form: candidate connectors are the meridian chain
-through the vertex, monotone-radius arcs, and single-turning-point arcs,
-with the swept angle solved for the Clairaut constant.
+is the F-distance.  On increasing warps the background distance d_h is the
+shortest connector of TwoRadiusConnectors: the geodesics from the lower
+radius, parametrized by their launch heading chi, that reach the higher one
+after sweeping the target angle, found by refining in chi a table of the
+Clairaut quadrature forms.  Dense ODE shooting remains for other warps.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import (
+    InternalConsistencyError,
     InvalidParameterError,
     MetricDegenerateError,
     NumericalBlowupError,
@@ -42,15 +44,13 @@ from .errors import (
 from .geodesics import (
     GeodesicPath,
     GeodesicState,
-    clairaut_angle,
     clairaut_angles,
-    clairaut_leg,
     cumulative_F_length,
     integrate_h,
     level_crossings,
     level_crossings_batch,
 )
-from .profile import Profile, SurfacePoint, roots_on_grid, wrap_angle
+from .profile import Profile, SurfacePoint, as_float_array, roots_on_grid, wrap_angle
 from .zermelo import RandersData, Tangent, eval_F, navigation_transform, randers_data
 
 
@@ -236,124 +236,153 @@ def clairaut_verify(profile: Profile, pathF: GeodesicPath) -> ClairautReport:
 
 @dataclass(frozen=True)
 class HConnector:
-    """One geodesic connector candidate between two radii with given sweep."""
+    """One geodesic connector candidate between two radii with given sweep,
+    launched from the lower radius at heading chi."""
 
     kind: str        # "meridian" | "chain" | "direct" | "turning"
     nu: float
     length: float
     swept: float
+    chi: float
 
 
-def _turning_radius(profile: Profile, nu: float, r_below: float) -> float:
-    f = lambda r: float(profile.m(r)) - abs(nu)
-    lo = 0.0
-    if f(r_below) < 0.0:
-        raise InvalidParameterError(f"no turning point below r = {r_below}")
-    return float(brentq(f, lo, r_below, xtol=1e-14))
-
-
-def _turning_sweep(profile: Profile, nu: float, r1: float, r2: float,
-                   tol: float):
-    rt = _turning_radius(profile, nu, min(r1, r2))
-    dth1, ds1 = clairaut_leg(profile, rt, r1, nu, tol, turning_left=True)
-    dth2, ds2 = clairaut_leg(profile, rt, r2, nu, tol, turning_left=True)
-    return dth1 + dth2, ds1 + ds2
-
-
-def _turning_angle(profile: Profile, nu: float, r1: float, r2: float,
-                   tol: float) -> float:
-    """The delta_theta of _turning_sweep alone."""
-    rt = _turning_radius(profile, nu, min(r1, r2))
-    return (clairaut_angle(profile, rt, r1, nu, tol, turning_left=True)
-            + clairaut_angle(profile, rt, r2, nu, tol, turning_left=True))
-
-
-def _turning_radii(profile: Profile, nus: np.ndarray, r_below: float) -> np.ndarray:
-    """Turning radii m(r) = |nu| on [0, r_below] of a whole nu array, by
-    array bisection to float resolution; each returned radius has
-    m(r) >= |nu|."""
-    anu = np.abs(nus)
-    lo, hi = np.zeros_like(anu), np.full_like(anu, r_below)
-    while True:
-        mid = 0.5 * (lo + hi)
-        if not np.any((lo < mid) & (mid < hi)):
-            return hi
-        below = np.asarray(profile.m(mid), dtype=float) < anu
-        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+# Headings of the connector tables, folded to psi = min(chi, pi - chi):
+# uniform over [0, pi/2], and geometric toward psi = 0, where the descending
+# connectors close in on the chain through the vertex.
+_TABLE_PSI = np.unique(np.concatenate([np.linspace(0.0, 0.5 * math.pi, 16),
+                                       np.geomspace(1e-4, math.pi / 6.0, 10)]))
+_DROP_T, _DROP_W = np.polynomial.legendre.leggauss(16)
 
 
 class TwoRadiusConnectors:
-    """Connector solver between two fixed radii, reusable over many sweep
-    targets.
+    """Geodesic connectors between two fixed radii, reusable over many sweep
+    targets; the warp must increase on [0, r_hi].
 
-    Tabulates the swept angle of the monotone direct family and of the
-    graded turning family once, on fixed nu grids, in one
-    geodesics.clairaut_angles pass: one evaluation of m on the nodes of
-    every leg, with the turning radii of the whole grid found by one array
-    bisection.  The tables only bracket: each query refines the sign
-    changes of sweep - delta by brentq on the adaptive clairaut_angle (and
-    _turning_angle) at tol, validates each root, and integrates the arc
-    length once per root.  The tables pay off inside distance_F, whose
-    outer root search re-queries the same radius pair with a rotating
-    target angle.
+    The connectors from the lower radius r_lo to the higher r_hi form one
+    family in the heading chi in [0, pi] at r_lo, measured from the outward
+    meridian, with Clairaut constant nu = m(r_lo) sin chi: below pi/2 they
+    climb to r_hi ("direct"), above it they first drop to the turning radius
+    where m = nu ("turning"), and chi = pi is the chain through the vertex.
+    sweep_length integrates swept angle and length with one
+    geodesics.clairaut_angles call, passing (m(r_lo) cos chi)^2 as the
+    discriminant at r_lo, so both are smooth through tangency (chi = pi/2).
+    The table over a fixed heading grid runs from sweep 0 to pi, so it
+    brackets every target in (0, pi]; a query refines each sign change of
+    sweep - delta by roots_on_grid in chi and accepts a root only where
+    |sweep - delta| <= tol.  The table pays off inside distance_F, whose
+    outer root search re-queries one radius pair with a rotating target.
     """
 
     def __init__(self, profile: Profile, r1: float, r2: float,
-                 tol: float = 1e-10, n_sweep: int = 32):
+                 tol: float = 1e-10):
         self.profile = profile
         self.r1, self.r2 = r1, r2
         self.tol = tol
-        self.nu_max = float(min(profile.m(r1), profile.m(r2)))
-        # Exactly tangent launches (nu = nu_max) hit the same cancellation
-        # as zero-width turning legs; both families stop a sliver short.
-        self.cap = self.nu_max * (1.0 - 1e-7)
         self.r_lo, self.r_hi = min(r1, r2), max(r1, r2)
-        self.has_direct = self.r_hi - self.r_lo > 1e-9 * max(1.0, self.r_hi)
-        self.direct_nus = (np.linspace(0.0, self.cap, n_sweep // 2)
-                           if self.has_direct else np.empty(0))
-        self.turning_nus = np.unique(np.concatenate([
-            np.geomspace(1e-6 * self.nu_max, 0.5 * self.nu_max, n_sweep // 2),
-            np.linspace(0.5 * self.nu_max, self.cap, n_sweep // 2),
-        ]))
-        nd, nt = self.direct_nus.size, self.turning_nus.size
-        rt = _turning_radii(profile, self.turning_nus, self.r_lo)
-        # legs: direct r_lo -> r_hi, then turning rt -> r1 and rt -> r2
-        sweeps = clairaut_angles(
-            profile,
-            np.concatenate([np.full(nd, self.r_lo), rt, rt]),
-            np.concatenate([np.full(nd, self.r_hi), np.full(nt, r1), np.full(nt, r2)]),
-            np.concatenate([self.direct_nus, self.turning_nus, self.turning_nus]),
-            np.arange(nd + 2 * nt) >= nd)
-        self.direct_sweeps = sweeps[:nd]
-        self.turning_sweeps = sweeps[nd:nd + nt] + sweeps[nd + nt:]
+        if not self.r_lo > 0.0:
+            raise InvalidParameterError(
+                f"connectors join two radii > 0, got {r1} and {r2}")
+        self.m_lo = float(profile.m(self.r_lo))
+        drops = _TABLE_PSI[::-1][1:]
+        self.chis = np.concatenate([_TABLE_PSI, math.pi - drops])
+        self.sweeps, self.lengths = self._family(np.concatenate([_TABLE_PSI, drops]),
+                                                 self.chis > 0.5 * math.pi)
+        # refine roots in chi finely enough for sweep and length to meet tol
+        slope = np.abs(np.diff([self.sweeps, self.lengths]) / np.diff(self.chis)).max()
+        self.xtol = tol / (8.0 * max(slope, 1.0))
+
+    def sweep_length(self, chi):
+        """(sweep, length) arrays of the connectors launched at the headings
+        chi in [0, pi]."""
+        chi = np.asarray(chi, dtype=float)
+        turning = chi > 0.5 * math.pi
+        return self._family(np.where(turning, math.pi - chi, chi), turning)
+
+    def _family(self, psi, turning):
+        """sweep_length at the headings pi - psi where turning, else psi."""
+        r_lo = self.r_lo
+        # one climb r_lo -> r_hi per distinct psi; a turning connector adds
+        # its drop r_t -> r_lo twice
+        psi_c, climb = np.unique(psi, return_inverse=True)
+        nu, disc = self.m_lo * np.sin(psi_c), (self.m_lo * np.cos(psi_c)) ** 2
+        drops = np.flatnonzero(turning & (psi > 0.0))
+        r_t, x_t = self._turning_points(nu[climb[drops]], disc[climb[drops]])
+        angle, length = clairaut_angles(
+            self.profile, np.concatenate([np.full(psi_c.size, r_lo), r_t]),
+            np.concatenate([np.full(psi_c.size, self.r_hi - r_lo), x_t]),
+            np.concatenate([nu, nu[climb[drops]]]),
+            np.concatenate([disc, np.zeros(drops.size)]), self.tol / 3.0)
+        sweep, total = angle[climb], length[climb]
+        sweep[drops] += 2.0 * angle[psi_c.size:]
+        total[drops] += 2.0 * length[psi_c.size:]
+        chain = turning & (psi == 0.0)
+        sweep[chain], total[chain] = math.pi, r_lo + self.r_hi
+        return sweep, total
+
+    def _turning_points(self, nu, disc):
+        """Turning radii r_t, m(r_t) = nu, and drops r_lo - r_t.  Near
+        tangency, where r_lo - r_t rounds to r_lo, the drop x is solved for,
+        from m(r_lo)^2 - m(r_lo - x)^2 = disc with the difference of m
+        integrated from m' on Gauss nodes; deeper down r_t is, from
+        m(r_t) = nu.  Newton steps, kept inside [0, r_lo] by bisection, from
+        the quadratic Taylor model of m^2 at r_lo and from the secant
+        r_t = nu r_lo / m(r_lo) respectively."""
+        profile, r_lo, m_lo = self.profile, self.r_lo, self.m_lo
+        if nu.size == 0:
+            return nu, nu
+        m1, m2 = float(profile.m1(r_lo)), float(profile.m2(r_lo))
+        a, b = 2.0 * m_lo * m1, m1 * m1 + m_lo * m2
+        x = 2.0 * disc / (a + np.sqrt(np.maximum(a * a - 4.0 * b * disc, 0.0)))
+        near = x <= 0.25 * r_lo
+        y = np.where(near, x, nu * (r_lo / m_lo))
+        lo, hi = np.zeros_like(y), np.full_like(y, r_lo)
+        for _ in range(100):
+            r = np.where(near, r_lo - y, y)
+            m1_r = as_float_array(profile.m1(r), r.shape)
+            dm = g = 0.0
+            if near.any():
+                nodes = r_lo - np.where(near, y, 0.0)[:, None] * (0.5 * (_DROP_T + 1.0))
+                dm = 0.5 * y * (as_float_array(profile.m1(nodes.ravel()), (nodes.size,))
+                                .reshape(nodes.shape) @ _DROP_W)
+                g = dm * (2.0 * m_lo - dm) - disc
+            if not near.all():
+                g = np.where(near, g, as_float_array(profile.m(r), r.shape) - nu)
+            lo, hi = np.where(g < 0.0, y, lo), np.where(g > 0.0, y, hi)
+            step = y - g / np.where(near, 2.0 * (m_lo - dm) * m1_r, m1_r)
+            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+            settled = np.all((np.abs(step - y) <= 4.0 * np.finfo(float).eps * y) | (g == 0.0))
+            y = np.where(g == 0.0, y, step)
+            if settled:
+                return np.where(near, r_lo - y, y), np.where(near, y, r_lo - y)
+        raise InternalConsistencyError(f"turning radii did not settle: {y.tolist()}")
 
     def connectors(self, delta: float) -> list[HConnector]:
         if not (0.0 <= delta <= math.pi + 1e-15):
             raise InvalidParameterError(f"delta must be in [0, pi], got {delta}")
-        out: list[HConnector] = []
         if delta == 0.0:
-            out.append(HConnector("meridian", 0.0, abs(self.r1 - self.r2), 0.0))
-            return out
+            return [HConnector("meridian", 0.0, self.r_hi - self.r_lo, 0.0, 0.0)]
         if abs(delta - math.pi) <= 1e-14:
-            out.append(HConnector("chain", 0.0, self.r1 + self.r2, math.pi))
+            delta = math.pi   # the chain's grid value, at chi = pi, is then a root
+        seen = dict(zip(self.chis.tolist(), zip(self.sweeps.tolist(), self.lengths.tolist())))
 
-        profile, tol = self.profile, self.tol
-        r_lo, r_hi, r1, r2 = self.r_lo, self.r_hi, self.r1, self.r2
-        families = []
-        if self.has_direct:
-            families.append(("direct", self.direct_nus, self.direct_sweeps,
-                             lambda nu: clairaut_angle(profile, r_lo, r_hi, nu, tol),
-                             lambda nu: clairaut_leg(profile, r_lo, r_hi, nu, tol)))
-        families.append(("turning", self.turning_nus, self.turning_sweeps,
-                         lambda nu: _turning_angle(profile, nu, r1, r2, tol),
-                         lambda nu: _turning_sweep(profile, nu, r1, r2, tol)))
-        for kind, nus, sweeps, angle, sweep in families:
-            for nu_star in roots_on_grid(lambda nu: angle(nu) - delta, nus,
-                                         sweeps - delta, xtol=1e-12):
-                dth, ds = sweep(nu_star)
-                # defensive: a refined root must actually realize the target sweep
-                if abs(dth - delta) <= 1e-6 * max(1.0, delta):
-                    out.append(HConnector(kind, nu_star, float(ds), float(dth)))
+        def miss(chi: float) -> float:
+            sweep, length = self.sweep_length([chi])
+            seen[chi] = float(sweep[0]), float(length[0])
+            return seen[chi][0] - delta
+
+        out: list[HConnector] = []
+        for chi in roots_on_grid(miss, self.chis, self.sweeps - delta, xtol=self.xtol):
+            if chi not in seen:
+                miss(chi)
+            sweep, length = seen[chi]
+            if not abs(sweep - delta) <= self.tol:
+                raise InternalConsistencyError(
+                    f"connector at chi = {chi} sweeps {sweep}, not {delta} to {self.tol}")
+            kind = "chain" if chi == math.pi else "direct" if chi <= 0.5 * math.pi else "turning"
+            out.append(HConnector(kind, 0.0 if kind == "chain" else self.m_lo * math.sin(chi),
+                                  length, sweep, chi))
+        if not out:
+            raise InternalConsistencyError(f"no connector sweeps delta = {delta}")
         return out
 
 
@@ -367,10 +396,10 @@ def h_distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
                solver: TwoRadiusConnectors | None = None) -> float:
     """Background (Riemannian) distance between two points.
 
-    Uses the Clairaut quadrature families on profiles whose warp is strictly
-    increasing over the relevant radii, falling back to dense ODE shooting
-    otherwise.  A prebuilt TwoRadiusConnectors for (q1.r, q2.r) may be
-    passed to amortize the family sweeps over repeated queries.
+    The shortest TwoRadiusConnectors connector on profiles whose warp is
+    strictly increasing over the relevant radii; dense ODE shooting only
+    where the warp is not monotone.  A prebuilt TwoRadiusConnectors for
+    (q1.r, q2.r) may be passed to amortize its table over repeated queries.
     """
     if q1.r == 0.0:
         return q2.r
@@ -389,12 +418,7 @@ def h_distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
         return _h_distance_shooting(profile, q1, q2)
     if solver is None:
         solver = TwoRadiusConnectors(profile, q1.r, q2.r, tol=tol)
-    cands = solver.connectors(delta)
-    if not cands:
-        # the families cover (0, pi) except a sliver of nearly-tangent
-        # connectors between nearly-equal radii; fall back to shooting there
-        return _h_distance_shooting(profile, q1, q2)
-    return min(c.length for c in cands)
+    return min(c.length for c in solver.connectors(delta))
 
 
 def _h_distance_shooting(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
@@ -534,6 +558,8 @@ def distance_F_report(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
     through-vertex bound d_F <= r1 + r2 always brackets the root; t_max only
     guards against a misconfigured fallback search.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     mu = profile.mu
     if t_max is None:
         t_max = 4.0 * (q1.r + q2.r + math.pi * float(profile.m(max(q1.r, q2.r, 1e-9))))

@@ -62,6 +62,13 @@ class SurfacePoint:
             raise InvalidParameterError(f"radius must be >= 0, got {self.r}")
 
 
+def as_float_array(values, shape) -> np.ndarray:
+    """Profile function values as a float array of the given shape: a
+    constant expression such as m1 = "1" returns a scalar."""
+    values = np.asarray(values, dtype=float)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
 def wrap_angle(theta: float) -> float:
     """Reduce an angle to the principal interval (-pi, pi]."""
     w = math.remainder(theta, 2.0 * math.pi)

@@ -128,6 +128,22 @@ def test_exit_codes(tmp_path, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error:") and "Traceback" not in err
             assert not out.exists() or not any(out.glob("geodesic_*"))
+    # non-finite headings, root tolerances and cut-locus spans likewise,
+    # each blamed on its own flag
+    for argv, name in ((["geodesic", "--r0", "1", "--heading", "inf"], "heading"),
+                       (["geodesic", "--r0", "1", "--heading", "nan"], "heading"),
+                       (["distance", "--from", "1", "0", "--to", "1", "1",
+                         "--tol-root", "nan"], "tol"),
+                       (["distance", "--from", "1", "0", "--to", "1", "1",
+                         "--tol-root", "0"], "tol"),
+                       (["cutlocus", "--q", "1", "0", "--s-max", "nan"], "s_export_max"),
+                       (["cutlocus", "--q", "1", "0", "--s-max", "inf"], "s_export_max")):
+        assert run([*argv, "--out", str(tmp_path / "bad")]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, argv
+        assert name in err and "point coordinates" not in err, argv
+    # the quadrature tolerance flag is gone: no command reads one
+    assert run(["info", "--tol-quad", "1e-10"]) == 1
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):

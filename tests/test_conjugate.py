@@ -20,7 +20,7 @@ from randers.conjugate import (
     verify_cut_point,
 )
 from randers.geodesics import GeodesicState, integrate_h, twist
-from randers.measure import _turning_sweep, distance_F
+from randers.measure import TwoRadiusConnectors, distance_F
 
 
 def test_jacobi_along_meridian_equals_warp(parab):
@@ -76,8 +76,12 @@ def test_conjugate_matches_family_refocus(parab):
     c = first_conjugate(parab, SurfacePoint(rho, 0.0))
 
     def slope(r2, nu0=1e-5):
-        d1 = (_turning_sweep(parab, nu0, rho, r2, 1e-12)[0] - math.pi) / nu0
-        d2 = (_turning_sweep(parab, nu0 / 2, rho, r2, 1e-12)[0] - math.pi) / (nu0 / 2)
+        # the connector at heading chi = pi - psi from the lower radius has
+        # Clairaut constant nu = m(r_lo) sin psi
+        solver = TwoRadiusConnectors(parab, rho, r2, tol=1e-12)
+        nus = np.array([nu0, nu0 / 2])
+        sweep = solver.sweep_length(math.pi - np.arcsin(nus / float(parab.m(solver.r_lo))))[0]
+        d1, d2 = (sweep - math.pi) / nus
         return 2.0 * d2 - d1   # Richardson in nu
 
     lo, hi = 0.5, 2.0

@@ -1,16 +1,18 @@
-"""TwoRadiusConnectors' sweep tables, built in one geodesics.clairaut_angles
-pass, against tables built one adaptive clairaut_angle per nu node."""
+"""TwoRadiusConnectors, the connector family in the launch heading chi,
+against oracles that do not use geodesics.clairaut_angles: closed forms on
+the flat plane and the sphere, and the ODE (integrate_h at tol 1e-12) on
+the paraboloid."""
 
-import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from randers import SurfacePoint, make_custom, make_paraboloid
 from randers.conjugate import cut_locus
-from randers.geodesics import clairaut_angle, clairaut_angles
-from randers.measure import TwoRadiusConnectors, _turning_angle
+from randers.geodesics import GeodesicState, clairaut_angles, integrate_h, level_crossings
+from randers.measure import TwoRadiusConnectors, h_distance
 
 PROFILES = {
     "flat": lambda: make_custom("r", "1", "0", mu=0.04, r_max=20.0),
@@ -19,131 +21,182 @@ PROFILES = {
     "paraboloid-0.5": lambda: make_paraboloid(0.5),
 }
 
-# Widely separated radii, nearly equal ones on both sides of has_direct's
-# 1.3e-9 threshold at r = 1.3, and equal ones; the sphere's stay below
-# pi / 2.  No pair is conjugate: test_conjugate_pair covers that case.
+# Widely separated radii, nearly equal ones and equal ones; the sphere's
+# stay below pi / 2.  No pair is conjugate: test_conjugate_pair covers that.
 PAIRS = [(0.3, 1.5), (1.2, 0.2), (1.5, 0.9), (0.5, 0.7), (1.0, 1.02),
          (1.3, 1.3 + 3e-9), (1.3, 1.3 + 6e-10), (1.3, 1.3)]
-
+TANGENT = [0.5 * math.pi + d for d in (0.0, -1e-4, 1e-4, -1e-6, 1e-6, -1e-8, 1e-8)]
 DELTAS = np.linspace(0.0, math.pi, 25)[1:]
 
-# worst |batch - adaptive| on the turning table (below); a node closer to
-# delta than this has no sign that either table can vouch for
-SIGN_MARGIN = 2.5e-8
+
+def _flat_connector(r_lo, r_hi, chi):
+    """(sweep, length) of the straight segment from (r_lo, 0) at heading chi
+    to its first outward crossing of r = r_hi, written without cancellation
+    near tangency."""
+    c = r_lo * math.cos(chi)
+    gap = (r_hi - r_lo) * (r_hi + r_lo)
+    root = math.sqrt(gap + c * c)
+    s = gap / (root + c) if c > 0.0 else root - c
+    return math.atan2(s * math.sin(chi), r_lo + s * math.cos(chi)), s
 
 
-def _adaptive_tables(solver):
-    """The tables as they were built before: one adaptive quadrature per
-    nu node, at the solver's tol."""
-    p, tol = solver.profile, solver.tol
-    direct = np.array([clairaut_angle(p, solver.r_lo, solver.r_hi, float(nu), tol)
-                       for nu in solver.direct_nus])
-    turning = np.array([_turning_angle(p, float(nu), solver.r1, solver.r2, tol)
-                        for nu in solver.turning_nus])
-    return direct, turning
+def _sphere_connector(r_lo, r_hi, chi):
+    """The same on the unit sphere, r the colatitude: with x = tan(s / 2)
+    the crossing solves (k - cos r_lo) x^2 - sin r_lo cos chi x + k = 0,
+    k = sin((r_hi + r_lo) / 2) sin((r_hi - r_lo) / 2)."""
+    k = math.sin(0.5 * (r_hi + r_lo)) * math.sin(0.5 * (r_hi - r_lo))
+    a, b = k - math.cos(r_lo), -math.sin(r_lo) * math.cos(chi)
+    q = -0.5 * (b + math.copysign(math.sqrt(b * b - 4.0 * a * k), b))
+    s = 2.0 * math.atan(q / a if b >= 0.0 else k / q)
+    x = math.cos(s) * math.sin(r_lo) + math.sin(s) * math.cos(chi) * math.cos(r_lo)
+    return math.atan2(math.sin(s) * math.sin(chi), x), s
 
 
-@functools.lru_cache(maxsize=None)
-def _solvers(name):
-    """(batch-table solver, adaptive-table oracle) for every radius pair."""
-    profile = PROFILES[name]()
-    out = []
-    for r1, r2 in PAIRS:
-        batch = TwoRadiusConnectors(profile, r1, r2)
-        oracle = TwoRadiusConnectors(profile, r1, r2)
-        oracle.direct_sweeps, oracle.turning_sweeps = _adaptive_tables(oracle)
-        out.append((batch, oracle))
-    return out
+def _ode_connector(profile, r_lo, r_hi, chi):
+    """(sweep, length) of the h-geodesic from (r_lo, 0) at heading chi up
+    to its first outward crossing of r = r_hi, by integrate_h at tol 1e-12.
+    The crossing from level_crossings, which reads the cubic dense output,
+    is polished by Newton steps on integrations that end there (from the
+    sample before, a node of the first integration).  Back at
+    r_hi = r_lo the crossing is twice the turning point, where dr = 0."""
+    start = GeodesicState(r_lo, 0.0, math.cos(chi), math.sin(chi) / float(profile.m(r_lo)))
+    path = integrate_h(profile, start, r_lo + r_hi + 0.5, tol=1e-12)
+
+    def end(s):
+        """The state at s, integrated on from the last sample before it."""
+        k = max(int(np.searchsorted(path.s, s)) - 1, 0)
+        return integrate_h(profile, GeodesicState(*path.states[k]), s - path.s[k],
+                           tol=1e-12).states[-1]
+
+    if r_hi > r_lo:
+        s, y = level_crossings(path, r_hi)
+        s = s[np.flatnonzero(y[:, 2] >= 0.0)[0]]
+        for _ in range(3):
+            y = end(s)
+            s -= (y[0] - r_hi) / y[2]
+        return end(s)[1], s
+    if math.cos(chi) >= 0.0:
+        return 0.0, 0.0
+    k = np.flatnonzero(path.states[:, 2] > 0.0)[0]
+    s = brentq(lambda s: path.dense(s)[2], path.s[k - 1], path.s[k], xtol=1e-15)
+    for _ in range(3):
+        y = end(s)
+        s -= y[2] / (float(profile.m(y[0])) * float(profile.m1(y[0])) * y[3] ** 2)
+    return 2.0 * end(s)[1], 2.0 * s
+
+
+def _oracle(name, profile, r_lo, r_hi, chi):
+    if chi == math.pi:
+        return math.pi, r_lo + r_hi   # the chain through the vertex
+    if name == "flat":
+        return _flat_connector(r_lo, r_hi, chi)
+    if name == "sphere":
+        return _sphere_connector(r_lo, r_hi, chi)
+    return _ode_connector(profile, r_lo, r_hi, chi)
 
 
 @pytest.mark.parametrize("name", list(PROFILES))
 def test_tables_match_adaptive_oracle(name):
-    worst_direct = worst_turning = worst_inner = 0.0
-    for batch, oracle in _solvers(name):
-        # both ends of the nu grids are covered
-        assert batch.turning_nus[0] == pytest.approx(1e-6 * batch.nu_max)
-        assert batch.turning_nus[-1] == batch.cap
-        assert batch.has_direct == (abs(batch.r1 - batch.r2) > 1e-9 * max(1.0, batch.r_hi))
-        if batch.has_direct:
-            assert batch.direct_nus[0] == 0.0 and batch.direct_nus[-1] == batch.cap
-            worst_direct = max(worst_direct, np.abs(batch.direct_sweeps
-                                                    - oracle.direct_sweeps).max())
-        err = np.abs(batch.turning_sweeps - oracle.turning_sweeps)
-        worst_turning = max(worst_turning, err.max())
-        worst_inner = max(worst_inner, err[:-1].max())
-        # the tables bracket: sweep - delta has the same sign at every node
-        # (on flat r1 = r2 = 1.3 no node lies within SIGN_MARGIN of a delta)
-        for delta in DELTAS:
-            for mine, theirs in ((batch.turning_sweeps, oracle.turning_sweeps),
-                                 (batch.direct_sweeps, oracle.direct_sweeps)):
-                sure = np.abs(theirs - delta) > SIGN_MARGIN
-                assert np.count_nonzero(~sure) <= 1
-                np.testing.assert_array_equal(np.sign(mine - delta)[sure],
-                                              np.sign(theirs - delta)[sure])
-    # measured worst: 1.6e-13 direct; 2.8e-8 turning, at the cap, where the
-    # short leg's pinned discriminant m(r)^2 - m(r_t)^2 loses digits; 3.2e-10
-    # below the cap, mostly the oracle's own error at small nu
-    assert worst_direct <= 4e-13
-    assert worst_turning <= 3e-8
-    assert worst_inner <= 5e-10
+    """Table rows against the closed forms, or on the paraboloids against
+    the adaptive ODE integrator at every fourth heading that keeps clear of
+    the vertex (near it the integrator's steps shrink with the turning
+    radius)."""
+    profile = PROFILES[name]()
+    for r1, r2 in PAIRS:
+        solver = TwoRadiusConnectors(profile, r1, r2)
+        assert solver.chis[0] == 0.0 and solver.chis[-1] == math.pi
+        assert solver.sweeps[0] == 0.0 and solver.sweeps[-1] == math.pi
+        assert solver.lengths[0] == pytest.approx(solver.r_hi - solver.r_lo, abs=1e-12)
+        assert solver.lengths[-1] == solver.r_lo + solver.r_hi
+        rows = np.arange(solver.chis.size)
+        if name.startswith("paraboloid"):
+            rows = rows[1:-1:4][solver.chis[1:-1:4] < 3.0]
+        want = np.array([_oracle(name, profile, solver.r_lo, solver.r_hi, solver.chis[i])
+                         for i in rows])
+        np.testing.assert_allclose(solver.sweeps[rows], want[:, 0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(solver.lengths[rows], want[:, 1], rtol=0, atol=1e-10)
 
 
-# The refinement is the adaptive clairaut_angle for both solvers, so their
-# connectors differ only where brentq, started from slightly different
-# bracket values, meets a defect of that function: on the paraboloid at
-# (1.3, 1.3 + 6e-10) and nu = 0.7925367095447893 it returns 5.4e134 (the
-# left half of the turning leg rounds r_t + u^2 to r_t, where the clamped
-# discriminant gives 1e141 integrand values), and brentq stops at nu =
-# 0.79253671067, whose sweep misses delta = pi / 24 by 8.4e-7, inside the
-# 1e-6 validation.  Not strict: which brentq iterates meet the spike hangs
-# on the last bits of the table values.
-_SPIKE = pytest.mark.xfail(strict=False, reason="adaptive clairaut_angle spikes "
-                           "to 5e134 at isolated nu near the turning cap")
-CASES = [pytest.param(name, i, marks=_SPIKE) if (name, i) == ("paraboloid-1", 6)
-         else (name, i) for name in PROFILES for i in range(len(PAIRS))]
-
-
-@pytest.mark.parametrize("name,i", CASES)
+@pytest.mark.parametrize("name,i", [(name, i) for name in PROFILES for i in range(len(PAIRS))])
 def test_connectors_match_adaptive_oracle(name, i):
-    batch, oracle = _solvers(name)[i]
-    for delta in DELTAS:
-        got, want = batch.connectors(float(delta)), oracle.connectors(float(delta))
-        assert [c.kind for c in got] == [c.kind for c in want]
-        for a, b in zip(got, want):
-            assert a.nu == pytest.approx(b.nu, abs=1e-10)
-            assert a.length == pytest.approx(b.length, abs=1e-9)
+    """Every connector sweeps delta and is the oracle's geodesic at its
+    heading; on the paraboloid at (1.3, 1.3 + 6e-10), delta = pi / 24 lies
+    in the band no connector reached while the Clairaut constant was capped
+    at nu_max (1 - 1e-7)."""
+    profile = PROFILES[name]()
+    r1, r2 = PAIRS[i]
+    solver = TwoRadiusConnectors(profile, r1, r2)
+    deltas = DELTAS if name in ("flat", "sphere") else DELTAS[[0, 11, 23]]
+    for delta in deltas:
+        cands = solver.connectors(float(delta))
+        assert cands
+        for c in cands:
+            sweep, length = _oracle(name, profile, solver.r_lo, solver.r_hi, c.chi)
+            assert c.swept == pytest.approx(delta, abs=1e-10)
+            assert sweep == pytest.approx(delta, abs=1e-10)
+            assert c.length == pytest.approx(length, abs=1e-10)
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+@pytest.mark.parametrize("r_lo,r_hi", [(0.3, 1.5), (1.3, 1.31), (1.3, 1.3 + 6e-10), (1.3, 1.3)])
+def test_family_through_tangency_matches_ode(mu, r_lo, r_hi):
+    profile = make_paraboloid(mu)
+    chis = TANGENT + [0.4, 2.2, 3.0]
+    sweep, length = TwoRadiusConnectors(profile, r_lo, r_hi).sweep_length(chis)
+    assert np.all(np.isfinite(sweep)) and np.all(np.isfinite(length))
+    want = np.array([_ode_connector(profile, r_lo, r_hi, chi) for chi in chis])
+    np.testing.assert_allclose(sweep, want[:, 0], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(length, want[:, 1], rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["flat", "sphere"])
+def test_family_through_tangency_and_h_distance_match_closed_forms(name):
+    profile = PROFILES[name]()
+    exact = _flat_connector if name == "flat" else _sphere_connector
+    chis = np.concatenate([np.linspace(0.0, math.pi, 25), TANGENT])
+    for r1, r2 in PAIRS:
+        solver = TwoRadiusConnectors(profile, r1, r2)
+        sweep, length = solver.sweep_length(chis)
+        want = np.array([exact(solver.r_lo, solver.r_hi, chi) for chi in chis])
+        np.testing.assert_allclose(sweep, want[:, 0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(length, want[:, 1], rtol=0, atol=1e-10)
+        # h_distance takes the connectors where m' > 0 up to 1.05 max(r1, r2)
+        if name == "sphere" and 1.05 * max(r1, r2) >= 0.5 * math.pi:
+            continue
+        for delta in DELTAS:
+            h = math.sin(0.5 * delta)
+            if name == "flat":
+                d = math.sqrt((r1 - r2) ** 2 + 4.0 * r1 * r2 * h * h)
+            else:
+                d = 2.0 * math.asin(math.sqrt(math.sin(0.5 * (r2 - r1)) ** 2
+                                              + math.sin(r1) * math.sin(r2) * h * h))
+            got = h_distance(profile, SurfacePoint(r1, 0.3), SurfacePoint(r2, 0.3 + delta),
+                             solver=solver)
+            assert got == pytest.approx(d, abs=1e-10)
 
 
 def test_conjugate_pair():
     # r1 = r2 = 1/mu on the paraboloid: each radius is the first conjugate
     # point of the other along the chain (c = rho + 1/(mu^2 rho)), and the
-    # turning sweep meets pi only at nu = 0, to third order.  The adaptive
-    # tables see the 1e-10 error of their small-nu turning legs as sign
-    # changes and add turning connectors with the chain's length; the batch
-    # tables see the chain alone.
+    # turning sweep meets pi only at nu = 0, to third order, so the chain is
+    # the one connector.
     p = make_paraboloid(1.0)
-    batch = TwoRadiusConnectors(p, 1.0, 1.0)
-    oracle = TwoRadiusConnectors(p, 1.0, 1.0)
-    oracle.direct_sweeps, oracle.turning_sweeps = _adaptive_tables(oracle)
-    assert [c.kind for c in batch.connectors(math.pi)] == ["chain"]
-    want = oracle.connectors(math.pi)
-    assert want[0].kind == "chain"
-    for c in want[1:]:
-        assert c.kind == "turning" and c.nu < 1e-4
-        assert c.length == pytest.approx(want[0].length, abs=1e-9)
+    assert [c.kind for c in TwoRadiusConnectors(p, 1.0, 1.0).connectors(math.pi)] == ["chain"]
 
 
 def test_clairaut_angles_broadcasts_and_signs():
     p = make_paraboloid(1.0)
     nus = np.array([0.0, 0.2, -0.2])
-    out = clairaut_angles(p, 0.5, 2.0, nus, False)
-    assert out.shape == (3,) and out[0] == 0.0 and out[2] == -out[1]
-    assert out[1] == pytest.approx(clairaut_angle(p, 0.5, 2.0, 0.2, 1e-12), abs=1e-13)
-    # a scalar leg gives a 0-d result; flat m1 = "1" is a scalar expression
+    m_a = float(p.m(0.5))
+    angle, length = clairaut_angles(p, 0.5, 1.5, nus, m_a * m_a - nus * nus, 1e-12)
+    assert angle.shape == (3,) and angle[0] == 0.0 and angle[2] == -angle[1]
+    assert length[0] == pytest.approx(1.5, abs=1e-12) and length[1] == length[2]
+    # a scalar leg gives 0-d results; flat m1 = "1" is a scalar expression
     flat = make_custom("r", "1", "0", mu=0.04, r_max=20.0)
-    one = clairaut_angles(flat, 1.0, 3.0, 0.5, False)
-    assert one.shape == () and float(one) == pytest.approx(
+    angle, length = clairaut_angles(flat, 1.0, 2.0, 0.5, 0.75, 1e-12)
+    assert angle.shape == () and float(angle) == pytest.approx(
         math.acos(0.5 / 3.0) - math.acos(0.5 / 1.0), abs=1e-13)
+    assert float(length) == pytest.approx(math.sqrt(9.0 - 0.25) - math.sqrt(0.75), abs=1e-13)
 
 
 # cut_locus(dist) at the base points of tests/test_conjugate.py, recorded with

@@ -6,6 +6,7 @@ import pytest
 from scipy.optimize import brentq
 
 from randers import (
+    InternalConsistencyError,
     InvalidBracketError,
     InvalidParameterError,
     SurfacePoint,
@@ -15,6 +16,7 @@ from randers import (
 )
 from randers.geodesics import (
     GeodesicState,
+    clairaut_angles,
     clairaut_constant,
     clairaut_leg,
     count_self_intersections,
@@ -23,6 +25,7 @@ from randers.geodesics import (
     integrate_F,
     integrate_h,
     integrate_h_two_sided,
+    level_crossings,
     path_to_csv,
     path_to_json,
     quadrature_segment,
@@ -152,6 +155,20 @@ def test_domain_exit_truncates(parab):
     assert path.s[-1] < 50.0
 
 
+def test_meridian_domain_exit_truncates(parab):
+    # the analytic meridians stop at r_max too, outward and through the vertex
+    out = integrate_h(parab, GeodesicState(0.0, 0.0, 1.0, 0.0), 40.0)
+    assert out.exit_reason == "domain-exit"
+    assert out.s[-1] == parab.r_max and out.states[-1, 0] == parab.r_max
+    assert np.all(out.states[:, 0] <= parab.r_max)
+    back = integrate_h(parab, GeodesicState(3.0, 0.5, -1.0, 0.0), 40.0)
+    assert back.exit_reason == "domain-exit"
+    assert back.s[-1] == 3.0 + parab.r_max and back.states[-1, 0] == parab.r_max
+    assert back.states[-1, 1] == 0.5 + math.pi
+    inside = integrate_h(parab, GeodesicState(3.0, 0.5, -1.0, 0.0), 23.0)
+    assert inside.exit_reason == "completed" and inside.s[-1] == 23.0
+
+
 def test_twist_is_algebraic(parab60):
     h_path = integrate_h(parab60, _launch(parab60, 2.0, 1.0), 20.0, tol=1e-10)
     f_path = twist(h_path, parab60.mu)
@@ -265,6 +282,40 @@ def test_quadrature_segment_vs_ode(parab):
     assert ds == pytest.approx(5.0, abs=1e-7)
     assert dth == pytest.approx(float(path.states[-1, 1]), abs=1e-7)
     assert dp2 == dth + parab.mu * ds
+
+
+def test_quadrature_segment_turning_on_the_right(bump):
+    # past the bump's maximum at sqrt(2) the warp decreases, so a geodesic
+    # turns at the right end of its leg, or at both ends
+    r_right = 1.75
+    nu = float(bump.m(r_right))
+    r_left = brentq(lambda r: float(bump.m(r)) - nu, 0.1, math.sqrt(2.0), xtol=1e-15)
+    path = integrate_h(bump, GeodesicState(r_right, 0.0, 0.0, 1.0 / nu), 3.0, tol=1e-12)
+    s, y = level_crossings(path, 1.0)
+    dth, ds, _ = quadrature_segment(bump, 1.0, r_right, nu, 1)
+    assert dth == pytest.approx(y[0, 1], abs=1e-9) and ds == pytest.approx(s[0], abs=1e-9)
+    # from turning point to turning point: the half period, where dr = 0 again
+    k = np.flatnonzero(path.states[:, 2] > 0.0)[0]
+    half = brentq(lambda t: path.dense(t)[2], path.s[k - 1], path.s[k], xtol=1e-15)
+    dth, ds, _ = quadrature_segment(bump, r_left, r_right, nu, 1)
+    assert dth == pytest.approx(path.dense(half)[1], abs=1e-9)
+    assert ds == pytest.approx(half, abs=1e-9)
+
+
+def test_clairaut_angles_turning_legs_on_the_plane(flat):
+    # from the turning radius nu of a straight line to r = 2: the angle
+    # acos(nu / 2) and the length sqrt(4 - nu^2), down to nu near the vertex
+    nus = np.array([1e-9, 1e-3, 0.5, 1.99])
+    angle, length = clairaut_angles(flat, nus, 2.0 - nus, nus, 0.0, 1e-13)
+    np.testing.assert_allclose(angle, np.arccos(nus / 2.0), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(length, np.sqrt(4.0 - nus * nus), rtol=0, atol=1e-12)
+
+
+def test_unmarked_turning_end_raises(bump):
+    # the square-root end of an unmarked turning point does not settle under
+    # halving: the kernel raises rather than return an unconverged value
+    with pytest.raises(InternalConsistencyError):
+        clairaut_leg(bump, 1.0, 1.75, float(bump.m(1.75)), 1e-10)
 
 
 def test_quadrature_segment_invalid_bracket(parab):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from randers import SurfacePoint, Tangent, make_custom, make_paraboloid
 from randers.geodesics import GeodesicState, integrate_F, integrate_h, twist
@@ -310,3 +311,64 @@ def test_distance_F_quasi_metric(parab, rng):
         assert dik <= dij + djk + 2.0 * tol
     for i in range(6):
         assert distance_F(parab, pts[i], pts[i]) == 0.0
+
+
+# -------------------------------------------------- connector coverage
+
+
+def _flat_navigation_distance(q1, q2, mu):
+    """d_F on the plane m(r) = r under the wind mu d/dtheta: the smallest T
+    with chord(q1, rot(-mu T) q2) = T, by the chord law."""
+    def miss(t):
+        h = math.sin(0.5 * (q2.theta - mu * t - q1.theta))
+        return math.sqrt((q1.r - q2.r) ** 2 + 4.0 * q1.r * q2.r * h * h) - t
+    return brentq(miss, 0.0, q1.r + q2.r, xtol=1e-14, rtol=4.0 * 2.0**-52)
+
+
+def test_distance_of_a_flat_pair_in_the_connector_gap(flat):
+    # nearly equal radii whose distance_F root search queried sweeps that
+    # no connector reached while the Clairaut constant was capped
+    q1 = SurfacePoint(2.3618736928659563, 0.0)
+    q2 = SurfacePoint(2.358282187899393, 0.2442393082657346)
+    d = distance_F_report(flat, q1, q2, tol=1e-9).distance
+    assert d == pytest.approx(_flat_navigation_distance(q1, q2, flat.mu), abs=2e-9)
+
+
+# paraboloid pairs (r1, r2, theta2 - theta1): generic, nearly equal radii
+# (relative gaps 2e-2 down to 1e-12), equal radii and nearly antipodal
+PARAB_PAIRS = [(0.4, 2.7, 1.1), (2.2, 0.9, -2.5), (1.3, 1.31, 0.4),
+               (2.9, 2.9 * (1.0 - 2e-2), -0.07), (1.7, 1.7 * (1.0 + 1e-6), 2.9),
+               (1.3, 1.3 + 6e-10, math.pi / 24), (0.8, 0.8 * (1.0 - 1e-12), -1.3),
+               (2.0, 2.0, 0.6), (0.6, 2.1, math.pi - 0.03), (1.9, 1.95, -math.pi + 0.01)]
+
+
+@pytest.mark.parametrize("r1,r2,dth", PARAB_PAIRS)
+def test_distance_F_reflection_reversal(parab, r1, r2, dth):
+    # sigma: theta -> -theta reverses the wind, so d(q1, q2) = d(sigma q2, sigma q1)
+    q1, q2 = SurfacePoint(r1, 0.4), SurfacePoint(r2, 0.4 + dth)
+    d = distance_F(parab, q1, q2)
+    back = distance_F(parab, SurfacePoint(r2, -q2.theta), SurfacePoint(r1, -q1.theta))
+    assert back == pytest.approx(d, abs=4e-9)
+
+
+@pytest.mark.parametrize("r1,r2,dth", PARAB_PAIRS)
+def test_distance_F_rotation_invariance(parab, r1, r2, dth):
+    d = distance_F(parab, SurfacePoint(r1, 0.0), SurfacePoint(r2, dth))
+    for alpha in (0.9, -2.6):
+        turned = distance_F(parab, SurfacePoint(r1, alpha), SurfacePoint(r2, alpha + dth))
+        assert turned == pytest.approx(d, abs=4e-9)
+
+
+def test_distance_F_triangle_inequality_near_equal_radii(parab):
+    # directed triangle inequality over points on nearly the same parallel,
+    # where the connectors are nearly tangent, and off it
+    tol = 1e-9
+    pts = [SurfacePoint(1.3, 0.0), SurfacePoint(1.3 + 6e-10, 0.13),
+           SurfacePoint(1.3 * (1.0 - 1e-6), 0.5), SurfacePoint(1.31, -0.2),
+           SurfacePoint(1.3, 2.8), SurfacePoint(0.7, 1.2)]
+    d = {(i, j): distance_F(parab, pts[i], pts[j], tol=tol)
+         for i in range(len(pts)) for j in range(len(pts)) if i != j}
+    for (i, j), dij in d.items():
+        for k in range(len(pts)):
+            if k not in (i, j):
+                assert d[(i, k)] <= dij + d[(j, k)] + 2.0 * tol
