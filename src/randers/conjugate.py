@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,13 +55,17 @@ class JacobiSolution:
 
 
 def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
-                     yp0: float, upto: float, tol: float = 1e-12
-                     ) -> JacobiSolution:
-    """Integrate y'' + G(r(s)) y = 0 along a base h-geodesic path.
+                     yp0: float, upto: float, tol: float = 1e-12,
+                     stop_at_zero: bool = False) -> JacobiSolution:
+    """Integrate y'' + G(r(s)) y = 0 along a base h-geodesic path from s = 0,
+    by odesolve.integrate at tol with steps of at most 0.1.
 
     The radius along the base is taken from its dense output.  The first
-    sign change of y for s > 0 is refined to 1e-10 and reported
-    as first_zero (None if y keeps its sign over [0, upto]).
+    sign change of y for s > 0 is refined to 1e-10 and reported as
+    first_zero (None if y keeps its sign over [0, upto]).  The samples cover
+    [0, upto], or with stop_at_zero only [0, first_zero]: the field past its
+    first zero is then not integrated, and the steps up to it, hence
+    first_zero, are the same as over the full range.
     """
     if base.metric_tag != "h":
         raise InvalidParameterError("Jacobi integration runs along h-geodesics")
@@ -74,7 +79,7 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
         r = float(dense(s)[0])
         return np.array([z[1], -gauss_curvature(profile, abs(r)) * z[0]])
 
-    events = [odesolve.EventSpec(lambda s, z: z[0], terminal=False)]
+    events = [odesolve.EventSpec(lambda s, z: z[0], terminal=stop_at_zero)]
     sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=tol,
                              h_max=0.1, events=events)
     zeros = [s for s, _ in sol.events.get(0, []) if s > 1e-12]
@@ -100,8 +105,13 @@ def opposite_meridian_chain(profile: Profile, q: SurfacePoint,
 def first_conjugate(profile: Profile, q: SurfacePoint,
                     horizon: float | None = None, tol: float = 1e-12) -> float:
     """Parameter of the first conjugate point of q along the meridian chain
-    through the vertex.  Exceeds rho = d(q, vertex) because the vertex is a
-    pole; raises SearchHorizonError if no zero appears within the horizon."""
+    through the vertex: the first zero c of the Jacobi field y(0) = 0,
+    y'(0) = 1, integrated at tol up to that zero and no further.
+
+    The profile must pass is_von_mangoldt on 1024 radii of [0, r_max]
+    (InvalidParameterError otherwise).  c exceeds rho = d(q, vertex)
+    because the vertex is a pole; raises SearchHorizonError if no zero
+    appears within the horizon, by default rho + r_max."""
     if q.r <= 0:
         raise InvalidParameterError("the vertex is a pole; its cut locus is empty")
     check = is_von_mangoldt(profile, _vm_grid(profile))
@@ -114,7 +124,7 @@ def first_conjugate(profile: Profile, q: SurfacePoint,
     if horizon is None:
         horizon = rho + profile.r_max
     base = opposite_meridian_chain(profile, q, horizon)
-    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon, tol=tol)
+    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon, tol=tol, stop_at_zero=True)
     if jac.first_zero is None:
         raise SearchHorizonError(
             f"no conjugate point within parameter {horizon}",
@@ -129,29 +139,17 @@ def first_conjugate(profile: Profile, q: SurfacePoint,
     return c
 
 
-def _pair_distance(profile: Profile, r1: float, r2: float, tol: float):
-    """Background distance from radius r1 to the opposite-meridian point at
-    radius r2, together with the Clairaut constant of the minimizing mirror
-    pair (None when the meridian chain itself is minimizing).
-
-    Near targets are cut off by the chain, mid-range ones by a mirror pair
-    with a turning point, and far ones by a monotone-radius mirror pair, so
-    the full connector enumeration is required here.
-    """
-    cands = TwoRadiusConnectors(profile, r1, r2, tol=tol).connectors(math.pi)
-    best = min(cands, key=lambda c: c.length)
-    if best.kind == "chain":
-        return best.length, None
-    return best.length, best.nu
-
-
 @dataclass
 class CutArc:
     """The navigation cut locus of a base point, exported as a sampled arc.
 
     s holds the parameter along the opposite-meridian chain tau_q, r and
     theta the arc samples, and dist the navigation distance from q to each
-    sample (equal to the background distance to tau_q(s)).
+    sample (equal to the background distance to tau_q(s)).  chi and kind
+    describe the minimizing background connector of each sample: its
+    heading at the lower of the radii rho and r (measured from the outward
+    meridian; at q unless r < rho) and its kind, "chain" (chi = pi) for the
+    meridian chain through the vertex, else "turning" or "direct".
     """
 
     q: SurfacePoint
@@ -161,6 +159,8 @@ class CutArc:
     r: np.ndarray
     theta: np.ndarray
     dist: np.ndarray
+    chi: np.ndarray
+    kind: list[str]
 
     def conjugate_point(self) -> SurfacePoint:
         return SurfacePoint(float(self.r[0]), float(self.theta[0]))
@@ -176,6 +176,8 @@ class CutArc:
             "samples": [[float(a), float(b), float(g)]
                         for a, b, g in zip(self.s, self.r, self.theta)],
             "dist": [float(d) for d in self.dist],
+            "chi": [float(x) for x in self.chi],
+            "kind": list(self.kind),
         }
 
     def to_json(self, filename) -> None:
@@ -192,15 +194,28 @@ class CutArc:
 def cut_locus(profile: Profile, q: SurfacePoint,
               s_export_max: float | None = None, n_samples: int = 64,
               tol: float = 1e-10) -> CutArc:
-    """Sampled navigation cut locus of q.
+    """Sampled navigation cut locus of q: n_samples points of the chain
+    parameter t in [c, s_export_max], c from first_conjugate (s_export_max
+    defaults to c + 10 max(1, rho) and is capped at rho + r_max).
 
-    Each chain parameter t >= c contributes the point
-    (r_tau(t), theta_tau(t) + mu * T(t)) with T(t) = d_h(q, tau_q(t)); the
-    distance T rather than t itself drives the twist because the chain stops
-    minimizing at c, and the two mirror minimizers that replace it arrive
-    after time T(t).  At t = c both parametrizations agree and the arc
-    starts at the twisted image of the first conjugate point.
+    Each t contributes the point (r_tau(t), theta_tau(t) + mu * T(t)) with
+    T(t) = d_h(q, tau_q(t)); the distance T rather than t itself drives the
+    twist because the chain stops minimizing at c, and the two mirror
+    minimizers that replace it arrive after time T(t).  At t = c both
+    parametrizations agree and the arc starts at the twisted image of the
+    first conjugate point.
+
+    T(t) is the shortest connector sweeping pi between the radii rho and
+    r_tau(t) = t - rho, found for all samples at once by one
+    TwoRadiusConnectors over the array of sample radii, to tol.  A
+    non-integer or non-positive n_samples, a tol that is not finite and
+    positive, or a non-finite s_export_max raises InvalidParameterError.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) \
+            or n_samples < 1:
+        raise InvalidParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     if s_export_max is not None and not math.isfinite(s_export_max):
         raise InvalidParameterError(f"s_export_max must be finite, got {s_export_max}")
     c = first_conjugate(profile, q)
@@ -213,19 +228,18 @@ def cut_locus(profile: Profile, q: SurfacePoint,
         s_export_max = rho + profile.r_max
     ss = np.linspace(c, s_export_max, n_samples)
     rr = ss - rho
-    dist = np.empty_like(ss)
-    theta = np.empty_like(ss)
-    for i, (t, r2) in enumerate(zip(ss, rr)):
-        d, _ = _pair_distance(profile, rho, float(r2), tol)
-        dist[i] = d
-        theta[i] = q.theta + math.pi + profile.mu * d
+    best = [min(cands, key=lambda con: con.length) for cands in
+            TwoRadiusConnectors(profile, rho, rr, tol=tol).connectors(math.pi)]
+    dist = np.array([con.length for con in best])
+    theta = q.theta + math.pi + profile.mu * dist
     start_gap = abs(dist[0] - c)
     if start_gap > 1e-5 * max(1.0, c):
         raise InternalConsistencyError(
             f"cut-arc start distance {dist[0]} disagrees with the conjugate "
             f"parameter {c} by {start_gap}"
         )
-    return CutArc(q=q, rho=rho, c=float(c), s=ss, r=rr, theta=theta, dist=dist)
+    return CutArc(q=q, rho=rho, c=float(c), s=ss, r=rr, theta=theta, dist=dist,
+                  chi=np.array([con.chi for con in best]), kind=[con.kind for con in best])
 
 
 @dataclass(frozen=True)

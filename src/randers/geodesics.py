@@ -403,10 +403,13 @@ def integrate_F(profile: Profile, q: SurfacePoint, yF: Tangent, length: float,
 
 
 # Composite Gauss-Legendre rule of clairaut_angles: _LEG_PANELS panels of
-# _LEG_NODES nodes per leg, each panel halved up to _LEG_SPLITS times.
+# _LEG_NODES nodes per leg, each panel halved up to _LEG_SPLITS times.  Legs
+# are integrated _LEG_BLOCK at a time: the node arrays of a block stay a few
+# MB, and blocks run as fast per leg as one call over a thousand legs.
 _LEG_NODES = 8
 _LEG_PANELS = 12
 _LEG_SPLITS = 12
+_LEG_BLOCK = 192
 _LEG_T, _LEG_W = np.polynomial.legendre.leggauss(_LEG_NODES)
 _LEG_GRADING = np.linspace(0.0, 1.0, _LEG_PANELS)
 
@@ -440,16 +443,26 @@ def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
     geometrically from the scale where D leaves disc, and halved until both
     integrals of every leg move by at most tol (or their rounding level);
     the halved values are returned.  A leg that still moves after
-    _LEG_SPLITS halvings raises InternalConsistencyError.
+    _LEG_SPLITS halvings raises InternalConsistencyError.  Legs run in
+    blocks of _LEG_BLOCK, so the memory of a call stays bounded however
+    many legs it has; each leg's values do not depend on its block.
     """
     ra, width, nu, disc, sigma = np.broadcast_arrays(ra, width, nu, disc, sigma)
     shape = ra.shape
     angle, length = np.zeros(ra.size), np.zeros(ra.size)
     todo = np.flatnonzero(width.ravel() > 0.0)
-    if todo.size == 0:
-        return angle.reshape(shape), length.reshape(shape)
-    ra, sigma, nu, disc, top = (np.asarray(v, dtype=float).ravel()[todo]
-                                for v in (ra, sigma, nu, disc, width))
+    legs = [np.asarray(v, dtype=float).ravel()[todo] for v in (ra, sigma, nu, disc, width)]
+    for start in range(0, todo.size, _LEG_BLOCK):
+        block = slice(start, start + _LEG_BLOCK)
+        angle[todo[block]], length[todo[block]] = _clairaut_block(
+            profile, *(v[block] for v in legs), tol)
+    return angle.reshape(shape), length.reshape(shape)
+
+
+def _clairaut_block(profile: Profile, ra, sigma, nu, disc, top, tol: float):
+    """clairaut_angles on one block of legs of positive width top."""
+    angle, length = np.empty(ra.size), np.empty(ra.size)
+    todo = np.arange(ra.size)
     m_a = as_float_array(profile.m(ra), todo.shape)
     legs = [ra, sigma, nu, disc, m_a]
     top = np.sqrt(top)
@@ -488,7 +501,7 @@ def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
         done = (np.abs(fine[0] - coarse[0]) <= bound) & (np.abs(fine[1] - coarse[1]) <= bound)
         angle[todo[done]], length[todo[done]] = fine[0][done], fine[1][done]
         if done.all():
-            return angle.reshape(shape), length.reshape(shape)
+            return angle, length
         todo, breaks, legs = todo[~done], halved[~done], [v[~done] for v in legs]
         coarse = (fine[0][~done], fine[1][~done])
     raise InternalConsistencyError(

@@ -50,7 +50,14 @@ from .geodesics import (
     level_crossings,
     level_crossings_batch,
 )
-from .profile import Profile, SurfacePoint, as_float_array, roots_on_grid, wrap_angle
+from .profile import (
+    Profile,
+    SurfacePoint,
+    as_float_array,
+    roots_on_grid,
+    roots_on_grids,
+    wrap_angle,
+)
 from .zermelo import RandersData, Tangent, eval_F, navigation_transform, randers_data
 
 
@@ -255,135 +262,186 @@ _DROP_T, _DROP_W = np.polynomial.legendre.leggauss(16)
 
 
 class TwoRadiusConnectors:
-    """Geodesic connectors between two fixed radii, reusable over many sweep
-    targets; the warp must increase on [0, r_hi].
+    """Geodesic connectors between the radius r1 and the radius r2, or each
+    radius of an array r2, reusable over many sweep targets; the warp must
+    increase on [0, max(r1, r2)].
 
-    The connectors from the lower radius r_lo to the higher r_hi form one
-    family in the heading chi in [0, pi] at r_lo, measured from the outward
-    meridian, with Clairaut constant nu = m(r_lo) sin chi: below pi/2 they
-    climb to r_hi ("direct"), above it they first drop to the turning radius
-    where m = nu ("turning"), and chi = pi is the chain through the vertex.
-    sweep_length integrates swept angle and length with one
-    geodesics.clairaut_angles call, passing (m(r_lo) cos chi)^2 as the
+    The connectors of one pair, from its lower radius r_lo to its higher
+    r_hi, form one family in the heading chi in [0, pi] at r_lo, measured
+    from the outward meridian, with Clairaut constant nu = m(r_lo) sin chi:
+    below pi/2 they climb to r_hi ("direct"), above it they first drop to
+    the turning radius where m = nu ("turning"), and chi = pi is the chain
+    through the vertex.  Swept angle and length come from
+    geodesics.clairaut_angles, which is passed (m(r_lo) cos chi)^2 as the
     discriminant at r_lo, so both are smooth through tangency (chi = pi/2).
-    The table over a fixed heading grid runs from sweep 0 to pi, so it
-    brackets every target in (0, pi]; a query refines each sign change of
-    sweep - delta by roots_on_grid in chi and accepts a root only where
-    |sweep - delta| <= tol.  The table pays off inside distance_F, whose
-    outer root search re-queries one radius pair with a rotating target.
+
+    Every pair is tabulated over one fixed heading grid, from sweep 0 to pi,
+    so the table brackets every target in (0, pi].  The whole table is one
+    clairaut_angles call: one climb per pair and heading, and one drop (with
+    its turning radius) per distinct lower radius and heading, so pairs that
+    share r1 as their lower radius share their drops.  A query refines the
+    sign changes of sweep - delta of every pair together, by
+    profile.roots_on_grids in chi to the xtol that keeps sweep and length
+    within tol / 8, each iteration one clairaut_angles call over all open
+    brackets, and accepts a root only where |sweep - delta| <= tol.  The
+    table pays off inside distance_F, whose outer root search re-queries one
+    pair with a rotating target, and in conjugate.cut_locus, which queries
+    all of its samples at once.
+
+    r_lo, r_hi, m_lo and xtol have the shape of r2; sweeps and lengths add
+    the heading axis of chis.
     """
 
-    def __init__(self, profile: Profile, r1: float, r2: float,
-                 tol: float = 1e-10):
+    def __init__(self, profile: Profile, r1: float, r2, tol: float = 1e-10):
+        if not (math.isfinite(tol) and tol > 0.0):
+            raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
         self.profile = profile
         self.r1, self.r2 = r1, r2
         self.tol = tol
-        self.r_lo, self.r_hi = min(r1, r2), max(r1, r2)
-        if not self.r_lo > 0.0:
+        shape = np.shape(r2)
+        lo = np.minimum(r1, np.ravel(r2)).astype(float)
+        if not np.all(lo > 0.0):
             raise InvalidParameterError(
                 f"connectors join two radii > 0, got {r1} and {r2}")
-        self.m_lo = float(profile.m(self.r_lo))
-        drops = _TABLE_PSI[::-1][1:]
-        self.chis = np.concatenate([_TABLE_PSI, math.pi - drops])
-        self.sweeps, self.lengths = self._family(np.concatenate([_TABLE_PSI, drops]),
-                                                 self.chis > 0.5 * math.pi)
+        self._lo, self._hi = lo, np.maximum(r1, np.ravel(r2)).astype(float)
+        self._m_lo = as_float_array(profile.m(lo), lo.shape)
+        self.r_lo, self.r_hi, self.m_lo = (v.reshape(shape)[()]
+                                           for v in (self._lo, self._hi, self._m_lo))
+        # the table: every pair climbs at every heading psi of _TABLE_PSI
+        # (chi = psi), and turns at chi = pi - psi for psi below pi/2, with
+        # the drop of each distinct r_lo and psi > 0 and the chain at psi = 0
+        psi, n = _TABLE_PSI, lo.size
+        _, one, code = np.unique(lo, return_index=True, return_inverse=True)
+        climb_a, climb_s, drop_a, drop_s = self._legs(
+            np.repeat(np.arange(n), psi.size), np.tile(psi, n),
+            np.repeat(one, psi.size - 2), np.tile(psi[1:-1], one.size))
+        climb_a, climb_s = climb_a.reshape(n, -1), climb_s.reshape(n, -1)
+        drop_a, drop_s = (2.0 * v.reshape(one.size, -1)[code, ::-1] for v in (drop_a, drop_s))
+        self.chis = np.concatenate([psi, math.pi - psi[-2::-1]])
+        sweeps = np.concatenate([climb_a, climb_a[:, -2:0:-1] + drop_a,
+                                 np.full((n, 1), math.pi)], axis=1)
+        lengths = np.concatenate([climb_s, climb_s[:, -2:0:-1] + drop_s,
+                                  (lo + self._hi)[:, None]], axis=1)
+        self.sweeps, self.lengths = (v.reshape(shape + (-1,)) for v in (sweeps, lengths))
         # refine roots in chi finely enough for sweep and length to meet tol
-        slope = np.abs(np.diff([self.sweeps, self.lengths]) / np.diff(self.chis)).max()
-        self.xtol = tol / (8.0 * max(slope, 1.0))
+        slope = (np.abs(np.diff([sweeps, lengths], axis=-1)) / np.diff(self.chis)).max(axis=(0, 2))
+        self._xtol = tol / (8.0 * np.maximum(slope, 1.0))
+        self.xtol = self._xtol.reshape(shape)[()]
 
     def sweep_length(self, chi):
         """(sweep, length) arrays of the connectors launched at the headings
-        chi in [0, pi]."""
-        chi = np.asarray(chi, dtype=float)
+        chi in [0, pi]; chi broadcasts against the shape of r2."""
+        pair, chi = np.broadcast_arrays(np.arange(self._lo.size).reshape(np.shape(self.r2)),
+                                        np.asarray(chi, dtype=float))
+        sweep, length = self._at(pair.ravel(), chi.ravel())
+        return sweep.reshape(chi.shape), length.reshape(chi.shape)
+
+    def _at(self, pair, chi):
+        """sweep_length of the connectors of the pairs pair[k] at chi[k]."""
         turning = chi > 0.5 * math.pi
-        return self._family(np.where(turning, math.pi - chi, chi), turning)
-
-    def _family(self, psi, turning):
-        """sweep_length at the headings pi - psi where turning, else psi."""
-        r_lo = self.r_lo
-        # one climb r_lo -> r_hi per distinct psi; a turning connector adds
-        # its drop r_t -> r_lo twice
-        psi_c, climb = np.unique(psi, return_inverse=True)
-        nu, disc = self.m_lo * np.sin(psi_c), (self.m_lo * np.cos(psi_c)) ** 2
+        psi = np.where(turning, math.pi - chi, chi)
         drops = np.flatnonzero(turning & (psi > 0.0))
-        r_t, x_t = self._turning_points(nu[climb[drops]], disc[climb[drops]])
-        angle, length = clairaut_angles(
-            self.profile, np.concatenate([np.full(psi_c.size, r_lo), r_t]),
-            np.concatenate([np.full(psi_c.size, self.r_hi - r_lo), x_t]),
-            np.concatenate([nu, nu[climb[drops]]]),
-            np.concatenate([disc, np.zeros(drops.size)]), self.tol / 3.0)
-        sweep, total = angle[climb], length[climb]
-        sweep[drops] += 2.0 * angle[psi_c.size:]
-        total[drops] += 2.0 * length[psi_c.size:]
+        sweep, length, drop_a, drop_s = self._legs(pair, psi, pair[drops], psi[drops])
+        sweep[drops] += 2.0 * drop_a
+        length[drops] += 2.0 * drop_s
         chain = turning & (psi == 0.0)
-        sweep[chain], total[chain] = math.pi, r_lo + self.r_hi
-        return sweep, total
+        sweep[chain], length[chain] = math.pi, self._lo[pair[chain]] + self._hi[pair[chain]]
+        return sweep, length
 
-    def _turning_points(self, nu, disc):
-        """Turning radii r_t, m(r_t) = nu, and drops r_lo - r_t.  Near
-        tangency, where r_lo - r_t rounds to r_lo, the drop x is solved for,
-        from m(r_lo)^2 - m(r_lo - x)^2 = disc with the difference of m
-        integrated from m' on Gauss nodes; deeper down r_t is, from
-        m(r_t) = nu.  Newton steps, kept inside [0, r_lo] by bisection, from
-        the quadratic Taylor model of m^2 at r_lo and from the secant
-        r_t = nu r_lo / m(r_lo) respectively."""
-        profile, r_lo, m_lo = self.profile, self.r_lo, self.m_lo
-        if nu.size == 0:
-            return nu, nu
-        m1, m2 = float(profile.m1(r_lo)), float(profile.m2(r_lo))
-        a, b = 2.0 * m_lo * m1, m1 * m1 + m_lo * m2
-        x = 2.0 * disc / (a + np.sqrt(np.maximum(a * a - 4.0 * b * disc, 0.0)))
-        near = x <= 0.25 * r_lo
-        y = np.where(near, x, nu * (r_lo / m_lo))
-        lo, hi = np.zeros_like(y), np.full_like(y, r_lo)
-        for _ in range(100):
-            r = np.where(near, r_lo - y, y)
-            m1_r = as_float_array(profile.m1(r), r.shape)
-            dm = g = 0.0
-            if near.any():
-                nodes = r_lo - np.where(near, y, 0.0)[:, None] * (0.5 * (_DROP_T + 1.0))
-                dm = 0.5 * y * (as_float_array(profile.m1(nodes.ravel()), (nodes.size,))
-                                .reshape(nodes.shape) @ _DROP_W)
-                g = dm * (2.0 * m_lo - dm) - disc
-            if not near.all():
-                g = np.where(near, g, as_float_array(profile.m(r), r.shape) - nu)
-            lo, hi = np.where(g < 0.0, y, lo), np.where(g > 0.0, y, hi)
-            step = y - g / np.where(near, 2.0 * (m_lo - dm) * m1_r, m1_r)
-            step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-            settled = np.all((np.abs(step - y) <= 4.0 * np.finfo(float).eps * y) | (g == 0.0))
-            y = np.where(g == 0.0, y, step)
-            if settled:
-                return np.where(near, r_lo - y, y), np.where(near, y, r_lo - y)
-        raise InternalConsistencyError(f"turning radii did not settle: {y.tolist()}")
+    def _legs(self, c_pair, c_psi, d_pair, d_psi):
+        """Swept angles and lengths, from one clairaut_angles call, of the
+        climbs r_lo -> r_hi of the pairs c_pair at the headings c_psi, and
+        of the drops r_t -> r_lo of the pairs d_pair at the headings
+        pi - d_psi, which a turning connector runs twice."""
+        lo, m_lo = self._lo, self._m_lo
+        nu = np.concatenate([m_lo[c_pair] * np.sin(c_psi), m_lo[d_pair] * np.sin(d_psi)])
+        r_t, x_t = _turning_points(self.profile, lo[d_pair], m_lo[d_pair], nu[c_psi.size:],
+                                   (m_lo[d_pair] * np.cos(d_psi)) ** 2)
+        angle, length = clairaut_angles(
+            self.profile, np.concatenate([lo[c_pair], r_t]),
+            np.concatenate([self._hi[c_pair] - lo[c_pair], x_t]), nu,
+            np.concatenate([(m_lo[c_pair] * np.cos(c_psi)) ** 2, np.zeros(d_psi.size)]),
+            self.tol / 3.0)
+        k = c_psi.size
+        return angle[:k], length[:k], angle[k:], length[k:]
 
-    def connectors(self, delta: float) -> list[HConnector]:
+    def connectors(self, delta: float):
+        """The connectors that sweep delta in [0, pi]: a list of HConnector
+        for a scalar r2, else one such list per radius of r2, in flat order.
+        Raises InternalConsistencyError where a pair has none."""
         if not (0.0 <= delta <= math.pi + 1e-15):
             raise InvalidParameterError(f"delta must be in [0, pi], got {delta}")
+        lo, hi, n = self._lo.tolist(), self._hi.tolist(), self._lo.size
         if delta == 0.0:
-            return [HConnector("meridian", 0.0, self.r_hi - self.r_lo, 0.0, 0.0)]
+            out = [[HConnector("meridian", 0.0, b - a, 0.0, 0.0)] for a, b in zip(lo, hi)]
+            return out if np.ndim(self.r2) else out[0]
         if abs(delta - math.pi) <= 1e-14:
             delta = math.pi   # the chain's grid value, at chi = pi, is then a root
-        seen = dict(zip(self.chis.tolist(), zip(self.sweeps.tolist(), self.lengths.tolist())))
+        sweeps, lengths = self.sweeps.reshape(n, -1), self.lengths.reshape(n, -1)
+        seen = {}
 
-        def miss(chi: float) -> float:
-            sweep, length = self.sweep_length([chi])
-            seen[chi] = float(sweep[0]), float(length[0])
-            return seen[chi][0] - delta
+        def miss(pair, chi):
+            sweep, length = self._at(pair, chi)
+            seen.update(zip(zip(pair.tolist(), chi.tolist()),
+                            zip(sweep.tolist(), length.tolist())))
+            return sweep - delta
 
-        out: list[HConnector] = []
-        for chi in roots_on_grid(miss, self.chis, self.sweeps - delta, xtol=self.xtol):
-            if chi not in seen:
-                miss(chi)
-            sweep, length = seen[chi]
+        pairs, chis = roots_on_grids(miss, self.chis, sweeps - delta, self._xtol)
+        # a root where miss never ran is a grid point: its values are in the table
+        grid = np.minimum(np.searchsorted(self.chis, chis), self.chis.size - 1)
+        out: list[list[HConnector]] = [[] for _ in range(n)]
+        for p, chi, j in zip(pairs.tolist(), chis.tolist(), grid.tolist()):
+            sweep, length = seen.get((p, chi), (float(sweeps[p, j]), float(lengths[p, j])))
             if not abs(sweep - delta) <= self.tol:
                 raise InternalConsistencyError(
                     f"connector at chi = {chi} sweeps {sweep}, not {delta} to {self.tol}")
             kind = "chain" if chi == math.pi else "direct" if chi <= 0.5 * math.pi else "turning"
-            out.append(HConnector(kind, 0.0 if kind == "chain" else self.m_lo * math.sin(chi),
-                                  length, sweep, chi))
-        if not out:
-            raise InternalConsistencyError(f"no connector sweeps delta = {delta}")
-        return out
+            nu = 0.0 if kind == "chain" else float(self._m_lo[p]) * math.sin(chi)
+            out[p].append(HConnector(kind, nu, length, sweep, chi))
+        for p, cands in enumerate(out):
+            if not cands:
+                raise InternalConsistencyError(
+                    f"no connector between radii {lo[p]} and {hi[p]} sweeps delta = {delta}")
+        return out if np.ndim(self.r2) else out[0]
+
+
+def _turning_points(profile: Profile, r_lo, m_lo, nu, disc):
+    """Turning radii r_t, m(r_t) = nu, and drops r_lo - r_t of the headings
+    with Clairaut constant nu and discriminant disc = m(r_lo)^2 - nu^2 at
+    the launch radius r_lo (arrays of one length).  Near tangency, where
+    r_lo - r_t rounds to r_lo, the drop x is solved for, from
+    m(r_lo)^2 - m(r_lo - x)^2 = disc with the difference of m integrated
+    from m' on Gauss nodes; deeper down r_t is, from m(r_t) = nu.  Newton
+    steps, kept inside [0, r_lo] by bisection, from the quadratic Taylor
+    model of m^2 at r_lo and from the secant r_t = nu r_lo / m(r_lo)
+    respectively."""
+    if nu.size == 0:
+        return nu, nu
+    m1, m2 = (as_float_array(f(r_lo), r_lo.shape) for f in (profile.m1, profile.m2))
+    a, b = 2.0 * m_lo * m1, m1 * m1 + m_lo * m2
+    x = 2.0 * disc / (a + np.sqrt(np.maximum(a * a - 4.0 * b * disc, 0.0)))
+    near = x <= 0.25 * r_lo
+    y = np.where(near, x, nu * (r_lo / m_lo))
+    lo, hi = np.zeros_like(y), r_lo.copy()
+    for _ in range(100):
+        r = np.where(near, r_lo - y, y)
+        m1_r = as_float_array(profile.m1(r), r.shape)
+        dm = g = 0.0
+        if near.any():
+            nodes = r_lo[:, None] - np.where(near, y, 0.0)[:, None] * (0.5 * (_DROP_T + 1.0))
+            dm = 0.5 * y * (as_float_array(profile.m1(nodes.ravel()), (nodes.size,))
+                            .reshape(nodes.shape) @ _DROP_W)
+            g = dm * (2.0 * m_lo - dm) - disc
+        if not near.all():
+            g = np.where(near, g, as_float_array(profile.m(r), r.shape) - nu)
+        lo, hi = np.where(g < 0.0, y, lo), np.where(g > 0.0, y, hi)
+        step = y - g / np.where(near, 2.0 * (m_lo - dm) * m1_r, m1_r)
+        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
+        settled = np.all((np.abs(step - y) <= 4.0 * np.finfo(float).eps * y) | (g == 0.0))
+        y = np.where(g == 0.0, y, step)
+        if settled:
+            return np.where(near, r_lo - y, y), np.where(near, y, r_lo - y)
+    raise InternalConsistencyError(f"turning radii did not settle: {y.tolist()}")
 
 
 def _check_increasing_warp(profile: Profile, r_hi: float) -> bool:

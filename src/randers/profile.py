@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import InvalidParameterError
+from .errors import InternalConsistencyError, InvalidParameterError
 from .expressions import compile_expression
 
 DEFAULT_R_MAX = 20.0
@@ -40,6 +40,10 @@ _DERIV_RTOL = 1e-6
 # [0, r_max] bracket the first radius where it exceeds 1 by more.
 _EMBED_SLACK = 1e-12
 _EMBED_GRID = 10_000
+
+# Iterations roots_on_grids allows a bracket: bisection alone halves a
+# bracket of width pi to 1e-16 in 55.
+_ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -271,17 +275,27 @@ def load_surface(config) -> Profile:
     raise InvalidParameterError(f"unknown surface kind: {kind!r}")
 
 
-def gauss_curvature(profile: Profile, r: float) -> float:
-    """Gauss curvature G(r) = -m''(r) / m(r) of the background metric.
+def gauss_curvature(profile: Profile, r):
+    """Gauss curvature G(r) = -m''(r) / m(r) of the background metric, at a
+    radius or at an array of radii.
 
     Below r_eps the 0/0 vertex limit is evaluated at r_eps instead, which is
-    accurate for smooth odd warp functions.
+    accurate for smooth odd warp functions.  A negative radius raises
+    InvalidParameterError.
     """
-    if r < 0:
-        raise InvalidParameterError(f"radius must be >= 0, got {r}")
-    if r < profile.r_eps:
-        r = profile.r_eps
-    return -float(profile.m2(r)) / float(profile.m(r))
+    # a scalar keeps float arithmetic (the Jacobi right-hand side calls this
+    # per stage), whose powers may differ in the last bit from numpy's
+    if np.ndim(r) == 0:
+        if r < 0:
+            raise InvalidParameterError(f"radius must be >= 0, got {r}")
+        if r < profile.r_eps:
+            r = profile.r_eps
+        return -float(profile.m2(r)) / float(profile.m(r))
+    r = np.asarray(r, dtype=float)
+    if np.any(r < 0):
+        raise InvalidParameterError(f"radius must be >= 0, got {r[r < 0][0]}")
+    r = np.maximum(r, profile.r_eps)
+    return -as_float_array(profile.m2(r), r.shape) / as_float_array(profile.m(r), r.shape)
 
 
 class VonMangoldtCheck(NamedTuple):
@@ -306,7 +320,7 @@ def is_von_mangoldt(profile: Profile, grid) -> VonMangoldtCheck:
         raise InvalidParameterError("von Mangoldt check requires a non-empty grid")
     if grid.size > 1 and np.any(np.diff(grid) <= 0):
         raise InvalidParameterError("grid must be strictly increasing")
-    g = np.array([gauss_curvature(profile, r) for r in grid])
+    g = gauss_curvature(profile, grid)
     rising = np.nonzero(np.diff(g) > _VM_SLACK)[0]
     if rising.size:
         i = int(rising[0]) + 1
@@ -339,6 +353,74 @@ def roots_on_grid(f, grid, values, xtol: float) -> list[float]:
         if not roots or abs(root - roots[-1]) > 10.0 * xtol:
             roots.append(root)
     return roots
+
+
+def roots_on_grids(f, grid, values, xtol):
+    """Array form of roots_on_grid: the roots of many functions at once,
+    function i sampled as values[i] on grid (one strictly increasing grid
+    for every row, or one row each), with xtol one value or one per row.
+
+    f(rows, x) evaluates the functions rows[k] at x[k]; it runs once per
+    iteration, over every bracket not yet settled.  Each sign change is
+    refined by Chandrupatla's method (inverse quadratic interpolation where
+    the last three points allow it, else bisection; the first step is a
+    secant step), which keeps every iterate at least half the tolerance
+    inside its bracket, as brentq does, until the bracket is narrower than
+    xtol plus a few ulps of the root.  The end with the smaller |f| is the
+    root, so a root is a point where f ran or a grid point.  Grid points
+    with value exactly zero are roots as they stand, and a root within
+    10 * xtol of the previous root of its row is dropped, as in
+    roots_on_grid.  Returns (rows, roots), sorted by row and then by root;
+    a bracket still open after _ROOT_MAXITER iterations raises
+    InternalConsistencyError.
+    """
+    values = np.asarray(values, dtype=float)
+    grid = np.broadcast_to(np.asarray(grid, dtype=float), values.shape)
+    xtol = np.broadcast_to(np.asarray(xtol, dtype=float), values.shape[:1])
+    rows, col = np.nonzero(values[:, :-1] * values[:, 1:] < 0.0)
+    found = np.empty(rows.size)
+    # state of the brackets still open, numbered live: x1 is the newest
+    # point, [x1, x2] the bracket, x3 the point dropped last
+    live = np.arange(rows.size)
+    x1, x2 = grid[rows, col], grid[rows, col + 1]
+    f1, f2 = values[rows, col], values[rows, col + 1]
+    x3, f3, t, xtol_k = x2, f2, f1 / (f1 - f2), xtol[rows]
+    for _ in range(_ROOT_MAXITER):
+        if live.size == 0:
+            break
+        width = x2 - x1
+        tol = xtol_k + 4.0 * np.finfo(float).eps * np.maximum(np.abs(x1), np.abs(x2))
+        edge = 0.5 * tol / np.abs(width)
+        x = x1 + np.clip(t, edge, 1.0 - edge) * width
+        y = np.asarray(f(rows[live], x), dtype=float)
+        same = np.sign(y) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, y
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # a repeated point or value makes xi or phi NaN: bisect
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
+                         f1 / (f2 - f1) * f3 / (f2 - f3)
+                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
+        done = (np.abs(x2 - x1) < tol) | (y == 0.0)
+        found[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+        live, x1, x2, x3, f1, f2, f3, t, xtol_k = (
+            v[~done] for v in (live, x1, x2, x3, f1, f2, f3, t, xtol_k))
+    if live.size:
+        raise InternalConsistencyError(
+            f"{live.size} brackets did not settle in {_ROOT_MAXITER} iterations, "
+            f"at {x1.tolist()}")
+    zr, zc = np.nonzero(values == 0.0)
+    rows = np.concatenate([rows, zr])
+    roots = np.concatenate([found, grid[zr, zc]])
+    keep: list[int] = []
+    for i in np.lexsort((roots, rows)).tolist():
+        if not (keep and rows[i] == rows[keep[-1]]
+                and abs(roots[i] - roots[keep[-1]]) <= 10.0 * xtol[rows[i]]):
+            keep.append(i)
+    return rows[keep], roots[keep]
 
 
 def geodesic_parallels(profile: Profile, grid) -> list[float]:

@@ -40,6 +40,21 @@ def test_jacobi_flat_profile_is_linear(flat):
     assert jac.y[idx] == pytest.approx(jac.s[idx] - 1.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (1.0, 1.2), (0.5, 1.8), (0.5, 2.3)])
+def test_first_conjugate_stops_at_the_zero(mu, rho):
+    # the terminal event ends the integration at c and changes no step before it
+    p = make_paraboloid(mu)
+    q = SurfacePoint(rho, 0.0)
+    horizon = rho + p.r_max
+    base = opposite_meridian_chain(p, q, horizon)
+    full = jacobi_integrate(p, base, 0.0, 1.0, horizon, tol=1e-12)
+    stopped = jacobi_integrate(p, base, 0.0, 1.0, horizon, tol=1e-12, stop_at_zero=True)
+    c = first_conjugate(p, q)
+    assert c == full.first_zero == stopped.first_zero
+    assert stopped.s[-1] == c < full.s[-1]
+    np.testing.assert_array_equal(stopped.s[:-1], full.s[:stopped.s.size - 1])
+
+
 def test_first_conjugate_sphere_oracle(sphere):
     # constant curvature 1: the Jacobi field sin(s) vanishes at pi no matter
     # where the chain starts
@@ -125,6 +140,31 @@ def test_cut_locus_weak_wind_limit():
     assert arc.c == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"n_samples": 0}, {"n_samples": -3}, {"n_samples": 2.5}, {"n_samples": "8"},
+    {"tol": float("nan")}, {"tol": 0.0}, {"tol": -1e-10}, {"tol": float("inf")},
+], ids=["n0", "n-neg", "n-float", "n-str", "tol-nan", "tol-0", "tol-neg", "tol-inf"])
+def test_cut_locus_rejects_bad_input(parab, kwargs):
+    with pytest.raises(InvalidParameterError):
+        cut_locus(parab, SurfacePoint(1.0, 0.0), **kwargs)
+
+
+def test_cut_locus_reports_minimizing_connectors(parab):
+    # the chain minimizes at the conjugate point; past it the mirror pairs
+    # turn before the vertex, then climb directly, as the heading falls
+    arc = cut_locus(parab, SurfacePoint(1.0, 0.0))
+    assert arc.kind[0] == "chain" and arc.chi[0] == math.pi
+    later = arc.kind[1:]
+    n_turning = later.count("turning")
+    assert n_turning > 0
+    assert later == ["turning"] * n_turning + ["direct"] * (len(later) - n_turning)
+    assert np.all(np.diff(arc.chi) <= 0.0)
+    assert np.all(arc.chi[1:] < math.pi)
+    turning = np.array(arc.kind) == "turning"
+    assert np.all(arc.chi[turning] > 0.5 * math.pi)
+    assert np.all(arc.chi[1:][~turning[1:]] <= 0.5 * math.pi)
+
+
 def test_cut_locus_exports(tmp_path, parab):
     arc = cut_locus(parab, SurfacePoint(1.0, 0.0), s_export_max=3.0,
                     n_samples=5)
@@ -135,6 +175,8 @@ def test_cut_locus_exports(tmp_path, parab):
     assert doc["rho"] == 1.0
     assert doc["c"] == pytest.approx(2.0, abs=1e-8)
     assert len(doc["samples"]) == 5 and len(doc["samples"][0]) == 3
+    assert doc["chi"] == arc.chi.tolist() and doc["kind"] == arc.kind
+    assert doc["kind"][0] == "chain" and len(doc["chi"]) == 5
     csv = tmp_path / "arc.csv"
     arc.to_csv(csv)
     lines = csv.read_text().strip().splitlines()

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from randers import SurfacePoint, make_custom, make_paraboloid
+from randers import InvalidParameterError, SurfacePoint, make_custom, make_paraboloid
+from randers import geodesics
 from randers.conjugate import cut_locus
 from randers.geodesics import GeodesicState, clairaut_angles, integrate_h, level_crossings
 from randers.measure import TwoRadiusConnectors, h_distance
@@ -199,9 +200,79 @@ def test_clairaut_angles_broadcasts_and_signs():
     assert float(length) == pytest.approx(math.sqrt(9.0 - 0.25) - math.sqrt(0.75), abs=1e-13)
 
 
+def test_clairaut_angles_blocks_are_bit_identical(monkeypatch):
+    # climbs at headings up to tangency, legs from a turning radius
+    # (chi = pi / 2, disc = 0) and zero widths, over more legs than one block
+    p = make_paraboloid(1.0)
+    rng = np.random.default_rng(5)
+    n = 3 * geodesics._LEG_BLOCK + 17
+    ra = rng.uniform(0.2, 3.0, n)
+    m_a = np.asarray(p.m(ra))
+    chi = rng.uniform(0.0, 0.5 * math.pi, n)
+    chi[::7] = 0.5 * math.pi - 10.0 ** -rng.uniform(2, 9, chi[::7].size)
+    chi[::5] = 0.5 * math.pi
+    width = rng.uniform(0.0, 2.0, n)
+    width[::11] = 0.0
+    legs = (ra, width, m_a * np.sin(chi), np.where(chi == 0.5 * math.pi, 0.0,
+                                                    (m_a * np.cos(chi)) ** 2), 1e-10 / 3.0)
+    one = clairaut_angles(p, *legs)
+    assert np.all(one[1][width > 0.0] > 0.0)
+    for block in (1, 64, n + 1):
+        monkeypatch.setattr(geodesics, "_LEG_BLOCK", block)
+        got = clairaut_angles(p, *legs)
+        np.testing.assert_array_equal(got[0], one[0])
+        np.testing.assert_array_equal(got[1], one[1])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, float("inf")])
+def test_connectors_reject_bad_tol(tol):
+    with pytest.raises(InvalidParameterError):
+        TwoRadiusConnectors(make_paraboloid(1.0), 1.0, 2.0, tol=tol)
+
+
+def test_connectors_over_an_array_of_radii_match_each_pair():
+    # pairs below, at and above r1, and the table and connectors of each
+    p = make_paraboloid(0.5)
+    r2 = np.array([0.4, 1.0, 1.2, 1.5, 3.0, 6.0])
+    family = TwoRadiusConnectors(p, 1.2, r2)
+    assert family.r_lo.shape == family.xtol.shape == (6,)
+    assert family.sweeps.shape == family.lengths.shape == (6, family.chis.size)
+    for i, cands in enumerate(family.connectors(0.7 * math.pi)):
+        one = TwoRadiusConnectors(p, 1.2, float(r2[i]))
+        np.testing.assert_allclose(family.sweeps[i], one.sweeps, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(family.lengths[i], one.lengths, rtol=0, atol=1e-13)
+        want = one.connectors(0.7 * math.pi)
+        assert [c.kind for c in cands] == [c.kind for c in want]
+        for c, w in zip(cands, want):
+            assert c.length == pytest.approx(w.length, abs=1e-12)
+            assert c.chi == pytest.approx(w.chi, abs=1e-10)
+
+
+_WEAK = ("r / sqrt(r^2 + 1)", "(r^2 + 1)^(-3/2)", "-3*r*(r^2+1)^(-5/2)")
+
+
+@pytest.mark.parametrize("surface,rho", [("mu1", 1.2), ("mu0.5", 1.8), ("weak", 1.0)])
+def test_cut_locus_matches_per_sample_connectors(surface, rho):
+    """The arc's distances against the shortest connector of each sample's
+    own TwoRadiusConnectors(profile, rho, r); from rho = 1.2 at mu = 1 the
+    first samples lie below rho, so the lower radii are mixed."""
+    profile = {"mu1": lambda: make_paraboloid(1.0), "mu0.5": lambda: make_paraboloid(0.5),
+               "weak": lambda: make_custom(*_WEAK, mu=1e-6, r_max=20.0)}[surface]()
+    q = SurfacePoint(rho, 0.3)
+    arc = cut_locus(profile, q)
+    if surface == "mu1":
+        assert arc.r[0] < rho < arc.r[-1]
+    best = [min(TwoRadiusConnectors(profile, rho, float(r)).connectors(math.pi),
+                key=lambda c: c.length) for r in arc.r]
+    want = np.array([c.length for c in best])
+    np.testing.assert_allclose(arc.dist, want, rtol=0, atol=2e-10)
+    np.testing.assert_allclose(arc.theta, q.theta + math.pi + profile.mu * want,
+                               rtol=0, atol=2e-10)
+    assert arc.kind == [c.kind for c in best]
+
+
 # cut_locus(dist) at the base points of tests/test_conjugate.py, recorded with
 # the adaptive tables; q = (1, 0) and c = 2 + 4.2e-10 on every surface here
-_WEAK = ("r / sqrt(r^2 + 1)", "(r^2 + 1)^(-3/2)", "-3*r*(r^2+1)^(-5/2)")
 RECORDED = {
     ("parab", 5.0, 13): [
         2.00000000042062, 2.2149602598628793, 2.390020036313797,

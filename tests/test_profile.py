@@ -16,7 +16,7 @@ from randers import (
     make_paraboloid,
     wrap_angle,
 )
-from randers.profile import roots_on_grid
+from randers.profile import roots_on_grid, roots_on_grids
 
 
 def test_paraboloid_closed_forms(parab):
@@ -78,6 +78,36 @@ def test_von_mangoldt_verdicts(parab, bump):
         is_von_mangoldt(parab, [])
 
 
+def _von_mangoldt_loop(profile, grid):
+    """The scalar loop is_von_mangoldt ran before it evaluated G in one
+    array call: (verdict, violation index)."""
+    g = np.array([gauss_curvature(profile, float(r)) for r in grid])
+    rising = np.nonzero(np.diff(g) > 1e-10)[0]
+    return rising.size == 0, int(rising[0]) + 1 if rising.size else None
+
+
+@pytest.mark.parametrize("name,grid", [
+    ("parab", np.arange(0.0, 10.0, 0.01)),
+    ("bump", np.linspace(0.01, 1.7, 200)),
+    ("flat", np.linspace(0.0, 20.0, 1024)),
+    ("sphere", np.linspace(0.0, 2.8, 1024)),
+    ("parab", np.linspace(0.0, 20.0, 1024)),
+])
+def test_gauss_curvature_array_matches_scalar_loop(request, name, grid):
+    profile = request.getfixturevalue(name)
+    want = np.array([gauss_curvature(profile, float(r)) for r in grid])
+    got = gauss_curvature(profile, grid)
+    assert got.shape == grid.shape
+    # the r_eps clamp included; scalar and array powers may differ in the last bit
+    np.testing.assert_allclose(got, want, rtol=4 * np.finfo(float).eps, atol=0)
+    check = is_von_mangoldt(profile, grid)
+    assert (check.is_von_mangoldt, check.violation_index) == _von_mangoldt_loop(profile, grid)
+    if name == "bump":
+        assert not check.is_von_mangoldt
+    with pytest.raises(InvalidParameterError):
+        gauss_curvature(profile, np.array([0.5, -1e-3, 1.0]))
+
+
 def test_geodesic_parallels(parab, bump):
     assert geodesic_parallels(parab, np.linspace(0.0, 20.0, 200)) == []
     roots = geodesic_parallels(bump, np.linspace(0.0, 1.8, 50))
@@ -109,6 +139,39 @@ def test_roots_on_grid():
     f = lambda x: calls.append(x) or x - 0.7
     roots_on_grid(f, [0.0, 1.0], [-0.7, 0.3], xtol=1e-12)
     assert calls and all(0.0 < x < 1.0 for x in calls)
+
+
+def test_roots_on_grids_matches_roots_on_grid():
+    """Rows of sin(w x) refined together, against roots_on_grid row by row;
+    sin(w * 0) = 0 is an exact zero at a grid point, and xtol is per row."""
+    grid = np.linspace(0.0, 10.0, 23)
+    w = np.array([0.7, 1.0, 1.9, 3.1, 0.2])
+    xtol = np.array([1e-12, 1e-9, 1e-12, 1e-6, 1e-12])
+    calls = []
+
+    def f(rows, x):
+        calls.append((rows.copy(), x.copy()))
+        return np.sin(w[rows] * x)
+
+    values = np.sin(w[:, None] * grid)
+    rows, roots = roots_on_grids(f, grid, values, xtol)
+    for i in range(w.size):
+        want = roots_on_grid(lambda x: math.sin(w[i] * x), grid, values[i], xtol=xtol[i])
+        assert len(want) == np.count_nonzero(rows == i)
+        np.testing.assert_allclose(roots[rows == i], want, rtol=0, atol=2.0 * xtol[i])
+        np.testing.assert_allclose(roots[rows == i], np.arange(len(want)) * math.pi / w[i],
+                                   rtol=0, atol=xtol[i])
+    assert np.all(np.diff(rows) >= 0)
+    # one call per iteration, over every open bracket; a root is a grid
+    # point or a point where f ran
+    n_brackets = np.count_nonzero(values[:, :-1] * values[:, 1:] < 0.0)
+    assert calls[0][0].size == n_brackets and len(calls) <= 8
+    ran = {(int(r), float(x)) for rs, xs in calls for r, x in zip(rs, xs)}
+    assert all((int(r), float(x)) in ran or x in grid for r, x in zip(rows, roots))
+    # no sign change, no call
+    calls.clear()
+    rows, roots = roots_on_grids(f, grid, np.ones((2, grid.size)), 1e-12)
+    assert rows.size == roots.size == 0 and not calls
 
 
 @pytest.mark.parametrize("build", [
