@@ -75,9 +75,10 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
         )
     dense = base.dense
 
-    def rhs(s: float, z: np.ndarray) -> np.ndarray:
+    def rhs(s: float, z: np.ndarray) -> tuple:
         r = float(dense(s)[0])
-        return np.array([z[1], -gauss_curvature(profile, abs(r)) * z[0]])
+        y, yp = z.tolist()
+        return (yp, -gauss_curvature(profile, abs(r)) * y)
 
     events = [odesolve.EventSpec(lambda s, z: z[0], terminal=stop_at_zero)]
     sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=tol,

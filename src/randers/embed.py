@@ -26,8 +26,8 @@ height are per-profile facts, computed on first use and kept on the Profile
 (Profile.embeddable_radius, Profile.height_table): assert_embeddable
 compares a radius with the embeddable radius, and height reads the
 cumulative HeightTable plus one Gauss-Legendre rule on the last partial
-panel.  eval_F_tilde evaluates the ambient quadratic form from scalars.
-Radii beyond r_max raise InvalidParameterError: the profile is not
+panel.  eval_F_tilde evaluates the ambient quadratic form from scalars and
+does not read z, so pullback_check never evaluates the height.  Radii beyond r_max raise InvalidParameterError: the profile is not
 validated there.
 """
 
@@ -237,23 +237,20 @@ def pullback_check(profile: Profile, q: SurfacePoint, v: Tangent,
 
     height_map "arclength" uses z(r) (the isometric embedding); "radial"
     uses z = r, whose pullback fails off the parallels and is reported for
-    documentation purposes.
+    documentation purposes.  F~ does not depend on z, so the image point is
+    built at z = 0 and the height itself is never evaluated; only the
+    vertical component of phi_*(v), z'(r) v^r, differs between the maps.
     """
     F_surface = eval_F(profile, q, v)
-    if height_map == "arclength":
-        point = embed_point(profile, q)
-        Y = pushforward(profile, q, v)
-    elif height_map == "radial":
-        assert_embeddable(profile, q.r)
-        m = float(profile.m(q.r))
-        m1 = float(profile.m1(q.r))
-        ct, st = math.cos(q.theta), math.sin(q.theta)
-        point = MinkowskiPoint(m * ct, m * st, q.r)
-        Y = np.array([m1 * ct * v.y1 - m * st * v.y2,
-                      m1 * st * v.y1 + m * ct * v.y2,
-                      v.y1])
-    else:
+    if height_map not in ("arclength", "radial"):
         raise InvalidParameterError(f"unknown height map {height_map!r}")
+    assert_embeddable(profile, q.r)
+    m = float(profile.m(q.r))
+    m1 = float(profile.m1(q.r))
+    ct, st = math.cos(q.theta), math.sin(q.theta)
+    dz = math.sqrt(max(1.0 - m1 * m1, 0.0)) if height_map == "arclength" else 1.0
+    point = MinkowskiPoint(m * ct, m * st, 0.0)
+    Y = (m1 * ct * v.y1 - m * st * v.y2, m1 * st * v.y1 + m * ct * v.y2, dz * v.y1)
     return abs(F_surface - eval_F_tilde(profile.mu, point, Y))
 
 

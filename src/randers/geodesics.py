@@ -210,23 +210,22 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     nu0 = clairaut_constant(profile, state0)
     m_fn, m1_fn = profile.m, profile.m1
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        r, _, dr, dth = y
+    def rhs(s: float, y: np.ndarray) -> tuple:
+        r, _, dr, dth = y.tolist()
         m = float(m_fn(r))
         m1 = float(m1_fn(r))
-        return np.array([dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth])
+        return (dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth)
 
     drift = {"unit": 0.0, "clairaut": 0.0}
 
     def renormalize(s: float, y: np.ndarray) -> np.ndarray:
-        m = float(m_fn(y[0]))
-        norm = math.hypot(y[2], m * y[3])
+        r, th, dr, dth = y.tolist()
+        m = float(m_fn(r))
+        norm = math.hypot(dr, m * dth)
         drift["unit"] = max(drift["unit"], abs(norm - 1.0))
-        out = y.copy()
-        out[2] /= norm
-        out[3] /= norm
-        drift["clairaut"] = max(drift["clairaut"], abs(m * m * out[3] - nu0))
-        return out
+        dr, dth = dr / norm, dth / norm
+        drift["clairaut"] = max(drift["clairaut"], abs(m * m * dth - nu0))
+        return np.array([r, th, dr, dth])
 
     r_floor = _r_floor(nu0)
     events = [

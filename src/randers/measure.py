@@ -472,7 +472,7 @@ def h_distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
                        float(profile.m(0.5 * (q1.r + q2.r))) * delta)
     if chart < 1e-5:
         return chart
-    if not _check_increasing_warp(profile, max(q1.r, q2.r) * 1.05):
+    if not _check_increasing_warp(profile, max(q1.r, q2.r)):
         return _h_distance_shooting(profile, q1, q2)
     if solver is None:
         solver = TwoRadiusConnectors(profile, q1.r, q2.r, tol=tol)
@@ -629,7 +629,7 @@ def distance_F_report(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
                               (q2.r, q2.r), True)
 
     solver = None
-    if q2.r > 0.0 and _check_increasing_warp(profile, max(q1.r, q2.r) * 1.05):
+    if q2.r > 0.0 and _check_increasing_warp(profile, max(q1.r, q2.r)):
         solver = TwoRadiusConnectors(profile, q1.r, q2.r)
 
     def g(T: float) -> float:

@@ -10,7 +10,14 @@ whole array of parameters in one vectorized pass.
 Two integrators share the tableau, the controller and the interpolant:
 
 * ``integrate`` runs one trajectory and keeps every accepted step, so its
-  ODESolution is a dense output over the whole range.
+  ODESolution is a dense output over the whole range.  Its state is a
+  handful of numbers, so the stages, the solution update and the error terms
+  run on Python floats, each sum in the order of the array expression of
+  ``integrate_batch``; only the error norm of a step is an array dot
+  product, and the event arrays and the step's Hermite closure are built
+  only for a step that crosses an event.  f is called with a state ndarray
+  and may return any sequence of dim numbers; a tuple of floats is the
+  cheapest.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
   on an (n_rows, dim) state.  Each row keeps its own step size and is
   accepted or rejected under a mask; rows leave the active set when they
@@ -139,7 +146,7 @@ def _check_span_tol(s0, s_end, tol) -> None:
 
 
 def integrate(
-    f: Callable[[float, np.ndarray], np.ndarray],
+    f: Callable[[float, np.ndarray], Sequence[float]],
     s0: float,
     y0,
     s_end: float,
@@ -151,27 +158,50 @@ def integrate(
 ) -> ODESolution:
     """Integrate y' = f(s, y) from s0 to s_end (s_end > s0, both finite).
 
-    tol (finite, > 0) is used as both absolute and relative per-step
-    tolerance; a bad range or tol raises InvalidParameterError.  Returns an
-    ODESolution whose status is ``completed``, the name of a terminal event,
-    or ``max_steps``.
+    f is called with a float and a state ndarray and returns the dim
+    derivative components as any sequence of numbers (a tuple of floats is
+    the cheapest; an ndarray works too).  The stages, the solution update
+    and the error terms run on Python floats; only the error norm of a step
+    is an array dot product.  tol (finite, > 0) is used as both absolute and
+    relative per-step tolerance; a bad range or tol raises
+    InvalidParameterError.  Returns an ODESolution whose status is
+    ``completed``, the name of a terminal event, or ``max_steps``.
     """
     _check_span_tol(s0, s_end, tol)
-    y = np.asarray(y0, dtype=float).copy()
+    y_arr = np.asarray(y0, dtype=float).copy()
+    dim = y_arr.size
+    y = y_arr.tolist()
     s = float(s0)
-    fs = f(s, y)
+
+    fs = f(s, y_arr)
+    if isinstance(fs, np.ndarray):
+        # numpy scalars give the same sums, but floats are faster
+        array_f = f
+        fs = fs.tolist()
+
+        def f(t, state):
+            return array_f(t, state).tolist()
 
     ss = [s]
-    ys = [y.copy()]
+    ys = [y]
     seg_s, seg_h, seg_y0, seg_y1, seg_f0, seg_f1 = [], [], [], [], [], []
-    ev_values = [ev.func(s, y) for ev in events]
+    ev_values = [ev.func(s, y_arr) for ev in events]
     ev_records: dict = {i: [] for i in range(len(events))}
     status = "completed"
 
-    h = min(_initial_step(y, fs, h_max), s_end - s0, h_max)
+    h = float(min(_initial_step(y_arr, np.asarray(fs, dtype=float), h_max),
+                  s_end - s0, h_max))
     nsteps = 0
     nrejected = 0
-    root_n = math.sqrt(float(y.size))
+    root_n = math.sqrt(float(dim))
+    a20, a21 = _A[2]
+    a30, a31, a32 = _A[3]
+    a40, a41, a42, a43 = _A[4]
+    a50, a51, a52, a53, a54 = _A[5]
+    b0, _, b2, b3, b4, b5, _ = _B
+    e0, _, e2, e3, e4, e5, e6 = _E
+    c4 = _C[4]
+    array = np.array
 
     while s < s_end:
         if nsteps + nrejected > max_steps:
@@ -179,22 +209,32 @@ def integrate(
             break
         h = min(h, s_end - s, h_max)
 
-        # unrolled Dormand-Prince stages (b1 = 0 in both weight rows)
+        # unrolled Dormand-Prince stages on floats (b1 = 0 in both weight
+        # rows), each sum in the order of integrate_batch's array expressions
         k0 = fs
-        k1 = f(s + 0.2 * h, y + (0.2 * h) * k0)
-        k2 = f(s + 0.3 * h, y + h * (0.075 * k0 + 0.225 * k1))
-        k3 = f(s + 0.8 * h, y + h * (_A[3][0] * k0 + _A[3][1] * k1 + _A[3][2] * k2))
-        k4 = f(s + _C[4] * h, y + h * (_A[4][0] * k0 + _A[4][1] * k1
-                                       + _A[4][2] * k2 + _A[4][3] * k3))
-        k5 = f(s + h, y + h * (_A[5][0] * k0 + _A[5][1] * k1 + _A[5][2] * k2
-                               + _A[5][3] * k3 + _A[5][4] * k4))
-        y_new = y + h * (_B[0] * k0 + _B[2] * k2 + _B[3] * k3
-                         + _B[4] * k4 + _B[5] * k5)
-        k6 = f(s + h, y_new)
-        err = h * (_E[0] * k0 + _E[2] * k2 + _E[3] * k3 + _E[4] * k4
-                   + _E[5] * k5 + _E[6] * k6)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
-        ratio = err / scale
+        c = 0.2 * h
+        k1 = f(s + c, array([y_ + c * p0 for y_, p0 in zip(y, k0)]))
+        k2 = f(s + 0.3 * h, array([y_ + h * (a20 * p0 + a21 * p1)
+                                     for y_, p0, p1 in zip(y, k0, k1)]))
+        k3 = f(s + 0.8 * h, array([y_ + h * (a30 * p0 + a31 * p1 + a32 * p2)
+                                     for y_, p0, p1, p2 in zip(y, k0, k1, k2)]))
+        k4 = f(s + c4 * h, array([
+            y_ + h * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
+            for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)]))
+        k5 = f(s + h, array([
+            y_ + h * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+            for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)]))
+        y_new = [y_ + h * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
+                 for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
+        y_new_arr = array(y_new)
+        k6 = f(s + h, y_new_arr)
+        # err / (tol + tol * max(|y|, |y_new|)); the max takes the NaN of a
+        # y_new that left f's domain, as np.maximum does
+        ratio = array([
+            h * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)
+            / (tol + tol * (a if a > b else b))
+            for a, b, p0, p2, p3, p4, p5, p6 in zip(
+                map(abs, y), map(abs, y_new), k0, k2, k3, k4, k5, k6)])
         enorm = math.sqrt(float(ratio @ ratio)) / root_n
 
         if not enorm <= 1.0:  # a NaN norm (a stage left f's domain) rejects too
@@ -207,10 +247,11 @@ def integrate(
         f_new = k6  # FSAL stage is f(s + h, y_new)
         s_new = s + h
         if post_step is not None:
-            y_proj = post_step(s_new, y_new)
+            y_proj = post_step(s_new, y_new_arr)
             if y_proj is not None:
-                y_new = np.asarray(y_proj, dtype=float)
-                f_new = f(s_new, y_new)
+                y_new_arr = np.asarray(y_proj, dtype=float)
+                y_new = y_new_arr.tolist()
+                f_new = f(s_new, y_new_arr)
         seg_s.append(s)
         seg_h.append(h)
         seg_y0.append(y)
@@ -219,35 +260,38 @@ def integrate(
         seg_f1.append(f_new)
 
         stop_at = None
-        if events:
-            def seg_eval(sq, _s=s, _h=h, _y=y, _yn=y_new, _f0=k0, _fn=f_new):
-                return _hermite(sq, _s, _h, _y, _yn, _f0, _fn)
+        seg_eval = None
+        for i, ev in enumerate(events):
+            g_new = ev.func(s_new, y_new_arr)
+            g_old = ev_values[i]
+            crossed = (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new)
+            if crossed:
+                if ev.direction > 0 and not (g_old < 0.0):
+                    crossed = False
+                if ev.direction < 0 and not (g_old > 0.0):
+                    crossed = False
+            if crossed:
+                if seg_eval is None:
+                    def seg_eval(sq, _s=s, _h=h, _y=array(y), _yn=y_new_arr,
+                                 _f0=array(k0, dtype=float),
+                                 _fn=array(f_new, dtype=float)):
+                        return _hermite(sq, _s, _h, _y, _yn, _f0, _fn)
 
-            for i, ev in enumerate(events):
-                g_new = ev.func(s_new, y_new)
-                g_old = ev_values[i]
-                crossed = (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new)
-                if crossed:
-                    if ev.direction > 0 and not (g_old < 0.0):
-                        crossed = False
-                    if ev.direction < 0 and not (g_old > 0.0):
-                        crossed = False
-                if crossed:
-                    root = roots_on_grid(lambda sq: ev.func(sq, seg_eval(sq)),
-                                         (s, s_new), (g_old, g_new), xtol=1e-10)[0]
-                    ev_records[i].append((root, seg_eval(root)))
-                    if ev.terminal and (stop_at is None or root < stop_at):
-                        stop_at = root
-                        status = f"event:{i}"
-                ev_values[i] = g_new
+                root = roots_on_grid(lambda sq: ev.func(sq, seg_eval(sq)),
+                                     (s, s_new), (g_old, g_new), xtol=1e-10)[0]
+                ev_records[i].append((root, seg_eval(root)))
+                if ev.terminal and (stop_at is None or root < stop_at):
+                    stop_at = root
+                    status = f"event:{i}"
+            ev_values[i] = g_new
 
         if stop_at is not None:
             y_stop = seg_eval(stop_at)
             seg_h[-1] = stop_at - s
-            seg_y1[-1] = y_stop.copy()
+            seg_y1[-1] = y_stop
             seg_f1[-1] = f(stop_at, y_stop)
             ss.append(stop_at)
-            ys.append(y_stop.copy())
+            ys.append(y_stop)
             s = stop_at
             break
 
@@ -261,15 +305,18 @@ def integrate(
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP))
         h *= factor
 
+    def stacked(rows):
+        return np.array(rows, dtype=float) if rows else np.empty((0, dim))
+
     return ODESolution(
         s=np.array(ss),
-        y=np.array(ys),
+        y=np.array(ys, dtype=float),
         seg_s=np.array(seg_s),
         seg_h=np.array(seg_h),
-        seg_y0=np.array(seg_y0) if seg_y0 else np.empty((0, y.size)),
-        seg_y1=np.array(seg_y1) if seg_y1 else np.empty((0, y.size)),
-        seg_f0=np.array(seg_f0) if seg_f0 else np.empty((0, y.size)),
-        seg_f1=np.array(seg_f1) if seg_f1 else np.empty((0, y.size)),
+        seg_y0=stacked(seg_y0),
+        seg_y1=stacked(seg_y1),
+        seg_f0=stacked(seg_f0),
+        seg_f1=stacked(seg_f1),
         status=status,
         events={i: recs for i, recs in ev_records.items()},
         nsteps=nsteps,

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randers import (
     InvalidParameterError,
@@ -25,7 +27,7 @@ from randers.embed import (
     pushforward,
     write_pullback_report,
 )
-from randers.geodesics import GeodesicState, integrate_h, twist
+from randers.geodesics import GeodesicState, integrate_F, integrate_h, twist
 
 # independent tanh-sinh evaluation of int_0^1 sqrt(1 - (t^2+1)^-3) dt
 Z_AT_ONE = 0.61630989629918104381
@@ -194,3 +196,49 @@ def test_write_report(tmp_path, parab):
     import json
     doc = json.loads(fn.read_text())
     assert doc["samples"] == 10 and "max_residual" in doc
+
+
+def _embed_launch(profile, r0, theta0, phi, length):
+    """An F-geodesic launched as `randers geodesic --embed` launches one:
+    an h-unit heading phi from the meridian, scaled to F-unit."""
+    q = SurfacePoint(r0, theta0)
+    y = Tangent(math.cos(phi), math.sin(phi) / float(profile.m(r0)))
+    F0 = eval_F(profile, q, y)
+    return integrate_F(profile, q, Tangent(y.y1 / F0, y.y2 / F0), length, tol=1e-12)
+
+
+def test_pullback_check_equals_the_embedding_residual(parab60):
+    # the certificate builds the image point without its height; the value
+    # must be the residual of the full embedding, bit for bit
+    paths = [_embed_launch(parab60, 1.4, 0.6, 2.2, 20.0),
+             integrate_F(parab60, SurfacePoint(0.0, math.pi / 4.0), Tangent(1.0, 0.0),
+                         12.0, tol=1e-12)]
+    for path in paths:
+        for r, th, dr, dth in path.states.tolist():
+            q, v = SurfacePoint(max(r, 0.0), th), Tangent(dr, dth)
+            full = abs(eval_F(parab60, q, v)
+                       - eval_F_tilde(parab60.mu, embed_point(parab60, q),
+                                      pushforward(parab60, q, v)))
+            assert pullback_check(parab60, q, v) == full
+            assert full <= 1e-12
+
+
+@given(x=st.floats(-0.7, 0.7), y=st.floats(-0.7, 0.7), z=st.floats(-50.0, 50.0),
+       Y=st.tuples(*[st.floats(-3.0, 3.0)] * 3).filter(lambda Y: any(Y)))
+@settings(max_examples=200)
+def test_eval_F_tilde_ignores_the_height(x, y, z, Y):
+    mu = 1.0
+    assert eval_F_tilde(mu, MinkowskiPoint(x, y, z), Y) \
+        == eval_F_tilde(mu, MinkowskiPoint(x, y, 0.0), Y)
+
+
+@pytest.mark.parametrize("height_map", ["arclength", "radial"])
+def test_pullback_check_raises_outside_the_embedding(parab, height_map):
+    v = Tangent(1.0, 0.2)
+    bump = make_custom("r - r^5/20", "1 - r^4/4", "-r^3", mu=0.5, r_max=1.8)
+    pullback_check(bump, SurfacePoint(1.5, 0.0), v, height_map=height_map)
+    with pytest.raises(NotEmbeddableError):   # |m'| > 1 beyond r ~ 1.68
+        pullback_check(bump, SurfacePoint(1.75, 0.0), v, height_map=height_map)
+    with pytest.raises(InvalidParameterError, match="beyond r_max"):
+        pullback_check(parab, SurfacePoint(1.01 * parab.r_max, 0.0), v,
+                       height_map=height_map)

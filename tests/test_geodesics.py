@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from randers import (
@@ -117,6 +118,28 @@ def test_conservation_over_long_arc(parab60):
     speeds = np.array([h_speed(parab60, GeodesicState(*row))
                        for row in path.states])
     assert np.abs(speeds - 1.0).max() <= 10.0 * tol
+
+
+@pytest.mark.parametrize("r0,phi,length", [
+    (1.2, 0.9, 8.0),                   # generic
+    (1.5, math.pi / 2.0 + 0.01, 8.0),  # turns 2.4e-4 inside its start radius
+    (0.7, 2.3, 30.0),                  # long, through a turning point
+])
+def test_integrate_h_against_scipy_dop853(parab60, r0, phi, length):
+    # independent oracle: scipy's 8th-order Dormand-Prince on the same
+    # geodesic equations, with no unit-speed projection
+    def rhs(s, y):
+        r, _, dr, dth = y
+        m, m1 = float(parab60.m(r)), float(parab60.m1(r))
+        return [dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth]
+
+    state0 = _launch(parab60, r0, phi)
+    path = integrate_h(parab60, state0, length, tol=1e-12)
+    assert path.exit_reason == "completed"
+    ref = solve_ivp(rhs, (0.0, length), state0.as_array(), method="DOP853",
+                    rtol=1e-13, atol=1e-13, t_eval=path.s)
+    assert ref.success
+    np.testing.assert_allclose(path.states, ref.y.T, rtol=0.0, atol=1e-9)
 
 
 def test_initial_state_validation(parab):

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from randers import SurfacePoint, Tangent, make_custom, make_paraboloid
+from randers import SurfacePoint, Tangent, eval_F, make_custom, make_paraboloid, measure
 from randers.geodesics import GeodesicState, integrate_F, integrate_h, twist
 from randers.measure import (
     ClairautReport,
@@ -35,6 +37,21 @@ def test_f_length_of_unit_path(parab60):
     h_path = integrate_h(parab60, _launch(parab60, 1.5, 0.8), 10.0, tol=1e-11)
     P = twist(h_path, parab60.mu)
     assert f_length(parab60, P) == pytest.approx(10.0, rel=1e-9)
+
+
+@given(r0=st.floats(0.3, 3.0), phi=st.floats(0.15, math.pi - 0.15),
+       side=st.sampled_from([1.0, -1.0]), theta0=st.floats(0.0, 2.0 * math.pi),
+       length=st.floats(10.0, 30.0))
+@settings(max_examples=30, deadline=None)
+def test_f_length_of_twisted_geodesics_is_their_parameter_length(
+        parab60, r0, phi, side, theta0, length):
+    # an F-geodesic is F-unit speed, so its F-length is its parameter length
+    q = SurfacePoint(r0, theta0)
+    y = Tangent(math.cos(side * phi), math.sin(side * phi) / float(parab60.m(r0)))
+    F0 = eval_F(parab60, q, y)
+    path = integrate_F(parab60, q, Tangent(y.y1 / F0, y.y2 / F0), length, tol=1e-12)
+    assert path.exit_reason == "completed"
+    assert f_length(parab60, path) == pytest.approx(length, rel=1e-9)
 
 
 def test_f_length_of_meridian_chain(parab):
@@ -211,6 +228,24 @@ def test_h_distance_sphere_oracle(sphere, rng):
         d = h_distance(sphere, SurfacePoint(float(r1), 0.0),
                        SurfacePoint(float(r2), dth))
         assert d == pytest.approx(exact, abs=1e-9)
+
+
+def test_h_distance_sphere_up_to_the_equator(sphere, monkeypatch):
+    # m' = cos r > 0 holds on [0, 1.5], which is all the connectors need;
+    # the old check up to 1.05 * 1.5 > pi/2 sent this pair to shooting
+    def no_shooting(*args, **kwargs):
+        raise AssertionError("h_distance fell back to shooting")
+
+    monkeypatch.setattr(measure, "_h_distance_shooting", no_shooting)
+    r1, r2 = 1.5, 0.3
+    for k in range(1, 25):
+        delta = k * math.pi / 24.0
+        # haversine form of the spherical law of cosines
+        hav = (math.sin(0.5 * (r1 - r2)) ** 2
+               + math.sin(r1) * math.sin(r2) * math.sin(0.5 * delta) ** 2)
+        exact = 2.0 * math.asin(math.sqrt(hav))
+        d = h_distance(sphere, SurfacePoint(r1, 0.3), SurfacePoint(r2, 0.3 + delta))
+        assert d == pytest.approx(exact, abs=1e-10)
 
 
 def test_h_distance_special_cases(parab):

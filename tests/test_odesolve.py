@@ -3,8 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from randers import InvalidParameterError
-from randers.odesolve import EventSpec, LevelEvent, integrate, integrate_batch
+from randers import InvalidParameterError, make_paraboloid
+from randers.geodesics import GeodesicState, clairaut_constant, integrate_h
+from randers.odesolve import (
+    _A, _B, _C, _E, EventSpec, LevelEvent, _hermite, _initial_step, integrate,
+    integrate_batch,
+)
+from randers.profile import roots_on_grid
 
 
 def _oscillator(s, y):
@@ -154,3 +159,186 @@ def test_steps_that_leave_the_domain_are_rejected():
     assert one.s[-1] == pytest.approx(1.0, abs=1e-10)
     assert rows.s[0] == pytest.approx(1.0, abs=1e-12)
     assert one.nrejected < 100 and rows.nrejected < 100
+
+
+# ---------------------------------------------------------------------------
+# bit-identity with the array form of the step loop
+#
+# _array_integrate is integrate as it was written on numpy arrays: the same
+# tableau and controller, every stage an array expression.  integrate now
+# runs the stages on Python floats in the same order of operations, so its
+# steps, samples, dense-output segments and event roots must be exactly equal.
+
+
+def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
+                     events=(), max_steps=2_000_000):
+    y = np.asarray(y0, dtype=float).copy()
+    s = float(s0)
+    fs = f(s, y)
+    ss, ys = [s], [y.copy()]
+    seg = {k: [] for k in ("s", "h", "y0", "y1", "f0", "f1")}
+    ev_values = [ev.func(s, y) for ev in events]
+    ev_records = {i: [] for i in range(len(events))}
+    status = "completed"
+    h = min(_initial_step(y, fs, h_max), s_end - s0, h_max)
+    nsteps = nrejected = 0
+    root_n = math.sqrt(float(y.size))
+    while s < s_end:
+        if nsteps + nrejected > max_steps:
+            status = "max_steps"
+            break
+        h = min(h, s_end - s, h_max)
+        k0 = fs
+        k1 = f(s + 0.2 * h, y + (0.2 * h) * k0)
+        k2 = f(s + 0.3 * h, y + h * (0.075 * k0 + 0.225 * k1))
+        k3 = f(s + 0.8 * h, y + h * (_A[3][0] * k0 + _A[3][1] * k1 + _A[3][2] * k2))
+        k4 = f(s + _C[4] * h, y + h * (_A[4][0] * k0 + _A[4][1] * k1
+                                       + _A[4][2] * k2 + _A[4][3] * k3))
+        k5 = f(s + h, y + h * (_A[5][0] * k0 + _A[5][1] * k1 + _A[5][2] * k2
+                               + _A[5][3] * k3 + _A[5][4] * k4))
+        y_new = y + h * (_B[0] * k0 + _B[2] * k2 + _B[3] * k3
+                         + _B[4] * k4 + _B[5] * k5)
+        k6 = f(s + h, y_new)
+        err = h * (_E[0] * k0 + _E[2] * k2 + _E[3] * k3 + _E[4] * k4
+                   + _E[5] * k5 + _E[6] * k6)
+        ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        enorm = math.sqrt(float(ratio @ ratio)) / root_n
+        if not enorm <= 1.0:
+            nrejected += 1
+            h *= max(0.2, 0.9 * enorm**-0.2)
+            continue
+        nsteps += 1
+        f_new = k6
+        s_new = s + h
+        if post_step is not None:
+            y_proj = post_step(s_new, y_new)
+            if y_proj is not None:
+                y_new = np.asarray(y_proj, dtype=float)
+                f_new = f(s_new, y_new)
+        for key, val in zip(seg, (s, h, y, y_new, k0, f_new)):
+            seg[key].append(val)
+
+        def seg_eval(sq, _s=s, _h=h, _y=y, _yn=y_new, _f0=k0, _fn=f_new):
+            return _hermite(sq, _s, _h, _y, _yn, _f0, _fn)
+
+        stop_at = None
+        for i, ev in enumerate(events):
+            g_new, g_old = ev.func(s_new, y_new), ev_values[i]
+            crossed = (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new)
+            if crossed and ev.direction > 0 and not g_old < 0.0:
+                crossed = False
+            if crossed and ev.direction < 0 and not g_old > 0.0:
+                crossed = False
+            if crossed:
+                root = roots_on_grid(lambda sq: ev.func(sq, seg_eval(sq)),
+                                     (s, s_new), (g_old, g_new), xtol=1e-10)[0]
+                ev_records[i].append((root, seg_eval(root)))
+                if ev.terminal and (stop_at is None or root < stop_at):
+                    stop_at, status = root, f"event:{i}"
+            ev_values[i] = g_new
+        if stop_at is not None:
+            y_stop = seg_eval(stop_at)
+            seg["h"][-1] = stop_at - s
+            seg["y1"][-1] = y_stop.copy()
+            seg["f1"][-1] = f(stop_at, y_stop)
+            ss.append(stop_at)
+            ys.append(y_stop.copy())
+            break
+        s, y, fs = s_new, y_new, f_new
+        ss.append(s)
+        ys.append(y)
+        h *= (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2)))
+    return ss, ys, seg, ev_records, status, nsteps, nrejected
+
+
+def _assert_same_solution(sol, ref):
+    ss, ys, seg, ev_records, status, nsteps, nrejected = ref
+    assert sol.status == status
+    assert (sol.nsteps, sol.nrejected) == (nsteps, nrejected)
+    assert np.array_equal(sol.s, np.array(ss))
+    assert np.array_equal(sol.y, np.array(ys))
+    for key, val in seg.items():
+        assert np.array_equal(getattr(sol, "seg_" + key), np.array(val)), key
+    assert sol.events.keys() == ev_records.keys()
+    for i, recs in ev_records.items():
+        assert len(sol.events[i]) == len(recs)
+        for (s_new, y_new), (s_ref, y_ref) in zip(sol.events[i], recs):
+            assert s_new == s_ref
+            assert np.array_equal(y_new, y_ref)
+
+
+def _oscillator_tuple(s, y):
+    a, b = y.tolist()
+    return (b, -a)
+
+
+@pytest.mark.parametrize("f", [_oscillator, _oscillator_tuple])
+def test_float_stages_match_array_loop_on_the_oscillator(f):
+    def proj(s, y):
+        return y / math.hypot(y[0], y[1])
+
+    events = [EventSpec(lambda s, y: y[0]), EventSpec(lambda s, y: y[1], direction=1),
+              EventSpec(lambda s, y: y[0] + 0.5, terminal=True, direction=-1)]
+    for kwargs in ({"tol": 1e-11}, {"tol": 1e-7, "h_max": 0.3, "post_step": proj},
+                   {"tol": 1e-12, "events": events}, {"tol": 1e-6, "max_steps": 40}):
+        _assert_same_solution(integrate(f, 0.0, [0.0, 1.0], 60.0, **kwargs),
+                              _array_integrate(_oscillator, 0.0, [0.0, 1.0], 60.0,
+                                               **kwargs))
+
+
+def _geodesic_system(profile, nu0, r_floor):
+    """The right-hand side, unit-speed projection and two terminal events of
+    the geodesic integrator, in array form."""
+    def rhs(s, y):
+        r, _, dr, dth = y
+        m, m1 = float(profile.m(r)), float(profile.m1(r))
+        return np.array([dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth])
+
+    def renormalize(s, y):
+        out = y.copy()
+        norm = math.hypot(y[2], float(profile.m(y[0])) * y[3])
+        out[2] /= norm
+        out[3] /= norm
+        return out
+
+    events = [EventSpec(lambda s, y: y[0] - profile.r_max, terminal=True, direction=1),
+              EventSpec(lambda s, y: y[0] - r_floor, terminal=True, direction=-1)]
+    return rhs, renormalize, events
+
+
+@pytest.mark.parametrize("r0,phi,length,status", [
+    (1.0, 0.7, 40.0, "event:0"),     # leaves the domain through r_max
+    (2.5, 2.9, 6.0, "event:1"),      # inward, stopped by a floor set at r = 1.2
+    (1.3, 1.2, 25.0, "completed"),
+])
+def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, status):
+    profile = make_paraboloid(1.0)
+    state0 = GeodesicState(r0, 0.4, math.cos(phi), math.sin(phi) / float(profile.m(r0)))
+    nu0 = clairaut_constant(profile, state0)
+    floor = 1.2 if status == "event:1" else max(1e-14, 1e-3 * abs(nu0))
+    rhs, renormalize, events = _geodesic_system(profile, nu0, floor)
+    ref = _array_integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12, h_max=0.1,
+                           post_step=renormalize, events=events)
+    assert ref[4] == status
+    sol = integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12, h_max=0.1,
+                    post_step=renormalize, events=events)
+    _assert_same_solution(sol, ref)
+    if status != "event:1":
+        # integrate_h runs the same system on its float right-hand side
+        path = integrate_h(profile, state0, length, tol=1e-12)
+        ss, ys = np.array(ref[0]), np.array(ref[1])
+        if status == "event:0":
+            ys[-1, 0] = profile.r_max
+        assert np.array_equal(path.s, ss)
+        assert np.array_equal(path.states, ys)
+        assert (path.dense.nsteps, path.dense.nrejected) == ref[5:]
+
+
+def test_float_stages_match_array_loop_outside_the_domain():
+    def f(s, y):
+        return np.where(y < 1.2, 1.0, np.nan)
+
+    events = [EventSpec(lambda s, y: y[0] - 1.0, terminal=True)]
+    ref = _array_integrate(f, 0.0, [0.0], 5.0, tol=1e-9, events=events)
+    assert ref[6] > 0   # steps into the NaN region were rejected
+    _assert_same_solution(integrate(f, 0.0, [0.0], 5.0, tol=1e-9, events=events), ref)
