@@ -23,6 +23,7 @@ from .geodesics import (
     count_self_intersections,
     integrate_F,
     integrate_h,
+    on_export_grid,
     path_metadata,
     path_to_csv,
     path_to_json,
@@ -161,6 +162,7 @@ def _export_paths(profile, tag, h_path, f_path, outdir, fmt, echo):
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for label, path in (("h", h_path), ("F", f_path)):
+        path = on_export_grid(profile, path)
         base = outdir / f"{tag}_{label}"
         if fmt in ("csv", "obj"):
             path_to_csv(path, base.with_suffix(".csv"))
@@ -177,7 +179,8 @@ def _export_paths(profile, tag, h_path, f_path, outdir, fmt, echo):
 
 
 def _export_embedded_polyline(profile, path, filename):
-    """The embedded image of the path."""
+    """The embedded image of the path, on the export grid."""
+    path = on_export_grid(profile, path)
     with open(filename, "w", encoding="utf-8") as fh:
         fh.write("s,x,y,z\n")
         for s, row in zip(path.s, path.states):

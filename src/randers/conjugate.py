@@ -60,12 +60,15 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
     """Integrate y'' + G(r(s)) y = 0 along a base h-geodesic path from s = 0,
     by odesolve.integrate at tol with steps of at most 0.1.
 
-    The radius along the base is taken from its dense output.  The first
-    sign change of y for s > 0 is refined to 1e-10 and reported as
-    first_zero (None if y keeps its sign over [0, upto]).  The samples cover
-    [0, upto], or with stop_at_zero only [0, first_zero]: the field past its
-    first zero is then not integrated, and the steps up to it, hence
-    first_zero, are the same as over the full range.
+    On a meridian base, the meridian chain through the vertex included, the
+    radius is r(s) = |r0 + s dr0| on Python floats, the value its dense
+    output gives; on any other base it is read from the dense output.  The
+    first sign change of y for s > 0 is refined to 1e-10 on the continuous
+    extension of its step and reported as first_zero (None if y keeps its
+    sign over [0, upto]).  The samples cover [0, upto], or with
+    stop_at_zero only [0, first_zero]: the field past its first zero is
+    then not integrated, and the steps up to it, hence first_zero, are the
+    same as over the full range.
     """
     if base.metric_tag != "h":
         raise InvalidParameterError("Jacobi integration runs along h-geodesics")
@@ -73,12 +76,20 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
         raise InvalidParameterError(
             f"base path covers [0, {base.s[-1]}], cannot integrate to {upto}"
         )
-    dense = base.dense
+    if base.kind == "meridian":
+        r0, dr0 = float(base.states[0, 0]), float(base.states[0, 2])
+
+        def radius(s: float) -> float:
+            return abs(r0 + dr0 * s)
+    else:
+        dense = base.dense
+
+        def radius(s: float) -> float:
+            return abs(float(dense(s)[0]))
 
     def rhs(s: float, z: np.ndarray) -> tuple:
-        r = float(dense(s)[0])
         y, yp = z.tolist()
-        return (yp, -gauss_curvature(profile, abs(r)) * y)
+        return (yp, -gauss_curvature(profile, radius(s)) * y)
 
     events = [odesolve.EventSpec(lambda s, z: z[0], terminal=stop_at_zero)]
     sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=tol,

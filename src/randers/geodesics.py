@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -149,8 +149,7 @@ def _meridian_path(profile: Profile, state0: GeodesicState, length: float,
     s_exit = profile.r_max + (r0 if sgn < 0 else -r0)
     if length > s_exit:
         length, exit_reason = s_exit, "domain-exit"
-    h_cap = min(0.1, 0.1 / profile.mu)
-    ss = _sample_grid(length, h_cap)
+    ss = _sample_grid(length, _h_max(profile))
     if sgn < 0 and 0.0 < rho < length:
         ss = np.unique(np.concatenate([ss, [rho]]))
     states = dense(ss)
@@ -163,8 +162,20 @@ def _meridian_path(profile: Profile, state0: GeodesicState, length: float,
 
 
 def _h_max(profile: Profile) -> float:
-    """Step cap of the geodesic integrators."""
+    """Sample spacing of the analytic meridian paths and of the exported
+    polylines; the integrators' steps are set by their tolerance alone."""
     return min(0.1, 0.1 / profile.mu)
+
+
+def on_export_grid(profile: Profile, path: GeodesicPath) -> GeodesicPath:
+    """The path's samples plus its dense output on the grid of the analytic
+    meridian paths, so that no two samples are more than _h_max apart
+    whatever steps the integrator took."""
+    grid = path.s[0] + _sample_grid(path.length, _h_max(profile))[1:-1]
+    # np.unique keeps the first of equal parameters: the path's own sample
+    ss, first = np.unique(np.concatenate([path.s, grid]), return_index=True)
+    states = np.concatenate([path.states, path.dense(grid)])[first]
+    return replace(path, s=ss, states=states)
 
 
 def _r_floor(nu):
@@ -189,9 +200,12 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     absorbed by the rescaling and the Clairaut drift of the samples are
     recorded on the returned path as quality metrics.
 
-    Exact meridians (dtheta = 0) are integrated analytically, continuing
-    through the vertex with a theta jump of pi.  If the path leaves the
-    numerical domain r <= r_max it is truncated there and flagged with
+    The step size is set by tol alone, with no cap: the samples are the
+    step ends, and the dense output between them is the continuous
+    extension of each step, as accurate as its ends.  Exact meridians
+    (dtheta = 0) are integrated analytically, continuing through the vertex
+    with a theta jump of pi, and sampled every _h_max.  If the path leaves
+    the numerical domain r <= r_max it is truncated there and flagged with
     exit_reason = "domain-exit".
     """
     _check_length_tol(length, tol)
@@ -232,10 +246,8 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         odesolve.EventSpec(lambda s, y: y[0] - profile.r_max, terminal=True, direction=1),
         odesolve.EventSpec(lambda s, y: y[0] - r_floor, terminal=True, direction=-1),
     ]
-    sol = odesolve.integrate(
-        rhs, 0.0, state0.as_array(), length, tol=tol,
-        h_max=_h_max(profile), post_step=renormalize, events=events,
-    )
+    sol = odesolve.integrate(rhs, 0.0, state0.as_array(), length, tol=tol,
+                             post_step=renormalize, events=events)
     if sol.status == "event:1":
         raise NumericalBlowupError(
             f"geodesic with nu = {nu0} reached r = {r_floor}, which no true "
@@ -258,7 +270,9 @@ def level_crossings(path: GeodesicPath, r_level: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Parameters and states where a sampled path crosses the parallel
     r = r_level: sign changes of r - r_level between samples (and samples
-    exactly on it), refined to 1e-12 by brentq on the dense output."""
+    exactly on it), refined to 1e-12 by brentq on the dense output.  Two
+    crossings between the same pair of samples (a path grazing the
+    parallel within one step) cancel and are not seen."""
     s_c = np.array(roots_on_grid(lambda s: path.dense(s)[0] - r_level, path.s,
                                  path.states[:, 0] - r_level, xtol=1e-12))
     return s_c, path.dense(s_c)
@@ -272,10 +286,13 @@ def level_crossings_batch(profile: Profile, states0, length: float,
 
     Exact meridians take the analytic path of integrate_h.  All other rows
     run in one odesolve.integrate_batch pass with the right-hand side, unit
-    speed projection, step cap and events of integrate_h; each crossing is
-    refined on the Hermite cubic of its step.  A row that leaves r <= r_max
-    keeps the crossings before its exit; a row that reaches the blow-up
-    floor, where integrate_h raises NumericalBlowupError, has none.
+    speed projection and events of integrate_h, and no step cap, so each
+    row takes integrate_h's steps; each crossing is refined on the
+    continuous extension of its step.  As in level_crossings, a row that
+    grazes the level twice within one step has neither crossing seen.  A
+    row that leaves r <= r_max keeps the crossings before its exit; a row
+    that reaches the blow-up floor, where integrate_h raises
+    NumericalBlowupError, has none.
     """
     _check_length_tol(length, tol)
     y0 = np.array(states0, dtype=float).reshape(-1, 4)
@@ -314,8 +331,7 @@ def level_crossings_batch(profile: Profile, states0, length: float,
               odesolve.LevelEvent(0, _r_floor(nu0), terminal=True, direction=-1),
               odesolve.LevelEvent(0, r_level)]
     sol = odesolve.integrate_batch(rhs, 0.0, y0[ode], length, tol=tol,
-                                   h_max=_h_max(profile), post_step=renormalize,
-                                   events=events)
+                                   post_step=renormalize, events=events)
     rows, s_c, y_c = sol.events[2]
     ends = np.cumsum(np.bincount(rows, minlength=ode.size))
     for j, i in enumerate(ode.tolist()):

@@ -2,10 +2,15 @@
 
 Dormand-Prince 5(4) pair: six function stages plus FSAL, 5th-order
 propagation, 4th-order error estimate, standard step-size controller
-(Hairer, Norsett and Wanner, Solving ODEs I, section II.4).  Between accepted
-steps the solution is interpolated by cubic Hermite polynomials built from
-the stored endpoint values and derivatives; the dense output evaluates a
-whole array of parameters in one vectorized pass.
+(Hairer, Norsett and Wanner, Solving ODEs I, section II.4).  Between the
+ends of a step the solution is read from the pair's 4th-order continuous
+extension (Shampine 1986; HNW I, section II.6, ``contd5``): the cubic
+Hermite polynomial of the step's end values and end slopes plus
+theta^2 (1 - theta)^2 h sum_i D_i k_i, a quartic term built from the
+step's seven stages.  It needs no extra evaluation of f, its error between
+step ends is of the order of the error at them, and it passes through the
+step's end state whatever ``post_step`` made of it.  The tolerance alone
+sets the step size.
 
 Two integrators share the tableau, the controller and the interpolant:
 
@@ -14,15 +19,18 @@ Two integrators share the tableau, the controller and the interpolant:
   handful of numbers, so the stages, the solution update and the error terms
   run on Python floats, each sum in the order of the array expression of
   ``integrate_batch``; only the error norm of a step is an array dot
-  product, and the event arrays and the step's Hermite closure are built
-  only for a step that crosses an event.  f is called with a state ndarray
-  and may return any sequence of dim numbers; a tuple of floats is the
-  cheapest.
+  product.  Each step keeps its stages; the coefficients of the continuous
+  extension are built from them in one array pass over all steps on the
+  first dense read, so a solution that is never read never builds them,
+  and the event arrays are built only for a step that crosses an event.
+  f is called with a state ndarray and may return any sequence of dim
+  numbers; a tuple of floats is the cheapest.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
   on an (n_rows, dim) state.  Each row keeps its own step size and is
   accepted or rejected under a mask; rows leave the active set when they
   reach s_end or a terminal event.  No dense output is stored, so memory
-  stays O(n_rows) plus the event roots.
+  stays O(n_rows) plus the event roots; the coefficients of the continuous
+  extension are built only for the rows whose step crosses an event.
 
 Both take the same two hooks:
 
@@ -32,21 +40,23 @@ Both take the same two hooks:
   None to keep the state; it must not mutate its argument.  After a
   replacement the FSAL derivative is recomputed, and the step's end state
   and derivative are the projected ones, so the dense output passes through
-  the sampled states.
+  the sampled states; the quartic term keeps the unprojected stages, which
+  moves the interpolant by the O(tol) of the projection.
 * Events.  ``integrate`` takes EventSpec functions g(s, y); their sign
   changes over accepted steps are refined by brentq on the step's dense
   output.  ``integrate_batch`` takes LevelEvents, crossings of one state
   component through a level (one per row, or shared); the roots of all
-  crossing rows of a step are refined together on the step's Hermite cubic.
-  A crossing counts when g goes from one strict sign to zero or the other
-  sign.  Terminal events stop the integration (a single row, in a batch) and
-  truncate the final step at the root.
+  crossing rows of a step are refined together by Newton on the component's
+  quartic.  A crossing counts when g goes from one strict sign to zero or
+  the other sign.  Terminal events stop the integration (a single row, in a
+  batch) at the root inside the step, whose interpolant is kept whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,6 +81,13 @@ _B_HAT = (
     -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0,
 )
 _E = tuple(b - bh for b, bh in zip(_B, _B_HAT))
+# the quartic term of the continuous extension: HNW's d_i (dopri5.f); in the
+# power form of scipy's RK45.P they are the coefficients of theta^4
+_D = (
+    -12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -89,6 +106,17 @@ class EventSpec:
 
 @dataclass
 class ODESolution:
+    """Samples and dense output of one integration.
+
+    s and y hold the step ends; after a terminal event the last sample is
+    its root, inside the last step.  Step i starts at seg_s[i] with size
+    seg_h[i], end states seg_y0[i] and seg_y1[i] and end derivatives
+    seg_f0[i] and seg_f1[i] (the projected ones, after post_step), and
+    seg_k[i] holds its stages k2, ..., k6, one row each.  The coefficients
+    of the continuous extension are built from them for every step on the
+    first dense read, so a solution that is never read never builds them.
+    """
+
     s: np.ndarray
     y: np.ndarray
     seg_s: np.ndarray      # accepted-step left endpoints
@@ -97,37 +125,52 @@ class ODESolution:
     seg_y1: np.ndarray
     seg_f0: np.ndarray
     seg_f1: np.ndarray
+    seg_k: np.ndarray
     status: str = "completed"
     events: dict = field(default_factory=dict)
     nsteps: int = 0
     nrejected: int = 0
 
+    @cached_property
+    def _coeffs(self) -> np.ndarray:
+        return np.array(_contd5(self.seg_h[:, None], self.seg_y0, self.seg_y1, self.seg_f0,
+                                self.seg_f1, *self.seg_k.transpose(1, 0, 2)))
+
     def __call__(self, s):
-        """Dense evaluation by per-step cubic Hermite interpolation; an array
-        of parameters gives one state row per entry."""
+        """Dense evaluation on the continuous extension of the step that
+        holds each parameter; an array of parameters gives one state row
+        per entry.  Parameters outside [s0, s_end] extrapolate from the
+        first or last step."""
         s_arr = np.asarray(s, dtype=float)
         if self.seg_s.size == 0:
             return np.broadcast_to(self.y[0], s_arr.shape + self.y[0].shape).copy()
-        # the step containing s; parameters outside [s0, s_end] extrapolate
-        # from the first or last step
         i = np.searchsorted(self.seg_s[1:], s_arr, side="right")
         # arrays broadcast against the state axis; a scalar stays a scalar
         col = (..., None) if s_arr.ndim else ()
-        return _hermite(
-            s_arr[col], self.seg_s[i][col], self.seg_h[i][col],
-            self.seg_y0[i], self.seg_y1[i], self.seg_f0[i], self.seg_f1[i],
-        )
+        t = (s_arr[col] - self.seg_s[i][col]) / self.seg_h[i][col]
+        return _dense(t, self.seg_y0[i], *self._coeffs[:, i])
 
 
-def _hermite(s, s0, h, y0, y1, f0, f1):
-    t = (s - s0) / h
-    t2 = t * t
-    t3 = t2 * t
-    h00 = 2.0 * t3 - 3.0 * t2 + 1.0
-    h10 = t3 - 2.0 * t2 + t
-    h01 = -2.0 * t3 + 3.0 * t2
-    h11 = t3 - t2
-    return h00 * y0 + h10 * h * f0 + h01 * y1 + h11 * h * f1
+def _contd5(h, y0, y1, f0, f1, k2, k3, k4, k5, k6):
+    """Coefficients (d, r3, r4, q) of the continuous extension of a step of
+    size h from y0 to y1 with end slopes f0 (the stage k0) and f1 and
+    stages k2, ..., k6 (HNW's rcont2, ..., rcont5): d, r3 and r4 make the
+    cubic Hermite polynomial of the ends, and q = h sum_i D_i k_i is the
+    quartic term."""
+    d = y1 - y0
+    r3 = h * f0 - d
+    r4 = d - h * f1 - r3
+    q = h * (_D[0] * f0 + _D[2] * k2 + _D[3] * k3 + _D[4] * k4 + _D[5] * k5
+             + _D[6] * k6)
+    return d, r3, r4, q
+
+
+def _dense(t, y0, d, r3, r4, q):
+    """The continuous extension at theta = t in [0, 1] of a step from y0
+    with coefficients from _contd5:
+    y0 + t d + t (1 - t) r3 + t^2 (1 - t) r4 + t^2 (1 - t)^2 q."""
+    u = 1.0 - t
+    return y0 + t * (d + u * (r3 + t * (r4 + u * q)))
 
 
 def _initial_step(y0, f0, h_max):
@@ -163,9 +206,14 @@ def integrate(
     the cheapest; an ndarray works too).  The stages, the solution update
     and the error terms run on Python floats; only the error norm of a step
     is an array dot product.  tol (finite, > 0) is used as both absolute and
-    relative per-step tolerance; a bad range or tol raises
-    InvalidParameterError.  Returns an ODESolution whose status is
-    ``completed``, the name of a terminal event, or ``max_steps``.
+    relative per-step tolerance and alone sets the step size, unless h_max
+    caps it; a bad range or tol raises InvalidParameterError.
+
+    Returns an ODESolution whose status is ``completed``, the name of a
+    terminal event, or ``max_steps``; called with parameters, it reads the
+    continuous extension of its steps.  Event roots are refined to 1e-10 by
+    brentq on the continuous extension of the step that crosses; a terminal
+    event ends the samples at its root.
     """
     _check_span_tol(s0, s_end, tol)
     y_arr = np.asarray(y0, dtype=float).copy()
@@ -184,7 +232,7 @@ def integrate(
 
     ss = [s]
     ys = [y]
-    seg_s, seg_h, seg_y0, seg_y1, seg_f0, seg_f1 = [], [], [], [], [], []
+    seg_s, seg_h, seg_y0, seg_y1, seg_f0, seg_f1, seg_k = [], [], [], [], [], [], []
     ev_values = [ev.func(s, y_arr) for ev in events]
     ev_records: dict = {i: [] for i in range(len(events))}
     status = "completed"
@@ -258,6 +306,7 @@ def integrate(
         seg_y1.append(y_new)
         seg_f0.append(k0)
         seg_f1.append(f_new)
+        seg_k += (*k2, *k3, *k4, *k5, *k6)
 
         stop_at = None
         seg_eval = None
@@ -272,10 +321,12 @@ def integrate(
                     crossed = False
             if crossed:
                 if seg_eval is None:
-                    def seg_eval(sq, _s=s, _h=h, _y=array(y), _yn=y_new_arr,
-                                 _f0=array(k0, dtype=float),
-                                 _fn=array(f_new, dtype=float)):
-                        return _hermite(sq, _s, _h, _y, _yn, _f0, _fn)
+                    y_old = array(y)
+                    coeffs = _contd5(h, y_old, y_new_arr, *(
+                        array(k, dtype=float) for k in (k0, f_new, k2, k3, k4, k5, k6)))
+
+                    def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
+                        return _dense((sq - _s) / _h, _y, *_c)
 
                 root = roots_on_grid(lambda sq: ev.func(sq, seg_eval(sq)),
                                      (s, s_new), (g_old, g_new), xtol=1e-10)[0]
@@ -286,13 +337,8 @@ def integrate(
             ev_values[i] = g_new
 
         if stop_at is not None:
-            y_stop = seg_eval(stop_at)
-            seg_h[-1] = stop_at - s
-            seg_y1[-1] = y_stop
-            seg_f1[-1] = f(stop_at, y_stop)
             ss.append(stop_at)
-            ys.append(y_stop)
-            s = stop_at
+            ys.append(seg_eval(stop_at))
             break
 
         s, y, fs = s_new, y_new, f_new
@@ -317,6 +363,7 @@ def integrate(
         seg_y1=stacked(seg_y1),
         seg_f0=stacked(seg_f0),
         seg_f1=stacked(seg_f1),
+        seg_k=np.array(seg_k, dtype=float).reshape(-1, 5, dim),
         status=status,
         events={i: recs for i, recs in ev_records.items()},
         nsteps=nsteps,
@@ -360,22 +407,26 @@ class BatchSolution:
     nrejected: int = 0
 
 
-def _level_roots(s0, h, g0, g1, d0, d1, xtol):
-    """Parameters in [s0, s0 + h] where cubic Hermite segments with end
-    values g0, g1 and end slopes d0, d1 vanish, one per row.  g0 is nonzero
-    and g1 is zero or of the other sign.  Newton on the cubic in power form,
-    with a bisection step wherever Newton leaves the bracket."""
-    sgn = np.where(g0 < 0.0, 1.0, -1.0)   # orient every cubic to rise
+def _level_roots(g0, d, r3, r4, q, g_end, t_end, h, xtol):
+    """theta in [0, t_end] where the continuous extension of one state
+    component, offset by a level, vanishes, one per row: g0 is its value at
+    the step start and d, r3, r4, q its _contd5 coefficients.  g0 is
+    nonzero and g_end, the value at theta = t_end, is zero or of the other
+    sign.  Newton on the quartic in power form, with a bisection step
+    wherever Newton leaves the bracket, until it moves by at most xtol in
+    the parameter (theta times the step size h)."""
+    sgn = np.where(g0 < 0.0, 1.0, -1.0)   # orient every quartic to rise
     a0 = sgn * g0
-    a1 = sgn * h * d0
-    a2 = sgn * (3.0 * (g1 - g0) - h * (2.0 * d0 + d1))
-    a3 = sgn * (2.0 * (g0 - g1) + h * (d0 + d1))
-    lo, hi = np.zeros_like(g0), np.ones_like(g0)
-    t = g0 / (g0 - g1)
+    a1 = sgn * (d + r3)
+    a2 = sgn * (r4 - r3 + q)
+    a3 = -sgn * (r4 + 2.0 * q)
+    a4 = sgn * q
+    lo, hi = np.zeros_like(g0), t_end
+    t = t_end * (g0 / (g0 - g_end))
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ROOT_MAXITER):
-            p = ((a3 * t + a2) * t + a1) * t + a0
-            dp = (3.0 * a3 * t + 2.0 * a2) * t + a1
+            p = (((a4 * t + a3) * t + a2) * t + a1) * t + a0
+            dp = ((4.0 * a4 * t + 3.0 * a3) * t + 2.0 * a2) * t + a1
             lo = np.where(p < 0.0, t, lo)
             hi = np.where(p > 0.0, t, hi)
             t_new = t - p / dp
@@ -385,24 +436,46 @@ def _level_roots(s0, h, g0, g1, d0, d1, xtol):
             t = t_new
             if np.all(step <= xtol):
                 break
-    return s0 + t * h
+    return t
 
 
-def _crossing_rows(ev: LevelEvent, level, s0, h, y0, y1, f0, f1):
-    """Rows whose segment crosses the event level, and the roots there."""
-    c = ev.component
-    g0 = y0[:, c] - level
-    g1 = y1[:, c] - level
-    crossed = np.zeros(g0.shape, dtype=bool)
-    if ev.direction >= 0:
-        crossed |= (g0 < 0.0) & (g1 >= 0.0)
-    if ev.direction <= 0:
-        crossed |= (g0 > 0.0) & (g1 <= 0.0)
-    hit = np.flatnonzero(crossed)
-    if hit.size == 0:
-        return hit, np.empty(0)
-    return hit, _level_roots(s0[hit], h[hit], g0[hit], g1[hit], f0[hit, c],
-                             f1[hit, c], _ROOT_XTOL)
+class _Steps:
+    """The accepted steps of one integrate_batch iteration, one per accepted
+    row: size h, end states y0, y1 and end slopes f0, f1.  stages holds
+    k2, ..., k6 of every active row, and acc the active rows that were
+    accepted; the coefficients of the continuous extension are built only
+    for the rows a read asks for."""
+
+    def __init__(self, acc, h, y0, y1, f0, f1, stages):
+        self.acc, self.h, self.y0, self.y1, self.f0, self.f1 = acc, h, y0, y1, f0, f1
+        self.stages = stages
+
+    def coeffs(self, rows):
+        active = self.acc[rows]
+        return _contd5(self.h[rows, None], self.y0[rows], self.y1[rows], self.f0[rows],
+                       self.f1[rows], *(k[active] for k in self.stages))
+
+    def at(self, rows, t):
+        """Dense output of the given rows at theta = t."""
+        return _dense(t[:, None], self.y0[rows], *self.coeffs(rows))
+
+    def crossings(self, ev: LevelEvent, level, y_end, t_end):
+        """Rows whose dense output crosses the event level over theta in
+        [0, t_end], where it reaches y_end, and theta at the roots."""
+        c = ev.component
+        g0 = self.y0[:, c] - level
+        g_end = y_end[:, c] - level
+        crossed = np.zeros(g0.shape, dtype=bool)
+        if ev.direction >= 0:
+            crossed |= (g0 < 0.0) & (g_end >= 0.0)
+        if ev.direction <= 0:
+            crossed |= (g0 > 0.0) & (g_end <= 0.0)
+        hit = np.flatnonzero(crossed)
+        if hit.size == 0:
+            return hit, np.empty(0)
+        coeffs = (a[:, c] for a in self.coeffs(hit))
+        return hit, _level_roots(g0[hit], *coeffs, g_end[hit], t_end[hit],
+                                 self.h[hit], _ROOT_XTOL)
 
 
 def integrate_batch(
@@ -423,9 +496,11 @@ def integrate_batch(
     of the rows still active and return arrays of the states' shape; rows
     never interact.  tol, h_max and max_steps (per row) mean what they mean
     for integrate, and each row takes the steps integrate would take for it,
-    up to rounding.  Event roots are refined to 1e-12 on the Hermite cubic
-    of the step that crosses; a row stopped by a terminal event has that
-    step truncated at the root before later events are looked for in it.
+    up to rounding.  Event roots are refined to 1e-12 by Newton on the
+    quartic that the continuous extension of the crossing step makes of the
+    event's component; the quartic term is built for the crossing rows
+    only.  A row stopped by a terminal event ends at the root, and later
+    events are looked for in its step only before the root.
     """
     _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
@@ -495,47 +570,45 @@ def integrate_batch(
 
         # accepted rows (fancy indexing copies): project, then look for
         # events on the projected step
-        sa, ha, ya, fa = s[acc], h[acc], y[acc], fs[acc]
+        sa, ha = s[acc], h[acc]
         s1, y1, f1 = sa + ha, y_new[acc], k6[acc]
         if post_step is not None:
             y_proj = post_step(s1, y1)
             if y_proj is not None:
                 y1 = np.asarray(y_proj, dtype=float)
                 f1 = f(s1, y1)
-        stop = np.full(acc.size, np.inf)
+        step = _Steps(acc, ha, y[acc], y1, fs[acc], f1, (k2, k3, k4, k5, k6))
+        # the first terminal event ends a row's step at theta = t_end, where
+        # the row's state is y_end; later events are looked for before it
+        whole = np.ones(acc.size)
+        t_end, y_end = whole.copy(), y1
         stop_ev = np.full(acc.size, -1)
         for i, ev in enumerate(events):
             if ev.terminal:
-                hit, root = _crossing_rows(ev, levels[i][rows[acc]], sa, ha,
-                                           ya, y1, fa, f1)
-                first = root < stop[hit]
-                stop[hit[first]] = root[first]
+                hit, root = step.crossings(ev, levels[i][rows[acc]], y1, whole)
+                first = root < t_end[hit]
+                t_end[hit[first]] = root[first]
                 stop_ev[hit[first]] = i
         cut = np.flatnonzero(stop_ev >= 0)
         if cut.size:
-            y_stop = _hermite(stop[cut, None], sa[cut, None], ha[cut, None],
-                              ya[cut], y1[cut], fa[cut], f1[cut])
-            y1[cut] = y_stop
-            f1[cut] = f(stop[cut], y_stop)
-            s1[cut] = stop[cut]
-            ha[cut] = stop[cut] - sa[cut]
+            s1[cut] = sa[cut] + t_end[cut] * ha[cut]
+            y_end = y1.copy()
+            y_end[cut] = step.at(cut, t_end[cut])
             for i in np.unique(stop_ev[cut]).tolist():
                 mine = cut[stop_ev[cut] == i]
-                found[i].append((rows[acc[mine]], s1[mine], y1[mine]))
+                found[i].append((rows[acc[mine]], s1[mine], y_end[mine]))
         for i, ev in enumerate(events):
             if not ev.terminal:
-                hit, root = _crossing_rows(ev, levels[i][rows[acc]], sa, ha,
-                                           ya, y1, fa, f1)
+                hit, root = step.crossings(ev, levels[i][rows[acc]], y_end, t_end)
                 if hit.size:
-                    y_root = _hermite(root[:, None], sa[hit, None], ha[hit, None],
-                                      ya[hit], y1[hit], fa[hit], f1[hit])
-                    found[i].append((rows[acc[hit]], root, y_root))
+                    found[i].append((rows[acc[hit]], sa[hit] + root * ha[hit],
+                                     step.at(hit, root)))
 
-        s[acc], y[acc], fs[acc] = s1, y1, f1
+        s[acc], y[acc], fs[acc] = s1, y_end, f1
         done = (stop_ev >= 0) | (s1 >= s_end)
         h = h_next
         if done.any():
-            finish(rows[acc[done]], s1[done], y1[done],
+            finish(rows[acc[done]], s1[done], y_end[done],
                    [f"event:{i}" if i >= 0 else "completed"
                     for i in stop_ev[done].tolist()])
             keep = np.ones(rows.size, dtype=bool)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from randers import cli
@@ -44,6 +45,22 @@ def test_geodesic_exports(tmp_path, capsys):
     h_meta = json.loads((tmp_path / "geodesic_h.json").read_text())
     assert h_meta["metric_tag"] == "h"
     assert h_meta["nu"] == pytest.approx(meta["nu"])
+
+
+def test_geodesic_exports_keep_their_resolution(tmp_path):
+    # at tol 1e-10 the integrator's steps on this launch reach 1.5; the
+    # exports add its dense output between them, so rows stay within 0.1
+    rc = run(["geodesic", "--heading", "0.7", "--length", "20", "--embed",
+              "--out", str(tmp_path)])
+    assert rc == 0
+    meta = json.loads((tmp_path / "geodesic_F.json").read_text())
+    assert meta["exit_reason"] == "domain-exit"   # at s = 19.08, on r = 20
+    for name in ("geodesic_h.csv", "geodesic_F.csv", "geodesic_F_xyz.csv"):
+        rows = (tmp_path / name).read_text().splitlines()[1:]
+        s = np.array([float(row.split(",")[0]) for row in rows])
+        assert len(rows) == meta["n_samples"] >= 201
+        assert s[0] == 0.0 and s[-1] == meta["s_end"]
+        assert np.diff(s).max() <= 0.1
 
 
 def test_geodesic_fan_with_embedding(tmp_path):

@@ -40,6 +40,17 @@ def test_jacobi_flat_profile_is_linear(flat):
     assert jac.y[idx] == pytest.approx(jac.s[idx] - 1.0, abs=1e-10)
 
 
+def test_jacobi_along_a_generic_geodesic_reads_its_dense_output(sphere):
+    # constant curvature 1: y = sin(s) along any geodesic; this one leaves
+    # r = 1 along the parallel and swings out to r = pi - 1 and back
+    base = integrate_h(sphere, GeodesicState(1.0, 0.0, 0.0, 1.0 / math.sin(1.0)), 3.5,
+                       tol=1e-12)
+    assert base.kind == "generic" and base.exit_reason == "completed"
+    jac = jacobi_integrate(sphere, base, 0.0, 1.0, 3.5, tol=1e-12)
+    assert jac.first_zero == pytest.approx(math.pi, abs=1e-9)
+    np.testing.assert_allclose(jac.y, np.sin(jac.s), rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (1.0, 1.2), (0.5, 1.8), (0.5, 2.3)])
 def test_first_conjugate_stops_at_the_zero(mu, rho):
     # the terminal event ends the integration at c and changes no step before it
@@ -71,6 +82,14 @@ def test_first_conjugate_paraboloid_oracle():
         c = first_conjugate(p, SurfacePoint(rho, 0.0))
         assert c == pytest.approx(rho + 1.0 / (mu * mu * rho), abs=1e-8)
         assert c > rho
+
+
+@pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (1.0, 1.146), (0.5, 1.8), (2.0, 0.7)])
+def test_first_conjugate_to_the_closed_form_at_tol(mu, rho):
+    # the Jacobi zero is refined on the continuous extension of its step,
+    # as accurate as the step ends at tol 1e-12
+    c = first_conjugate(make_paraboloid(mu), SurfacePoint(rho, 0.0))
+    assert abs(c - (rho + 1.0 / (mu * mu * rho))) <= 1e-11
 
 
 def test_first_conjugate_errors(parab, flat, bump):

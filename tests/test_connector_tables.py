@@ -272,25 +272,27 @@ def test_cut_locus_matches_per_sample_connectors(surface, rho):
 
 
 # cut_locus(dist) at the base points of tests/test_conjugate.py, recorded with
-# the adaptive tables; q = (1, 0) and c = 2 + 4.2e-10 on every surface here
+# the Gauss-Legendre tables and the Jacobi zero refined on the continuous
+# extension; q = (1, 0), and both surfaces have the warp r / sqrt(r^2 + 1), so
+# c = rho + 1 / rho = 2 on each (to 1.3e-12 here)
 RECORDED = {
     ("parab", 5.0, 13): [
-        2.00000000042062, 2.2149602598628793, 2.390020036313797,
-        2.5496145673209334, 2.704959966565464, 2.861600808821531,
-        3.0222992987661312, 3.18834375185111, 3.3602110378674546,
-        3.5379274640383547, 3.7212744727900087, 3.9099087298666095,
-        4.103432715341309],
+        1.9999999999987026, 2.2149602595707862, 2.3900200360822064,
+        2.54961456712184, 2.70495996639235, 2.8616008084064037,
+        3.022299298628382, 3.188343751732355, 3.360211037768795,
+        3.5379274639621667, 3.7212744727374463, 3.909908729840235,
+        4.103432715340061],
     ("parab", 3.0, 5): [
-        2.00000000042062, 2.2149602598101934, 2.390020036222371,
-        2.5496145671866053, 2.704959966390501],
+        1.9999999999987026, 2.21496025957095, 2.3900200360824906,
+        2.549614567122246, 2.704959966392887],
     ("parab", 3.5, 7): [
-        2.00000000042062, 2.214960259836186, 2.390020036268367,
-        2.549614567255582, 2.704959966477625, 2.8616008083715863,
-        3.0222992986288073],
+        1.9999999999987026, 2.2149602595708693, 2.390020036082349,
+        2.5496145671220427, 2.704959966392619, 2.8616008084067466,
+        3.0222992986288064],
     ("weak", 5.0, 9): [
-        2.00000000042062, 2.3054917293125983, 2.5496145673209334,
-        2.782900393060807, 3.0222992987661312, 3.273540285339563,
-        3.5379274640383547, 3.814954861306184, 4.103432715341309],
+        1.9999999999987026, 2.3054917290553307, 2.54961456712184,
+        2.782900392892685, 3.022299298628382, 3.273540285230292,
+        3.5379274639621667, 3.8149548612663873, 4.103432715340061],
 }
 
 
@@ -300,5 +302,6 @@ def test_cut_locus_matches_recorded(parab, surface, s_max, n):
     arc = cut_locus(profile, SurfacePoint(1.0, 0.0), s_export_max=s_max, n_samples=n)
     want = np.array(RECORDED[(surface, s_max, n)])
     assert arc.c == want[0]
+    assert abs(arc.c - 2.0) <= 1e-11   # the closed form rho + 1 / rho
     np.testing.assert_allclose(arc.dist, want, rtol=0, atol=1e-9)
     np.testing.assert_allclose(arc.theta, math.pi + profile.mu * want, rtol=0, atol=1e-9)

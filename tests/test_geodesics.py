@@ -33,7 +33,7 @@ from randers.geodesics import (
     turning_points,
     twist,
 )
-from randers.odesolve import _hermite
+from randers.odesolve import _contd5, _dense
 
 
 def _launch(profile, r0, phi, theta0=0.0):
@@ -69,13 +69,15 @@ def test_dense_reads_arrays(parab, kind):
     np.testing.assert_array_equal(path.dense(ss), stacked)
     assert path.dense(ss.reshape(-1, 1)).shape == (len(ss), 1, 4)
     if kind == "generic":
-        # the per-step Hermite loop the dense output replaced
+        # the continuous extension of each step, built one step at a time
         sol = path.dense
         for s, row in zip(ss, stacked):
             i = int(np.searchsorted(sol.seg_s, s, side="right") - 1)
             i = min(max(i, 0), sol.seg_s.size - 1)
-            ref = _hermite(s, sol.seg_s[i], sol.seg_h[i], sol.seg_y0[i],
-                           sol.seg_y1[i], sol.seg_f0[i], sol.seg_f1[i])
+            h = sol.seg_h[i]
+            coeffs = _contd5(h, sol.seg_y0[i], sol.seg_y1[i], sol.seg_f0[i],
+                             sol.seg_f1[i], *sol.seg_k[i])
+            ref = _dense((s - sol.seg_s[i]) / h, sol.seg_y0[i], *coeffs)
             np.testing.assert_array_equal(row, ref)
 
 
@@ -120,26 +122,49 @@ def test_conservation_over_long_arc(parab60):
     assert np.abs(speeds - 1.0).max() <= 10.0 * tol
 
 
-@pytest.mark.parametrize("r0,phi,length", [
+_DOP853_RAYS = [
     (1.2, 0.9, 8.0),                   # generic
     (1.5, math.pi / 2.0 + 0.01, 8.0),  # turns 2.4e-4 inside its start radius
     (0.7, 2.3, 30.0),                  # long, through a turning point
-])
-def test_integrate_h_against_scipy_dop853(parab60, r0, phi, length):
-    # independent oracle: scipy's 8th-order Dormand-Prince on the same
-    # geodesic equations, with no unit-speed projection
+]
+
+
+def _dop853_errors(profile, r0, phi, length, tol):
+    """Largest state error of integrate_h at its samples and at the
+    midpoints between them, against an independent oracle: scipy's
+    8th-order Dormand-Prince on the same geodesic equations, with no
+    unit-speed projection."""
     def rhs(s, y):
         r, _, dr, dth = y
-        m, m1 = float(parab60.m(r)), float(parab60.m1(r))
+        m, m1 = float(profile.m(r)), float(profile.m1(r))
         return [dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth]
 
-    state0 = _launch(parab60, r0, phi)
-    path = integrate_h(parab60, state0, length, tol=1e-12)
+    state0 = _launch(profile, r0, phi)
+    path = integrate_h(profile, state0, length, tol=tol)
     assert path.exit_reason == "completed"
+    mid = 0.5 * (path.s[1:] + path.s[:-1])
     ref = solve_ivp(rhs, (0.0, length), state0.as_array(), method="DOP853",
-                    rtol=1e-13, atol=1e-13, t_eval=path.s)
+                    rtol=1e-13, atol=1e-13, t_eval=np.sort(np.concatenate([path.s, mid])))
     assert ref.success
-    np.testing.assert_allclose(path.states, ref.y.T, rtol=0.0, atol=1e-9)
+    at_nodes = np.abs(path.states - ref.y.T[0::2]).max()
+    at_mids = np.abs(path.dense(mid) - ref.y.T[1::2]).max()
+    return at_nodes, at_mids
+
+
+@pytest.mark.parametrize("r0,phi,length", _DOP853_RAYS)
+def test_integrate_h_against_scipy_dop853(parab60, r0, phi, length):
+    at_nodes, at_mids = _dop853_errors(parab60, r0, phi, length, tol=1e-12)
+    assert at_nodes <= 1e-9
+    assert at_mids <= 1e-9   # the dense output between the samples
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+@pytest.mark.parametrize("r0,phi,length", _DOP853_RAYS)
+def test_dense_output_is_as_accurate_as_the_samples(parab60, r0, phi, length, tol):
+    # the continuous extension is 4th order: between the step ends it errs
+    # about as much as at them, with no step cap
+    at_nodes, at_mids = _dop853_errors(parab60, r0, phi, length, tol)
+    assert at_mids <= 10.0 * at_nodes
 
 
 def test_initial_state_validation(parab):

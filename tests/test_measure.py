@@ -54,6 +54,18 @@ def test_f_length_of_twisted_geodesics_is_their_parameter_length(
     assert f_length(parab60, path) == pytest.approx(length, rel=1e-9)
 
 
+def test_f_length_at_tol_1e_11(parab60):
+    # a geodesic-embed launch: at tol 1e-11 its F-length, a quadrature over
+    # the dense output between the steps, is its parameter length to
+    # rel 1e-9 only if that output is as accurate as the steps
+    r0, phi, length = 1.3523388024430973, -0.899185651230015, 11.078481101373256
+    q = SurfacePoint(r0, 4.055787873742389)
+    y = Tangent(math.cos(phi), math.sin(phi) / float(parab60.m(r0)))
+    F0 = eval_F(parab60, q, y)
+    path = integrate_F(parab60, q, Tangent(y.y1 / F0, y.y2 / F0), length, tol=1e-11)
+    assert f_length(parab60, path) == pytest.approx(length, rel=1e-9)
+
+
 def test_f_length_of_meridian_chain(parab):
     # h-unit meridian chain measured in F: F(+-1, 0) = sqrt(a11) = 1/sqrt(lam)
     path = integrate_h(parab, GeodesicState(1.0, 0.0, -1.0, 0.0), 2.0)

@@ -6,8 +6,8 @@ import pytest
 from randers import InvalidParameterError, make_paraboloid
 from randers.geodesics import GeodesicState, clairaut_constant, integrate_h
 from randers.odesolve import (
-    _A, _B, _C, _E, EventSpec, LevelEvent, _hermite, _initial_step, integrate,
-    integrate_batch,
+    _A, _B, _C, _E, EventSpec, LevelEvent, _contd5, _dense, _initial_step,
+    integrate, integrate_batch,
 )
 from randers.profile import roots_on_grid
 
@@ -145,6 +145,26 @@ def test_batch_projection_and_step_cap():
     assert sol.status == ["completed", "completed"]
 
 
+def test_batch_events_inside_one_step():
+    # y' = 1 is integrated exactly, so steps grow fivefold and the one over
+    # [1.56, 7.81] crosses every level below: the earlier terminal root
+    # ends the row, whatever the order of the events, and only crossings
+    # before it are kept
+    events = [LevelEvent(0, 3.0, terminal=True), LevelEvent(0, 5.0, terminal=True),
+              LevelEvent(0, 2.0), LevelEvent(0, 4.0)]
+    for order in (events, [events[1], events[0], *events[2:]]):
+        sol = integrate_batch(lambda s, y: np.ones_like(y), 0.0, [[0.0]], 10.0,
+                              tol=1e-9, events=order)
+        assert sol.nsteps == 5
+        assert sol.status == [f"event:{order.index(events[0])}"]
+        assert sol.s[0] == pytest.approx(3.0, abs=1e-12)
+        assert sol.y[0, 0] == pytest.approx(3.0, abs=1e-12)
+        found = {ev.level: sol.events[i][1].tolist() for i, ev in enumerate(order)}
+        assert found[3.0] == pytest.approx([3.0], abs=1e-12)
+        assert found[2.0] == pytest.approx([2.0], abs=1e-12)
+        assert found[5.0] == found[4.0] == []
+
+
 def test_steps_that_leave_the_domain_are_rejected():
     # the RHS is undefined beyond y = 1.2; steps that reach there are
     # rejected and shrunk until the terminal event at y = 1 stops the run
@@ -165,9 +185,11 @@ def test_steps_that_leave_the_domain_are_rejected():
 # bit-identity with the array form of the step loop
 #
 # _array_integrate is integrate as it was written on numpy arrays: the same
-# tableau and controller, every stage an array expression.  integrate now
-# runs the stages on Python floats in the same order of operations, so its
-# steps, samples, dense-output segments and event roots must be exactly equal.
+# tableau and controller, every stage an array expression, and each step's
+# continuous extension built as the step is taken.  integrate runs the
+# stages on Python floats in the same order of operations and builds the
+# extension from the stored stages when it is read, so its steps, samples,
+# dense-output segments and stages and event roots must be exactly equal.
 
 
 def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
@@ -176,7 +198,7 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
     s = float(s0)
     fs = f(s, y)
     ss, ys = [s], [y.copy()]
-    seg = {k: [] for k in ("s", "h", "y0", "y1", "f0", "f1")}
+    seg = {k: [] for k in ("s", "h", "y0", "y1", "f0", "f1", "k")}
     ev_values = [ev.func(s, y) for ev in events]
     ev_records = {i: [] for i in range(len(events))}
     status = "completed"
@@ -215,11 +237,12 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
             if y_proj is not None:
                 y_new = np.asarray(y_proj, dtype=float)
                 f_new = f(s_new, y_new)
-        for key, val in zip(seg, (s, h, y, y_new, k0, f_new)):
+        for key, val in zip(seg, (s, h, y, y_new, k0, f_new, (k2, k3, k4, k5, k6))):
             seg[key].append(val)
 
-        def seg_eval(sq, _s=s, _h=h, _y=y, _yn=y_new, _f0=k0, _fn=f_new):
-            return _hermite(sq, _s, _h, _y, _yn, _f0, _fn)
+        def seg_eval(sq, _s=s, _h=h, _y=y,
+                     _c=_contd5(h, y, y_new, k0, f_new, k2, k3, k4, k5, k6)):
+            return _dense((sq - _s) / _h, _y, *_c)
 
         stop_at = None
         for i, ev in enumerate(events):
@@ -237,12 +260,8 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
                     stop_at, status = root, f"event:{i}"
             ev_values[i] = g_new
         if stop_at is not None:
-            y_stop = seg_eval(stop_at)
-            seg["h"][-1] = stop_at - s
-            seg["y1"][-1] = y_stop.copy()
-            seg["f1"][-1] = f(stop_at, y_stop)
             ss.append(stop_at)
-            ys.append(y_stop.copy())
+            ys.append(seg_eval(stop_at))
             break
         s, y, fs = s_new, y_new, f_new
         ss.append(s)
@@ -317,10 +336,10 @@ def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, stat
     nu0 = clairaut_constant(profile, state0)
     floor = 1.2 if status == "event:1" else max(1e-14, 1e-3 * abs(nu0))
     rhs, renormalize, events = _geodesic_system(profile, nu0, floor)
-    ref = _array_integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12, h_max=0.1,
+    ref = _array_integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12,
                            post_step=renormalize, events=events)
     assert ref[4] == status
-    sol = integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12, h_max=0.1,
+    sol = integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12,
                     post_step=renormalize, events=events)
     _assert_same_solution(sol, ref)
     if status != "event:1":

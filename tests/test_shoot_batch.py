@@ -21,11 +21,16 @@ SCAN_TOL = 3e-7
 Q = SurfacePoint(1.0, 0.0)
 CUT_POINT = (2.0000000001402065, 5.846552620067419)
 CONTROL = (0.5, 4.641592653589793)
-# shoot_hits over 361 headings at these targets before the scan was batched
+# (heading, length) of the segments from Q to each target.  At the cut point
+# they come from an oracle independent of the engine: scipy's DOP853 at
+# rtol = atol = 1e-14, its crossing of the target radius refined by brentq
+# on its dense output, and brentq on the heading to zero the twisted angle
+# miss (to 1e-15); the two mirror segments agree in length to 7e-12.  The
+# control is reached only along the twisted meridian chain.
 REFERENCE_HITS = {
-    CUT_POINT: [(-2.820626080285442, 3.03685514442065),
-                (-1.7050104562222714, 2.7049599495534897),
-                (1.7050104641173434, 2.7049599634997676)],
+    CUT_POINT: [(-2.8206260614980407, 3.0368551466436093),
+                (-1.7050104814157905, 2.7049599664856263),
+                (1.7050104814120584, 2.704959966479033)],
     CONTROL: [(-3.141592653589793, 1.5)],
 }
 
