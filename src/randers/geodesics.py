@@ -288,9 +288,10 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     run in one odesolve.integrate_batch pass with the right-hand side, unit
     speed projection and events of integrate_h, and no step cap, so each
     row takes integrate_h's steps; each crossing is refined on the
-    continuous extension of its step.  As in level_crossings, a row that
-    grazes the level twice within one step has neither crossing seen.  A
-    row that leaves r <= r_max keeps the crossings before its exit; a row
+    continuous extension of its step, on its own, so a row's crossings do
+    not depend on the other rows of states0.  As in level_crossings, a row
+    that grazes the level twice within one step has neither crossing seen.
+    A row that leaves r <= r_max keeps the crossings before its exit; a row
     that reaches the blow-up floor, where integrate_h raises
     NumericalBlowupError, has none.
     """
@@ -317,8 +318,11 @@ def level_crossings_batch(profile: Profile, states0, length: float,
         dr, dth = y[:, 2], y[:, 3]
         m = m_fn(y[:, 0])
         m1 = m1_fn(y[:, 0])
-        return np.stack([dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth],
-                        axis=1)
+        out = np.empty_like(y)
+        out[:, :2] = y[:, 2:]
+        out[:, 2] = m * m1 * dth * dth
+        out[:, 3] = -2.0 * (m1 / m) * dr * dth
+        return out
 
     def renormalize(s, y):
         norm = np.hypot(y[:, 2], m_fn(y[:, 0]) * y[:, 3])

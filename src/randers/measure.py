@@ -57,6 +57,7 @@ from .profile import (
     roots_on_grid,
     roots_on_grids,
     wrap_angle,
+    wrap_angles,
 )
 from .zermelo import RandersData, Tangent, eval_F, navigation_transform, randers_data
 
@@ -521,56 +522,61 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     (geodesics.level_crossings_batch): a ray that leaves r <= r_max keeps
     the crossings it made before, and a ray that blows up at the vertex
     floor has none.  Crossings of the target radius are indexed in
-    parameter order and the angular miss of the k-th crossing is bracketed
-    between consecutive headings, then refined by brentq in the heading,
-    each iterate one integrate_h ray at refine_tol.  Brackets with a miss
-    above 2.5 rad are skipped, so that the angle wrap at +-pi does not pass
-    for a zero.
+    parameter order, the wrapped angular miss of every crossing of the fan
+    is taken in one array pass, and the miss of the k-th crossing is
+    bracketed between consecutive headings, then refined by brentq in the
+    heading, each iterate one integrate_h ray at refine_tol.  Brackets with
+    a miss above 2.5 rad are skipped, so that the angle wrap at +-pi does
+    not pass for a zero.
     """
     if q_from.r <= 0.0:
         raise VertexSingularError("headings do not parametrize rays from the vertex")
     m_at = float(profile.m(q_from.r))
     headings = np.asarray(headings, dtype=float)
 
-    def twisted(s_c: np.ndarray, y_c: np.ndarray) -> list[tuple[float, float]]:
-        return list(zip(s_c.tolist(), (y_c[:, 1] + twist_mu * s_c).tolist()))
-
-    def crossings(chi: float, tol_i: float) -> list[tuple[float, float]]:
+    def crossings(chi: float) -> tuple[np.ndarray, np.ndarray]:
+        # parameters and twisted angles of one ray's crossings
         st = GeodesicState(q_from.r, q_from.theta, math.cos(chi),
                            math.sin(chi) / m_at)
         try:
-            path = integrate_h(profile, st, horizon, tol=tol_i)
+            path = integrate_h(profile, st, horizon, tol=refine_tol)
         except NumericalBlowupError:
-            return []
-        return twisted(*level_crossings(path, r_target))
+            return np.empty(0), np.empty(0)
+        s_c, y_c = level_crossings(path, r_target)
+        return s_c, y_c[:, 1] + twist_mu * s_c
 
     fan = np.column_stack([np.full(headings.size, q_from.r),
                            np.full(headings.size, q_from.theta),
                            np.cos(headings), np.sin(headings) / m_at])
-    scanned = [twisted(*c) for c in
-               level_crossings_batch(profile, fan, horizon, r_target, tol)]
+    scan = level_crossings_batch(profile, fan, horizon, r_target, tol)
+    # miss[i, k]: the wrapped angular miss of heading i's k-th crossing, NaN
+    # past its last one, so that no bracket test passes there
+    miss = np.full((headings.size, max((s_c.size for s_c, _ in scan), default=0)), np.nan)
+    for i, (s_c, y_c) in enumerate(scan):
+        miss[i, :s_c.size] = y_c[:, 1] + twist_mu * s_c
+    miss = wrap_angles(miss - theta_target)
+    ga, gb = miss[:-1], miss[1:]
+    # a sign change or a zero (a superset of what roots_on_grid refines),
+    # away from the angle wrap
+    brackets = np.nonzero((np.abs(ga) <= 2.5) & (np.abs(gb) <= 2.5) & (ga * gb <= 0.0))
     hits: list[tuple[float, float]] = []
-    for i in range(len(headings) - 1):
+    for i, k in zip(*(a.tolist() for a in brackets)):
         chi_a, chi_b = float(headings[i]), float(headings[i + 1])
-        ca, cb = scanned[i], scanned[i + 1]
-        for k in range(min(len(ca), len(cb))):
-            ga = wrap_angle(ca[k][1] - theta_target)
-            gb = wrap_angle(cb[k][1] - theta_target)
-            if abs(ga) > 2.5 or abs(gb) > 2.5:
-                continue  # avoid brackets straddling the angle wrap
-            seen = {chi_a: ca, chi_b: cb}
+        seen = {chi_a: scan[i][0], chi_b: scan[i + 1][0]}
 
-            def miss(chi: float) -> float:
-                cs = seen[chi] = crossings(chi, refine_tol)
-                if len(cs) <= k:
-                    raise _CrossingLost
-                return wrap_angle(cs[k][1] - theta_target)
+        def refined_miss(chi: float) -> float:
+            s_c, th = crossings(chi)
+            seen[chi] = s_c
+            if s_c.size <= k:
+                raise _CrossingLost
+            return wrap_angle(float(th[k]) - theta_target)
 
-            try:
-                roots = roots_on_grid(miss, (chi_a, chi_b), (ga, gb), xtol=1e-13)
-            except _CrossingLost:
-                continue
-            hits += [(chi, float(seen[chi][k][0])) for chi in roots]
+        try:
+            roots = roots_on_grid(refined_miss, (chi_a, chi_b),
+                                  (float(ga[i, k]), float(gb[i, k])), xtol=1e-13)
+        except _CrossingLost:
+            continue
+        hits += [(chi, float(seen[chi][k])) for chi in roots]
     # headings are compared mod 2 pi: on a closed scan grid [-pi, pi] one
     # segment can show up at both ends
     out: list[tuple[float, float]] = []

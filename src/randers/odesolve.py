@@ -29,8 +29,9 @@ Two integrators share the tableau, the controller and the interpolant:
   on an (n_rows, dim) state.  Each row keeps its own step size and is
   accepted or rejected under a mask; rows leave the active set when they
   reach s_end or a terminal event.  No dense output is stored, so memory
-  stays O(n_rows) plus the event roots; the coefficients of the continuous
-  extension are built only for the rows whose step crosses an event.
+  stays O(n_rows) plus the event crossings; the coefficients of the
+  continuous extension are built once for each step that crosses an
+  event.
 
 Both take the same two hooks:
 
@@ -45,11 +46,13 @@ Both take the same two hooks:
 * Events.  ``integrate`` takes EventSpec functions g(s, y); their sign
   changes over accepted steps are refined by brentq on the step's dense
   output.  ``integrate_batch`` takes LevelEvents, crossings of one state
-  component through a level (one per row, or shared); the roots of all
-  crossing rows of a step are refined together by Newton on the component's
-  quartic.  A crossing counts when g goes from one strict sign to zero or
-  the other sign.  Terminal events stop the integration (a single row, in a
-  batch) at the root inside the step, whose interpolant is kept whole.
+  component through a level (one per row, or shared); each root is refined
+  on its own by Newton on the component's quartic, a terminal one in the
+  iteration that crosses it, the others in one pass after the run.  A
+  crossing counts when g goes from one strict sign to zero or the other
+  sign.  Terminal events stop the integration (a single row, in a batch) at
+  the root inside the step, whose interpolant is kept whole; roots of other
+  events past it are dropped.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def integrate(
     terminal event, or ``max_steps``; called with parameters, it reads the
     continuous extension of its steps.  Event roots are refined to 1e-10 by
     brentq on the continuous extension of the step that crosses; a terminal
-    event ends the samples at its root.
+    event ends the samples at its root, and roots past it are dropped.
     """
     _check_span_tol(s0, s_end, tol)
     y_arr = np.asarray(y0, dtype=float).copy()
@@ -230,8 +233,9 @@ def integrate(
         def f(t, state):
             return array_f(t, state).tolist()
 
+    # flat float lists, one state after another, reshaped at the end
     ss = [s]
-    ys = [y]
+    ys = list(y)
     seg_s, seg_h, seg_y0, seg_y1, seg_f0, seg_f1, seg_k = [], [], [], [], [], [], []
     ev_values = [ev.func(s, y_arr) for ev in events]
     ev_records: dict = {i: [] for i in range(len(events))}
@@ -302,10 +306,10 @@ def integrate(
                 f_new = f(s_new, y_new_arr)
         seg_s.append(s)
         seg_h.append(h)
-        seg_y0.append(y)
-        seg_y1.append(y_new)
-        seg_f0.append(k0)
-        seg_f1.append(f_new)
+        seg_y0 += y
+        seg_y1 += y_new
+        seg_f0 += k0
+        seg_f1 += f_new
         seg_k += (*k2, *k3, *k4, *k5, *k6)
 
         stop_at = None
@@ -337,13 +341,17 @@ def integrate(
             ev_values[i] = g_new
 
         if stop_at is not None:
+            # the solution ends at the root: drop the roots past it
+            for recs in ev_records.values():
+                if recs and recs[-1][0] > stop_at:
+                    recs.pop()
             ss.append(stop_at)
-            ys.append(seg_eval(stop_at))
+            ys += seg_eval(stop_at).tolist()
             break
 
         s, y, fs = s_new, y_new, f_new
         ss.append(s)
-        ys.append(y)
+        ys += y
 
         if enorm == 0.0:
             factor = _MAX_FACTOR
@@ -351,19 +359,19 @@ def integrate(
             factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP))
         h *= factor
 
-    def stacked(rows):
-        return np.array(rows, dtype=float) if rows else np.empty((0, dim))
+    def stacked(flat, *shape):
+        return np.array(flat, dtype=float).reshape(-1, *shape, dim)
 
     return ODESolution(
         s=np.array(ss),
-        y=np.array(ys, dtype=float),
+        y=stacked(ys),
         seg_s=np.array(seg_s),
         seg_h=np.array(seg_h),
         seg_y0=stacked(seg_y0),
         seg_y1=stacked(seg_y1),
         seg_f0=stacked(seg_f0),
         seg_f1=stacked(seg_f1),
-        seg_k=np.array(seg_k, dtype=float).reshape(-1, 5, dim),
+        seg_k=stacked(seg_k, 5),
         status=status,
         events={i: recs for i, recs in ev_records.items()},
         nsteps=nsteps,
@@ -413,8 +421,9 @@ def _level_roots(g0, d, r3, r4, q, g_end, t_end, h, xtol):
     the step start and d, r3, r4, q its _contd5 coefficients.  g0 is
     nonzero and g_end, the value at theta = t_end, is zero or of the other
     sign.  Newton on the quartic in power form, with a bisection step
-    wherever Newton leaves the bracket, until it moves by at most xtol in
-    the parameter (theta times the step size h)."""
+    wherever Newton leaves the bracket; each row stops at its first step of
+    at most xtol in the parameter (theta times the step size h), so its root
+    does not depend on the rows refined beside it."""
     sgn = np.where(g0 < 0.0, 1.0, -1.0)   # orient every quartic to rise
     a0 = sgn * g0
     a1 = sgn * (d + r3)
@@ -423,6 +432,7 @@ def _level_roots(g0, d, r3, r4, q, g_end, t_end, h, xtol):
     a4 = sgn * q
     lo, hi = np.zeros_like(g0), t_end
     t = t_end * (g0 / (g0 - g_end))
+    live = np.ones(t.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_ROOT_MAXITER):
             p = (((a4 * t + a3) * t + a2) * t + a1) * t + a0
@@ -433,49 +443,41 @@ def _level_roots(g0, d, r3, r4, q, g_end, t_end, h, xtol):
             t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * (lo + hi))
             t_new = np.where(p == 0.0, t, t_new)
             step = np.abs(t_new - t) * h
-            t = t_new
-            if np.all(step <= xtol):
+            t = np.where(live, t_new, t)
+            live &= ~(step <= xtol)
+            if not live.any():
                 break
     return t
 
 
-class _Steps:
-    """The accepted steps of one integrate_batch iteration, one per accepted
-    row: size h, end states y0, y1 and end slopes f0, f1.  stages holds
-    k2, ..., k6 of every active row, and acc the active rows that were
-    accepted; the coefficients of the continuous extension are built only
-    for the rows a read asks for."""
+class _Levels:
+    """The LevelEvents of a batch, checked in one pass: their components,
+    allowed directions and terminal flags, and level, which holds one row
+    per event and one column per active row."""
 
-    def __init__(self, acc, h, y0, y1, f0, f1, stages):
-        self.acc, self.h, self.y0, self.y1, self.f0, self.f1 = acc, h, y0, y1, f0, f1
-        self.stages = stages
+    def __init__(self, events, n: int):
+        self.comp = np.array([ev.component for ev in events], dtype=np.int64)
+        self.up = np.array([ev.direction >= 0 for ev in events], dtype=bool)
+        self.down = np.array([ev.direction <= 0 for ev in events], dtype=bool)
+        self.terminal = np.array([ev.terminal for ev in events], dtype=bool)
+        self.level = np.array([np.broadcast_to(np.asarray(ev.level, dtype=float), (n,))
+                               for ev in events]).reshape(-1, n)
 
-    def coeffs(self, rows):
-        active = self.acc[rows]
-        return _contd5(self.h[rows, None], self.y0[rows], self.y1[rows], self.f0[rows],
-                       self.f1[rows], *(k[active] for k in self.stages))
-
-    def at(self, rows, t):
-        """Dense output of the given rows at theta = t."""
-        return _dense(t[:, None], self.y0[rows], *self.coeffs(rows))
-
-    def crossings(self, ev: LevelEvent, level, y_end, t_end):
-        """Rows whose dense output crosses the event level over theta in
-        [0, t_end], where it reaches y_end, and theta at the roots."""
-        c = ev.component
-        g0 = self.y0[:, c] - level
-        g_end = y_end[:, c] - level
-        crossed = np.zeros(g0.shape, dtype=bool)
-        if ev.direction >= 0:
-            crossed |= (g0 < 0.0) & (g_end >= 0.0)
-        if ev.direction <= 0:
-            crossed |= (g0 > 0.0) & (g_end <= 0.0)
-        hit = np.flatnonzero(crossed)
-        if hit.size == 0:
-            return hit, np.empty(0)
-        coeffs = (a[:, c] for a in self.coeffs(hit))
-        return hit, _level_roots(g0[hit], *coeffs, g_end[hit], t_end[hit],
-                                 self.h[hit], _ROOT_XTOL)
+    def crossings(self, y0, y1, cols):
+        """(event, row) pairs whose component goes from a strict sign at y0
+        to zero or the other sign at y1, and the offset component at both
+        ends; y0 and y1 hold the active rows cols."""
+        level = self.level[:, cols]
+        g0 = y0.T[self.comp] - level
+        g1 = y1.T[self.comp] - level
+        # candidates: a sign change or a zero (or a product that underflows)
+        j, hit = np.nonzero(g0 * g1 <= 0.0)
+        if j.size:
+            g0, g1 = g0[j, hit], g1[j, hit]
+            keep = ((self.up[j] & (g0 < 0.0) & (g1 >= 0.0))
+                    | (self.down[j] & (g0 > 0.0) & (g1 <= 0.0)))
+            j, hit, g0, g1 = j[keep], hit[keep], g0[keep], g1[keep]
+        return j, hit, g0, g1
 
 
 def integrate_batch(
@@ -496,11 +498,12 @@ def integrate_batch(
     of the rows still active and return arrays of the states' shape; rows
     never interact.  tol, h_max and max_steps (per row) mean what they mean
     for integrate, and each row takes the steps integrate would take for it,
-    up to rounding.  Event roots are refined to 1e-12 by Newton on the
+    up to rounding.  An iteration that accepts every row works on its step
+    arrays as they are.  Event roots are refined to 1e-12 by Newton on the
     quartic that the continuous extension of the crossing step makes of the
-    event's component; the quartic term is built for the crossing rows
-    only.  A row stopped by a terminal event ends at the root, and later
-    events are looked for in its step only before the root.
+    event's component, each row on its own: a terminal root at once, as it
+    ends its row's step (later events are looked for in that step only
+    before it), every other root in one pass after the run.
     """
     _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
@@ -511,31 +514,27 @@ def integrate_batch(
     s = np.full(n, float(s0))
     fs = f(s, y)
     h = np.minimum(np.minimum(_initial_step(y, fs, h_max), s_end - s0), h_max)
-    tries = np.zeros(n, dtype=np.int64)
-    levels = [np.broadcast_to(np.asarray(ev.level, dtype=float), (n,))
-              for ev in events]
-    found: dict = {i: [] for i in range(len(events))}
+    watch = _Levels(events, n)
+    found: list = []      # (event, rows, s, y) of terminal roots
+    crossed: list = []    # non-terminal crossings, refined after the run
     s_out = np.empty(n)
     y_out = np.empty((n, dim))
-    status = ["completed"] * n
-    nsteps = nrejected = 0
+    why = np.full(n, -1)  # -1: completed, -2: max_steps, k >= 0: event k
+    nsteps = nrejected = tries = 0
     root_n = math.sqrt(float(dim))
 
-    def finish(idx, s_fin, y_fin, why):
-        for k, i in enumerate(idx.tolist()):
-            s_out[i] = s_fin[k]
-            y_out[i] = y_fin[k]
-            status[i] = why[k]
+    def segments(hit):
+        # start states and continuous-extension coefficients of the accepted
+        # steps hit, from the current iteration's arrays
+        k = acc[hit]
+        return (ya[hit], *_contd5(ha[hit, None], ya[hit], y1[hit], fa[hit], f1[hit],
+                                  k2[k], k3[k], k4[k], k5[k], k6[k]))
 
     while rows.size:
-        out_of_steps = tries > max_steps
-        if out_of_steps.any():
-            finish(rows[out_of_steps], s[out_of_steps], y[out_of_steps],
-                   ["max_steps"] * int(out_of_steps.sum()))
-            keep = ~out_of_steps
-            rows, s, y, fs, h, tries = (rows[keep], s[keep], y[keep], fs[keep],
-                                        h[keep], tries[keep])
-            continue
+        if tries > max_steps:   # every active row has had one try per iteration
+            s_out[rows], y_out[rows], why[rows] = s, y, -2
+            break
+        tries += 1
         h = np.minimum(np.minimum(h, s_end - s), h_max)
         hc = h[:, None]
 
@@ -546,11 +545,12 @@ def integrate_batch(
         k3 = f(s + 0.8 * h, y + hc * (_A[3][0] * k0 + _A[3][1] * k1 + _A[3][2] * k2))
         k4 = f(s + _C[4] * h, y + hc * (_A[4][0] * k0 + _A[4][1] * k1
                                         + _A[4][2] * k2 + _A[4][3] * k3))
-        k5 = f(s + h, y + hc * (_A[5][0] * k0 + _A[5][1] * k1 + _A[5][2] * k2
+        s_new = s + h
+        k5 = f(s_new, y + hc * (_A[5][0] * k0 + _A[5][1] * k1 + _A[5][2] * k2
                                 + _A[5][3] * k3 + _A[5][4] * k4))
         y_new = y + hc * (_B[0] * k0 + _B[2] * k2 + _B[3] * k3
                           + _B[4] * k4 + _B[5] * k5)
-        k6 = f(s + h, y_new)
+        k6 = f(s_new, y_new)
         err = hc * (_E[0] * k0 + _E[2] * k2 + _E[3] * k3 + _E[4] * k4
                     + _E[5] * k5 + _E[6] * k6)
         ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
@@ -559,7 +559,6 @@ def integrate_batch(
         # step and shrinks it, as in integrate
         with np.errstate(divide="ignore"):
             factor = np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP))
-        tries += 1
         acc = np.flatnonzero(enorm <= 1.0)
         nsteps += acc.size
         nrejected += rows.size - acc.size
@@ -568,63 +567,79 @@ def integrate_batch(
             h = h_next
             continue
 
-        # accepted rows (fancy indexing copies): project, then look for
-        # events on the projected step
-        sa, ha = s[acc], h[acc]
-        s1, y1, f1 = sa + ha, y_new[acc], k6[acc]
+        # the accepted rows: views when every row is accepted, else copies;
+        # project, then look for events on the projected step
+        cols = slice(None) if acc.size == rows.size else acc
+        sa, ha, ya, fa, s1, y1, f1 = (s[cols], h[cols], y[cols], fs[cols], s_new[cols],
+                                      y_new[cols], k6[cols])
         if post_step is not None:
             y_proj = post_step(s1, y1)
             if y_proj is not None:
                 y1 = np.asarray(y_proj, dtype=float)
                 f1 = f(s1, y1)
-        step = _Steps(acc, ha, y[acc], y1, fs[acc], f1, (k2, k3, k4, k5, k6))
-        # the first terminal event ends a row's step at theta = t_end, where
-        # the row's state is y_end; later events are looked for before it
-        whole = np.ones(acc.size)
-        t_end, y_end = whole.copy(), y1
-        stop_ev = np.full(acc.size, -1)
-        for i, ev in enumerate(events):
-            if ev.terminal:
-                hit, root = step.crossings(ev, levels[i][rows[acc]], y1, whole)
-                first = root < t_end[hit]
-                t_end[hit[first]] = root[first]
-                stop_ev[hit[first]] = i
-        cut = np.flatnonzero(stop_ev >= 0)
-        if cut.size:
-            s1[cut] = sa[cut] + t_end[cut] * ha[cut]
+        # the earliest terminal root ends a row's step at theta = t_end,
+        # where the row's state is y_end (the first event on a tie); the
+        # steps it cuts are searched again up to it
+        t_end, y_end, cut = None, y1, None
+        j, hit, g0, g1 = watch.crossings(ya, y1, cols)
+        if j.size and watch.terminal[j].any():
+            stop = watch.terminal[j]
+            j, hit, g0, g1 = j[stop], hit[stop], g0[stop], g1[stop]
+            seg = segments(hit)
+            pick = np.arange(hit.size), watch.comp[j]
+            root = _level_roots(g0, *(a[pick] for a in seg[1:]), g1, 1.0, ha[hit],
+                                _ROOT_XTOL)
+            order = np.lexsort((j, root, hit))
+            first = order[np.unique(hit[order], return_index=True)[1]]
+            cut = hit[first]
+            t_end = np.ones(acc.size)
+            t_end[cut] = root[first]
+            s1[cut] = sa[cut] + root[first] * ha[cut]
             y_end = y1.copy()
-            y_end[cut] = step.at(cut, t_end[cut])
-            for i in np.unique(stop_ev[cut]).tolist():
-                mine = cut[stop_ev[cut] == i]
-                found[i].append((rows[acc[mine]], s1[mine], y_end[mine]))
-        for i, ev in enumerate(events):
-            if not ev.terminal:
-                hit, root = step.crossings(ev, levels[i][rows[acc]], y_end, t_end)
-                if hit.size:
-                    found[i].append((rows[acc[hit]], sa[hit] + root * ha[hit],
-                                     step.at(hit, root)))
+            y_end[cut] = _dense(root[first][:, None], *(a[first] for a in seg))
+            why[rows[acc[cut]]] = j[first]
+            found.append((j[first], rows[acc[cut]], s1[cut], y_end[cut]))
+            j, hit, g0, g1 = watch.crossings(ya, y_end, cols)
+        if j.size:
+            keep = ~watch.terminal[j]
+            j, hit, g0, g1 = j[keep], hit[keep], g0[keep], g1[keep]
+            crossed.append((j, rows[acc[hit]], sa[hit], ha[hit], g0, g1,
+                            np.ones(hit.size) if t_end is None else t_end[hit],
+                            *segments(hit)))
 
-        s[acc], y[acc], fs[acc] = s1, y_end, f1
-        done = (stop_ev >= 0) | (s1 >= s_end)
         h = h_next
+        if cols is acc:
+            s[acc], y[acc], fs[acc] = s1, y_end, f1
+        else:
+            s, y, fs = s1, y_end, f1
+        done = s1 >= s_end
+        if cut is not None:
+            done[cut] = True
         if done.any():
-            finish(rows[acc[done]], s1[done], y_end[done],
-                   [f"event:{i}" if i >= 0 else "completed"
-                    for i in stop_ev[done].tolist()])
+            gone = acc[done]
+            s_out[rows[gone]], y_out[rows[gone]] = s1[done], y_end[done]
             keep = np.ones(rows.size, dtype=bool)
-            keep[acc[done]] = False
-            rows, s, y, fs, h, tries = (rows[keep], s[keep], y[keep], fs[keep],
-                                        h[keep], tries[keep])
+            keep[gone] = False
+            rows, s, y, fs, h = rows[keep], s[keep], y[keep], fs[keep], h[keep]
+            watch.level = watch.level[:, keep]
 
-    def stacked(parts):
-        if not parts:
-            return (np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, dim)))
-        r, sr, yr = (np.concatenate(a) for a in zip(*parts))
-        order = np.argsort(r, kind="stable")
-        return r[order], sr[order], yr[order]
-
+    if crossed:
+        ev, r, sa, ha, g0, g1, t_end, *seg = (np.concatenate(a) for a in zip(*crossed))
+        pick = np.arange(ev.size), watch.comp[ev]
+        t = _level_roots(g0, *(a[pick] for a in seg[1:]), g1, t_end, ha, _ROOT_XTOL)
+        found.append((ev, r, sa + t * ha, _dense(t[:, None], *seg)))
+    ev, r, sr, yr = ((np.concatenate(a) for a in zip(*found)) if found else
+                     (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
+                      np.empty(0), np.empty((0, dim))))
+    # by event, then by row; each row's roots stay in parameter order
+    order = np.lexsort((r, ev))
+    ev, r, sr, yr = ev[order], r[order], sr[order], yr[order]
+    bounds = np.searchsorted(ev, np.arange(len(events) + 1))
     return BatchSolution(
-        s=s_out, y=y_out, status=status,
-        events={i: stacked(parts) for i, parts in found.items()},
+        s=s_out, y=y_out,
+        status=["completed" if k == -1 else "max_steps" if k == -2 else f"event:{k}"
+                for k in why.tolist()],
+        events={i: (r[a:b], sr[a:b], yr[a:b])
+                for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))},
         nsteps=nsteps, nrejected=nrejected,
     )

@@ -81,6 +81,14 @@ def wrap_angle(theta: float) -> float:
     return w
 
 
+def wrap_angles(theta: np.ndarray) -> np.ndarray:
+    """wrap_angle of every entry of an array, bit for bit: fmod is exact,
+    and so is the one turn that moves its result into (-pi, pi]."""
+    w = np.fmod(theta, 2.0 * math.pi)
+    return np.where(w > math.pi, w - 2.0 * math.pi,
+                    np.where(w <= -math.pi, w + 2.0 * math.pi, w))
+
+
 @dataclass(frozen=True)
 class Profile:
     """Warp function m with two derivatives, wind strength, and domain cap.

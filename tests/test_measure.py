@@ -260,6 +260,27 @@ def test_h_distance_sphere_up_to_the_equator(sphere, monkeypatch):
         assert d == pytest.approx(exact, abs=1e-10)
 
 
+def test_h_distance_sphere_past_the_equator(sphere, monkeypatch):
+    # m' = cos r < 0 past pi/2, so the connectors do not apply and shooting
+    # answers: its fan of level_crossings_batch at tol 1e-9, then brentq
+    real = measure._h_distance_shooting
+    answered = []
+
+    def spy(*args, **kwargs):
+        answered.append(real(*args, **kwargs))
+        return answered[-1]
+
+    monkeypatch.setattr(measure, "_h_distance_shooting", spy)
+    pairs = [((2.0, 0.0), (1.8, 1.0)), ((1.7, 0.4), (0.6, 2.5)), ((2.3, 0.2), (1.9, -1.9))]
+    for (r1, t1), (r2, t2) in pairs:
+        hav = (math.sin(0.5 * (r1 - r2)) ** 2
+               + math.sin(r1) * math.sin(r2) * math.sin(0.5 * (t2 - t1)) ** 2)
+        d = h_distance(sphere, SurfacePoint(r1, t1), SurfacePoint(r2, t2))
+        assert d == answered[-1]
+        assert d == pytest.approx(2.0 * math.asin(math.sqrt(hav)), abs=1e-9)
+    assert len(answered) == len(pairs)
+
+
 def test_h_distance_special_cases(parab):
     assert h_distance(parab, SurfacePoint(0.0, 0.0), SurfacePoint(2.0, 1.0)) == 2.0
     assert h_distance(parab, SurfacePoint(1.5, 0.7), SurfacePoint(1.5, 0.7)) == 0.0

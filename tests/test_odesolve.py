@@ -165,6 +165,32 @@ def test_batch_events_inside_one_step():
         assert found[5.0] == found[4.0] == []
 
 
+def test_roots_past_a_terminal_root_are_dropped():
+    # the step over [1.56, 7.81] crosses y = 3, where the terminal event
+    # ends the solution, and y = 4 beyond it: neither integrator keeps 4
+    one = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9,
+                    events=[EventSpec(lambda s, y: y[0] - 3.0, terminal=True),
+                            EventSpec(lambda s, y: y[0] - 4.0)])
+    rows = integrate_batch(lambda s, y: np.ones_like(y), 0.0, [[0.0]], 10.0, tol=1e-9,
+                           events=[LevelEvent(0, 3.0, terminal=True), LevelEvent(0, 4.0)])
+    assert one.status == rows.status[0] == "event:0"
+    assert one.s[-1] == pytest.approx(3.0, abs=1e-10)
+    assert [s for s, _ in one.events[0]] == pytest.approx([3.0], abs=1e-10)
+    assert one.events[1] == []
+    assert rows.events[0][1] == pytest.approx([3.0], abs=1e-12)
+    assert rows.events[1][1].size == 0
+
+
+def test_terminal_root_on_a_step_end_stops_the_row():
+    # the level is where y' = 1 ends its first step, so g reaches zero there
+    level = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9).y[1, 0]
+    rows = integrate_batch(lambda s, y: np.ones_like(y), 0.0, [[0.0]], 10.0, tol=1e-9,
+                           events=[LevelEvent(0, level, terminal=True)])
+    assert rows.status == ["event:0"]
+    assert rows.s[0] == pytest.approx(level, abs=1e-15)
+    assert rows.events[0][1] == pytest.approx([level], abs=1e-15)
+
+
 def test_steps_that_leave_the_domain_are_rejected():
     # the RHS is undefined beyond y = 1.2; steps that reach there are
     # rejected and shrunk until the terminal event at y = 1 stops the run

@@ -16,7 +16,7 @@ from randers import (
     make_paraboloid,
     wrap_angle,
 )
-from randers.profile import roots_on_grid, roots_on_grids
+from randers.profile import roots_on_grid, roots_on_grids, wrap_angles
 
 
 def test_paraboloid_closed_forms(parab):
@@ -216,6 +216,18 @@ def test_surface_point_and_wrap():
     assert wrap_angle(-math.pi) == pytest.approx(math.pi)
     with pytest.raises(InvalidParameterError):
         SurfacePoint(-0.1, 0.0)
+
+
+def test_wrap_angles_is_wrap_angle_bit_for_bit():
+    turns = np.arange(-9, 10) * math.pi
+    theta = np.concatenate([
+        np.random.default_rng(3).uniform(-60.0, 60.0, 4000), turns,
+        np.nextafter(turns, np.inf), np.nextafter(turns, -np.inf), [0.0, -0.0, 1e-300]])
+    wrapped = wrap_angles(theta)
+    expected = np.array([wrap_angle(t) for t in theta.tolist()])
+    assert np.array_equal(wrapped, expected)
+    assert np.array_equal(np.signbit(wrapped), np.signbit(expected))
+    assert np.all((wrapped > -math.pi) & (wrapped <= math.pi))
 
 
 def test_load_surface(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from randers import SurfacePoint, make_paraboloid
+from randers import SurfacePoint, make_paraboloid, odesolve
 from randers.errors import InvalidParameterError, NumericalBlowupError, VertexSingularError
 from randers.geodesics import GeodesicState, integrate_h, level_crossings_batch
 from randers.measure import shoot_hits
@@ -83,6 +83,51 @@ def test_batch_fan_matches_per_ray_oracle(r_level):
         np.testing.assert_allclose(y_c[:, 1], [th for _, th in expected], atol=1e-6)
         np.testing.assert_allclose(y_c[:, 0], r_level, atol=1e-9)
     assert {"meridian", "blowup", "exit-with-crossings"} <= seen
+
+
+def _spy(monkeypatch, name, log):
+    """Log every solution odesolve.<name> returns."""
+    real = getattr(odesolve, name)
+
+    def spy(*args, **kwargs):
+        log.append(real(*args, **kwargs))
+        return log[-1]
+
+    monkeypatch.setattr(odesolve, name, spy)
+
+
+@pytest.mark.parametrize("r_max,q,headings,horizon,r_level,steps", [
+    # the oracle test's fan, every ray starting on the level: meridians,
+    # rays past the vertex, domain exits and a blow-up
+    (2.5, SurfacePoint(1.0, 0.3),
+     np.concatenate([np.linspace(-math.pi, math.pi, 49), [math.pi - 1e-10]]), 6.0, 1.0,
+     None),
+    (20.0, SurfacePoint(1.146, 2.86), np.linspace(-math.pi, math.pi, 97), 3.0, 1.8,
+     (1473, 242)),
+])
+def test_fan_rows_do_not_depend_on_each_other(monkeypatch, r_max, q, headings, horizon,
+                                              r_level, steps):
+    """Each row of a fan is integrated and refined on its own: the whole fan
+    gives the crossings of one-row calls bit for bit, and its rows take
+    exactly integrate_h's steps and rejections."""
+    profile = make_paraboloid(1.0, r_max=r_max)
+    fan = _fan(profile, q, headings)
+    batches, rays = [], []
+    _spy(monkeypatch, "integrate_batch", batches)
+    whole = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
+    for row, (s_c, y_c) in zip(fan, whole):
+        s_1, y_1 = level_crossings_batch(profile, row[None], horizon, r_level, SCAN_TOL)[0]
+        assert np.array_equal(s_c, s_1) and np.array_equal(y_c, y_1)
+    _spy(monkeypatch, "integrate", rays)
+    for row in fan:
+        try:
+            integrate_h(profile, GeodesicState(*row), horizon, tol=SCAN_TOL)
+        except NumericalBlowupError:
+            pass
+    counts = (batches[0].nsteps, batches[0].nrejected)
+    assert counts == (sum(r.nsteps for r in rays), sum(r.nrejected for r in rays))
+    if steps is not None:
+        assert counts == steps
 
 
 @pytest.mark.parametrize("target", [CUT_POINT, CONTROL])
