@@ -26,7 +26,6 @@ from .geodesics import (
     on_export_grid,
     path_metadata,
     path_to_csv,
-    path_to_json,
     twist,
 )
 from .profile import (

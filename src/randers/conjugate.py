@@ -30,7 +30,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from . import odesolve
 from .errors import (
@@ -41,7 +40,6 @@ from .errors import (
 from .geodesics import GeodesicPath, GeodesicState, integrate_h
 from .measure import TwoRadiusConnectors, distance_F, shoot_hits
 from .profile import Profile, SurfacePoint, gauss_curvature, is_von_mangoldt
-from .zermelo import Tangent
 
 
 @dataclass(frozen=True)

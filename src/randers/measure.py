@@ -15,23 +15,23 @@ value nu / (1 + mu nu).  These identities hold exactly along exact
 geodesics; their sampled residuals measure integration quality.
 
 Two-point distances use the navigation correspondence: an F-geodesic of
-length T from q1 to q2 is an h-geodesic of length T from q1 to q2 rotated
-back by mu*T.  Since the wind speed mu*m is everywhere below 1, the function
-T -> d_h(q1, rot(-mu T) q2) - T is strictly decreasing and its unique zero
-is the F-distance.  On increasing warps the background distance d_h is the
-shortest connector of TwoRadiusConnectors: the geodesics from the lower
+length T is the h-geodesic of length T from the same point with its end
+rotated on by mu*T.  So the F-connectors from q1 to q2 are the h-geodesics
+from q1 to radius r2 whose swept angle plus mu times their length is
+theta2 - theta1 mod 2 pi, and d_F is the length of the shortest; at mu = 0
+they are the h-connectors and the shortest gives d_h.  On increasing warps
+one TwoRadiusConnectors query finds them all: the geodesics from the lower
 radius, parametrized by their launch heading chi, that reach the higher one
-after sweeping the target angle, found by refining in chi a table of the
-Clairaut quadrature forms.  Dense ODE shooting remains for other warps.
+within a sweep of pi, found by refining in chi a table of the Clairaut
+quadrature forms.  One fan of dense ODE shooting remains for other warps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import (
     InternalConsistencyError,
@@ -244,8 +244,10 @@ def clairaut_verify(profile: Profile, pathF: GeodesicPath) -> ClairautReport:
 
 @dataclass(frozen=True)
 class HConnector:
-    """One geodesic connector candidate between two radii with given sweep,
-    launched from the lower radius at heading chi."""
+    """One geodesic connector candidate between two radii, launched from the
+    lower radius at heading chi.  swept is the angle it sweeps from r1 to
+    r2 and nu its Clairaut constant, both signed by its orientation sigma
+    (+1 in the h-problem)."""
 
     kind: str        # "meridian" | "chain" | "direct" | "turning"
     nu: float
@@ -284,9 +286,9 @@ class TwoRadiusConnectors:
     sign changes of sweep - delta of every pair together, by
     profile.roots_on_grids in chi to the xtol that keeps sweep and length
     within tol / 8, each iteration one clairaut_angles call over all open
-    brackets, and accepts a root only where |sweep - delta| <= tol.  The
-    table pays off inside distance_F, whose outer root search re-queries one
-    pair with a rotating target, and in conjugate.cut_locus, which queries
+    brackets, and accepts a root only where |sweep - delta| <= tol; with a
+    wind, sweep - delta becomes the miss of the twisted end angle (see
+    connectors).  One query serves every pair: conjugate.cut_locus queries
     all of its samples at once.
 
     r_lo, r_hi, m_lo and xtol have the shape of r2; sweeps and lengths add
@@ -328,6 +330,7 @@ class TwoRadiusConnectors:
         slope = (np.abs(np.diff([sweeps, lengths], axis=-1)) / np.diff(self.chis)).max(axis=(0, 2))
         self._xtol = tol / (8.0 * np.maximum(slope, 1.0))
         self.xtol = self._xtol.reshape(shape)[()]
+        self.iterations = 0
 
     def sweep_length(self, chi):
         """(sweep, length) arrays of the connectors launched at the headings
@@ -366,43 +369,78 @@ class TwoRadiusConnectors:
         k = c_psi.size
         return angle[:k], length[:k], angle[k:], length[k:]
 
-    def connectors(self, delta: float):
-        """The connectors that sweep delta in [0, pi]: a list of HConnector
-        for a scalar r2, else one such list per radius of r2, in flat order.
+    def connectors(self, dtheta: float, mu: float = 0.0):
+        """The connectors whose end angle, twisted on by mu times their
+        length, is dtheta from their start mod 2 pi: a list of HConnector for
+        a scalar r2, else one such list per radius of r2, in flat order.
+        They are the roots in chi of
+
+            g(chi) = sigma * sweep(chi) + mu * length(chi) - dtheta - 2 pi k
+
+        for sigma = +-1 and every k where g changes sign or is 0 on the table,
+        each (pair, sigma, k) one row of roots_on_grids, refined to xtol and
+        accepted where |g| <= tol; swept and nu carry sigma, and
+        self.iterations counts the refinement iterations.  At mu = 0: the
+        h-connectors that sweep |wrap(dtheta)|, sigma = +1 and k = 0 only.
         Raises InternalConsistencyError where a pair has none."""
-        if not (0.0 <= delta <= math.pi + 1e-15):
-            raise InvalidParameterError(f"delta must be in [0, pi], got {delta}")
+        if not (math.isfinite(dtheta) and math.isfinite(mu)):
+            raise InvalidParameterError(f"dtheta and mu must be finite, got {dtheta}, {mu}")
         lo, hi, n = self._lo.tolist(), self._hi.tolist(), self._lo.size
-        if delta == 0.0:
-            out = [[HConnector("meridian", 0.0, b - a, 0.0, 0.0)] for a, b in zip(lo, hi)]
-            return out if np.ndim(self.r2) else out[0]
-        if abs(delta - math.pi) <= 1e-14:
-            delta = math.pi   # the chain's grid value, at chi = pi, is then a root
         sweeps, lengths = self.sweeps.reshape(n, -1), self.lengths.reshape(n, -1)
+        self.iterations = 0
+        dtheta = wrap_angle(dtheta)
+        if mu == 0.0:
+            dtheta = abs(dtheta)
+            if dtheta == 0.0:
+                out = [[HConnector("meridian", 0.0, b - a, 0.0, 0.0)] for a, b in zip(lo, hi)]
+                return out if np.ndim(self.r2) else out[0]
+            if abs(dtheta - math.pi) <= 1e-14:
+                dtheta = math.pi   # the chain's grid value, at chi = pi, is then a root
+            turns = [(p, 0) for p in range(n)]
+        else:
+            # one row per pair, orientation and k with dtheta + 2 pi k between
+            # the least and the greatest table value of the pair and orientation
+            v = np.concatenate([sweeps, -sweeps]) + mu * np.concatenate([lengths, lengths]) - dtheta
+            turns = [(i, k) for i, (a, b) in enumerate(zip(v.min(axis=1) / (2.0 * math.pi),
+                                                          v.max(axis=1) / (2.0 * math.pi)))
+                     for k in range(math.ceil(a), math.floor(b) + 1)]
+        i, k = np.array(turns, dtype=int).reshape(-1, 2).T
+        pair, sign, target = i % n, np.where(i < n, 1.0, -1.0), dtheta + 2.0 * math.pi * k
         seen = {}
 
-        def miss(pair, chi):
-            sweep, length = self._at(pair, chi)
-            seen.update(zip(zip(pair.tolist(), chi.tolist()),
-                            zip(sweep.tolist(), length.tolist())))
-            return sweep - delta
+        def g(row, sweep, length):
+            return sign[row] * sweep + mu * length - target[row]
 
-        pairs, chis = roots_on_grids(miss, self.chis, sweeps - delta, self._xtol)
+        def miss(row, chi):
+            self.iterations += 1
+            sweep, length = self._at(pair[row], chi)
+            seen.update(zip(zip(pair[row].tolist(), chi.tolist()),
+                            zip(sweep.tolist(), length.tolist())))
+            return g(row, sweep, length)
+
+        rows, chis = roots_on_grids(miss, self.chis,
+                                    g(np.arange(i.size)[:, None], sweeps[pair], lengths[pair]),
+                                    self._xtol[pair])
         # a root where miss never ran is a grid point: its values are in the table
         grid = np.minimum(np.searchsorted(self.chis, chis), self.chis.size - 1)
         out: list[list[HConnector]] = [[] for _ in range(n)]
-        for p, chi, j in zip(pairs.tolist(), chis.tolist(), grid.tolist()):
+        for row, chi, j in zip(rows.tolist(), chis.tolist(), grid.tolist()):
+            p, s = int(pair[row]), float(sign[row])
+            if chi in (0.0, math.pi) and any(c.chi == chi for c in out[p]):
+                continue   # the meridian or the chain, once per orientation
             sweep, length = seen.get((p, chi), (float(sweeps[p, j]), float(lengths[p, j])))
-            if not abs(sweep - delta) <= self.tol:
+            if not abs(g(row, sweep, length)) <= self.tol:
                 raise InternalConsistencyError(
-                    f"connector at chi = {chi} sweeps {sweep}, not {delta} to {self.tol}")
-            kind = "chain" if chi == math.pi else "direct" if chi <= 0.5 * math.pi else "turning"
-            nu = 0.0 if kind == "chain" else float(self._m_lo[p]) * math.sin(chi)
-            out[p].append(HConnector(kind, nu, length, sweep, chi))
+                    f"connector at chi = {chi} misses dtheta = {dtheta} by "
+                    f"{g(row, sweep, length)}, more than {self.tol}")
+            kind = ("meridian" if chi == 0.0 else "chain" if chi == math.pi
+                    else "direct" if chi <= 0.5 * math.pi else "turning")
+            nu = 0.0 if kind == "chain" else s * float(self._m_lo[p]) * math.sin(chi)
+            out[p].append(HConnector(kind, nu, length, s * sweep, chi))
         for p, cands in enumerate(out):
             if not cands:
-                raise InternalConsistencyError(
-                    f"no connector between radii {lo[p]} and {hi[p]} sweeps delta = {delta}")
+                raise InternalConsistencyError(f"no connector between radii {lo[p]} and "
+                                               f"{hi[p]} meets dtheta = {dtheta} at mu = {mu}")
         return out if np.ndim(self.r2) else out[0]
 
 
@@ -451,52 +489,57 @@ def _check_increasing_warp(profile: Profile, r_hi: float) -> bool:
 
 
 def h_distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
-               tol: float = 1e-10,
-               solver: TwoRadiusConnectors | None = None) -> float:
-    """Background (Riemannian) distance between two points.
+               tol: float = 1e-10) -> float:
+    """Background (Riemannian) distance between two points."""
+    return _distance(profile, q1, q2, 0.0, tol)[0]
 
-    The shortest TwoRadiusConnectors connector on profiles whose warp is
-    strictly increasing over the relevant radii; dense ODE shooting only
-    where the warp is not monotone.  A prebuilt TwoRadiusConnectors for
-    (q1.r, q2.r) may be passed to amortize its table over repeated queries.
-    """
-    if q1.r == 0.0:
-        return q2.r
-    if q2.r == 0.0:
-        return q1.r
+
+def _distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint, mu: float,
+              tol: float) -> tuple[float, int]:
+    """(d, iterations): the length d of the shortest geodesic from q1 to q2
+    twisted by mu (d_F under the profile's wind, d_h at mu = 0), from one
+    connector query at tol where the warp increases, else from one
+    _h_distance_shooting fan (0 iterations)."""
+    if q1.r == 0.0 or q2.r == 0.0:
+        return q1.r + q2.r, 0
     delta = abs(wrap_angle(q2.theta - q1.theta))
     if delta == 0.0 and q1.r == q2.r:
-        return 0.0
-    # Near-field shortcut: within chart distance 1e-5 the geodesic distance
-    # equals the chart distance up to O(curvature * d^3) ~ 1e-15.
-    chart = math.hypot(q2.r - q1.r,
-                       float(profile.m(0.5 * (q1.r + q2.r))) * delta)
-    if chart < 1e-5:
-        return chart
+        return 0.0, 0
+    if mu == 0.0:
+        # Near-field shortcut: within chart distance 1e-5 the geodesic distance
+        # equals the chart distance up to O(curvature * d^3) ~ 1e-15.
+        chart = math.hypot(q2.r - q1.r,
+                           float(profile.m(0.5 * (q1.r + q2.r))) * delta)
+        if chart < 1e-5:
+            return chart, 0
     if not _check_increasing_warp(profile, max(q1.r, q2.r)):
-        return _h_distance_shooting(profile, q1, q2)
-    if solver is None:
-        solver = TwoRadiusConnectors(profile, q1.r, q2.r, tol=tol)
-    return min(c.length for c in solver.connectors(delta))
+        return _h_distance_shooting(profile, q1, q2, twist_mu=mu), 0
+    table = TwoRadiusConnectors(profile, q1.r, q2.r, tol=tol)
+    cands = table.connectors(q2.theta - q1.theta, mu)
+    return min(c.length for c in cands), table.iterations
 
 
 def _h_distance_shooting(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
-                         n_scan: int = 360, tol: float = 1e-9) -> float:
-    """Dense ODE shooting over the initial heading; used when the warp is
-    not monotone so the quadrature families do not enumerate connectors."""
-    horizon = q1.r + q2.r + math.pi * float(profile.m(max(q1.r, q2.r))) + 1.0
+                         n_scan: int = 360, tol: float = 1e-9,
+                         twist_mu: float = 0.0) -> float:
+    """The shortest geodesic from q1 to q2 twisted by twist_mu, by one
+    shoot_hits fan over the headings [-pi, pi], endpoint included.  A
+    shortest hit above the through-vertex bound r1 + r2 (+ tol) missed the
+    minimizer and raises SearchHorizonError."""
+    bound = q1.r + q2.r
+    horizon = 1.05 * bound + 0.5   # a margin past the bound, where no hit answers
     hits = shoot_hits(
         profile, q1, q2.r, q2.theta,
-        headings=np.linspace(-math.pi, math.pi, n_scan, endpoint=False),
-        horizon=horizon, twist_mu=0.0, tol=tol,
+        headings=np.linspace(-math.pi, math.pi, n_scan + 1),
+        horizon=horizon, twist_mu=twist_mu, tol=tol,
     )
     best = min((h[1] for h in hits), default=math.inf)
-    best = min(best, q1.r + q2.r if abs(wrap_angle(q2.theta - q1.theta)) == math.pi
-               else math.inf)
-    if not math.isfinite(best):
+    if abs(wrap_angle(q2.theta - q1.theta - twist_mu * bound)) == math.pi:
+        best = min(best, bound)   # the chain through the vertex
+    if not best <= bound + tol:
         raise SearchHorizonError(
-            f"no connector found within horizon {horizon}", lower_bound=horizon
-        )
+            f"no connector within the through-vertex bound {bound}; the shortest "
+            f"found within horizon {horizon} has length {best}", lower_bound=horizon)
     return best
 
 
@@ -614,56 +657,17 @@ class DistanceReport:
 
 
 def distance_F_report(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
-                      tol: float = 1e-9, t_max: float | None = None
-                      ) -> DistanceReport:
-    """Navigation distance d_F(q1, q2) with solver diagnostics.
-
-    Solves d_h(q1, rot(-mu T) q2) = T for the smallest positive T.  The
-    through-vertex bound d_F <= r1 + r2 always brackets the root; t_max only
-    guards against a misconfigured fallback search.
-    """
+                      tol: float = 1e-9) -> DistanceReport:
+    """Navigation distance d_F(q1, q2) with diagnostics: iterations counts
+    the refinement iterations in chi of _distance, and bracket is the
+    through-vertex interval (0, r1 + r2) that holds d_F."""
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
-    mu = profile.mu
-    if t_max is None:
-        t_max = 4.0 * (q1.r + q2.r + math.pi * float(profile.m(max(q1.r, q2.r, 1e-9))))
-    if q1.r == q2.r and wrap_angle(q1.theta - q2.theta) == 0.0:
-        return DistanceReport((q1.r, q1.theta), (q2.r, q2.theta), 0.0, tol, 0,
-                              (0.0, 0.0), True)
-    if q1.r == 0.0:
-        return DistanceReport((q1.r, q1.theta), (q2.r, q2.theta), q2.r, tol, 0,
-                              (q2.r, q2.r), True)
-
-    solver = None
-    if q2.r > 0.0 and _check_increasing_warp(profile, max(q1.r, q2.r)):
-        solver = TwoRadiusConnectors(profile, q1.r, q2.r)
-
-    def g(T: float) -> float:
-        target = SurfacePoint(q2.r, q2.theta - mu * T)
-        return h_distance(profile, q1, target, solver=solver) - T
-
-    hi = q1.r + q2.r
-    if hi > t_max:
-        raise SearchHorizonError(f"bracket {hi} exceeds search horizon {t_max}",
-                                 lower_bound=t_max)
-    g_hi = g(hi)
-    if g_hi > 0.0:
-        raise SearchHorizonError(
-            f"no root bracketed below T = {hi}; g({hi}) = {g_hi}",
-            lower_bound=hi,
-        )
-    if g_hi == 0.0:
-        # the through-vertex bound is the root; brentq would return it
-        # without setting its iteration count
-        return DistanceReport((q1.r, q1.theta), (q2.r, q2.theta), hi, tol, 0,
-                              (0.0, hi), True)
-    t_root, res = brentq(g, 0.0, hi, xtol=tol, full_output=True)
-    return DistanceReport(
-        (q1.r, q1.theta), (q2.r, q2.theta), float(t_root), tol,
-        int(res.iterations), (0.0, hi), bool(res.converged),
-    )
+    d, iterations = _distance(profile, q1, q2, profile.mu, tol)
+    return DistanceReport((q1.r, q1.theta), (q2.r, q2.theta), d, tol, iterations,
+                          (0.0, q1.r + q2.r), True)
 
 
 def distance_F(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
-               tol: float = 1e-9, t_max: float | None = None) -> float:
-    return distance_F_report(profile, q1, q2, tol=tol, t_max=t_max).distance
+               tol: float = 1e-9) -> float:
+    return distance_F_report(profile, q1, q2, tol=tol).distance

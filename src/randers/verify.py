@@ -18,7 +18,6 @@ import numpy as np
 from . import conjugate, embed, measure
 from .geodesics import (
     GeodesicState,
-    clairaut_constant,
     f_geodesic_residual,
     integrate_F,
     integrate_h,

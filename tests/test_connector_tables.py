@@ -171,8 +171,7 @@ def test_family_through_tangency_and_h_distance_match_closed_forms(name):
             else:
                 d = 2.0 * math.asin(math.sqrt(math.sin(0.5 * (r2 - r1)) ** 2
                                               + math.sin(r1) * math.sin(r2) * h * h))
-            got = h_distance(profile, SurfacePoint(r1, 0.3), SurfacePoint(r2, 0.3 + delta),
-                             solver=solver)
+            got = h_distance(profile, SurfacePoint(r1, 0.3), SurfacePoint(r2, 0.3 + delta))
             assert got == pytest.approx(d, abs=1e-10)
 
 
@@ -305,3 +304,32 @@ def test_cut_locus_matches_recorded(parab, surface, s_max, n):
     assert abs(arc.c - 2.0) <= 1e-11   # the closed form rho + 1 / rho
     np.testing.assert_allclose(arc.dist, want, rtol=0, atol=1e-9)
     np.testing.assert_allclose(arc.theta, math.pi + profile.mu * want, rtol=0, atol=1e-9)
+
+
+def test_cut_points_have_a_mirror_pair_of_F_connectors():
+    """Under the wind, the connectors of an interior point of the navigation
+    cut locus begin with the twisted mirror pair of h-minimizers: opposite
+    orientations, sweeps of +-pi, both of the arc's length T; at the
+    conjugate point where the arc starts the chain is the one connector."""
+    p = make_paraboloid(1.0)
+    q = SurfacePoint(1.0, 0.3)
+    arc = cut_locus(p, q, s_export_max=5.0, n_samples=5)
+    for i in range(5):
+        y = arc.point_at_index(i)
+        cands = sorted(TwoRadiusConnectors(p, q.r, y.r).connectors(y.theta - q.theta, p.mu),
+                       key=lambda c: c.length)
+        if i == 0:
+            assert [c.kind for c in cands] == ["chain"]
+            continue
+        a, b = cands[:2]
+        assert sorted([a.swept, b.swept]) == pytest.approx([-math.pi, math.pi], abs=1e-9)
+        assert a.nu == pytest.approx(-b.nu, abs=1e-12)
+        assert a.length == pytest.approx(arc.dist[i], abs=1e-9)
+        assert b.length == pytest.approx(arc.dist[i], abs=1e-9)
+        assert all(c.length > arc.dist[i] + 0.1 for c in cands[2:])
+
+
+@pytest.mark.parametrize("dtheta,mu", [(float("nan"), 0.0), (float("inf"), 1.0), (1.0, float("nan"))])
+def test_connectors_reject_bad_queries(dtheta, mu):
+    with pytest.raises(InvalidParameterError):
+        TwoRadiusConnectors(make_paraboloid(1.0), 1.0, 2.0).connectors(dtheta, mu)

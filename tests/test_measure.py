@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from randers import SurfacePoint, Tangent, eval_F, make_custom, make_paraboloid, measure
+from randers import (
+    SearchHorizonError,
+    SurfacePoint,
+    Tangent,
+    eval_F,
+    make_custom,
+    make_paraboloid,
+    measure,
+)
 from randers.geodesics import GeodesicState, integrate_F, integrate_h, twist
 from randers.measure import (
     ClairautReport,
@@ -281,6 +289,24 @@ def test_h_distance_sphere_past_the_equator(sphere, monkeypatch):
     assert len(answered) == len(pairs)
 
 
+@pytest.mark.parametrize("r1,r2,dth", [(1.7, 0.3, math.pi - 0.05), (1.9, 0.8, math.pi - 0.01),
+                                       (1.65, 1.2, math.pi - 0.002)])
+def test_h_distance_sphere_minimizer_launched_near_the_scan_end(sphere, r1, r2, dth):
+    # the minimizers of these pairs leave q1 at a heading in
+    # [pi - pi/180, pi] or its mirror, the bracket that closes the circle
+    for sign in (1.0, -1.0):
+        d = h_distance(sphere, SurfacePoint(r1, 0.0), SurfacePoint(r2, sign * dth))
+        assert d == pytest.approx(_sphere_arc(r1, r2, sign * dth), abs=1e-9)
+
+
+def test_h_distance_longer_than_the_through_vertex_bound_raises(sphere):
+    # the great circle from (1.5, 0.3) to (2.4, 3.2) leaves the cap
+    # r <= r_max = 2.8, so the fan's shortest hit, 3.928, is a longer
+    # geodesic that stays inside; r1 + r2 = 3.9 shows it is no distance
+    with pytest.raises(SearchHorizonError):
+        h_distance(sphere, SurfacePoint(1.5, 0.3), SurfacePoint(2.4, 3.2))
+
+
 def test_h_distance_special_cases(parab):
     assert h_distance(parab, SurfacePoint(0.0, 0.0), SurfacePoint(2.0, 1.0)) == 2.0
     assert h_distance(parab, SurfacePoint(1.5, 0.7), SurfacePoint(1.5, 0.7)) == 0.0
@@ -327,22 +353,29 @@ def test_distance_F_asymmetry_on_parallel(parab):
 
 
 def test_distance_F_report(parab):
+    # (2, 1) is the end of the twisted outward meridian of length 1 from
+    # (1, 0), a connector at a heading of the table
     rep = distance_F_report(parab, SurfacePoint(1.0, 0.0),
                             SurfacePoint(2.0, 1.0), tol=1e-9)
-    assert rep.converged and rep.iterations > 0
+    assert rep.converged and 0 <= rep.iterations <= 100
+    assert rep.distance == pytest.approx(1.0, abs=1e-9)
     d = rep.to_dict()
     assert d["q1"] == {"r": 1.0, "theta": 0.0}
     assert d["distance"] == rep.distance
-    assert d["bracket"][1] == pytest.approx(3.0)
+    assert d["bracket"] == [0.0, 3.0]
+    # off the table's headings the connector is refined in chi
+    rep = distance_F_report(parab, SurfacePoint(1.0, 0.0),
+                            SurfacePoint(2.0, 2.0), tol=1e-9)
+    assert rep.converged and 0 < rep.iterations <= 100
 
 
 def test_distance_F_report_root_at_the_bound(parab):
-    # T = r1 + r2 rotates q2 onto the opposite meridian, where the chain
-    # through the vertex has length exactly r1 + r2: g(hi) == 0
+    # the twisted chain through the vertex, of length exactly r1 + r2, ends
+    # at q2: its value at the table's heading pi is 0
     rep = distance_F_report(parab, SurfacePoint(0.5, 0.0),
                             SurfacePoint(0.7, math.pi + 1.2), tol=1e-9)
     assert rep.distance == 1.2
-    assert rep.iterations == 0 and rep.converged
+    assert rep.converged
     assert rep.bracket == (0.0, 1.2)
 
 
@@ -384,13 +417,85 @@ def test_distance_F_quasi_metric(parab, rng):
 # -------------------------------------------------- connector coverage
 
 
-def _flat_navigation_distance(q1, q2, mu):
-    """d_F on the plane m(r) = r under the wind mu d/dtheta: the smallest T
-    with chord(q1, rot(-mu T) q2) = T, by the chord law."""
+def _flat_chord(r1, r2, dth):
+    """Distance on the plane m(r) = r, by the chord law."""
+    h = math.sin(0.5 * dth)
+    return math.sqrt((r1 - r2) ** 2 + 4.0 * r1 * r2 * h * h)
+
+
+def _sphere_arc(r1, r2, dth):
+    """Distance on the sphere m(r) = sin r, by the haversine form of the
+    spherical law of cosines."""
+    hav = math.sin(0.5 * (r1 - r2)) ** 2 + math.sin(r1) * math.sin(r2) * math.sin(0.5 * dth) ** 2
+    return 2.0 * math.asin(math.sqrt(hav))
+
+
+def _navigation_distance(q1, q2, mu, d_h=_flat_chord):
+    """d_F under the wind mu d/dtheta over the background distance
+    d_h(r1, r2, dtheta): the smallest T with d_h(q1, rot(-mu T) q2) = T."""
     def miss(t):
-        h = math.sin(0.5 * (q2.theta - mu * t - q1.theta))
-        return math.sqrt((q1.r - q2.r) ** 2 + 4.0 * q1.r * q2.r * h * h) - t
+        return d_h(q1.r, q2.r, q2.theta - mu * t - q1.theta) - t
     return brentq(miss, 0.0, q1.r + q2.r, xtol=1e-14, rtol=4.0 * 2.0**-52)
+
+
+def _no_shooting(*args, **kwargs):
+    raise AssertionError("distance_F fell back to shooting")
+
+
+def _pairs(rng, n, radii):
+    r1, r2 = rng.uniform(*radii, (2, n))
+    t1, t2 = rng.uniform(-math.pi, math.pi, (2, n))
+    return [(SurfacePoint(float(a), float(b)), SurfacePoint(float(c), float(d)))
+            for a, b, c, d in zip(r1, t1, r2, t2)]
+
+
+def test_distance_F_flat_matches_the_chord_law(flat, rng, monkeypatch):
+    monkeypatch.setattr(measure, "_h_distance_shooting", _no_shooting)
+    for q1, q2 in _pairs(rng, 20, (0.3, 8.0)):
+        d = distance_F(flat, q1, q2, tol=1e-11)
+        assert d == pytest.approx(_navigation_distance(q1, q2, flat.mu), abs=1e-10)
+
+
+def test_distance_F_sphere_cap_matches_the_law_of_cosines(sphere, rng, monkeypatch):
+    # below the equator m' = cos r > 0: one query of the connector table
+    monkeypatch.setattr(measure, "_h_distance_shooting", _no_shooting)
+    for q1, q2 in _pairs(rng, 12, (0.2, 1.5)):
+        d = distance_F(sphere, q1, q2, tol=1e-11)
+        assert d == pytest.approx(_navigation_distance(q1, q2, sphere.mu, _sphere_arc),
+                                  abs=1e-10)
+
+
+def test_distance_F_sphere_past_the_equator(sphere, monkeypatch):
+    # m' = cos r < 0 past pi/2: one fan of twisted geodesics answers; the
+    # parent's root search in T raised on the second pair, rotating q2 to
+    # where no geodesic inside r_max reaches
+    real, answered = measure._h_distance_shooting, []
+
+    def spy(*args, **kwargs):
+        answered.append(real(*args, **kwargs))
+        return answered[-1]
+
+    monkeypatch.setattr(measure, "_h_distance_shooting", spy)
+    for q1, q2 in [(SurfacePoint(2.0, 0.0), SurfacePoint(1.8, 1.0)),
+                   (SurfacePoint(2.3, 0.2), SurfacePoint(1.9, -1.9))]:
+        d = distance_F(sphere, q1, q2)
+        assert d == answered[-1]
+        assert d == pytest.approx(_navigation_distance(q1, q2, sphere.mu, _sphere_arc),
+                                  abs=1e-9)
+
+
+def test_distance_F_sphere_grazing_pair_is_never_wrong(sphere):
+    # the minimizer from (1.7, 0.4) to (0.6, 2.5) turns at r ~ 0.599, just
+    # inside the target radius; a fan that misses its two grazing crossings
+    # must raise rather than answer with a longer geodesic
+    q1, q2 = SurfacePoint(1.7, 0.4), SurfacePoint(0.6, 2.5)
+    exact = _navigation_distance(q1, q2, sphere.mu, _sphere_arc)
+    assert exact == pytest.approx(1.775553320823, abs=1e-11)
+    try:
+        d = distance_F(sphere, q1, q2)
+    except SearchHorizonError:
+        return
+    assert d == pytest.approx(exact, abs=1e-9)
 
 
 def test_distance_of_a_flat_pair_in_the_connector_gap(flat):
@@ -399,7 +504,7 @@ def test_distance_of_a_flat_pair_in_the_connector_gap(flat):
     q1 = SurfacePoint(2.3618736928659563, 0.0)
     q2 = SurfacePoint(2.358282187899393, 0.2442393082657346)
     d = distance_F_report(flat, q1, q2, tol=1e-9).distance
-    assert d == pytest.approx(_flat_navigation_distance(q1, q2, flat.mu), abs=2e-9)
+    assert d == pytest.approx(_navigation_distance(q1, q2, flat.mu), abs=2e-9)
 
 
 # paraboloid pairs (r1, r2, theta2 - theta1): generic, nearly equal radii
