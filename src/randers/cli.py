@@ -54,6 +54,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _g(x: float) -> str:
     return f"{x:.17g}"
 
@@ -68,7 +75,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--mu", type=float, default=None,
                         help="wind strength override (default 1.0 paraboloid)")
     common.add_argument("--tol-ode", type=float, default=1e-10)
-    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--seed", type=_seed, default=0)
     common.add_argument("--out", metavar="DIR", default=".",
                         help="output directory for exported files")
     common.add_argument("--format", choices=("csv", "json", "obj"),
@@ -230,6 +237,7 @@ def cmd_geodesic(args) -> int:
             written.append(_export_pullback_report(profile, args, outdir))
     else:
         q = SurfacePoint(args.r0, args.theta0)
+        profile.check_radius(q.r)
         if args.r0 == 0.0:
             f_path = integrate_F(profile, q, Tangent(1.0, 0.0), args.length,
                                  tol=args.tol_ode)

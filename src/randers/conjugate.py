@@ -29,7 +29,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import odesolve
 from .errors import (
@@ -39,7 +38,7 @@ from .errors import (
 )
 from .geodesics import GeodesicPath, GeodesicState, integrate_h
 from .measure import TwoRadiusConnectors, distance_F, shoot_hits
-from .profile import Profile, SurfacePoint, gauss_curvature, is_von_mangoldt
+from .profile import Profile, SurfacePoint, gauss_curvature, is_von_mangoldt, quad
 
 
 @dataclass(frozen=True)

@@ -39,11 +39,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import InvalidParameterError, NotEmbeddableError
 from .geodesics import GeodesicPath, cumulative_path_integral
-from .profile import Profile, SurfacePoint
+from .profile import Profile, SurfacePoint, quad
 from .zermelo import Tangent, eval_F
 
 # Height table: panels of at most _HEIGHT_PANEL in r, each integrated by

@@ -36,7 +36,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad  # unused here; bench/tracer.py wraps geodesics.quad
 
 from . import odesolve
 from .errors import (
@@ -47,7 +46,8 @@ from .errors import (
     NumericalBlowupError,
     VertexSingularError,
 )
-from .profile import Profile, SurfacePoint, as_float_array, roots_on_grid
+# quad is unused here; bench/tracer.py wraps geodesics.quad
+from .profile import Profile, SurfacePoint, as_float_array, quad, roots_on_grid  # noqa: F401
 from .zermelo import Tangent, eval_F, eval_F_array
 
 # States with |dtheta| below this are integrated as exact meridians: their
@@ -187,8 +187,7 @@ def _r_floor(nu):
 def _check_length_tol(length: float, tol: float) -> None:
     if not (math.isfinite(length) and length > 0):
         raise InvalidParameterError(f"length must be finite and > 0, got {length}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    odesolve.check_tol(tol)
 
 
 def integrate_h(profile: Profile, state0: GeodesicState, length: float,
@@ -209,6 +208,7 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     exit_reason = "domain-exit".
     """
     _check_length_tol(length, tol)
+    profile.check_radius(state0.r)
     speed = h_speed(profile, state0)
     if abs(speed - 1.0) > _UNIT_SPEED_PRE_TOL:
         raise InvalidParameterError(
@@ -216,12 +216,13 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         )
     if abs(state0.dtheta) < _MERIDIAN_EPS:
         return _meridian_path(profile, state0, length, tol)
-    if state0.r <= 0.0:
-        raise VertexSingularError(
-            "cannot start at the vertex with nonzero angular speed"
-        )
-
     nu0 = clairaut_constant(profile, state0)
+    r_floor = _r_floor(nu0)
+    if state0.r <= r_floor:
+        raise VertexSingularError(
+            f"cannot start at the vertex, or within r = {r_floor} of it, "
+            "with nonzero angular speed"
+        )
     m_fn, m1_fn = profile.m, profile.m1
 
     def rhs(s: float, y: np.ndarray) -> tuple:
@@ -241,7 +242,6 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         drift["clairaut"] = max(drift["clairaut"], abs(m * m * dth - nu0))
         return np.array([r, th, dr, dth])
 
-    r_floor = _r_floor(nu0)
     events = [
         odesolve.EventSpec(lambda s, y: y[0] - profile.r_max, terminal=True, direction=1),
         odesolve.EventSpec(lambda s, y: y[0] - r_floor, terminal=True, direction=-1),
@@ -270,8 +270,8 @@ def level_crossings(path: GeodesicPath, r_level: float
                     ) -> tuple[np.ndarray, np.ndarray]:
     """Parameters and states where a sampled path crosses the parallel
     r = r_level: sign changes of r - r_level between samples (and samples
-    exactly on it), refined to 1e-12 by brentq on the dense output.  Two
-    crossings between the same pair of samples (a path grazing the
+    exactly on it), refined to 1e-12 by roots_on_grid on the dense output.
+    Two crossings between the same pair of samples (a path grazing the
     parallel within one step) cancel and are not seen."""
     s_c = np.array(roots_on_grid(lambda s: path.dense(s)[0] - r_level, path.s,
                                  path.states[:, 0] - r_level, xtol=1e-12))

@@ -307,6 +307,9 @@ class TwoRadiusConnectors:
             raise InvalidParameterError(
                 f"connectors join two radii > 0, got {r1} and {r2}")
         self._lo, self._hi = lo, np.maximum(r1, np.ravel(r2)).astype(float)
+        if not _check_increasing_warp(profile, float(self._hi.max())):
+            raise InvalidParameterError(
+                f"connector tables need a warp that increases on [0, {self._hi.max()}]")
         self._m_lo = as_float_array(profile.m(lo), lo.shape)
         self.r_lo, self.r_hi, self.m_lo = (v.reshape(shape)[()]
                                            for v in (self._lo, self._hi, self._m_lo))
@@ -499,8 +502,14 @@ def _distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint, mu: float,
     """(d, iterations): the length d of the shortest geodesic from q1 to q2
     twisted by mu (d_F under the profile's wind, d_h at mu = 0), from one
     connector query at tol where the warp increases, else from one
-    _h_distance_shooting fan (0 iterations)."""
-    if q1.r == 0.0 or q2.r == 0.0:
+    _h_distance_shooting fan (0 iterations).  A point within tol / 2 of the
+    vertex gives the path through it (0 iterations); a radius beyond r_max
+    raises InvalidParameterError."""
+    profile.check_radius(q1.r)
+    profile.check_radius(q2.r)
+    if min(q1.r, q2.r) <= 0.5 * tol:
+        # d(q, vertex) = r, so by the triangle inequality the path through
+        # the vertex is within 2 min(r1, r2) of the shortest
         return q1.r + q2.r, 0
     delta = abs(wrap_angle(q2.theta - q1.theta))
     if delta == 0.0 and q1.r == q2.r:
@@ -567,10 +576,10 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     floor has none.  Crossings of the target radius are indexed in
     parameter order, the wrapped angular miss of every crossing of the fan
     is taken in one array pass, and the miss of the k-th crossing is
-    bracketed between consecutive headings, then refined by brentq in the
-    heading, each iterate one integrate_h ray at refine_tol.  Brackets with
-    a miss above 2.5 rad are skipped, so that the angle wrap at +-pi does
-    not pass for a zero.
+    bracketed between consecutive headings, then refined by roots_on_grid
+    in the heading, each iterate one integrate_h ray at refine_tol.
+    Brackets with a miss above 2.5 rad are skipped, so that the angle wrap
+    at +-pi does not pass for a zero.
     """
     if q_from.r <= 0.0:
         raise VertexSingularError("headings do not parametrize rays from the vertex")

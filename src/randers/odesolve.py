@@ -44,12 +44,12 @@ Both take the same two hooks:
   the sampled states; the quartic term keeps the unprojected stages, which
   moves the interpolant by the O(tol) of the projection.
 * Events.  ``integrate`` takes EventSpec functions g(s, y); their sign
-  changes over accepted steps are refined by brentq on the step's dense
-  output.  ``integrate_batch`` takes LevelEvents, crossings of one state
-  component through a level (one per row, or shared); each root is refined
-  on its own by Newton on the component's quartic, a terminal one in the
-  iteration that crosses it, the others in one pass after the run.  A
-  crossing counts when g goes from one strict sign to zero or the other
+  changes over accepted steps are refined by roots_on_grid on the step's
+  dense output.  ``integrate_batch`` takes LevelEvents, crossings of one
+  state component through a level (one per row, or shared); each root is
+  refined on its own by Newton on the component's quartic, a terminal one
+  in the iteration that crosses it, the others in one pass after the run.
+  A crossing counts when g goes from one strict sign to zero or the other
   sign.  Terminal events stop the integration (a single row, in a batch) at
   the root inside the step, whose interpolant is kept whole; roots of other
   events past it are dropped.
@@ -85,7 +85,7 @@ _B_HAT = (
 )
 _E = tuple(b - bh for b, bh in zip(_B, _B_HAT))
 # the quartic term of the continuous extension: HNW's d_i (dopri5.f); in the
-# power form of scipy's RK45.P they are the coefficients of theta^4
+# power form of the interpolant they are the coefficients of theta^4
 _D = (
     -12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
     -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
@@ -96,6 +96,9 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -1.0 / 5.0
+# The loosest tol accepted: a looser one lets the controller grow steps
+# until the stages evaluate the right-hand side far outside its domain.
+MAX_TOL = 1e-2
 
 
 @dataclass
@@ -183,12 +186,17 @@ def _initial_step(y0, f0, h_max):
     return np.minimum(0.01 * d0 / d1, h_max)
 
 
+def check_tol(tol) -> None:
+    """InvalidParameterError unless 0 < tol <= MAX_TOL."""
+    if not 0.0 < tol <= MAX_TOL:
+        raise InvalidParameterError(f"tol must lie in (0, {MAX_TOL}], got {tol}")
+
+
 def _check_span_tol(s0, s_end, tol) -> None:
     if not (math.isfinite(s0) and math.isfinite(s_end) and s_end > s0):
         raise InvalidParameterError(
             f"integration needs finite s0 < s_end, got [{s0}, {s_end}]")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+    check_tol(tol)
 
 
 def integrate(
@@ -215,8 +223,9 @@ def integrate(
     Returns an ODESolution whose status is ``completed``, the name of a
     terminal event, or ``max_steps``; called with parameters, it reads the
     continuous extension of its steps.  Event roots are refined to 1e-10 by
-    brentq on the continuous extension of the step that crosses; a terminal
-    event ends the samples at its root, and roots past it are dropped.
+    roots_on_grid on the continuous extension of the step that crosses; a
+    terminal event ends the samples at its root, and roots past it are
+    dropped.
     """
     _check_span_tol(s0, s_end, tol)
     y_arr = np.asarray(y0, dtype=float).copy()

@@ -24,7 +24,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import InternalConsistencyError, InvalidParameterError
 from .expressions import compile_expression
@@ -44,6 +43,8 @@ _EMBED_GRID = 10_000
 # Iterations roots_on_grids allows a bracket: bisection alone halves a
 # bracket of width pi to 1e-16 in 55.
 _ROOT_MAXITER = 100
+# Ulps of the bracket ends added to a root's xtol.
+_ROOT_ULPS = 4.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -150,6 +151,11 @@ class Profile:
 
         return HeightTable(self)
 
+    def check_radius(self, r: float) -> None:
+        """InvalidParameterError unless 0 <= r <= r_max."""
+        if not 0.0 <= r <= self.r_max:
+            raise InvalidParameterError(f"radius {r} lies outside [0, r_max = {self.r_max}]")
+
     def boundedness_margin(self, n: int = 2048) -> float:
         """min over a dense grid of 1 - mu*m(r); must stay strictly positive."""
         rr = np.linspace(0.0, self.r_max, n)
@@ -157,15 +163,28 @@ class Profile:
 
 
 def _validate_profile(p: Profile) -> None:
+    # an expression that divides by zero, overflows or leaves its domain on
+    # [0, r_max] is a bad profile, not an engine failure
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            _check_profile_values(p)
+    except ArithmeticError as exc:
+        raise InvalidParameterError(f"profile functions fail on [0, r_max]: {exc}") from exc
+
+
+def _check_profile_values(p: Profile) -> None:
     m0 = float(p.m(0.0))
     m1_0 = float(p.m1(0.0))
-    if abs(m0) > _VERTEX_TOL:
+    if not abs(m0) <= _VERTEX_TOL:
         raise InvalidParameterError(f"m(0) must vanish, got {m0}")
-    if abs(m1_0 - 1.0) > _VERTEX_TOL:
+    if not abs(m1_0 - 1.0) <= _VERTEX_TOL:
         raise InvalidParameterError(f"m'(0) must equal 1, got {m1_0}")
 
     rr = np.linspace(0.0, p.r_max, _VALIDATION_POINTS)
     mm = np.asarray(p.m(rr), dtype=float)
+    for name, values in (("m", mm), ("m'", p.m1(rr)), ("m''", p.m2(rr))):
+        if not np.all(np.isfinite(values)):
+            raise InvalidParameterError(f"{name} must be finite on [0, r_max]")
     if np.any(mm[1:] <= 0.0):
         bad = rr[1:][mm[1:] <= 0.0][0]
         raise InvalidParameterError(f"m(r) must be positive on (0, r_max]; m({bad}) <= 0")
@@ -200,9 +219,9 @@ def make_paraboloid(mu: float, r_max: float = DEFAULT_R_MAX) -> Profile:
     The warp is automatically bounded by 1/mu, so the rotational wind of
     strength mu is a mild breeze everywhere.
     """
-    if not (mu > 0):
-        raise InvalidParameterError(f"mu must be positive, got {mu}")
     mu2 = mu * mu
+    if not (mu > 0 and math.isfinite(mu2)):
+        raise InvalidParameterError(f"mu must be positive, with a finite square, got {mu}")
 
     def m(r):
         return r / np.sqrt(mu2 * r * r + 1.0)
@@ -261,26 +280,29 @@ def load_surface(config) -> Profile:
          "mu": 0.5, "r_max": 10.0}
     """
     if isinstance(config, (str,)):
-        with open(config, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(config, "r", encoding="utf-8") as fh:
+                config = json.load(fh)
+        except FileNotFoundError:
+            raise
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            raise InvalidParameterError(f"cannot read surface file {config}: {exc}") from exc
     if not isinstance(config, dict):
         raise InvalidParameterError("surface definition must be a mapping or file path")
     kind = config.get("kind")
+    if kind not in ("paraboloid", "custom"):
+        raise InvalidParameterError(f"unknown surface kind: {kind!r}")
+    try:
+        mu = float(config.get("mu", 1.0))
+        r_max = float(config.get("r_max", DEFAULT_R_MAX))
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"mu and r_max must be numbers: {exc}") from exc
     if kind == "paraboloid":
-        return make_paraboloid(
-            mu=float(config.get("mu", 1.0)),
-            r_max=float(config.get("r_max", DEFAULT_R_MAX)),
-        )
-    if kind == "custom":
-        missing = [k for k in ("m", "m1", "m2") if k not in config]
-        if missing:
-            raise InvalidParameterError(f"custom surface missing keys: {missing}")
-        return make_custom(
-            m=config["m"], m1=config["m1"], m2=config["m2"],
-            mu=float(config.get("mu", 1.0)),
-            r_max=float(config.get("r_max", DEFAULT_R_MAX)),
-        )
-    raise InvalidParameterError(f"unknown surface kind: {kind!r}")
+        return make_paraboloid(mu=mu, r_max=r_max)
+    missing = [k for k in ("m", "m1", "m2") if k not in config]
+    if missing:
+        raise InvalidParameterError(f"custom surface missing keys: {missing}")
+    return make_custom(m=config["m"], m1=config["m1"], m2=config["m2"], mu=mu, r_max=r_max)
 
 
 def gauss_curvature(profile: Profile, r):
@@ -336,16 +358,86 @@ def is_von_mangoldt(profile: Profile, grid) -> VonMangoldtCheck:
     return VonMangoldtCheck(True, None, None)
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call: importing scipy
+    takes longer than most runs spend in it, and only certify_pole and the
+    height table's fallback panels integrate adaptively."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
+def _chandrupatla_point(x1, x2, t, xtol):
+    """Where Chandrupatla's method evaluates next in the bracket [x1, x2]
+    (x1 its newest point): the fraction t of the way from x1 to x2, kept
+    at least half the settling width inside the bracket; and that width,
+    xtol plus a few ulps of the bracket.  Floats or arrays alike."""
+    width = x2 - x1
+    if isinstance(width, np.ndarray):
+        tol = xtol + _ROOT_ULPS * np.maximum(np.abs(x1), np.abs(x2))
+        edge = 0.5 * tol / np.abs(width)
+        return x1 + np.clip(t, edge, 1.0 - edge) * width, tol
+    tol = xtol + _ROOT_ULPS * max(abs(x1), abs(x2))
+    edge = 0.5 * tol / abs(width)
+    return x1 + min(max(t, edge), 1.0 - edge) * width, tol
+
+
+def _chandrupatla_fraction(x1, x2, x3, f1, f2, f3):
+    """The next t of _chandrupatla_point after the bracket [x1, x2] (x1 the
+    point just found, x3 the point dropped): inverse quadratic
+    interpolation through the three points where Chandrupatla's test
+    allows it, else 0.5 (bisection).  Floats or arrays alike; arrays are
+    evaluated under np.errstate, because a repeated point or value makes
+    xi or phi inf or NaN there, which fails the test."""
+    arrays = isinstance(x1, np.ndarray)
+    if not arrays and (x3 == x2 or f3 == f2):
+        return 0.5
+    xi = (x1 - x2) / (x3 - x2)
+    phi = (f1 - f2) / (f3 - f2)
+    # the test also keeps every denominator below away from zero
+    interpolate = (phi * phi < xi) & ((1.0 - phi) * (1.0 - phi) < 1.0 - xi)
+    if not (arrays or interpolate):
+        return 0.5
+    t = (f1 / (f2 - f1) * f3 / (f2 - f3)
+         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2))
+    return np.where(interpolate, t, 0.5) if arrays else t
+
+
+def _chandrupatla(f, x1, x2, f1, f2, xtol: float) -> float:
+    """One bracket [x1, x2] with values f1, f2 of opposite signs, refined
+    on floats by the steps roots_on_grids takes on arrays."""
+    x3, f3 = x2, f2
+    x, tol = _chandrupatla_point(x1, x2, f1 / (f1 - f2), xtol)
+    # a grid bracket narrower than tol is settled before f runs
+    if abs(x2 - x1) >= tol:
+        for _ in range(_ROOT_MAXITER):
+            y = float(f(x))
+            if (y > 0.0 and f1 > 0.0) or (y < 0.0 and f1 < 0.0):
+                x3, f3 = x1, f1
+            else:
+                x3, f3, x2, f2 = x2, f2, x1, f1
+            x1, f1 = x, y
+            if abs(x2 - x1) < tol or y == 0.0:
+                break
+            t = _chandrupatla_fraction(x1, x2, x3, f1, f2, f3)
+            x, tol = _chandrupatla_point(x1, x2, t, xtol)
+        else:
+            raise InternalConsistencyError(
+                f"a bracket did not settle in {_ROOT_MAXITER} iterations, at {x1}")
+    return x1 if abs(f1) < abs(f2) else x2
+
+
 def roots_on_grid(f, grid, values, xtol: float) -> list[float]:
     """Roots of a scalar function bracketed on a strictly increasing grid.
 
     values[i] is f(grid[i]), or a value the caller already holds with the
     same sign.  Each sign change between neighbouring grid points is refined
-    by brentq to xtol; brentq's calls at the bracket ends are answered from
-    values, so f runs only inside brackets and the bracket keeps the signs
-    the caller saw.  Grid points with value exactly zero are roots as they
-    stand.  A root within 10 * xtol of the previous one is dropped: adjacent
-    brackets around one tangential zero report it once.
+    to xtol by the Chandrupatla iteration of roots_on_grids, on floats and
+    step for step, so both return the same roots; f runs only inside
+    brackets, and the bracket keeps the signs the caller saw.  Grid points
+    with value exactly zero are roots as they stand.  A root within
+    10 * xtol of the previous one is dropped: adjacent brackets around one
+    tangential zero report it once.
     """
     roots: list[float] = []
     last = len(grid) - 1
@@ -353,9 +445,8 @@ def roots_on_grid(f, grid, values, xtol: float) -> list[float]:
         if v == 0.0:
             root = float(grid[i])
         elif i < last and v * values[i + 1] < 0.0:
-            a, b, vb = float(grid[i]), float(grid[i + 1]), values[i + 1]
-            root = float(brentq(lambda x: v if x == a else vb if x == b else f(x),
-                                a, b, xtol=xtol))
+            root = _chandrupatla(f, float(grid[i]), float(grid[i + 1]),
+                                 float(v), float(values[i + 1]), xtol)
         else:
             continue
         if not roots or abs(root - roots[-1]) > 10.0 * xtol:
@@ -373,9 +464,10 @@ def roots_on_grids(f, grid, values, xtol):
     refined by Chandrupatla's method (inverse quadratic interpolation where
     the last three points allow it, else bisection; the first step is a
     secant step), which keeps every iterate at least half the tolerance
-    inside its bracket, as brentq does, until the bracket is narrower than
-    xtol plus a few ulps of the root.  The end with the smaller |f| is the
-    root, so a root is a point where f ran or a grid point.  Grid points
+    inside its bracket, until the bracket is narrower than xtol plus a few
+    ulps of the root; a grid bracket already that narrow is settled before
+    f runs.  The end with the smaller |f| is the root, so a root is a point
+    where f ran or a grid point.  Grid points
     with value exactly zero are roots as they stand, and a root within
     10 * xtol of the previous root of its row is dropped, as in
     roots_on_grid.  Returns (rows, roots), sorted by row and then by root;
@@ -392,30 +484,26 @@ def roots_on_grids(f, grid, values, xtol):
     live = np.arange(rows.size)
     x1, x2 = grid[rows, col], grid[rows, col + 1]
     f1, f2 = values[rows, col], values[rows, col + 1]
-    x3, f3, t, xtol_k = x2, f2, f1 / (f1 - f2), xtol[rows]
-    for _ in range(_ROOT_MAXITER):
-        if live.size == 0:
+    x3, f3, xtol_k = x2, f2, xtol[rows]
+    x, tol = _chandrupatla_point(x1, x2, f1 / (f1 - f2), xtol_k)
+    # a grid bracket narrower than tol is settled before f runs
+    done = np.abs(x2 - x1) < tol
+    for evaluations in range(_ROOT_MAXITER + 1):
+        found[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+        live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k = (
+            v[~done] for v in (live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k))
+        if live.size == 0 or evaluations == _ROOT_MAXITER:
             break
-        width = x2 - x1
-        tol = xtol_k + 4.0 * np.finfo(float).eps * np.maximum(np.abs(x1), np.abs(x2))
-        edge = 0.5 * tol / np.abs(width)
-        x = x1 + np.clip(t, edge, 1.0 - edge) * width
         y = np.asarray(f(rows[live], x), dtype=float)
         same = np.sign(y) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, y
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # a repeated point or value makes xi or phi NaN: bisect
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            t = np.where((phi * phi < xi) & ((1.0 - phi) ** 2 < 1.0 - xi),
-                         f1 / (f2 - f1) * f3 / (f2 - f3)
-                         + (x3 - x1) / (x2 - x1) * f1 / (f3 - f1) * f2 / (f3 - f2), 0.5)
         done = (np.abs(x2 - x1) < tol) | (y == 0.0)
-        found[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
-        live, x1, x2, x3, f1, f2, f3, t, xtol_k = (
-            v[~done] for v in (live, x1, x2, x3, f1, f2, f3, t, xtol_k))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            # settled rows may divide by zero; their next point is dropped
+            x, tol = _chandrupatla_point(
+                x1, x2, _chandrupatla_fraction(x1, x2, x3, f1, f2, f3), xtol_k)
     if live.size:
         raise InternalConsistencyError(
             f"{live.size} brackets did not settle in {_ROOT_MAXITER} iterations, "

@@ -24,7 +24,7 @@ from .geodesics import (
     quadrature_segment,
     twist,
 )
-from .profile import SurfacePoint, make_paraboloid
+from .profile import SurfacePoint, make_paraboloid, roots_on_grid
 from .zermelo import Tangent, eval_F
 
 
@@ -162,9 +162,8 @@ def check_ode_quadrature(ctx) -> CheckResult:
     for _ in range(10):
         nu = float(rng.uniform(0.05, 0.65))
         length = float(rng.uniform(2.0, 8.0))
-        from scipy.optimize import brentq
-        rt = float(brentq(lambda r: float(profile.m(r)) - nu, 1e-12, 59.0,
-                          xtol=1e-14))
+        f = lambda r: float(profile.m(r)) - nu
+        rt = roots_on_grid(f, (1e-12, 59.0), (f(1e-12), f(59.0)), xtol=1e-14)[0]
         st = GeodesicState(rt, 0.0, 0.0, 1.0 / float(profile.m(rt)))
         path = integrate_h(profile, st, length, tol=1e-11)
         rb = float(path.states[-1, 0])

@@ -187,3 +187,29 @@ def test_verify_passing_stub(tmp_path, monkeypatch):
     assert run(["verify", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["config"]["seed"] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "--r0", "25.0", "--heading", "0.7"],       # beyond r_max = 20
+    ["geodesic", "--r0", "1e300"],
+    ["distance", "--from", "1", "0", "--to", "1e300", "1"],
+    ["cutlocus", "--q", "1e300", "0", "--skip-verify"],
+])
+def test_points_beyond_r_max_are_domain_errors(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    assert "r_max" in capsys.readouterr().err
+
+
+def test_cutlocus_needs_an_increasing_warp(tmp_path, capsys):
+    # the sphere's warp decreases past pi/2, where the connector tables of
+    # cut_locus do not apply
+    cfg = tmp_path / "sphere.json"
+    cfg.write_text(json.dumps({"kind": "custom", "m": "sin(r)", "m1": "cos(r)",
+                               "m2": "-sin(r)", "mu": 0.2, "r_max": 2.8}))
+    assert run(["cutlocus", "--surface", str(cfg), "--q", "1.5", "-3", "--skip-verify",
+                "--out", str(tmp_path)]) == 2
+    assert "increases" in capsys.readouterr().err
+
+
+def test_negative_seed_is_a_usage_error(tmp_path):
+    assert run(["geodesic", "--embed", "--seed", "-2", "--out", str(tmp_path)]) == 1

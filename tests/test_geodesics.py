@@ -440,3 +440,12 @@ def test_path_exports(tmp_path, parab):
     assert doc["kind"] == "generic"
     assert doc["tolerances"]["tol_ode"] == path.tol
     assert len(doc["samples"]) == len(path.s)
+
+
+def test_start_below_the_vertex_floor_raises(parab):
+    # a start nearer the vertex than the blow-up floor (1e-14) with angular
+    # speed would be integrated on steps of that size, without end
+    with pytest.raises(VertexSingularError):
+        integrate_h(parab, GeodesicState(1e-308, 0.0, 0.0, 1e308), 1.0)
+    with pytest.raises(InvalidParameterError):
+        integrate_h(parab, GeodesicState(parab.r_max + 1.0, 0.0, 1.0, 0.0), 1.0)

@@ -545,3 +545,14 @@ def test_distance_F_triangle_inequality_near_equal_radii(parab):
         for k in range(len(pts)):
             if k not in (i, j):
                 assert d[(i, k)] <= dij + d[(j, k)] + 2.0 * tol
+
+
+def test_distance_from_a_point_within_tol_of_the_vertex(parab):
+    # r1 <= tol / 2: the path through the vertex is within 2 r1 of the
+    # shortest, so it is the answer; radii whose m^2 underflows never reach
+    # the connector tables
+    for r1 in (2.2e-309, 1e-200, 4e-10):
+        q1, q2 = SurfacePoint(r1, 0.63), SurfacePoint(1.2, 0.35)
+        d = distance_F(parab, q1, q2, tol=1e-9)
+        assert d == r1 + 1.2
+        assert abs(d - distance_F(parab, SurfacePoint(0.0, 0.0), q2)) <= 2 * r1

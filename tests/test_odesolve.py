@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from randers import InvalidParameterError, make_paraboloid
+from randers import InvalidParameterError, make_custom, make_paraboloid
 from randers.geodesics import GeodesicState, clairaut_constant, integrate_h
 from randers.odesolve import (
-    _A, _B, _C, _E, EventSpec, LevelEvent, _contd5, _dense, _initial_step,
+    _A, _B, _C, _E, MAX_TOL, EventSpec, LevelEvent, _contd5, _dense, _initial_step,
     integrate, integrate_batch,
 )
 from randers.profile import roots_on_grid
@@ -102,6 +102,22 @@ def test_rejects_non_finite_range_and_bad_tol(s_end, tol):
         integrate(_oscillator, 0.0, [0.0, 1.0], s_end, tol=tol)
     with pytest.raises(InvalidParameterError):
         integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], s_end, tol=tol)
+
+
+def test_rejects_tol_above_max():
+    # at tol = 1, `randers geodesic --tol-ode 1 --length 10` on this bump
+    # grew its steps until a stage evaluated 1 - r^4/4 at an r whose fourth
+    # power overflows
+    bump = make_custom("r - r^5/20", "1 - r^4/4", "-r^3", mu=0.5, r_max=1.8)
+    state = GeodesicState(1.0, 0.0, 0.6, 0.8 / float(bump.m(1.0)))
+    integrate_h(bump, state, 10.0, tol=MAX_TOL)
+    for tol in (np.nextafter(MAX_TOL, 1.0), 1.0):
+        with pytest.raises(InvalidParameterError):
+            integrate(_oscillator, 0.0, [0.0, 1.0], 1.0, tol=tol)
+        with pytest.raises(InvalidParameterError):
+            integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], 1.0, tol=tol)
+        with pytest.raises(InvalidParameterError):
+            integrate_h(bump, state, 10.0, tol=tol)
 
 
 def test_projected_state_ends_each_step():

@@ -3,6 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from randers import (
     InvalidParameterError,
@@ -174,6 +177,67 @@ def test_roots_on_grids_matches_roots_on_grid():
     assert rows.size == roots.size == 0 and not calls
 
 
+def _wave(w, p, v, q):
+    """(1.5 + sin(v x + q)) sin(w x + p): an oscillating function whose
+    roots are those of sin(w x + p)."""
+    return lambda x: (1.5 + math.sin(v * x + q)) * math.sin(w * x + p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid=st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=30, unique=True).map(sorted),
+       waves=st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.0, 7.0),
+                                st.floats(0.0, 9.0), st.floats(0.0, 7.0)),
+                      min_size=1, max_size=4),
+       xtol=st.lists(st.sampled_from([1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3]),
+                     min_size=4, max_size=4))
+def test_roots_on_grid_is_roots_on_grids_bit_for_bit(grid, waves, xtol):
+    """roots_on_grid on floats and roots_on_grids on arrays take the same
+    Chandrupatla steps, so they return the same roots bit for bit; f runs
+    only strictly inside the brackets; and where a bracket holds one root,
+    brentq on it agrees to the tolerance."""
+    fs = [_wave(*wave) for wave in waves]
+    xtol = xtol[:len(fs)]
+    values = np.array([[f(x) for x in grid] for f in fs])
+    inside = []
+
+    def f_rows(rows, x):
+        inside.extend(x.tolist())
+        return np.array([fs[i](xi) for i, xi in zip(rows.tolist(), x.tolist())])
+
+    rows, roots = roots_on_grids(f_rows, grid, values, np.array(xtol))
+    brackets = list(zip(grid, grid[1:]))
+    for i, (f, (w, p, _, _)) in enumerate(zip(fs, waves)):
+        calls = []
+        single = roots_on_grid(lambda x: calls.append(x) or f(x), grid, values[i], xtol[i])
+        assert single == roots[rows == i].tolist()
+        inside.extend(calls)
+        for a, b in brackets:
+            fa, fb = f(a), f(b)
+            # sin(w x + p) vanishes at (k pi - p) / w; one k in the bracket,
+            # away from its ends, is one root
+            ks = (w * a + p) / math.pi, (w * b + p) / math.pi
+            if not (fa * fb < 0.0 and math.floor(ks[1]) - math.floor(ks[0]) == 1
+                    and min(abs(k - round(k)) for k in ks) > 1e-6):
+                continue
+            (root,) = [r for r in single if a <= r <= b]
+            tol = xtol[i] + 4.0 * np.finfo(float).eps * max(abs(a), abs(b))
+            assert abs(root - brentq(f, a, b, xtol=xtol[i])) <= 2.0 * tol
+    assert all(any(a < x < b for a, b in brackets) for x in inside)
+
+
+def test_roots_on_grid_settles_narrow_brackets_without_calls():
+    """A grid bracket already narrower than the tolerance is a root as it
+    stands: f does not run, on floats or on arrays."""
+    calls = []
+    f = lambda x: calls.append(x) or x - 1.0 - 5e-15
+    grid = [1.0, 1.0 + 1e-14]
+    assert roots_on_grid(f, grid, [-5e-15, 4e-15], xtol=1e-12) == [grid[1]]
+    assert roots_on_grid(f, grid, [-3e-15, 4e-15], xtol=1e-12) == [grid[0]]
+    rows, roots = roots_on_grids(lambda rows, x: calls.append(x) or x, grid,
+                                 [[-5e-15, 4e-15]], 1e-12)
+    assert rows.tolist() == [0] and roots.tolist() == [grid[1]] and not calls
+
+
 @pytest.mark.parametrize("build", [
     lambda: make_custom("r", "1", "0", mu=float("nan"), r_max=10.0),
     lambda: make_custom("r", "1", "0", mu=0.04, r_max=float("nan")),
@@ -246,3 +310,32 @@ def test_load_surface(tmp_path):
         load_surface({"kind": "nope"})
     with pytest.raises(InvalidParameterError):
         load_surface({"kind": "custom", "m": "r"})  # missing m1, m2
+
+
+@pytest.mark.parametrize("text", [
+    "", "{", '{"kind": "paraboloid", "mu": }', "[1, 2]",
+    '{"kind": "paraboloid", "mu": "fast"}', '{"kind": "custom", "m": "r", "m1": "1",'
+    ' "m2": "0", "r_max": [3]}', '{"kind": "paraboloid", "mu": 1e300}',
+    '{"kind": "custom", "m": "1/r", "m1": "1", "m2": "0"}',
+    '{"kind": "custom", "m": "r", "m1": "r^-1", "m2": "0"}',
+    '{"kind": "custom", "m": "r", "m1": "2^2000", "m2": "0"}',
+    '{"kind": "custom", "m": "sqrt(r - 1)", "m1": "1", "m2": "0"}',
+    '{"kind": "custom", "m": "r", "m1": "1", "m2": "1e999 * r"}', "\xff\xfe",
+], ids=["empty", "truncated", "bad-json", "list", "mu-text", "r_max-list",
+        "mu-square-overflows", "divides-by-zero", "zero-to-negative-power", "overflows",
+        "leaves-sqrt-domain", "infinite-times-zero", "not-utf-8"])
+def test_load_surface_rejects_bad_files(tmp_path, text):
+    """A surface file that cannot be read as a profile raises
+    InvalidParameterError, which the CLI reports as a configuration error."""
+    fn = tmp_path / "surf.json"
+    fn.write_text(text, encoding="latin-1")
+    with pytest.raises(InvalidParameterError):
+        load_surface(str(fn))
+
+
+def test_check_radius(parab):
+    parab.check_radius(0.0)
+    parab.check_radius(parab.r_max)
+    for r in (-1e-300, parab.r_max * (1 + 1e-15), math.nan):
+        with pytest.raises(InvalidParameterError):
+            parab.check_radius(r)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from randers import SurfacePoint, make_paraboloid, odesolve
+from randers import SurfacePoint, make_paraboloid, measure, odesolve
 from randers.errors import InvalidParameterError, NumericalBlowupError, VertexSingularError
 from randers.geodesics import GeodesicState, integrate_h, level_crossings_batch
 from randers.measure import shoot_hits
@@ -140,6 +140,24 @@ def test_shoot_hits_matches_reference(parab, target):
     for (chi, s), (chi_ref, s_ref) in zip(hits, expected):
         assert abs(wrap_angle(chi - chi_ref)) <= 1e-9
         assert s == pytest.approx(s_ref, abs=1e-9)
+
+
+# integrate_h rays the refinement in heading ran on each scan when it was
+# brentq's; Chandrupatla's method may not take more
+REFINEMENT_RAYS = {CUT_POINT: 12, CONTROL: 0}
+
+
+@pytest.mark.parametrize("target", [CUT_POINT, CONTROL])
+def test_shoot_hits_refinement_rays(monkeypatch, parab, target):
+    rays = []
+    real = measure.integrate_h
+    monkeypatch.setattr(measure, "integrate_h",
+                        lambda *a, **k: rays.append(1) or real(*a, **k))
+    hits = shoot_hits(parab, Q, target[0], target[1], np.linspace(-math.pi, math.pi, 361),
+                      1.05 * (Q.r + target[0]) + 0.5, twist_mu=parab.mu, tol=SCAN_TOL,
+                      refine_tol=1e-10)
+    assert len(hits) == len(REFERENCE_HITS[target])
+    assert len(rays) <= REFINEMENT_RAYS[target]
 
 
 @pytest.mark.parametrize("target", [CUT_POINT, CONTROL])
