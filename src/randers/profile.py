@@ -181,7 +181,7 @@ def _check_profile_values(p: Profile) -> None:
         raise InvalidParameterError(f"m'(0) must equal 1, got {m1_0}")
 
     rr = np.linspace(0.0, p.r_max, _VALIDATION_POINTS)
-    mm = np.asarray(p.m(rr), dtype=float)
+    mm = as_float_array(p.m(rr), rr.shape)
     for name, values in (("m", mm), ("m'", p.m1(rr)), ("m''", p.m2(rr))):
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError(f"{name} must be finite on [0, r_max]")

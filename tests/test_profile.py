@@ -321,9 +321,10 @@ def test_load_surface(tmp_path):
     '{"kind": "custom", "m": "r", "m1": "2^2000", "m2": "0"}',
     '{"kind": "custom", "m": "sqrt(r - 1)", "m1": "1", "m2": "0"}',
     '{"kind": "custom", "m": "r", "m1": "1", "m2": "1e999 * r"}', "\xff\xfe",
+    '{"kind": "custom", "m": "0", "m1": "1", "m2": "0"}',
 ], ids=["empty", "truncated", "bad-json", "list", "mu-text", "r_max-list",
         "mu-square-overflows", "divides-by-zero", "zero-to-negative-power", "overflows",
-        "leaves-sqrt-domain", "infinite-times-zero", "not-utf-8"])
+        "leaves-sqrt-domain", "infinite-times-zero", "not-utf-8", "constant-warp"])
 def test_load_surface_rejects_bad_files(tmp_path, text):
     """A surface file that cannot be read as a profile raises
     InvalidParameterError, which the CLI reports as a configuration error."""
