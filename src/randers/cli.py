@@ -69,25 +69,27 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="randers",
                      description="rotational Randers metric engine")
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--surface", metavar="FILE",
-                        help="surface definition JSON file")
-    common.add_argument("--mu", type=float, default=None,
-                        help="wind strength override (default 1.0 paraboloid)")
-    common.add_argument("--tol-ode", type=float, default=1e-10)
-    common.add_argument("--seed", type=_seed, default=0)
-    common.add_argument("--out", metavar="DIR", default=".",
-                        help="output directory for exported files")
-    common.add_argument("--format", choices=("csv", "json", "obj"),
-                        default="csv")
+    # each subcommand takes only the flags it reads
+    surface = argparse.ArgumentParser(add_help=False)
+    surface.add_argument("--surface", metavar="FILE",
+                         help="surface definition JSON file")
+    surface.add_argument("--mu", type=float, default=None,
+                         help="wind strength override (default 1.0 paraboloid)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=_seed, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", metavar="DIR", default=".",
+                     help="output directory for exported files")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("info", parents=[common],
+    sub.add_parser("info", parents=[surface],
                    help="print surface diagnostics")
 
-    g = sub.add_parser("geodesic", parents=[common],
+    g = sub.add_parser("geodesic", parents=[surface, seed, out],
                        help="integrate and export a geodesic")
+    g.add_argument("--tol-ode", type=float, default=1e-10)
+    g.add_argument("--format", choices=("csv", "json"), default="csv")
     g.add_argument("--r0", type=float, default=1.0)
     g.add_argument("--theta0", type=float, default=0.0)
     g.add_argument("--heading", type=float, default=0.0,
@@ -99,7 +101,7 @@ def _build_parser() -> _Parser:
     g.add_argument("--embed", action="store_true",
                    help="also export embedded 3D polylines / mesh")
 
-    d = sub.add_parser("distance", parents=[common],
+    d = sub.add_parser("distance", parents=[surface, out],
                        help="directed navigation distance between two points")
     d.add_argument("--from", dest="q1", nargs=2, type=float, required=True,
                    metavar=("R", "THETA"))
@@ -107,7 +109,7 @@ def _build_parser() -> _Parser:
                    metavar=("R", "THETA"))
     d.add_argument("--tol-root", type=float, default=1e-9)
 
-    c = sub.add_parser("cutlocus", parents=[common],
+    c = sub.add_parser("cutlocus", parents=[surface, out],
                        help="cut locus of a point, with one interior check")
     c.add_argument("--q", nargs=2, type=float, required=True,
                    metavar=("R", "THETA"))
@@ -115,7 +117,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--skip-verify", action="store_true",
                    help="skip the interior-point shooting verification")
 
-    sub.add_parser("verify", parents=[common],
+    sub.add_parser("verify", parents=[seed, out],
                    help="run the full verification suite")
     return parser
 
@@ -130,14 +132,16 @@ def _load_profile(args):
 
 
 def _config_echo(args) -> dict:
-    return {
-        "engine_version": __version__,
-        "command": args.command,
-        "surface": args.surface or {"kind": "paraboloid",
-                                    "mu": args.mu if args.mu is not None else 1.0},
-        "seed": args.seed,
-        "tolerances": {"tol_ode": args.tol_ode},
-    }
+    """The command's name and the settings it read."""
+    echo = {"engine_version": __version__, "command": args.command}
+    if "surface" in args:
+        echo["surface"] = args.surface or {"kind": "paraboloid",
+                                           "mu": args.mu if args.mu is not None else 1.0}
+    if "seed" in args:
+        echo["seed"] = args.seed
+    if "tol_ode" in args:
+        echo["tolerances"] = {"tol_ode": args.tol_ode}
+    return echo
 
 
 def cmd_info(args) -> int:
@@ -170,7 +174,7 @@ def _export_paths(profile, tag, h_path, f_path, outdir, fmt, echo):
     for label, path in (("h", h_path), ("F", f_path)):
         path = on_export_grid(profile, path)
         base = outdir / f"{tag}_{label}"
-        if fmt in ("csv", "obj"):
+        if fmt == "csv":
             path_to_csv(path, base.with_suffix(".csv"))
             written.append(base.with_suffix(".csv"))
         meta = path_metadata(path)

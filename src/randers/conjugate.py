@@ -34,6 +34,7 @@ from . import odesolve
 from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
+    NumericalBlowupError,
     SearchHorizonError,
 )
 from .geodesics import GeodesicPath, GeodesicState, integrate_h
@@ -52,10 +53,9 @@ class JacobiSolution:
 
 
 def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
-                     yp0: float, upto: float, tol: float = 1e-12,
-                     stop_at_zero: bool = False) -> JacobiSolution:
+                     yp0: float, upto: float, stop_at_zero: bool = False) -> JacobiSolution:
     """Integrate y'' + G(r(s)) y = 0 along a base h-geodesic path from s = 0,
-    by odesolve.integrate at tol with steps of at most 0.1.
+    by odesolve.integrate at tol 1e-12 with steps of at most 0.1.
 
     On a meridian base, the meridian chain through the vertex included, the
     radius is r(s) = |r0 + s dr0| on Python floats, the value its dense
@@ -65,7 +65,8 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
     sign over [0, upto]).  The samples cover [0, upto], or with
     stop_at_zero only [0, first_zero]: the field past its first zero is
     then not integrated, and the steps up to it, hence first_zero, are the
-    same as over the full range.
+    same as over the full range.  The integrator's max_steps stop raises
+    NumericalBlowupError.
     """
     if base.metric_tag != "h":
         raise InvalidParameterError("Jacobi integration runs along h-geodesics")
@@ -88,9 +89,13 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
         y, yp = z.tolist()
         return (yp, -gauss_curvature(profile, radius(s)) * y)
 
-    events = [odesolve.EventSpec(lambda s, z: z[0], terminal=stop_at_zero)]
-    sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=tol,
+    events = [odesolve.LevelEvent(0, 0.0, terminal=stop_at_zero)]
+    sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=1e-12,
                              h_max=0.1, events=events)
+    if sol.status == "max_steps":
+        raise NumericalBlowupError(
+            f"Jacobi integration stopped after {sol.nsteps} steps, at s = {sol.s[-1]} "
+            f"of {upto}")
     zeros = [s for s, _ in sol.events.get(0, []) if s > 1e-12]
     return JacobiSolution(
         s=sol.s, y=sol.y[:, 0], yp=sol.y[:, 1],
@@ -111,16 +116,16 @@ def opposite_meridian_chain(profile: Profile, q: SurfacePoint,
     return integrate_h(profile, GeodesicState(q.r, q.theta, -1.0, 0.0), length)
 
 
-def first_conjugate(profile: Profile, q: SurfacePoint,
-                    horizon: float | None = None, tol: float = 1e-12) -> float:
+def first_conjugate(profile: Profile, q: SurfacePoint) -> float:
     """Parameter of the first conjugate point of q along the meridian chain
     through the vertex: the first zero c of the Jacobi field y(0) = 0,
-    y'(0) = 1, integrated at tol up to that zero and no further.
+    y'(0) = 1, integrated by jacobi_integrate (tol 1e-12) up to that zero
+    and no further.
 
     The profile must pass is_von_mangoldt on 1024 radii of [0, r_max]
     (InvalidParameterError otherwise).  c exceeds rho = d(q, vertex)
     because the vertex is a pole; raises SearchHorizonError if no zero
-    appears within the horizon, by default rho + r_max."""
+    appears within the horizon rho + r_max, the end of the chain."""
     if q.r <= 0:
         raise InvalidParameterError("the vertex is a pole; its cut locus is empty")
     check = is_von_mangoldt(profile, _vm_grid(profile))
@@ -130,10 +135,9 @@ def first_conjugate(profile: Profile, q: SurfacePoint,
             f"curvature rises at r = {check.violation_radius}"
         )
     rho = q.r
-    if horizon is None:
-        horizon = rho + profile.r_max
+    horizon = rho + profile.r_max
     base = opposite_meridian_chain(profile, q, horizon)
-    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon, tol=tol, stop_at_zero=True)
+    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon, stop_at_zero=True)
     if jac.first_zero is None:
         raise SearchHorizonError(
             f"no conjugate point within parameter {horizon}",
@@ -171,9 +175,6 @@ class CutArc:
     chi: np.ndarray
     kind: list[str]
 
-    def conjugate_point(self) -> SurfacePoint:
-        return SurfacePoint(float(self.r[0]), float(self.theta[0]))
-
     def point_at_index(self, i: int) -> SurfacePoint:
         return SurfacePoint(float(self.r[i]), float(self.theta[i]))
 
@@ -201,8 +202,7 @@ class CutArc:
 
 
 def cut_locus(profile: Profile, q: SurfacePoint,
-              s_export_max: float | None = None, n_samples: int = 64,
-              tol: float = 1e-10) -> CutArc:
+              s_export_max: float | None = None, n_samples: int = 64) -> CutArc:
     """Sampled navigation cut locus of q: n_samples points of the chain
     parameter t in [c, s_export_max], c from first_conjugate (s_export_max
     defaults to c + 10 max(1, rho) and is capped at rho + r_max).
@@ -216,15 +216,13 @@ def cut_locus(profile: Profile, q: SurfacePoint,
 
     T(t) is the shortest connector sweeping pi between the radii rho and
     r_tau(t) = t - rho, found for all samples at once by one
-    TwoRadiusConnectors over the array of sample radii, to tol.  A
-    non-integer or non-positive n_samples, a tol that is not finite and
-    positive, or a non-finite s_export_max raises InvalidParameterError.
+    TwoRadiusConnectors over the array of sample radii, to tol 1e-10.  A
+    non-integer or non-positive n_samples, or a non-finite s_export_max,
+    raises InvalidParameterError.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) \
             or n_samples < 1:
         raise InvalidParameterError(f"n_samples must be an integer >= 1, got {n_samples!r}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     if s_export_max is not None and not math.isfinite(s_export_max):
         raise InvalidParameterError(f"s_export_max must be finite, got {s_export_max}")
     c = first_conjugate(profile, q)
@@ -238,7 +236,7 @@ def cut_locus(profile: Profile, q: SurfacePoint,
     ss = np.linspace(c, s_export_max, n_samples)
     rr = ss - rho
     best = [min(cands, key=lambda con: con.length) for cands in
-            TwoRadiusConnectors(profile, rho, rr, tol=tol).connectors(math.pi)]
+            TwoRadiusConnectors(profile, rho, rr, tol=1e-10).connectors(math.pi)]
     dist = np.array([con.length for con in best])
     theta = q.theta + math.pi + profile.mu * dist
     start_gap = abs(dist[0] - c)
@@ -277,26 +275,32 @@ class CutPointCheck:
         }
 
 
-def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint,
-                     tol: float = 1e-5, n_scan: int = 720,
-                     scan_tol: float = 3e-7) -> CutPointCheck:
+# verify_cut_point's tolerance on segment lengths
+_CUT_TOL = 1e-5
+
+
+def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) -> CutPointCheck:
     """Shoot F-geodesics from q over a full fan of headings and look for two
     distinct segments reaching the target with equal F-length.
 
     A genuine interior cut point is hit by two minimizing segments whose
     lengths agree to solver precision; elsewhere exactly one minimizer
     appears.  Failure to bracket two solutions is reported, not raised.
+    The fan is shoot_hits over 721 headings of [-pi, pi], scanned at tol
+    3e-7 and refined at 1e-10; a segment within _CUT_TOL = 1e-5 of
+    distance_F (at tol 1e-9) minimizes, and two minimizers whose lengths
+    differ by at most _CUT_TOL verify the cut point.
     """
     horizon = 1.05 * (q.r + target.r) + 0.5
-    headings = np.linspace(-math.pi, math.pi, n_scan + 1)
+    headings = np.linspace(-math.pi, math.pi, 721)
     hits = shoot_hits(profile, q, target.r, target.theta, headings, horizon,
-                      twist_mu=profile.mu, tol=scan_tol, refine_tol=1e-10)
+                      twist_mu=profile.mu, tol=3e-7, refine_tol=1e-10)
     segments = sorted(((h, s) for h, s in hits), key=lambda t: t[1])
     d_f = distance_F(profile, q, target, tol=1e-9)
-    n_min = sum(1 for _, ln in segments if ln <= d_f + tol)
+    n_min = sum(1 for _, ln in segments if ln <= d_f + _CUT_TOL)
     if len(segments) >= 2:
         gap = segments[1][1] - segments[0][1]
-        verified = gap <= tol and n_min >= 2
+        verified = gap <= _CUT_TOL and n_min >= 2
         reason = "two equal-length segments found" if verified else (
             f"two segments found but length gap {gap} exceeds tol"
         )
@@ -324,21 +328,9 @@ class PoleCertificate:
     certified: bool
     message: str
 
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "r_horizon": self.r_horizon,
-            "integral_lower_bound": self.integral_lower_bound,
-            "integral_numeric": self.integral_numeric,
-            "jacobi_min": self.jacobi_min,
-            "jacobi_max_deviation": self.jacobi_max_deviation,
-            "certified": self.certified,
-            "message": self.message,
-        }
 
-
-def certify_pole(profile: Profile, r_horizon: float | None = None) -> PoleCertificate:
-    """Certify that the vertex is a pole up to a finite horizon.
+def certify_pole(profile: Profile) -> PoleCertificate:
+    """Certify that the vertex is a pole up to the horizon r_max.
 
     Two ingredients: (i) the divergence rate of the inverse squared parallel
     length, bounded below by mu^2/(4 pi^2) per unit radius because
@@ -347,8 +339,7 @@ def certify_pole(profile: Profile, r_horizon: float | None = None) -> PoleCertif
     m(s) and therefore never vanishes, so meridians (and their twists) stay
     conjugate-point-free.
     """
-    if r_horizon is None:
-        r_horizon = profile.r_max
+    r_horizon = profile.r_max
     if r_horizon <= 1.0:
         raise InvalidParameterError("horizon must exceed 1 for the tail bound")
     bound = profile.mu**2 / (4.0 * math.pi**2) * (r_horizon - 1.0)

@@ -18,7 +18,7 @@ which pulls a~ back to the navigation coefficients and b~ back to the
 angular one-form exactly; the surface wind matches the ambient wind on the
 image.  The arc-length height z is essential: the naive height z = r pulls
 the profile direction back to (1 + m'^2) dr^2 instead of dr^2, and
-pullback_report with height="radial" documents that failure numerically
+pullback_check with height_map="radial" documents that failure numerically
 rather than hiding it.
 
 Each certification layer costs about one eval_F call.  Embeddability and the
@@ -27,8 +27,9 @@ height are per-profile facts, computed on first use and kept on the Profile
 compares a radius with the embeddable radius, and height reads the
 cumulative HeightTable plus one Gauss-Legendre rule on the last partial
 panel.  eval_F_tilde evaluates the ambient quadratic form from scalars and
-does not read z, so pullback_check never evaluates the height.  Radii beyond r_max raise InvalidParameterError: the profile is not
-validated there.
+does not read z, so pullback_check never evaluates the height.  Radii
+beyond r_max raise InvalidParameterError: the profile is not validated
+there.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NotEmbeddableError
-from .geodesics import GeodesicPath, cumulative_path_integral
 from .profile import Profile, SurfacePoint, quad
 from .zermelo import Tangent, eval_F
 
@@ -61,9 +61,6 @@ class MinkowskiPoint:
     x: float
     y: float
     z: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
 
 
 def cylinder_margin(mu: float, point: MinkowskiPoint) -> float:
@@ -240,10 +237,10 @@ def pullback_check(profile: Profile, q: SurfacePoint, v: Tangent,
     built at z = 0 and the height itself is never evaluated; only the
     vertical component of phi_*(v), z'(r) v^r, differs between the maps.
     """
-    F_surface = eval_F(profile, q, v)
     if height_map not in ("arclength", "radial"):
         raise InvalidParameterError(f"unknown height map {height_map!r}")
     assert_embeddable(profile, q.r)
+    F_surface = eval_F(profile, q, v)
     m = float(profile.m(q.r))
     m1 = float(profile.m1(q.r))
     ct, st = math.cos(q.theta), math.sin(q.theta)
@@ -253,56 +250,38 @@ def pullback_check(profile: Profile, q: SurfacePoint, v: Tangent,
     return abs(F_surface - eval_F_tilde(profile.mu, point, Y))
 
 
-def pullback_report(profile: Profile, n: int = 1000, seed: int = 0,
-                    r_range: tuple = (0.1, 5.0),
-                    height_map: str = "arclength") -> dict:
-    """Batch isometry certification over random (point, direction) samples."""
+def pullback_report(profile: Profile, seed: int = 0,
+                    r_range: tuple = (0.1, 5.0)) -> dict:
+    """Isometry certification by pullback_check of the arc-length embedding
+    over 1000 random (point, direction) samples."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(n):
+    for _ in range(1000):
         r = float(rng.uniform(*r_range))
         theta = float(rng.uniform(0.0, 2.0 * math.pi))
         ang = float(rng.uniform(0.0, 2.0 * math.pi))
         scale = float(rng.uniform(0.5, 2.0))
         v = Tangent(scale * math.cos(ang), scale * math.sin(ang))
-        worst = max(worst, pullback_check(profile, SurfacePoint(r, theta), v,
-                                          height_map=height_map))
+        worst = max(worst, pullback_check(profile, SurfacePoint(r, theta), v))
     return {
-        "samples": n,
+        "samples": 1000,
         "seed": seed,
         "mu": profile.mu,
         "profile": profile.source or {"kind": profile.kind},
-        "height_map": height_map,
+        "height_map": "arclength",
         "r_range": list(r_range),
         "max_residual": worst,
     }
 
 
-def embedded_f_length(profile: Profile, path: GeodesicPath,
-                      n_gauss: int = 8) -> float:
-    """Ambient F~-length of the embedded image of a path."""
-    assert_embeddable(profile, float(np.max(path.states[:, 0])))
-
-    def F_tilde(states):
-        out = []
-        for r, th, dr, dth in states.tolist():
-            q = SurfacePoint(max(r, 0.0), th)
-            out.append(eval_F_tilde(profile.mu, embed_point(profile, q),
-                                    pushforward(profile, q, Tangent(dr, dth))))
-        return out
-
-    return float(cumulative_path_integral(path, F_tilde, n_gauss)[-1])
-
-
-def export_mesh_obj(profile: Profile, filename, r_max: float | None = None,
-                    n_r: int = 48, n_theta: int = 96) -> None:
-    """Tessellate the embedded surface and write a Wavefront OBJ mesh.
+def export_mesh_obj(profile: Profile, filename, r_max: float) -> None:
+    """Tessellate the embedded surface over [0, r_max], on 48 parallels and
+    96 meridians, and write a Wavefront OBJ mesh.
 
     The apex is a single vertex closed by a triangle fan; quad strips are
     split into triangles with consistent outward orientation.
     """
-    if r_max is None:
-        r_max = profile.r_max
+    n_r, n_theta = 48, 96
     assert_embeddable(profile, r_max)
     rr = np.linspace(0.0, r_max, n_r + 1)[1:]
     tt = np.linspace(0.0, 2.0 * math.pi, n_theta, endpoint=False)

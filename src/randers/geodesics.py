@@ -30,7 +30,6 @@ by pi (the polar chart degenerates; the geodesic itself is smooth).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -109,9 +108,6 @@ class GeodesicPath:
     def state_at(self, s: float) -> GeodesicState:
         y = self.dense(float(s))
         return GeodesicState(*map(float, y))
-
-    def initial_state(self) -> GeodesicState:
-        return GeodesicState(*map(float, self.states[0]))
 
 
 def _classify(profile: Profile, state: GeodesicState) -> str:
@@ -205,7 +201,9 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     (dtheta = 0) are integrated analytically, continuing through the vertex
     with a theta jump of pi, and sampled every _h_max.  If the path leaves
     the numerical domain r <= r_max it is truncated there and flagged with
-    exit_reason = "domain-exit".
+    exit_reason = "domain-exit".  A path that reaches the blow-up floor
+    near the vertex, or the integrator's max_steps stop, raises
+    NumericalBlowupError.
     """
     _check_length_tol(length, tol)
     profile.check_radius(state0.r)
@@ -242,10 +240,8 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         drift["clairaut"] = max(drift["clairaut"], abs(m * m * dth - nu0))
         return np.array([r, th, dr, dth])
 
-    events = [
-        odesolve.EventSpec(lambda s, y: y[0] - profile.r_max, terminal=True, direction=1),
-        odesolve.EventSpec(lambda s, y: y[0] - r_floor, terminal=True, direction=-1),
-    ]
+    events = [odesolve.LevelEvent(0, profile.r_max, terminal=True, direction=1),
+              odesolve.LevelEvent(0, r_floor, terminal=True, direction=-1)]
     sol = odesolve.integrate(rhs, 0.0, state0.as_array(), length, tol=tol,
                              post_step=renormalize, events=events)
     if sol.status == "event:1":
@@ -253,6 +249,10 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
             f"geodesic with nu = {nu0} reached r = {r_floor}, which no true "
             "geodesic with nonzero Clairaut constant can do"
         )
+    if sol.status == "max_steps":
+        raise NumericalBlowupError(
+            f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps, "
+            f"at s = {sol.s[-1]} of {length}")
     exit_reason = "completed"
     if sol.status == "event:0":
         exit_reason = "domain-exit"
@@ -293,7 +293,7 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     that grazes the level twice within one step has neither crossing seen.
     A row that leaves r <= r_max keeps the crossings before its exit; a row
     that reaches the blow-up floor, where integrate_h raises
-    NumericalBlowupError, has none.
+    NumericalBlowupError, has none; a row stopped by max_steps raises it.
     """
     _check_length_tol(length, tol)
     y0 = np.array(states0, dtype=float).reshape(-1, 4)
@@ -336,6 +336,9 @@ def level_crossings_batch(profile: Profile, states0, length: float,
               odesolve.LevelEvent(0, r_level)]
     sol = odesolve.integrate_batch(rhs, 0.0, y0[ode], length, tol=tol,
                                    post_step=renormalize, events=events)
+    if "max_steps" in sol.status:
+        raise NumericalBlowupError(
+            f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps")
     rows, s_c, y_c = sol.events[2]
     ends = np.cumsum(np.bincount(rows, minlength=ode.size))
     for j, i in enumerate(ode.tolist()):
@@ -528,37 +531,18 @@ def _clairaut_block(profile: Profile, ra, sigma, nu, disc, top, tol: float):
         f"halvings on the legs from r = {legs[0].tolist()}")
 
 
-def clairaut_leg(profile: Profile, ra: float, rb: float, nu: float, tol: float,
-                 turning_left: bool = False, turning_right: bool = False):
-    """(delta_theta, delta_s) over the leg ra < r < rb of an h-geodesic with
-    Clairaut constant nu and increasing r, without validating the leg.
-
-    turning_left / turning_right mark an endpoint as a turning radius of nu:
-    the leg is integrated from it with the discriminant pinned to zero
-    there, from both ends to the midpoint when both are marked.  An
-    unmarked left end at or below the turning radius (m(ra) <= |nu|) counts
-    as marked.
-    """
-    if turning_left and turning_right:
-        angle, length = clairaut_angles(profile, [ra, rb], 0.5 * (rb - ra), nu, 0.0, tol,
-                                        sigma=[1.0, -1.0])
-    elif turning_right:
-        angle, length = clairaut_angles(profile, rb, rb - ra, nu, 0.0, tol, sigma=-1.0)
-    else:
-        m_a, anu = float(profile.m(ra)), abs(nu)
-        disc = 0.0 if turning_left else max((m_a - anu) * (m_a + anu), 0.0)
-        angle, length = clairaut_angles(profile, ra, rb - ra, nu, disc, tol)
-    return float(np.sum(angle)), float(np.sum(length))
-
-
-def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,
-                       sign: int, tol_quad: float = 1e-10):
+def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float, sign: int):
     """Angle, arc-length, and twisted-angle advances over a monotone-r leg.
 
     Returns (delta_theta, delta_s, delta_P2) where delta_P2 is the angular
     advance of the twisted geodesic, delta_theta + mu * delta_s.  sign is the
     sign of r' on the leg.  m(r) must exceed |nu| on the open interval; the
     endpoints may be turning points.
+
+    The leg is one clairaut_angles call at tol 1e-10.  An end where m is
+    within 1e-9 max(1, |nu|) of |nu| is a turning radius: the leg is
+    integrated from it with the discriminant pinned to zero there, from
+    both ends to the midpoint when both ends turn.
     """
     if rb <= ra:
         raise InvalidParameterError(f"need ra < rb, got [{ra}, {rb}]")
@@ -575,12 +559,19 @@ def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float,
             f"m(r) <= |nu| at interior point r = {bad}; the leg is not a "
             "single monotone arc of a geodesic with this Clairaut constant"
         )
-    at_turn = 1e-9 * max(1.0, abs(nu))
-    dtheta, ds = clairaut_leg(
-        profile, ra, rb, nu, tol_quad,
-        turning_left=abs(float(profile.m(ra)) - abs(nu)) <= at_turn,
-        turning_right=abs(float(profile.m(rb)) - abs(nu)) <= at_turn)
-    dtheta, ds = sign * dtheta, sign * ds
+    anu = abs(nu)
+    m_a = float(profile.m(ra))
+    at_turn = 1e-9 * max(1.0, anu)
+    turning_left = abs(m_a - anu) <= at_turn
+    if abs(float(profile.m(rb)) - anu) > at_turn:
+        disc = 0.0 if turning_left else max((m_a - anu) * (m_a + anu), 0.0)
+        angle, length = clairaut_angles(profile, ra, rb - ra, nu, disc, 1e-10)
+    elif turning_left:
+        angle, length = clairaut_angles(profile, [ra, rb], 0.5 * (rb - ra), nu, 0.0, 1e-10,
+                                        sigma=[1.0, -1.0])
+    else:
+        angle, length = clairaut_angles(profile, rb, rb - ra, nu, 0.0, 1e-10, sigma=-1.0)
+    dtheta, ds = sign * float(np.sum(angle)), sign * float(np.sum(length))
     return dtheta, ds, dtheta + profile.mu * ds
 
 
@@ -607,32 +598,33 @@ def turning_points(profile: Profile, nu: float, grid) -> list[float]:
 # geodesy residual and path utilities
 
 
-def cumulative_path_integral(path: GeodesicPath, integrand,
-                             n_gauss: int = 8) -> np.ndarray:
-    """Integral along the path from its start to each sample, by
-    n_gauss-point Gauss-Legendre quadrature on every sample interval.
+# the 8-point Gauss-Legendre rule of cumulative_path_integral
+_PATH_T, _PATH_W = np.polynomial.legendre.leggauss(8)
+
+
+def cumulative_path_integral(path: GeodesicPath, integrand) -> np.ndarray:
+    """Integral along the path from its start to each sample, by 8-point
+    Gauss-Legendre quadrature on every sample interval.
 
     The dense output is read at all nodes in one call, and integrand maps
     the (n_nodes, 4) array of states (r, theta, dr, dtheta) there to their
     n_nodes values."""
-    t, w = np.polynomial.legendre.leggauss(n_gauss)
     a, b = path.s[:-1], path.s[1:]
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * t
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _PATH_T
     vals = np.asarray(integrand(path.dense(nodes.ravel())), dtype=float)
     out = np.zeros(len(path.s))
-    np.cumsum(half * (vals.reshape(nodes.shape) @ w), out=out[1:])
+    np.cumsum(half * (vals.reshape(nodes.shape) @ _PATH_W), out=out[1:])
     return out
 
 
-def cumulative_F_length(profile: Profile, path: GeodesicPath,
-                        n_gauss: int = 8) -> np.ndarray:
+def cumulative_F_length(profile: Profile, path: GeodesicPath) -> np.ndarray:
     """F-length of the path from its start to each sample, by per-interval
     Gauss-Legendre quadrature on the dense output, with F evaluated at all
     nodes in one array pass."""
     return cumulative_path_integral(
         path, lambda y: eval_F_array(profile, np.maximum(y[:, 0], 0.0),
-                                     y[:, 2], y[:, 3]), n_gauss)
+                                     y[:, 2], y[:, 3]))
 
 
 def f_geodesic_residual(profile: Profile, path: GeodesicPath) -> float:
@@ -663,49 +655,16 @@ def f_geodesic_residual(profile: Profile, path: GeodesicPath) -> float:
     return float(np.max(np.hypot(a[:, 0] - b[:, 0], m_here * dth))) / total
 
 
-def integrate_h_two_sided(profile: Profile, state0: GeodesicState,
-                          length_back: float, length_fwd: float,
-                          tol: float = 1e-10) -> GeodesicPath:
-    """Extend an h-geodesic through state0 in both directions.
-
-    The combined path covers s in [-length_back, length_fwd]; twisting it
-    still gives an F-geodesic because the twist formula is parameter-global.
-    """
-    fwd = integrate_h(profile, state0, length_fwd, tol=tol)
-    rev0 = GeodesicState(state0.r, state0.theta, -state0.dr, -state0.dtheta)
-    bwd = integrate_h(profile, rev0, length_back, tol=tol)
-
-    flip = np.array([1.0, 1.0, -1.0, -1.0])
-    s_all = np.concatenate([-bwd.s[::-1][:-1], fwd.s])
-    states = np.vstack([bwd.states[::-1][:-1] * flip, fwd.states])
-
-    def dense(s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        ahead = s >= 0.0
-        out = np.empty(s.shape + (4,))
-        out[ahead] = fwd.dense(s[ahead])
-        out[~ahead] = bwd.dense(-s[~ahead]) * flip
-        return out
-
-    return GeodesicPath(
-        s=s_all, states=states, nu=fwd.nu, metric_tag="h", kind=fwd.kind,
-        mu=profile.mu, tol=tol, dense=dense,
-        max_unit_drift=max(fwd.max_unit_drift, bwd.max_unit_drift),
-        max_clairaut_drift=max(fwd.max_clairaut_drift, bwd.max_clairaut_drift),
-        exit_reason=fwd.exit_reason if fwd.exit_reason != "completed"
-        else bwd.exit_reason,
-    )
-
-
-def count_self_intersections(path: GeodesicPath, ds: float = 0.05) -> int:
-    """Transverse self-intersections by a polyline segment sweep.
+def count_self_intersections(path: GeodesicPath) -> int:
+    """Transverse self-intersections by a polyline segment sweep over the
+    path's dense output, read every 0.05 in the parameter.
 
     Works in cylinder coordinates (theta, r) with theta unreduced; candidate
     segment pairs are aligned by the nearest multiple of 2 pi before the
     crossing test, which is exact because individual segments subtend far
     less than pi in theta.
     """
-    ss = np.arange(path.s[0], path.s[-1], ds)
+    ss = np.arange(path.s[0], path.s[-1], 0.05)
     pts = path.dense(ss)[:, :2]
     r = pts[:, 0]
     th = pts[:, 1]
@@ -760,12 +719,3 @@ def path_metadata(path: GeodesicPath) -> dict:
         "exit_reason": path.exit_reason,
     }
 
-
-def path_to_json(path: GeodesicPath, filename, include_samples: bool = True) -> None:
-    doc = path_metadata(path)
-    if include_samples:
-        doc["samples"] = [
-            [float(sk), *map(float, row)] for sk, row in zip(path.s, path.states)
-        ]
-    with open(filename, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)

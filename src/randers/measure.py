@@ -529,17 +529,17 @@ def _distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint, mu: float,
 
 
 def _h_distance_shooting(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
-                         n_scan: int = 360, tol: float = 1e-9,
                          twist_mu: float = 0.0) -> float:
     """The shortest geodesic from q1 to q2 twisted by twist_mu, by one
-    shoot_hits fan over the headings [-pi, pi], endpoint included.  A
-    shortest hit above the through-vertex bound r1 + r2 (+ tol) missed the
-    minimizer and raises SearchHorizonError."""
+    shoot_hits fan over 361 headings of [-pi, pi], endpoint included, at
+    tol = 1e-9.  A shortest hit above the through-vertex bound r1 + r2
+    (+ tol) missed the minimizer and raises SearchHorizonError."""
+    tol = 1e-9
     bound = q1.r + q2.r
     horizon = 1.05 * bound + 0.5   # a margin past the bound, where no hit answers
     hits = shoot_hits(
         profile, q1, q2.r, q2.theta,
-        headings=np.linspace(-math.pi, math.pi, n_scan + 1),
+        headings=np.linspace(-math.pi, math.pi, 361),
         horizon=horizon, twist_mu=twist_mu, tol=tol,
     )
     best = min((h[1] for h in hits), default=math.inf)

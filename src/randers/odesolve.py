@@ -43,16 +43,20 @@ Both take the same two hooks:
   and derivative are the projected ones, so the dense output passes through
   the sampled states; the quartic term keeps the unprojected stages, which
   moves the interpolant by the O(tol) of the projection.
-* Events.  ``integrate`` takes EventSpec functions g(s, y); their sign
-  changes over accepted steps are refined by roots_on_grid on the step's
-  dense output.  ``integrate_batch`` takes LevelEvents, crossings of one
-  state component through a level (one per row, or shared); each root is
-  refined on its own by Newton on the component's quartic, a terminal one
-  in the iteration that crosses it, the others in one pass after the run.
-  A crossing counts when g goes from one strict sign to zero or the other
-  sign.  Terminal events stop the integration (a single row, in a batch) at
-  the root inside the step, whose interpolant is kept whole; roots of other
-  events past it are dropped.
+* Events.  Both take LevelEvents, crossings of one state component
+  through a level (one per row, or shared, in a batch); g is the component
+  minus the level.  ``integrate`` refines each root by roots_on_grid on g
+  over the continuous extension of the step that crosses.
+  ``integrate_batch`` refines each root on its own by Newton on the
+  component's quartic, a terminal one in the iteration that crosses it,
+  the others in one pass after the run.  A crossing counts when g goes
+  from one strict sign to zero or the other sign.  Terminal events stop
+  the integration (a single row, in a batch) at the root inside the step,
+  whose interpolant is kept whole; roots of other events past it are
+  dropped.
+
+Both accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps``
+after max_steps tries, a safety stop that callers report as an error.
 """
 
 from __future__ import annotations
@@ -99,13 +103,21 @@ _ORDER_EXP = -1.0 / 5.0
 # The loosest tol accepted: a looser one lets the controller grow steps
 # until the stages evaluate the right-hand side far outside its domain.
 MAX_TOL = 1e-2
+# The tightest tol accepted.  A step's error estimate does not fall below
+# the rounding of states of order one (eps = 2.2e-16), so a tighter tol asks
+# for digits double precision does not hold, and the controller may shrink
+# the step without end: at tol 1e-25 a geodesic took 2 million steps (86 s)
+# to cover 0.01 before the max_steps stop.
+MIN_TOL = 1e-15
 
 
 @dataclass
-class EventSpec:
-    """Scalar event g(s, y); a root is recorded whenever g changes sign."""
+class LevelEvent:
+    """Crossing of state component ``component`` through ``level``; level is
+    one value, or in integrate_batch one value per row."""
 
-    func: Callable[[float, np.ndarray], float]
+    component: int
+    level: float | np.ndarray
     terminal: bool = False
     direction: int = 0  # +1: only -..+ crossings, -1: only +..-, 0: both
 
@@ -187,9 +199,9 @@ def _initial_step(y0, f0, h_max):
 
 
 def check_tol(tol) -> None:
-    """InvalidParameterError unless 0 < tol <= MAX_TOL."""
-    if not 0.0 < tol <= MAX_TOL:
-        raise InvalidParameterError(f"tol must lie in (0, {MAX_TOL}], got {tol}")
+    """InvalidParameterError unless MIN_TOL <= tol <= MAX_TOL."""
+    if not MIN_TOL <= tol <= MAX_TOL:
+        raise InvalidParameterError(f"tol must lie in [{MIN_TOL}, {MAX_TOL}], got {tol}")
 
 
 def _check_span_tol(s0, s_end, tol) -> None:
@@ -207,7 +219,7 @@ def integrate(
     tol: float = 1e-10,
     h_max: float = np.inf,
     post_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
-    events: Sequence[EventSpec] = (),
+    events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
 ) -> ODESolution:
     """Integrate y' = f(s, y) from s0 to s_end (s_end > s0, both finite).
@@ -216,16 +228,16 @@ def integrate(
     derivative components as any sequence of numbers (a tuple of floats is
     the cheapest; an ndarray works too).  The stages, the solution update
     and the error terms run on Python floats; only the error norm of a step
-    is an array dot product.  tol (finite, > 0) is used as both absolute and
-    relative per-step tolerance and alone sets the step size, unless h_max
-    caps it; a bad range or tol raises InvalidParameterError.
+    is an array dot product.  tol (in [MIN_TOL, MAX_TOL]) is used as both
+    absolute and relative per-step tolerance and alone sets the step size,
+    unless h_max caps it; a bad range or tol raises InvalidParameterError.
 
     Returns an ODESolution whose status is ``completed``, the name of a
     terminal event, or ``max_steps``; called with parameters, it reads the
     continuous extension of its steps.  Event roots are refined to 1e-10 by
-    roots_on_grid on the continuous extension of the step that crosses; a
-    terminal event ends the samples at its root, and roots past it are
-    dropped.
+    roots_on_grid on the event's component, minus its level, over the
+    continuous extension of the step that crosses; a terminal event ends
+    the samples at its root, and roots past it are dropped.
     """
     _check_span_tol(s0, s_end, tol)
     y_arr = np.asarray(y0, dtype=float).copy()
@@ -246,7 +258,7 @@ def integrate(
     ss = [s]
     ys = list(y)
     seg_s, seg_h, seg_y0, seg_y1, seg_f0, seg_f1, seg_k = [], [], [], [], [], [], []
-    ev_values = [ev.func(s, y_arr) for ev in events]
+    ev_values = [y[ev.component] - ev.level for ev in events]
     ev_records: dict = {i: [] for i in range(len(events))}
     status = "completed"
 
@@ -324,7 +336,8 @@ def integrate(
         stop_at = None
         seg_eval = None
         for i, ev in enumerate(events):
-            g_new = ev.func(s_new, y_new_arr)
+            c, level = ev.component, ev.level
+            g_new = y_new[c] - level
             g_old = ev_values[i]
             crossed = (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new)
             if crossed:
@@ -341,7 +354,7 @@ def integrate(
                     def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
                         return _dense((sq - _s) / _h, _y, *_c)
 
-                root = roots_on_grid(lambda sq: ev.func(sq, seg_eval(sq)),
+                root = roots_on_grid(lambda sq: seg_eval(sq)[c] - level,
                                      (s, s_new), (g_old, g_new), xtol=1e-10)[0]
                 ev_records[i].append((root, seg_eval(root)))
                 if ev.terminal and (stop_at is None or root < stop_at):
@@ -393,17 +406,6 @@ def integrate(
 
 _ROOT_XTOL = 1e-12
 _ROOT_MAXITER = 200
-
-
-@dataclass
-class LevelEvent:
-    """Crossing of state component ``component`` through ``level`` for
-    integrate_batch; level is one value shared by every row or one per row."""
-
-    component: int
-    level: float | np.ndarray
-    terminal: bool = False
-    direction: int = 0  # as EventSpec.direction
 
 
 @dataclass
@@ -495,7 +497,6 @@ def integrate_batch(
     y0,
     s_end: float,
     tol: float = 1e-10,
-    h_max: float = np.inf,
     post_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
@@ -505,9 +506,9 @@ def integrate_batch(
 
     f and post_step are called with the parameters (k,) and states (k, dim)
     of the rows still active and return arrays of the states' shape; rows
-    never interact.  tol, h_max and max_steps (per row) mean what they mean
-    for integrate, and each row takes the steps integrate would take for it,
-    up to rounding.  An iteration that accepts every row works on its step
+    never interact.  tol and max_steps (per row) mean what they mean for
+    integrate, and each row takes the steps integrate would take for it
+    with no step cap, up to rounding.  An iteration that accepts every row works on its step
     arrays as they are.  Event roots are refined to 1e-12 by Newton on the
     quartic that the continuous extension of the crossing step makes of the
     event's component, each row on its own: a terminal root at once, as it
@@ -522,7 +523,7 @@ def integrate_batch(
     rows = np.arange(n)
     s = np.full(n, float(s0))
     fs = f(s, y)
-    h = np.minimum(np.minimum(_initial_step(y, fs, h_max), s_end - s0), h_max)
+    h = np.minimum(_initial_step(y, fs, np.inf), s_end - s0)
     watch = _Levels(events, n)
     found: list = []      # (event, rows, s, y) of terminal roots
     crossed: list = []    # non-terminal crossings, refined after the run
@@ -544,7 +545,7 @@ def integrate_batch(
             s_out[rows], y_out[rows], why[rows] = s, y, -2
             break
         tries += 1
-        h = np.minimum(np.minimum(h, s_end - s), h_max)
+        h = np.minimum(h, s_end - s)
         hc = h[:, None]
 
         # the stages of integrate, one row per trajectory

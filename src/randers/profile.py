@@ -156,9 +156,10 @@ class Profile:
         if not 0.0 <= r <= self.r_max:
             raise InvalidParameterError(f"radius {r} lies outside [0, r_max = {self.r_max}]")
 
-    def boundedness_margin(self, n: int = 2048) -> float:
-        """min over a dense grid of 1 - mu*m(r); must stay strictly positive."""
-        rr = np.linspace(0.0, self.r_max, n)
+    def boundedness_margin(self) -> float:
+        """min of 1 - mu*m(r) over 2048 radii of [0, r_max]; must stay
+        strictly positive."""
+        rr = np.linspace(0.0, self.r_max, 2048)
         return float(np.min(1.0 - self.mu * np.asarray(self.m(rr), dtype=float)))
 
 

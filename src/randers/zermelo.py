@@ -130,9 +130,12 @@ def _F_navigation(m, mu, y1, y2):
 
 
 def eval_F(profile: Profile, x: SurfacePoint, y: Tangent) -> float:
-    """Finsler norm F(x, y) = alpha + beta; strictly positive for y != 0."""
+    """Finsler norm F(x, y) = alpha + beta; strictly positive for y != 0.
+    A radius beyond r_max, where the profile is not validated, raises
+    InvalidParameterError."""
     if y.is_zero():
         raise InvalidParameterError("F is undefined on the zero tangent vector")
+    profile.check_radius(x.r)
     m = float(profile.m(x.r))
     if profile.mu * m >= 1.0:
         raise MetricDegenerateError(f"mu*m >= 1 at r = {x.r}")
@@ -152,6 +155,9 @@ def eval_F_array(profile: Profile, r, y1, y2) -> np.ndarray:
     r, y1, y2 = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (r, y1, y2)))
     if not np.all(np.isfinite(r) & np.isfinite(y1) & np.isfinite(y2) & (r >= 0.0)):
         raise InvalidParameterError("radii must be finite and >= 0, tangents finite")
+    if np.any(r > profile.r_max):
+        raise InvalidParameterError(
+            f"radius {r[r > profile.r_max][0]} lies outside [0, r_max = {profile.r_max}]")
     if np.any((y1 == 0.0) & (y2 == 0.0)):
         raise InvalidParameterError("F is undefined on the zero tangent vector")
     m = np.broadcast_to(np.asarray(profile.m(r), dtype=float), r.shape)

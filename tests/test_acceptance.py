@@ -81,7 +81,7 @@ def test_numpy_valued_checks_serialize_to_json():
     # these three checks reduce numpy arrays; `randers verify` writes their
     # results to verify.json
     rng = np.random.default_rng(0)
-    ctx = {"rng": rng, "paths": verify._random_f_paths(rng, n=2)}
+    ctx = {"rng": rng, "paths": verify._random_f_paths(rng)}
     for check in (verify.check_clairaut_F, verify.check_momentum,
                   verify.check_navigation_unit_speed):
         res = check(ctx)

@@ -45,6 +45,14 @@ def test_geodesic_exports(tmp_path, capsys):
     h_meta = json.loads((tmp_path / "geodesic_h.json").read_text())
     assert h_meta["metric_tag"] == "h"
     assert h_meta["nu"] == pytest.approx(meta["nu"])
+    assert meta["config"]["tolerances"] == {"tol_ode": 1e-10}
+    assert meta["config"]["seed"] == 0
+    # --format json writes the samples into the sidecar in place of the CSV
+    rc = run(["geodesic", "--r0", "2", "--heading", "0.8", "--length", "5",
+              "--format", "json", "--out", str(tmp_path / "js")])
+    assert rc == 0 and not (tmp_path / "js" / "geodesic_F.csv").exists()
+    doc = json.loads((tmp_path / "js" / "geodesic_F.json").read_text())
+    assert len(doc["samples"]) == doc["n_samples"] == meta["n_samples"]
 
 
 def test_geodesic_exports_keep_their_resolution(tmp_path):
@@ -114,6 +122,10 @@ def test_cutlocus_command(tmp_path, capsys):
     assert doc["c"] == pytest.approx(2.0, abs=1e-7)
     chk = json.loads((tmp_path / "cutpoint_check.json").read_text())
     assert chk["verified"] is True
+    # the echo lists what the command read: its surface, no seed or tol_ode
+    assert chk["config"] == {"engine_version": chk["config"]["engine_version"],
+                             "command": "cutlocus",
+                             "surface": {"kind": "paraboloid", "mu": 1.0}}
     csv = (tmp_path / "cutlocus.csv").read_text().splitlines()
     assert csv[0] == "s,r,theta"
 
@@ -137,8 +149,10 @@ def test_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "finite" in err and "Traceback" not in err
     # non-finite or non-positive lengths and tolerances are domain errors
+    # a tol below odesolve.MIN_TOL is rejected before any integration starts
     for flags in (["--length", "nan"], ["--length", "inf"], ["--length", "0"],
-                  ["--tol-ode", "nan"], ["--tol-ode", "0"], ["--tol-ode=-1e-10"]):
+                  ["--tol-ode", "nan"], ["--tol-ode", "0"], ["--tol-ode=-1e-10"],
+                  ["--tol-ode", "1e-25"]):
         for mode in ([], ["--fan", "1"]):
             out = tmp_path / "bad-geodesic"
             assert run(["geodesic", *mode, *flags, "--out", str(out)]) == 2, flags
@@ -161,6 +175,17 @@ def test_exit_codes(tmp_path, capsys):
         assert name in err and "point coordinates" not in err, argv
     # the quadrature tolerance flag is gone: no command reads one
     assert run(["info", "--tol-quad", "1e-10"]) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["info", "--tol-ode", "1e-3"],
+    ["verify", "--surface", "f.json"],
+    ["cutlocus", "--q", "1", "0", "--seed", "3"],
+    ["distance", "--from", "1", "0", "--to", "1", "1", "--format", "json"],
+    ["geodesic", "--format", "obj"],
+])
+def test_each_command_rejects_flags_it_does_not_read(argv):
+    assert run(argv) == 1
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):
@@ -187,6 +212,8 @@ def test_verify_passing_stub(tmp_path, monkeypatch):
     assert run(["verify", "--out", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "verify.json").read_text())
     assert doc["config"]["seed"] == 0
+    # verify loads no surface and integrates at its own pinned tolerances
+    assert "surface" not in doc["config"] and "tolerances" not in doc["config"]
 
 
 @pytest.mark.parametrize("argv", [

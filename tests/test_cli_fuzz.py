@@ -70,29 +70,33 @@ def _values(flag, *values):
     return st.tuples(st.just(flag), *values).map(list)
 
 
-COMMON = [_values("--mu", TOKEN), _values("--tol-ode", TOL),
-          _values("--seed", st.integers(-3, 3).map(str)),
-          _values("--format", st.sampled_from(["csv", "json", "obj", "png"]))]
-# (options every run passes, options a run may pass) per command
+MU = _values("--mu", TOKEN)
+# (options every run passes, options a run may pass) per command, each drawn
+# from the flags the command accepts; _run adds --surface and --out
 OPTIONS = {
-    "info": ([], []),
-    "geodesic": ([], [_values("--r0", RADIUS), _values("--theta0", TOKEN),
+    "info": ([], [MU]),
+    "geodesic": ([], [MU, _values("--tol-ode", TOL),
+                      _values("--seed", st.integers(-3, 3).map(str)),
+                      _values("--format", st.sampled_from(["csv", "json", "obj", "png"])),
+                      _values("--r0", RADIUS), _values("--theta0", TOKEN),
                       _values("--heading", TOKEN),
                       _values("--length", st.floats(-1.0, 6.0).map(repr) | TOKEN),
                       _values("--fan", st.integers(-1, 2).map(str)), st.just(["--embed"])]),
     "distance": ([_values("--from", RADIUS, TOKEN), _values("--to", RADIUS, TOKEN)],
-                 [_values("--tol-root", TOL)]),
+                 [MU, _values("--tol-root", TOL)]),
     "cutlocus": ([_values("--q", RADIUS, TOKEN)],
-                 [_values("--s-max", st.floats(-1.0, 6.0).map(repr) | TOKEN),
+                 [MU, _values("--s-max", st.floats(-1.0, 6.0).map(repr) | TOKEN),
                   st.just(["--skip-verify"])]),
 }
+# the commands that write files, and so take --out
+WRITERS = ("geodesic", "distance", "cutlocus")
 
 
 @st.composite
 def argv(draw):
     command = draw(st.sampled_from(sorted(OPTIONS)))
     required, optional = OPTIONS[command]
-    options = required + draw(st.lists(st.sampled_from(optional + COMMON), max_size=4))
+    options = required + draw(st.lists(st.sampled_from(optional), max_size=4))
     often = st.sampled_from([True] * 9 + [False])
     args = [command] if draw(often) else [draw(st.sampled_from(GARBAGE))]
     for option in draw(st.permutations(options)):
@@ -108,9 +112,11 @@ def _run(args, surface_text):
             # latin-1 makes the one non-ASCII text bytes that are not UTF-8
             path.write_text(surface_text, encoding="latin-1")
             args = args + ["--surface", str(path)]
+        if args[0] in WRITERS:
+            args = args + ["--out", str(Path(tmp) / "out")]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(args + ["--out", str(Path(tmp) / "out")])
+            code = cli.main(args)
     return code, err.getvalue()
 
 

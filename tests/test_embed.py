@@ -17,7 +17,6 @@ from randers.embed import (
     MinkowskiPoint,
     cylinder_margin,
     embed_point,
-    embedded_f_length,
     eval_F_tilde,
     export_mesh_obj,
     height,
@@ -27,7 +26,9 @@ from randers.embed import (
     pushforward,
     write_pullback_report,
 )
-from randers.geodesics import GeodesicState, integrate_F, integrate_h, twist
+from randers.geodesics import (
+    GeodesicState, cumulative_path_integral, integrate_F, integrate_h, twist,
+)
 
 # independent tanh-sinh evaluation of int_0^1 sqrt(1 - (t^2+1)^-3) dt
 Z_AT_ONE = 0.61630989629918104381
@@ -103,7 +104,7 @@ def test_minkowski_coefficients_structure():
 def test_pullback_isometry(mu, seed):
     from randers import make_paraboloid
     profile = make_paraboloid(mu)
-    rep = pullback_report(profile, n=1000, seed=seed)
+    rep = pullback_report(profile, seed=seed)
     assert rep["max_residual"] <= 1e-9
     assert rep["samples"] == 1000 and rep["mu"] == mu
 
@@ -120,29 +121,31 @@ def test_pullback_unit_speed_direction(parab):
 
 def test_radial_height_map_fails_documented(parab):
     # the raw height z = r does not pull the ambient metric back to the
-    # navigation metric; the report must show a large residual
-    rep = pullback_report(parab, n=200, seed=7, height_map="radial")
-    assert rep["max_residual"] > 1e-2
-    assert rep["height_map"] == "radial"
-    # on the radial direction the failure has a hand-computable size:
-    # pullback a11 = (1 + m'^2)/lam = 2.25 instead of a11 = 2 at r = 1
+    # navigation metric; on the radial direction the failure has a
+    # hand-computable size: pullback a11 = (1 + m'^2)/lam = 2.25 instead of
+    # a11 = 2 at r = 1
     res = pullback_check(parab, SurfacePoint(1.0, 0.0), Tangent(1.0, 0.0),
                          height_map="radial")
     assert res == pytest.approx(math.sqrt(2.25) - math.sqrt(2.0), abs=1e-12)
 
 
 def test_embedded_path_length_matches(parab):
+    # the ambient F~-length of the embedded twisted meridian is its F-length
     base = integrate_h(parab, GeodesicState(0.5, 0.0, 1.0, 0.0), 2.0)
     P = twist(base, parab.mu)
-    L = embedded_f_length(parab, P)
-    assert L == pytest.approx(2.0, abs=1e-8)
+
+    def F_tilde(states):
+        return [eval_F_tilde(parab.mu, embed_point(parab, SurfacePoint(r, th)),
+                             pushforward(parab, SurfacePoint(r, th), Tangent(dr, dth)))
+                for r, th, dr, dth in states.tolist()]
+
+    assert cumulative_path_integral(P, F_tilde)[-1] == pytest.approx(2.0, abs=1e-8)
     # ... while the embedded twisted meridian is not a straight line
     pts = []
     for s in (0.0, 1.0, 2.0):
         st = P.state_at(s)
         pts.append(embed_point(parab, SurfacePoint(st.r, st.theta)))
-    a = pts[1].as_array() - pts[0].as_array()
-    b = pts[2].as_array() - pts[1].as_array()
+    a, b = np.diff([[p.x, p.y, p.z] for p in pts], axis=0)
     assert np.linalg.norm(np.cross(a, b)) > 1e-3
 
 
@@ -168,17 +171,17 @@ def test_not_embeddable_profiles():
 
 def test_mesh_export(tmp_path, parab):
     fn = tmp_path / "surface.obj"
-    export_mesh_obj(parab, fn, r_max=3.0, n_r=6, n_theta=12)
+    export_mesh_obj(parab, fn, r_max=3.0)
     lines = fn.read_text().strip().splitlines()
     verts = [l for l in lines if l.startswith("v ")]
     faces = [l for l in lines if l.startswith("f ")]
-    assert len(verts) == 1 + 6 * 12
-    assert len(faces) == 12 + 5 * 12 * 2
+    assert len(verts) == 1 + 48 * 96
+    assert len(faces) == 96 + 47 * 96 * 2
     vv = np.array([[float(x) for x in l.split()[1:]] for l in verts])
     # all vertices inside the cylinder
     assert np.all(vv[:, 0]**2 + vv[:, 1]**2 < 1.0 / parab.mu**2)
     # outward orientation: interior faces have normals with positive radial dot
-    f0 = [int(i) - 1 for i in faces[12].split()[1:]]
+    f0 = [int(i) - 1 for i in faces[96].split()[1:]]
     a, b, c = vv[f0[0]], vv[f0[1]], vv[f0[2]]
     n = np.cross(b - a, c - a)
     center = (a + b + c) / 3.0
@@ -190,12 +193,12 @@ def test_mesh_export(tmp_path, parab):
 
 
 def test_write_report(tmp_path, parab):
-    rep = pullback_report(parab, n=10, seed=1)
+    rep = pullback_report(parab, seed=1)
     fn = tmp_path / "rep.json"
     write_pullback_report(rep, fn)
     import json
     doc = json.loads(fn.read_text())
-    assert doc["samples"] == 10 and "max_residual" in doc
+    assert doc["samples"] == 1000 and "max_residual" in doc
 
 
 def _embed_launch(profile, r0, theta0, phi, length):

@@ -22,7 +22,6 @@ from randers import embed
 from randers.embed import (
     MinkowskiPoint,
     embed_point,
-    embedded_f_length,
     eval_F_tilde,
     height,
     minkowski_coefficients,
@@ -35,7 +34,7 @@ from randers.geodesics import (
     cumulative_path_integral,
     integrate_F,
 )
-from randers.measure import clairaut_verify, momentum_p2
+from randers.measure import clairaut_verify, f_length, momentum_p2
 from randers.zermelo import eval_F_array
 
 
@@ -184,7 +183,10 @@ def test_domain_exit_path_embeds(parab):
     path = integrate_F(parab, q, Tangent(math.cos(0.1) / F0,
                                          math.sin(0.1) / float(parab.m(1.0)) / F0), 40.0)
     assert path.exit_reason == "domain-exit" and path.states[-1, 0] == parab.r_max
-    assert embedded_f_length(parab, path) == pytest.approx(path.length, rel=1e-8)
+    for r, th, dr, dth in path.states.tolist():
+        embed_point(parab, SurfacePoint(r, th))
+        assert pullback_check(parab, SurfacePoint(r, th), Tangent(dr, dth)) <= 1e-9
+    assert f_length(parab, path) == pytest.approx(path.length, rel=1e-8)
 
 
 @settings(max_examples=100, deadline=None)

@@ -175,7 +175,7 @@ def test_momentum_riemannian_limit():
     st = _launch(tiny, 2.0, 0.4)
     nu = float(tiny.m(2.0)) ** 2 * st.dtheta
     P = twist(integrate_h(tiny, st, 1.0), tiny.mu)
-    p2 = momentum_p2(tiny, P.initial_state())
+    p2 = momentum_p2(tiny, GeodesicState(*P.states[0]))
     assert p2 == pytest.approx(nu, rel=1e-6)
 
 

@@ -18,6 +18,7 @@ from randers import (
     make_paraboloid,
     navigation_transform,
 )
+from randers.zermelo import eval_F_array
 
 
 def test_navigation_transform_spot_values(parab):
@@ -63,6 +64,20 @@ def test_eval_F_spot_values(parab):
         math.sqrt(2.0), abs=1e-12)
     with pytest.raises(InvalidParameterError):
         eval_F(parab, x, Tangent(0.0, 0.0))
+
+
+@pytest.mark.parametrize("r", [2.2, 3.384])
+def test_eval_F_rejects_radii_beyond_r_max(bump, r):
+    # the bump m = r - r^5/20 is validated on [0, 1.8] only: at r = 2.2 both
+    # forms answered silently, and at r = 3.384 they raised
+    # InternalConsistencyError, which blames the engine
+    with pytest.raises(InvalidParameterError, match="r_max"):
+        eval_F(bump, SurfacePoint(r, 0.0), Tangent(0.6, 0.8))
+    with pytest.raises(InvalidParameterError, match="r_max"):
+        eval_F_array(bump, [1.0, r], [0.6, 0.6], [0.8, 0.8])
+    # at r_max itself both forms answer, and agree
+    assert eval_F_array(bump, [1.8], [0.6], [0.8])[0] == eval_F(
+        bump, SurfacePoint(1.8, 0.0), Tangent(0.6, 0.8))
 
 
 def test_dual_formula_agreement_and_positivity(parab, rng):
