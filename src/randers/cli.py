@@ -75,8 +75,6 @@ def _build_parser() -> _Parser:
                          help="surface definition JSON file")
     surface.add_argument("--mu", type=float, default=None,
                          help="wind strength override (default 1.0 paraboloid)")
-    seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=_seed, default=0)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", metavar="DIR", default=".",
                      help="output directory for exported files")
@@ -86,13 +84,15 @@ def _build_parser() -> _Parser:
     sub.add_parser("info", parents=[surface],
                    help="print surface diagnostics")
 
-    g = sub.add_parser("geodesic", parents=[surface, seed, out],
+    g = sub.add_parser("geodesic", parents=[surface, out],
                        help="integrate and export a geodesic")
     g.add_argument("--tol-ode", type=float, default=1e-10)
     g.add_argument("--format", choices=("csv", "json"), default="csv")
-    g.add_argument("--r0", type=float, default=1.0)
-    g.add_argument("--theta0", type=float, default=0.0)
-    g.add_argument("--heading", type=float, default=0.0,
+    # None: cmd_geodesic applies their defaults where a run reads them
+    g.add_argument("--seed", type=_seed, default=None)
+    g.add_argument("--r0", type=float, default=None)
+    g.add_argument("--theta0", type=float, default=None)
+    g.add_argument("--heading", type=float, default=None,
                    help="launch angle from the radial direction, h-frame")
     g.add_argument("--length", type=float, default=10.0)
     g.add_argument("--fan", type=int, default=0, metavar="N",
@@ -117,8 +117,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--skip-verify", action="store_true",
                    help="skip the interior-point shooting verification")
 
-    sub.add_parser("verify", parents=[seed, out],
-                   help="run the full verification suite")
+    v = sub.add_parser("verify", parents=[out], help="run the full verification suite")
+    v.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -137,7 +137,7 @@ def _config_echo(args) -> dict:
     if "surface" in args:
         echo["surface"] = args.surface or {"kind": "paraboloid",
                                            "mu": args.mu if args.mu is not None else 1.0}
-    if "seed" in args:
+    if getattr(args, "seed", None) is not None:
         echo["seed"] = args.seed
     if "tol_ode" in args:
         echo["tolerances"] = {"tol_ode": args.tol_ode}
@@ -212,6 +212,21 @@ def _export_pullback_report(profile, args, outdir):
 
 
 def cmd_geodesic(args) -> int:
+    # (default, read): the fan starts every geodesic at the vertex, a geodesic
+    # from the vertex leaves along theta0, and only the embedding draws a seed
+    single = args.fan <= 0
+    flags = {"r0": (1.0, single), "theta0": (0.0, single),
+             "heading": (0.0, single and args.r0 != 0.0), "seed": (0, args.embed)}
+    unread = [f"--{name}" for name, (_, read) in flags.items()
+              if getattr(args, name) is not None and not read]
+    if unread:
+        print(f"randers geodesic: error: this run does not read {', '.join(unread)} "
+              "(--r0, --theta0 and --heading launch one geodesic, not a --fan; "
+              "--heading off the vertex; --seed draws the --embed samples)", file=sys.stderr)
+        return EXIT_USAGE
+    for name, (default, read) in flags.items():
+        if read and getattr(args, name) is None:
+            setattr(args, name, default)
     profile = _load_profile(args)
     outdir = Path(args.out)
     echo = _config_echo(args)

@@ -425,9 +425,10 @@ def integrate_F(profile: Profile, q: SurfacePoint, yF: Tangent, length: float,
 
 
 # Composite Gauss-Legendre rule of clairaut_angles: _LEG_PANELS panels of
-# _LEG_NODES nodes per leg, each panel halved up to _LEG_SPLITS times.  Legs
-# are integrated _LEG_BLOCK at a time: the node arrays of a block stay a few
-# MB, and blocks run as fast per leg as one call over a thousand legs.
+# _LEG_NODES nodes per group of legs, each panel halved up to _LEG_SPLITS
+# times.  A block holds whole groups, of about the panels of _LEG_BLOCK lone
+# legs: its node arrays stay a few MB, and blocks run as fast per leg as one
+# call over a thousand legs.
 _LEG_NODES = 8
 _LEG_PANELS = 12
 _LEG_SPLITS = 12
@@ -461,46 +462,78 @@ def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
     and its width, since ra + width may round to ra there.  The integrands
     2 u nu / (m sqrt(D)) and 2 u m / sqrt(D) take D = dm (2 m(ra) + dm) +
     disc with dm = m(r) - m(ra) integrated from m' on the same nodes, so D
-    keeps its relative accuracy near ra.  Gauss-Legendre panels are graded
-    geometrically from the scale where D leaves disc, and halved until both
-    integrals of every leg move by at most tol (or their rounding level);
-    the halved values are returned.  A leg that still moves after
-    _LEG_SPLITS halvings raises InternalConsistencyError.  Legs run in
-    blocks of _LEG_BLOCK, so the memory of a call stays bounded however
-    many legs it has; each leg's values do not depend on its block.
+    keeps its relative accuracy near ra.  Legs with bit-equal (ra, sigma,
+    nu, disc) form a group: Gauss-Legendre panels graded geometrically from
+    the scale where D leaves disc to the widest top, with a break at every
+    other top, each leg's values the panel sums up to its top.  They are
+    halved until both integrals of every leg move by at most tol (or their
+    rounding level); the halved values are returned.  A group that still
+    moves after _LEG_SPLITS halvings raises InternalConsistencyError.
+    Blocks of whole groups bound the memory of a call however many legs it
+    has; a leg's values depend on its group, not on its block or the order.
     """
     ra, width, nu, disc, sigma = np.broadcast_arrays(ra, width, nu, disc, sigma)
     shape = ra.shape
     angle, length = np.zeros(ra.size), np.zeros(ra.size)
     todo = np.flatnonzero(width.ravel() > 0.0)
-    legs = [np.asarray(v, dtype=float).ravel()[todo] for v in (ra, sigma, nu, disc, width)]
-    for start in range(0, todo.size, _LEG_BLOCK):
-        block = slice(start, start + _LEG_BLOCK)
-        angle[todo[block]], length[todo[block]] = _clairaut_block(
-            profile, *(v[block] for v in legs), tol)
-    return angle.reshape(shape), length.reshape(shape)
-
-
-def _clairaut_block(profile: Profile, ra, sigma, nu, disc, top, tol: float):
-    """clairaut_angles on one block of legs of positive width top."""
-    angle, length = np.empty(ra.size), np.empty(ra.size)
-    todo = np.arange(ra.size)
-    m_a = as_float_array(profile.m(ra), todo.shape)
-    legs = [ra, sigma, nu, disc, m_a]
-    top = np.sqrt(top)
+    if todo.size == 0:
+        return angle.reshape(shape), length.reshape(shape)
+    keys = np.stack([np.asarray(v, dtype=float).ravel()[todo] for v in (ra, sigma, nu, disc)], 1)
+    bits = keys.view(np.int64)
+    one, group = _distinct(bits, np.lexsort(bits.T))
+    keys, top, n = keys[one].T, np.sqrt(np.asarray(width, dtype=float).ravel()[todo]), one.size
+    widest = np.zeros(n)
+    np.maximum.at(widest, group, top)
+    m_a = as_float_array(profile.m(keys[0]), (n,))
     # D leaves disc at u^2 ~ disc / (2 m m'); from a turning radius the angle
     # integrand peaks at u^2 ~ 2 m / m'.  Below 1e-12 of the leg the D scale
     # only trims a sliver of the integral.
-    scale = np.sqrt(np.minimum(2.0 * m_a, np.where(disc > 0.0, disc / (2.0 * m_a), np.inf))
-                    / np.abs(as_float_array(profile.m1(ra), todo.shape)))
-    first = np.clip(scale, 1e-12 * top, top / _LEG_PANELS)
-    breaks = np.empty((todo.size, _LEG_PANELS + 1))
-    breaks[:, 0] = 0.0
-    breaks[:, 1:] = first[:, None] * (top / first)[:, None] ** _LEG_GRADING
-    breaks[:, -1] = top
+    scale = np.sqrt(np.minimum(2.0 * m_a, np.where(keys[3] > 0.0, keys[3] / (2.0 * m_a), np.inf))
+                    / np.abs(as_float_array(profile.m1(keys[0]), (n,))))
+    first = np.clip(scale, 1e-12 * widest, widest / _LEG_PANELS)
+    graded = first[:, None] * (widest / first)[:, None] ** _LEG_GRADING
+    graded[:, -1] = widest
+    # each group's breaks, sorted without repeats: 0, the graded ones and the
+    # tops of its legs; col is the break at which each leg ends
+    owner = np.concatenate([np.repeat(np.arange(n), _LEG_PANELS + 1), group])
+    u = np.concatenate([np.hstack([np.zeros((n, 1)), graded]).ravel(), top])
+    z = owner + 1j * u   # sorts by group, then u; the stable sort takes graded runs whole
+    kept, rank = _distinct(z, np.argsort(z, kind="stable"))
+    start = np.searchsorted(owner[kept], np.arange(n + 1))
+    col, panels = rank[-top.size:] - start[group], np.diff(start) - 1
+    # blocks: runs of the groups of one panel count
+    order = np.lexsort((np.arange(n), panels))
+    chunk = (np.cumsum(panels[order]) - panels[order]) // (_LEG_BLOCK * _LEG_PANELS)
+    block = np.empty(n, dtype=int)
+    block[order] = np.cumsum(np.r_[0, np.diff(panels[order]) | np.diff(chunk)] != 0)
+    for b in range(block[order[-1]] + 1):
+        g, k = np.flatnonzero(block == b), np.flatnonzero(block[group] == b)
+        rows = u[kept[start[g][:, None] + np.arange(panels[g[0]] + 1)]]
+        angle[todo[k]], length[todo[k]] = _clairaut_block(
+            profile, [*keys[:, g], m_a[g]], rows, np.searchsorted(g, group[k]), col[k], tol)
+    return angle.reshape(shape), length.reshape(shape)
 
-    def rule(breaks, legs):
-        ra, sigma, nu, disc, m_a = (v[:, None, None] for v in legs)
+
+def _distinct(values, order):
+    """(first, inverse) of the distinct values, or rows, taken in the sorted
+    order: the index of one of each, and each one's index among them."""
+    v = values[order].reshape(len(order), -1)
+    new = np.concatenate([[True], (v[1:] != v[:-1]).any(axis=1)])
+    inverse = np.empty(len(v), dtype=int)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _clairaut_block(profile: Profile, keys, breaks, row, col, tol: float):
+    """clairaut_angles on one block of groups with the keys (ra, sigma, nu,
+    disc, m(ra)) and the panel breaks of each row: the legs of the groups
+    row[k], ending at the breaks col[k]."""
+    angle, length = np.empty(row.size), np.empty(row.size)
+    legs = np.arange(row.size)
+
+    def rule(breaks, keys):
+        """Prefix sums of the angle and length over the panels of every group."""
+        ra, sigma, nu, disc, m_a = (v[:, None, None] for v in keys)
         half = 0.5 * np.diff(breaks, axis=1)[..., None]
         u = 0.5 * (breaks[:, 1:] + breaks[:, :-1])[..., None] + half * _LEG_T
         r = ra + sigma * (u * u)
@@ -511,24 +544,28 @@ def _clairaut_block(profile: Profile, ra, sigma, nu, disc, top, tol: float):
         dm[:, 1:] += below[:, :-1, None]
         m = m_a + dm
         q = (2.0 * half) * u / np.sqrt(dm * (m + m_a) + disc)
-        return nu[:, 0, 0] * ((q / m) @ _LEG_W).sum(axis=1), ((q * m) @ _LEG_W).sum(axis=1)
+        return nu[:, :, 0] * np.cumsum((q / m) @ _LEG_W, 1), np.cumsum((q * m) @ _LEG_W, 1)
 
-    coarse = rule(breaks, legs)
+    coarse = rule(breaks, keys)
     for _ in range(_LEG_SPLITS):
-        halved = np.empty((todo.size, 2 * breaks.shape[1] - 1))
+        halved = np.empty((breaks.shape[0], 2 * breaks.shape[1] - 1))
         halved[:, ::2] = breaks
         halved[:, 1::2] = 0.5 * (breaks[:, 1:] + breaks[:, :-1])
-        fine = rule(halved, legs)
-        bound = np.maximum(tol, 64.0 * np.finfo(float).eps * (np.abs(fine[0]) + fine[1]))
-        done = (np.abs(fine[0] - coarse[0]) <= bound) & (np.abs(fine[1] - coarse[1]) <= bound)
-        angle[todo[done]], length[todo[done]] = fine[0][done], fine[1][done]
+        fine = rule(halved, keys)
+        a, s = (v[row, 2 * col - 1] for v in fine)
+        was_a, was_s = (v[row, col - 1] for v in coarse)
+        bound = np.maximum(tol, 64.0 * np.finfo(float).eps * (np.abs(a) + s))
+        keep = np.zeros(breaks.shape[0], dtype=bool)
+        keep[row[~((np.abs(a - was_a) <= bound) & (np.abs(s - was_s) <= bound))]] = True
+        done = ~keep[row]
+        angle[legs[done]], length[legs[done]] = a[done], s[done]
         if done.all():
             return angle, length
-        todo, breaks, legs = todo[~done], halved[~done], [v[~done] for v in legs]
-        coarse = (fine[0][~done], fine[1][~done])
+        legs, row, col = legs[~done], (np.cumsum(keep) - 1)[row[~done]], 2 * col[~done]
+        breaks, keys, coarse = halved[keep], [v[keep] for v in keys], [v[keep] for v in fine]
     raise InternalConsistencyError(
         f"Clairaut quadrature did not settle to {tol} after {_LEG_SPLITS} "
-        f"halvings on the legs from r = {legs[0].tolist()}")
+        f"halvings on the legs from r = {keys[0][row].tolist()}")
 
 
 def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float, sign: int):

@@ -280,9 +280,10 @@ class TwoRadiusConnectors:
 
     Every pair is tabulated over one fixed heading grid, from sweep 0 to pi,
     so the table brackets every target in (0, pi].  The whole table is one
-    clairaut_angles call: one climb per pair and heading, and one drop (with
-    its turning radius) per distinct lower radius and heading, so pairs that
-    share r1 as their lower radius share their drops.  A query refines the
+    clairaut_angles call: the climbs of the pairs that share a lower radius
+    form one group per heading, each a prefix of one quadrature, and one
+    drop (with its turning radius) per distinct lower radius and heading is
+    shared by the pairs with that lower radius.  A query refines the
     sign changes of sweep - delta of every pair together, by
     profile.roots_on_grids in chi to the xtol that keeps sweep and length
     within tol / 8, each iteration one clairaut_angles call over all open
@@ -310,14 +311,15 @@ class TwoRadiusConnectors:
         if not _check_increasing_warp(profile, float(self._hi.max())):
             raise InvalidParameterError(
                 f"connector tables need a warp that increases on [0, {self._hi.max()}]")
-        self._m_lo = as_float_array(profile.m(lo), lo.shape)
+        # m(r_lo) once per distinct r_lo, so that the climbs sharing it group
+        lows, one, code = np.unique(lo, return_index=True, return_inverse=True)
+        self._m_lo = as_float_array(profile.m(lows), lows.shape)[code]
         self.r_lo, self.r_hi, self.m_lo = (v.reshape(shape)[()]
                                            for v in (self._lo, self._hi, self._m_lo))
         # the table: every pair climbs at every heading psi of _TABLE_PSI
         # (chi = psi), and turns at chi = pi - psi for psi below pi/2, with
         # the drop of each distinct r_lo and psi > 0 and the chain at psi = 0
         psi, n = _TABLE_PSI, lo.size
-        _, one, code = np.unique(lo, return_index=True, return_inverse=True)
         climb_a, climb_s, drop_a, drop_s = self._legs(
             np.repeat(np.arange(n), psi.size), np.tile(psi, n),
             np.repeat(one, psi.size - 2), np.tile(psi[1:-1], one.size))

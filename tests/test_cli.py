@@ -46,7 +46,7 @@ def test_geodesic_exports(tmp_path, capsys):
     assert h_meta["metric_tag"] == "h"
     assert h_meta["nu"] == pytest.approx(meta["nu"])
     assert meta["config"]["tolerances"] == {"tol_ode": 1e-10}
-    assert meta["config"]["seed"] == 0
+    assert "seed" not in meta["config"]   # only --embed draws a seed
     # --format json writes the samples into the sidecar in place of the CSV
     rc = run(["geodesic", "--r0", "2", "--heading", "0.8", "--length", "5",
               "--format", "json", "--out", str(tmp_path / "js")])
@@ -186,6 +186,39 @@ def test_exit_codes(tmp_path, capsys):
 ])
 def test_each_command_rejects_flags_it_does_not_read(argv):
     assert run(argv) == 1
+
+
+@pytest.mark.parametrize("flags,unread", [
+    (["--fan", "1", "--r0", "5"], "--r0"),
+    (["--fan", "1", "--theta0", "2"], "--theta0"),
+    (["--fan", "1", "--heading", "1"], "--heading"),
+    (["--fan", "1", "--seed", "4"], "--seed"),
+    (["--r0", "2", "--heading", "0.7", "--seed", "4"], "--seed"),
+    (["--r0", "0", "--heading", "1"], "--heading"),
+])
+def test_geodesic_rejects_flags_its_run_does_not_read(tmp_path, capsys, flags, unread):
+    # the fan starts at the vertex, a geodesic from the vertex leaves along
+    # theta0, and only --embed draws a seed
+    assert run(["geodesic", *flags, "--length", "2", "--out", str(tmp_path)]) == 1
+    assert unread in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_geodesic_defaults_apply_where_read(tmp_path):
+    # a single geodesic launches from r0 = 1, theta0 = 0 at heading 0
+    assert run(["geodesic", "--length", "2", "--out", str(tmp_path / "a")]) == 0
+    assert run(["geodesic", "--r0", "1", "--theta0", "0", "--heading", "0", "--length", "2",
+                "--out", str(tmp_path / "b")]) == 0
+    for name in ("geodesic_F.csv", "geodesic_h.csv", "geodesic_F.json"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+    # an embedded fan draws its samples from seed 0, or from the one given
+    assert run(["geodesic", "--fan", "1", "--length", "2", "--embed",
+                "--out", str(tmp_path / "c")]) == 0
+    assert run(["geodesic", "--fan", "1", "--length", "2", "--embed", "--seed", "3",
+                "--out", str(tmp_path / "d")]) == 0
+    for sub, seed in (("c", 0), ("d", 3)):
+        assert json.loads((tmp_path / sub / "pullback_report.json").read_text())["seed"] == seed
+        assert json.loads((tmp_path / sub / "twisted_0_F.json").read_text())["config"]["seed"] == seed
 
 
 def test_verify_exit_code_on_failure(tmp_path, monkeypatch, capsys):

@@ -13,7 +13,7 @@ from randers import InvalidParameterError, SurfacePoint, make_custom, make_parab
 from randers import geodesics
 from randers.conjugate import cut_locus
 from randers.geodesics import GeodesicState, clairaut_angles, integrate_h, level_crossings
-from randers.measure import TwoRadiusConnectors, h_distance
+from randers.measure import _TABLE_PSI, TwoRadiusConnectors, h_distance
 
 PROFILES = {
     "flat": lambda: make_custom("r", "1", "0", mu=0.04, r_max=20.0),
@@ -221,6 +221,70 @@ def test_clairaut_angles_blocks_are_bit_identical(monkeypatch):
         got = clairaut_angles(p, *legs)
         np.testing.assert_array_equal(got[0], one[0])
         np.testing.assert_array_equal(got[1], one[1])
+
+
+@pytest.mark.parametrize("name", ["paraboloid-1", "paraboloid-0.5", "flat"])
+def test_grouped_prefixes_match_each_leg_alone(name):
+    # the climbs of a table from one lower radius at each heading: one group
+    # of 64 tops, against each leg integrated as a group of one.  At tol
+    # 1e-12: at the tables' 1e-10 / 3 the lone leg of width 10.78 at
+    # tangency on the paraboloid mu = 1 settles 1.6e-13 from its value (its
+    # prefix in the group, 1.3e-14 from it, by mpmath at 40 digits)
+    p = PROFILES[name]()
+    m_lo = float(p.m(1.0))
+    nu, disc = m_lo * np.sin(_TABLE_PSI), (m_lo * np.cos(_TABLE_PSI)) ** 2
+    widths = np.linspace(0.0, 15.0, 65)[1:]
+    grouped = clairaut_angles(p, 1.0, widths[:, None], nu, disc, 1e-12)
+    for i, w in enumerate(widths):
+        alone = clairaut_angles(p, 1.0, w, nu, disc, 1e-12)
+        np.testing.assert_allclose(grouped[0][i], alone[0], rtol=0, atol=1e-13)
+        np.testing.assert_allclose(grouped[1][i], alone[1], rtol=0, atol=1e-13)
+
+
+def test_grouped_legs_are_bit_identical_under_permutations_and_blocks(monkeypatch):
+    # on the sphere: climbs below the equator, and legs from turning radii
+    # beyond it run inward (sigma = -1); groups of up to 12 legs with shared
+    # keys, repeated widths and zero widths, and lone legs
+    p = PROFILES["sphere"]()
+    rng = np.random.default_rng(11)
+    keys = 60
+    sigma = np.where(np.arange(keys) % 3 == 0, -1.0, 1.0)
+    ra = np.where(sigma > 0.0, rng.uniform(0.2, 1.2, keys), rng.uniform(1.9, 2.8, keys))
+    m_a = np.sin(ra)
+    chi = np.where(np.arange(keys) % 4 == 1, 0.5 * math.pi, rng.uniform(0.0, 0.5 * math.pi, keys))
+    nu = np.where(sigma > 0.0, m_a * np.sin(chi), m_a)
+    disc = np.where((sigma > 0.0) & (chi < 0.5 * math.pi), (m_a * np.cos(chi)) ** 2, 0.0)
+    group = np.repeat(np.arange(keys), rng.integers(1, 13, keys))
+    room = np.where(sigma > 0.0, 1.5 - ra, ra - 1.65)[group]
+    width = room * rng.choice([0.0, 0.25, 0.5, 1.0, *rng.uniform(0.0, 1.0, 8)], group.size)
+    legs = (ra[group], width, nu[group], disc[group], 1e-10 / 3.0, sigma[group])
+    one = clairaut_angles(p, *legs)
+    assert np.all(one[1][width > 0.0] > 0.0) and np.all(one[1][width == 0.0] == 0.0)
+    n = group.size
+    for block, perm in [(1, rng.permutation(n)), (64, rng.permutation(n)),
+                        (n + 1, np.arange(n)[::-1]), (geodesics._LEG_BLOCK, rng.permutation(n))]:
+        monkeypatch.setattr(geodesics, "_LEG_BLOCK", block)
+        got = clairaut_angles(p, *(v[perm] if np.ndim(v) else v for v in legs))
+        np.testing.assert_array_equal(got[0], one[0][perm])
+        np.testing.assert_array_equal(got[1], one[1][perm])
+
+
+def test_cut_locus_table_shares_its_climbs():
+    # the cost of a cut_locus table in m' nodes, counted without timing: the
+    # climbs from the shared lower radius are integrated once per heading
+    # (609,890 nodes when each climb was integrated alone)
+    p = make_paraboloid(1.0)
+    nodes = []
+
+    def m1(r):
+        nodes.append(np.size(r))
+        return p.m1(r)
+
+    counted = make_custom(p.m, m1, p.m2, mu=p.mu, r_max=p.r_max)
+    arc = cut_locus(p, SurfacePoint(1.0, 0.0))
+    assert arc.r.size == 64
+    TwoRadiusConnectors(counted, 1.0, arc.r, tol=1e-10)
+    assert sum(nodes) <= 150_000
 
 
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, float("inf")])

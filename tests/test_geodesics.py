@@ -360,6 +360,14 @@ def test_unmarked_turning_end_raises(bump):
         clairaut_angles(bump, 1.0, 0.75, nu, (m_a - nu) * (m_a + nu), 1e-10)
 
 
+def test_clairaut_angles_nan_legs_raise(parab):
+    # disc < 0 puts a leg past its turning radius, where its integrands are
+    # NaN: the halving test never passes, for a lone leg or a group
+    for width in (0.5, [0.3, 0.5]):
+        with np.errstate(invalid="ignore"), pytest.raises(InternalConsistencyError):
+            clairaut_angles(parab, 1.0, width, 0.9, -0.5, 1e-10)
+
+
 def test_quadrature_segment_invalid_bracket(parab):
     with pytest.raises(InvalidBracketError):
         quadrature_segment(parab, 0.05, 2.0, 0.3, 1)  # m < nu near 0.05
