@@ -85,8 +85,8 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
         def radius(s: float) -> float:
             return abs(float(dense(s)[0]))
 
-    def rhs(s: float, z: np.ndarray) -> tuple:
-        y, yp = z.tolist()
+    def rhs(s: float, z: list) -> tuple:
+        y, yp = z
         return (yp, -gauss_curvature(profile, radius(s)) * y)
 
     events = [odesolve.LevelEvent(0, 0.0, terminal=stop_at_zero)]

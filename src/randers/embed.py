@@ -215,7 +215,7 @@ def eval_F_tilde(mu: float, point: MinkowskiPoint, Y) -> float:
     alpha~^2 = (Y1^2 + Y2^2 - mu^2 (x Y1 + y Y2)^2 + lam~ Y3^2) / lam~^2 and
     beta~ = mu (y Y1 - x Y2) / lam~.
     """
-    y1, y2, y3 = np.asarray(Y, dtype=float).tolist()
+    y1, y2, y3 = map(float, Y)
     if y1 == 0.0 and y2 == 0.0 and y3 == 0.0:
         raise InvalidParameterError("F~ is undefined on the zero vector")
     lam = _inside_margin(mu, point)

@@ -223,22 +223,22 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         )
     m_fn, m1_fn = profile.m, profile.m1
 
-    def rhs(s: float, y: np.ndarray) -> tuple:
-        r, _, dr, dth = y.tolist()
+    def rhs(s: float, y: list) -> tuple:
+        r, _, dr, dth = y
         m = float(m_fn(r))
         m1 = float(m1_fn(r))
         return (dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth)
 
     drift = {"unit": 0.0, "clairaut": 0.0}
 
-    def renormalize(s: float, y: np.ndarray) -> np.ndarray:
-        r, th, dr, dth = y.tolist()
+    def renormalize(s: float, y: list) -> list:
+        r, th, dr, dth = y
         m = float(m_fn(r))
         norm = math.hypot(dr, m * dth)
         drift["unit"] = max(drift["unit"], abs(norm - 1.0))
         dr, dth = dr / norm, dth / norm
         drift["clairaut"] = max(drift["clairaut"], abs(m * m * dth - nu0))
-        return np.array([r, th, dr, dth])
+        return [r, th, dr, dth]
 
     events = [odesolve.LevelEvent(0, profile.r_max, terminal=True, direction=1),
               odesolve.LevelEvent(0, r_floor, terminal=True, direction=-1)]

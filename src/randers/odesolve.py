@@ -23,8 +23,9 @@ Two integrators share the tableau, the controller and the interpolant:
   extension are built from them in one array pass over all steps on the
   first dense read, so a solution that is never read never builds them,
   and the event arrays are built only for a step that crosses an event.
-  f is called with a state ndarray and may return any sequence of dim
-  numbers; a tuple of floats is the cheapest.
+  f is called with the state as a list of Python floats and may return any
+  sequence of dim numbers; a tuple of floats is the cheapest, and an
+  ndarray is converted to floats.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
   on an (n_rows, dim) state.  Each row keeps its own step size and is
   accepted or rejected under a mask; rows leave the active set when they
@@ -37,12 +38,15 @@ Both take the same two hooks:
 
 * ``post_step(s, y) -> y_new | None`` runs after every accepted step and may
   project the state back onto an invariant manifold (the geodesic integrators
-  renormalize unit speed there).  It must return a replacement array, or
-  None to keep the state; it must not mutate its argument.  After a
-  replacement the FSAL derivative is recomputed, and the step's end state
-  and derivative are the projected ones, so the dense output passes through
-  the sampled states; the quartic term keeps the unprojected stages, which
-  moves the interpolant by the O(tol) of the projection.
+  renormalize unit speed there).  It is called with the state as f is, a
+  list of floats in ``integrate`` and an array in ``integrate_batch``, and
+  must return a replacement state (any sequence in ``integrate``, an array
+  in ``integrate_batch``), or None to keep the state; it must not mutate
+  its argument.  After a replacement the FSAL derivative is recomputed, and
+  the step's end state and derivative are the projected ones, so the dense
+  output passes through the sampled states; the quartic term keeps the
+  unprojected stages, which moves the interpolant by the O(tol) of the
+  projection.
 * Events.  Both take LevelEvents, crossings of one state component
   through a level (one per row, or shared, in a batch); g is the component
   minus the level.  ``integrate`` refines each root by roots_on_grid on g
@@ -212,23 +216,26 @@ def _check_span_tol(s0, s_end, tol) -> None:
 
 
 def integrate(
-    f: Callable[[float, np.ndarray], Sequence[float]],
+    f: Callable[[float, list], Sequence[float]],
     s0: float,
     y0,
     s_end: float,
     tol: float = 1e-10,
     h_max: float = np.inf,
-    post_step: Callable[[float, np.ndarray], np.ndarray] | None = None,
+    post_step: Callable[[float, list], Sequence[float] | None] | None = None,
     events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
 ) -> ODESolution:
     """Integrate y' = f(s, y) from s0 to s_end (s_end > s0, both finite).
 
-    f is called with a float and a state ndarray and returns the dim
-    derivative components as any sequence of numbers (a tuple of floats is
-    the cheapest; an ndarray works too).  The stages, the solution update
-    and the error terms run on Python floats; only the error norm of a step
-    is an array dot product.  tol (in [MIN_TOL, MAX_TOL]) is used as both
+    f is called with a float and the state as a list of dim Python floats,
+    and returns the derivative components as any sequence of numbers (a
+    tuple of floats is the cheapest; an ndarray is converted to floats).
+    post_step gets the same list and returns a replacement sequence or
+    None; neither may mutate the list.  The stages, the solution update and
+    the error terms run on Python floats; only the error norm of a step is
+    an array dot product, and the event arrays are built only for a step
+    that crosses an event.  tol (in [MIN_TOL, MAX_TOL]) is used as both
     absolute and relative per-step tolerance and alone sets the step size,
     unless h_max caps it; a bad range or tol raises InvalidParameterError.
 
@@ -245,7 +252,7 @@ def integrate(
     y = y_arr.tolist()
     s = float(s0)
 
-    fs = f(s, y_arr)
+    fs = f(s, y)
     if isinstance(fs, np.ndarray):
         # numpy scalars give the same sums, but floats are faster
         array_f = f
@@ -286,21 +293,19 @@ def integrate(
         # rows), each sum in the order of integrate_batch's array expressions
         k0 = fs
         c = 0.2 * h
-        k1 = f(s + c, array([y_ + c * p0 for y_, p0 in zip(y, k0)]))
-        k2 = f(s + 0.3 * h, array([y_ + h * (a20 * p0 + a21 * p1)
-                                     for y_, p0, p1 in zip(y, k0, k1)]))
-        k3 = f(s + 0.8 * h, array([y_ + h * (a30 * p0 + a31 * p1 + a32 * p2)
-                                     for y_, p0, p1, p2 in zip(y, k0, k1, k2)]))
-        k4 = f(s + c4 * h, array([
-            y_ + h * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
-            for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)]))
-        k5 = f(s + h, array([
+        k1 = f(s + c, [y_ + c * p0 for y_, p0 in zip(y, k0)])
+        k2 = f(s + 0.3 * h, [y_ + h * (a20 * p0 + a21 * p1)
+                             for y_, p0, p1 in zip(y, k0, k1)])
+        k3 = f(s + 0.8 * h, [y_ + h * (a30 * p0 + a31 * p1 + a32 * p2)
+                             for y_, p0, p1, p2 in zip(y, k0, k1, k2)])
+        k4 = f(s + c4 * h, [y_ + h * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
+                            for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
+        k5 = f(s + h, [
             y_ + h * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-            for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)]))
+            for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
         y_new = [y_ + h * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
                  for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
-        y_new_arr = array(y_new)
-        k6 = f(s + h, y_new_arr)
+        k6 = f(s + h, y_new)
         # err / (tol + tol * max(|y|, |y_new|)); the max takes the NaN of a
         # y_new that left f's domain, as np.maximum does
         ratio = array([
@@ -320,11 +325,11 @@ def integrate(
         f_new = k6  # FSAL stage is f(s + h, y_new)
         s_new = s + h
         if post_step is not None:
-            y_proj = post_step(s_new, y_new_arr)
+            y_proj = post_step(s_new, y_new)
             if y_proj is not None:
-                y_new_arr = np.asarray(y_proj, dtype=float)
-                y_new = y_new_arr.tolist()
-                f_new = f(s_new, y_new_arr)
+                y_new = (y_proj.tolist() if isinstance(y_proj, np.ndarray)
+                         else list(y_proj))
+                f_new = f(s_new, y_new)
         seg_s.append(s)
         seg_h.append(h)
         seg_y0 += y
@@ -348,8 +353,9 @@ def integrate(
             if crossed:
                 if seg_eval is None:
                     y_old = array(y)
-                    coeffs = _contd5(h, y_old, y_new_arr, *(
-                        array(k, dtype=float) for k in (k0, f_new, k2, k3, k4, k5, k6)))
+                    coeffs = _contd5(h, y_old, *(
+                        array(k, dtype=float)
+                        for k in (y_new, k0, f_new, k2, k3, k4, k5, k6)))
 
                     def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
                         return _dense((sq - _s) / _h, _y, *_c)

@@ -88,6 +88,22 @@ def test_F_tilde_on_axis():
         eval_F_tilde(1.0, MinkowskiPoint(2.0, 0.0, 0.0), [1.0, 0.0, 0.0])
 
 
+def test_eval_F_tilde_takes_a_tuple_or_an_array(parab):
+    # the same vector as a tuple of floats, a list or an ndarray (what
+    # pushforward returns) gives the same value, bit for bit
+    q = SurfacePoint(1.3, 0.4)
+    pt = embed_point(parab, q)
+    for v in (Tangent(1.0, 0.0), Tangent(0.3, -0.7), Tangent(-0.2, 1.1)):
+        Y = pushforward(parab, q, v)
+        value = eval_F_tilde(parab.mu, pt, Y)
+        assert eval_F_tilde(parab.mu, pt, tuple(Y.tolist())) == value
+        assert eval_F_tilde(parab.mu, pt, Y.tolist()) == value
+        assert value == pytest.approx(eval_F(parab, q, v), abs=1e-12)
+    for zero in ((0.0, 0.0, 0.0), (0.0, -0.0, 0.0), np.zeros(3)):
+        with pytest.raises(InvalidParameterError):
+            eval_F_tilde(parab.mu, pt, zero)
+
+
 def test_minkowski_coefficients_structure():
     pt = MinkowskiPoint(0.3, -0.2, 1.0)
     a, b, lam = minkowski_coefficients(1.0, pt)

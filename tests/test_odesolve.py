@@ -7,7 +7,7 @@ import pytest
 from randers import (
     InvalidParameterError, NumericalBlowupError, make_custom, make_paraboloid, odesolve,
 )
-from randers.conjugate import jacobi_integrate
+from randers.conjugate import jacobi_integrate, opposite_meridian_chain
 from randers.geodesics import (
     GeodesicState, clairaut_constant, integrate_h, level_crossings_batch,
 )
@@ -15,7 +15,7 @@ from randers.odesolve import (
     _A, _B, _C, _E, MAX_TOL, MIN_TOL, LevelEvent, _contd5, _dense, _initial_step,
     integrate, integrate_batch,
 )
-from randers.profile import roots_on_grid
+from randers.profile import SurfacePoint, gauss_curvature, roots_on_grid
 
 
 def _oscillator(s, y):
@@ -66,7 +66,7 @@ def test_post_step_projection_runs():
     # project onto the unit circle each step; energy stays pinned
     def proj(s, y):
         n = math.hypot(y[0], y[1])
-        return y / n
+        return np.asarray(y) / n
 
     sol = integrate(_oscillator, 0.0, [0.0, 1.0], 50.0, tol=1e-9,
                     post_step=proj)
@@ -161,7 +161,7 @@ def test_projected_state_ends_each_step():
     # the dense output passes through the projected samples: every step
     # ends where the next one starts, with the derivative recomputed there
     def proj(s, y):
-        return y / math.hypot(y[0], y[1])
+        return np.asarray(y) / math.hypot(y[0], y[1])
 
     sol = integrate(_oscillator, 0.0, [0.0, 1.0], 20.0, tol=1e-9, post_step=proj)
     assert np.array_equal(sol.seg_y1[:-1], sol.seg_y0[1:])
@@ -245,7 +245,7 @@ def test_steps_that_leave_the_domain_are_rejected():
     # the RHS is undefined beyond y = 1.2; steps that reach there are
     # rejected and shrunk until the terminal event at y = 1 stops the run
     def f(s, y):
-        return np.where(y < 1.2, 1.0, np.nan)
+        return np.where(np.asarray(y) < 1.2, 1.0, np.nan)
 
     one = integrate(f, 0.0, [0.0], 5.0, tol=1e-9,
                     events=[LevelEvent(0, 1.0, terminal=True)])
@@ -363,14 +363,14 @@ def _assert_same_solution(sol, ref):
 
 
 def _oscillator_tuple(s, y):
-    a, b = y.tolist()
+    a, b = y
     return (b, -a)
 
 
 @pytest.mark.parametrize("f", [_oscillator, _oscillator_tuple])
 def test_float_stages_match_array_loop_on_the_oscillator(f):
     def proj(s, y):
-        return y / math.hypot(y[0], y[1])
+        return np.asarray(y) / math.hypot(y[0], y[1])
 
     events = [LevelEvent(0, 0.0), LevelEvent(1, 0.0, direction=1),
               LevelEvent(0, -0.5, terminal=True, direction=-1)]
@@ -379,6 +379,39 @@ def test_float_stages_match_array_loop_on_the_oscillator(f):
         _assert_same_solution(integrate(f, 0.0, [0.0, 1.0], 60.0, **kwargs),
                               _array_integrate(_oscillator, 0.0, [0.0, 1.0], 60.0,
                                                **kwargs))
+
+
+def test_callbacks_see_float_lists_and_may_return_any_sequence():
+    # f and post_step are called with the state as a list of floats, never
+    # an ndarray; a tuple, list or ndarray from f, and a list, ndarray or
+    # None from post_step, give the array loop's solution bit for bit
+    seen = set()
+
+    def watched(fn):
+        def call(s, y):
+            seen.add(type(y))
+            seen.update(map(type, y))
+            return fn(s, y)
+        return call
+
+    def proj_list(s, y):
+        n = math.hypot(y[0], y[1])
+        return [v / n for v in y]
+
+    def proj_array(s, y):
+        return np.asarray(y) / math.hypot(y[0], y[1])
+
+    kwargs = {"tol": 1e-9, "events": [LevelEvent(0, 0.0), LevelEvent(1, 0.0, direction=1)]}
+    plain = _array_integrate(_oscillator, 0.0, [0.6, 0.8], 20.0, **kwargs)
+    projected = _array_integrate(_oscillator, 0.0, [0.6, 0.8], 20.0, post_step=proj_array,
+                                 **kwargs)
+    for f in (_oscillator_tuple, lambda s, y: [y[1], -y[0]], _oscillator):
+        for post_step, ref in ((None, plain), (lambda s, y: None, plain),
+                               (proj_list, projected), (proj_array, projected)):
+            sol = integrate(watched(f), 0.0, [0.6, 0.8], 20.0,
+                            post_step=post_step and watched(post_step), **kwargs)
+            _assert_same_solution(sol, ref)
+    assert seen == {list, float}
 
 
 def _geodesic_system(profile, nu0, r_floor):
@@ -401,13 +434,10 @@ def _geodesic_system(profile, nu0, r_floor):
     return rhs, renormalize, events
 
 
-@pytest.mark.parametrize("r0,phi,length,status", [
-    (1.0, 0.7, 40.0, "event:0"),     # leaves the domain through r_max
-    (2.5, 2.9, 6.0, "event:1"),      # inward, stopped by a floor set at r = 1.2
-    (1.3, 1.2, 25.0, "completed"),
-])
-def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, status):
-    profile = make_paraboloid(1.0)
+def _assert_geodesic_matches_array_loop(profile, r0, phi, length, status):
+    """integrate and integrate_h against _array_integrate on the geodesic
+    system from (r0, 0.4) at heading phi; status "event:1" sets the blow-up
+    floor at r = 1.2, so an inward ray stops there."""
     state0 = GeodesicState(r0, 0.4, math.cos(phi), math.sin(phi) / float(profile.m(r0)))
     nu0 = clairaut_constant(profile, state0)
     floor = 1.2 if status == "event:1" else max(1e-14, 1e-3 * abs(nu0))
@@ -429,9 +459,56 @@ def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, stat
         assert (path.dense.nsteps, path.dense.nrejected) == ref[5:]
 
 
+@pytest.mark.parametrize("r0,phi,length,status", [
+    (1.0, 0.7, 40.0, "event:0"),     # leaves the domain through r_max
+    (2.5, 2.9, 6.0, "event:1"),      # inward, stopped by a floor set at r = 1.2
+    (1.3, 1.2, 25.0, "completed"),
+])
+def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, status):
+    _assert_geodesic_matches_array_loop(make_paraboloid(1.0), r0, phi, length, status)
+
+
+@pytest.mark.parametrize("r0,phi,length,status", [
+    (1.0, 0.3, 10.0, "event:0"),     # out over the equator to r_max = 2.8
+    (2.5, 2.9, 6.0, "event:1"),
+    (1.0, 1.2, 12.0, "completed"),   # between the turning radii 0.90 and 2.24
+])
+def test_float_stages_match_array_loop_on_an_expression_profile(sphere, r0, phi, length,
+                                                                 status):
+    # the conftest sphere's m and m1 are compiled from the expressions
+    # "sin(r)" and "cos(r)", not a closure warp like the paraboloid's
+    _assert_geodesic_matches_array_loop(sphere, r0, phi, length, status)
+
+
+def test_float_stages_match_array_loop_on_the_jacobi_rhs():
+    # first_conjugate's call: the Jacobi field y(0) = 0, y'(0) = 1 along the
+    # paraboloid's meridian chain through the vertex, steps of at most 0.1,
+    # ended by the terminal event at its first zero
+    profile = make_paraboloid(1.0)
+    q = SurfacePoint(1.2, 0.0)
+    horizon = q.r + profile.r_max
+    base = opposite_meridian_chain(profile, q, horizon)
+    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon, stop_at_zero=True)
+    r0, dr0 = float(base.states[0, 0]), float(base.states[0, 2])
+
+    def rhs(s, z):
+        y, yp = z
+        return np.array([yp, -gauss_curvature(profile, abs(r0 + dr0 * s)) * y])
+
+    ss, ys, _, ev_records, status, _, _ = _array_integrate(
+        rhs, 0.0, [0.0, 1.0], horizon, tol=1e-12, h_max=0.1,
+        events=[LevelEvent(0, 0.0, terminal=True)])
+    assert status == "event:0"
+    ys = np.array(ys)
+    assert np.array_equal(jac.s, np.array(ss))
+    assert np.array_equal(jac.y, ys[:, 0])
+    assert np.array_equal(jac.yp, ys[:, 1])
+    assert jac.first_zero == ev_records[0][0][0] == ss[-1]
+
+
 def test_float_stages_match_array_loop_outside_the_domain():
     def f(s, y):
-        return np.where(y < 1.2, 1.0, np.nan)
+        return np.where(np.asarray(y) < 1.2, 1.0, np.nan)
 
     events = [LevelEvent(0, 1.0, terminal=True)]
     ref = _array_integrate(f, 0.0, [0.0], 5.0, tol=1e-9, events=events)
