@@ -43,7 +43,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, NotEmbeddableError
 from .profile import Profile, SurfacePoint, quad
-from .zermelo import Tangent, eval_F
+# eval_F is unused here; bench/tracer.py wraps embed.eval_F
+from .zermelo import F_from_warp, Tangent, eval_F  # noqa: F401
 
 # Height table: panels of at most _HEIGHT_PANEL in r, each integrated by
 # _HEIGHT_NODES-point Gauss-Legendre on its two halves.  The error targets
@@ -62,6 +63,11 @@ class MinkowskiPoint:
     y: float
     z: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            raise InvalidParameterError(
+                f"point coordinates must be finite, got ({self.x}, {self.y}, {self.z})")
+
 
 def cylinder_margin(mu: float, point: MinkowskiPoint) -> float:
     """1 - mu^2 (x^2 + y^2); must be positive inside the domain."""
@@ -74,17 +80,24 @@ def assert_embeddable(profile: Profile, r_to: float) -> None:
     r_to beyond r_max raises InvalidParameterError: the profile is not
     validated there.
     """
-    if r_to > profile.r_max:
+    _embeddable_m1(profile, r_to)
+
+
+def _embeddable_m1(profile: Profile, r: float) -> float:
+    """The checks of assert_embeddable at r, on one evaluation of m';
+    returns that m'(r)."""
+    if r > profile.r_max:
         raise InvalidParameterError(
-            f"radius {r_to} lies beyond r_max = {profile.r_max}")
-    m1 = abs(float(profile.m1(r_to)))
-    if r_to > profile.embeddable_radius or m1 > 1.0 + 1e-12:
+            f"radius {r} lies beyond r_max = {profile.r_max}")
+    m1 = float(profile.m1(r))
+    if r > profile.embeddable_radius or abs(m1) > 1.0 + 1e-12:
         r_e = profile.embeddable_radius
         raise NotEmbeddableError(
-            f"|m'| exceeds 1 beyond r = {r_e} (|m'({r_to})| = {m1}): the "
+            f"|m'| exceeds 1 beyond r = {r_e} (|m'({r})| = {abs(m1)}): the "
             "surface does not embed isometrically in Euclidean 3-space over "
             "this range"
         )
+    return m1
 
 
 def _slope(m1):
@@ -184,21 +197,20 @@ def pushforward(profile: Profile, q: SurfacePoint, v: Tangent) -> np.ndarray:
     ])
 
 
-def _inside_margin(mu: float, point: MinkowskiPoint) -> float:
-    """cylinder_margin of a point that must lie inside the cylinder."""
-    lam = cylinder_margin(mu, point)
+def _inside_margin(mu: float, x: float, y: float, z: float) -> float:
+    """cylinder_margin of the point (x, y, z), which must lie inside the
+    cylinder."""
+    lam = 1.0 - mu * mu * (x**2 + y**2)
     if lam <= 0.0:
         raise InvalidParameterError(
-            f"point ({point.x}, {point.y}, {point.z}) lies outside the "
-            f"cylinder x^2 + y^2 < 1/mu^2"
-        )
+            f"point ({x}, {y}, {z}) lies outside the cylinder x^2 + y^2 < 1/mu^2")
     return lam
 
 
 def minkowski_coefficients(mu: float, point: MinkowskiPoint):
     """(a~, b~, lam~) of the ambient flat Randers structure at a point."""
-    lam = _inside_margin(mu, point)
     x, y = point.x, point.y
+    lam = _inside_margin(mu, x, y, point.z)
     a = np.array([
         [1.0 - mu * mu * x * x, -mu * mu * x * y, 0.0],
         [-mu * mu * x * y, 1.0 - mu * mu * y * y, 0.0],
@@ -213,13 +225,26 @@ def eval_F_tilde(mu: float, point: MinkowskiPoint, Y) -> float:
 
     The quadratic form of minkowski_coefficients, written out:
     alpha~^2 = (Y1^2 + Y2^2 - mu^2 (x Y1 + y Y2)^2 + lam~ Y3^2) / lam~^2 and
-    beta~ = mu (y Y1 - x Y2) / lam~.
+    beta~ = mu (y Y1 - x Y2) / lam~.  A non-finite mu or entry of Y, and a
+    Y that is not a 3-vector, raise InvalidParameterError.
     """
-    y1, y2, y3 = map(float, Y)
+    try:
+        y1, y2, y3 = map(float, Y)
+    except (TypeError, ValueError) as exc:
+        raise InvalidParameterError(f"Y must be a 3-vector, got {Y!r}") from exc
+    if not all(map(math.isfinite, (mu, y1, y2, y3))):
+        raise InvalidParameterError(
+            f"mu and Y must be finite, got mu = {mu}, Y = ({y1}, {y2}, {y3})")
+    return _F_tilde(mu, point.x, point.y, point.z, y1, y2, y3)
+
+
+def _F_tilde(mu: float, x: float, y: float, z: float,
+             y1: float, y2: float, y3: float) -> float:
+    """eval_F_tilde on finite floats: the vector (y1, y2, y3) at the point
+    (x, y, z), which must be nonzero and inside the cylinder."""
     if y1 == 0.0 and y2 == 0.0 and y3 == 0.0:
         raise InvalidParameterError("F~ is undefined on the zero vector")
-    lam = _inside_margin(mu, point)
-    x, y = point.x, point.y
+    lam = _inside_margin(mu, x, y, z)
     w = mu * (x * y1 + y * y2)
     alpha2 = (y1 * y1 + y2 * y2 - w * w + lam * y3 * y3) / (lam * lam)
     beta = mu * (y * y1 - x * y2) / lam
@@ -234,20 +259,25 @@ def pullback_check(profile: Profile, q: SurfacePoint, v: Tangent,
     height_map "arclength" uses z(r) (the isometric embedding); "radial"
     uses z = r, whose pullback fails off the parallels and is reported for
     documentation purposes.  F~ does not depend on z, so the image point is
-    built at z = 0 and the height itself is never evaluated; only the
+    taken at z = 0 and the height itself is never evaluated; only the
     vertical component of phi_*(v), z'(r) v^r, differs between the maps.
+
+    m and m' are evaluated once each, at q.r, and every term derives from
+    them: the checks of assert_embeddable, then F as eval_F computes it,
+    then F~ as eval_F_tilde computes it, in that order.
     """
     if height_map not in ("arclength", "radial"):
         raise InvalidParameterError(f"unknown height map {height_map!r}")
-    assert_embeddable(profile, q.r)
-    F_surface = eval_F(profile, q, v)
+    m1 = _embeddable_m1(profile, q.r)
+    if v.is_zero():
+        raise InvalidParameterError("F is undefined on the zero tangent vector")
     m = float(profile.m(q.r))
-    m1 = float(profile.m1(q.r))
+    F_surface = F_from_warp(profile.mu, m, q.r, v)
     ct, st = math.cos(q.theta), math.sin(q.theta)
     dz = math.sqrt(max(1.0 - m1 * m1, 0.0)) if height_map == "arclength" else 1.0
-    point = MinkowskiPoint(m * ct, m * st, 0.0)
-    Y = (m1 * ct * v.y1 - m * st * v.y2, m1 * st * v.y1 + m * ct * v.y2, dz * v.y1)
-    return abs(F_surface - eval_F_tilde(profile.mu, point, Y))
+    return abs(F_surface - _F_tilde(
+        profile.mu, m * ct, m * st, 0.0,
+        m1 * ct * v.y1 - m * st * v.y2, m1 * st * v.y1 + m * ct * v.y2, dz * v.y1))
 
 
 def pullback_report(profile: Profile, seed: int = 0,

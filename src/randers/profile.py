@@ -218,13 +218,19 @@ def make_paraboloid(mu: float, r_max: float = DEFAULT_R_MAX) -> Profile:
     """Paraboloid-like catalog profile m(r) = r / sqrt(mu^2 r^2 + 1).
 
     The warp is automatically bounded by 1/mu, so the rotational wind of
-    strength mu is a mild breeze everywhere.
+    strength mu is a mild breeze everywhere.  m on a float (np.float64
+    included) evaluates with math.sqrt and returns a Python float for a
+    Python float; on an array it evaluates with np.sqrt.  Both square roots
+    are correctly rounded, so a radius gives the same value bit for bit
+    either way.  m1 and m2 run as written on floats and arrays alike.
     """
     mu2 = mu * mu
     if not (mu > 0 and math.isfinite(mu2)):
         raise InvalidParameterError(f"mu must be positive, with a finite square, got {mu}")
 
     def m(r):
+        if isinstance(r, float):
+            return r / math.sqrt(mu2 * r * r + 1.0)
         return r / np.sqrt(mu2 * r * r + 1.0)
 
     def m1(r):

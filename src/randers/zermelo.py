@@ -136,15 +136,21 @@ def eval_F(profile: Profile, x: SurfacePoint, y: Tangent) -> float:
     if y.is_zero():
         raise InvalidParameterError("F is undefined on the zero tangent vector")
     profile.check_radius(x.r)
-    m = float(profile.m(x.r))
-    if profile.mu * m >= 1.0:
-        raise MetricDegenerateError(f"mu*m >= 1 at r = {x.r}")
-    f_ab = _F_coeff(m, profile.mu, y.y1, y.y2)
-    f_nav = _F_navigation(m, profile.mu, y.y1, y.y2)
+    return F_from_warp(profile.mu, float(profile.m(x.r)), x.r, y)
+
+
+def F_from_warp(mu: float, m: float, r: float, y: Tangent) -> float:
+    """eval_F at radius r from the warp value m = m(r), for a nonzero
+    tangent and a radius already checked: MetricDegenerateError where
+    mu*m >= 1, and both routes to F, which must agree to _DUAL_RTOL."""
+    if mu * m >= 1.0:
+        raise MetricDegenerateError(f"mu*m >= 1 at r = {r}")
+    f_ab = _F_coeff(m, mu, y.y1, y.y2)
+    f_nav = _F_navigation(m, mu, y.y1, y.y2)
     if abs(f_ab - f_nav) > _DUAL_RTOL * max(f_ab, f_nav):
         raise InternalConsistencyError(
             f"navigation-form and coefficient-form values of F disagree: "
-            f"{f_ab!r} vs {f_nav!r} at r = {x.r}, y = ({y.y1}, {y.y2})"
+            f"{f_ab!r} vs {f_nav!r} at r = {r}, y = ({y.y1}, {y.y2})"
         )
     return f_ab
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randers import (
+    InternalConsistencyError,
     InvalidParameterError,
     NotEmbeddableError,
     SurfacePoint,
@@ -15,6 +16,7 @@ from randers import (
 )
 from randers.embed import (
     MinkowskiPoint,
+    assert_embeddable,
     cylinder_margin,
     embed_point,
     eval_F_tilde,
@@ -261,3 +263,111 @@ def test_pullback_check_raises_outside_the_embedding(parab, height_map):
     with pytest.raises(InvalidParameterError, match="beyond r_max"):
         pullback_check(parab, SurfacePoint(1.01 * parab.r_max, 0.0), v,
                        height_map=height_map)
+
+
+def _composed_pullback_check(profile, q, v, height_map="arclength"):
+    """The certificate as a composition of the public functions, each of
+    which reads the warp itself: what pullback_check must equal bit for
+    bit, exceptions included."""
+    if height_map not in ("arclength", "radial"):
+        raise InvalidParameterError(f"unknown height map {height_map!r}")
+    assert_embeddable(profile, q.r)
+    F_surface = eval_F(profile, q, v)
+    m = float(profile.m(q.r))
+    m1 = float(profile.m1(q.r))
+    ct, st = math.cos(q.theta), math.sin(q.theta)
+    dz = math.sqrt(max(1.0 - m1 * m1, 0.0)) if height_map == "arclength" else 1.0
+    point = MinkowskiPoint(m * ct, m * st, 0.0)
+    Y = (m1 * ct * v.y1 - m * st * v.y2, m1 * st * v.y1 + m * ct * v.y2, dz * v.y1)
+    return abs(F_surface - eval_F_tilde(profile.mu, point, Y))
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("height_map", ["arclength", "radial"])
+@pytest.mark.parametrize("surface", ["parab60", "sphere"])
+def test_pullback_check_matches_the_composed_certificate(surface, height_map, request):
+    profile = request.getfixturevalue(surface)
+    rng = np.random.default_rng(1700 + len(surface) + len(height_map))
+    n = 1200
+    r = rng.uniform(0.0, profile.r_max, n)
+    r[:3] = (0.0, 1e-9, profile.r_max)
+    theta = rng.uniform(-40.0, 40.0, n)
+    ang = rng.uniform(-math.pi, math.pi, n)
+    scale = 10.0 ** rng.uniform(-3.0, 3.0, n)
+    for ri, th, a, sc in zip(r.tolist(), theta.tolist(), ang.tolist(), scale.tolist()):
+        q, v = SurfacePoint(ri, th), Tangent(sc * math.cos(a), sc * math.sin(a))
+        # near r_max of parab60, mu m is within 2e-4 of 1 and the dual-form
+        # check of eval_F may raise; the certificate must raise alike
+        got = _outcome(pullback_check, profile, q, v, height_map)
+        assert got == _outcome(_composed_pullback_check, profile, q, v, height_map), (q, v)
+        assert type(got) is float or got[0] is InternalConsistencyError
+
+
+def test_pullback_check_raises_as_the_composed_certificate(parab60, bump):
+    cases = [
+        (parab60, SurfacePoint(61.0, 0.3), Tangent(1.0, 0.2), "arclength"),
+        (parab60, SurfacePoint(61.0, 0.3), Tangent(0.0, 0.0), "radial"),
+        (bump, SurfacePoint(1.75, 0.0), Tangent(1.0, 0.2), "arclength"),
+        (bump, SurfacePoint(1.75, 0.0), Tangent(0.0, 0.0), "radial"),
+        (parab60, SurfacePoint(2.0, 0.1), Tangent(0.0, 0.0), "arclength"),
+        (parab60, SurfacePoint(2.0, 0.1), Tangent(1.0, 0.0), "conformal"),
+    ]
+    expected = [InvalidParameterError, InvalidParameterError, NotEmbeddableError,
+                NotEmbeddableError, InvalidParameterError, InvalidParameterError]
+    for (profile, q, v, height_map), cls in zip(cases, expected):
+        got = _outcome(pullback_check, profile, q, v, height_map)
+        assert got == _outcome(_composed_pullback_check, profile, q, v, height_map)
+        assert got[0] is cls
+
+
+@pytest.mark.parametrize("height_map", ["arclength", "radial"])
+def test_pullback_check_evaluates_the_warp_once(height_map):
+    calls = {"m": 0, "m1": 0}
+
+    def counted(key, fn):
+        def f(r):
+            calls[key] += 1
+            return fn(r)
+        return f
+
+    profile = make_custom(counted("m", np.sin), counted("m1", np.cos),
+                          lambda r: -np.sin(r), mu=0.2, r_max=2.8)
+    profile.embeddable_radius  # a per-profile fact, computed on first use
+    calls.update(m=0, m1=0)
+    value = pullback_check(profile, SurfacePoint(1.1, 0.4), Tangent(0.3, -0.8),
+                           height_map=height_map)
+    assert calls == {"m": 1, "m1": 1}
+    assert value == _composed_pullback_check(profile, SurfacePoint(1.1, 0.4),
+                                             Tangent(0.3, -0.8), height_map)
+
+
+@pytest.mark.parametrize("mu, point, Y", [
+    (1.0, (math.nan, 0.0, 0.0), (1.0, 0.0, 0.0)),
+    (1.0, (0.1, -math.inf, 0.0), (1.0, 0.0, 0.0)),
+    (1.0, (0.1, 0.2, math.nan), (1.0, 0.0, 0.0)),
+    (1.0, (0.1, 0.2, 0.0), (1.0, math.nan, 0.0)),
+    (1.0, (0.1, 0.2, 0.0), (1.0, 0.0, math.inf)),
+    (math.nan, (0.1, 0.2, 0.0), (1.0, 0.0, 0.0)),
+    (math.inf, (0.1, 0.2, 0.0), (1.0, 0.0, 0.0)),
+    (1.0, (0.1, 0.2, 0.0), (1.0, 0.0)),
+    (1.0, (0.1, 0.2, 0.0), (1.0, 0.0, 0.0, 0.0)),
+    (1.0, (0.1, 0.2, 0.0), np.ones(2)),
+    (1.0, (0.1, 0.2, 0.0), 1.0),
+])
+def test_eval_F_tilde_rejects_bad_input(mu, point, Y):
+    with pytest.raises(InvalidParameterError):
+        eval_F_tilde(mu, MinkowskiPoint(*point), Y)
+
+
+def test_minkowski_point_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf, -math.inf):
+        for coords in ((bad, 0.0, 0.0), (0.0, bad, 0.0), (0.0, 0.0, bad)):
+            with pytest.raises(InvalidParameterError):
+                MinkowskiPoint(*coords)

@@ -340,3 +340,15 @@ def test_check_radius(parab):
     for r in (-1e-300, parab.r_max * (1 + 1e-15), math.nan):
         with pytest.raises(InvalidParameterError):
             parab.check_radius(r)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+def test_paraboloid_warp_on_a_float_is_a_float(mu):
+    # a scalar read runs math.sqrt on Python floats; both square roots are
+    # correctly rounded, so it is the array value bit for bit
+    m = make_paraboloid(mu, r_max=60.0).m
+    for r in (0.0, 5e-324, 1e-8, 0.3, 1.0, 7.0, 60.0):
+        value = m(r)
+        assert type(value) is float
+        assert value.hex() == float(m(np.array([r]))[0]).hex()
+        assert float(m(np.float64(r))).hex() == value.hex()
