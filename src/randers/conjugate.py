@@ -287,7 +287,9 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
     lengths agree to solver precision; elsewhere exactly one minimizer
     appears.  Failure to bracket two solutions is reported, not raised.
     The fan is shoot_hits over 721 headings of [-pi, pi], scanned at tol
-    3e-7 and refined at 1e-10; a segment within _CUT_TOL = 1e-5 of
+    3e-7 in normal coordinates at the vertex (so rays that pass it need no
+    small steps) and refined at 1e-10 in the polar chart, the exact
+    meridians at +-pi analytically; a segment within _CUT_TOL = 1e-5 of
     distance_F (at tol 1e-9) minimizes, and two minimizers whose lengths
     differ by at most _CUT_TOL verify the cut point.
     """

@@ -25,7 +25,11 @@ m' alone, so it does not cancel near r_a.
 
 Exact meridians are not sent through the ODE: they are integrated
 analytically, including continuation through the vertex, where theta jumps
-by pi (the polar chart degenerates; the geodesic itself is smooth).
+by pi (the polar chart degenerates; the geodesic itself is smooth).  A ray
+that passes near the vertex sweeps nearly pi in theta there, so the polar
+chart crawls past it in tiny steps; the heading fan of
+level_crossings_batch therefore runs in normal coordinates at the vertex,
+(x, y) = r (cos theta, sin theta), where such a ray is nearly straight.
 """
 
 from __future__ import annotations
@@ -176,7 +180,8 @@ def on_export_grid(profile: Profile, path: GeodesicPath) -> GeodesicPath:
 
 def _r_floor(nu):
     """Radius that no geodesic with Clairaut constant nu can reach: it turns
-    where m(r) = |nu|, near r = |nu|.  A ray that gets there has blown up."""
+    where m(r) = |nu|, near r = |nu|.  A ray of integrate_h that gets there
+    has blown up."""
     return np.maximum(1e-14, 1e-3 * np.abs(nu))
 
 
@@ -284,16 +289,26 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     """level_crossings of the h-geodesic from every row (r, theta, dr,
     dtheta) of states0 over [0, length], without building the paths.
 
-    Exact meridians take the analytic path of integrate_h.  All other rows
-    run in one odesolve.integrate_batch pass with the right-hand side, unit
-    speed projection and events of integrate_h, and no step cap, so each
-    row takes integrate_h's steps; each crossing is refined on the
-    continuous extension of its step, on its own, so a row's crossings do
-    not depend on the other rows of states0.  As in level_crossings, a row
-    that grazes the level twice within one step has neither crossing seen.
-    A row that leaves r <= r_max keeps the crossings before its exit; a row
-    that reaches the blow-up floor, where integrate_h raises
-    NumericalBlowupError, has none; a row stopped by max_steps raises it.
+    Exact meridians take the analytic path of integrate_h, so that the
+    chain through the vertex keeps theta0 and theta0 + pi exactly.  All
+    other rows run in one odesolve.integrate_batch pass in normal
+    coordinates at the vertex, (x, y) = r (cos theta, sin theta), with
+    rho = x^2 + y^2 as a fifth component (_vertex_chart): a ray that passes
+    near the vertex is nearly straight there, where in the polar chart it
+    sweeps nearly pi in theta.  After each accepted step (x', y') is
+    rescaled to unit h-speed and rho reset to x^2 + y^2.  The events are
+    rho crossing r_max^2 (terminal, outward) and r_level^2.  Each crossing
+    is refined on the continuous extension of its step, on its own, so a
+    row's crossings do not depend on the other rows of states0, and is
+    returned in polar form (r_level, atan2(y, x), d / r_level,
+    c / r_level^2), with d = x x' + y y' and c = x y' - y x': its theta is
+    known only mod 2 pi.  A row whose rho turns inside a step, as on a pass
+    by the vertex, has both crossings of the level there seen
+    (integrate_batch's check of a component that turns); level_crossings,
+    which reads sign changes between samples, misses such a pair.  A row
+    that leaves r <= r_max keeps the crossings before its exit.  Nothing
+    blows up at the vertex in this chart, so there is no floor event; a row
+    stopped by max_steps raises NumericalBlowupError.
     """
     _check_length_tol(length, tol)
     y0 = np.array(states0, dtype=float).reshape(-1, 4)
@@ -312,47 +327,87 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     ode = np.flatnonzero(~meridian)
     if ode.size == 0:
         return out
-    m_fn, m1_fn = profile.m, profile.m1
-
-    def rhs(s, y):
-        dr, dth = y[:, 2], y[:, 3]
-        m = m_fn(y[:, 0])
-        m1 = m1_fn(y[:, 0])
-        out = np.empty_like(y)
-        out[:, :2] = y[:, 2:]
-        out[:, 2] = m * m1 * dth * dth
-        out[:, 3] = -2.0 * (m1 / m) * dr * dth
-        return out
-
-    def renormalize(s, y):
-        norm = np.hypot(y[:, 2], m_fn(y[:, 0]) * y[:, 3])
-        unit = y.copy()
-        unit[:, 2:] /= norm[:, None]
-        return unit
-
-    nu0 = m0[ode] ** 2 * y0[ode, 3]
-    events = [odesolve.LevelEvent(0, profile.r_max, terminal=True, direction=1),
-              odesolve.LevelEvent(0, _r_floor(nu0), terminal=True, direction=-1),
-              odesolve.LevelEvent(0, r_level)]
-    sol = odesolve.integrate_batch(rhs, 0.0, y0[ode], length, tol=tol,
+    r, th, dr, dth = y0[ode].T
+    cos, sin = np.cos(th), np.sin(th)
+    # rho starts as r^2, so that a row launched on the level starts on its
+    # event level exactly
+    start = np.column_stack([r * cos, r * sin, dr * cos - r * dth * sin,
+                             dr * sin + r * dth * cos, r * r])
+    rhs, renormalize = _vertex_chart(profile)
+    events = [odesolve.LevelEvent(4, profile.r_max * profile.r_max, terminal=True,
+                                  direction=1),
+              odesolve.LevelEvent(4, r_level * r_level)]
+    sol = odesolve.integrate_batch(rhs, 0.0, start, length, tol=tol,
                                    post_step=renormalize, events=events)
     if "max_steps" in sol.status:
         raise NumericalBlowupError(
             f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps")
-    rows, s_c, y_c = sol.events[2]
+    rows, s_c, y_c = sol.events[1]
+    x, y, vx, vy = y_c[:, :4].T
+    y_c = np.column_stack([np.full(s_c.size, float(r_level)), np.arctan2(y, x),
+                           (x * vx + y * vy) / r_level,
+                           (x * vy - y * vx) / (r_level * r_level)])
     ends = np.cumsum(np.bincount(rows, minlength=ode.size))
     for j, i in enumerate(ode.tolist()):
         lo = ends[j - 1] if j else 0
         s_i, y_i = s_c[lo:ends[j]], y_c[lo:ends[j]]
-        if sol.status[j] == "event:1":
-            s_i, y_i = s_i[:0], y_i[:0]
-        elif y0[i, 0] == r_level:
+        if y0[i, 0] == r_level:
             # a start exactly on the level is a crossing for level_crossings
             # (a sample with value zero), not for the event, which needs a
             # strict sign at the step start
             s_i, y_i = np.append(0.0, s_i), np.vstack([y0[i], y_i])
         out[i] = (s_i, y_i)
     return out
+
+
+def _vertex_chart(profile: Profile):
+    """Right-hand side and unit-speed projection of the h-geodesic equations
+    in normal coordinates at the vertex, on rows (x, y, x', y', rho).
+
+    With u = (x, y), u_perp = (-y, x), c = x y' - y x' and d = x x' + y y'
+    (so r' = d / r and theta' = c / r^2), the polar equations become
+
+        u'' = (c^2 P u + 2 c d Q u_perp) / r^2,        rho' = 2 d,
+
+    with P = (m m' - r) / r^3 and Q = (1 - r m' / m) / r^2, which vanish on
+    the plane.  P and Q are evaluated at max(r, r_eps), as gauss_curvature
+    is; their vertex limits are -2 K(0) / 3 and K(0) / 3.  c^2 / r^2 and
+    c d / r^2 stay below |u'|^2, so the right-hand side is finite up to and
+    at r = 0.  The h-speed is |u'|^2 - (1 - (m / r)^2) c^2 / r^2.
+    """
+    m_fn, m1_fn, r_eps = profile.m, profile.m1, profile.r_eps
+    tiny = np.finfo(float).tiny
+
+    def rhs(s, y):
+        x, yy, vx, vy = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
+        rr = x * x + yy * yy
+        r = np.maximum(np.sqrt(rr), r_eps)
+        m, m1 = m_fn(r), m1_fn(r)
+        c = x * vy - yy * vx
+        d = x * vx + yy * vy
+        over = 1.0 / np.maximum(rr, tiny)
+        pc = (c * c * over) * (m * m1 - r) / (r * r * r)
+        qc = (2.0 * c * d * over) * (1.0 - r * m1 / m) / (r * r)
+        out = np.empty_like(y)
+        out[:, :2] = y[:, 2:4]
+        out[:, 2] = pc * x - qc * yy
+        out[:, 3] = pc * yy + qc * x
+        out[:, 4] = 2.0 * d
+        return out
+
+    def renormalize(s, y):
+        x, yy, vx, vy = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
+        rr = x * x + yy * yy
+        r = np.maximum(np.sqrt(rr), r_eps)
+        k = m_fn(r) / r
+        c = x * vy - yy * vx
+        norm = np.sqrt(vx * vx + vy * vy - (1.0 - k * k) * (c * c / np.maximum(rr, tiny)))
+        unit = y.copy()
+        unit[:, 2:4] /= norm[:, None]
+        unit[:, 4] = rr
+        return unit
+
+    return rhs, renormalize
 
 
 _TWIST_KIND = {"meridian": "twisted-meridian", "parallel": "parallel",

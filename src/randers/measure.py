@@ -573,15 +573,18 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     theta + twist_mu * s of the shot h-geodesics.
 
     The scan runs every heading in one batched integration at tol
-    (geodesics.level_crossings_batch): a ray that leaves r <= r_max keeps
-    the crossings it made before, and a ray that blows up at the vertex
-    floor has none.  Crossings of the target radius are indexed in
-    parameter order, the wrapped angular miss of every crossing of the fan
-    is taken in one array pass, and the miss of the k-th crossing is
-    bracketed between consecutive headings, then refined by roots_on_grid
-    in the heading, each iterate one integrate_h ray at refine_tol.
-    Brackets with a miss above 2.5 rad are skipped, so that the angle wrap
-    at +-pi does not pass for a zero.
+    (geodesics.level_crossings_batch), in normal coordinates at the vertex,
+    so a ray that passes the vertex crosses on, and its crossings' theta is
+    known mod 2 pi only, which the wrapped miss absorbs; a ray that leaves
+    r <= r_max keeps the crossings it made before.  Crossings of the target
+    radius are indexed in parameter order, the wrapped angular miss of
+    every crossing of the fan is taken in one array pass, and the miss of
+    the k-th crossing is bracketed between consecutive headings, then
+    refined by roots_on_grid in the heading, each iterate one integrate_h
+    ray at refine_tol, in the polar chart; a bracket whose refined ray
+    loses its k-th crossing (or blows up at integrate_h's vertex floor) is
+    dropped.  Brackets with a miss above 2.5 rad are skipped, so that the
+    angle wrap at +-pi does not pass for a zero.
     """
     if q_from.r <= 0.0:
         raise VertexSingularError("headings do not parametrize rays from the vertex")

@@ -57,7 +57,13 @@ Both take the same two hooks:
   from one strict sign to zero or the other sign.  Terminal events stop
   the integration (a single row, in a batch) at the root inside the step,
   whose interpolant is kept whole; roots of other events past it are
-  dropped.
+  dropped.  A step can also cross a level twice and end on the side it
+  started: ``integrate_batch`` finds both crossings of a non-terminal
+  event where g heads for zero at the step start and away from it at the
+  end (the component's slopes, which the stages give), by Newton on the
+  quartic's slope for the turn and on the quartic on each side of it, if
+  g changes sign at the turn.  ``integrate`` sees neither crossing of such
+  a step.
 
 Both accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps``
 after max_steps tries, a safety stop that callers report as an error.
@@ -432,25 +438,29 @@ class BatchSolution:
     nrejected: int = 0
 
 
-def _level_roots(g0, d, r3, r4, q, g_end, t_end, h, xtol):
-    """theta in [0, t_end] where the continuous extension of one state
-    component, offset by a level, vanishes, one per row: g0 is its value at
-    the step start and d, r3, r4, q its _contd5 coefficients.  g0 is
-    nonzero and g_end, the value at theta = t_end, is zero or of the other
-    sign.  Newton on the quartic in power form, with a bisection step
-    wherever Newton leaves the bracket; each row stops at its first step of
-    at most xtol in the parameter (theta times the step size h), so its root
-    does not depend on the rows refined beside it."""
-    sgn = np.where(g0 < 0.0, 1.0, -1.0)   # orient every quartic to rise
-    a0 = sgn * g0
-    a1 = sgn * (d + r3)
-    a2 = sgn * (r4 - r3 + q)
-    a3 = -sgn * (r4 + 2.0 * q)
-    a4 = sgn * q
-    lo, hi = np.zeros_like(g0), t_end
-    t = t_end * (g0 / (g0 - g_end))
-    live = np.ones(t.shape, dtype=bool)
+def _quartic(g0, d, r3, r4, q):
+    """Power-form coefficients (a0, ..., a4) in theta of the continuous
+    extension of one state component, offset by a level: g0 is its value at
+    the step start and d, r3, r4, q its _contd5 coefficients."""
+    return g0, d + r3, r4 - r3 + q, -(r4 + 2.0 * q), q
+
+
+def _polyval(a, t):
+    return (((a[4] * t + a[3]) * t + a[2]) * t + a[1]) * t + a[0]
+
+
+def _quartic_roots(a, lo, hi, g_lo, g_hi, h, xtol):
+    """theta in [lo, hi] where the quartic with power-form coefficients a
+    vanishes, one per row: g_lo, its value at lo, is nonzero, and g_hi, its
+    value at hi, is zero or of the other sign.  Newton, with a bisection
+    step wherever Newton leaves the bracket; each row stops at its first
+    step of at most xtol in the parameter (theta times the step size h), so
+    its root does not depend on the rows refined beside it."""
+    sgn = np.where(g_lo < 0.0, 1.0, -1.0)   # orient every quartic to rise
+    a0, a1, a2, a3, a4 = (sgn * c for c in a)
     with np.errstate(divide="ignore", invalid="ignore"):
+        t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        live = np.ones(t.shape, dtype=bool)
         for _ in range(_ROOT_MAXITER):
             p = (((a4 * t + a3) * t + a2) * t + a1) * t + a0
             dp = ((4.0 * a4 * t + 3.0 * a3) * t + 2.0 * a2) * t + a1
@@ -465,6 +475,27 @@ def _level_roots(g0, d, r3, r4, q, g_end, t_end, h, xtol):
             if not live.any():
                 break
     return t
+
+
+def _turning_roots(a, t_end, g_end, h, xtol):
+    """Zeros of step quartics (power form a, one row each, g_end their value
+    at theta = t_end) whose slope has opposite signs at 0 and t_end, so that
+    they turn once between: one on each side of the turn where the quartic
+    has the other sign from a0 there, one at the turn where it is zero.
+    Returns (k, t, leaving): the row and theta of each root, and whether it
+    leaves the sign of a0 (the first of a pair) or returns to it."""
+    slope = (a[1], 2.0 * a[2], 3.0 * a[3], 4.0 * a[4], np.zeros_like(a[0]))
+    t_turn = _quartic_roots(slope, 0.0, t_end, a[1], _polyval(slope, t_end), h, xtol)
+    g_turn = _polyval(a, t_turn)
+    k = np.flatnonzero(a[0] * g_turn <= 0.0)
+    a, t_end, g_end, h, t_turn, g_turn = ([c[k] for c in a], t_end[k], g_end[k], h[k],
+                                          t_turn[k], g_turn[k])
+    first = _quartic_roots(a, 0.0, t_turn, a[0], g_turn, h, xtol)
+    two = g_turn != 0.0
+    second = _quartic_roots([c[two] for c in a], t_turn[two], t_end[two], g_turn[two],
+                            g_end[two], h[two], xtol)
+    return (np.concatenate([k, k[two]]), np.concatenate([first, second]),
+            np.arange(k.size + second.size) < k.size)
 
 
 class _Levels:
@@ -496,6 +527,19 @@ class _Levels:
             j, hit, g0, g1 = j[keep], hit[keep], g0[keep], g1[keep]
         return j, hit, g0, g1
 
+    def turns(self, y0, y1, f0, f1, cols):
+        """(event, row) pairs of the non-terminal events whose component has
+        the same strict sign at y0 and y1 but heads for the level at y0 and
+        away from it at y1, with slopes f0 and f1 there: it turns inside the
+        step, and may cross the level twice; the offset component at both
+        ends as in crossings."""
+        level = self.level[:, cols]
+        g0 = y0.T[self.comp] - level
+        g1 = y1.T[self.comp] - level
+        j, hit = np.nonzero((g0 * f0.T[self.comp] < 0.0) & (g1 * f1.T[self.comp] > 0.0)
+                            & (g0 * g1 > 0.0) & ~self.terminal[:, None])
+        return j, hit, g0[j, hit], g1[j, hit]
+
 
 def integrate_batch(
     f: Callable[[np.ndarray, np.ndarray], np.ndarray],
@@ -519,7 +563,9 @@ def integrate_batch(
     quartic that the continuous extension of the crossing step makes of the
     event's component, each row on its own: a terminal root at once, as it
     ends its row's step (later events are looked for in that step only
-    before it), every other root in one pass after the run.
+    before it), every other root in one pass after the run, together with
+    the two roots of each step whose component turns across a non-terminal
+    level (see the module docstring).
     """
     _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
@@ -533,6 +579,7 @@ def integrate_batch(
     watch = _Levels(events, n)
     found: list = []      # (event, rows, s, y) of terminal roots
     crossed: list = []    # non-terminal crossings, refined after the run
+    turned: list = []     # steps that may cross a non-terminal level twice, likewise
     s_out = np.empty(n)
     y_out = np.empty((n, dim))
     why = np.full(n, -1)  # -1: completed, -2: max_steps, k >= 0: event k
@@ -603,8 +650,8 @@ def integrate_batch(
             j, hit, g0, g1 = j[stop], hit[stop], g0[stop], g1[stop]
             seg = segments(hit)
             pick = np.arange(hit.size), watch.comp[j]
-            root = _level_roots(g0, *(a[pick] for a in seg[1:]), g1, 1.0, ha[hit],
-                                _ROOT_XTOL)
+            root = _quartic_roots(_quartic(g0, *(a[pick] for a in seg[1:])), 0.0, 1.0,
+                                  g0, g1, ha[hit], _ROOT_XTOL)
             order = np.lexsort((j, root, hit))
             first = order[np.unique(hit[order], return_index=True)[1]]
             cut = hit[first]
@@ -622,6 +669,11 @@ def integrate_batch(
             crossed.append((j, rows[acc[hit]], sa[hit], ha[hit], g0, g1,
                             np.ones(hit.size) if t_end is None else t_end[hit],
                             *segments(hit)))
+        j, hit, g0, g1 = watch.turns(ya, y_end, fa, f1, cols)
+        if j.size:
+            turned.append((j, rows[acc[hit]], sa[hit], ha[hit], g0, g1,
+                           np.ones(hit.size) if t_end is None else t_end[hit],
+                           *segments(hit)))
 
         h = h_next
         if cols is acc:
@@ -642,13 +694,24 @@ def integrate_batch(
     if crossed:
         ev, r, sa, ha, g0, g1, t_end, *seg = (np.concatenate(a) for a in zip(*crossed))
         pick = np.arange(ev.size), watch.comp[ev]
-        t = _level_roots(g0, *(a[pick] for a in seg[1:]), g1, t_end, ha, _ROOT_XTOL)
+        t = _quartic_roots(_quartic(g0, *(a[pick] for a in seg[1:])), 0.0, t_end, g0, g1,
+                           ha, _ROOT_XTOL)
         found.append((ev, r, sa + t * ha, _dense(t[:, None], *seg)))
+    if turned:
+        ev, r, sa, ha, g0, g1, t_end, *seg = (np.concatenate(a) for a in zip(*turned))
+        pick = np.arange(ev.size), watch.comp[ev]
+        k, t, leaving = _turning_roots(_quartic(g0, *(a[pick] for a in seg[1:])), t_end, g1,
+                                       ha, _ROOT_XTOL)
+        # a root that leaves the sign of g0 > 0 goes down
+        keep = np.where(leaving == (g0[k] > 0.0), watch.down[ev[k]], watch.up[ev[k]])
+        k, t = k[keep], t[keep]
+        found.append((ev[k], r[k], sa[k] + t * ha[k],
+                      _dense(t[:, None], *(a[k] for a in seg))))
     ev, r, sr, yr = ((np.concatenate(a) for a in zip(*found)) if found else
                      (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                       np.empty(0), np.empty((0, dim))))
-    # by event, then by row; each row's roots stay in parameter order
-    order = np.lexsort((r, ev))
+    # by event, then by row, then by parameter
+    order = np.lexsort((sr, r, ev))
     ev, r, sr, yr = ev[order], r[order], sr[order], yr[order]
     bounds = np.searchsorted(ev, np.arange(len(events) + 1))
     return BatchSolution(

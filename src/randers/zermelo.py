@@ -11,8 +11,11 @@ of the background norm |y|^2 = h(y, y) and W0 = h(W, y),
 
     F = (sqrt(lambda |y|^2 + W0^2) - W0) / lambda.
 
-Both routes are evaluated on every call and must agree to 1e-12 relative; a
-mismatch is an engine bug, not bad input, and raises accordingly.
+Both routes are evaluated on every call and must agree to 1e-12 / lambda
+relative; a mismatch is an engine bug, not bad input, and raises
+accordingly.  The bound grows as lambda falls, because the coefficient
+form's downwind branch (alpha^2 - beta^2)/s cancels to a relative error of
+about eps / lambda, where beta^2 approaches alpha^2.
 """
 
 from __future__ import annotations
@@ -142,12 +145,14 @@ def eval_F(profile: Profile, x: SurfacePoint, y: Tangent) -> float:
 def F_from_warp(mu: float, m: float, r: float, y: Tangent) -> float:
     """eval_F at radius r from the warp value m = m(r), for a nonzero
     tangent and a radius already checked: MetricDegenerateError where
-    mu*m >= 1, and both routes to F, which must agree to _DUAL_RTOL."""
-    if mu * m >= 1.0:
+    mu*m >= 1, and both routes to F, which must agree to _DUAL_RTOL /
+    lambda."""
+    w = mu * m
+    if w >= 1.0:
         raise MetricDegenerateError(f"mu*m >= 1 at r = {r}")
     f_ab = _F_coeff(m, mu, y.y1, y.y2)
     f_nav = _F_navigation(m, mu, y.y1, y.y2)
-    if abs(f_ab - f_nav) > _DUAL_RTOL * max(f_ab, f_nav):
+    if abs(f_ab - f_nav) > _DUAL_RTOL / (1.0 - w * w) * max(f_ab, f_nav):
         raise InternalConsistencyError(
             f"navigation-form and coefficient-form values of F disagree: "
             f"{f_ab!r} vs {f_nav!r} at r = {r}, y = ({y.y1}, {y.y2})"
@@ -167,11 +172,12 @@ def eval_F_array(profile: Profile, r, y1, y2) -> np.ndarray:
     if np.any((y1 == 0.0) & (y2 == 0.0)):
         raise InvalidParameterError("F is undefined on the zero tangent vector")
     m = np.broadcast_to(np.asarray(profile.m(r), dtype=float), r.shape)
-    if np.any(profile.mu * m >= 1.0):
-        raise MetricDegenerateError(f"mu*m >= 1 at r = {r[profile.mu * m >= 1.0][0]}")
+    w = profile.mu * m
+    if np.any(w >= 1.0):
+        raise MetricDegenerateError(f"mu*m >= 1 at r = {r[w >= 1.0][0]}")
     f_ab = _F_coeff(m, profile.mu, y1, y2)
     f_nav = _F_navigation(m, profile.mu, y1, y2)
-    bad = np.abs(f_ab - f_nav) > _DUAL_RTOL * np.maximum(f_ab, f_nav)
+    bad = np.abs(f_ab - f_nav) > _DUAL_RTOL / (1.0 - w * w) * np.maximum(f_ab, f_nav)
     if np.any(bad):
         i = np.flatnonzero(bad)[0]
         raise InternalConsistencyError(

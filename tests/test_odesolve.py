@@ -216,6 +216,31 @@ def test_batch_events_inside_one_step():
         assert found[5.0] == found[4.0] == []
 
 
+def _line_past_the_origin(s, y):
+    # (x, rho) with x' = 1 and rho' = 2 x: rho = x^2 + b^2 exactly, so
+    # steps grow fivefold
+    return np.column_stack([np.ones(len(y)), 2.0 * y[:, 0]])
+
+
+_PAIR = (1.0 - math.sqrt(0.28), 1.0 + math.sqrt(0.28))
+
+
+@pytest.mark.parametrize("direction,roots", [(0, _PAIR), (-1, _PAIR[:1]), (1, _PAIR[1:])])
+def test_batch_sees_two_crossings_where_the_component_turns_inside_a_step(direction, roots):
+    # rho = (s - 1)^2 + 0.36 falls to its minimum at s = 1 and rises again.
+    # The step over [0.31, 1.56] holds the minimum: rho = 1 is crossed in
+    # the steps before and after it, rho = 0.64 twice inside it, and
+    # rho = 0.3 never
+    sol = integrate_batch(_line_past_the_origin, 0.0, [[-1.0, 1.36]], 4.0, tol=1e-9,
+                          events=[LevelEvent(1, 0.64, direction=direction),
+                                  LevelEvent(1, 1.0), LevelEvent(1, 0.3)])
+    assert sol.nsteps == 5 and sol.status == ["completed"]
+    assert sol.events[0][1] == pytest.approx(roots, abs=1e-12)
+    np.testing.assert_allclose(sol.events[0][2][:, 1], 0.64, atol=1e-12)
+    assert sol.events[1][1] == pytest.approx([0.2, 1.8], abs=1e-12)
+    assert sol.events[2][1].size == 0
+
+
 def test_roots_past_a_terminal_root_are_dropped():
     # the step over [1.56, 7.81] crosses y = 3, where the terminal event
     # ends the solution, and y = 4 beyond it: neither integrator keeps 4

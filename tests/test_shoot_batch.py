@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from randers import SurfacePoint, make_paraboloid, measure, odesolve
-from randers.errors import InvalidParameterError, NumericalBlowupError, VertexSingularError
+from randers.errors import InvalidParameterError, VertexSingularError
 from randers.geodesics import GeodesicState, integrate_h, level_crossings_batch
 from randers.measure import shoot_hits
-from randers.profile import wrap_angle
+from randers.profile import wrap_angle, wrap_angles
 
 SCAN_TOL = 3e-7
 
@@ -42,27 +43,39 @@ def _fan(profile, q, headings):
 
 
 def _oracle(profile, q, chi, horizon, r_level):
-    """Crossings of one ray, integrated on its own: samples on the level,
-    and sign changes of r - r_level between samples refined by brentq on the
-    dense output."""
+    """Crossings of one ray, integrated on its own by integrate_h at 1e-11,
+    in the polar chart: samples on the level, and sign changes of
+    r - r_level between samples refined by brentq on the dense output.
+    Returns the path's exit_reason and rows (s, r, theta, dr, dtheta)."""
     st = GeodesicState(q.r, q.theta, math.cos(chi), math.sin(chi) / float(profile.m(q.r)))
-    try:
-        path = integrate_h(profile, st, horizon, tol=SCAN_TOL)
-    except NumericalBlowupError:
-        return "blowup", []
+    path = integrate_h(profile, st, horizon, tol=1e-11)
     g = path.states[:, 0] - r_level
     roots = list(path.s[g == 0.0])
     for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
         roots.append(brentq(lambda x: path.dense(x)[0] - r_level, path.s[i],
                             path.s[i + 1], xtol=1e-13))
-    return path.exit_reason, [(s, float(path.dense(s)[1])) for s in sorted(roots)]
+    roots = np.sort(roots)
+    return path.exit_reason, np.column_stack([roots, path.dense(roots).reshape(-1, 4)])
+
+
+def _assert_crossings(s_c, y_c, expected, r_level, atol):
+    """Parameters, angles mod 2 pi and polar velocities of a row's
+    crossings against expected rows (s, r, theta, dr, dtheta)."""
+    assert len(s_c) == len(expected)
+    np.testing.assert_allclose(s_c, expected[:, 0], atol=atol)
+    np.testing.assert_allclose(y_c[:, 0], r_level, atol=1e-9)
+    np.testing.assert_allclose(wrap_angles(y_c[:, 1] - expected[:, 2]), 0.0, atol=atol)
+    np.testing.assert_allclose(y_c[:, 2:], expected[:, 3:], atol=atol)
 
 
 @pytest.mark.parametrize("r_level", [2.0, 0.5, 1.0])
 def test_batch_fan_matches_per_ray_oracle(r_level):
-    # r_max = 2.5 makes most rays leave the domain within the horizon; the
-    # last heading is a near-meridian ray that reaches the blow-up floor.
-    # At r_level = 1.0 every ray starts on the level.
+    # r_max = 2.5 makes most rays leave the domain within the horizon.  The
+    # last heading is a near-meridian ray that passes within 1e-10 of the
+    # vertex (integrate_h at the scan tol reaches its blow-up floor there):
+    # its crossings are those of the meridian limit, the ray at heading pi,
+    # with theta0 before the vertex and theta0 + pi past it.  At r_level =
+    # 1.0 every ray starts on the level.
     profile = make_paraboloid(1.0, r_max=2.5)
     q = SurfacePoint(1.0, 0.3)
     horizon = 6.0
@@ -74,15 +87,13 @@ def test_batch_fan_matches_per_ray_oracle(r_level):
         why, expected = _oracle(profile, q, chi, horizon, r_level)
         if abs(math.sin(chi)) < 1e-11:
             why = "meridian"
-        elif why == "domain-exit" and expected:
+        elif chi == headings[-1]:
+            why, expected = "vertex-pass", _oracle(profile, q, math.pi, horizon, r_level)[1]
+        elif why == "domain-exit" and expected.size:
             why = "exit-with-crossings"
         seen.add(why)
-        assert len(s_c) == len(expected), (chi, why)
-        for s, (s_ref, th_ref) in zip(s_c, expected):
-            assert s == pytest.approx(s_ref, abs=1e-6)
-        np.testing.assert_allclose(y_c[:, 1], [th for _, th in expected], atol=1e-6)
-        np.testing.assert_allclose(y_c[:, 0], r_level, atol=1e-9)
-    assert {"meridian", "blowup", "exit-with-crossings"} <= seen
+        _assert_crossings(s_c, y_c, expected, r_level, 1e-6)
+    assert {"meridian", "vertex-pass", "exit-with-crossings"} <= seen
 
 
 def _spy(monkeypatch, name, log):
@@ -98,36 +109,112 @@ def _spy(monkeypatch, name, log):
 
 @pytest.mark.parametrize("r_max,q,headings,horizon,r_level,steps", [
     # the oracle test's fan, every ray starting on the level: meridians,
-    # rays past the vertex, domain exits and a blow-up
+    # rays past the vertex and domain exits
     (2.5, SurfacePoint(1.0, 0.3),
      np.concatenate([np.linspace(-math.pi, math.pi, 49), [math.pi - 1e-10]]), 6.0, 1.0,
      None),
     (20.0, SurfacePoint(1.146, 2.86), np.linspace(-math.pi, math.pi, 97), 3.0, 1.8,
-     (1473, 242)),
+     (1496, 18)),
 ])
 def test_fan_rows_do_not_depend_on_each_other(monkeypatch, r_max, q, headings, horizon,
                                               r_level, steps):
     """Each row of a fan is integrated and refined on its own: the whole fan
-    gives the crossings of one-row calls bit for bit, and its rows take
-    exactly integrate_h's steps and rejections."""
+    gives the crossings of one-row calls bit for bit, and takes the steps and
+    rejections of the one-row calls together."""
     profile = make_paraboloid(1.0, r_max=r_max)
     fan = _fan(profile, q, headings)
-    batches, rays = [], []
+    batches = []
     _spy(monkeypatch, "integrate_batch", batches)
     whole = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
     for row, (s_c, y_c) in zip(fan, whole):
         s_1, y_1 = level_crossings_batch(profile, row[None], horizon, r_level, SCAN_TOL)[0]
         assert np.array_equal(s_c, s_1) and np.array_equal(y_c, y_1)
-    _spy(monkeypatch, "integrate", rays)
-    for row in fan:
-        try:
-            integrate_h(profile, GeodesicState(*row), horizon, tol=SCAN_TOL)
-        except NumericalBlowupError:
-            pass
     counts = (batches[0].nsteps, batches[0].nrejected)
-    assert counts == (sum(r.nsteps for r in rays), sum(r.nrejected for r in rays))
+    assert counts == (sum(b.nsteps for b in batches[1:]), sum(b.nrejected for b in batches[1:]))
     if steps is not None:
         assert counts == steps
+
+
+# headings that pass the vertex at about 1e-2 to 1e-9 from q below
+NEAR_MERIDIAN = [math.pi - eps for eps in (1e-2, 1e-4, 1e-6, 1e-9)]
+
+
+def _line_crossings(q, chi, r_level, horizon):
+    """Closed-form crossings of the straight ray from q at heading chi on
+    the plane: rows (s, r, theta, dr, dtheta)."""
+    disc = r_level ** 2 - (q.r * math.sin(chi)) ** 2
+    s = [-q.r * math.cos(chi) + sgn * math.sqrt(disc) for sgn in (-1.0, 1.0)] if disc > 0 else []
+    s = np.array([x for x in s if 0.0 < x <= horizon])
+    # from q, the ray runs along e_r cos(chi) + e_theta sin(chi)
+    along, across = q.r + s * math.cos(chi), s * math.sin(chi)
+    return np.column_stack([s, np.full(s.size, r_level), q.theta + np.arctan2(across, along),
+                            along * math.cos(chi) / r_level + across * math.sin(chi) / r_level,
+                            np.full(s.size, q.r * math.sin(chi) / r_level ** 2)])
+
+
+@pytest.mark.parametrize("r_level", [0.5, 2.0])
+def test_vertex_pass_on_the_plane_is_a_straight_line(flat, r_level):
+    # m = r: the rays are straight lines, crossed once each side of the
+    # vertex by a level below q and once past it by a level above
+    q = SurfacePoint(1.0, 0.3)
+    headings = np.array(NEAR_MERIDIAN + [-chi for chi in NEAR_MERIDIAN])
+    batch = level_crossings_batch(flat, _fan(flat, q, headings), 6.0, r_level, SCAN_TOL)
+    for chi, (s_c, y_c) in zip(headings, batch):
+        expected = _line_crossings(q, chi, r_level, 6.0)
+        assert len(expected) == (2 if r_level < q.r else 1)
+        _assert_crossings(s_c, y_c, expected, r_level, 1e-6)
+
+
+def _dop853_crossings(profile, q, chi, r_level, horizon):
+    """Crossings of the polar geodesic equations integrated by scipy's
+    DOP853 at rtol = atol = 1e-13, its events refined on its dense output."""
+    def rhs(s, y):
+        r, _, dr, dth = y
+        m, m1 = float(profile.m(r)), float(profile.m1(r))
+        return [dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth]
+
+    sol = solve_ivp(rhs, (0.0, horizon), [q.r, q.theta, math.cos(chi),
+                                          math.sin(chi) / float(profile.m(q.r))],
+                    method="DOP853", rtol=1e-13, atol=1e-13,
+                    events=lambda s, y: y[0] - r_level)
+    return np.column_stack([sol.t_events[0], sol.y_events[0]])
+
+
+@pytest.mark.parametrize("r_level", [0.5, 2.0])
+def test_vertex_pass_on_the_paraboloid_matches_dop853(parab, r_level):
+    # near the vertex the rays bend (K = 3 there).  A ray about 1e-4 off the
+    # meridian errs most: the vertex chart's steps grow on it as on a
+    # straight line, and its angle (and h-velocity) at the level err by up
+    # to about 10 tol, where the polar chart's err by about tol
+    q = SurfacePoint(1.0, 0.3)
+    headings = np.array(NEAR_MERIDIAN + [-chi for chi in NEAR_MERIDIAN])
+    batch = level_crossings_batch(parab, _fan(parab, q, headings), 6.0, r_level, SCAN_TOL)
+    for chi, (s_c, y_c) in zip(headings, batch):
+        expected = _dop853_crossings(parab, q, chi, r_level, 6.0)
+        assert len(expected) == (2 if r_level < q.r else 1)
+        np.testing.assert_allclose(s_c, expected[:, 0], atol=1e-6)
+        np.testing.assert_allclose(wrap_angles(y_c[:, 1] - expected[:, 2]), 0.0,
+                                   atol=10.0 * SCAN_TOL)
+        m = float(parab.m(r_level))
+        np.testing.assert_allclose(y_c[:, 2:] * [1.0, m], expected[:, 3:] * [1.0, m],
+                                   atol=10.0 * SCAN_TOL)
+
+
+def test_fan_iteration_budget(monkeypatch, parab):
+    # verify_cut_point's fan from (1, 0) to r = 2: in the vertex chart every
+    # row settles in a few dozen steps, so the batch runs a few dozen
+    # iterations of 7 right-hand-side calls (155 calls); in the polar chart
+    # the rows that pass near the vertex took about 120 iterations
+    calls = []
+    real = odesolve.integrate_batch
+
+    def counted(f, *args, **kwargs):
+        return real(lambda s, y: calls.append(1) or f(s, y), *args, **kwargs)
+
+    monkeypatch.setattr(odesolve, "integrate_batch", counted)
+    level_crossings_batch(parab, _fan(parab, Q, np.linspace(-math.pi, math.pi, 721)),
+                          1.05 * (Q.r + 2.0) + 0.5, 2.0, SCAN_TOL)
+    assert 0 < len(calls) <= 8 * 30
 
 
 @pytest.mark.parametrize("target", [CUT_POINT, CONTROL])

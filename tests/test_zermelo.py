@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randers import (
+    InternalConsistencyError,
     InvalidParameterError,
     MetricDegenerateError,
     SurfacePoint,
@@ -18,6 +20,7 @@ from randers import (
     make_paraboloid,
     navigation_transform,
 )
+from randers import zermelo
 from randers.zermelo import eval_F_array
 
 
@@ -82,7 +85,7 @@ def test_eval_F_rejects_radii_beyond_r_max(bump, r):
 
 def test_dual_formula_agreement_and_positivity(parab, rng):
     # eval_F internally computes the coefficient and navigation forms and
-    # raises if they disagree beyond 1e-12 relative; sample broadly.
+    # raises if they disagree beyond 1e-12 / lambda relative; sample broadly.
     for _ in range(1000):
         r = float(rng.uniform(1e-3, parab.r_max))
         y = Tangent(float(rng.normal()), float(rng.normal()))
@@ -90,6 +93,56 @@ def test_dual_formula_agreement_and_positivity(parab, rng):
             continue
         F = eval_F(parab, SurfacePoint(r, 0.0), y)
         assert F > 0.0
+
+
+def _F_decimal(r, y1, y2):
+    """F on make_paraboloid(1.0) by the navigation form in 50-digit decimal
+    arithmetic: m = r / sqrt(r^2 + 1), so lambda = 1 / (r^2 + 1)."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        r, y1, y2 = Decimal(r), Decimal(y1), Decimal(y2)
+        m2 = r * r / (r * r + 1)
+        lam = 1 - m2
+        w0 = m2 * y2
+        return float(((lam * (y1 * y1 + m2 * y2 * y2) + w0 * w0).sqrt() - w0) / lam)
+
+
+def test_dual_form_check_near_r_max_of_a_wide_paraboloid(parab60):
+    # near r_max = 60, mu m approaches 1 and lambda = 1 - mu^2 m^2 is about
+    # 3.5e-4: the coefficient form's downwind branch (alpha^2 - beta^2)/s
+    # then errs by about eps / lambda, and this valid input raised
+    # InternalConsistencyError under a bound of 1e-12 relative
+    r, y1, y2 = 53.6229681173026, -5.613970705150364, 45.943062558688275
+    F = eval_F(parab60, SurfacePoint(r, 0.0), Tangent(y1, y2))
+    assert F == pytest.approx(_F_decimal(r, y1, y2), rel=1e-11)
+    assert eval_F_array(parab60, [r], [y1], [y2])[0] == F
+
+
+def test_dual_form_check_passes_valid_tangents_up_to_r_max(parab60):
+    # h-unit tangents with r uniform on [0, 60]; 7 of them raised under a
+    # bound of 1e-12 relative
+    rng = np.random.default_rng(64)
+    r = rng.uniform(0.0, parab60.r_max, 20_000)
+    phi = rng.uniform(-math.pi, math.pi, r.size)
+    m = np.asarray(parab60.m(r))
+    y1, y2 = np.cos(phi), np.sin(phi) / m
+    F = eval_F_array(parab60, r, y1, y2)
+    scalar = [eval_F(parab60, SurfacePoint(a, 0.0), Tangent(b, c))
+              for a, b, c in zip(r.tolist(), y1.tolist(), y2.tolist())]
+    assert np.array_equal(F, scalar)
+    for i in np.argsort(r)[-20:]:
+        assert F[i] == pytest.approx(_F_decimal(r[i], y1[i], y2[i]), rel=1e-11)
+
+
+def test_dual_form_check_catches_a_perturbed_coefficient_form(parab, monkeypatch):
+    # at r = 1 (lambda = 1/2) the bound is 2e-12 relative: a coefficient form
+    # off by 1e-9 relative is an engine bug, and still raises
+    real = zermelo._F_coeff
+    monkeypatch.setattr(zermelo, "_F_coeff", lambda *a: real(*a) * (1.0 + 1e-9))
+    with pytest.raises(InternalConsistencyError):
+        eval_F(parab, SurfacePoint(1.0, 0.0), Tangent(0.6, 0.8))
+    with pytest.raises(InternalConsistencyError):
+        eval_F_array(parab, [1.0], [0.6], [0.8])
 
 
 @settings(max_examples=200, deadline=None)
