@@ -5,6 +5,10 @@ equation y'' + G(r(s)) y = 0 with G = -m''/m.  Along the meridian through a
 point q and the vertex (continued past the vertex as the opposite meridian,
 r(s) = |rho - s| with a theta jump of pi), the first zero c > rho of the
 Jacobi field with y(0) = 0, y'(0) = 1 is the first conjugate parameter of q.
+Along a meridian that field is m times an integral of 1/m^2 (reduction of
+order from the field m), so first_conjugate finds c by quadrature and root
+finding, without an ODE; jacobi_integrate integrates the equation itself
+and is the independent check.
 
 On surfaces with non-increasing curvature the background cut locus of q is
 the opposite-meridian subarc beyond that conjugate point, and every interior
@@ -39,7 +43,14 @@ from .errors import (
 )
 from .geodesics import GeodesicPath, GeodesicState, integrate_h
 from .measure import TwoRadiusConnectors, distance_F, shoot_hits
-from .profile import Profile, SurfacePoint, gauss_curvature, is_von_mangoldt, quad
+from .profile import (
+    Profile,
+    SurfacePoint,
+    gauss_curvature,
+    is_von_mangoldt,
+    quad,
+    roots_on_grid,
+)
 
 
 @dataclass(frozen=True)
@@ -53,20 +64,19 @@ class JacobiSolution:
 
 
 def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
-                     yp0: float, upto: float, stop_at_zero: bool = False) -> JacobiSolution:
-    """Integrate y'' + G(r(s)) y = 0 along a base h-geodesic path from s = 0,
-    by odesolve.integrate at tol 1e-12 with steps of at most 0.1.
+                     yp0: float, upto: float) -> JacobiSolution:
+    """Integrate y'' + G(r(s)) y = 0 along a base h-geodesic path from s = 0
+    to upto, by odesolve.integrate at tol 1e-12.
 
     On a meridian base, the meridian chain through the vertex included, the
     radius is r(s) = |r0 + s dr0| on Python floats, the value its dense
     output gives; on any other base it is read from the dense output.  The
     first sign change of y for s > 0 is refined to 1e-10 on the continuous
     extension of its step and reported as first_zero (None if y keeps its
-    sign over [0, upto]).  The samples cover [0, upto], or with
-    stop_at_zero only [0, first_zero]: the field past its first zero is
-    then not integrated, and the steps up to it, hence first_zero, are the
-    same as over the full range.  The integrator's max_steps stop raises
-    NumericalBlowupError.
+    sign over [0, upto]).  The integrator's max_steps stop raises
+    NumericalBlowupError.  first_conjugate answers by quadrature; this
+    integration is its independent check (certify_pole, the
+    jacobi-pole-identity acceptance check and the tests).
     """
     if base.metric_tag != "h":
         raise InvalidParameterError("Jacobi integration runs along h-geodesics")
@@ -89,9 +99,8 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
         y, yp = z
         return (yp, -gauss_curvature(profile, radius(s)) * y)
 
-    events = [odesolve.LevelEvent(0, 0.0, terminal=stop_at_zero)]
     sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=1e-12,
-                             h_max=0.1, events=events)
+                             events=[odesolve.LevelEvent(0, 0.0)])
     if sol.status == "max_steps":
         raise NumericalBlowupError(
             f"Jacobi integration stopped after {sol.nsteps} steps, at s = {sol.s[-1]} "
@@ -107,27 +116,25 @@ def _vm_grid(profile: Profile) -> np.ndarray:
     return np.linspace(0.0, profile.r_max, 1024)
 
 
-def opposite_meridian_chain(profile: Profile, q: SurfacePoint,
-                            length: float) -> GeodesicPath:
-    """The unit-speed h-geodesic from q through the vertex: r(s) = |rho - s|,
-    continuing on the opposite meridian."""
-    if q.r <= 0:
-        raise InvalidParameterError("q must differ from the vertex")
-    return integrate_h(profile, GeodesicState(q.r, q.theta, -1.0, 0.0), length)
-
-
 def first_conjugate(profile: Profile, q: SurfacePoint) -> float:
-    """Parameter of the first conjugate point of q along the meridian chain
-    through the vertex: the first zero c of the Jacobi field y(0) = 0,
-    y'(0) = 1, integrated by jacobi_integrate (tol 1e-12) up to that zero
-    and no further.
+    """Parameter c of the first conjugate point of q along the meridian
+    chain through the vertex, by quadrature: the Jacobi field y(0) = 0,
+    y'(0) = 1 along u = rho - s is m(u) m(rho) int_u^rho dv / m^2,
+    continued through the vertex by oddness, so c = rho + w with w the root
+    of
 
-    The profile must pass is_von_mangoldt on 1024 radii of [0, r_max]
-    (InvalidParameterError otherwise).  c exceeds rho = d(q, vertex)
-    because the vertex is a pole; raises SearchHorizonError if no zero
-    appears within the horizon rho + r_max, the end of the chain."""
+        H(w) = G(w) + G(rho) - 1/w - 1/rho,        H' = 1/m(w)^2 > 0,
+
+    G from Profile.jacobi_table (which needs a warp odd and smooth at the
+    vertex).  The table's panel edges bracket the root and roots_on_grid
+    refines it to 1e-14.
+
+    q.r must lie in (0, r_max] and the profile must pass is_von_mangoldt on
+    1024 radii of [0, r_max] (InvalidParameterError otherwise); H(r_max) <
+    0, no zero within the horizon rho + r_max, raises SearchHorizonError."""
     if q.r <= 0:
         raise InvalidParameterError("the vertex is a pole; its cut locus is empty")
+    profile.check_radius(q.r)
     check = is_von_mangoldt(profile, _vm_grid(profile))
     if not check.is_von_mangoldt:
         raise InvalidParameterError(
@@ -135,21 +142,31 @@ def first_conjugate(profile: Profile, q: SurfacePoint) -> float:
             f"curvature rises at r = {check.violation_radius}"
         )
     rho = q.r
-    horizon = rho + profile.r_max
-    base = opposite_meridian_chain(profile, q, horizon)
-    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon, stop_at_zero=True)
-    if jac.first_zero is None:
+    table = profile.jacobi_table
+    at_rho = table(rho) - 1.0 / rho
+
+    def h(w: float) -> float:
+        return table(w) + at_rho - 1.0 / w
+
+    edges = np.array(table.edges[1:])
+    values = np.array(table.values[1:]) + at_rho - 1.0 / edges
+    if values[-1] < 0.0:
+        horizon = rho + profile.r_max
         raise SearchHorizonError(
             f"no conjugate point within parameter {horizon}",
             lower_bound=horizon,
         )
-    c = jac.first_zero
-    if c <= rho:
-        raise InternalConsistencyError(
-            f"first conjugate parameter {c} <= rho = {rho}; the vertex "
-            "should be a pole"
-        )
-    return c
+    i = int(np.argmax(values >= 0.0))
+    hi, h_hi = float(edges[i]), float(values[i])
+    if i:
+        lo, h_lo = float(edges[i - 1]), float(values[i - 1])
+    else:
+        # H falls to -inf at the vertex like -1/w
+        lo, h_lo = hi, h_hi
+        while h_lo >= 0.0:
+            lo *= 0.5
+            h_lo = h(lo)
+    return rho + roots_on_grid(h, (lo, hi), (h_lo, h_hi), xtol=1e-14)[0]
 
 
 @dataclass
@@ -289,7 +306,9 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
     The fan is shoot_hits over 721 headings of [-pi, pi], scanned at tol
     3e-7 in normal coordinates at the vertex (so rays that pass it need no
     small steps) and refined at 1e-10 in the polar chart, the exact
-    meridians at +-pi analytically; a segment within _CUT_TOL = 1e-5 of
+    meridians at +-pi analytically; for a target below q on an increasing
+    warp only the headings of Clairaut's cone, which can come down to the
+    target radius, are integrated.  A segment within _CUT_TOL = 1e-5 of
     distance_F (at tol 1e-9) minimizes, and two minimizers whose lengths
     differ by at most _CUT_TOL verify the cut point.
     """

@@ -34,7 +34,6 @@ there.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -42,20 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NotEmbeddableError
-from .profile import Profile, SurfacePoint, quad
+from .profile import PanelTable, Profile, SurfacePoint, as_float_array, quad
 # eval_F is unused here; bench/tracer.py wraps embed.eval_F
 from .zermelo import F_from_warp, Tangent, eval_F  # noqa: F401
-
-# Height table: panels of at most _HEIGHT_PANEL in r, each integrated by
-# _HEIGHT_NODES-point Gauss-Legendre on its two halves.  The error targets
-# are those of the adaptive quad the table replaces.
-_HEIGHT_PANEL = 0.25
-_HEIGHT_NODES = 10
-_HEIGHT_EPSABS = 1e-10
-_HEIGHT_EPSREL = 1e-12
-_GL_T, _GL_W = np.polynomial.legendre.leggauss(_HEIGHT_NODES)
-_GL_U, _GL_HW = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W   # the rule on [0, 1]
-
 
 @dataclass(frozen=True)
 class MinkowskiPoint:
@@ -100,67 +88,29 @@ def _embeddable_m1(profile: Profile, r: float) -> float:
     return m1
 
 
-def _slope(m1):
-    """sqrt(1 - m'^2), clamped at 0, of an array of m' values."""
-    return np.sqrt(np.maximum(1.0 - m1 * m1, 0.0))
-
-
-def _gauss(profile: Profile, a, w):
-    """Gauss-Legendre integral of the height slope over [a, a + w], with m'
-    evaluated at all nodes in one array call; a and w are floats, or (k, 1)
-    arrays for k panels at once."""
-    r = a + w * _GL_U
-    m1 = np.asarray(profile.m1(r.ravel()), dtype=float)
-    if m1.size != r.size:  # a constant m' expression gives a scalar
-        m1 = np.broadcast_to(m1, (r.size,))
-    return (_slope(m1).reshape(r.shape) * w) @ _GL_HW
-
-
-class HeightTable:
-    """Cumulative arc-length height z over [0, embeddable radius].
-
-    Each panel is integrated on its two halves; the whole-panel value of
-    the same rule estimates the error, and a panel whose estimate exceeds
-    its share of 1e-10, and 1e-12 of its value, is integrated by quad
-    instead: this catches the square-root endpoint where |m'| reaches 1.
-    Build one per profile through Profile.height_table.
+class HeightTable(PanelTable):
+    """Cumulative arc-length height z over [0, embeddable radius]: the
+    PanelTable of sqrt(1 - m'^2), whose panels that miss the error target
+    are integrated by quad instead (by_quad): this catches the square-root
+    endpoint where |m'| reaches 1.  Build one per profile through
+    Profile.height_table.
     """
 
     def __init__(self, profile: Profile):
         self.profile = profile
-        radius = profile.embeddable_radius
-        n = max(1, math.ceil(radius / _HEIGHT_PANEL))
-        edges = np.linspace(0.0, radius, n + 1)
-        a, w = edges[:-1], np.diff(edges)
-        whole, left, right = np.split(_gauss(
-            profile, np.concatenate([a, a, a + 0.5 * w])[:, None],
-            np.concatenate([w, 0.5 * w, 0.5 * w])[:, None]), 3)
-        panels = left + right
-        self.by_quad = (np.abs(whole - panels) > np.maximum(
-            _HEIGHT_EPSABS / n, _HEIGHT_EPSREL * np.abs(panels))).tolist()
-        for i in np.flatnonzero(self.by_quad):
-            panels[i] = _quad_height(profile, a[i], edges[i + 1], _HEIGHT_EPSABS / n)
-        self.edges = edges.tolist()
-        self.z = np.concatenate([[0.0], np.cumsum(panels)]).tolist()
 
-    def __call__(self, r: float) -> float:
-        """z(r) for 0 <= r <= embeddable radius: the table at the panel edge
-        below r plus the panel's rule (or quad) on [edge, r]."""
-        if not 0.0 <= r <= self.edges[-1]:
-            raise InvalidParameterError(
-                f"radius {r} lies outside the height table [0, {self.edges[-1]}]")
-        i = bisect.bisect_right(self.edges, r) - 1
-        edge = self.edges[i]
-        if r == edge:
-            return self.z[i]
-        if self.by_quad[i]:
-            return self.z[i] + _quad_height(self.profile, edge, r, _HEIGHT_EPSABS)
-        return self.z[i] + float(_gauss(self.profile, edge, r - edge))
+        def slope(r):
+            m1 = as_float_array(profile.m1(r), r.shape)
+            return np.sqrt(np.maximum(1.0 - m1 * m1, 0.0))
+
+        super().__init__(slope, profile.embeddable_radius,
+                         lambda a, b, epsabs: _quad_height(profile, a, b, epsabs))
+        self.by_quad = self.refined
 
 
 def _quad_height(profile: Profile, a: float, b: float, epsabs: float) -> float:
     return float(quad(lambda t: height_slope(profile, t), a, b, epsabs=epsabs,
-                      epsrel=_HEIGHT_EPSREL, limit=200, full_output=1)[0])
+                      epsrel=1e-12, limit=200, full_output=1)[0])
 
 
 def height(profile: Profile, r: float) -> float:

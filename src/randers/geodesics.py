@@ -285,9 +285,11 @@ def level_crossings(path: GeodesicPath, r_level: float
 
 def level_crossings_batch(profile: Profile, states0, length: float,
                           r_level: float, tol: float = 1e-10
-                          ) -> list[tuple[np.ndarray, np.ndarray]]:
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """level_crossings of the h-geodesic from every row (r, theta, dr,
-    dtheta) of states0 over [0, length], without building the paths.
+    dtheta) of states0 over [0, length], without building the paths, as
+    flat arrays (rows, s, y): the crossing at parameter s with state y[k]
+    belongs to the row rows[k] of states0, sorted by row and then by s.
 
     Exact meridians take the analytic path of integrate_h, so that the
     chain through the vertex keeps theta0 and theta0 + pi exactly.  All
@@ -302,8 +304,9 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     row's crossings do not depend on the other rows of states0, and is
     returned in polar form (r_level, atan2(y, x), d / r_level,
     c / r_level^2), with d = x x' + y y' and c = x y' - y x': its theta is
-    known only mod 2 pi.  A row whose rho turns inside a step, as on a pass
-    by the vertex, has both crossings of the level there seen
+    known only mod 2 pi.  A row that starts exactly on the level crosses
+    at s = 0 with its own state.  A row whose rho turns inside a step, as
+    on a pass by the vertex, has both crossings of the level there seen
     (integrate_batch's check of a component that turns); level_crossings,
     which reads sign changes between samples, misses such a pair.  A row
     that leaves r <= r_max keeps the crossings before its exit.  Nothing
@@ -321,43 +324,47 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     if np.any(y0[~meridian, 0] <= 0.0):
         raise VertexSingularError(
             "cannot start at the vertex with nonzero angular speed")
-    out = [level_crossings(_meridian_path(profile, GeodesicState(*row), length, tol),
-                           r_level) if merid else None
-           for row, merid in zip(y0.tolist(), meridian.tolist())]
+    rows, s_c, y_c = [], [], []
+    for i in np.flatnonzero(meridian).tolist():
+        s_i, y_i = level_crossings(
+            _meridian_path(profile, GeodesicState(*y0[i].tolist()), length, tol), r_level)
+        rows.append(np.full(s_i.size, i))
+        s_c.append(s_i)
+        y_c.append(y_i)
     ode = np.flatnonzero(~meridian)
-    if ode.size == 0:
-        return out
-    r, th, dr, dth = y0[ode].T
-    cos, sin = np.cos(th), np.sin(th)
-    # rho starts as r^2, so that a row launched on the level starts on its
-    # event level exactly
-    start = np.column_stack([r * cos, r * sin, dr * cos - r * dth * sin,
-                             dr * sin + r * dth * cos, r * r])
-    rhs, renormalize = _vertex_chart(profile)
-    events = [odesolve.LevelEvent(4, profile.r_max * profile.r_max, terminal=True,
-                                  direction=1),
-              odesolve.LevelEvent(4, r_level * r_level)]
-    sol = odesolve.integrate_batch(rhs, 0.0, start, length, tol=tol,
-                                   post_step=renormalize, events=events)
-    if "max_steps" in sol.status:
-        raise NumericalBlowupError(
-            f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps")
-    rows, s_c, y_c = sol.events[1]
-    x, y, vx, vy = y_c[:, :4].T
-    y_c = np.column_stack([np.full(s_c.size, float(r_level)), np.arctan2(y, x),
-                           (x * vx + y * vy) / r_level,
-                           (x * vy - y * vx) / (r_level * r_level)])
-    ends = np.cumsum(np.bincount(rows, minlength=ode.size))
-    for j, i in enumerate(ode.tolist()):
-        lo = ends[j - 1] if j else 0
-        s_i, y_i = s_c[lo:ends[j]], y_c[lo:ends[j]]
-        if y0[i, 0] == r_level:
-            # a start exactly on the level is a crossing for level_crossings
-            # (a sample with value zero), not for the event, which needs a
-            # strict sign at the step start
-            s_i, y_i = np.append(0.0, s_i), np.vstack([y0[i], y_i])
-        out[i] = (s_i, y_i)
-    return out
+    # a start exactly on the level is a crossing for level_crossings (a
+    # sample with value zero), not for the event, which needs a strict sign
+    # at the step start
+    on_level = ode[y0[ode, 0] == r_level]
+    rows.append(on_level)
+    s_c.append(np.zeros(on_level.size))
+    y_c.append(y0[on_level])
+    if ode.size:
+        r, th, dr, dth = y0[ode].T
+        cos, sin = np.cos(th), np.sin(th)
+        # rho starts as r^2, so that a row launched on the level starts on
+        # its event level exactly
+        start = np.column_stack([r * cos, r * sin, dr * cos - r * dth * sin,
+                                 dr * sin + r * dth * cos, r * r])
+        rhs, renormalize = _vertex_chart(profile)
+        events = [odesolve.LevelEvent(4, profile.r_max * profile.r_max, terminal=True,
+                                      direction=1),
+                  odesolve.LevelEvent(4, r_level * r_level)]
+        sol = odesolve.integrate_batch(rhs, 0.0, start, length, tol=tol,
+                                       post_step=renormalize, events=events)
+        if "max_steps" in sol.status:
+            raise NumericalBlowupError(
+                f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps")
+        row, s_e, y_e = sol.events[1]
+        x, y, vx, vy = y_e[:, :4].T
+        rows.append(ode[row])
+        s_c.append(s_e)
+        y_c.append(np.column_stack([np.full(s_e.size, float(r_level)), np.arctan2(y, x),
+                                    (x * vx + y * vy) / r_level,
+                                    (x * vy - y * vx) / (r_level * r_level)]))
+    rows, s_c, y_c = np.concatenate(rows), np.concatenate(s_c), np.vstack(y_c)
+    order = np.lexsort((s_c, rows))
+    return rows[order], s_c[order], y_c[order]
 
 
 def _vertex_chart(profile: Profile):

@@ -423,9 +423,14 @@ class TwoRadiusConnectors:
                             zip(sweep.tolist(), length.tolist())))
             return g(row, sweep, length)
 
-        rows, chis = roots_on_grids(miss, self.chis,
-                                    g(np.arange(i.size)[:, None], sweeps[pair], lengths[pair]),
-                                    self._xtol[pair])
+        values = g(np.arange(i.size)[:, None], sweeps[pair], lengths[pair])
+        # the chain (chi = pi, the last column) meets a target that it misses
+        # by rounding only: its grid value is then a root, as at mu = 0, and
+        # no rounding noise on the flat fold beside it at a conjugate point
+        # passes for a turning connector
+        chain = values[:, -1]
+        chain[np.abs(chain) <= 1e-14 * np.maximum(1.0, np.abs(target))] = 0.0
+        rows, chis = roots_on_grids(miss, self.chis, values, self._xtol[pair])
         # a root where miss never ran is a grid point: its values are in the table
         grid = np.minimum(np.searchsorted(self.chis, chis), self.chis.size - 1)
         out: list[list[HConnector]] = [[] for _ in range(n)]
@@ -554,6 +559,11 @@ def _h_distance_shooting(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
     return best
 
 
+# shoot_hits' relative widening of the Clairaut band |sin chi| <= m(r*) / m(rho),
+# far above the scan tolerances, so that a ray the scan sees cross is shot
+_CONE_MARGIN = 1e-6
+
+
 class _CrossingLost(Exception):
     """The k-th crossing of a ray vanished inside a heading bracket."""
 
@@ -572,14 +582,19 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     included.  With twist_mu nonzero, trajectories are the twisted paths
     theta + twist_mu * s of the shot h-geodesics.
 
-    The scan runs every heading in one batched integration at tol
+    The scan runs the headings in one batched integration at tol
     (geodesics.level_crossings_batch), in normal coordinates at the vertex,
     so a ray that passes the vertex crosses on, and its crossings' theta is
     known mod 2 pi only, which the wrapped miss absorbs; a ray that leaves
-    r <= r_max keeps the crossings it made before.  Crossings of the target
-    radius are indexed in parameter order, the wrapped angular miss of
-    every crossing of the fan is taken in one array pass, and the miss of
-    the k-th crossing is bracketed between consecutive headings, then
+    r <= r_max keeps the crossings it made before.  Where the warp
+    increases on (0, r_max] and r* = r_target lies below q_from, only
+    Clairaut's cone cos chi < 0, |sin chi| <= m(r*) / m(rho) (widened by
+    _CONE_MARGIN) is integrated: a geodesic lives where m >= |nu| =
+    m(rho) |sin chi|, and r'' = nu^2 m' / m^3 >= 0 keeps an outward ray from
+    coming back down; the other headings have no crossing, as a ray that
+    misses has.  Crossings are indexed in parameter order, their wrapped
+    angular misses and parameters scattered into one matrix each, and the
+    miss of the k-th crossing is bracketed between consecutive headings, then
     refined by roots_on_grid in the heading, each iterate one integrate_h
     ray at refine_tol, in the polar chart; a bracket whose refined ray
     loses its k-th crossing (or blows up at integrate_h's vertex floor) is
@@ -602,15 +617,24 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
         s_c, y_c = level_crossings(path, r_target)
         return s_c, y_c[:, 1] + twist_mu * s_c
 
-    fan = np.column_stack([np.full(headings.size, q_from.r),
-                           np.full(headings.size, q_from.theta),
-                           np.cos(headings), np.sin(headings) / m_at])
-    scan = level_crossings_batch(profile, fan, horizon, r_target, tol)
-    # miss[i, k]: the wrapped angular miss of heading i's k-th crossing, NaN
-    # past its last one, so that no bracket test passes there
-    miss = np.full((headings.size, max((s_c.size for s_c, _ in scan), default=0)), np.nan)
-    for i, (s_c, y_c) in enumerate(scan):
-        miss[i, :s_c.size] = y_c[:, 1] + twist_mu * s_c
+    shoot = np.arange(headings.size)
+    if 0.0 < r_target < q_from.r and _check_increasing_warp(profile, profile.r_max):
+        band = float(profile.m(r_target)) / m_at * (1.0 + _CONE_MARGIN)
+        shoot = np.flatnonzero((np.cos(headings) < 0.0) & (np.abs(np.sin(headings)) <= band))
+    fan = np.column_stack([np.full(shoot.size, q_from.r),
+                           np.full(shoot.size, q_from.theta),
+                           np.cos(headings[shoot]), np.sin(headings[shoot]) / m_at])
+    rows, s_c, y_c = level_crossings_batch(profile, fan, horizon, r_target, tol)
+    rows = shoot[rows]
+    # the index of each crossing in its row, which runs in parameter order
+    nth = np.arange(rows.size) - np.searchsorted(rows, rows)
+    # param[i, k], miss[i, k]: the parameter and wrapped angular miss of
+    # heading i's k-th crossing, NaN past its last one, so that no bracket
+    # test passes there
+    param = np.full((headings.size, nth.max(initial=-1) + 1), np.nan)
+    param[rows, nth] = s_c
+    miss = np.full(param.shape, np.nan)
+    miss[rows, nth] = y_c[:, 1] + twist_mu * s_c
     miss = wrap_angles(miss - theta_target)
     ga, gb = miss[:-1], miss[1:]
     # a sign change or a zero (a superset of what roots_on_grid refines),
@@ -619,7 +643,7 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     hits: list[tuple[float, float]] = []
     for i, k in zip(*(a.tolist() for a in brackets)):
         chi_a, chi_b = float(headings[i]), float(headings[i + 1])
-        seen = {chi_a: scan[i][0], chi_b: scan[i + 1][0]}
+        seen = {chi_a: param[i], chi_b: param[i + 1]}
 
         def refined_miss(chi: float) -> float:
             s_c, th = crossings(chi)

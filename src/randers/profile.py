@@ -17,6 +17,7 @@ share across threads.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass, field
@@ -45,6 +46,18 @@ _EMBED_GRID = 10_000
 _ROOT_MAXITER = 100
 # Ulps of the bracket ends added to a root's xtol.
 _ROOT_ULPS = 4.0 * float(np.finfo(float).eps)
+
+# Cumulative panel tables (PanelTable): panels of at most _PANEL in r, each
+# integrated by _PANEL_NODES-point Gauss-Legendre on its two halves, to
+# _PANEL_EPSABS over the table and _PANEL_EPSREL of each panel.
+_PANEL = 0.25
+_PANEL_NODES = 10
+_PANEL_EPSABS = 1e-10
+_PANEL_EPSREL = 1e-12
+_GL_T, _GL_W = np.polynomial.legendre.leggauss(_PANEL_NODES)
+_GL_U, _GL_HW = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W   # the rule on [0, 1]
+# Halvings the Jacobi table allows a panel that misses its error target.
+_HALVINGS = 30
 
 
 @dataclass(frozen=True)
@@ -150,6 +163,32 @@ class Profile:
         from .embed import HeightTable  # embed imports this module
 
         return HeightTable(self)
+
+    @cached_property
+    def jacobi_table(self) -> PanelTable:
+        """PanelTable of G(x) = int_0^x (1/m(v)^2 - 1/v^2) dv over [0, r_max],
+        the regular part of int dv / m^2 that conjugate.first_conjugate
+        reads; even and smooth for a warp odd and smooth at the vertex.  The
+        integrand is (v - m)(v + m) / (m v)^2, with v - m below _PANEL, where
+        the difference would cancel, the Taylor remainder
+        -int_0^v (v - t) m''(t) dt on the table's rule, and read at r_eps
+        below r_eps, as gauss_curvature is.  Missing panels are halved
+        (halved_integral), never handed to quad; like height_table it is
+        built on first use and kept on the instance."""
+        def g(v):
+            v = np.maximum(v, self.r_eps)
+            m = as_float_array(self.m(v), v.shape)
+            gap = v - m
+            near = v < _PANEL
+            if near.any():
+                w = v[near, None]
+                t = w * _GL_U
+                m2 = as_float_array(self.m2(t.ravel()), (t.size,)).reshape(t.shape)
+                gap[near] = -((w - t) * m2 * w) @ _GL_HW
+            return gap * (v + m) / (m * v) ** 2
+
+        return PanelTable(g, self.r_max,
+                          lambda a, b, epsabs: halved_integral(g, a, b, epsabs))
 
     def check_radius(self, r: float) -> None:
         """InvalidParameterError unless 0 <= r <= r_max."""
@@ -372,6 +411,84 @@ def quad(func, a, b, **kwargs):
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(func, a, b, **kwargs)
+
+
+def gauss_legendre(f, a, w):
+    """The _PANEL_NODES-point Gauss-Legendre integral of f over
+    [a, a + w], with f evaluated at all nodes in one array call; a and w
+    are floats, or (k, 1) arrays for k panels at once."""
+    r = a + w * _GL_U
+    return (as_float_array(f(r.ravel()), (r.size,)).reshape(r.shape) * w) @ _GL_HW
+
+
+def _split_error(f, a, w):
+    """(value, error) of f over [a, a + w] on every panel of the arrays a
+    and w: the rule on the panel's two halves, and its distance from the
+    rule on the whole panel."""
+    whole, left, right = np.split(gauss_legendre(
+        f, np.concatenate([a, a, a + 0.5 * w])[:, None],
+        np.concatenate([w, 0.5 * w, 0.5 * w])[:, None]), 3)
+    halves = left + right
+    return halves, np.abs(whole - halves)
+
+
+def _settled(value, error, epsabs):
+    return error <= np.maximum(epsabs, _PANEL_EPSREL * np.abs(value))
+
+
+def halved_integral(f, a: float, b: float, epsabs: float, depth: int = 0) -> float:
+    """f over [a, b] by the rule of PanelTable, halved until the two halves
+    of each piece agree with the whole to epsabs (or _PANEL_EPSREL of its
+    value); a piece that does not settle in _HALVINGS halvings, as at a
+    singularity, raises InternalConsistencyError."""
+    value, error = _split_error(f, np.array([a]), np.array([b - a]))
+    if _settled(value, error, epsabs)[0]:
+        return float(value[0])
+    if depth == _HALVINGS:
+        raise InternalConsistencyError(
+            f"the integral over [{a}, {b}] does not settle in {_HALVINGS} halvings")
+    mid = 0.5 * (a + b)
+    return (halved_integral(f, a, mid, epsabs, depth + 1)
+            + halved_integral(f, mid, b, epsabs, depth + 1))
+
+
+class PanelTable:
+    """Cumulative integral of f over [0, radius], read at any r in it.
+
+    f maps an array of radii to its values.  Each panel of at most _PANEL
+    is integrated by Gauss-Legendre on its two halves, f at every node of
+    the table in one array call; the whole-panel value of the same rule
+    estimates the error, and a panel whose estimate exceeds its share of
+    _PANEL_EPSABS = 1e-10, and _PANEL_EPSREL = 1e-12 of its value, is
+    marked in `refined` and integrated by refine(a, b, epsabs) instead.
+    A read at r is the table at the panel edge below r plus the rule (or
+    refine) on [edge, r].  The height table (embed.HeightTable) and the
+    Jacobi table (Profile.jacobi_table) differ only in f and refine.
+    """
+
+    def __init__(self, f, radius: float, refine):
+        self.f, self.refine = f, refine
+        n = max(1, math.ceil(radius / _PANEL))
+        edges = np.linspace(0.0, radius, n + 1)
+        a, w = edges[:-1], np.diff(edges)
+        panels, error = _split_error(f, a, w)
+        self.refined = (~_settled(panels, error, _PANEL_EPSABS / n)).tolist()
+        for i in np.flatnonzero(self.refined):
+            panels[i] = refine(a[i], edges[i + 1], _PANEL_EPSABS / n)
+        self.edges = edges.tolist()
+        self.values = np.concatenate([[0.0], np.cumsum(panels)]).tolist()
+
+    def __call__(self, r: float) -> float:
+        if not 0.0 <= r <= self.edges[-1]:
+            raise InvalidParameterError(
+                f"radius {r} lies outside the table [0, {self.edges[-1]}]")
+        i = bisect.bisect_right(self.edges, r) - 1
+        edge = self.edges[i]
+        if r == edge:
+            return self.values[i]
+        if self.refined[i]:
+            return self.values[i] + self.refine(edge, r, _PANEL_EPSABS)
+        return self.values[i] + float(gauss_legendre(self.f, edge, r - edge))
 
 
 def _chandrupatla_point(x1, x2, t, xtol):

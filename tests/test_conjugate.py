@@ -6,6 +6,7 @@ import pytest
 
 from randers import (
     InvalidParameterError,
+    odesolve,
     SearchHorizonError,
     SurfacePoint,
     make_custom,
@@ -16,11 +17,16 @@ from randers.conjugate import (
     cut_locus,
     first_conjugate,
     jacobi_integrate,
-    opposite_meridian_chain,
     verify_cut_point,
 )
 from randers.geodesics import GeodesicState, integrate_h, twist
 from randers.measure import TwoRadiusConnectors, distance_F
+
+
+def opposite_meridian_chain(profile, q, length):
+    """The unit-speed h-geodesic from q through the vertex: r(s) = |rho - s|,
+    continuing on the opposite meridian."""
+    return integrate_h(profile, GeodesicState(q.r, q.theta, -1.0, 0.0), length)
 
 
 def test_jacobi_along_meridian_equals_warp(parab):
@@ -53,17 +59,13 @@ def test_jacobi_along_a_generic_geodesic_reads_its_dense_output(sphere):
 
 @pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (1.0, 1.2), (0.5, 1.8), (0.5, 2.3)])
 def test_first_conjugate_stops_at_the_zero(mu, rho):
-    # the terminal event ends the integration at c and changes no step before it
+    # the quadrature c is the first zero of the Jacobi field that
+    # jacobi_integrate integrates along the chain through the vertex
     p = make_paraboloid(mu)
     q = SurfacePoint(rho, 0.0)
     horizon = rho + p.r_max
-    base = opposite_meridian_chain(p, q, horizon)
-    full = jacobi_integrate(p, base, 0.0, 1.0, horizon)
-    stopped = jacobi_integrate(p, base, 0.0, 1.0, horizon, stop_at_zero=True)
-    c = first_conjugate(p, q)
-    assert c == full.first_zero == stopped.first_zero
-    assert stopped.s[-1] == c < full.s[-1]
-    np.testing.assert_array_equal(stopped.s[:-1], full.s[:stopped.s.size - 1])
+    full = jacobi_integrate(p, opposite_meridian_chain(p, q, horizon), 0.0, 1.0, horizon)
+    assert abs(first_conjugate(p, q) - full.first_zero) <= 1e-11
 
 
 def test_first_conjugate_sphere_oracle(sphere):
@@ -86,8 +88,7 @@ def test_first_conjugate_paraboloid_oracle():
 
 @pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (1.0, 1.146), (0.5, 1.8), (2.0, 0.7)])
 def test_first_conjugate_to_the_closed_form_at_tol(mu, rho):
-    # the Jacobi zero is refined on the continuous extension of its step,
-    # as accurate as the step ends at tol 1e-12
+    # the quadrature root, as accurate as the Jacobi table
     c = first_conjugate(make_paraboloid(mu), SurfacePoint(rho, 0.0))
     assert abs(c - (rho + 1.0 / (mu * mu * rho))) <= 1e-11
 
@@ -100,6 +101,102 @@ def test_first_conjugate_errors(parab, flat, bump):
     assert exc.value.lower_bound is not None
     with pytest.raises(InvalidParameterError):
         first_conjugate(bump, SurfacePoint(1.0, 0.0))  # not von Mangoldt
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("rho", [0.7, 1.0, 1.3, 2.0])
+def test_first_conjugate_quadrature_meets_the_paraboloid_closed_form(mu, rho):
+    # reduction of order: c = rho + 1 / (mu^2 rho), to 1e-12 where the
+    # Jacobi ODE errs by up to 2e-12
+    c = first_conjugate(make_paraboloid(mu), SurfacePoint(rho, 0.0))
+    assert abs(c - (rho + 1.0 / (mu * mu * rho))) <= 1e-12
+
+
+def test_first_conjugate_of_a_long_chain():
+    # rho = 0.05 on the default domain: c = 20.05 lies at the very end of
+    # the chain, rho + r_max; the Jacobi ODE misses it by 9.7e-11
+    c = first_conjugate(make_paraboloid(1.0), SurfacePoint(0.05, 0.0))
+    assert abs(c - 20.05) <= 1e-11
+
+
+def test_first_conjugate_sphere_to_the_closed_form(sphere):
+    # on m = sin r the quadrature gives -cot w - cot rho = 0: c = pi
+    for rho in (0.6, 1.0, 2.0):
+        assert abs(first_conjugate(sphere, SurfacePoint(rho, 0.0)) - math.pi) <= 1e-12
+
+
+# a von Mangoldt warp that is neither the paraboloid nor the sphere, and its
+# first conjugate parameters at rho = 0.5, 1 and 2: by jacobi_integrate
+# (tol 1e-12, then with steps of at most 0.1), and by mpmath at 30 digits
+# (quad of 1/m^2 - 1/v^2, findroot of H)
+THIRD_WARP = ("r/(1+r^2)^(1/4)", "(1+r^2/2)*(1+r^2)^(-5/4)",
+              "-r*(3/2+r^2/4)*(1+r^2)^(-9/4)")
+THIRD_WARP_C = {0.5: 8.390945173302015, 1.0: 3.414974859579851, 2.0: 3.1640301706445393}
+THIRD_WARP_C_30_DIGITS = {0.5: 8.3909451733131640521, 1.0: 3.4149748595818865816,
+                          2.0: 3.1640301706449258625}
+
+
+@pytest.mark.parametrize("rho", sorted(THIRD_WARP_C))
+def test_first_conjugate_matches_the_jacobi_zero_on_a_third_warp(rho):
+    p = make_custom(*THIRD_WARP, mu=0.2, r_max=20.0)
+    q = SurfacePoint(rho, 0.0)
+    horizon = rho + p.r_max
+    jac = jacobi_integrate(p, opposite_meridian_chain(p, q, horizon), 0.0, 1.0, horizon)
+    c = first_conjugate(p, q)
+    assert abs(c - jac.first_zero) <= 1e-10
+    assert abs(c - THIRD_WARP_C[rho]) <= 1e-10
+    assert abs(c - THIRD_WARP_C_30_DIGITS[rho]) <= 1e-13
+
+
+def test_first_conjugate_halves_a_jacobi_panel_that_misses():
+    # curvature 100: 1/m^2 grows to 5,000 at r_max = 0.3, where the table's
+    # second panel misses its error target and is halved; c = pi / 10
+    p = make_custom("sin(10*r)/10", "cos(10*r)", "-10*sin(10*r)", mu=0.5, r_max=0.3)
+    assert abs(first_conjugate(p, SurfacePoint(0.2, 0.0)) - 0.1 * math.pi) <= 1e-13
+    assert p.jacobi_table.refined == [False, True]
+    # G(x) = 1/x - 10 cot(10 x); one rule on the halves of [0.25, 0.3]
+    # errs by 1e-6 relative at 0.3
+    for x in (0.27, 0.29, 0.3):
+        assert p.jacobi_table(x) == pytest.approx(1.0 / x - 10.0 / math.tan(10.0 * x),
+                                                  rel=1e-14)
+
+
+def test_first_conjugate_at_the_ends_of_the_domain(parab):
+    with pytest.raises(InvalidParameterError):
+        first_conjugate(parab, SurfacePoint(parab.r_max + 0.5, 0.0))
+    # c = rho + 1 / rho lies far past the horizon; the table's nodes
+    # below rho, where m^2 r^2 underflows, read the integrand at r_eps
+    for rho in (7.286899057239131e-301, 1e-9):
+        with pytest.raises(SearchHorizonError):
+            first_conjugate(parab, SurfacePoint(rho, 0.0))
+
+
+@pytest.mark.parametrize("mu", [1.0, 0.5])
+def test_cut_locus_runs_no_ode(monkeypatch, mu):
+    # the benchmark's two paraboloids, built fresh so that the Jacobi table
+    # is built under the patch too
+    def no_ode(*args, **kwargs):
+        raise AssertionError("cut_locus ran an ODE")
+
+    monkeypatch.setattr(odesolve, "integrate", no_ode)
+    monkeypatch.setattr(odesolve, "integrate_batch", no_ode)
+    p = make_paraboloid(mu)
+    rho = 1.3 / mu
+    arc = cut_locus(p, SurfacePoint(rho, 0.4))
+    assert abs(arc.c - (rho + 1.0 / (mu * mu * rho))) <= 1e-12
+    assert arc.kind[0] == "chain"
+
+
+def test_jacobi_table_is_built_on_first_use():
+    p = make_paraboloid(0.8)
+    assert "jacobi_table" not in vars(p)
+    first_conjugate(p, SurfacePoint(1.0, 0.0))
+    table = p.jacobi_table
+    first_conjugate(p, SurfacePoint(2.0, 0.0))
+    assert p.jacobi_table is table
+    # the paraboloid's 1/m^2 - 1/r^2 is mu^2: G(x) = mu^2 x
+    for x in (1e-3, 0.05, 0.3, 7.7, 20.0):
+        assert table(x) == pytest.approx(0.64 * x, rel=0, abs=5e-14)
 
 
 def test_conjugate_matches_family_refocus(parab):

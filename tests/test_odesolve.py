@@ -7,7 +7,7 @@ import pytest
 from randers import (
     InvalidParameterError, NumericalBlowupError, make_custom, make_paraboloid, odesolve,
 )
-from randers.conjugate import jacobi_integrate, opposite_meridian_chain
+from randers.conjugate import jacobi_integrate
 from randers.geodesics import (
     GeodesicState, clairaut_constant, integrate_h, level_crossings_batch,
 )
@@ -506,14 +506,13 @@ def test_float_stages_match_array_loop_on_an_expression_profile(sphere, r0, phi,
 
 
 def test_float_stages_match_array_loop_on_the_jacobi_rhs():
-    # first_conjugate's call: the Jacobi field y(0) = 0, y'(0) = 1 along the
-    # paraboloid's meridian chain through the vertex, steps of at most 0.1,
-    # ended by the terminal event at its first zero
+    # the Jacobi field y(0) = 0, y'(0) = 1 along the paraboloid's meridian
+    # chain through the vertex, with its zeros as a level event
     profile = make_paraboloid(1.0)
     q = SurfacePoint(1.2, 0.0)
     horizon = q.r + profile.r_max
-    base = opposite_meridian_chain(profile, q, horizon)
-    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon, stop_at_zero=True)
+    base = integrate_h(profile, GeodesicState(q.r, q.theta, -1.0, 0.0), horizon)
+    jac = jacobi_integrate(profile, base, 0.0, 1.0, horizon)
     r0, dr0 = float(base.states[0, 0]), float(base.states[0, 2])
 
     def rhs(s, z):
@@ -521,14 +520,13 @@ def test_float_stages_match_array_loop_on_the_jacobi_rhs():
         return np.array([yp, -gauss_curvature(profile, abs(r0 + dr0 * s)) * y])
 
     ss, ys, _, ev_records, status, _, _ = _array_integrate(
-        rhs, 0.0, [0.0, 1.0], horizon, tol=1e-12, h_max=0.1,
-        events=[LevelEvent(0, 0.0, terminal=True)])
-    assert status == "event:0"
+        rhs, 0.0, [0.0, 1.0], horizon, tol=1e-12, events=[LevelEvent(0, 0.0)])
+    assert status == "completed"
     ys = np.array(ys)
     assert np.array_equal(jac.s, np.array(ss))
     assert np.array_equal(jac.y, ys[:, 0])
     assert np.array_equal(jac.yp, ys[:, 1])
-    assert jac.first_zero == ev_records[0][0][0] == ss[-1]
+    assert jac.first_zero == ev_records[0][0][0]
 
 
 def test_float_stages_match_array_loop_outside_the_domain():

@@ -9,7 +9,12 @@ from scipy.optimize import brentq
 
 from randers import SurfacePoint, make_paraboloid, measure, odesolve
 from randers.errors import InvalidParameterError, VertexSingularError
-from randers.geodesics import GeodesicState, integrate_h, level_crossings_batch
+from randers.geodesics import (
+    GeodesicState,
+    integrate_h,
+    level_crossings,
+    level_crossings_batch,
+)
 from randers.measure import shoot_hits
 from randers.profile import wrap_angle, wrap_angles
 
@@ -40,6 +45,13 @@ def _fan(profile, q, headings):
     m = float(profile.m(q.r))
     return np.column_stack([np.full(headings.size, q.r), np.full(headings.size, q.theta),
                             np.cos(headings), np.sin(headings) / m])
+
+
+def _by_row(crossings, n):
+    """level_crossings_batch's flat (rows, s, y) as one (s, y) pair for each
+    of the n rows of its fan."""
+    rows, s_c, y_c = crossings
+    return [(s_c[rows == i], y_c[rows == i]) for i in range(n)]
 
 
 def _oracle(profile, q, chi, horizon, r_level):
@@ -80,8 +92,8 @@ def test_batch_fan_matches_per_ray_oracle(r_level):
     q = SurfacePoint(1.0, 0.3)
     horizon = 6.0
     headings = np.concatenate([np.linspace(-math.pi, math.pi, 49), [math.pi - 1e-10]])
-    batch = level_crossings_batch(profile, _fan(profile, q, headings), horizon,
-                                  r_level, SCAN_TOL)
+    batch = _by_row(level_crossings_batch(profile, _fan(profile, q, headings), horizon,
+                                          r_level, SCAN_TOL), headings.size)
     seen = set()
     for chi, (s_c, y_c) in zip(headings, batch):
         why, expected = _oracle(profile, q, chi, horizon, r_level)
@@ -125,10 +137,15 @@ def test_fan_rows_do_not_depend_on_each_other(monkeypatch, r_max, q, headings, h
     fan = _fan(profile, q, headings)
     batches = []
     _spy(monkeypatch, "integrate_batch", batches)
-    whole = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
-    for row, (s_c, y_c) in zip(fan, whole):
-        s_1, y_1 = level_crossings_batch(profile, row[None], horizon, r_level, SCAN_TOL)[0]
-        assert np.array_equal(s_c, s_1) and np.array_equal(y_c, y_1)
+    rows, s_all, y_all = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
+    assert np.all(np.diff(rows) >= 0)   # sorted by row, then by s
+    assert np.all(np.diff(s_all)[np.diff(rows) == 0] > 0.0)
+    for i, row in enumerate(fan):
+        rows_1, s_1, y_1 = level_crossings_batch(profile, row[None], horizon, r_level,
+                                                 SCAN_TOL)
+        assert np.array_equal(rows_1, np.zeros(s_1.size, dtype=int))
+        assert np.array_equal(s_all[rows == i], s_1)
+        assert np.array_equal(y_all[rows == i], y_1)
     counts = (batches[0].nsteps, batches[0].nrejected)
     assert counts == (sum(b.nsteps for b in batches[1:]), sum(b.nrejected for b in batches[1:]))
     if steps is not None:
@@ -158,7 +175,8 @@ def test_vertex_pass_on_the_plane_is_a_straight_line(flat, r_level):
     # vertex by a level below q and once past it by a level above
     q = SurfacePoint(1.0, 0.3)
     headings = np.array(NEAR_MERIDIAN + [-chi for chi in NEAR_MERIDIAN])
-    batch = level_crossings_batch(flat, _fan(flat, q, headings), 6.0, r_level, SCAN_TOL)
+    batch = _by_row(level_crossings_batch(flat, _fan(flat, q, headings), 6.0, r_level,
+                                          SCAN_TOL), headings.size)
     for chi, (s_c, y_c) in zip(headings, batch):
         expected = _line_crossings(q, chi, r_level, 6.0)
         assert len(expected) == (2 if r_level < q.r else 1)
@@ -188,7 +206,8 @@ def test_vertex_pass_on_the_paraboloid_matches_dop853(parab, r_level):
     # to about 10 tol, where the polar chart's err by about tol
     q = SurfacePoint(1.0, 0.3)
     headings = np.array(NEAR_MERIDIAN + [-chi for chi in NEAR_MERIDIAN])
-    batch = level_crossings_batch(parab, _fan(parab, q, headings), 6.0, r_level, SCAN_TOL)
+    batch = _by_row(level_crossings_batch(parab, _fan(parab, q, headings), 6.0, r_level,
+                                          SCAN_TOL), headings.size)
     for chi, (s_c, y_c) in zip(headings, batch):
         expected = _dop853_crossings(parab, q, chi, r_level, 6.0)
         assert len(expected) == (2 if r_level < q.r else 1)
@@ -253,8 +272,9 @@ def test_dropped_brackets_straddle_the_wrap(parab, target):
     scans every skipped bracket moves the miss by a small step that does
     not pass through zero: a sign change there is the wrap at +-pi."""
     headings = np.linspace(-math.pi, math.pi, 361)
-    scan = level_crossings_batch(parab, _fan(parab, Q, headings),
-                                 1.05 * (Q.r + target[0]) + 0.5, target[0], SCAN_TOL)
+    scan = _by_row(level_crossings_batch(parab, _fan(parab, Q, headings),
+                                         1.05 * (Q.r + target[0]) + 0.5, target[0], SCAN_TOL),
+                   headings.size)
     miss = [[wrap_angle(y[1] + parab.mu * s - target[1]) for s, y in zip(s_c, y_c)]
             for s_c, y_c in scan]
     dropped = straddles = 0
@@ -268,6 +288,45 @@ def test_dropped_brackets_straddle_the_wrap(parab, target):
             assert ga * (ga + step) > 0.0  # ... and the miss keeps its sign
             straddles += ga * gb < 0.0
     assert dropped > 0 and straddles > 0
+
+
+@pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (0.5, 1.6)])
+def test_skipped_headings_truly_miss(monkeypatch, mu, rho):
+    """shoot_hits' control scan (the twisted chain halfway to the conjugate
+    point, r* = 1 / (2 mu^2 rho) < rho) shoots only the Clairaut cone
+    cos chi < 0, |sin chi| <= m(r*) / m(rho).  The headings next to the
+    cone's edges, headings just outside it and outward headings, each
+    integrated on its own at 1e-11 over the scan horizon, never come down
+    to r*."""
+    profile = make_paraboloid(mu)
+    q = SurfacePoint(rho, 0.3)
+    r_target = 0.5 / (mu * mu * rho)
+    horizon = 1.05 * (q.r + r_target) + 0.5
+    headings = np.linspace(-math.pi, math.pi, 721)
+    shot = []
+    real = measure.level_crossings_batch
+
+    def spy(prof, fan, *args, **kwargs):
+        shot.append(np.arctan2(np.asarray(fan)[:, 3] * float(prof.m(q.r)),
+                               np.asarray(fan)[:, 2]))
+        return real(prof, fan, *args, **kwargs)
+
+    monkeypatch.setattr(measure, "level_crossings_batch", spy)
+    shoot_hits(profile, q, r_target, q.theta + math.pi, headings, horizon,
+               twist_mu=mu, tol=SCAN_TOL, refine_tol=1e-10)
+    inside = np.zeros(headings.size, dtype=bool)
+    inside[np.rint((shot[0] + math.pi) / (2.0 * math.pi) * (headings.size - 1)).astype(int)] = True
+    assert 0 < inside.sum() < headings.size // 2
+    edges = np.flatnonzero(~inside & (np.roll(inside, 1) | np.roll(inside, -1)))
+    band = float(profile.m(r_target)) / float(profile.m(q.r))
+    outside = [sgn * (math.pi - math.asin(band * (1.0 + eps)))
+               for sgn in (-1.0, 1.0) for eps in (2e-6, 1e-4)]
+    outward = np.linspace(-0.5 * math.pi, 0.5 * math.pi, 7)
+    for chi in np.concatenate([headings[edges], outside, outward]):
+        st = GeodesicState(q.r, q.theta, math.cos(chi), math.sin(chi) / float(profile.m(q.r)))
+        path = integrate_h(profile, st, horizon, tol=1e-11)
+        assert level_crossings(path, r_target)[0].size == 0
+        assert path.states[:, 0].min() > r_target
 
 
 def test_fan_input_checks(parab):
