@@ -71,8 +71,8 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
     On a meridian base, the meridian chain through the vertex included, the
     radius is r(s) = |r0 + s dr0| on Python floats, the value its dense
     output gives; on any other base it is read from the dense output.  The
-    first sign change of y for s > 0 is refined to 1e-10 on the continuous
-    extension of its step and reported as first_zero (None if y keeps its
+    first sign change of y for s > 0 is refined to 1e-10 on the dense
+    output of its step and reported as first_zero (None if y keeps its
     sign over [0, upto]).  The integrator's max_steps stop raises
     NumericalBlowupError.  first_conjugate answers by quadrature; this
     integration is its independent check (certify_pole, the
@@ -126,8 +126,9 @@ def first_conjugate(profile: Profile, q: SurfacePoint) -> float:
         H(w) = G(w) + G(rho) - 1/w - 1/rho,        H' = 1/m(w)^2 > 0,
 
     G from Profile.jacobi_table (which needs a warp odd and smooth at the
-    vertex).  The table's panel edges bracket the root and roots_on_grid
-    refines it to 1e-14.
+    vertex; profile validation rejects m''(0) != 0, so its integrand
+    1/m^2 - 1/v^2 stays bounded there on every profile).  The table's panel
+    edges bracket the root and roots_on_grid refines it to 1e-14.
 
     q.r must lie in (0, r_max] and the profile must pass is_von_mangoldt on
     1024 radii of [0, r_max] (InvalidParameterError otherwise); H(r_max) <

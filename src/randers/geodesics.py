@@ -201,10 +201,10 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     recorded on the returned path as quality metrics.
 
     The step size is set by tol alone, with no cap: the samples are the
-    step ends, and the dense output between them is the continuous
-    extension of each step, as accurate as its ends.  Exact meridians
-    (dtheta = 0) are integrated analytically, continuing through the vertex
-    with a theta jump of pi, and sampled every _h_max.  If the path leaves
+    step ends, and the dense output between them is the 7th-order
+    interpolant of each DOP853 step, as accurate as its ends.  Exact
+    meridians (dtheta = 0) are integrated analytically, continuing through
+    the vertex with a theta jump of pi, and sampled every _h_max.  If the path leaves
     the numerical domain r <= r_max it is truncated there and flagged with
     exit_reason = "domain-exit".  A path that reaches the blow-up floor
     near the vertex, or the integrator's max_steps stop, raises
@@ -227,18 +227,23 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
             "with nonzero angular speed"
         )
     m_fn, m1_fn = profile.m, profile.m1
+    # m and m' at the radius of the last right-hand side call: the FSAL
+    # stage, the projection and the derivative after it share r
+    r_last = m_last = m1_last = math.nan
 
     def rhs(s: float, y: list) -> tuple:
+        nonlocal r_last, m_last, m1_last
         r, _, dr, dth = y
-        m = float(m_fn(r))
-        m1 = float(m1_fn(r))
+        if r != r_last:
+            r_last, m_last, m1_last = r, float(m_fn(r)), float(m1_fn(r))
+        m, m1 = m_last, m1_last
         return (dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth)
 
     drift = {"unit": 0.0, "clairaut": 0.0}
 
     def renormalize(s: float, y: list) -> list:
         r, th, dr, dth = y
-        m = float(m_fn(r))
+        m = m_last if r == r_last else float(m_fn(r))
         norm = math.hypot(dr, m * dth)
         drift["unit"] = max(drift["unit"], abs(norm - 1.0))
         dr, dth = dr / norm, dth / norm
@@ -276,10 +281,22 @@ def level_crossings(path: GeodesicPath, r_level: float
     """Parameters and states where a sampled path crosses the parallel
     r = r_level: sign changes of r - r_level between samples (and samples
     exactly on it), refined to 1e-12 by roots_on_grid on the dense output.
-    Two crossings between the same pair of samples (a path grazing the
-    parallel within one step) cancel and are not seen."""
-    s_c = np.array(roots_on_grid(lambda s: path.dense(s)[0] - r_level, path.s,
-                                 path.states[:, 0] - r_level, xtol=1e-12))
+
+    A path can also cross the parallel twice between two samples on the
+    same side of it, grazing it inside one step.  Where r heads for the
+    level at the first sample and away from it at the second, r turns
+    between them: the turn, the zero of dr, is found on the dense output,
+    and if r - r_level changes sign there both crossings are refined (a
+    turn exactly on the level is one crossing)."""
+    s, g, dr = path.s, path.states[:, 0] - r_level, path.states[:, 2]
+    turns = np.flatnonzero((g[:-1] * dr[:-1] < 0.0) & (g[1:] * dr[1:] > 0.0)
+                           & (g[:-1] * g[1:] > 0.0))
+    if turns.size:
+        s_turn = np.array([roots_on_grid(lambda x: path.dense(x)[2], s[i:i + 2], dr[i:i + 2],
+                                         xtol=1e-12)[0] for i in turns.tolist()])
+        s = np.insert(s, turns + 1, s_turn)
+        g = np.insert(g, turns + 1, path.dense(s_turn)[:, 0] - r_level)
+    s_c = np.array(roots_on_grid(lambda x: path.dense(x)[0] - r_level, s, g, xtol=1e-12))
     return s_c, path.dense(s_c)
 
 

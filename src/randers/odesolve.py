@@ -1,40 +1,43 @@
 """Adaptive embedded Runge-Kutta integrators with dense output and events.
 
-Dormand-Prince 5(4) pair: six function stages plus FSAL, 5th-order
-propagation, 4th-order error estimate, standard step-size controller
-(Hairer, Norsett and Wanner, Solving ODEs I, section II.4).  Between the
-ends of a step the solution is read from the pair's 4th-order continuous
-extension (Shampine 1986; HNW I, section II.6, ``contd5``): the cubic
-Hermite polynomial of the step's end values and end slopes plus
-theta^2 (1 - theta)^2 h sum_i D_i k_i, a quartic term built from the
-step's seven stages.  It needs no extra evaluation of f, its error between
-step ends is of the order of the error at them, and it passes through the
-step's end state whatever ``post_step`` made of it.  The tolerance alone
-sets the step size.
+Two integrators, each with the pair that fits the tolerances it runs at:
 
-Two integrators share the tableau, the controller and the interpolant:
-
-* ``integrate`` runs one trajectory and keeps every accepted step, so its
-  ODESolution is a dense output over the whole range.  Its state is a
-  handful of numbers, so the stages, the solution update and the error terms
-  run on Python floats, each sum in the order of the array expression of
-  ``integrate_batch``; only the error norm of a step is an array dot
-  product.  Each step keeps its stages; the coefficients of the continuous
-  extension are built from them in one array pass over all steps on the
-  first dense read, so a solution that is never read never builds them,
-  and the event arrays are built only for a step that crosses an event.
-  f is called with the state as a list of Python floats and may return any
-  sequence of dim numbers; a tuple of floats is the cheapest, and an
-  ndarray is converted to floats.
+* ``integrate`` runs one trajectory by DOP853, Dormand and Prince's 8(5,3)
+  pair (Hairer, Norsett and Wanner, Solving ODEs I, 2nd ed., section II.10,
+  ``dop853``): twelve function stages plus FSAL, 8th-order propagation, and
+  an error estimate that blends the embedded 5th- and 3rd-order
+  differences, err5^2 / sqrt(err5^2 + 0.01 err3^2), with the step exponent
+  -1/8.  The engine integrates geodesics and Jacobi fields at tol 1e-10 to
+  1e-12, where an 8th-order pair takes about a fifth of the steps of a
+  5th-order one.  Between the ends of a step the solution is read from the
+  pair's 7th-order dense output: a polynomial in theta of degree 7 whose
+  first three coefficients hold the step's end values and end slopes, and
+  whose last four are built from its stages and three extra stages.  The
+  extra stages cost three evaluations of f per step; they are made for
+  every step at once on the first dense read, so a solution that is never
+  read never pays for them, and at once for a step that crosses an event.
+  The state is a handful of numbers, so the stages, the solution update and
+  the error terms run on Python floats, each sum over the nonzero
+  coefficients of its row in column order.  f is called with the state as
+  a list of Python floats and may return any sequence of dim numbers; a
+  tuple of floats is the cheapest, and an ndarray is converted to floats.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
-  on an (n_rows, dim) state.  Each row keeps its own step size and is
-  accepted or rejected under a mask; rows leave the active set when they
-  reach s_end or a terminal event.  No dense output is stored, so memory
-  stays O(n_rows) plus the event crossings; the coefficients of the
-  continuous extension are built once for each step that crosses an
-  event.
+  on an (n_rows, dim) state by the Dormand-Prince 5(4) pair (HNW I, section
+  II.4): six function stages plus FSAL and a 4th-order error estimate, with
+  the step exponent -1/5, which fits the shooting fan's tol 3e-7.  Each row
+  keeps its own step size and is accepted or rejected under a mask; rows
+  leave the active set when they reach s_end or a terminal event.  No dense
+  output is stored, so memory stays O(n_rows) plus the event crossings; a
+  step that crosses an event is read from the pair's 4th-order continuous
+  extension (Shampine 1986; HNW I, section II.6, ``contd5``): the cubic
+  Hermite polynomial of the step's end values and end slopes plus
+  theta^2 (1 - theta)^2 h sum_i D_i k_i, a quartic term built from the
+  step's seven stages, with no extra evaluation of f.
 
-Both take the same two hooks:
+Both interpolants pass through the step's end state whatever ``post_step``
+made of it, and err between step ends by about what the step errs at them.
+The tolerance alone sets the step size.  Both integrators take the same two
+hooks:
 
 * ``post_step(s, y) -> y_new | None`` runs after every accepted step and may
   project the state back onto an invariant manifold (the geodesic integrators
@@ -44,13 +47,13 @@ Both take the same two hooks:
   in ``integrate_batch``), or None to keep the state; it must not mutate
   its argument.  After a replacement the FSAL derivative is recomputed, and
   the step's end state and derivative are the projected ones, so the dense
-  output passes through the sampled states; the quartic term keeps the
-  unprojected stages, which moves the interpolant by the O(tol) of the
-  projection.
+  output passes through the sampled states; the stages, the extra stages
+  of DOP853 and the quartic term of DOPRI5 keep the unprojected ones, which
+  moves the interpolant by the O(tol) of the projection.
 * Events.  Both take LevelEvents, crossings of one state component
   through a level (one per row, or shared, in a batch); g is the component
   minus the level.  ``integrate`` refines each root by roots_on_grid on g
-  over the continuous extension of the step that crosses.
+  over the dense output of the step that crosses.
   ``integrate_batch`` refines each root on its own by Newton on the
   component's quartic, a terminal one in the iteration that crosses it,
   the others in one pass after the run.  A crossing counts when g goes
@@ -63,7 +66,7 @@ Both take the same two hooks:
   end (the component's slopes, which the stages give), by Newton on the
   quartic's slope for the turn and on the quartic on each side of it, if
   g changes sign at the turn.  ``integrate`` sees neither crossing of such
-  a step.
+  a step; geodesics.level_crossings looks for them on its dense output.
 
 Both accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps``
 after max_steps tries, a safety stop that callers report as an error.
@@ -81,7 +84,117 @@ import numpy as np
 from .errors import InvalidParameterError
 from .profile import roots_on_grid
 
-# Dormand-Prince coefficients.
+# DOP853 coefficients, copied from scipy/integrate/_ivp/dop853_coefficients.py
+# (scipy 1.17), which transcribes Hairer's dop853.f.  Stage i evaluates f at
+# s + _C8[i] h and y + h sum_j a_ij k_j; _A8[i] holds the nonzero a_ij of row
+# i at the columns _A8_COLS[i].  Row 12 is the solution update _B8, and rows
+# 13-15 are the extra stages of the dense output.
+_C8 = (
+    0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+    0.118350341907227396726757197510, 0.281649658092772603273242802490,
+    0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+    0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+    0.1, 0.2, 0.777777777777777777777777777778,
+)
+_A8_COLS = (
+    (), (0,), (0, 1), (0, 2), (0, 2, 3), (0, 3, 4), (0, 3, 4, 5), (0, 3, 4, 5, 6),
+    (0, 3, 4, 5, 6, 7), (0, 3, 4, 5, 6, 7, 8), (0, 3, 4, 5, 6, 7, 8, 9),
+    (0, 3, 4, 5, 6, 7, 8, 9, 10), (0, 5, 6, 7, 8, 9, 10, 11),
+    (0, 6, 7, 8, 9, 10, 11, 12), (0, 5, 6, 7, 10, 11, 12, 13), (0, 5, 6, 7, 8, 12, 13, 14),
+)
+_A8 = (
+    (),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 1.70252211019544039314978060272e-1, 6.02165389804559606850219397283e-2,
+     -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
+    (5.42937341165687622380535766363e-2, 4.45031289275240888144113950566,
+     1.89151789931450038304281599044, -5.8012039600105847814672114227,
+     3.1116436695781989440891606237e-1, -1.52160949662516078556178806805e-1,
+     2.01365400804030348374776537501e-1, 4.47106157277725905176885569043e-2),
+    (5.61675022830479523392909219681e-2, 2.53500210216624811088794765333e-1,
+     -2.46239037470802489917441475441e-1, -1.24191423263816360469010140626e-1,
+     1.5329179827876569731206322685e-1, 8.20105229563468988491666602057e-3,
+     7.56789766054569976138603589584e-3, -8.298e-3),
+    (3.18346481635021405060768473261e-2, 2.83009096723667755288322961402e-2,
+     5.35419883074385676223797384372e-2, -5.49237485713909884646569340306e-2,
+     -1.08347328697249322858509316994e-4, 3.82571090835658412954920192323e-4,
+     -3.40465008687404560802977114492e-4, 1.41312443674632500278074618366e-1),
+    (-4.28896301583791923408573538692e-1, -4.69762141536116384314449447206,
+     7.68342119606259904184240953878, 4.06898981839711007970213554331,
+     3.56727187455281109270669543021e-1, -1.39902416515901462129418009734e-3,
+     2.9475147891527723389556272149, -9.15095847217987001081870187138),
+)
+_B8 = _A8[12]
+# the 5th- and 3rd-order error weights, at the columns of _B8; the 3rd-order
+# ones are _B8 minus the weights of the embedded 3rd-order method (bhh)
+_E5 = (
+    0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+    -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+    -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+    0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1,
+)
+_E3 = (_B8[0] - 0.244094488188976377952755905512, *_B8[1:4],
+       _B8[4] - 0.733846688281611857341361741547, *_B8[5:7],
+       _B8[7] - 0.220588235294117647058823529412e-1)
+# the dense output's coefficients F3, ..., F6 (of t^2 u^2, t^3 u^2, t^3 u^3
+# and t^4 u^3, u = 1 - t) are h times these rows applied to the stages at
+# the columns _D8_COLS
+_D8_COLS = (0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15)
+_D8 = (
+    (-0.84289382761090128651353491142e+1, 0.56671495351937776962531783590,
+     -0.30689499459498916912797304727e+1, 0.23846676565120698287728149680e+1,
+     0.21170345824450282767155149946e+1, -0.87139158377797299206789907490,
+     0.22404374302607882758541771650e+1, 0.63157877876946881815570249290,
+     -0.88990336451333310820698117400e-1, 0.18148505520854727256656404962e+2,
+     -0.91946323924783554000451984436e+1, -0.44360363875948939664310572000e+1),
+    (0.10427508642579134603413151009e+2, 0.24228349177525818288430175319e+3,
+     0.16520045171727028198505394887e+3, -0.37454675472269020279518312152e+3,
+     -0.22113666853125306036270938578e+2, 0.77334326684722638389603898808e+1,
+     -0.30674084731089398182061213626e+2, -0.93321305264302278729567221706e+1,
+     0.15697238121770843886131091075e+2, -0.31139403219565177677282850411e+2,
+     -0.93529243588444783865713862664e+1, 0.35816841486394083752465898540e+2),
+    (0.19985053242002433820987653617e+2, -0.38703730874935176555105901742e+3,
+     -0.18917813819516756882830838328e+3, 0.52780815920542364900561016686e+3,
+     -0.11573902539959630126141871134e+2, 0.68812326946963000169666922661e+1,
+     -0.10006050966910838403183860980e+1, 0.77771377980534432092869265740,
+     -0.27782057523535084065932004339e+1, -0.60196695231264120758267380846e+2,
+     0.84320405506677161018159903784e+2, 0.11992291136182789328035130030e+2),
+    (-0.25693933462703749003312586129e+2, -0.15418974869023643374053993627e+3,
+     -0.23152937917604549567536039109e+3, 0.35763911791061412378285349910e+3,
+     0.93405324183624310003907691704e+2, -0.37458323136451633156875139351e+2,
+     0.10409964950896230045147246184e+3, 0.29840293426660503123344363579e+2,
+     -0.43533456590011143754432175058e+2, 0.96324553959188282948394950600e+2,
+     -0.39177261675615439165231486172e+2, -0.14972683625798562581422125276e+3),
+)
+_D8_T = np.array(_D8).T
+_ORDER_EXP8 = -1.0 / 8.0
+
+# Dormand-Prince 5(4) coefficients, of integrate_batch.
 _C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
 _A = (
     (),
@@ -105,11 +218,11 @@ _D = (
     -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
     -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
 )
+_ORDER_EXP = -1.0 / 5.0
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_ORDER_EXP = -1.0 / 5.0
 # The loosest tol accepted: a looser one lets the controller grow steps
 # until the stages evaluate the right-hand side far outside its domain.
 MAX_TOL = 1e-2
@@ -140,9 +253,11 @@ class ODESolution:
     its root, inside the last step.  Step i starts at seg_s[i] with size
     seg_h[i], end states seg_y0[i] and seg_y1[i] and end derivatives
     seg_f0[i] and seg_f1[i] (the projected ones, after post_step), and
-    seg_k[i] holds its stages k2, ..., k6, one row each.  The coefficients
-    of the continuous extension are built from them for every step on the
-    first dense read, so a solution that is never read never builds them.
+    seg_k[i] holds the stages k5, ..., k12 that the dense output reads, one
+    row each (k12 is f at the unprojected end).  rhs is the right-hand
+    side.  On the first dense read it evaluates the three extra stages of
+    every step, and the coefficients of the dense output are built for
+    every step, so a solution that is never read never builds them.
     """
 
     s: np.ndarray
@@ -154,6 +269,7 @@ class ODESolution:
     seg_f0: np.ndarray
     seg_f1: np.ndarray
     seg_k: np.ndarray
+    rhs: Callable = field(default=None, repr=False)
     status: str = "completed"
     events: dict = field(default_factory=dict)
     nsteps: int = 0
@@ -161,14 +277,16 @@ class ODESolution:
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
-        return np.array(_contd5(self.seg_h[:, None], self.seg_y0, self.seg_y1, self.seg_f0,
-                                self.seg_f1, *self.seg_k.transpose(1, 0, 2)))
+        k = _extra_stages(self.rhs, self.seg_s, self.seg_h, self.seg_y0,
+                          [self.seg_f0, *[None] * 4, *self.seg_k.transpose(1, 0, 2)])
+        return np.array(_contd8(self.seg_h[:, None], self.seg_y0, self.seg_y1, self.seg_f0,
+                                self.seg_f1, [k[j] for j in _D8_COLS]))
 
     def __call__(self, s):
-        """Dense evaluation on the continuous extension of the step that
-        holds each parameter; an array of parameters gives one state row
-        per entry.  Parameters outside [s0, s_end] extrapolate from the
-        first or last step."""
+        """Dense evaluation on the dense output of the step that holds each
+        parameter; an array of parameters gives one state row per entry.
+        Parameters outside [s0, s_end] extrapolate from the first or last
+        step."""
         s_arr = np.asarray(s, dtype=float)
         if self.seg_s.size == 0:
             return np.broadcast_to(self.y[0], s_arr.shape + self.y[0].shape).copy()
@@ -176,14 +294,54 @@ class ODESolution:
         # arrays broadcast against the state axis; a scalar stays a scalar
         col = (..., None) if s_arr.ndim else ()
         t = (s_arr[col] - self.seg_s[i][col]) / self.seg_h[i][col]
-        return _dense(t, self.seg_y0[i], *self._coeffs[:, i])
+        return _dense8(t, self.seg_y0[i], *self._coeffs[:, i])
+
+
+def _extra_stages(f, s, h, y0, k):
+    """Append to k, whose entry j holds stage j of steps from s of size h
+    and start states y0 as an array with one row per step (k1, ..., k4 may
+    be None: no extra stage reads them), the stages k13, k14 and k15 that
+    DOP853's dense output adds: the states of a stage in one array pass
+    over the steps, each sum in column order as in integrate's stages, then
+    f once per step, on floats."""
+    for i in (13, 14, 15):
+        row, cols = _A8[i], _A8_COLS[i]
+        acc = row[0] * k[cols[0]]
+        for a, j in zip(row[1:], cols[1:]):
+            acc = acc + a * k[j]
+        states = (y0 + h[:, None] * acc).tolist()
+        k.append(np.array([f(t, x) for t, x in zip((s + _C8[i] * h).tolist(), states)],
+                          dtype=float))
+    return k
+
+
+def _contd8(h, y0, y1, f0, f1, k):
+    """Coefficients (F0, ..., F6) of DOP853's dense output on a step of size
+    h from y0 to y1 with end slopes f0 and f1 and stages k, the twelve at
+    the columns _D8_COLS (arrays, or one row per step): F0, F1 and F2 fit
+    the ends and their slopes, and F3, ..., F6 are h times the rows of _D8
+    applied to k, each summed in column order."""
+    d = y1 - y0
+    col = _D8_T.reshape(_D8_T.shape + (1,) * np.ndim(k[0]))
+    acc = col[0] * k[0]
+    for c, k_j in zip(col[1:], k[1:]):
+        acc = acc + c * k_j
+    return (d, h * f0 - d, 2.0 * d - h * (f1 + f0), *(h * acc))
+
+
+def _dense8(t, y0, F0, F1, F2, F3, F4, F5, F6):
+    """DOP853's dense output at theta = t in [0, 1] of a step from y0 with
+    coefficients from _contd8 (u = 1 - t):
+    y0 + t (F0 + u (F1 + t (F2 + u (F3 + t (F4 + u (F5 + t F6))))))."""
+    u = 1.0 - t
+    return y0 + t * (F0 + u * (F1 + t * (F2 + u * (F3 + t * (F4 + u * (F5 + t * F6))))))
 
 
 def _contd5(h, y0, y1, f0, f1, k2, k3, k4, k5, k6):
-    """Coefficients (d, r3, r4, q) of the continuous extension of a step of
-    size h from y0 to y1 with end slopes f0 (the stage k0) and f1 and
-    stages k2, ..., k6 (HNW's rcont2, ..., rcont5): d, r3 and r4 make the
-    cubic Hermite polynomial of the ends, and q = h sum_i D_i k_i is the
+    """Coefficients (d, r3, r4, q) of the DOPRI5 continuous extension of a
+    step of size h from y0 to y1 with end slopes f0 (the stage k0) and f1
+    and stages k2, ..., k6 (HNW's rcont2, ..., rcont5): d, r3 and r4 make
+    the cubic Hermite polynomial of the ends, and q = h sum_i D_i k_i is the
     quartic term."""
     d = y1 - y0
     r3 = h * f0 - d
@@ -194,8 +352,8 @@ def _contd5(h, y0, y1, f0, f1, k2, k3, k4, k5, k6):
 
 
 def _dense(t, y0, d, r3, r4, q):
-    """The continuous extension at theta = t in [0, 1] of a step from y0
-    with coefficients from _contd5:
+    """The DOPRI5 continuous extension at theta = t in [0, 1] of a step from
+    y0 with coefficients from _contd5:
     y0 + t d + t (1 - t) r3 + t^2 (1 - t) r4 + t^2 (1 - t)^2 q."""
     u = 1.0 - t
     return y0 + t * (d + u * (r3 + t * (r4 + u * q)))
@@ -232,25 +390,27 @@ def integrate(
     events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
 ) -> ODESolution:
-    """Integrate y' = f(s, y) from s0 to s_end (s_end > s0, both finite).
+    """Integrate y' = f(s, y) from s0 to s_end (s_end > s0, both finite) by
+    DOP853.
 
     f is called with a float and the state as a list of dim Python floats,
     and returns the derivative components as any sequence of numbers (a
     tuple of floats is the cheapest; an ndarray is converted to floats).
     post_step gets the same list and returns a replacement sequence or
     None; neither may mutate the list.  The stages, the solution update and
-    the error terms run on Python floats; only the error norm of a step is
-    an array dot product, and the event arrays are built only for a step
-    that crosses an event.  tol (in [MIN_TOL, MAX_TOL]) is used as both
-    absolute and relative per-step tolerance and alone sets the step size,
-    unless h_max caps it; a bad range or tol raises InvalidParameterError.
+    the error terms run on Python floats, and the event arrays are built
+    only for a step that crosses an event.  tol (in [MIN_TOL, MAX_TOL]) is
+    used as both absolute and relative per-step tolerance and alone sets
+    the step size, unless h_max caps it; a bad range or tol raises
+    InvalidParameterError.  An accepted step costs twelve evaluations of
+    f, thirteen after a projection, and a rejected one eleven.
 
     Returns an ODESolution whose status is ``completed``, the name of a
     terminal event, or ``max_steps``; called with parameters, it reads the
-    continuous extension of its steps.  Event roots are refined to 1e-10 by
+    dense output of its steps.  Event roots are refined to 1e-10 by
     roots_on_grid on the event's component, minus its level, over the
-    continuous extension of the step that crosses; a terminal event ends
-    the samples at its root, and roots past it are dropped.
+    dense output of the step that crosses; a terminal event ends the
+    samples at its root, and roots past it are dropped.
     """
     _check_span_tol(s0, s_end, tol)
     y_arr = np.asarray(y0, dtype=float).copy()
@@ -280,13 +440,17 @@ def integrate(
     nsteps = 0
     nrejected = 0
     root_n = math.sqrt(float(dim))
-    a20, a21 = _A[2]
-    a30, a31, a32 = _A[3]
-    a40, a41, a42, a43 = _A[4]
-    a50, a51, a52, a53, a54 = _A[5]
-    b0, _, b2, b3, b4, b5, _ = _B
-    e0, _, e2, e3, e4, e5, e6 = _E
-    c4 = _C[4]
+    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _C8[1:11]
+    (a10,), (a20, a21), (a30, a32), (a40, a42, a43), (a50, a53, a54) = _A8[1:6]
+    a60, a63, a64, a65 = _A8[6]
+    a70, a73, a74, a75, a76 = _A8[7]
+    a80, a83, a84, a85, a86, a87 = _A8[8]
+    a90, a93, a94, a95, a96, a97, a98 = _A8[9]
+    a100, a103, a104, a105, a106, a107, a108, a109 = _A8[10]
+    a110, a113, a114, a115, a116, a117, a118, a119, a1110 = _A8[11]
+    b0, b5, b6, b7, b8, b9, b10, b11 = _B8
+    e0, e5, e6, e7, e8, e9, e10, e11 = _E5
+    g0, g5, g6, g7, g8, g9, g10, g11 = _E3
     array = np.array
 
     while s < s_end:
@@ -295,41 +459,66 @@ def integrate(
             break
         h = min(h, s_end - s, h_max)
 
-        # unrolled Dormand-Prince stages on floats (b1 = 0 in both weight
-        # rows), each sum in the order of integrate_batch's array expressions
+        # unrolled DOP853 stages on floats, each sum over the nonzero
+        # coefficients of its row in column order
         k0 = fs
-        c = 0.2 * h
-        k1 = f(s + c, [y_ + c * p0 for y_, p0 in zip(y, k0)])
-        k2 = f(s + 0.3 * h, [y_ + h * (a20 * p0 + a21 * p1)
-                             for y_, p0, p1 in zip(y, k0, k1)])
-        k3 = f(s + 0.8 * h, [y_ + h * (a30 * p0 + a31 * p1 + a32 * p2)
-                             for y_, p0, p1, p2 in zip(y, k0, k1, k2)])
-        k4 = f(s + c4 * h, [y_ + h * (a40 * p0 + a41 * p1 + a42 * p2 + a43 * p3)
-                            for y_, p0, p1, p2, p3 in zip(y, k0, k1, k2, k3)])
-        k5 = f(s + h, [
-            y_ + h * (a50 * p0 + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-            for y_, p0, p1, p2, p3, p4 in zip(y, k0, k1, k2, k3, k4)])
-        y_new = [y_ + h * (b0 * p0 + b2 * p2 + b3 * p3 + b4 * p4 + b5 * p5)
-                 for y_, p0, p2, p3, p4, p5 in zip(y, k0, k2, k3, k4, k5)]
-        k6 = f(s + h, y_new)
-        # err / (tol + tol * max(|y|, |y_new|)); the max takes the NaN of a
-        # y_new that left f's domain, as np.maximum does
-        ratio = array([
-            h * (e0 * p0 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * p6)
-            / (tol + tol * (a if a > b else b))
-            for a, b, p0, p2, p3, p4, p5, p6 in zip(
-                map(abs, y), map(abs, y_new), k0, k2, k3, k4, k5, k6)])
-        enorm = math.sqrt(float(ratio @ ratio)) / root_n
+        k1 = f(s + c1 * h, [y_ + h * (a10 * p0) for y_, p0 in zip(y, k0)])
+        k2 = f(s + c2 * h, [y_ + h * (a20 * p0 + a21 * p1) for y_, p0, p1 in zip(y, k0, k1)])
+        k3 = f(s + c3 * h, [y_ + h * (a30 * p0 + a32 * p2) for y_, p0, p2 in zip(y, k0, k2)])
+        k4 = f(s + c4 * h, [y_ + h * (a40 * p0 + a42 * p2 + a43 * p3)
+                            for y_, p0, p2, p3 in zip(y, k0, k2, k3)])
+        k5 = f(s + c5 * h, [y_ + h * (a50 * p0 + a53 * p3 + a54 * p4)
+                            for y_, p0, p3, p4 in zip(y, k0, k3, k4)])
+        k6 = f(s + c6 * h, [y_ + h * (a60 * p0 + a63 * p3 + a64 * p4 + a65 * p5)
+                            for y_, p0, p3, p4, p5 in zip(y, k0, k3, k4, k5)])
+        k7 = f(s + c7 * h, [y_ + h * (a70 * p0 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6)
+                            for y_, p0, p3, p4, p5, p6 in zip(y, k0, k3, k4, k5, k6)])
+        k8 = f(s + c8 * h, [
+            y_ + h * (a80 * p0 + a83 * p3 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7)
+            for y_, p0, p3, p4, p5, p6, p7 in zip(y, k0, k3, k4, k5, k6, k7)])
+        k9 = f(s + c9 * h, [
+            y_ + h * (a90 * p0 + a93 * p3 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7
+                      + a98 * p8)
+            for y_, p0, p3, p4, p5, p6, p7, p8 in zip(y, k0, k3, k4, k5, k6, k7, k8)])
+        k10 = f(s + c10 * h, [
+            y_ + h * (a100 * p0 + a103 * p3 + a104 * p4 + a105 * p5 + a106 * p6 + a107 * p7
+                      + a108 * p8 + a109 * p9)
+            for y_, p0, p3, p4, p5, p6, p7, p8, p9 in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
+        s_new = s + h
+        k11 = f(s_new, [
+            y_ + h * (a110 * p0 + a113 * p3 + a114 * p4 + a115 * p5 + a116 * p6 + a117 * p7
+                      + a118 * p8 + a119 * p9 + a1110 * p10)
+            for y_, p0, p3, p4, p5, p6, p7, p8, p9, p10 in zip(y, k0, k3, k4, k5, k6, k7, k8,
+                                                                k9, k10)])
+        y_new = [y_ + h * (b0 * p0 + b5 * p5 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10
+                           + b11 * p11)
+                 for y_, p0, p5, p6, p7, p8, p9, p10, p11 in zip(y, k0, k5, k6, k7, k8, k9, k10,
+                                                                 k11)]
+        # the 5th- and 3rd-order error terms over the scale
+        # tol + tol * max(|y|, |y_new|); the max takes the NaN of a y_new
+        # that left f's domain, as np.maximum does
+        scale = [tol + tol * (a if a > b else b) for a, b in zip(map(abs, y), map(abs, y_new))]
+        err5 = math.hypot(*[
+            (e0 * p0 + e5 * p5 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10
+             + e11 * p11) / w
+            for w, p0, p5, p6, p7, p8, p9, p10, p11 in zip(scale, k0, k5, k6, k7, k8, k9, k10,
+                                                           k11)])
+        err3 = math.hypot(*[
+            (g0 * p0 + g5 * p5 + g6 * p6 + g7 * p7 + g8 * p8 + g9 * p9 + g10 * p10
+             + g11 * p11) / w
+            for w, p0, p5, p6, p7, p8, p9, p10, p11 in zip(scale, k0, k5, k6, k7, k8, k9, k10,
+                                                           k11)])
+        # h err5^2 / sqrt(dim (err5^2 + 0.01 err3^2)), HNW's blend
+        enorm = h * err5 * (err5 / math.hypot(err5, 0.1 * err3)) / root_n if err5 else 0.0
 
         if not enorm <= 1.0:  # a NaN norm (a stage left f's domain) rejects too
             nrejected += 1
-            h *= max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP)
+            h *= max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8)
             continue
 
         # accept
         nsteps += 1
-        f_new = k6  # FSAL stage is f(s + h, y_new)
-        s_new = s + h
+        k12 = f_new = f(s_new, y_new)  # the FSAL stage
         if post_step is not None:
             y_proj = post_step(s_new, y_new)
             if y_proj is not None:
@@ -342,7 +531,7 @@ def integrate(
         seg_y1 += y_new
         seg_f0 += k0
         seg_f1 += f_new
-        seg_k += (*k2, *k3, *k4, *k5, *k6)
+        seg_k += (*k5, *k6, *k7, *k8, *k9, *k10, *k11, *k12)
 
         stop_at = None
         seg_eval = None
@@ -359,12 +548,14 @@ def integrate(
             if crossed:
                 if seg_eval is None:
                     y_old = array(y)
-                    coeffs = _contd5(h, y_old, *(
-                        array(k, dtype=float)
-                        for k in (y_new, k0, f_new, k2, k3, k4, k5, k6)))
+                    k = _extra_stages(f, array([s]), array([h]), array([y]), [
+                        array([v], dtype=float)
+                        for v in (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)])
+                    coeffs = _contd8(h, y_old, *(array(v, dtype=float) for v in (
+                        y_new, k0, f_new)), [k[j][0] for j in _D8_COLS])
 
                     def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
-                        return _dense((sq - _s) / _h, _y, *_c)
+                        return _dense8((sq - _s) / _h, _y, *_c)
 
                 root = roots_on_grid(lambda sq: seg_eval(sq)[c] - level,
                                      (s, s_new), (g_old, g_new), xtol=1e-10)[0]
@@ -390,7 +581,7 @@ def integrate(
         if enorm == 0.0:
             factor = _MAX_FACTOR
         else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP))
+            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8))
         h *= factor
 
     def stacked(flat, *shape):
@@ -405,12 +596,15 @@ def integrate(
         seg_y1=stacked(seg_y1),
         seg_f0=stacked(seg_f0),
         seg_f1=stacked(seg_f1),
-        seg_k=stacked(seg_k, 5),
+        seg_k=stacked(seg_k, 8),
+        rhs=f,
         status=status,
         events={i: recs for i, recs in ev_records.items()},
         nsteps=nsteps,
         nrejected=nrejected,
     )
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +751,8 @@ def integrate_batch(
     f and post_step are called with the parameters (k,) and states (k, dim)
     of the rows still active and return arrays of the states' shape; rows
     never interact.  tol and max_steps (per row) mean what they mean for
-    integrate, and each row takes the steps integrate would take for it
-    with no step cap, up to rounding.  An iteration that accepts every row works on its step
+    integrate, but each row steps by the Dormand-Prince 5(4) pair, with no
+    step cap.  An iteration that accepts every row works on its step
     arrays as they are.  Event roots are refined to 1e-12 by Newton on the
     quartic that the continuous extension of the crossing step makes of the
     event's component, each row on its own: a terminal root at once, as it

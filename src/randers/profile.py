@@ -225,6 +225,14 @@ def _check_profile_values(p: Profile) -> None:
     for name, values in (("m", mm), ("m'", p.m1(rr)), ("m''", p.m2(rr))):
         if not np.all(np.isfinite(values)):
             raise InvalidParameterError(f"{name} must be finite on [0, r_max]")
+    # smoothness at the vertex: dr^2 + m^2 dtheta^2 is smooth there only if
+    # m extends to an odd function of r, so m''(0) = 0; otherwise the
+    # curvature -m''/m grows like 1/r at the vertex
+    m2_0 = float(p.m2(0.0))
+    if not abs(m2_0) <= _VERTEX_TOL:
+        raise InvalidParameterError(
+            f"m''(0) must vanish, got {m2_0}: the surface is smooth at the vertex only "
+            "if m extends to an odd function of r")
     if np.any(mm[1:] <= 0.0):
         bad = rr[1:][mm[1:] <= 0.0][0]
         raise InvalidParameterError(f"m(r) must be positive on (0, r_max]; m({bad}) <= 0")

@@ -13,6 +13,7 @@ from randers import (
     Tangent,
     VertexSingularError,
     eval_F,
+    make_custom,
 )
 from randers.geodesics import (
     GeodesicState,
@@ -29,7 +30,7 @@ from randers.geodesics import (
     turning_points,
     twist,
 )
-from randers.odesolve import _contd5, _dense
+from randers.odesolve import _D8_COLS, _contd8, _dense8, _extra_stages
 
 
 def _launch(profile, r0, phi, theta0=0.0):
@@ -62,15 +63,19 @@ def test_dense_reads_arrays(parab, kind):
     np.testing.assert_array_equal(path.dense(ss), stacked)
     assert path.dense(ss.reshape(-1, 1)).shape == (len(ss), 1, 4)
     if kind == "generic":
-        # the continuous extension of each step, built one step at a time
+        # the dense output of each step, its extra stages and coefficients
+        # built for that step alone
         sol = path.dense
         for s, row in zip(ss, stacked):
             i = int(np.searchsorted(sol.seg_s, s, side="right") - 1)
             i = min(max(i, 0), sol.seg_s.size - 1)
+            one = slice(i, i + 1)
+            k = _extra_stages(sol.rhs, sol.seg_s[one], sol.seg_h[one], sol.seg_y0[one], [
+                sol.seg_f0[one], *[None] * 4, *sol.seg_k[one].transpose(1, 0, 2)])
             h = sol.seg_h[i]
-            coeffs = _contd5(h, sol.seg_y0[i], sol.seg_y1[i], sol.seg_f0[i],
-                             sol.seg_f1[i], *sol.seg_k[i])
-            ref = _dense((s - sol.seg_s[i]) / h, sol.seg_y0[i], *coeffs)
+            coeffs = _contd8(h, sol.seg_y0[i], sol.seg_y1[i], sol.seg_f0[i], sol.seg_f1[i],
+                             [k[j][0] for j in _D8_COLS])
+            ref = _dense8((s - sol.seg_s[i]) / h, sol.seg_y0[i], *coeffs)
             np.testing.assert_array_equal(row, ref)
 
 
@@ -102,6 +107,32 @@ def test_clairaut_constant_examples(parab):
     st2 = _launch(parab, 1.0, math.pi / 6.0)
     assert clairaut_constant(parab, st2) == pytest.approx(
         float(parab.m(1.0)) * 0.5, rel=1e-13)
+
+
+def test_integrate_h_reads_the_warp_once_per_stage(parab):
+    # the FSAL stage, the unit-speed projection and the derivative after it
+    # share r, so an accepted step reads m and m' at twelve radii, a
+    # rejected one at eleven; the start reads m' once, and m three times
+    # (the speed and Clairaut checks)
+    calls = {"m": 0, "m1": 0}
+
+    def counted(name, fn):
+        def call(r):
+            calls[name] += 1
+            return fn(r)
+        return call
+
+    profile = make_custom(counted("m", parab.m), counted("m1", parab.m1), parab.m2,
+                          mu=parab.mu, r_max=parab.r_max)
+    calls.update(m=0, m1=0)
+    # outward, so r grows at every stage and no two stages share a radius
+    path = integrate_h(profile, _launch(parab, 1.0, 0.7), 10.0, tol=1e-12)
+    sol = path.dense
+    assert path.exit_reason == "completed" and sol.nsteps > 20
+    assert calls["m1"] == 12 * sol.nsteps + 11 * sol.nrejected + 1
+    assert calls["m"] == calls["m1"] + 2
+    assert np.array_equal(path.states, integrate_h(parab, _launch(parab, 1.0, 0.7), 10.0,
+                                                   tol=1e-12).states)
 
 
 def test_conservation_over_long_arc(parab60):
@@ -154,8 +185,8 @@ def test_integrate_h_against_scipy_dop853(parab60, r0, phi, length):
 @pytest.mark.parametrize("tol", [1e-10, 1e-12])
 @pytest.mark.parametrize("r0,phi,length", _DOP853_RAYS)
 def test_dense_output_is_as_accurate_as_the_samples(parab60, r0, phi, length, tol):
-    # the continuous extension is 4th order: between the step ends it errs
-    # about as much as at them, with no step cap
+    # the dense output is 7th order: between the step ends it errs about as
+    # much as at them, with no step cap
     at_nodes, at_mids = _dop853_errors(parab60, r0, phi, length, tol)
     assert at_mids <= 10.0 * at_nodes
 
@@ -341,6 +372,30 @@ def test_quadrature_segment_turning_on_the_right(bump):
     dth, ds, _ = quadrature_segment(bump, r_left, r_right, nu, 1)
     assert dth == pytest.approx(path.dense(half)[1], abs=1e-9)
     assert ds == pytest.approx(half, abs=1e-9)
+
+
+def test_level_crossings_sees_a_graze_inside_one_step(parab):
+    # inward from r = 3 to the turning radius 1, past the level 1 + 1e-5 and
+    # out again: both crossings lie between the same two samples, on the
+    # same side of the level.  The quadrature legs from the turning radius
+    # give them: the turn comes after the leg to r = 3, each crossing one leg
+    # to the level before and after it
+    r0, r_turn, r_level = 3.0, 1.0, 1.0 + 1e-5
+    nu = float(parab.m(r_turn))
+    path = integrate_h(parab, _launch(parab, r0, math.pi - math.asin(nu / float(parab.m(r0)))),
+                       8.0, tol=1e-10)
+    s, y = level_crossings(path, r_level)
+    assert s.size == 2
+    k = np.searchsorted(path.s, s)
+    assert k[0] == k[1]                                   # inside one step
+    g = path.states[k[0] - 1:k[0] + 1, 0] - r_level
+    assert g[0] > 0.0 and g[1] > 0.0
+    np.testing.assert_allclose(y[:, 0], r_level, atol=1e-12)
+    s_turn = quadrature_segment(parab, r_turn, r0, nu, 1)[1]
+    leg = quadrature_segment(parab, r_turn, r_level, nu, 1)[1]
+    np.testing.assert_allclose(s, [s_turn - leg, s_turn + leg], atol=1e-8)
+    # a level the ray turns short of is not crossed
+    assert level_crossings(path, r_turn - 1e-5)[0].size == 0
 
 
 def test_clairaut_angles_turning_legs_on_the_plane(flat):

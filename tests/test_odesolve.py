@@ -12,8 +12,8 @@ from randers.geodesics import (
     GeodesicState, clairaut_constant, integrate_h, level_crossings_batch,
 )
 from randers.odesolve import (
-    _A, _B, _C, _E, MAX_TOL, MIN_TOL, LevelEvent, _contd5, _dense, _initial_step,
-    integrate, integrate_batch,
+    _A, _A8, _A8_COLS, _B, _B8, _C, _C8, _D8, _D8_COLS, _E, _E3, _E5, MAX_TOL, MIN_TOL,
+    LevelEvent, _contd5, _contd8, _dense, _dense8, _initial_step, integrate, integrate_batch,
 )
 from randers.profile import SurfacePoint, gauss_curvature, roots_on_grid
 
@@ -37,6 +37,22 @@ def test_dense_output():
     sq = np.linspace(0.0, 2.0 * math.pi, 313)
     dense = sol(sq)
     assert np.abs(dense[:, 0] - np.sin(sq)).max() < 1e-8
+
+
+def test_dop853_coefficients_are_scipys():
+    # odesolve copies the tableau as literals so that it imports no scipy;
+    # every value must equal the one scipy's DOP853 uses
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    a = np.zeros_like(ref.A)
+    for i, (cols, row) in enumerate(zip(_A8_COLS, _A8)):
+        a[i, list(cols)] = row
+    assert np.array_equal(a, ref.A) and np.array_equal(_C8, ref.C)
+    e5, e3, d = np.zeros_like(ref.E5), np.zeros_like(ref.E3), np.zeros_like(ref.D)
+    e5[list(_A8_COLS[12])], e3[list(_A8_COLS[12])] = _E5, _E3
+    d[:, list(_D8_COLS)] = _D8
+    assert np.array_equal(e5, ref.E5) and np.array_equal(e3, ref.E3)
+    assert np.array_equal(d, ref.D) and np.array_equal(_B8, ref.B[list(_A8_COLS[12])])
 
 
 def test_terminal_event_root():
@@ -89,14 +105,15 @@ def test_max_steps_status():
 
 
 def test_max_steps_stop_raises(monkeypatch):
-    # a max_steps stop is no finished path: each caller raises on it
+    # a max_steps stop is no finished path: each caller raises on it (the
+    # geodesic takes 32 DOP853 steps, the Jacobi field 48 and 4 rejections)
     parab = make_paraboloid(1.0)
     state = GeodesicState(1.0, 0.0, math.cos(0.7), math.sin(0.7) / float(parab.m(1.0)))
     meridian = integrate_h(parab, GeodesicState(0.0, 0.0, 1.0, 0.0), 20.0)  # analytic
     monkeypatch.setattr(odesolve, "integrate",
-                        functools.partial(odesolve.integrate, max_steps=50))
+                        functools.partial(odesolve.integrate, max_steps=20))
     monkeypatch.setattr(odesolve, "integrate_batch",
-                        functools.partial(odesolve.integrate_batch, max_steps=50))
+                        functools.partial(odesolve.integrate_batch, max_steps=20))
     with pytest.raises(NumericalBlowupError):
         integrate_h(parab, state, 15.0, tol=1e-12)
     with pytest.raises(NumericalBlowupError):
@@ -169,6 +186,50 @@ def test_projected_state_ends_each_step():
     assert np.array_equal(sol(sol.s[1:-1]), sol.y[1:-1])
 
 
+def _dopri5_row(f, s0, y0, s_end, tol, events):
+    """One row of integrate_batch as a plain loop: the Dormand-Prince 5(4)
+    stages, controller and continuous extension, and integrate's rule for
+    events (a sign change between step ends, refined on the step's
+    interpolant).  Returns (status, s, y, roots of each event)."""
+    y, s = np.asarray(y0, dtype=float), float(s0)
+    fs = f(s, y)
+    h = min(_initial_step(y, fs, np.inf), s_end - s)
+    roots = {i: [] for i in range(len(events))}
+    while s < s_end:
+        h = min(h, s_end - s)
+        k = [fs]
+        for i in range(1, 6):
+            k.append(f(s + _C[i] * h, y + h * sum(a * kj for a, kj in zip(_A[i], k))))
+        y_new = y + h * sum(b * kj for b, kj in zip(_B, k))
+        k.append(f(s + h, y_new))
+        err = h * sum(e * kj for e, kj in zip(_E, k))
+        ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        enorm = math.sqrt(float(ratio @ ratio) / y.size)
+        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
+        if enorm <= 1.0:
+            coeffs = _contd5(h, y, y_new, k[0], k[6], *k[2:])
+
+            def at(sq, _s=s, _h=h, _y=y):
+                return _dense((sq - _s) / _h, _y, *coeffs)
+
+            stop, status = None, None
+            for i, ev in enumerate(events):
+                g0, g1 = y[ev.component] - ev.level, y_new[ev.component] - ev.level
+                if ((ev.direction >= 0 and g0 < 0.0 <= g1)
+                        or (ev.direction <= 0 and g0 > 0.0 >= g1)):
+                    root = roots_on_grid(lambda sq: at(sq)[ev.component] - ev.level,
+                                         (s, s + h), (g0, g1), xtol=1e-12)[0]
+                    roots[i].append(root)
+                    if ev.terminal and (stop is None or root < stop):
+                        stop, status = root, f"event:{i}"
+            if stop is not None:
+                return status, stop, at(stop), {i: [r for r in rs if r <= stop]
+                                                for i, rs in roots.items()}
+            s, y, fs = s + h, y_new, k[6]
+        h *= factor
+    return "completed", s, y, roots
+
+
 def test_batch_rows_match_scalar_integrator():
     y0 = np.array([[0.0, 1.0], [1.0, 0.0], [0.3, -0.8], [0.0, 0.2]])
     floors = np.array([-0.5, -0.9, -0.1, -0.3])
@@ -176,13 +237,13 @@ def test_batch_rows_match_scalar_integrator():
     batch = integrate_batch(_oscillator_rows, 0.0, y0, 12.0, tol=1e-11, events=events)
     zero_rows, zero_s, zero_y = batch.events[0]
     for i, row in enumerate(y0):
-        ref = integrate(_oscillator, 0.0, row, 12.0, tol=1e-11, events=[
+        status, s_end, y_end, roots = _dopri5_row(_oscillator, 0.0, row, 12.0, 1e-11, [
             LevelEvent(0, 0.0), LevelEvent(0, floors[i], terminal=True, direction=-1)])
-        assert batch.status[i] == ref.status
-        assert batch.s[i] == pytest.approx(ref.s[-1], abs=1e-10)
-        np.testing.assert_allclose(batch.y[i], ref.y[-1], atol=1e-10)
+        assert batch.status[i] == status
+        assert batch.s[i] == pytest.approx(s_end, abs=1e-10)
+        np.testing.assert_allclose(batch.y[i], y_end, atol=1e-10)
         mine = zero_rows == i
-        np.testing.assert_allclose(zero_s[mine], [s for s, _ in ref.events[0]], atol=1e-10)
+        np.testing.assert_allclose(zero_s[mine], roots[0], atol=1e-10)
         np.testing.assert_allclose(zero_y[mine, 0], 0.0, atol=1e-12)
     assert batch.status[3] == "completed"   # amplitude 0.2 never reaches -0.3
     assert batch.nsteps > 0
@@ -285,12 +346,21 @@ def test_steps_that_leave_the_domain_are_rejected():
 # ---------------------------------------------------------------------------
 # bit-identity with the array form of the step loop
 #
-# _array_integrate is integrate as it was written on numpy arrays: the same
-# tableau and controller, every stage an array expression, and each step's
-# continuous extension built as the step is taken.  integrate runs the
-# stages on Python floats in the same order of operations and builds the
-# extension from the stored stages when it is read, so its steps, samples,
-# dense-output segments and stages and event roots must be exactly equal.
+# _array_integrate is integrate written on numpy arrays: the same DOP853
+# tableau and controller, every stage an array expression summed over its
+# row in column order, and each step's extra stages and dense output built
+# as the step is taken.  integrate runs the stages on Python floats in the
+# same order of operations and builds the extra stages and the dense output
+# for all steps on the first read, so its steps, samples, dense-output
+# segments, stages, coefficients and event roots must be exactly equal.
+
+
+def _row(coeffs, cols, k):
+    """sum_j coeffs[j] k[cols[j]], added in column order."""
+    acc = coeffs[0] * k[cols[0]]
+    for a, j in zip(coeffs[1:], cols[1:]):
+        acc = acc + a * k[j]
+    return acc
 
 
 def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
@@ -299,7 +369,7 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
     s = float(s0)
     fs = f(s, y)
     ss, ys = [s], [y.copy()]
-    seg = {k: [] for k in ("s", "h", "y0", "y1", "f0", "f1", "k")}
+    seg = {k: [] for k in ("s", "h", "y0", "y1", "f0", "f1", "k", "coeffs")}
     ev_values = [y[ev.component] - ev.level for ev in events]
     ev_records = {i: [] for i in range(len(events))}
     status = "completed"
@@ -311,39 +381,35 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
             status = "max_steps"
             break
         h = min(h, s_end - s, h_max)
-        k0 = fs
-        k1 = f(s + 0.2 * h, y + (0.2 * h) * k0)
-        k2 = f(s + 0.3 * h, y + h * (0.075 * k0 + 0.225 * k1))
-        k3 = f(s + 0.8 * h, y + h * (_A[3][0] * k0 + _A[3][1] * k1 + _A[3][2] * k2))
-        k4 = f(s + _C[4] * h, y + h * (_A[4][0] * k0 + _A[4][1] * k1
-                                       + _A[4][2] * k2 + _A[4][3] * k3))
-        k5 = f(s + h, y + h * (_A[5][0] * k0 + _A[5][1] * k1 + _A[5][2] * k2
-                               + _A[5][3] * k3 + _A[5][4] * k4))
-        y_new = y + h * (_B[0] * k0 + _B[2] * k2 + _B[3] * k3
-                         + _B[4] * k4 + _B[5] * k5)
-        k6 = f(s + h, y_new)
-        err = h * (_E[0] * k0 + _E[2] * k2 + _E[3] * k3 + _E[4] * k4
-                   + _E[5] * k5 + _E[6] * k6)
-        ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
-        enorm = math.sqrt(float(ratio @ ratio)) / root_n
+        k = [fs]
+        for i in range(1, 12):
+            k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
+        y_new = y + h * _row(_B8, _A8_COLS[12], k)
+        scale = tol + tol * np.maximum(np.abs(y), np.abs(y_new))
+        err5 = math.hypot(*(_row(_E5, _A8_COLS[12], k) / scale))
+        err3 = math.hypot(*(_row(_E3, _A8_COLS[12], k) / scale))
+        enorm = h * err5 * (err5 / math.hypot(err5, 0.1 * err3)) / root_n if err5 else 0.0
         if not enorm <= 1.0:
             nrejected += 1
-            h *= max(0.2, 0.9 * enorm**-0.2)
+            h *= max(0.2, 0.9 * enorm**-0.125)
             continue
         nsteps += 1
-        f_new = k6
         s_new = s + h
+        k.append(f(s_new, y_new))
+        f_new = k[12]
         if post_step is not None:
             y_proj = post_step(s_new, y_new)
             if y_proj is not None:
                 y_new = np.asarray(y_proj, dtype=float)
                 f_new = f(s_new, y_new)
-        for key, val in zip(seg, (s, h, y, y_new, k0, f_new, (k2, k3, k4, k5, k6))):
+        for i in (13, 14, 15):
+            k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
+        coeffs = _contd8(h, y, y_new, k[0], f_new, [k[j] for j in _D8_COLS])
+        for key, val in zip(seg, (s, h, y, y_new, k[0], f_new, k[5:13], coeffs)):
             seg[key].append(val)
 
-        def seg_eval(sq, _s=s, _h=h, _y=y,
-                     _c=_contd5(h, y, y_new, k0, f_new, k2, k3, k4, k5, k6)):
-            return _dense((sq - _s) / _h, _y, *_c)
+        def seg_eval(sq, _s=s, _h=h, _y=y, _c=coeffs):
+            return _dense8((sq - _s) / _h, _y, *_c)
 
         stop_at = None
         for i, ev in enumerate(events):
@@ -361,13 +427,16 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
                     stop_at, status = root, f"event:{i}"
             ev_values[i] = g_new
         if stop_at is not None:
+            for recs in ev_records.values():
+                if recs and recs[-1][0] > stop_at:
+                    recs.pop()
             ss.append(stop_at)
             ys.append(seg_eval(stop_at))
             break
         s, y, fs = s_new, y_new, f_new
         ss.append(s)
         ys.append(y)
-        h *= (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2)))
+        h *= (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.125)))
     return ss, ys, seg, ev_records, status, nsteps, nrejected
 
 
@@ -378,7 +447,11 @@ def _assert_same_solution(sol, ref):
     assert np.array_equal(sol.s, np.array(ss))
     assert np.array_equal(sol.y, np.array(ys))
     for key, val in seg.items():
-        assert np.array_equal(getattr(sol, "seg_" + key), np.array(val)), key
+        if key == "coeffs":
+            # built on this first read, from the stages the steps kept
+            assert np.array_equal(sol._coeffs, np.array(val).transpose(1, 0, 2)), key
+        else:
+            assert np.array_equal(getattr(sol, "seg_" + key), np.array(val)), key
     assert sol.events.keys() == ev_records.keys()
     for i, recs in ev_records.items():
         assert len(sol.events[i]) == len(recs)

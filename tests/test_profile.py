@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 
 from randers import (
     InvalidParameterError,
+    cli,
     SurfacePoint,
     Tangent,
     gauss_curvature,
@@ -271,6 +272,28 @@ def test_profile_construction_errors():
     # inconsistent derivative data
     with pytest.raises(InvalidParameterError):
         make_custom("r", "1 + r", "0", mu=0.04, r_max=10.0)
+
+
+# warps with m(0) = 0 and m'(0) = 1 but m''(0) != 0: the surface has a
+# curvature singularity at the vertex (-m''/m grows like 1/r there)
+_NOT_ODD = [
+    {"m": "r - r^2/4", "m1": "1 - r/2", "m2": "-1/2", "mu": 0.5, "r_max": 1.5},
+    {"m": "r + r^2/10", "m1": "1 + r/5", "m2": "1/5", "mu": 0.1, "r_max": 5.0},
+]
+
+
+@pytest.mark.parametrize("warp", _NOT_ODD)
+def test_warp_that_is_not_odd_at_the_vertex_is_rejected(tmp_path, capsys, warp):
+    with pytest.raises(InvalidParameterError, match="odd function"):
+        make_custom(**warp)
+    with pytest.raises(InvalidParameterError, match="odd function"):
+        load_surface({"kind": "custom", **warp})
+    # a surface the engine rejects is a configuration error for the CLI
+    cfg = tmp_path / "surface.json"
+    cfg.write_text(json.dumps({"kind": "custom", **warp}))
+    assert cli.main(["info", "--surface", str(cfg)]) == cli.EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert "m''(0) must vanish" in err and "Traceback" not in err
 
 
 def test_surface_point_and_wrap():
