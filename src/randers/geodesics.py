@@ -227,23 +227,28 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
             "with nonzero angular speed"
         )
     m_fn, m1_fn = profile.m, profile.m1
-    # m and m' at the radius of the last right-hand side call: the FSAL
-    # stage, the projection and the derivative after it share r
-    r_last = m_last = m1_last = math.nan
+    # (r, m(r), m'(r)) of the last right-hand side call: the FSAL stage, the
+    # projection and the derivative after it share r.  One tuple, replaced
+    # whole, so that threads reading a dense output together see a
+    # consistent triple
+    memo = (math.nan, math.nan, math.nan)
 
     def rhs(s: float, y: list) -> tuple:
-        nonlocal r_last, m_last, m1_last
+        nonlocal memo
         r, _, dr, dth = y
-        if r != r_last:
-            r_last, m_last, m1_last = r, float(m_fn(r)), float(m1_fn(r))
-        m, m1 = m_last, m1_last
+        r_memo, m, m1 = memo
+        if r != r_memo:
+            m, m1 = float(m_fn(r)), float(m1_fn(r))
+            memo = (r, m, m1)
         return (dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth)
 
     drift = {"unit": 0.0, "clairaut": 0.0}
 
     def renormalize(s: float, y: list) -> list:
         r, th, dr, dth = y
-        m = m_last if r == r_last else float(m_fn(r))
+        r_memo, m, _ = memo
+        if r != r_memo:
+            m = float(m_fn(r))
         norm = math.hypot(dr, m * dth)
         drift["unit"] = max(drift["unit"], abs(norm - 1.0))
         dr, dth = dr / norm, dth / norm

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -133,6 +135,33 @@ def test_integrate_h_reads_the_warp_once_per_stage(parab):
     assert calls["m"] == calls["m1"] + 2
     assert np.array_equal(path.states, integrate_h(parab, _launch(parab, 1.0, 0.7), 10.0,
                                                    tol=1e-12).states)
+
+
+def test_threads_reading_one_dense_output_agree(parab):
+    # the first dense read builds the extra stages through integrate_h's
+    # right-hand side and its warp memo; threads racing on it must all read
+    # what one thread reads alone
+    state, nodes = _launch(parab, 1.3, 1.2), np.linspace(0.0, 12.0, 997)
+    alone = integrate_h(parab, state, 12.0, tol=1e-12).dense(nodes)
+    shared = integrate_h(parab, state, 12.0, tol=1e-12)
+    reads = [None] * 6
+
+    def read(i):
+        reads[i] = shared.dense(nodes)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(reads))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    for r in reads:
+        np.testing.assert_array_equal(r, alone)
 
 
 def test_conservation_over_long_arc(parab60):
