@@ -49,7 +49,6 @@ from .geodesics import (
     integrate_F,
     integrate_h,
     quadrature_segment,
-    turning_points,
     twist,
 )
 from .measure import (
@@ -112,7 +111,6 @@ __all__ = [
     "integrate_F",
     "integrate_h",
     "quadrature_segment",
-    "turning_points",
     "twist",
     "ClairautReport",
     "clairaut_verify",

@@ -46,9 +46,10 @@ from .measure import TwoRadiusConnectors, distance_F, shoot_hits
 from .profile import (
     Profile,
     SurfacePoint,
+    as_float_array,
     gauss_curvature,
+    halved_integral,
     is_von_mangoldt,
-    quad,
     roots_on_grid,
 )
 
@@ -131,8 +132,11 @@ def first_conjugate(profile: Profile, q: SurfacePoint) -> float:
     edges bracket the root and roots_on_grid refines it to 1e-14.
 
     q.r must lie in (0, r_max] and the profile must pass is_von_mangoldt on
-    1024 radii of [0, r_max] (InvalidParameterError otherwise); H(r_max) <
-    0, no zero within the horizon rho + r_max, raises SearchHorizonError."""
+    1024 radii of [0, r_max] (InvalidParameterError otherwise).  H(r_max)
+    is two table reads, so |H(r_max)| within their error, 2 epsabs of the
+    table, is a root at the horizon, on either side of zero: c = rho +
+    r_max.  H(r_max) below that, no zero within the horizon, raises
+    SearchHorizonError."""
     if q.r <= 0:
         raise InvalidParameterError("the vertex is a pole; its cut locus is empty")
     profile.check_radius(q.r)
@@ -151,8 +155,10 @@ def first_conjugate(profile: Profile, q: SurfacePoint) -> float:
 
     edges = np.array(table.edges[1:])
     values = np.array(table.values[1:]) + at_rho - 1.0 / edges
+    horizon = rho + profile.r_max
+    if abs(values[-1]) <= 2.0 * table.epsabs:
+        return horizon
     if values[-1] < 0.0:
-        horizon = rho + profile.r_max
         raise SearchHorizonError(
             f"no conjugate point within parameter {horizon}",
             lower_bound=horizon,
@@ -235,8 +241,10 @@ def cut_locus(profile: Profile, q: SurfacePoint,
     T(t) is the shortest connector sweeping pi between the radii rho and
     r_tau(t) = t - rho, found for all samples at once by one
     TwoRadiusConnectors over the array of sample radii, to tol 1e-10.  A
-    non-integer or non-positive n_samples, or a non-finite s_export_max,
-    raises InvalidParameterError.
+    non-integer or non-positive n_samples, or a non-finite s_export_max or
+    one at most c, raises InvalidParameterError; c at the horizon
+    rho + r_max, which leaves no arc inside r_max, raises
+    SearchHorizonError.
     """
     if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral) \
             or n_samples < 1:
@@ -249,8 +257,11 @@ def cut_locus(profile: Profile, q: SurfacePoint,
         s_export_max = c + 10.0 * max(1.0, rho)
     if s_export_max <= c:
         raise InvalidParameterError("s_export_max must exceed the conjugate parameter")
-    if s_export_max - rho > profile.r_max:
-        s_export_max = rho + profile.r_max
+    s_export_max = min(s_export_max, rho + profile.r_max)
+    if s_export_max <= c:
+        raise SearchHorizonError(
+            f"the cut locus starts at the horizon {c}: no arc lies inside r_max",
+            lower_bound=c)
     ss = np.linspace(c, s_export_max, n_samples)
     rr = ss - rho
     best = [min(cands, key=lambda con: con.length) for cands in
@@ -359,16 +370,16 @@ def certify_pole(profile: Profile) -> PoleCertificate:
     m < 1/mu, which forces every non-meridian geodesic to stay bounded; and
     (ii) the Jacobi field along a meridian from the vertex, which equals
     m(s) and therefore never vanishes, so meridians (and their twists) stay
-    conjugate-point-free.
+    conjugate-point-free.  The integral of (i) over [1, r_max] is
+    halved_integral's at 1e-12.
     """
     r_horizon = profile.r_max
     if r_horizon <= 1.0:
         raise InvalidParameterError("horizon must exceed 1 for the tail bound")
     bound = profile.mu**2 / (4.0 * math.pi**2) * (r_horizon - 1.0)
-    integral = quad(
-        lambda r: 1.0 / (2.0 * math.pi * float(profile.m(r))) ** 2,
-        1.0, r_horizon, epsabs=1e-12, epsrel=1e-10, limit=200,
-    )[0]
+    integral = halved_integral(
+        lambda r: 1.0 / (2.0 * math.pi * as_float_array(profile.m(r), r.shape)) ** 2,
+        1.0, r_horizon, 1e-12)
     base = integrate_h(profile, GeodesicState(0.0, 0.0, 1.0, 0.0), r_horizon)
     jac = jacobi_integrate(profile, base, 0.0, 1.0, r_horizon)
     warp = np.array([float(profile.m(s)) for s in jac.s])

@@ -25,11 +25,12 @@ Each certification layer costs about one eval_F call.  Embeddability and the
 height are per-profile facts, computed on first use and kept on the Profile
 (Profile.embeddable_radius, Profile.height_table): assert_embeddable
 compares a radius with the embeddable radius, and height reads the
-cumulative HeightTable plus one Gauss-Legendre rule on the last partial
-panel.  eval_F_tilde evaluates the ambient quadratic form from scalars and
-does not read z, so pullback_check never evaluates the height.  Radii
-beyond r_max raise InvalidParameterError: the profile is not validated
-there.
+cumulative profile.PanelTable of sqrt(1 - m'^2) plus one Gauss-Legendre
+rule on the last partial panel, halved in the panel that holds a
+square-root endpoint.  eval_F_tilde evaluates the ambient quadratic form
+from scalars and does not read z, so pullback_check never evaluates the
+height.  Radii beyond r_max raise InvalidParameterError: the profile is
+not validated there.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError, NotEmbeddableError
-from .profile import PanelTable, Profile, SurfacePoint, as_float_array, quad
-# eval_F is unused here; bench/tracer.py wraps embed.eval_F
+# quad and eval_F are unused here; only bench/tracer.py reads them, to wrap them
+from .profile import Profile, SurfacePoint, quad  # noqa: F401
 from .zermelo import F_from_warp, Tangent, eval_F  # noqa: F401
 
 @dataclass(frozen=True)
@@ -86,31 +87,6 @@ def _embeddable_m1(profile: Profile, r: float) -> float:
             "this range"
         )
     return m1
-
-
-class HeightTable(PanelTable):
-    """Cumulative arc-length height z over [0, embeddable radius]: the
-    PanelTable of sqrt(1 - m'^2), whose panels that miss the error target
-    are integrated by quad instead (by_quad): this catches the square-root
-    endpoint where |m'| reaches 1.  Build one per profile through
-    Profile.height_table.
-    """
-
-    def __init__(self, profile: Profile):
-        self.profile = profile
-
-        def slope(r):
-            m1 = as_float_array(profile.m1(r), r.shape)
-            return np.sqrt(np.maximum(1.0 - m1 * m1, 0.0))
-
-        super().__init__(slope, profile.embeddable_radius,
-                         lambda a, b, epsabs: _quad_height(profile, a, b, epsabs))
-        self.by_quad = self.refined
-
-
-def _quad_height(profile: Profile, a: float, b: float, epsabs: float) -> float:
-    return float(quad(lambda t: height_slope(profile, t), a, b, epsabs=epsabs,
-                      epsrel=1e-12, limit=200, full_output=1)[0])
 
 
 def height(profile: Profile, r: float) -> float:

@@ -49,7 +49,7 @@ from .errors import (
     NumericalBlowupError,
     VertexSingularError,
 )
-# quad is unused here; bench/tracer.py wraps geodesics.quad
+# quad is unused here; only bench/tracer.py reads geodesics.quad, to wrap it
 from .profile import Profile, SurfacePoint, as_float_array, quad, roots_on_grid  # noqa: F401
 from .zermelo import Tangent, eval_F, eval_F_array
 
@@ -696,46 +696,24 @@ def quadrature_segment(profile: Profile, ra: float, rb: float, nu: float, sign: 
     return dtheta, ds, dtheta + profile.mu * ds
 
 
-def turning_points(profile: Profile, nu: float, grid) -> list[float]:
-    """Radii with m(r) = |nu|, refined to 1e-12 by bracketed root-finding.
-
-    At a simple root m'(r) != 0 and the geodesic turns; if m'(r) = 0 there,
-    the parallel at that radius is itself a geodesic and the "turning" orbit
-    is that parallel.
-    """
-    if abs(nu) >= 1.0 / profile.mu:
-        raise InvalidParameterError(
-            f"|nu| must be < 1/mu = {1.0 / profile.mu}, got {nu}"
-        )
-    if nu == 0.0:
-        return []
-    grid = np.asarray(grid, dtype=float)
-    anu = abs(nu)
-    f = lambda r: float(profile.m(r)) - anu
-    return roots_on_grid(f, grid, [f(r) for r in grid], xtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # geodesy residual and path utilities
 
 
-# the 8-point Gauss-Legendre rule of cumulative_path_integral
-_PATH_T, _PATH_W = np.polynomial.legendre.leggauss(8)
-
-
 def cumulative_path_integral(path: GeodesicPath, integrand) -> np.ndarray:
-    """Integral along the path from its start to each sample, by 8-point
-    Gauss-Legendre quadrature on every sample interval.
+    """Integral along the path from its start to each sample, by the
+    8-point Gauss-Legendre rule of clairaut_angles (_LEG_T, _LEG_W) on
+    every sample interval.
 
     The dense output is read at all nodes in one call, and integrand maps
     the (n_nodes, 4) array of states (r, theta, dr, dtheta) there to their
     n_nodes values."""
     a, b = path.s[:-1], path.s[1:]
     half = 0.5 * (b - a)
-    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _PATH_T
+    nodes = (0.5 * (a + b))[:, None] + half[:, None] * _LEG_T
     vals = np.asarray(integrand(path.dense(nodes.ravel())), dtype=float)
     out = np.zeros(len(path.s))
-    np.cumsum(half * (vals.reshape(nodes.shape) @ _PATH_W), out=out[1:])
+    np.cumsum(half * (vals.reshape(nodes.shape) @ _LEG_W), out=out[1:])
     return out
 
 

@@ -54,6 +54,7 @@ from .profile import (
     Profile,
     SurfacePoint,
     as_float_array,
+    gauss_legendre,
     roots_on_grid,
     roots_on_grids,
     wrap_angle,
@@ -261,7 +262,6 @@ class HConnector:
 # connectors close in on the chain through the vertex.
 _TABLE_PSI = np.unique(np.concatenate([np.linspace(0.0, 0.5 * math.pi, 16),
                                        np.geomspace(1e-4, math.pi / 6.0, 10)]))
-_DROP_T, _DROP_W = np.polynomial.legendre.leggauss(16)
 
 
 class TwoRadiusConnectors:
@@ -459,11 +459,11 @@ def _turning_points(profile: Profile, r_lo, m_lo, nu, disc):
     with Clairaut constant nu and discriminant disc = m(r_lo)^2 - nu^2 at
     the launch radius r_lo (arrays of one length).  Near tangency, where
     r_lo - r_t rounds to r_lo, the drop x is solved for, from
-    m(r_lo)^2 - m(r_lo - x)^2 = disc with the difference of m integrated
-    from m' on Gauss nodes; deeper down r_t is, from m(r_t) = nu.  Newton
-    steps, kept inside [0, r_lo] by bisection, from the quadratic Taylor
-    model of m^2 at r_lo and from the secant r_t = nu r_lo / m(r_lo)
-    respectively."""
+    m(r_lo)^2 - m(r_lo - x)^2 = disc with the difference of m the panel
+    rule profile.gauss_legendre of m'; deeper down r_t is, from
+    m(r_t) = nu.  Newton steps, kept inside [0, r_lo] by bisection, from
+    the quadratic Taylor model of m^2 at r_lo and from the secant
+    r_t = nu r_lo / m(r_lo) respectively."""
     if nu.size == 0:
         return nu, nu
     m1, m2 = (as_float_array(f(r_lo), r_lo.shape) for f in (profile.m1, profile.m2))
@@ -477,9 +477,8 @@ def _turning_points(profile: Profile, r_lo, m_lo, nu, disc):
         m1_r = as_float_array(profile.m1(r), r.shape)
         dm = g = 0.0
         if near.any():
-            nodes = r_lo[:, None] - np.where(near, y, 0.0)[:, None] * (0.5 * (_DROP_T + 1.0))
-            dm = 0.5 * y * (as_float_array(profile.m1(nodes.ravel()), (nodes.size,))
-                            .reshape(nodes.shape) @ _DROP_W)
+            w = np.where(near, y, 0.0)[:, None]
+            dm = gauss_legendre(profile.m1, r_lo[:, None] - w, w)
             g = dm * (2.0 * m_lo - dm) - disc
         if not near.all():
             g = np.where(near, g, as_float_array(profile.m(r), r.shape) - nu)

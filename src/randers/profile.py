@@ -56,7 +56,7 @@ _PANEL_EPSABS = 1e-10
 _PANEL_EPSREL = 1e-12
 _GL_T, _GL_W = np.polynomial.legendre.leggauss(_PANEL_NODES)
 _GL_U, _GL_HW = 0.5 * (_GL_T + 1.0), 0.5 * _GL_W   # the rule on [0, 1]
-# Halvings the Jacobi table allows a panel that misses its error target.
+# Halvings halved_integral allows a piece that misses its error target.
 _HALVINGS = 30
 
 
@@ -157,12 +157,16 @@ class Profile:
         return roots_on_grid(f, rr[i - 1:i + 1], over[i - 1:i + 1], xtol=1e-12)[0]
 
     @cached_property
-    def height_table(self):
-        """embed.HeightTable of the arc-length height over [0,
-        embeddable_radius], built on first use and kept on the instance."""
-        from .embed import HeightTable  # embed imports this module
+    def height_table(self) -> PanelTable:
+        """PanelTable of sqrt(1 - m'^2) over [0, embeddable_radius]: the
+        arc-length height z that embed.height reads.  The panel holding a
+        square-root endpoint, where |m'| reaches 1, misses its error target
+        and is halved.  Built on first use and kept on the instance."""
+        def slope(r):
+            m1 = as_float_array(self.m1(r), r.shape)
+            return np.sqrt(np.maximum(1.0 - m1 * m1, 0.0))
 
-        return HeightTable(self)
+        return PanelTable(slope, self.embeddable_radius)
 
     @cached_property
     def jacobi_table(self) -> PanelTable:
@@ -172,9 +176,8 @@ class Profile:
         integrand is (v - m)(v + m) / (m v)^2, with v - m below _PANEL, where
         the difference would cancel, the Taylor remainder
         -int_0^v (v - t) m''(t) dt on the table's rule, and read at r_eps
-        below r_eps, as gauss_curvature is.  Missing panels are halved
-        (halved_integral), never handed to quad; like height_table it is
-        built on first use and kept on the instance."""
+        below r_eps, as gauss_curvature is.  Like height_table it is built
+        on first use and kept on the instance."""
         def g(v):
             v = np.maximum(v, self.r_eps)
             m = as_float_array(self.m(v), v.shape)
@@ -187,8 +190,7 @@ class Profile:
                 gap[near] = -((w - t) * m2 * w) @ _GL_HW
             return gap * (v + m) / (m * v) ** 2
 
-        return PanelTable(g, self.r_max,
-                          lambda a, b, epsabs: halved_integral(g, a, b, epsabs))
+        return PanelTable(g, self.r_max)
 
     def check_radius(self, r: float) -> None:
         """InvalidParameterError unless 0 <= r <= r_max."""
@@ -413,9 +415,10 @@ def is_von_mangoldt(profile: Profile, grid) -> VonMangoldtCheck:
 
 
 def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call: importing scipy
-    takes longer than most runs spend in it, and only certify_pole and the
-    height table's fallback panels integrate adaptively."""
+    """scipy.integrate.quad, imported on the first call.  No engine path
+    calls it: halved_integral is the adaptive quadrature.  It stays only
+    because bench/tracer.py wraps the name as geodesics and embed import
+    it, and goes when the tracer drops those wrappers."""
     from scipy.integrate import quad as scipy_quad
 
     return scipy_quad(func, a, b, **kwargs)
@@ -468,21 +471,24 @@ class PanelTable:
     the table in one array call; the whole-panel value of the same rule
     estimates the error, and a panel whose estimate exceeds its share of
     _PANEL_EPSABS = 1e-10, and _PANEL_EPSREL = 1e-12 of its value, is
-    marked in `refined` and integrated by refine(a, b, epsabs) instead.
-    A read at r is the table at the panel edge below r plus the rule (or
-    refine) on [edge, r].  The height table (embed.HeightTable) and the
-    Jacobi table (Profile.jacobi_table) differ only in f and refine.
+    marked in `refined` and integrated by halved_integral instead.  A read
+    at r is the table at the panel edge below r plus the rule on [edge, r],
+    halved in a refined panel.  The height table (Profile.height_table) and
+    the Jacobi table (Profile.jacobi_table) differ only in f.  epsabs is
+    the error one read may carry.
     """
 
-    def __init__(self, f, radius: float, refine):
-        self.f, self.refine = f, refine
+    epsabs = _PANEL_EPSABS
+
+    def __init__(self, f, radius: float):
+        self.f = f
         n = max(1, math.ceil(radius / _PANEL))
         edges = np.linspace(0.0, radius, n + 1)
         a, w = edges[:-1], np.diff(edges)
         panels, error = _split_error(f, a, w)
         self.refined = (~_settled(panels, error, _PANEL_EPSABS / n)).tolist()
         for i in np.flatnonzero(self.refined):
-            panels[i] = refine(a[i], edges[i + 1], _PANEL_EPSABS / n)
+            panels[i] = halved_integral(f, a[i], edges[i + 1], _PANEL_EPSABS / n)
         self.edges = edges.tolist()
         self.values = np.concatenate([[0.0], np.cumsum(panels)]).tolist()
 
@@ -495,7 +501,7 @@ class PanelTable:
         if r == edge:
             return self.values[i]
         if self.refined[i]:
-            return self.values[i] + self.refine(edge, r, _PANEL_EPSABS)
+            return self.values[i] + halved_integral(self.f, edge, r, _PANEL_EPSABS)
         return self.values[i] + float(gauss_legendre(self.f, edge, r - edge))
 
 

@@ -119,6 +119,31 @@ def test_first_conjugate_of_a_long_chain():
     assert abs(c - 20.05) <= 1e-11
 
 
+def test_cut_locus_at_the_horizon():
+    # c = rho + 1/rho on make_paraboloid(1.0) reaches the horizon rho + r_max
+    # at rho = 0.05.  There H(r_max) is a root within the table's error, and
+    # no arc lies inside r_max.
+    p = make_paraboloid(1.0)
+    table = p.jacobi_table
+
+    def h_at_r_max(rho):
+        return table(p.r_max) + table(rho) - 1.0 / p.r_max - 1.0 / rho
+
+    with pytest.raises(SearchHorizonError):
+        cut_locus(p, SurfacePoint(0.05, 0.0))
+    # just below 0.05 the root lies past the horizon, but H(r_max) < 0
+    # within two reads of the table's error: c is the horizon itself
+    rho = 0.05 - 1e-13
+    assert -2.0 * table.epsabs <= h_at_r_max(rho) < 0.0
+    assert first_conjugate(p, SurfacePoint(rho, 0.0)) == rho + p.r_max
+    with pytest.raises(SearchHorizonError):
+        cut_locus(p, SurfacePoint(rho, 0.0))
+    # at 0.051 the arc runs from the closed-form c to the horizon
+    arc = cut_locus(p, SurfacePoint(0.051, 0.0))
+    assert abs(arc.c - (0.051 + 1.0 / 0.051)) <= 1e-11
+    assert arc.s[0] == arc.c and arc.s[-1] == 0.051 + p.r_max
+
+
 def test_first_conjugate_sphere_to_the_closed_form(sphere):
     # on m = sin r the quadrature gives -cot w - cot rho = 0: c = pi
     for rho in (0.6, 1.0, 2.0):

@@ -13,7 +13,7 @@ from randers import InvalidParameterError, SurfacePoint, make_custom, make_parab
 from randers import geodesics
 from randers.conjugate import cut_locus
 from randers.geodesics import GeodesicState, clairaut_angles, integrate_h, level_crossings
-from randers.measure import _TABLE_PSI, TwoRadiusConnectors, h_distance
+from randers.measure import _TABLE_PSI, TwoRadiusConnectors, _turning_points, h_distance
 
 PROFILES = {
     "flat": lambda: make_custom("r", "1", "0", mu=0.04, r_max=20.0),
@@ -173,6 +173,55 @@ def test_family_through_tangency_and_h_distance_match_closed_forms(name):
                                               + math.sin(r1) * math.sin(r2) * h * h))
             got = h_distance(profile, SurfacePoint(r1, 0.3), SurfacePoint(r2, 0.3 + delta))
             assert got == pytest.approx(d, abs=1e-10)
+
+
+# Closed forms of the turning radius r_t, m(r_t) = nu, and of the secant
+# slope (m(a) - m(a - x)) / x, which has no cancellation as x -> 0.
+def _parab_secant(a, x):
+    b = a - x
+    sa, sb = math.sqrt(a * a + 1.0), math.sqrt(b * b + 1.0)
+    return (a + b) / ((a * sb + b * sa) * sa * sb)
+
+
+TURNING = {
+    "flat": (lambda: make_custom("r", "1", "0", mu=0.04, r_max=20.0),
+             lambda nu: nu, lambda a, x: 1.0, (0.5, 1.0, 3.0)),
+    "sphere": (lambda: make_custom("sin(r)", "cos(r)", "-sin(r)", mu=0.2, r_max=2.8),
+               math.asin,
+               lambda a, x: 2.0 * math.cos(a - 0.5 * x) * math.sin(0.5 * x) / x if x
+               else math.cos(a), (0.3, 1.0, 1.4)),
+    "paraboloid-1": (lambda: make_paraboloid(1.0), lambda nu: nu / math.sqrt(1.0 - nu * nu),
+                     _parab_secant, (0.5, 1.0, 2.0, 5.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TURNING))
+def test_turning_points_meet_closed_forms(name):
+    # headings at the angle delta past tangency (chi = pi/2 + delta), from
+    # 1e-9, where the drop x = r_lo - r_t is far below an ulp of r_lo, to the
+    # chain at pi/2: nu = m cos delta and disc = (m sin delta)^2.  r_t meets
+    # the inverse of m at nu.  x is the root of dm (2 m - dm) = disc with
+    # dm = m(r_lo) - m(r_lo - x) that the drop branch solves: x = dm / S(x)
+    # on the secant slope S, iterated from S(0) = m'(r_lo), up to drops of
+    # r_lo / 4; beyond, r_lo - r_t loses at most a few ulps.
+    make, inverse, secant, radii = TURNING[name]
+    profile = make()
+    deltas = np.concatenate([np.geomspace(1e-9, 1.0, 28), [1.2, 1.5, 0.5 * math.pi]])
+    r_lo = np.repeat(radii, deltas.size)
+    m_lo = np.asarray(profile.m(r_lo), dtype=float) * np.ones_like(r_lo)
+    delta = np.tile(deltas, len(radii))
+    nu, disc = m_lo * np.cos(delta), (m_lo * np.sin(delta)) ** 2
+    r_t, x = _turning_points(profile, r_lo, m_lo, nu, disc)
+    for a, m, n, d, got_r, got_x in zip(r_lo, m_lo, nu, disc, r_t, x):
+        want_r = inverse(n)
+        want_x = a - want_r
+        if want_x <= 0.25 * a:
+            dm = d / (m + math.sqrt(m * m - d))
+            want_x = 0.0
+            for _ in range(100):
+                want_x = dm / secant(a, want_x)
+        assert abs(got_r - want_r) <= 1e-14 * want_r
+        assert abs(got_x - want_x) <= 1e-14 * want_x
 
 
 def test_conjugate_pair():

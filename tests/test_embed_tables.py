@@ -18,7 +18,7 @@ from randers import (
     make_custom,
     make_paraboloid,
 )
-from randers import embed
+from randers import profile as profile_module
 from randers.embed import (
     MinkowskiPoint,
     embed_point,
@@ -61,7 +61,7 @@ def test_height_matches_scipy_quad(name, parab03, parab, sphere, flat):
     for r in _radii(profile.r_max):
         assert height(profile, float(r)) == pytest.approx(
             _quad_height(profile, float(r)), abs=1e-10)
-    assert not any(profile.height_table.by_quad)
+    assert not any(profile.height_table.refined)
 
 
 def test_height_closed_forms(sphere, flat):
@@ -73,10 +73,10 @@ def test_height_closed_forms(sphere, flat):
 
 def test_height_bump_up_to_square_root_endpoint(bump):
     # |m'| reaches 1 at 8^(1/4), where the slope has a square-root zero: the
-    # panel holding it goes to quad
+    # panel holding it misses its error target and is halved
     r_e = bump.embeddable_radius
     assert r_e == pytest.approx(8.0 ** 0.25, abs=1e-9)
-    assert any(bump.height_table.by_quad)
+    assert any(bump.height_table.refined)
     for r in _radii(r_e):
         assert height(bump, float(r)) == pytest.approx(_quad_height(bump, float(r)),
                                                        abs=1e-10)
@@ -208,16 +208,26 @@ def test_rotation_invariance(r, theta, alpha, ang, scale):
     assert res_rot <= 1e-13 * F_t
 
 
-def test_height_table_quad_panels_are_counted(monkeypatch, bump):
-    # the table's quad calls go through embed.quad, the name the benchmark's
-    # tracer counts; a built table answers without any
+def test_height_table_halves_only_its_refined_panels(monkeypatch):
+    # a refined panel is integrated by halved_integral once, at build; a
+    # read in it halves once more, and a read elsewhere never does
     fresh = make_custom("r - r^5/20", "1 - r^4/4", "-r^3", mu=0.5, r_max=1.8)
     calls = []
-    real = embed.quad
-    monkeypatch.setattr(embed, "quad", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = profile_module.halved_integral
+
+    def counted(f, a, b, epsabs, depth=0):
+        calls.append(depth)
+        return real(f, a, b, epsabs, depth)
+
+    monkeypatch.setattr(profile_module, "halved_integral", counted)
     height(fresh, 1.0)
-    assert len(calls) == sum(fresh.height_table.by_quad) > 0
+    refined = fresh.height_table.refined
+    assert calls.count(0) == sum(refined) > 0
     calls.clear()
     height(fresh, 1.0)
     height(fresh, 1.3)
     assert calls == []
+    edges = fresh.height_table.edges
+    i = refined.index(True)
+    height(fresh, 0.5 * (edges[i] + edges[i + 1]))
+    assert calls.count(0) == 1

@@ -29,7 +29,6 @@ from randers.geodesics import (
     level_crossings,
     path_to_csv,
     quadrature_segment,
-    turning_points,
     twist,
 )
 from randers.odesolve import _D8_COLS, _contd8, _dense8, _extra_stages
@@ -459,18 +458,6 @@ def test_quadrature_segment_invalid_bracket(parab):
         quadrature_segment(parab, 2.0, 1.0, 0.3, 1)
     with pytest.raises(InvalidParameterError):
         quadrature_segment(parab, 1.0, 2.0, 0.3, 2)
-
-
-def test_turning_points(parab, bump):
-    grid = np.linspace(0.0, 10.0, 200)
-    roots = turning_points(parab, 0.5, grid)
-    assert len(roots) == 1
-    assert roots[0] == pytest.approx(1.0 / math.sqrt(3.0), abs=1e-12)
-    assert turning_points(parab, 0.0, grid) == []
-    # bump profile tops out below 1.14; nu above that has no turning point
-    assert turning_points(bump, 1.2, np.linspace(0.0, 1.8, 100)) == []
-    with pytest.raises(InvalidParameterError):
-        turning_points(parab, 1.5, grid)  # |nu| >= 1/mu
 
 
 def test_f_geodesic_residual_separation(parab):

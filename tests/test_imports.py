@@ -1,7 +1,9 @@
-"""Importing randers loads no scipy module, and neither do the paths the
-CLI's geodesic, distance and cutlocus commands run: importing scipy takes
-longer than most of those runs.  Only certify_pole and the height table's
-fallback panels load it, through profile.quad, on first use."""
+"""Importing randers loads no scipy module, and neither does any engine
+path: the CLI's geodesic, distance and cutlocus commands, certify_pole, a
+height read in a panel the table halves, and the acceptance suite.
+Importing scipy takes longer than most of those runs.  profile.quad, which
+imports it on first call, stays only as a name the benchmark's tracer
+wraps."""
 
 import math
 import os
@@ -19,7 +21,8 @@ SCRIPT = """
 import math, sys
 import numpy as np
 import profiles
-from randers import SurfacePoint, Tangent, conjugate, embed, eval_F, geodesics, measure
+from randers import SurfacePoint, Tangent, conjugate, embed, eval_F, geodesics, measure, verify
+from randers import make_custom
 
 surfaces = {}
 for workload in ("distance-pairs", "cutlocus-verify", "cutlocus-shoot", "geodesic-embed"):
@@ -38,6 +41,11 @@ path = geodesics.integrate_F(p60, q60, Tangent(u.y1 / F0, u.y2 / F0), 5.0)
 measure.f_length(p60, path)
 measure.clairaut_verify(p60, path)
 embed.pullback_check(p60, q60, u)
+conjugate.certify_pole(p60)
+bump = make_custom("r - r^5/20", "1 - r^4/4", "-r^3", mu=0.5, r_max=1.8)
+i = bump.height_table.refined.index(True)
+embed.height(bump, 0.5 * (bump.height_table.edges[i] + bump.height_table.edges[i + 1]))
+assert all(check.passed for check in verify.run_all())
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
