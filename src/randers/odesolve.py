@@ -51,22 +51,26 @@ hooks:
   of DOP853 and the quartic term of DOPRI5 keep the unprojected ones, which
   moves the interpolant by the O(tol) of the projection.
 * Events.  Both take LevelEvents, crossings of one state component
-  through a level (one per row, or shared, in a batch); g is the component
-  minus the level.  ``integrate`` refines each root by roots_on_grid on g
-  over the dense output of the step that crosses.
-  ``integrate_batch`` refines each root on its own by Newton on the
-  component's quartic, a terminal one in the iteration that crosses it,
-  the others in one pass after the run.  A crossing counts when g goes
-  from one strict sign to zero or the other sign.  Terminal events stop
-  the integration (a single row, in a batch) at the root inside the step,
-  whose interpolant is kept whole; roots of other events past it are
-  dropped.  A step can also cross a level twice and end on the side it
-  started: ``integrate_batch`` finds both crossings of a non-terminal
-  event where g heads for zero at the step start and away from it at the
-  end (the component's slopes, which the stages give), by Newton on the
-  quartic's slope for the turn and on the quartic on each side of it, if
-  g changes sign at the turn.  ``integrate`` sees neither crossing of such
-  a step; geodesics.level_crossings looks for them on its dense output.
+  through one level; g is the component minus the level.  A crossing
+  counts when g goes from one strict sign to zero or the other sign.
+  ``integrate`` refines each root by roots_on_grid on g over the dense
+  output of the step that crosses.  ``integrate_batch`` finds its roots as
+  geodesics.level_crossings does on a path, with roots_on_grids on the
+  continuous extension of each candidate step: a step where g changes
+  sign, or, for a non-terminal event, where g heads for zero at the step
+  start and away from it at the end (the component's slopes, which the
+  stages give), so that it turns inside the step and may cross the level
+  twice.  The turn of the component, the zero of its slope, is inserted
+  into the step's grid, or the middle of the step where the slope keeps
+  its sign, and every sign change on that grid is refined, with the same
+  10 xtol merge of near roots as level_crossings; a root's direction is
+  the sign of g at the start of its bracket.  Terminal roots are found in
+  the iteration that crosses them, every other root in one pass after the
+  run.  Terminal events stop the integration (a single row, in a batch)
+  at the root inside the step, whose interpolant is kept whole; roots of
+  other events past it are dropped.  ``integrate`` sees neither crossing
+  of a step that crosses a level twice and ends on the side it started;
+  geodesics.level_crossings looks for them on its dense output.
 
 Both accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps``
 after max_steps tries, a safety stop that callers report as an error.
@@ -82,7 +86,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .profile import roots_on_grid
+from .profile import roots_on_grid, roots_on_grids
 
 # DOP853 coefficients, copied from scipy/integrate/_ivp/dop853_coefficients.py
 # (scipy 1.17), which transcribes Hairer's dop853.f.  Stage i evaluates f at
@@ -211,8 +215,7 @@ _B_HAT = (
     -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0,
 )
 _E = tuple(b - bh for b, bh in zip(_B, _B_HAT))
-# the quartic term of the continuous extension: HNW's d_i (dopri5.f); in the
-# power form of the interpolant they are the coefficients of theta^4
+# the quartic term of the continuous extension: HNW's d_i (dopri5.f)
 _D = (
     -12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
     -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
@@ -236,11 +239,10 @@ MIN_TOL = 1e-15
 
 @dataclass
 class LevelEvent:
-    """Crossing of state component ``component`` through ``level``; level is
-    one value, or in integrate_batch one value per row."""
+    """Crossing of state component ``component`` through ``level``."""
 
     component: int
-    level: float | np.ndarray
+    level: float
     terminal: bool = False
     direction: int = 0  # +1: only -..+ crossings, -1: only +..-, 0: both
 
@@ -359,11 +361,11 @@ def _dense(t, y0, d, r3, r4, q):
     return y0 + t * (d + u * (r3 + t * (r4 + u * q)))
 
 
-def _initial_step(y0, f0, h_max):
+def _initial_step(y0, f0):
     """First trial step; per row when y0 and f0 hold one state per row."""
     d0 = np.max(np.abs(y0), axis=-1) + 1.0
     d1 = np.max(np.abs(f0), axis=-1) + 1e-8
-    return np.minimum(0.01 * d0 / d1, h_max)
+    return 0.01 * d0 / d1
 
 
 def check_tol(tol) -> None:
@@ -385,7 +387,6 @@ def integrate(
     y0,
     s_end: float,
     tol: float = 1e-10,
-    h_max: float = np.inf,
     post_step: Callable[[float, list], Sequence[float] | None] | None = None,
     events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
@@ -401,7 +402,7 @@ def integrate(
     the error terms run on Python floats, and the event arrays are built
     only for a step that crosses an event.  tol (in [MIN_TOL, MAX_TOL]) is
     used as both absolute and relative per-step tolerance and alone sets
-    the step size, unless h_max caps it; a bad range or tol raises
+    the step size; a bad range or tol raises
     InvalidParameterError.  An accepted step costs twelve evaluations of
     f, thirteen after a projection, and a rejected one eleven.
 
@@ -435,8 +436,7 @@ def integrate(
     ev_records: dict = {i: [] for i in range(len(events))}
     status = "completed"
 
-    h = float(min(_initial_step(y_arr, np.asarray(fs, dtype=float), h_max),
-                  s_end - s0, h_max))
+    h = float(min(_initial_step(y_arr, np.asarray(fs, dtype=float)), s_end - s0))
     nsteps = 0
     nrejected = 0
     root_n = math.sqrt(float(dim))
@@ -457,7 +457,7 @@ def integrate(
         if nsteps + nrejected > max_steps:
             status = "max_steps"
             break
-        h = min(h, s_end - s, h_max)
+        h = min(h, s_end - s)
 
         # unrolled DOP853 stages on floats, each sum over the nonzero
         # coefficients of its row in column order
@@ -605,13 +605,10 @@ def integrate(
     )
 
 
-
-
 # ---------------------------------------------------------------------------
 # many trajectories of one ODE at once
 
 _ROOT_XTOL = 1e-12
-_ROOT_MAXITER = 200
 
 
 @dataclass
@@ -632,107 +629,73 @@ class BatchSolution:
     nrejected: int = 0
 
 
-def _quartic(g0, d, r3, r4, q):
-    """Power-form coefficients (a0, ..., a4) in theta of the continuous
-    extension of one state component, offset by a level: g0 is its value at
-    the step start and d, r3, r4, q its _contd5 coefficients."""
-    return g0, d + r3, r4 - r3 + q, -(r4 + 2.0 * q), q
-
-
-def _polyval(a, t):
-    return (((a[4] * t + a[3]) * t + a[2]) * t + a[1]) * t + a[0]
-
-
-def _quartic_roots(a, lo, hi, g_lo, g_hi, h, xtol):
-    """theta in [lo, hi] where the quartic with power-form coefficients a
-    vanishes, one per row: g_lo, its value at lo, is nonzero, and g_hi, its
-    value at hi, is zero or of the other sign.  Newton, with a bisection
-    step wherever Newton leaves the bracket; each row stops at its first
-    step of at most xtol in the parameter (theta times the step size h), so
-    its root does not depend on the rows refined beside it."""
-    sgn = np.where(g_lo < 0.0, 1.0, -1.0)   # orient every quartic to rise
-    a0, a1, a2, a3, a4 = (sgn * c for c in a)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-        live = np.ones(t.shape, dtype=bool)
-        for _ in range(_ROOT_MAXITER):
-            p = (((a4 * t + a3) * t + a2) * t + a1) * t + a0
-            dp = ((4.0 * a4 * t + 3.0 * a3) * t + 2.0 * a2) * t + a1
-            lo = np.where(p < 0.0, t, lo)
-            hi = np.where(p > 0.0, t, hi)
-            t_new = t - p / dp
-            t_new = np.where((t_new > lo) & (t_new < hi), t_new, 0.5 * (lo + hi))
-            t_new = np.where(p == 0.0, t, t_new)
-            step = np.abs(t_new - t) * h
-            t = np.where(live, t_new, t)
-            live &= ~(step <= xtol)
-            if not live.any():
-                break
-    return t
-
-
-def _turning_roots(a, t_end, g_end, h, xtol):
-    """Zeros of step quartics (power form a, one row each, g_end their value
-    at theta = t_end) whose slope has opposite signs at 0 and t_end, so that
-    they turn once between: one on each side of the turn where the quartic
-    has the other sign from a0 there, one at the turn where it is zero.
-    Returns (k, t, leaving): the row and theta of each root, and whether it
-    leaves the sign of a0 (the first of a pair) or returns to it."""
-    slope = (a[1], 2.0 * a[2], 3.0 * a[3], 4.0 * a[4], np.zeros_like(a[0]))
-    t_turn = _quartic_roots(slope, 0.0, t_end, a[1], _polyval(slope, t_end), h, xtol)
-    g_turn = _polyval(a, t_turn)
-    k = np.flatnonzero(a[0] * g_turn <= 0.0)
-    a, t_end, g_end, h, t_turn, g_turn = ([c[k] for c in a], t_end[k], g_end[k], h[k],
-                                          t_turn[k], g_turn[k])
-    first = _quartic_roots(a, 0.0, t_turn, a[0], g_turn, h, xtol)
-    two = g_turn != 0.0
-    second = _quartic_roots([c[two] for c in a], t_turn[two], t_end[two], g_turn[two],
-                            g_end[two], h[two], xtol)
-    return (np.concatenate([k, k[two]]), np.concatenate([first, second]),
-            np.arange(k.size + second.size) < k.size)
-
-
 class _Levels:
-    """The LevelEvents of a batch, checked in one pass: their components,
-    allowed directions and terminal flags, and level, which holds one row
-    per event and one column per active row."""
+    """The LevelEvents of a batch: their components, levels, allowed
+    directions and terminal flags."""
 
-    def __init__(self, events, n: int):
+    def __init__(self, events):
         self.comp = np.array([ev.component for ev in events], dtype=np.int64)
+        self.level = np.array([ev.level for ev in events], dtype=float)
         self.up = np.array([ev.direction >= 0 for ev in events], dtype=bool)
         self.down = np.array([ev.direction <= 0 for ev in events], dtype=bool)
         self.terminal = np.array([ev.terminal for ev in events], dtype=bool)
-        self.level = np.array([np.broadcast_to(np.asarray(ev.level, dtype=float), (n,))
-                               for ev in events]).reshape(-1, n)
 
-    def crossings(self, y0, y1, cols):
-        """(event, row) pairs whose component goes from a strict sign at y0
-        to zero or the other sign at y1, and the offset component at both
-        ends; y0 and y1 hold the active rows cols."""
-        level = self.level[:, cols]
-        g0 = y0.T[self.comp] - level
-        g1 = y1.T[self.comp] - level
-        # candidates: a sign change or a zero (or a product that underflows)
-        j, hit = np.nonzero(g0 * g1 <= 0.0)
-        if j.size:
-            g0, g1 = g0[j, hit], g1[j, hit]
-            keep = ((self.up[j] & (g0 < 0.0) & (g1 >= 0.0))
-                    | (self.down[j] & (g0 > 0.0) & (g1 <= 0.0)))
-            j, hit, g0, g1 = j[keep], hit[keep], g0[keep], g1[keep]
-        return j, hit, g0, g1
-
-    def turns(self, y0, y1, f0, f1, cols):
-        """(event, row) pairs of the non-terminal events whose component has
-        the same strict sign at y0 and y1 but heads for the level at y0 and
-        away from it at y1, with slopes f0 and f1 there: it turns inside the
-        step, and may cross the level twice; the offset component at both
-        ends as in crossings."""
-        level = self.level[:, cols]
-        g0 = y0.T[self.comp] - level
-        g1 = y1.T[self.comp] - level
-        j, hit = np.nonzero((g0 * f0.T[self.comp] < 0.0) & (g1 * f1.T[self.comp] > 0.0)
-                            & (g0 * g1 > 0.0) & ~self.terminal[:, None])
+    def candidates(self, y0, y1, f0, f1):
+        """(event, row) pairs of the steps from the states y0 to y1, with
+        slopes f0 and f1 there, that may hold a root, and g, the event's
+        component minus its level, at both ends.  A step is a candidate
+        when g goes from a strict sign at y0 to zero or the other sign at
+        y1, or, for a non-terminal event, when g heads for zero at y0 and
+        away from it at y1: it turns inside the step, and may cross the
+        level twice."""
+        g0 = y0.T[self.comp] - self.level[:, None]
+        g1 = y1.T[self.comp] - self.level[:, None]
+        change = ((g0 < 0.0) & (g1 >= 0.0)) | ((g0 > 0.0) & (g1 <= 0.0))
+        turn = ((g0 * f0.T[self.comp] < 0.0) & (g1 * f1.T[self.comp] > 0.0)
+                & ~self.terminal[:, None])
+        j, hit = np.nonzero(change | turn)
         return j, hit, g0[j, hit], g1[j, hit]
+
+    def roots(self, j, seg, g0, g1, t_end, h):
+        """The roots of events j on their candidate steps, one row each, as
+        geodesics.level_crossings finds them on a path.  seg holds the
+        steps' start states and _contd5 coefficients, h their sizes, and g0
+        and g1 the offset component at theta = 0 and t_end.  The grid
+        [0, t_end] of each step gets one point inserted: the turn of the
+        component, the zero of its slope, or the middle of the step where
+        the slope keeps its sign.  Every sign change on that grid is
+        refined by roots_on_grids to _ROOT_XTOL in the parameter; a grid
+        point on the level is a root, and a root within 10 xtol of the one
+        before it in its step is dropped.  A root rises through the level
+        where g is negative at the start of its bracket.  Returns (k, t, y):
+        the candidate, theta and state of every root that its event's
+        direction allows, sorted by candidate and then by theta."""
+        k = np.arange(j.size)
+        level = self.level[j]
+        y0, d, r3, r4, q = (a[k, self.comp[j]] for a in seg)
+        xtol = _ROOT_XTOL / h
+
+        def g(i, t):
+            return _dense(t, y0[i], d[i], r3[i], r4[i], q[i]) - level[i]
+
+        def slope(i, t):
+            # d/dtheta of _dense
+            u = 1.0 - t
+            return d[i] + (u - t) * (r3[i] + 2.0 * t * u * q[i]) + t * (u + u - t) * r4[i]
+
+        zero = np.zeros(j.size)
+        turning, t_turn = roots_on_grids(slope, np.column_stack([zero, t_end]),
+                                         np.column_stack([slope(k, zero), slope(k, t_end)]),
+                                         xtol)
+        split = 0.5 * t_end
+        split[turning] = t_turn
+        grid = np.column_stack([zero, split, t_end])
+        values = np.column_stack([g0, g(k, split), g1])
+        k, t = roots_on_grids(g, grid, values, xtol)
+        start = np.maximum(np.sum(grid[k] < t[:, None], axis=1) - 1, 0)
+        keep = np.where(values[k, start] < 0.0, self.up[j[k]], self.down[j[k]])
+        k, t = k[keep], t[keep]
+        return k, t, _dense(t[:, None], *(a[k] for a in seg))
 
 
 def integrate_batch(
@@ -751,15 +714,15 @@ def integrate_batch(
     f and post_step are called with the parameters (k,) and states (k, dim)
     of the rows still active and return arrays of the states' shape; rows
     never interact.  tol and max_steps (per row) mean what they mean for
-    integrate, but each row steps by the Dormand-Prince 5(4) pair, with no
-    step cap.  An iteration that accepts every row works on its step
-    arrays as they are.  Event roots are refined to 1e-12 by Newton on the
-    quartic that the continuous extension of the crossing step makes of the
-    event's component, each row on its own: a terminal root at once, as it
-    ends its row's step (later events are looked for in that step only
-    before it), every other root in one pass after the run, together with
-    the two roots of each step whose component turns across a non-terminal
-    level (see the module docstring).
+    integrate, but each row steps by the Dormand-Prince 5(4) pair.  An
+    iteration that accepts every row works on its step arrays as they are.
+    Event roots are refined to 1e-12 in the parameter by roots_on_grids on
+    the continuous extension of each candidate step, split at the turn of
+    the event's component (see the module docstring and _Levels.roots).
+    Each row's roots depend on that row alone.  A terminal root is found in
+    the iteration that crosses it, where it ends its row's step, and later
+    events are looked for in that step only before it; every other root is
+    found in one pass after the run.
     """
     _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
@@ -769,11 +732,10 @@ def integrate_batch(
     rows = np.arange(n)
     s = np.full(n, float(s0))
     fs = f(s, y)
-    h = np.minimum(_initial_step(y, fs, np.inf), s_end - s0)
-    watch = _Levels(events, n)
+    h = np.minimum(_initial_step(y, fs), s_end - s0)
+    watch = _Levels(events)
     found: list = []      # (event, rows, s, y) of terminal roots
-    crossed: list = []    # non-terminal crossings, refined after the run
-    turned: list = []     # steps that may cross a non-terminal level twice, likewise
+    crossed: list = []    # candidate steps of non-terminal events, refined after the run
     s_out = np.empty(n)
     y_out = np.empty((n, dim))
     why = np.full(n, -1)  # -1: completed, -2: max_steps, k >= 0: event k
@@ -838,14 +800,13 @@ def integrate_batch(
         # where the row's state is y_end (the first event on a tie); the
         # steps it cuts are searched again up to it
         t_end, y_end, cut = None, y1, None
-        j, hit, g0, g1 = watch.crossings(ya, y1, cols)
-        if j.size and watch.terminal[j].any():
-            stop = watch.terminal[j]
-            j, hit, g0, g1 = j[stop], hit[stop], g0[stop], g1[stop]
-            seg = segments(hit)
-            pick = np.arange(hit.size), watch.comp[j]
-            root = _quartic_roots(_quartic(g0, *(a[pick] for a in seg[1:])), 0.0, 1.0,
-                                  g0, g1, ha[hit], _ROOT_XTOL)
+        j, hit, g0, g1 = watch.candidates(ya, y1, fa, f1)
+        stop = watch.terminal[j]
+        if stop.any():
+            j, hit = j[stop], hit[stop]
+            k, root, y_root = watch.roots(j, segments(hit), g0[stop], g1[stop],
+                                          np.ones(hit.size), ha[hit])
+            j, hit = j[k], hit[k]
             order = np.lexsort((j, root, hit))
             first = order[np.unique(hit[order], return_index=True)[1]]
             cut = hit[first]
@@ -853,21 +814,16 @@ def integrate_batch(
             t_end[cut] = root[first]
             s1[cut] = sa[cut] + root[first] * ha[cut]
             y_end = y1.copy()
-            y_end[cut] = _dense(root[first][:, None], *(a[first] for a in seg))
+            y_end[cut] = y_root[first]
             why[rows[acc[cut]]] = j[first]
             found.append((j[first], rows[acc[cut]], s1[cut], y_end[cut]))
-            j, hit, g0, g1 = watch.crossings(ya, y_end, cols)
-        if j.size:
-            keep = ~watch.terminal[j]
-            j, hit, g0, g1 = j[keep], hit[keep], g0[keep], g1[keep]
-            crossed.append((j, rows[acc[hit]], sa[hit], ha[hit], g0, g1,
+            j, hit, g0, g1 = watch.candidates(ya, y_end, fa, f1)
+        keep = ~watch.terminal[j]
+        if keep.any():
+            hit = hit[keep]
+            crossed.append((j[keep], rows[acc[hit]], sa[hit], ha[hit], g0[keep], g1[keep],
                             np.ones(hit.size) if t_end is None else t_end[hit],
                             *segments(hit)))
-        j, hit, g0, g1 = watch.turns(ya, y_end, fa, f1, cols)
-        if j.size:
-            turned.append((j, rows[acc[hit]], sa[hit], ha[hit], g0, g1,
-                           np.ones(hit.size) if t_end is None else t_end[hit],
-                           *segments(hit)))
 
         h = h_next
         if cols is acc:
@@ -883,24 +839,11 @@ def integrate_batch(
             keep = np.ones(rows.size, dtype=bool)
             keep[gone] = False
             rows, s, y, fs, h = rows[keep], s[keep], y[keep], fs[keep], h[keep]
-            watch.level = watch.level[:, keep]
 
     if crossed:
         ev, r, sa, ha, g0, g1, t_end, *seg = (np.concatenate(a) for a in zip(*crossed))
-        pick = np.arange(ev.size), watch.comp[ev]
-        t = _quartic_roots(_quartic(g0, *(a[pick] for a in seg[1:])), 0.0, t_end, g0, g1,
-                           ha, _ROOT_XTOL)
-        found.append((ev, r, sa + t * ha, _dense(t[:, None], *seg)))
-    if turned:
-        ev, r, sa, ha, g0, g1, t_end, *seg = (np.concatenate(a) for a in zip(*turned))
-        pick = np.arange(ev.size), watch.comp[ev]
-        k, t, leaving = _turning_roots(_quartic(g0, *(a[pick] for a in seg[1:])), t_end, g1,
-                                       ha, _ROOT_XTOL)
-        # a root that leaves the sign of g0 > 0 goes down
-        keep = np.where(leaving == (g0[k] > 0.0), watch.down[ev[k]], watch.up[ev[k]])
-        k, t = k[keep], t[keep]
-        found.append((ev[k], r[k], sa[k] + t * ha[k],
-                      _dense(t[:, None], *(a[k] for a in seg))))
+        k, t, y_root = watch.roots(ev, seg, g0, g1, t_end, ha)
+        found.append((ev[k], r[k], sa[k] + t * ha[k], y_root))
     ev, r, sr, yr = ((np.concatenate(a) for a in zip(*found)) if found else
                      (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                       np.empty(0), np.empty((0, dim))))

@@ -176,8 +176,12 @@ class Profile:
         integrand is (v - m)(v + m) / (m v)^2, with v - m below _PANEL, where
         the difference would cancel, the Taylor remainder
         -int_0^v (v - t) m''(t) dt on the table's rule, and read at r_eps
-        below r_eps, as gauss_curvature is.  Like height_table it is built
-        on first use and kept on the instance."""
+        below r_eps, as gauss_curvature is.  The integrand is bounded on
+        every accepted warp, but the r_eps read is still needed: without it
+        (m v)^2 underflows to zero at the table's nodes below a rho of
+        7.29e-301, which first_conjugate must still take, and the integrand
+        is 0/0 there.  Like height_table it is built on first use and kept
+        on the instance."""
         def g(v):
             v = np.maximum(v, self.r_eps)
             m = as_float_array(self.m(v), v.shape)
@@ -627,9 +631,10 @@ def roots_on_grids(f, grid, values, xtol):
     # a grid bracket narrower than tol is settled before f runs
     done = np.abs(x2 - x1) < tol
     for evaluations in range(_ROOT_MAXITER + 1):
-        found[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
-        live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k = (
-            v[~done] for v in (live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k))
+        if done.any():
+            found[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+            live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k = (
+                v[~done] for v in (live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k))
         if live.size == 0 or evaluations == _ROOT_MAXITER:
             break
         y = np.asarray(f(rows[live], x), dtype=float)

@@ -90,11 +90,6 @@ def test_post_step_projection_runs():
     assert np.abs(radii - 1.0).max() < 1e-12
 
 
-def test_step_cap_respected():
-    sol = integrate(_oscillator, 0.0, [0.0, 1.0], 5.0, tol=1e-6, h_max=0.05)
-    assert np.diff(sol.s).max() <= 0.05 + 1e-12
-
-
 def test_max_steps_status():
     sol = integrate(_oscillator, 0.0, [0.0, 1.0], 1e9, tol=1e-6,
                     max_steps=50)
@@ -193,7 +188,7 @@ def _dopri5_row(f, s0, y0, s_end, tol, events):
     interpolant).  Returns (status, s, y, roots of each event)."""
     y, s = np.asarray(y0, dtype=float), float(s0)
     fs = f(s, y)
-    h = min(_initial_step(y, fs, np.inf), s_end - s)
+    h = min(_initial_step(y, fs), s_end - s)
     roots = {i: [] for i in range(len(events))}
     while s < s_end:
         h = min(h, s_end - s)
@@ -232,20 +227,18 @@ def _dopri5_row(f, s0, y0, s_end, tol, events):
 
 def test_batch_rows_match_scalar_integrator():
     y0 = np.array([[0.0, 1.0], [1.0, 0.0], [0.3, -0.8], [0.0, 0.2]])
-    floors = np.array([-0.5, -0.9, -0.1, -0.3])
-    events = [LevelEvent(0, 0.0), LevelEvent(0, floors, terminal=True, direction=-1)]
+    events = [LevelEvent(0, 0.0), LevelEvent(0, -0.5, terminal=True, direction=-1)]
     batch = integrate_batch(_oscillator_rows, 0.0, y0, 12.0, tol=1e-11, events=events)
     zero_rows, zero_s, zero_y = batch.events[0]
     for i, row in enumerate(y0):
-        status, s_end, y_end, roots = _dopri5_row(_oscillator, 0.0, row, 12.0, 1e-11, [
-            LevelEvent(0, 0.0), LevelEvent(0, floors[i], terminal=True, direction=-1)])
+        status, s_end, y_end, roots = _dopri5_row(_oscillator, 0.0, row, 12.0, 1e-11, events)
         assert batch.status[i] == status
         assert batch.s[i] == pytest.approx(s_end, abs=1e-10)
         np.testing.assert_allclose(batch.y[i], y_end, atol=1e-10)
         mine = zero_rows == i
         np.testing.assert_allclose(zero_s[mine], roots[0], atol=1e-10)
         np.testing.assert_allclose(zero_y[mine, 0], 0.0, atol=1e-12)
-    assert batch.status[3] == "completed"   # amplitude 0.2 never reaches -0.3
+    assert batch.status[3] == "completed"   # amplitude 0.2 never reaches -0.5
     assert batch.nsteps > 0
 
 
@@ -289,9 +282,9 @@ _PAIR = (1.0 - math.sqrt(0.28), 1.0 + math.sqrt(0.28))
 @pytest.mark.parametrize("direction,roots", [(0, _PAIR), (-1, _PAIR[:1]), (1, _PAIR[1:])])
 def test_batch_sees_two_crossings_where_the_component_turns_inside_a_step(direction, roots):
     # rho = (s - 1)^2 + 0.36 falls to its minimum at s = 1 and rises again.
-    # The step over [0.31, 1.56] holds the minimum: rho = 1 is crossed in
-    # the steps before and after it, rho = 0.64 twice inside it, and
-    # rho = 0.3 never
+    # The step over [0.37, 1.84] holds the minimum: rho = 1 is crossed in
+    # the step before it and once inside it, rho = 0.64 twice inside it,
+    # and rho = 0.3 never
     sol = integrate_batch(_line_past_the_origin, 0.0, [[-1.0, 1.36]], 4.0, tol=1e-9,
                           events=[LevelEvent(1, 0.64, direction=direction),
                                   LevelEvent(1, 1.0), LevelEvent(1, 0.3)])
@@ -300,6 +293,23 @@ def test_batch_sees_two_crossings_where_the_component_turns_inside_a_step(direct
     np.testing.assert_allclose(sol.events[0][2][:, 1], 0.64, atol=1e-12)
     assert sol.events[1][1] == pytest.approx([0.2, 1.8], abs=1e-12)
     assert sol.events[2][1].size == 0
+
+
+_FALL_THEN_RISE = (1.0 - math.sqrt(0.39), 1.0 + math.sqrt(0.39))
+
+
+@pytest.mark.parametrize("direction,roots", [
+    (0, _FALL_THEN_RISE), (-1, _FALL_THEN_RISE[:1]), (1, _FALL_THEN_RISE[1:]),
+])
+def test_batch_step_that_turns_and_changes_sign(direction, roots):
+    # rho = (s - 1)^2 + 0.36 again, from s = -0.5, so that the step over
+    # [-0.13, 1.38] holds the minimum: it falls through rho = 0.75 before
+    # the turn and ends below it, and the next step rises through it
+    sol = integrate_batch(_line_past_the_origin, -0.5, [[-1.5, 2.61]], 3.0, tol=1e-9,
+                          events=[LevelEvent(1, 0.75, direction=direction)])
+    assert sol.nsteps == 5 and sol.status == ["completed"]
+    assert sol.events[0][1] == pytest.approx(roots, abs=1e-12)
+    np.testing.assert_allclose(sol.events[0][2][:, 1], 0.75, atol=1e-12)
 
 
 def test_roots_past_a_terminal_root_are_dropped():
@@ -363,8 +373,8 @@ def _row(coeffs, cols, k):
     return acc
 
 
-def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
-                     events=(), max_steps=2_000_000):
+def _array_integrate(f, s0, y0, s_end, tol=1e-10, post_step=None, events=(),
+                     max_steps=2_000_000):
     y = np.asarray(y0, dtype=float).copy()
     s = float(s0)
     fs = f(s, y)
@@ -373,14 +383,14 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, h_max=np.inf, post_step=None,
     ev_values = [y[ev.component] - ev.level for ev in events]
     ev_records = {i: [] for i in range(len(events))}
     status = "completed"
-    h = min(_initial_step(y, fs, h_max), s_end - s0, h_max)
+    h = min(_initial_step(y, fs), s_end - s0)
     nsteps = nrejected = 0
     root_n = math.sqrt(float(y.size))
     while s < s_end:
         if nsteps + nrejected > max_steps:
             status = "max_steps"
             break
-        h = min(h, s_end - s, h_max)
+        h = min(h, s_end - s)
         k = [fs]
         for i in range(1, 12):
             k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
@@ -472,7 +482,7 @@ def test_float_stages_match_array_loop_on_the_oscillator(f):
 
     events = [LevelEvent(0, 0.0), LevelEvent(1, 0.0, direction=1),
               LevelEvent(0, -0.5, terminal=True, direction=-1)]
-    for kwargs in ({"tol": 1e-11}, {"tol": 1e-7, "h_max": 0.3, "post_step": proj},
+    for kwargs in ({"tol": 1e-11}, {"tol": 1e-7, "post_step": proj},
                    {"tol": 1e-12, "events": events}, {"tol": 1e-6, "max_steps": 40}):
         _assert_same_solution(integrate(f, 0.0, [0.0, 1.0], 60.0, **kwargs),
                               _array_integrate(_oscillator, 0.0, [0.0, 1.0], 60.0,
