@@ -317,8 +317,9 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
     appears.  Failure to bracket two solutions is reported, not raised.
     The fan is shoot_hits over 721 headings of [-pi, pi], scanned at tol
     3e-7 in normal coordinates at the vertex (so rays that pass it need no
-    small steps) and refined at 1e-10 in the polar chart, the exact
-    meridians at +-pi analytically; for a target below q on an increasing
+    small steps) and refined at 1e-10 by integrate_h, in the same chart
+    near the vertex and the polar chart away from it, the exact meridians
+    at +-pi analytically; for a target below q on an increasing
     warp only the headings of Clairaut's cone, which can come down to the
     target radius, are integrated.  A segment within _CUT_TOL = 1e-5 of
     distance_F (at tol 1e-9) minimizes, and two minimizers whose lengths

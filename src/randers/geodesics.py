@@ -27,14 +27,17 @@ Exact meridians are not sent through the ODE: they are integrated
 analytically, including continuation through the vertex, where theta jumps
 by pi (the polar chart degenerates; the geodesic itself is smooth).  A ray
 that passes near the vertex sweeps nearly pi in theta there, so the polar
-chart crawls past it in tiny steps; the heading fan of
-level_crossings_batch therefore runs in normal coordinates at the vertex,
-(x, y) = r (cos theta, sin theta), where such a ray is nearly straight.
+chart crawls past it in tiny steps.  Near the vertex both integrators
+therefore run in normal coordinates, (x, y) = r (cos theta, sin theta),
+where such a ray is nearly straight (_vertex_chart): the heading fan of
+level_crossings_batch everywhere, and integrate_h below
+Profile.vertex_chart_radius, above which it returns to the polar chart.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -178,13 +181,6 @@ def on_export_grid(profile: Profile, path: GeodesicPath) -> GeodesicPath:
     return replace(path, s=ss, states=states)
 
 
-def _r_floor(nu):
-    """Radius that no geodesic with Clairaut constant nu can reach: it turns
-    where m(r) = |nu|, near r = |nu|.  A ray of integrate_h that gets there
-    has blown up."""
-    return np.maximum(1e-14, 1e-3 * np.abs(nu))
-
-
 def _check_length_tol(length: float, tol: float) -> None:
     if not (math.isfinite(length) and length > 0):
         raise InvalidParameterError(f"length must be finite and > 0, got {length}")
@@ -195,37 +191,45 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
                 tol: float = 1e-10) -> GeodesicPath:
     """Integrate an h-unit-speed geodesic for the given parameter length.
 
-    The initial state must satisfy the unit-speed condition to 1e-10.  After
-    each accepted step the velocity is rescaled back to unit h-speed; the drift
-    absorbed by the rescaling and the Clairaut drift of the samples are
-    recorded on the returned path as quality metrics.
+    The initial state must be finite and satisfy the unit-speed condition to
+    1e-10.  After each accepted step the velocity is rescaled back to unit
+    h-speed; the drift absorbed by the rescaling and the Clairaut drift of
+    the samples are recorded on the returned path as quality metrics.
+
+    Below profile.vertex_chart_radius R the ray runs in normal coordinates
+    at the vertex (_vertex_chart), where a ray that passes near the vertex
+    is nearly straight, and above R in the polar chart, where the same ray
+    would sweep nearly pi in theta on tiny steps.  Each stretch in one
+    chart is one DOP853 run, ended where the ray crosses r = R by a
+    terminal event, and the next run starts from its root.  Samples, dense
+    output, nu and the drift metrics are polar in both charts: theta is
+    continuous and runs monotonically in the sense of nu, the vertex
+    chart's angle about the vertex unwound from where the ray entered it.
 
     The step size is set by tol alone, with no cap: the samples are the
     step ends, and the dense output between them is the 7th-order
     interpolant of each DOP853 step, as accurate as its ends.  Exact
     meridians (dtheta = 0) are integrated analytically, continuing through
-    the vertex with a theta jump of pi, and sampled every _h_max.  If the path leaves
-    the numerical domain r <= r_max it is truncated there and flagged with
-    exit_reason = "domain-exit".  A path that reaches the blow-up floor
-    near the vertex, or the integrator's max_steps stop, raises
-    NumericalBlowupError.
+    the vertex with a theta jump of pi, and sampled every _h_max.  If the
+    path leaves the numerical domain r <= r_max it is truncated there and
+    flagged with exit_reason = "domain-exit".  A start at the vertex with
+    angular speed raises VertexSingularError, and a run that reaches the
+    integrator's max_steps stop NumericalBlowupError.
     """
     _check_length_tol(length, tol)
+    if not all(map(math.isfinite, (state0.r, state0.theta, state0.dr, state0.dtheta))):
+        raise InvalidParameterError(f"initial state must be finite, got {state0}")
     profile.check_radius(state0.r)
     speed = h_speed(profile, state0)
-    if abs(speed - 1.0) > _UNIT_SPEED_PRE_TOL:
+    if not abs(speed - 1.0) <= _UNIT_SPEED_PRE_TOL:
         raise InvalidParameterError(
             f"initial state is not h-unit speed: |v|_h = {speed}"
         )
     if abs(state0.dtheta) < _MERIDIAN_EPS:
         return _meridian_path(profile, state0, length, tol)
+    if state0.r == 0.0:
+        raise VertexSingularError("cannot start at the vertex with nonzero angular speed")
     nu0 = clairaut_constant(profile, state0)
-    r_floor = _r_floor(nu0)
-    if state0.r <= r_floor:
-        raise VertexSingularError(
-            f"cannot start at the vertex, or within r = {r_floor} of it, "
-            "with nonzero angular speed"
-        )
     m_fn, m1_fn = profile.m, profile.m1
     # (r, m(r), m'(r)) of the last right-hand side call: the FSAL stage, the
     # projection and the derivative after it share r.  One tuple, replaced
@@ -255,30 +259,146 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         drift["clairaut"] = max(drift["clairaut"], abs(m * m * dth - nu0))
         return [r, th, dr, dth]
 
-    events = [odesolve.LevelEvent(0, profile.r_max, terminal=True, direction=1),
-              odesolve.LevelEvent(0, r_floor, terminal=True, direction=-1)]
-    sol = odesolve.integrate(rhs, 0.0, state0.as_array(), length, tol=tol,
-                             post_step=renormalize, events=events)
-    if sol.status == "event:1":
-        raise NumericalBlowupError(
-            f"geodesic with nu = {nu0} reached r = {r_floor}, which no true "
-            "geodesic with nonzero Clairaut constant can do"
-        )
-    if sol.status == "max_steps":
-        raise NumericalBlowupError(
-            f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps, "
-            f"at s = {sol.s[-1]} of {length}")
-    exit_reason = "completed"
-    if sol.status == "event:0":
-        exit_reason = "domain-exit"
+    chart_rhs, chart_unit = _vertex_chart(profile)
+
+    def chart_renormalize(s: float, y: list) -> tuple:
+        unit = chart_unit(s, y)
+        # the projection divides (x', y') by the h-speed
+        drift["unit"] = max(drift["unit"], abs(math.hypot(y[2], y[3])
+                                               / math.hypot(unit[2], unit[3]) - 1.0))
+        return unit
+
+    r_chart, r_max = profile.vertex_chart_radius, profile.r_max
+    in_chart = state0.r < r_chart or (state0.r == r_chart and state0.dr < 0.0)
+    s, y, runs = 0.0, [state0.r, state0.theta, state0.dr, state0.dtheta], []
+    while True:
+        if in_chart:
+            # the chart's x axis points at the ray's entry angle theta_in
+            r, theta_in = y[0], y[1]
+            sol = odesolve.integrate(
+                chart_rhs, s, [r, 0.0, y[2], r * y[3], r * r], length, tol=tol,
+                post_step=chart_renormalize,
+                events=[odesolve.LevelEvent(4, r_chart * r_chart, terminal=True, direction=1)])
+            leaves = sol.status == "event:0" and r_chart < r_max
+            exits = sol.status == "event:0" and not leaves
+            if leaves:
+                # the root is read off the dense output: project it too
+                sol.y[-1] = chart_unit(sol.s[-1], sol.y[-1].tolist())
+            piece = _ChartPiece(sol, theta_in, math.copysign(1.0, state0.dtheta))
+            rows = piece.states
+            m = as_float_array(m_fn(rows[1:, 0]), rows[1:, 0].shape)
+            drift["clairaut"] = max(drift["clairaut"],
+                                    float(np.max(np.abs(m * m * rows[1:, 3] - nu0))))
+        else:
+            sol = odesolve.integrate(
+                rhs, s, y, length, tol=tol, post_step=renormalize,
+                events=[odesolve.LevelEvent(0, r_max, terminal=True, direction=1),
+                        odesolve.LevelEvent(0, r_chart, terminal=True, direction=-1)])
+            leaves, exits = sol.status == "event:1", sol.status == "event:0"
+            if leaves:
+                sol.y[-1] = renormalize(sol.s[-1], sol.y[-1].tolist())
+            piece, rows = sol, sol.y
+        if sol.status == "max_steps":
+            raise NumericalBlowupError(
+                f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps, "
+                f"at s = {sol.s[-1]} of {length}")
+        if sol.s[-1] > s:   # a run whose event root is its start adds nothing
+            runs.append((s, piece, sol.s, rows))
+            s, y = float(sol.s[-1]), rows[-1].tolist()
+        if not (leaves and s < length):
+            break
+        in_chart = not in_chart
+    if len(runs) == 1:
+        ss, states, dense = runs[0][2], runs[0][3], runs[0][1]
+    else:
+        # each run starts where the one before it ends
+        ss = np.concatenate([runs[0][2]] + [run[2][1:] for run in runs[1:]])
+        states = np.concatenate([runs[0][3]] + [run[3][1:] for run in runs[1:]])
+        dense = _stitched([run[:2] for run in runs])
+    states[0] = state0.as_array()   # not its image through the vertex chart
+    if exits:
         # the exit sample lies on r = r_max; the event root leaves ~1e-15
-        sol.y[-1, 0] = profile.r_max
+        states[-1, 0] = r_max
     return GeodesicPath(
-        s=sol.s, states=sol.y, nu=nu0, metric_tag="h",
-        kind=_classify(profile, state0), mu=profile.mu, tol=tol,
-        dense=sol, max_unit_drift=drift["unit"],
-        max_clairaut_drift=drift["clairaut"], exit_reason=exit_reason,
+        s=ss, states=states, nu=nu0, metric_tag="h",
+        kind=_classify(profile, state0), mu=profile.mu, tol=tol, dense=dense,
+        max_unit_drift=drift["unit"], max_clairaut_drift=drift["clairaut"],
+        exit_reason="domain-exit" if exits else "completed",
     )
+
+
+class _ChartPiece:
+    """One run of integrate_h in the vertex chart, read in polar form.
+
+    sol is the run's ODESolution on rows (x, y, x', y', rho), whose x axis
+    points at theta_in, and sense the sign of nu (of dtheta).  theta is theta_in plus
+    the angle the ray has swept about the vertex: the sweep of each step,
+    and within a step from its start, is the angle between the two
+    position vectors, atan2 of their cross and dot products, taken in
+    [-pi/2, 3 pi/2) in the sense of nu.  theta runs monotonically in that
+    sense, so a step sweeps at least -pi/2 (rounding) and less than 3 pi / 2
+    (a step that long would circle the vertex)."""
+
+    def __init__(self, sol: odesolve.ODESolution, theta_in: float, sense: float):
+        self.sol, self.sense = sol, sense
+        x, y = sol.y[:, 0], sol.y[:, 1]
+        self.theta = theta_in + np.concatenate(
+            [[0.0], np.cumsum(self._swept(x[:-1], y[:-1], x[1:], y[1:]))])
+        # the samples, sol.y in polar form
+        self.states = self._polar(sol.y, self.theta)
+
+    def _swept(self, x0, y0, x1, y1):
+        a = np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
+        return np.where(self.sense * a < -0.5 * math.pi, a + self.sense * (2.0 * math.pi), a)
+
+    @staticmethod
+    def _polar(rows, theta):
+        x, y, vx, vy = np.moveaxis(rows[..., :4], -1, 0)
+        r = np.hypot(x, y)
+        return np.stack([r, theta, (x * vx + y * vy) / r, (x * vy - y * vx) / r / r], axis=-1)
+
+    def __call__(self, s):
+        """Rows (r, theta, dr, dtheta) of the dense output at the parameters
+        s, one per entry."""
+        s = np.asarray(s, dtype=float)
+        sol = self.sol
+        i = np.searchsorted(sol.seg_s[1:], s, side="right")
+        rows, start = sol(s), sol.y[i]
+        return self._polar(rows, self.theta[i] + self._swept(start[..., 0], start[..., 1],
+                                                             rows[..., 0], rows[..., 1]))
+
+
+def _stitched(pieces):
+    """Dense output of a path run in pieces: (s0, dense) pairs in the order
+    of their start parameters s0, each read from its start to the next
+    one's; parameters outside the path extrapolate from the first or last
+    piece.  The polar runs are read as one ODESolution, their steps side by
+    side, so that its dense output is built once and read in one call."""
+    starts = np.array([s0 for s0, _ in pieces[1:]])
+    is_polar = np.array([isinstance(dense, odesolve.ODESolution) for _, dense in pieces])
+    polar = [dense for _, dense in pieces if isinstance(dense, odesolve.ODESolution)]
+    reads = [dense for _, dense in pieces if not isinstance(dense, odesolve.ODESolution)]
+    if polar:
+        reads.append(odesolve.ODESolution(
+            s=None, y=None, rhs=polar[0].rhs,
+            **{key: np.concatenate([getattr(sol, key) for sol in polar])
+               for key in ("seg_s", "seg_h", "seg_y0", "seg_y1", "seg_f0", "seg_f1", "seg_k")}))
+    # the index in reads of the reader of each piece
+    reader = np.where(is_polar, len(reads) - 1, np.cumsum(~is_polar) - 1)
+
+    def dense(s) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        k = reader[np.searchsorted(starts, s, side="right")]
+        if s.ndim == 0:
+            return reads[int(k)](s)
+        out = np.empty(s.shape + (4,))
+        for j, read in enumerate(reads):
+            here = k == j
+            if here.any():
+                out[here] = read(s[here])
+        return out
+
+    return dense
 
 
 def level_crossings(path: GeodesicPath, r_level: float
@@ -391,7 +511,10 @@ def level_crossings_batch(profile: Profile, states0, length: float,
 
 def _vertex_chart(profile: Profile):
     """Right-hand side and unit-speed projection of the h-geodesic equations
-    in normal coordinates at the vertex, on rows (x, y, x', y', rho).
+    in normal coordinates at the vertex, on rows (x, y, x', y', rho): an
+    (n, 5) array of rows (level_crossings_batch), or one row as a list of
+    five floats (integrate_h), on which they run on Python floats and the
+    right-hand side returns a tuple.
 
     With u = (x, y), u_perp = (-y, x), c = x y' - y x' and d = x x' + y y'
     (so r' = d / r and theta' = c / r^2), the polar equations become
@@ -402,37 +525,62 @@ def _vertex_chart(profile: Profile):
     the plane.  P and Q are evaluated at max(r, r_eps), as gauss_curvature
     is; their vertex limits are -2 K(0) / 3 and K(0) / 3.  c^2 / r^2 and
     c d / r^2 stay below |u'|^2, so the right-hand side is finite up to and
-    at r = 0.  The h-speed is |u'|^2 - (1 - (m / r)^2) c^2 / r^2.
+    at r = 0.  The squared h-speed is |u'|^2 - (1 - (m / r)^2) c^2 / r^2;
+    the projection divides u' by its root and resets rho to x^2 + y^2.  On a float
+    row m and m' are kept for the last radius read, as integrate_h's polar
+    right-hand side keeps them, so that the FSAL stage, the projection and
+    the derivative after it read the warp once.
     """
     m_fn, m1_fn, r_eps = profile.m, profile.m1, profile.r_eps
-    tiny = np.finfo(float).tiny
+    tiny = sys.float_info.min   # 1 / (rr + tiny) is 1 / rr unless rr underflows
+    memo = (math.nan, math.nan, math.nan)   # (r, m, m') of the last float row
 
-    def rhs(s, y):
-        x, yy, vx, vy = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
+    def float_parts(x, yy):
+        nonlocal memo
         rr = x * x + yy * yy
+        r = math.sqrt(rr)
+        if r < r_eps:
+            r = r_eps
+        r_memo, m, m1 = memo
+        if r != r_memo:
+            m, m1 = float(m_fn(r)), float(m1_fn(r))
+            memo = (r, m, m1)
+        return rr, r, m, m1
+
+    def array_parts(y):
+        rr = y[:, 0] * y[:, 0] + y[:, 1] * y[:, 1]
         r = np.maximum(np.sqrt(rr), r_eps)
-        m, m1 = m_fn(r), m1_fn(r)
+        return rr, r, m_fn(r), m1_fn(r)
+
+    def derivative(x, yy, vx, vy, rr, r, m, m1):
         c = x * vy - yy * vx
         d = x * vx + yy * vy
-        over = 1.0 / np.maximum(rr, tiny)
+        over = 1.0 / (rr + tiny)
         pc = (c * c * over) * (m * m1 - r) / (r * r * r)
         qc = (2.0 * c * d * over) * (1.0 - r * m1 / m) / (r * r)
-        out = np.empty_like(y)
-        out[:, :2] = y[:, 2:4]
-        out[:, 2] = pc * x - qc * yy
-        out[:, 3] = pc * yy + qc * x
-        out[:, 4] = 2.0 * d
-        return out
+        return vx, vy, pc * x - qc * yy, pc * yy + qc * x, 2.0 * d
+
+    def speed2(x, yy, vx, vy, rr, r, m):
+        k = m / r
+        c = x * vy - yy * vx
+        return vx * vx + vy * vy - (1.0 - k * k) * (c * c / (rr + tiny))
+
+    def rhs(s, y):
+        if type(y) is list:
+            x, yy, vx, vy, _ = y
+            rr, r, m, m1 = float_parts(x, yy)
+            return derivative(x, yy, vx, vy, rr, r, m, m1)
+        return np.column_stack(derivative(*y.T[:4], *array_parts(y)))
 
     def renormalize(s, y):
-        x, yy, vx, vy = y[:, 0], y[:, 1], y[:, 2], y[:, 3]
-        rr = x * x + yy * yy
-        r = np.maximum(np.sqrt(rr), r_eps)
-        k = m_fn(r) / r
-        c = x * vy - yy * vx
-        norm = np.sqrt(vx * vx + vy * vy - (1.0 - k * k) * (c * c / np.maximum(rr, tiny)))
+        if type(y) is list:
+            x, yy, vx, vy, _ = y
+            rr, r, m, _ = float_parts(x, yy)
+            norm = math.sqrt(speed2(x, yy, vx, vy, rr, r, m))
+            return x, yy, vx / norm, vy / norm, rr
+        rr, r, m, _ = array_parts(y)
         unit = y.copy()
-        unit[:, 2:4] /= norm[:, None]
+        unit[:, 2:4] /= np.sqrt(speed2(*y.T[:4], rr, r, m))[:, None]
         unit[:, 4] = rr
         return unit
 

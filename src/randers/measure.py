@@ -595,9 +595,9 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     angular misses and parameters scattered into one matrix each, and the
     miss of the k-th crossing is bracketed between consecutive headings, then
     refined by roots_on_grid in the heading, each iterate one integrate_h
-    ray at refine_tol, in the polar chart; a bracket whose refined ray
-    loses its k-th crossing (or blows up at integrate_h's vertex floor) is
-    dropped.  Brackets with a miss above 2.5 rad are skipped, so that the
+    ray at refine_tol, which crosses the vertex in the fan's chart too; a
+    bracket whose refined ray loses its k-th crossing (or stops at the
+    integrator's max_steps) is dropped.  Brackets with a miss above 2.5 rad are skipped, so that the
     angle wrap at +-pi does not pass for a zero.
     """
     if q_from.r <= 0.0:

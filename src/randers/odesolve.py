@@ -73,7 +73,9 @@ hooks:
   geodesics.level_crossings looks for them on its dense output.
 
 Both accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps``
-after max_steps tries, a safety stop that callers report as an error.
+after max_steps tries, or at once when a step no longer advances s
+(s + h == s, as the controller's shrinking leaves it where the right-hand
+side has turned NaN), a safety stop that callers report as an error.
 """
 
 from __future__ import annotations
@@ -407,7 +409,8 @@ def integrate(
     f, thirteen after a projection, and a rejected one eleven.
 
     Returns an ODESolution whose status is ``completed``, the name of a
-    terminal event, or ``max_steps``; called with parameters, it reads the
+    terminal event, or ``max_steps`` (after max_steps tries, or where a
+    step no longer advances s); called with parameters, it reads the
     dense output of its steps.  Event roots are refined to 1e-10 by
     roots_on_grid on the event's component, minus its level, over the
     dense output of the step that crosses; a terminal event ends the
@@ -454,10 +457,10 @@ def integrate(
     array = np.array
 
     while s < s_end:
-        if nsteps + nrejected > max_steps:
+        h = min(h, s_end - s)
+        if nsteps + nrejected > max_steps or s + h == s:
             status = "max_steps"
             break
-        h = min(h, s_end - s)
 
         # unrolled DOP853 stages on floats, each sum over the nonzero
         # coefficients of its row in column order
@@ -548,20 +551,24 @@ def integrate(
             if crossed:
                 if seg_eval is None:
                     y_old = array(y)
-                    k = _extra_stages(f, array([s]), array([h]), array([y]), [
-                        array([v], dtype=float)
-                        for v in (k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12)])
+                    stages = array([k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12],
+                                   dtype=float)
+                    k = _extra_stages(f, array([s]), array([h]), y_old[None],
+                                      [stages[j:j + 1] for j in range(13)])
                     coeffs = _contd8(h, y_old, *(array(v, dtype=float) for v in (
                         y_new, k0, f_new)), [k[j][0] for j in _D8_COLS])
 
                     def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
                         return _dense8((sq - _s) / _h, _y, *_c)
 
-                root = roots_on_grid(lambda sq: seg_eval(sq)[c] - level,
+                # the dense output's row c alone, on floats: the same sums
+                # as seg_eval's, without an array per iterate
+                y_c, coeffs_c = y[c], [float(v[c]) for v in coeffs]
+                root = roots_on_grid(lambda sq: _dense8((sq - s) / h, y_c, *coeffs_c) - level,
                                      (s, s_new), (g_old, g_new), xtol=1e-10)[0]
                 ev_records[i].append((root, seg_eval(root)))
                 if ev.terminal and (stop_at is None or root < stop_at):
-                    stop_at = root
+                    stop_at, y_stop = root, ev_records[i][-1][1]
                     status = f"event:{i}"
             ev_values[i] = g_new
 
@@ -571,7 +578,7 @@ def integrate(
                 if recs and recs[-1][0] > stop_at:
                     recs.pop()
             ss.append(stop_at)
-            ys += seg_eval(stop_at).tolist()
+            ys += y_stop.tolist()
             break
 
         s, y, fs = s_new, y_new, f_new
@@ -755,6 +762,13 @@ def integrate_batch(
             break
         tries += 1
         h = np.minimum(h, s_end - s)
+        stuck = s + h == s
+        if stuck.any():
+            # steps too small to advance s end their rows as max_steps does
+            s_out[rows[stuck]], y_out[rows[stuck]], why[rows[stuck]] = s[stuck], y[stuck], -2
+            rows, s, y, fs, h = (v[~stuck] for v in (rows, s, y, fs, h))
+            if not rows.size:
+                break
         hc = h[:, None]
 
         # the stages of integrate, one row per trajectory

@@ -157,6 +157,33 @@ class Profile:
         return roots_on_grid(f, rr[i - 1:i + 1], over[i - 1:i + 1], xtol=1e-12)[0]
 
     @cached_property
+    def vertex_chart_radius(self) -> float:
+        """Radius R below which integrate_h runs in normal coordinates at the
+        vertex: the first radius where m(r) <= r / sqrt(2), or r_max if m
+        stays above that on [0, r_max] (the plane's m = r does).  m / r is
+        how far the circles have shrunk from the plane's, and up to R the
+        chart's angular metric is within a factor 2 of the true one.
+
+        The grid of embeddable_radius brackets the first radius where
+        m(r) / r - 1 / sqrt(2) is not positive (its limit at the vertex is
+        m'(0) - 1 / sqrt(2) > 0), and roots_on_grid refines it to 1e-12; R
+        is the refined end on the inner side, so that m > r / sqrt(2) on
+        all of (0, R].  Computed on first use and kept on the instance.
+        """
+        ratio, xtol = math.sqrt(0.5), 1e-12
+        rr = np.linspace(0.0, self.r_max, _EMBED_GRID)
+        gap = np.empty(rr.size)
+        gap[0] = float(self.m1(0.0)) - ratio
+        gap[1:] = as_float_array(self.m(rr[1:]), rr[1:].shape) / rr[1:] - ratio
+        low = np.flatnonzero(gap <= 0.0)
+        if low.size == 0:
+            return self.r_max
+        i = int(low[0])
+        f = lambda r: float(self.m(r)) / r - ratio
+        root = roots_on_grid(f, rr[i - 1:i + 1], gap[i - 1:i + 1], xtol=xtol)[0]
+        return root if f(root) > 0.0 else root - 2.0 * xtol
+
+    @cached_property
     def height_table(self) -> PanelTable:
         """PanelTable of sqrt(1 - m'^2) over [0, embeddable_radius]: the
         arc-length height z that embed.height reads.  The panel holding a

@@ -31,6 +31,7 @@ from randers.geodesics import (
     quadrature_segment,
     twist,
 )
+from randers import odesolve
 from randers.odesolve import _D8_COLS, _contd8, _dense8, _extra_stages
 
 
@@ -125,6 +126,9 @@ def test_integrate_h_reads_the_warp_once_per_stage(parab):
 
     profile = make_custom(counted("m", parab.m), counted("m1", parab.m1), parab.m2,
                           mu=parab.mu, r_max=parab.r_max)
+    # the radius of the vertex chart is found once per profile, before the
+    # count; from r = 1 outward the ray stays above it, in the polar chart
+    assert profile.vertex_chart_radius < 1.0
     calls.update(m=0, m1=0)
     # outward, so r grows at every stage and no two stages share a radius
     path = integrate_h(profile, _launch(parab, 1.0, 0.7), 10.0, tol=1e-12)
@@ -178,7 +182,20 @@ _DOP853_RAYS = [
     (1.2, 0.9, 8.0),                   # generic
     (1.5, math.pi / 2.0 + 0.01, 8.0),  # turns 2.4e-4 inside its start radius
     (0.7, 2.3, 30.0),                  # long, through a turning point
+    # the h-preimage of a geodesic-embed launch (seed 1, round 10), which
+    # passes the vertex at nu = 0.0137, through both charts
+    (0.9696232773811233, 3.1219245085076746, 20.962680324720253),
 ]
+
+
+def _polar_rhs(profile):
+    """The polar geodesic equations, for scipy's solve_ivp."""
+    def rhs(s, y):
+        r, _, dr, dth = y
+        m, m1 = float(profile.m(r)), float(profile.m1(r))
+        return [dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth]
+
+    return rhs
 
 
 def _dop853_errors(profile, r0, phi, length, tol):
@@ -186,16 +203,11 @@ def _dop853_errors(profile, r0, phi, length, tol):
     midpoints between them, against an independent oracle: scipy's
     8th-order Dormand-Prince on the same geodesic equations, with no
     unit-speed projection."""
-    def rhs(s, y):
-        r, _, dr, dth = y
-        m, m1 = float(profile.m(r)), float(profile.m1(r))
-        return [dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth]
-
     state0 = _launch(profile, r0, phi)
     path = integrate_h(profile, state0, length, tol=tol)
     assert path.exit_reason == "completed"
     mid = 0.5 * (path.s[1:] + path.s[:-1])
-    ref = solve_ivp(rhs, (0.0, length), state0.as_array(), method="DOP853",
+    ref = solve_ivp(_polar_rhs(profile), (0.0, length), state0.as_array(), method="DOP853",
                     rtol=1e-13, atol=1e-13, t_eval=np.sort(np.concatenate([path.s, mid])))
     assert ref.success
     at_nodes = np.abs(path.states - ref.y.T[0::2]).max()
@@ -501,10 +513,93 @@ def test_path_exports(tmp_path, parab):
     assert first[0] == 0.0 and first[1] == 1.0
 
 
-def test_start_below_the_vertex_floor_raises(parab):
-    # a start nearer the vertex than the blow-up floor (1e-14) with angular
-    # speed would be integrated on steps of that size, without end
-    with pytest.raises(VertexSingularError):
-        integrate_h(parab, GeodesicState(1e-308, 0.0, 0.0, 1e308), 1.0)
+def test_start_next_to_the_vertex_runs_in_the_vertex_chart(parab):
+    # 1e-308 from the vertex with angular speed: the vertex chart has no
+    # blow-up floor, and the ray runs out along the meridian theta = pi / 2
+    path = integrate_h(parab, GeodesicState(1e-308, 0.0, 0.0, 1e308), 1.0)
+    assert path.exit_reason == "completed"
+    np.testing.assert_allclose(path.states[-1, :3], [1.0, math.pi / 2.0, 1.0], atol=1e-12)
     with pytest.raises(InvalidParameterError):
         integrate_h(parab, GeodesicState(parab.r_max + 1.0, 0.0, 1.0, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("state", [
+    # theta = NaN spun on rejected steps for about 90 s, then raised
+    # NumericalBlowupError "after 0 steps"
+    GeodesicState(1.0, math.nan, 0.6, 0.8 * math.sqrt(2.0)),
+    # theta = inf returned a completed path with theta = inf
+    GeodesicState(1.0, math.inf, 0.6, 0.8 * math.sqrt(2.0)),
+    # dr = NaN with dtheta = 0 passed the speed check and answered a meridian
+    GeodesicState(1.0, 0.0, math.nan, 0.0),
+], ids=["theta-nan", "theta-inf", "dr-nan"])
+def test_non_finite_initial_state_is_rejected(parab, state):
+    with pytest.raises(InvalidParameterError):
+        integrate_h(parab, state, 1.0)
+
+
+# accepted plus rejected steps of the polar chart alone (before the vertex
+# chart) from (1, 0) on make_paraboloid(1.0) at heading pi - 10^-k, over
+# length 3 at tol 1e-10: the ray passes the vertex at about 0.7 10^-k
+_POLAR_VERTEX_PASS_STEPS = {2: 136, 4: 229, 6: 312, 8: 391, 10: 465}
+
+
+@pytest.mark.parametrize("k", sorted(_POLAR_VERTEX_PASS_STEPS))
+def test_vertex_pass_takes_few_steps(monkeypatch, parab, k):
+    runs = []
+    real = odesolve.integrate
+
+    def spy(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(odesolve, "integrate", spy)
+    state0 = _launch(parab, 1.0, math.pi - 10.0 ** -k)
+    path = integrate_h(parab, state0, 3.0, tol=1e-10)
+    assert path.exit_reason == "completed"
+    assert 4 * sum(sol.nsteps + sol.nrejected for sol in runs) <= _POLAR_VERTEX_PASS_STEPS[k]
+    if k <= 6:
+        # the end state against scipy's DOP853 on the polar equations
+        ref = solve_ivp(_polar_rhs(parab), (0.0, 3.0), state0.as_array(), method="DOP853",
+                        rtol=1e-13, atol=1e-13)
+        assert ref.success
+        np.testing.assert_allclose(path.states[-1], ref.y[:, -1], rtol=0, atol=1e-9)
+
+
+def test_flat_ray_past_the_vertex_is_a_straight_line(flat):
+    # m = r: the vertex chart covers the whole domain and is exact there, so
+    # a ray that passes the vertex at 1e-6 runs on the straight line through
+    # its start, theta continuous past the vertex
+    assert flat.vertex_chart_radius == flat.r_max
+    chi = math.pi - 1e-6
+    path = integrate_h(flat, GeodesicState(1.0, 0.3, math.cos(chi), math.sin(chi)), 3.0)
+    s = np.sort(np.concatenate([path.s, 0.5 * (path.s[1:] + path.s[:-1])]))
+    y = path.dense(s)
+    along, across = 1.0 + s * math.cos(chi), s * math.sin(chi)
+    r = np.hypot(along, across)
+    np.testing.assert_allclose(y[:, 0], r, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y[:, 1], 0.3 + np.arctan2(across, along), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(y[:, 2], (along * math.cos(chi) + across * math.sin(chi)) / r,
+                               rtol=0, atol=1e-12)
+    # nu = r^2 dtheta is the start's r sin chi
+    np.testing.assert_allclose(y[:, 3] * y[:, 0] ** 2, math.sin(chi), rtol=1e-12)
+    np.testing.assert_array_equal(path.states[-1], path.dense(3.0))
+
+
+@pytest.mark.parametrize("chi", [math.pi - 0.3, -(math.pi - 0.3)])
+def test_chart_switch_keeps_the_dense_output_continuous(parab, chi):
+    # from r = 2 inward to the turning radius 0.27 and out again: the ray
+    # crosses the vertex chart's radius twice, and is read from three runs.
+    # Across each switch the dense output's difference quotients match its
+    # own derivatives, and theta runs in the sense of nu along the whole ray
+    path = integrate_h(parab, _launch(parab, 2.0, chi), 5.0, tol=1e-10)
+    switches, _ = level_crossings(path, parab.vertex_chart_radius)
+    assert switches.size == 2
+    for s_switch in switches:
+        s = s_switch + np.linspace(-1e-4, 1e-4, 41)
+        y = path.dense(s)
+        slope = np.diff(y[:, :2], axis=0) / np.diff(s)[:, None]
+        mid = path.dense(0.5 * (s[1:] + s[:-1]))
+        np.testing.assert_allclose(slope, mid[:, 2:], rtol=0, atol=1e-6)
+    sense = math.copysign(1.0, path.nu)
+    assert np.all(sense * np.diff(path.states[:, 1]) > 0.0)
+    assert np.all(sense * np.diff(path.dense(np.linspace(0.0, 5.0, 2001))[:, 1]) > 0.0)

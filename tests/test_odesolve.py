@@ -523,8 +523,9 @@ def test_callbacks_see_float_lists_and_may_return_any_sequence():
 
 
 def _geodesic_system(profile, nu0, r_floor):
-    """The right-hand side, unit-speed projection and two terminal events of
-    the geodesic integrator, in array form."""
+    """The right-hand side and unit-speed projection of the geodesic
+    integrator's polar chart, in array form, with two terminal events: the
+    domain exit and a floor that an inward ray reaches."""
     def rhs(s, y):
         r, _, dr, dth = y
         m, m1 = float(profile.m(r)), float(profile.m1(r))
@@ -557,14 +558,23 @@ def _assert_geodesic_matches_array_loop(profile, r0, phi, length, status):
                     post_step=renormalize, events=events)
     _assert_same_solution(sol, ref)
     if status != "event:1":
-        # integrate_h runs the same system on its float right-hand side
         path = integrate_h(profile, state0, length, tol=1e-12)
         ss, ys = np.array(ref[0]), np.array(ref[1])
         if status == "event:0":
             ys[-1, 0] = profile.r_max
-        assert np.array_equal(path.s, ss)
-        assert np.array_equal(path.states, ys)
-        assert (path.dense.nsteps, path.dense.nrejected) == ref[5:]
+        assert path.exit_reason == ("completed" if status == "completed" else "domain-exit")
+        if r0 >= profile.vertex_chart_radius:
+            # above the vertex chart, integrate_h runs the same system on
+            # its float right-hand side (these rays never come down to it)
+            assert np.array_equal(path.s, ss)
+            assert np.array_equal(path.states, ys)
+            assert (path.dense.nsteps, path.dense.nrejected) == ref[5:]
+        else:
+            # below it, integrate_h starts in normal coordinates at the
+            # vertex: the same geodesic, to the tolerance
+            assert path.s[-1] == pytest.approx(ss[-1], abs=1e-9)
+            np.testing.assert_allclose(path.dense(ss[:-1]), ys[:-1], rtol=0, atol=1e-9)
+            np.testing.assert_allclose(path.states[-1], ys[-1], rtol=0, atol=1e-9)
 
 
 @pytest.mark.parametrize("r0,phi,length,status", [
@@ -577,6 +587,8 @@ def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, stat
 
 
 @pytest.mark.parametrize("r0,phi,length,status", [
+    # the sphere's vertex chart ends at 1.39, so integrate_h starts the two
+    # rays from r = 1 there
     (1.0, 0.3, 10.0, "event:0"),     # out over the equator to r_max = 2.8
     (2.5, 2.9, 6.0, "event:1"),
     (1.0, 1.2, 12.0, "completed"),   # between the turning radii 0.90 and 2.24
@@ -610,6 +622,34 @@ def test_float_stages_match_array_loop_on_the_jacobi_rhs():
     assert np.array_equal(jac.y, ys[:, 0])
     assert np.array_equal(jac.yp, ys[:, 1])
     assert jac.first_zero == ev_records[0][0][0]
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
+def test_run_ends_where_the_right_hand_side_turns_nan(tol):
+    # past s = 0.5 every stage is NaN, so every step that reaches it is
+    # rejected and shrunk, until s + h == s: the run ends there as the
+    # max_steps stop ends it.  Before, it spun on for 2 million tries of 11
+    # evaluations each (about 90 s)
+    calls = []
+
+    def f(s, y):
+        calls.append(s)
+        return (y[1], -y[0]) if s <= 0.5 else (math.nan, math.nan)
+
+    def f_rows(s, y):
+        calls.append(s)
+        out = np.column_stack([y[:, 1], -y[:, 0]])
+        out[s > 0.5] = np.nan
+        return out
+
+    sol = integrate(f, 0.0, [0.0, 1.0], 2.0, tol=tol)
+    assert sol.status == "max_steps" and sol.s[-1] == pytest.approx(0.5, abs=1e-15)
+    assert sol.nsteps + sol.nrejected <= 200 and len(calls) <= 2000
+    calls.clear()
+    rows = integrate_batch(f_rows, 0.0, [[0.0, 1.0], [1.0, 0.0]], 2.0, tol=tol)
+    assert rows.status == ["max_steps", "max_steps"]
+    np.testing.assert_allclose(rows.s, 0.5, atol=1e-15)
+    assert len(calls) <= 2000
 
 
 def test_float_stages_match_array_loop_outside_the_domain():

@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from randers import SurfacePoint, make_paraboloid, measure, odesolve
 from randers.errors import InvalidParameterError, VertexSingularError
@@ -54,20 +53,45 @@ def _by_row(crossings, n):
     return [(s_c[rows == i], y_c[rows == i]) for i in range(n)]
 
 
+def _polar_rhs(profile):
+    """The polar geodesic equations, for scipy's solve_ivp."""
+    def rhs(s, y):
+        r, _, dr, dth = y
+        m, m1 = float(profile.m(r)), float(profile.m1(r))
+        return [dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth]
+
+    return rhs
+
+
 def _oracle(profile, q, chi, horizon, r_level):
-    """Crossings of one ray, integrated on its own by integrate_h at 1e-11,
-    in the polar chart: samples on the level, and sign changes of
-    r - r_level between samples refined by brentq on the dense output.
-    Returns the path's exit_reason and rows (s, r, theta, dr, dtheta)."""
-    st = GeodesicState(q.r, q.theta, math.cos(chi), math.sin(chi) / float(profile.m(q.r)))
-    path = integrate_h(profile, st, horizon, tol=1e-11)
-    g = path.states[:, 0] - r_level
-    roots = list(path.s[g == 0.0])
-    for i in np.flatnonzero(g[:-1] * g[1:] < 0.0):
-        roots.append(brentq(lambda x: path.dense(x)[0] - r_level, path.s[i],
-                            path.s[i + 1], xtol=1e-13))
-    roots = np.sort(roots)
-    return path.exit_reason, np.column_stack([roots, path.dense(roots).reshape(-1, 4)])
+    """Crossings of one ray, independent of the engine: the polar geodesic
+    equations integrated by scipy's DOP853 at rtol = atol = 1e-13, its
+    crossings of r_level found as events on its dense output, and a start
+    on the level a crossing at s = 0, until the ray leaves r <= r_max (a
+    terminal event) or reaches the horizon.  A meridian (|sin chi| < 1e-11)
+    is the closed form r = |r0 +- s| along theta0, and theta0 + pi past the
+    vertex.  Returns the path's exit_reason and rows (s, r, theta, dr,
+    dtheta)."""
+    if abs(math.sin(chi)) < 1e-11:
+        out = math.cos(chi) > 0.0
+        exit_at = profile.r_max - q.r if out else q.r + profile.r_max
+        hits = [(r_level - q.r, q.theta, 1.0)] if out else [
+            (q.r - r_level, q.theta, -1.0), (q.r + r_level, q.theta + math.pi, 1.0)]
+        rows = [(s, r_level, th, dr, 0.0) for s, th, dr in hits if 0.0 <= s <= min(horizon, exit_at)]
+        return ("domain-exit" if exit_at < horizon else "completed"), np.array(rows).reshape(-1, 5)
+
+    def leaves(s, y):
+        return y[0] - profile.r_max
+
+    leaves.terminal, leaves.direction = True, 1.0
+    start = [q.r, q.theta, math.cos(chi), math.sin(chi) / float(profile.m(q.r))]
+    sol = solve_ivp(_polar_rhs(profile), (0.0, horizon), start, method="DOP853",
+                    rtol=1e-13, atol=1e-13, events=[lambda s, y: y[0] - r_level, leaves])
+    assert sol.success
+    rows = np.column_stack([sol.t_events[0], sol.y_events[0]]).reshape(-1, 5)
+    if q.r == r_level:
+        rows = np.vstack([[0.0, *start], rows[rows[:, 0] > 0.0]])
+    return ("domain-exit" if sol.status == 1 else "completed"), rows
 
 
 def _assert_crossings(s_c, y_c, expected, r_level, atol):
@@ -84,10 +108,10 @@ def _assert_crossings(s_c, y_c, expected, r_level, atol):
 def test_batch_fan_matches_per_ray_oracle(r_level):
     # r_max = 2.5 makes most rays leave the domain within the horizon.  The
     # last heading is a near-meridian ray that passes within 1e-10 of the
-    # vertex (integrate_h at the scan tol reaches its blow-up floor there):
-    # its crossings are those of the meridian limit, the ray at heading pi,
-    # with theta0 before the vertex and theta0 + pi past it.  At r_level =
-    # 1.0 every ray starts on the level.
+    # vertex, where the polar chart crawls: its crossings are those of the
+    # meridian limit, the ray at heading pi, with theta0 before the vertex
+    # and theta0 + pi past it.  At r_level = 1.0 every ray starts on the
+    # level.
     profile = make_paraboloid(1.0, r_max=2.5)
     q = SurfacePoint(1.0, 0.3)
     horizon = 6.0
@@ -186,12 +210,7 @@ def test_vertex_pass_on_the_plane_is_a_straight_line(flat, r_level):
 def _dop853_crossings(profile, q, chi, r_level, horizon):
     """Crossings of the polar geodesic equations integrated by scipy's
     DOP853 at rtol = atol = 1e-13, its events refined on its dense output."""
-    def rhs(s, y):
-        r, _, dr, dth = y
-        m, m1 = float(profile.m(r)), float(profile.m1(r))
-        return [dr, dth, m * m1 * dth * dth, -2.0 * (m1 / m) * dr * dth]
-
-    sol = solve_ivp(rhs, (0.0, horizon), [q.r, q.theta, math.cos(chi),
+    sol = solve_ivp(_polar_rhs(profile), (0.0, horizon), [q.r, q.theta, math.cos(chi),
                                           math.sin(chi) / float(profile.m(q.r))],
                     method="DOP853", rtol=1e-13, atol=1e-13,
                     events=lambda s, y: y[0] - r_level)
