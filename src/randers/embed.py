@@ -209,7 +209,10 @@ def pullback_check(profile: Profile, q: SurfacePoint, v: Tangent,
 def pullback_report(profile: Profile, seed: int = 0,
                     r_range: tuple = (0.1, 5.0)) -> dict:
     """Isometry certification by pullback_check of the arc-length embedding
-    over 1000 random (point, direction) samples."""
+    over 1000 random (point, direction) samples, their radii uniform in
+    r_range = (lo, hi), 0 <= lo <= hi."""
+    if not 0.0 <= r_range[0] <= r_range[1]:
+        raise InvalidParameterError(f"r_range must satisfy 0 <= lo <= hi, got {r_range}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(1000):

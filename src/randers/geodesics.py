@@ -54,7 +54,7 @@ from .errors import (
 )
 # quad is unused here; only bench/tracer.py reads geodesics.quad, to wrap it
 from .profile import Profile, SurfacePoint, as_float_array, quad, roots_on_grid  # noqa: F401
-from .zermelo import Tangent, eval_F, eval_F_array
+from .zermelo import Tangent, eval_F, eval_F_array, h_norm
 
 # States with |dtheta| below this are integrated as exact meridians: their
 # turning radius would be ~|nu| < 1e-11, far beyond chart resolution.
@@ -73,11 +73,6 @@ class GeodesicState:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.r, self.theta, self.dr, self.dtheta])
-
-
-def h_speed(profile: Profile, state: GeodesicState) -> float:
-    m = float(profile.m(state.r))
-    return math.hypot(state.dr, m * state.dtheta)
 
 
 def clairaut_constant(profile: Profile, state: GeodesicState) -> float:
@@ -220,7 +215,7 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     if not all(map(math.isfinite, (state0.r, state0.theta, state0.dr, state0.dtheta))):
         raise InvalidParameterError(f"initial state must be finite, got {state0}")
     profile.check_radius(state0.r)
-    speed = h_speed(profile, state0)
+    speed = h_norm(profile, state0.r, state0.dr, state0.dtheta)
     if not abs(speed - 1.0) <= _UNIT_SPEED_PRE_TOL:
         raise InvalidParameterError(
             f"initial state is not h-unit speed: |v|_h = {speed}"
@@ -276,7 +271,7 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
             # the chart's x axis points at the ray's entry angle theta_in
             r, theta_in = y[0], y[1]
             sol = odesolve.integrate(
-                chart_rhs, s, [r, 0.0, y[2], r * y[3], r * r], length, tol=tol,
+                chart_rhs, s, _chart_state(r, y[2], y[3], 1.0, 0.0), length, tol=tol,
                 post_step=chart_renormalize,
                 events=[odesolve.LevelEvent(4, r_chart * r_chart, terminal=True, direction=1)])
             leaves = sol.status == "event:0" and r_chart < r_max
@@ -345,17 +340,11 @@ class _ChartPiece:
         self.theta = theta_in + np.concatenate(
             [[0.0], np.cumsum(self._swept(x[:-1], y[:-1], x[1:], y[1:]))])
         # the samples, sol.y in polar form
-        self.states = self._polar(sol.y, self.theta)
+        self.states = _polar_state(sol.y, self.theta)
 
     def _swept(self, x0, y0, x1, y1):
         a = np.arctan2(x0 * y1 - y0 * x1, x0 * x1 + y0 * y1)
         return np.where(self.sense * a < -0.5 * math.pi, a + self.sense * (2.0 * math.pi), a)
-
-    @staticmethod
-    def _polar(rows, theta):
-        x, y, vx, vy = np.moveaxis(rows[..., :4], -1, 0)
-        r = np.hypot(x, y)
-        return np.stack([r, theta, (x * vx + y * vy) / r, (x * vy - y * vx) / r / r], axis=-1)
 
     def __call__(self, s):
         """Rows (r, theta, dr, dtheta) of the dense output at the parameters
@@ -364,8 +353,8 @@ class _ChartPiece:
         sol = self.sol
         i = np.searchsorted(sol.seg_s[1:], s, side="right")
         rows, start = sol(s), sol.y[i]
-        return self._polar(rows, self.theta[i] + self._swept(start[..., 0], start[..., 1],
-                                                             rows[..., 0], rows[..., 1]))
+        return _polar_state(rows, self.theta[i] + self._swept(start[..., 0], start[..., 1],
+                                                              rows[..., 0], rows[..., 1]))
 
 
 def _stitched(pieces):
@@ -483,11 +472,9 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     y_c.append(y0[on_level])
     if ode.size:
         r, th, dr, dth = y0[ode].T
-        cos, sin = np.cos(th), np.sin(th)
         # rho starts as r^2, so that a row launched on the level starts on
         # its event level exactly
-        start = np.column_stack([r * cos, r * sin, dr * cos - r * dth * sin,
-                                 dr * sin + r * dth * cos, r * r])
+        start = np.column_stack(_chart_state(r, dr, dth, np.cos(th), np.sin(th)))
         rhs, renormalize = _vertex_chart(profile)
         events = [odesolve.LevelEvent(4, profile.r_max * profile.r_max, terminal=True,
                                       direction=1),
@@ -498,12 +485,9 @@ def level_crossings_batch(profile: Profile, states0, length: float,
             raise NumericalBlowupError(
                 f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps")
         row, s_e, y_e = sol.events[1]
-        x, y, vx, vy = y_e[:, :4].T
         rows.append(ode[row])
         s_c.append(s_e)
-        y_c.append(np.column_stack([np.full(s_e.size, float(r_level)), np.arctan2(y, x),
-                                    (x * vx + y * vy) / r_level,
-                                    (x * vy - y * vx) / (r_level * r_level)]))
+        y_c.append(_polar_state(y_e, np.arctan2(y_e[:, 1], y_e[:, 0]), float(r_level)))
     rows, s_c, y_c = np.concatenate(rows), np.concatenate(s_c), np.vstack(y_c)
     order = np.lexsort((s_c, rows))
     return rows[order], s_c[order], y_c[order]
@@ -587,6 +571,23 @@ def _vertex_chart(profile: Profile):
     return rhs, renormalize
 
 
+def _chart_state(r, dr, dtheta, cos, sin):
+    """The vertex-chart row (x, y, x', y', rho = r^2) of the polar state
+    (r, theta, dr, dtheta), with (cos, sin) the direction of theta in the
+    chart: floats (a list), or arrays of one entry per row."""
+    return [r * cos, r * sin, dr * cos - r * dtheta * sin, dr * sin + r * dtheta * cos, r * r]
+
+
+def _polar_state(rows, theta, r=None):
+    """Rows (r, theta, dr, dtheta) of the vertex-chart rows (x, y, x', y',
+    ...), whose angle theta the caller knows, at the radius r, by default
+    hypot(x, y): with d = x x' + y y' and c = x y' - y x', dr = d / r and
+    dtheta = c / r^2."""
+    x, y, vx, vy = np.moveaxis(rows[..., :4], -1, 0)
+    r = np.hypot(x, y) if r is None else np.full(x.shape, r)
+    return np.stack([r, theta, (x * vx + y * vy) / r, (x * vy - y * vx) / r / r], axis=-1)
+
+
 _TWIST_KIND = {"meridian": "twisted-meridian", "parallel": "parallel",
                "generic": "generic"}
 
@@ -640,8 +641,7 @@ def integrate_F(profile: Profile, q: SurfacePoint, yF: Tangent, length: float,
     if abs(F0 - 1.0) > _UNIT_SPEED_PRE_TOL:
         raise InvalidParameterError(f"initial tangent is not F-unit: F = {F0}")
     y1, y2 = yF.y1, yF.y2 - profile.mu
-    m = float(profile.m(q.r))
-    hn = math.hypot(y1, m * y2)
+    hn = h_norm(profile, q.r, y1, y2)
     if abs(hn - 1.0) > 1e-8:
         raise InconsistentInputError(
             f"wind subtraction of an F-unit vector gave |y|_h = {hn}"

@@ -60,7 +60,14 @@ from .profile import (
     wrap_angle,
     wrap_angles,
 )
-from .zermelo import RandersData, Tangent, eval_F, navigation_transform, randers_data
+from .zermelo import (
+    F_from_warp,
+    RandersData,
+    Tangent,
+    eval_F,
+    navigation_transform,
+    randers_data,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +84,10 @@ def f_length(profile: Profile, path: GeodesicPath) -> float:
 def f_length_parallel(profile: Profile, r0: float, delta_theta: float) -> float:
     """F-length of the parallel arc at radius r0 of signed angular extent
     delta_theta (positive means along the wind)."""
-    if r0 <= 0:
-        raise InvalidParameterError("parallel arcs require r0 > 0")
+    if not r0 > 0:
+        raise InvalidParameterError(f"parallel arcs require r0 > 0, got {r0}")
+    if not math.isfinite(delta_theta):
+        raise InvalidParameterError(f"the angular extent must be finite, got {delta_theta}")
     sgn = 1.0 if delta_theta >= 0 else -1.0
     # F is constant along a parallel
     return eval_F(profile, SurfacePoint(r0, 0.0), Tangent(0.0, sgn)) * abs(delta_theta)
@@ -116,7 +125,10 @@ def meeting_point(profile: Profile, r0: float) -> MeetingPoint:
     Returns the closed-form solution
     (pi (1 + mu m0), pi (1 - mu m0), pi mu m0) together with the numeric
     solve of the same 2x2 linear system built from the travellers' F-speeds.
+    The parallel needs r0 > 0: at the vertex both travellers stand still.
     """
+    if not r0 > 0:
+        raise InvalidParameterError(f"the meeting point needs r0 > 0, got {r0}")
     mu = profile.mu
     m0 = float(profile.m(r0))
     x = SurfacePoint(r0, 0.0)
@@ -509,24 +521,29 @@ def _distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint, mu: float,
     twisted by mu (d_F under the profile's wind, d_h at mu = 0), from one
     connector query at tol where the warp increases, else from one
     _h_distance_shooting fan (0 iterations).  A point within tol / 2 of the
-    vertex gives the path through it (0 iterations); a radius beyond r_max
-    raises InvalidParameterError."""
+    vertex gives the path through it, and a pair within h chart distance
+    1e-5 and 1e-4 in angle the near-field rule, F of the chart step
+    (r2 - r1, wrap(theta2 - theta1)) at the midpoint radius, under the wind
+    mu or none (both 0 iterations); a radius beyond r_max raises
+    InvalidParameterError."""
     profile.check_radius(q1.r)
     profile.check_radius(q2.r)
     if min(q1.r, q2.r) <= 0.5 * tol:
         # d(q, vertex) = r, so by the triangle inequality the path through
         # the vertex is within 2 min(r1, r2) of the shortest
         return q1.r + q2.r, 0
-    delta = abs(wrap_angle(q2.theta - q1.theta))
-    if delta == 0.0 and q1.r == q2.r:
+    dtheta = wrap_angle(q2.theta - q1.theta)
+    if dtheta == 0.0 and q1.r == q2.r:
         return 0.0, 0
-    if mu == 0.0:
-        # Near-field shortcut: within chart distance 1e-5 the geodesic distance
-        # equals the chart distance up to O(curvature * d^3) ~ 1e-15.
-        chart = math.hypot(q2.r - q1.r,
-                           float(profile.m(0.5 * (q1.r + q2.r))) * delta)
-        if chart < 1e-5:
-            return chart, 0
+    # Near-field rule: within h chart distance d < 1e-5 the distance is F of
+    # the chart step at the midpoint radius (the chart distance at mu = 0),
+    # which errs by O(curvature d^3) and, as the polar chart bends, by
+    # O(d dtheta^2): hence the bound on dtheta, which sends a pair beside the
+    # vertex to the connectors.  No fan of rays resolves a pair this close.
+    r_mid = 0.5 * (q1.r + q2.r)
+    m_mid = float(profile.m(r_mid))
+    if math.hypot(q2.r - q1.r, m_mid * dtheta) < 1e-5 and abs(dtheta) < 1e-4:
+        return F_from_warp(mu, m_mid, r_mid, Tangent(q2.r - q1.r, dtheta)), 0
     if not _check_increasing_warp(profile, max(q1.r, q2.r)):
         return _h_distance_shooting(profile, q1, q2, twist_mu=mu), 0
     table = TwoRadiusConnectors(profile, q1.r, q2.r, tol=tol)

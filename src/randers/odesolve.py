@@ -24,11 +24,14 @@ Two integrators, each with the pair that fits the tolerances it runs at:
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
   on an (n_rows, dim) state by the Dormand-Prince 5(4) pair (HNW I, section
   II.4): six function stages plus FSAL and a 4th-order error estimate, with
-  the step exponent -1/5, which fits the shooting fan's tol 3e-7.  Each row
-  keeps its own step size and is accepted or rejected under a mask; rows
-  leave the active set when they reach s_end or a terminal event.  No dense
-  output is stored, so memory stays O(n_rows) plus the event crossings; a
-  step that crosses an event is read from the pair's 4th-order continuous
+  the step exponent -1/5, which fits the shooting fan's tol 3e-7.  Its
+  stages, update, error and quartic term are sums over the rows of its
+  tableau by _stage_sum, as DOP853's extra stages and dense output are;
+  only ``integrate`` writes its stages out, on floats.  Each row keeps its
+  own step size and is accepted or rejected under a mask; rows leave the
+  active set when they reach s_end or a terminal event.  No dense output
+  is stored, so memory stays O(n_rows) plus the event crossings; a step
+  that crosses an event is read from the pair's 4th-order continuous
   extension (Shampine 1986; HNW I, section II.6, ``contd5``): the cubic
   Hermite polynomial of the step's end values and end slopes plus
   theta^2 (1 - theta)^2 h sum_i D_i k_i, a quartic term built from the
@@ -301,19 +304,23 @@ class ODESolution:
         return _dense8(t, self.seg_y0[i], *self._coeffs[:, i])
 
 
+def _stage_sum(coeffs, k):
+    """sum_j coeffs[j] k[j], added in column order: the stage sums of both
+    pairs, on arrays of one row per step or trajectory."""
+    acc = coeffs[0] * k[0]
+    for c, k_j in zip(coeffs[1:], k[1:]):
+        acc = acc + c * k_j
+    return acc
+
+
 def _extra_stages(f, s, h, y0, k):
     """Append to k, whose entry j holds stage j of steps from s of size h
     and start states y0 as an array with one row per step (k1, ..., k4 may
     be None: no extra stage reads them), the stages k13, k14 and k15 that
     DOP853's dense output adds: the states of a stage in one array pass
-    over the steps, each sum in column order as in integrate's stages, then
-    f once per step, on floats."""
+    over the steps, by _stage_sum, then f once per step, on floats."""
     for i in (13, 14, 15):
-        row, cols = _A8[i], _A8_COLS[i]
-        acc = row[0] * k[cols[0]]
-        for a, j in zip(row[1:], cols[1:]):
-            acc = acc + a * k[j]
-        states = (y0 + h[:, None] * acc).tolist()
+        states = (y0 + h[:, None] * _stage_sum(_A8[i], [k[j] for j in _A8_COLS[i]])).tolist()
         k.append(np.array([f(t, x) for t, x in zip((s + _C8[i] * h).tolist(), states)],
                           dtype=float))
     return k
@@ -327,10 +334,7 @@ def _contd8(h, y0, y1, f0, f1, k):
     applied to k, each summed in column order."""
     d = y1 - y0
     col = _D8_T.reshape(_D8_T.shape + (1,) * np.ndim(k[0]))
-    acc = col[0] * k[0]
-    for c, k_j in zip(col[1:], k[1:]):
-        acc = acc + c * k_j
-    return (d, h * f0 - d, 2.0 * d - h * (f1 + f0), *(h * acc))
+    return (d, h * f0 - d, 2.0 * d - h * (f1 + f0), *(h * _stage_sum(col, k)))
 
 
 def _dense8(t, y0, F0, F1, F2, F3, F4, F5, F6):
@@ -341,18 +345,16 @@ def _dense8(t, y0, F0, F1, F2, F3, F4, F5, F6):
     return y0 + t * (F0 + u * (F1 + t * (F2 + u * (F3 + t * (F4 + u * (F5 + t * F6))))))
 
 
-def _contd5(h, y0, y1, f0, f1, k2, k3, k4, k5, k6):
+def _contd5(h, y0, y1, f1, k):
     """Coefficients (d, r3, r4, q) of the DOPRI5 continuous extension of a
-    step of size h from y0 to y1 with end slopes f0 (the stage k0) and f1
-    and stages k2, ..., k6 (HNW's rcont2, ..., rcont5): d, r3 and r4 make
+    step of size h from y0 to y1 with end slope f1 and stages k = [k0, ...,
+    k6], k0 the slope at y0 (HNW's rcont2, ..., rcont5): d, r3 and r4 make
     the cubic Hermite polynomial of the ends, and q = h sum_i D_i k_i is the
     quartic term."""
     d = y1 - y0
-    r3 = h * f0 - d
+    r3 = h * k[0] - d
     r4 = d - h * f1 - r3
-    q = h * (_D[0] * f0 + _D[2] * k2 + _D[3] * k3 + _D[4] * k4 + _D[5] * k5
-             + _D[6] * k6)
-    return d, r3, r4, q
+    return d, r3, r4, h * _stage_sum(_D, k)
 
 
 def _dense(t, y0, d, r3, r4, q):
@@ -542,13 +544,8 @@ def integrate(
             c, level = ev.component, ev.level
             g_new = y_new[c] - level
             g_old = ev_values[i]
-            crossed = (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new)
-            if crossed:
-                if ev.direction > 0 and not (g_old < 0.0):
-                    crossed = False
-                if ev.direction < 0 and not (g_old > 0.0):
-                    crossed = False
-            if crossed:
+            if ((ev.direction >= 0 and g_old < 0.0 <= g_new)
+                    or (ev.direction <= 0 and g_old > 0.0 >= g_new)):
                 if seg_eval is None:
                     y_old = array(y)
                     stages = array([k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12],
@@ -752,9 +749,9 @@ def integrate_batch(
     def segments(hit):
         # start states and continuous-extension coefficients of the accepted
         # steps hit, from the current iteration's arrays
-        k = acc[hit]
-        return (ya[hit], *_contd5(ha[hit, None], ya[hit], y1[hit], fa[hit], f1[hit],
-                                  k2[k], k3[k], k4[k], k5[k], k6[k]))
+        i = acc[hit]
+        return (ya[hit], *_contd5(ha[hit, None], ya[hit], y1[hit], f1[hit],
+                                  [k[i] for k in stages]))
 
     while rows.size:
         if tries > max_steps:   # every active row has had one try per iteration
@@ -771,22 +768,14 @@ def integrate_batch(
                 break
         hc = h[:, None]
 
-        # the stages of integrate, one row per trajectory
-        k0 = fs
-        k1 = f(s + 0.2 * h, y + (0.2 * hc) * k0)
-        k2 = f(s + 0.3 * h, y + hc * (0.075 * k0 + 0.225 * k1))
-        k3 = f(s + 0.8 * h, y + hc * (_A[3][0] * k0 + _A[3][1] * k1 + _A[3][2] * k2))
-        k4 = f(s + _C[4] * h, y + hc * (_A[4][0] * k0 + _A[4][1] * k1
-                                        + _A[4][2] * k2 + _A[4][3] * k3))
+        # the DOPRI5 stages, one row per trajectory; row 6 of _A is the
+        # solution update _B, so the last stage is the FSAL one at y_new
+        stages = [fs]
+        for i in range(1, 7):
+            y_new = y + hc * _stage_sum(_A[i], stages)
+            stages.append(f(s + _C[i] * h, y_new))
         s_new = s + h
-        k5 = f(s_new, y + hc * (_A[5][0] * k0 + _A[5][1] * k1 + _A[5][2] * k2
-                                + _A[5][3] * k3 + _A[5][4] * k4))
-        y_new = y + hc * (_B[0] * k0 + _B[2] * k2 + _B[3] * k3
-                          + _B[4] * k4 + _B[5] * k5)
-        k6 = f(s_new, y_new)
-        err = hc * (_E[0] * k0 + _E[2] * k2 + _E[3] * k3 + _E[4] * k4
-                    + _E[5] * k5 + _E[6] * k6)
-        ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        ratio = (hc * _stage_sum(_E, stages)) / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
         enorm = np.sqrt(np.einsum("ij,ij->i", ratio, ratio)) / root_n
         # fmax/fmin: a NaN error norm (a stage left f's domain) rejects the
         # step and shrinks it, as in integrate
@@ -804,7 +793,7 @@ def integrate_batch(
         # project, then look for events on the projected step
         cols = slice(None) if acc.size == rows.size else acc
         sa, ha, ya, fa, s1, y1, f1 = (s[cols], h[cols], y[cols], fs[cols], s_new[cols],
-                                      y_new[cols], k6[cols])
+                                      y_new[cols], stages[6][cols])
         if post_step is not None:
             y_proj = post_step(s1, y1)
             if y_proj is not None:

@@ -88,7 +88,10 @@ def as_float_array(values, shape) -> np.ndarray:
 
 
 def wrap_angle(theta: float) -> float:
-    """Reduce an angle to the principal interval (-pi, pi]."""
+    """Reduce an angle to the principal interval (-pi, pi]; a non-finite
+    angle raises InvalidParameterError."""
+    if not math.isfinite(theta):
+        raise InvalidParameterError(f"angle must be finite, got {theta}")
     w = math.remainder(theta, 2.0 * math.pi)
     if w <= -math.pi:
         w += 2.0 * math.pi
@@ -397,20 +400,20 @@ def gauss_curvature(profile: Profile, r):
     radius or at an array of radii.
 
     Below r_eps the 0/0 vertex limit is evaluated at r_eps instead, which is
-    accurate for smooth odd warp functions.  A negative radius raises
+    accurate for smooth odd warp functions.  A negative or NaN radius raises
     InvalidParameterError.
     """
     # a scalar keeps float arithmetic (the Jacobi right-hand side calls this
     # per stage), whose powers may differ in the last bit from numpy's
     if np.ndim(r) == 0:
-        if r < 0:
+        if not r >= 0:
             raise InvalidParameterError(f"radius must be >= 0, got {r}")
         if r < profile.r_eps:
             r = profile.r_eps
         return -float(profile.m2(r)) / float(profile.m(r))
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0):
-        raise InvalidParameterError(f"radius must be >= 0, got {r[r < 0][0]}")
+    if not np.all(r >= 0):
+        raise InvalidParameterError(f"radius must be >= 0, got {r[~(r >= 0)][0]}")
     r = np.maximum(r, profile.r_eps)
     return -as_float_array(profile.m2(r), r.shape) / as_float_array(profile.m(r), r.shape)
 

@@ -7,13 +7,17 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from randers import (
+    InvalidParameterError,
     SearchHorizonError,
     SurfacePoint,
     Tangent,
     eval_F,
+    gauss_curvature,
     make_custom,
     make_paraboloid,
     measure,
+    pullback_report,
+    wrap_angle,
 )
 from randers.geodesics import GeodesicState, integrate_F, integrate_h, twist
 from randers.measure import (
@@ -496,6 +500,71 @@ def test_distance_F_sphere_grazing_pair_is_never_wrong(sphere):
     except SearchHorizonError:
         return
     assert d == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("q1,q2,pinned", [
+    (SurfacePoint(2.0, 0.0), SurfacePoint(2.0, 1e-7), 7.6937862587340792e-08),
+    (SurfacePoint(2.0, 1e-7), SurfacePoint(2.0, 0.0), 1.1114196284870470e-07)],
+    ids=["along-the-wind", "against-the-wind"])
+def test_distance_F_of_a_near_pair_past_the_equator(sphere, q1, q2, pinned):
+    # m' = cos r < 0 at r = 2, and the fan of rays misses a segment this
+    # short; the near-field rule answers, along the wind and against it.
+    # Oracle: the fixed point of T = d_h(q1, rot(-mu T) q2), a contraction
+    # by about mu m = 0.18
+    t = 0.0
+    for _ in range(60):
+        t = _sphere_arc(q1.r, q2.r, q2.theta - sphere.mu * t - q1.theta)
+    rep = distance_F_report(sphere, q1, q2)
+    assert rep.distance == pytest.approx(t, rel=1e-13)
+    assert rep.distance == pytest.approx(pinned, rel=1e-13)
+    assert rep.iterations == 0
+
+
+@pytest.mark.parametrize("gap", [1e-9, 1e-8, 1e-7, 1e-6])
+def test_h_distance_near_field_rule(flat, parab, gap):
+    # pairs within h chart distance 1e-5 take the chart distance at the
+    # midpoint radius, with no connector query (0 iterations): on the plane
+    # it is the chord, on the paraboloid the shortest connector
+    q1 = SurfacePoint(1.1, 0.4)
+    for heading in (0.3, 1.9, 4.0):
+        dr, dt = gap * math.cos(heading), gap * math.sin(heading)
+        q2 = SurfacePoint(q1.r + dr, q1.theta + dt / q1.r)
+        d, iterations = measure._distance(flat, q1, q2, 0.0, 1e-10)
+        dth = q2.theta - q1.theta
+        chord = math.hypot(q2.r - q1.r, 2.0 * math.sqrt(q1.r * q2.r) * math.sin(0.5 * dth))
+        assert d == pytest.approx(chord, rel=1e-13)
+        assert iterations == 0
+        q2 = SurfacePoint(q1.r + dr, q1.theta + dt / float(parab.m(q1.r)))
+        d, iterations = measure._distance(parab, q1, q2, 0.0, 1e-10)
+        table = measure.TwoRadiusConnectors(parab, q1.r, q2.r, tol=1e-12)
+        shortest = min(c.length for c in table.connectors(q2.theta - q1.theta))
+        assert d == pytest.approx(shortest, rel=1e-13)
+        assert iterations == 0
+
+
+def test_near_pair_across_the_vertex_is_no_chart_step(flat):
+    # (1e-6, 0) and (2e-6, pi) are 3e-6 apart through the vertex, but their
+    # polar chart step (1e-6, pi) reads 4.8e-6: the chart bends by dtheta,
+    # so the near-field rule does not take them
+    q1, q2 = SurfacePoint(1e-6, 0.0), SurfacePoint(2e-6, math.pi)
+    assert h_distance(flat, q1, q2) == pytest.approx(3e-6, rel=1e-12)
+    assert distance_F(flat, q1, q2) == pytest.approx(
+        _navigation_distance(q1, q2, flat.mu), rel=1e-8)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: measure.meeting_point(p, 0.0),
+    lambda p: gauss_curvature(p, math.nan),
+    lambda p: gauss_curvature(p, np.array([1.0, math.nan])),
+    lambda p: f_length_parallel(p, 1.0, math.nan),
+    lambda p: pullback_report(p, r_range=(5.0, 0.1)),
+    lambda p: wrap_angle(math.inf),
+], ids=["meeting-point-at-the-vertex", "curvature-nan", "curvature-nan-array",
+        "parallel-nan-extent", "pullback-reversed-range", "wrap-inf"])
+def test_bad_input_raises_invalid_parameter(parab, call):
+    # each once escaped as a numpy or math traceback, or as a NaN
+    with pytest.raises(InvalidParameterError):
+        call(parab)
 
 
 def test_distance_of_a_flat_pair_in_the_connector_gap(flat):

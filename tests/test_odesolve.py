@@ -202,7 +202,7 @@ def _dopri5_row(f, s0, y0, s_end, tol, events):
         enorm = math.sqrt(float(ratio @ ratio) / y.size)
         factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
         if enorm <= 1.0:
-            coeffs = _contd5(h, y, y_new, k[0], k[6], *k[2:])
+            coeffs = _contd5(h, y, y_new, k[6], k)
 
             def at(sq, _s=s, _h=h, _y=y):
                 return _dense((sq - _s) / _h, _y, *coeffs)
