@@ -7,7 +7,7 @@ Grammar (conventional precedence, ``^`` is right-associative power):
     factor := '-' factor | power
     power  := atom ('^' factor)?
     atom   := NUMBER | 'r' | 'mu' | FUNC '(' expr ')' | '(' expr ')'
-    FUNC   := 'sqrt' | 'sin' | 'cos'
+    FUNC   := 'sqrt' | 'sin' | 'cos' | 'sinh' | 'cosh' | 'exp'
 
 Expressions are compiled to plain Python closures over ``(r, mu)``.  numpy
 ufuncs are used for the functions so compiled expressions accept both scalars
@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 
-_FUNCS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos}
+_FUNCS = {"sqrt": np.sqrt, "sin": np.sin, "cos": np.cos, "sinh": np.sinh, "cosh": np.cosh,
+          "exp": np.exp}
 _VARS = ("r", "mu")
 
 _TOKEN_RE = re.compile(

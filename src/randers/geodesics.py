@@ -431,7 +431,7 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     sweeps nearly pi in theta.  After each accepted step (x', y') is
     rescaled to unit h-speed and rho reset to x^2 + y^2.  The events are
     rho crossing r_max^2 (terminal, outward) and r_level^2.  Each crossing
-    is refined on the continuous extension of its step, on its own, so a
+    is refined on the dense output of its step, on its own, so a
     row's crossings do not depend on the other rows of states0, and is
     returned in polar form (r_level, atan2(y, x), d / r_level,
     c / r_level^2), with d = x x' + y y' and c = x y' - y x': its theta is

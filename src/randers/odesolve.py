@@ -1,46 +1,47 @@
-"""Adaptive embedded Runge-Kutta integrators with dense output and events.
+"""Adaptive embedded Runge-Kutta integration with dense output and events.
 
-Two integrators, each with the pair that fits the tolerances it runs at:
+One pair runs every integration: DOP853, Dormand and Prince's 8(5,3) pair
+(Hairer, Norsett and Wanner, Solving ODEs I, 2nd ed., section II.10,
+``dop853``), with twelve function stages plus FSAL, 8th-order propagation
+and the step exponent -1/8.  Between the ends of a step the solution is
+read from its 7th-order dense output: a polynomial in theta of degree 7
+whose first three coefficients hold the step's end values and end slopes,
+and whose last four are built from its stages and three extra stages, three
+more evaluations of f for a step that is read.
 
-* ``integrate`` runs one trajectory by DOP853, Dormand and Prince's 8(5,3)
-  pair (Hairer, Norsett and Wanner, Solving ODEs I, 2nd ed., section II.10,
-  ``dop853``): twelve function stages plus FSAL, 8th-order propagation, and
-  an error estimate that blends the embedded 5th- and 3rd-order
-  differences, err5^2 / sqrt(err5^2 + 0.01 err3^2), with the step exponent
-  -1/8.  The engine integrates geodesics and Jacobi fields at tol 1e-10 to
-  1e-12, where an 8th-order pair takes about a fifth of the steps of a
-  5th-order one.  Between the ends of a step the solution is read from the
-  pair's 7th-order dense output: a polynomial in theta of degree 7 whose
-  first three coefficients hold the step's end values and end slopes, and
-  whose last four are built from its stages and three extra stages.  The
-  extra stages cost three evaluations of f per step; they are made for
-  every step at once on the first dense read, so a solution that is never
-  read never pays for them, and at once for a step that crosses an event.
+* ``integrate`` runs one trajectory, as the engine's geodesics and Jacobi
+  fields do at tol 1e-10 to 1e-12.  The extra stages are made for every
+  step at once on the first dense read, so a solution that is never read
+  never pays for them, and at once for a step that crosses an event.
   The state is a handful of numbers, so the stages, the solution update and
   the error terms run on Python floats, each sum over the nonzero
   coefficients of its row in column order.  f is called with the state as
   a list of Python floats and may return any sequence of dim numbers; a
   tuple of floats is the cheapest, and an ndarray is converted to floats.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
-  on an (n_rows, dim) state by the Dormand-Prince 5(4) pair (HNW I, section
-  II.4): six function stages plus FSAL and a 4th-order error estimate, with
-  the step exponent -1/5, which fits the shooting fan's tol 3e-7.  Its
-  stages, update, error and quartic term are sums over the rows of its
-  tableau by _stage_sum, as DOP853's extra stages and dense output are;
-  only ``integrate`` writes its stages out, on floats.  Each row keeps its
-  own step size and is accepted or rejected under a mask; rows leave the
-  active set when they reach s_end or a terminal event.  No dense output
-  is stored, so memory stays O(n_rows) plus the event crossings; a step
-  that crosses an event is read from the pair's 4th-order continuous
-  extension (Shampine 1986; HNW I, section II.6, ``contd5``): the cubic
-  Hermite polynomial of the step's end values and end slopes plus
-  theta^2 (1 - theta)^2 h sum_i D_i k_i, a quartic term built from the
-  step's seven stages, with no extra evaluation of f.
+  on an (n_rows, dim) state, as the shooting fan does at tol 3e-7.  Its
+  stages, update and error are sums over the rows of the tableau by
+  _stage_sum, as the extra stages and the dense output are.  Each row keeps
+  its own step size and is accepted or rejected under a mask; the FSAL
+  stage is evaluated for accepted rows only, and the extra stages for the
+  rows whose step may cross an event.  Rows leave the active set when they
+  reach s_end or a terminal event.  No dense output is stored, so memory
+  stays O(n_rows) plus the event crossings.
 
-Both interpolants pass through the step's end state whatever ``post_step``
-made of it, and err between step ends by about what the step errs at them.
-The tolerance alone sets the step size.  Both integrators take the same two
-hooks:
+The two differ in one line.  ``integrate`` controls dop853's blend of the
+5th- and 3rd-order error estimates, err5^2 / sqrt(err5^2 + 0.01 err3^2);
+``integrate_batch`` controls err5 alone, h |sum_j E5_j k_j / scale| /
+sqrt(dim).  The blend is never above err5.  At tol 1e-10 to 1e-12 it keeps
+the steps few (the geodesic-embed benchmark's seed 1, rounds 0-12, takes
+3,190 accepted steps with it and 7,527 without), but at the fan's tol it
+lets them outgrow the dense output: on a fan from (1, 0.3) on the
+paraboloid mu = 1 its crossings err by up to 4.2e-6 to 5.7e-6 in parameter
+and angle, and by up to 1.5e-8 to 1.0e-7 under err5 alone.
+
+The dense output passes through the step's end state whatever ``post_step``
+made of it, and errs between step ends by about what the step errs at
+them.  The tolerance alone sets the step size.  Both integrators take the
+same two hooks:
 
 * ``post_step(s, y) -> y_new | None`` runs after every accepted step and may
   project the state back onto an invariant manifold (the geodesic integrators
@@ -50,29 +51,29 @@ hooks:
   in ``integrate_batch``), or None to keep the state; it must not mutate
   its argument.  After a replacement the FSAL derivative is recomputed, and
   the step's end state and derivative are the projected ones, so the dense
-  output passes through the sampled states; the stages, the extra stages
-  of DOP853 and the quartic term of DOPRI5 keep the unprojected ones, which
-  moves the interpolant by the O(tol) of the projection.
+  output passes through the sampled states; the stages and the extra
+  stages keep the unprojected ones, which moves the interpolant by the
+  O(tol) of the projection.
 * Events.  Both take LevelEvents, crossings of one state component
   through one level; g is the component minus the level.  A crossing
   counts when g goes from one strict sign to zero or the other sign.
   ``integrate`` refines each root by roots_on_grid on g over the dense
   output of the step that crosses.  ``integrate_batch`` finds its roots as
   geodesics.level_crossings does on a path, with roots_on_grids on the
-  continuous extension of each candidate step: a step where g changes
-  sign, or, for a non-terminal event, where g heads for zero at the step
-  start and away from it at the end (the component's slopes, which the
-  stages give), so that it turns inside the step and may cross the level
-  twice.  The turn of the component, the zero of its slope, is inserted
-  into the step's grid, or the middle of the step where the slope keeps
-  its sign, and every sign change on that grid is refined, with the same
-  10 xtol merge of near roots as level_crossings; a root's direction is
-  the sign of g at the start of its bracket.  Terminal roots are found in
-  the iteration that crosses them, every other root in one pass after the
-  run.  Terminal events stop the integration (a single row, in a batch)
-  at the root inside the step, whose interpolant is kept whole; roots of
-  other events past it are dropped.  ``integrate`` sees neither crossing
-  of a step that crosses a level twice and ends on the side it started;
+  dense output of each candidate step: a step where g changes sign, or,
+  for a non-terminal event, where g heads for zero at the step start and
+  away from it at the end (the component's end slopes), so that it turns
+  inside the step and may cross the level twice.  The turn of the
+  component, the zero of its slope, is inserted into the step's grid, or
+  the middle of the step where the slope keeps its sign, and every sign
+  change on that grid is refined, with the same 10 xtol merge of near
+  roots as level_crossings; a root's direction is the sign of g at the
+  start of its bracket.  Terminal roots are found in the iteration that
+  crosses them, every other root in one pass after the run.  Terminal
+  events stop the integration (a single row, in a batch) at the root
+  inside the step, whose interpolant is kept whole; roots of other events
+  past it are dropped.  ``integrate`` sees neither crossing of a step that
+  crosses a level twice and ends on the side it started;
   geodesics.level_crossings looks for them on its dense output.
 
 Both accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps``
@@ -203,31 +204,6 @@ _D8 = (
 _D8_T = np.array(_D8).T
 _ORDER_EXP8 = -1.0 / 8.0
 
-# Dormand-Prince 5(4) coefficients, of integrate_batch.
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 4.0 / 5.0, 8.0 / 9.0, 1.0, 1.0)
-_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (44.0 / 45.0, -56.0 / 15.0, 32.0 / 9.0),
-    (19372.0 / 6561.0, -25360.0 / 2187.0, 64448.0 / 6561.0, -212.0 / 729.0),
-    (9017.0 / 3168.0, -355.0 / 33.0, 46732.0 / 5247.0, 49.0 / 176.0, -5103.0 / 18656.0),
-    (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0),
-)
-_B = (35.0 / 384.0, 0.0, 500.0 / 1113.0, 125.0 / 192.0, -2187.0 / 6784.0, 11.0 / 84.0, 0.0)
-_B_HAT = (
-    5179.0 / 57600.0, 0.0, 7571.0 / 16695.0, 393.0 / 640.0,
-    -92097.0 / 339200.0, 187.0 / 2100.0, 1.0 / 40.0,
-)
-_E = tuple(b - bh for b, bh in zip(_B, _B_HAT))
-# the quartic term of the continuous extension: HNW's d_i (dopri5.f)
-_D = (
-    -12715105075.0 / 11282082432.0, 0.0, 87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
-)
-_ORDER_EXP = -1.0 / 5.0
-
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
@@ -284,7 +260,7 @@ class ODESolution:
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
-        k = _extra_stages(self.rhs, self.seg_s, self.seg_h, self.seg_y0,
+        k = _extra_stages(_per_row(self.rhs), self.seg_s, self.seg_h, self.seg_y0,
                           [self.seg_f0, *[None] * 4, *self.seg_k.transpose(1, 0, 2)])
         return np.array(_contd8(self.seg_h[:, None], self.seg_y0, self.seg_y1, self.seg_f0,
                                 self.seg_f1, [k[j] for j in _D8_COLS]))
@@ -305,8 +281,8 @@ class ODESolution:
 
 
 def _stage_sum(coeffs, k):
-    """sum_j coeffs[j] k[j], added in column order: the stage sums of both
-    pairs, on arrays of one row per step or trajectory."""
+    """sum_j coeffs[j] k[j], added in column order, on arrays of one row per
+    step or trajectory."""
     acc = coeffs[0] * k[0]
     for c, k_j in zip(coeffs[1:], k[1:]):
         acc = acc + c * k_j
@@ -314,16 +290,20 @@ def _stage_sum(coeffs, k):
 
 
 def _extra_stages(f, s, h, y0, k):
-    """Append to k, whose entry j holds stage j of steps from s of size h
-    and start states y0 as an array with one row per step (k1, ..., k4 may
-    be None: no extra stage reads them), the stages k13, k14 and k15 that
-    DOP853's dense output adds: the states of a stage in one array pass
-    over the steps, by _stage_sum, then f once per step, on floats."""
+    """Append to k, whose entry j holds stage j of steps from s of size h and
+    start states y0, one row per step (k1, ..., k4 may be None), the extra
+    stages k13, k14 and k15 of DOP853's dense output: each stage's states in
+    one array pass by _stage_sum, then the rows evaluator f(s, states)
+    (integrate_batch's f, or _per_row of integrate's)."""
     for i in (13, 14, 15):
-        states = (y0 + h[:, None] * _stage_sum(_A8[i], [k[j] for j in _A8_COLS[i]])).tolist()
-        k.append(np.array([f(t, x) for t, x in zip((s + _C8[i] * h).tolist(), states)],
-                          dtype=float))
+        k.append(f(s + _C8[i] * h,
+                   y0 + h[:, None] * _stage_sum(_A8[i], [k[j] for j in _A8_COLS[i]])))
     return k
+
+
+def _per_row(f):
+    """integrate's float right-hand side f as a rows evaluator: f per row."""
+    return lambda s, y: np.array([f(t, x) for t, x in zip(s.tolist(), y.tolist())], dtype=float)
 
 
 def _contd8(h, y0, y1, f0, f1, k):
@@ -345,24 +325,14 @@ def _dense8(t, y0, F0, F1, F2, F3, F4, F5, F6):
     return y0 + t * (F0 + u * (F1 + t * (F2 + u * (F3 + t * (F4 + u * (F5 + t * F6))))))
 
 
-def _contd5(h, y0, y1, f1, k):
-    """Coefficients (d, r3, r4, q) of the DOPRI5 continuous extension of a
-    step of size h from y0 to y1 with end slope f1 and stages k = [k0, ...,
-    k6], k0 the slope at y0 (HNW's rcont2, ..., rcont5): d, r3 and r4 make
-    the cubic Hermite polynomial of the ends, and q = h sum_i D_i k_i is the
-    quartic term."""
-    d = y1 - y0
-    r3 = h * k[0] - d
-    r4 = d - h * f1 - r3
-    return d, r3, r4, h * _stage_sum(_D, k)
-
-
-def _dense(t, y0, d, r3, r4, q):
-    """The DOPRI5 continuous extension at theta = t in [0, 1] of a step from
-    y0 with coefficients from _contd5:
-    y0 + t d + t (1 - t) r3 + t^2 (1 - t) r4 + t^2 (1 - t)^2 q."""
-    u = 1.0 - t
-    return y0 + t * (d + u * (r3 + t * (r4 + u * q)))
+def _dense8_slope(t, *F):
+    """d/dtheta of _dense8 at theta = t: the product rule through its
+    nesting from the inside out, whose factors are t and u = 1 - t by turns."""
+    p, dp = F[6], 0.0
+    for i in range(5, -1, -1):
+        w, dw = (t, 1.0) if i % 2 else (1.0 - t, -1.0)
+        p, dp = F[i] + w * p, dw * p + w * dp
+    return p + t * dp
 
 
 def _initial_step(y0, f0):
@@ -550,7 +520,7 @@ def integrate(
                     y_old = array(y)
                     stages = array([k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12],
                                    dtype=float)
-                    k = _extra_stages(f, array([s]), array([h]), y_old[None],
+                    k = _extra_stages(_per_row(f), array([s]), array([h]), y_old[None],
                                       [stages[j:j + 1] for j in range(13)])
                     coeffs = _contd8(h, y_old, *(array(v, dtype=float) for v in (
                         y_new, k0, f_new)), [k[j][0] for j in _D8_COLS])
@@ -663,7 +633,7 @@ class _Levels:
     def roots(self, j, seg, g0, g1, t_end, h):
         """The roots of events j on their candidate steps, one row each, as
         geodesics.level_crossings finds them on a path.  seg holds the
-        steps' start states and _contd5 coefficients, h their sizes, and g0
+        steps' start states and _contd8 coefficients, h their sizes, and g0
         and g1 the offset component at theta = 0 and t_end.  The grid
         [0, t_end] of each step gets one point inserted: the turn of the
         component, the zero of its slope, or the middle of the step where
@@ -676,16 +646,14 @@ class _Levels:
         direction allows, sorted by candidate and then by theta."""
         k = np.arange(j.size)
         level = self.level[j]
-        y0, d, r3, r4, q = (a[k, self.comp[j]] for a in seg)
+        y0, *coeffs = (a[k, self.comp[j]] for a in seg)
         xtol = _ROOT_XTOL / h
 
         def g(i, t):
-            return _dense(t, y0[i], d[i], r3[i], r4[i], q[i]) - level[i]
+            return _dense8(t, y0[i], *(c[i] for c in coeffs)) - level[i]
 
         def slope(i, t):
-            # d/dtheta of _dense
-            u = 1.0 - t
-            return d[i] + (u - t) * (r3[i] + 2.0 * t * u * q[i]) + t * (u + u - t) * r4[i]
+            return _dense8_slope(t, *(c[i] for c in coeffs))
 
         zero = np.zeros(j.size)
         turning, t_turn = roots_on_grids(slope, np.column_stack([zero, t_end]),
@@ -699,7 +667,7 @@ class _Levels:
         start = np.maximum(np.sum(grid[k] < t[:, None], axis=1) - 1, 0)
         keep = np.where(values[k, start] < 0.0, self.up[j[k]], self.down[j[k]])
         k, t = k[keep], t[keep]
-        return k, t, _dense(t[:, None], *(a[k] for a in seg))
+        return k, t, _dense8(t[:, None], *(a[k] for a in seg))
 
 
 def integrate_batch(
@@ -718,15 +686,12 @@ def integrate_batch(
     f and post_step are called with the parameters (k,) and states (k, dim)
     of the rows still active and return arrays of the states' shape; rows
     never interact.  tol and max_steps (per row) mean what they mean for
-    integrate, but each row steps by the Dormand-Prince 5(4) pair.  An
-    iteration that accepts every row works on its step arrays as they are.
-    Event roots are refined to 1e-12 in the parameter by roots_on_grids on
-    the continuous extension of each candidate step, split at the turn of
-    the event's component (see the module docstring and _Levels.roots).
-    Each row's roots depend on that row alone.  A terminal root is found in
-    the iteration that crosses it, where it ends its row's step, and later
-    events are looked for in that step only before it; every other root is
-    found in one pass after the run.
+    integrate, but the step size follows the 5th-order error estimate alone
+    (see the module docstring).  An iteration that accepts every row works
+    on its step arrays as they are.  Event roots are refined to 1e-12 in the
+    parameter (_Levels.roots), each row's from that row alone; a terminal
+    root ends its row's step, and later events are looked for in that step
+    only before it.
     """
     _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
@@ -747,11 +712,13 @@ def integrate_batch(
     root_n = math.sqrt(float(dim))
 
     def segments(hit):
-        # start states and continuous-extension coefficients of the accepted
-        # steps hit, from the current iteration's arrays
+        # start states and dense-output coefficients of the accepted steps
+        # hit, with their extra stages, from the current iteration's arrays
         i = acc[hit]
-        return (ya[hit], *_contd5(ha[hit, None], ya[hit], y1[hit], f1[hit],
-                                  [k[i] for k in stages]))
+        k = _extra_stages(f, sa[hit], ha[hit], ya[hit],
+                          [fa[hit], *[None] * 4, *(k[i] for k in stages[5:]), k12[hit]])
+        return (ya[hit], *_contd8(ha[hit, None], ya[hit], y1[hit], fa[hit], f1[hit],
+                                  [k[j] for j in _D8_COLS]))
 
     while rows.size:
         if tries > max_steps:   # every active row has had one try per iteration
@@ -768,19 +735,21 @@ def integrate_batch(
                 break
         hc = h[:, None]
 
-        # the DOPRI5 stages, one row per trajectory; row 6 of _A is the
-        # solution update _B, so the last stage is the FSAL one at y_new
+        # the DOP853 stages, one row per trajectory, and the 5th-order
+        # error estimate alone
         stages = [fs]
-        for i in range(1, 7):
-            y_new = y + hc * _stage_sum(_A[i], stages)
-            stages.append(f(s + _C[i] * h, y_new))
+        for i in range(1, 12):
+            stages.append(f(s + _C8[i] * h,
+                            y + hc * _stage_sum(_A8[i], [stages[j] for j in _A8_COLS[i]])))
+        k = [stages[j] for j in _A8_COLS[12]]
+        y_new = y + hc * _stage_sum(_B8, k)
         s_new = s + h
-        ratio = (hc * _stage_sum(_E, stages)) / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
+        ratio = (hc * _stage_sum(_E5, k)) / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
         enorm = np.sqrt(np.einsum("ij,ij->i", ratio, ratio)) / root_n
         # fmax/fmin: a NaN error norm (a stage left f's domain) rejects the
         # step and shrinks it, as in integrate
         with np.errstate(divide="ignore"):
-            factor = np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP))
+            factor = np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8))
         acc = np.flatnonzero(enorm <= 1.0)
         nsteps += acc.size
         nrejected += rows.size - acc.size
@@ -790,10 +759,11 @@ def integrate_batch(
             continue
 
         # the accepted rows: views when every row is accepted, else copies;
-        # project, then look for events on the projected step
+        # their FSAL stage k12, then project, then look for events on the
+        # projected step
         cols = slice(None) if acc.size == rows.size else acc
-        sa, ha, ya, fa, s1, y1, f1 = (s[cols], h[cols], y[cols], fs[cols], s_new[cols],
-                                      y_new[cols], stages[6][cols])
+        sa, ha, ya, fa, s1, y1 = s[cols], h[cols], y[cols], fs[cols], s_new[cols], y_new[cols]
+        k12 = f1 = f(s1, y1)
         if post_step is not None:
             y_proj = post_step(s1, y1)
             if y_proj is not None:

@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from randers import gauss_curvature, load_surface, make_custom
 from randers.errors import InvalidParameterError
 from randers.expressions import compile_expression
 
@@ -40,3 +42,25 @@ def test_scientific_notation_numbers():
 def test_rejects_bad_expressions(bad):
     with pytest.raises(InvalidParameterError):
         compile_expression(bad)
+
+
+def test_hyperbolic_functions():
+    f = compile_expression("sinh(r) + cosh(r) - exp(r)")   # zero, up to rounding
+    rr = np.linspace(0.0, 2.0, 9)
+    np.testing.assert_allclose(f(rr, 0.0), 0.0, atol=1e-14)
+    assert compile_expression("exp(-mu * r)")(2.0, 0.5) == math.exp(-1.0)
+
+
+def test_json_hyperbolic_warp_evaluates_like_the_callables(tmp_path):
+    # the hyperbolic plane named in a surface JSON file and given as numpy
+    # callables: the same warp, derivatives and curvature at every radius
+    fn = tmp_path / "hyperbolic.json"
+    fn.write_text(json.dumps({"kind": "custom", "m": "sinh(r)", "m1": "cosh(r)",
+                              "m2": "sinh(r)", "mu": 0.2, "r_max": 2.0}))
+    named = load_surface(str(fn))
+    given = make_custom(np.sinh, np.cosh, np.sinh, mu=0.2, r_max=2.0)
+    rr = np.linspace(0.0, 2.0, 41)
+    for attr in ("m", "m1", "m2"):
+        np.testing.assert_array_equal(getattr(named, attr)(rr), getattr(given, attr)(rr))
+    np.testing.assert_array_equal(gauss_curvature(named, rr), gauss_curvature(given, rr))
+    np.testing.assert_allclose(gauss_curvature(named, rr[1:]), -1.0, atol=1e-12)

@@ -32,7 +32,7 @@ from randers.geodesics import (
     twist,
 )
 from randers import odesolve
-from randers.odesolve import _D8_COLS, _contd8, _dense8, _extra_stages
+from randers.odesolve import _D8_COLS, _contd8, _dense8, _extra_stages, _per_row
 
 
 def _launch(profile, r0, phi, theta0=0.0):
@@ -72,8 +72,9 @@ def test_dense_reads_arrays(parab, kind):
             i = int(np.searchsorted(sol.seg_s, s, side="right") - 1)
             i = min(max(i, 0), sol.seg_s.size - 1)
             one = slice(i, i + 1)
-            k = _extra_stages(sol.rhs, sol.seg_s[one], sol.seg_h[one], sol.seg_y0[one], [
-                sol.seg_f0[one], *[None] * 4, *sol.seg_k[one].transpose(1, 0, 2)])
+            k = _extra_stages(_per_row(sol.rhs), sol.seg_s[one], sol.seg_h[one],
+                              sol.seg_y0[one], [sol.seg_f0[one], *[None] * 4,
+                                                *sol.seg_k[one].transpose(1, 0, 2)])
             h = sol.seg_h[i]
             coeffs = _contd8(h, sol.seg_y0[i], sol.seg_y1[i], sol.seg_f0[i], sol.seg_f1[i],
                              [k[j][0] for j in _D8_COLS])

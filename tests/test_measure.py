@@ -19,6 +19,7 @@ from randers import (
     pullback_report,
     wrap_angle,
 )
+from randers.conjugate import cut_locus, first_conjugate
 from randers.geodesics import GeodesicState, integrate_F, integrate_h, twist
 from randers.measure import (
     ClairautReport,
@@ -467,6 +468,48 @@ def test_distance_F_sphere_cap_matches_the_law_of_cosines(sphere, rng, monkeypat
         d = distance_F(sphere, q1, q2, tol=1e-11)
         assert d == pytest.approx(_navigation_distance(q1, q2, sphere.mu, _sphere_arc),
                                   abs=1e-10)
+
+
+def _hyperbolic_arc(r1, r2, dth):
+    """Distance on the hyperbolic plane m(r) = sinh r, by the half-angle form
+    of the hyperbolic law of cosines: sinh^2(d/2) = sinh^2((r1 - r2)/2)
+    + sinh r1 sinh r2 sin^2(dth/2)."""
+    hav = (math.sinh(0.5 * (r1 - r2)) ** 2
+           + math.sinh(r1) * math.sinh(r2) * math.sin(0.5 * dth) ** 2)
+    return 2.0 * math.asinh(math.sqrt(hav))
+
+
+@pytest.fixture(scope="module")
+def hyperbolic():
+    """The hyperbolic plane, K = -1, its warp given as numpy callables; mu
+    sinh(r_max) = 0.73 < 1.  The disc r <= 2 is geodesically convex, and no
+    geodesic has a conjugate point."""
+    return make_custom(np.sinh, np.cosh, np.sinh, mu=0.2, r_max=2.0)
+
+
+def test_h_distance_hyperbolic_matches_the_law_of_cosines(hyperbolic, rng, monkeypatch):
+    # m' = cosh r > 0: one query of the connector table
+    monkeypatch.setattr(measure, "_h_distance_shooting", _no_shooting)
+    for q1, q2 in _pairs(rng, 40, (0.1, 2.0)):
+        d = h_distance(hyperbolic, q1, q2)
+        assert d == pytest.approx(_hyperbolic_arc(q1.r, q2.r, q2.theta - q1.theta), abs=1e-10)
+
+
+def test_distance_F_hyperbolic_matches_the_fixed_point(hyperbolic, rng, monkeypatch):
+    monkeypatch.setattr(measure, "_h_distance_shooting", _no_shooting)
+    for q1, q2 in _pairs(rng, 40, (0.1, 2.0)):
+        d = distance_F(hyperbolic, q1, q2)
+        assert d == pytest.approx(
+            _navigation_distance(q1, q2, hyperbolic.mu, _hyperbolic_arc), abs=1e-10)
+
+
+@pytest.mark.parametrize("rho", [0.3, 1.0, 1.9])
+def test_hyperbolic_plane_has_no_conjugate_point(hyperbolic, rho):
+    q = SurfacePoint(rho, 0.4)
+    with pytest.raises(SearchHorizonError):
+        first_conjugate(hyperbolic, q)
+    with pytest.raises(SearchHorizonError):
+        cut_locus(hyperbolic, q)
 
 
 def test_distance_F_sphere_past_the_equator(sphere, monkeypatch):

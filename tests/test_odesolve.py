@@ -12,8 +12,8 @@ from randers.geodesics import (
     GeodesicState, clairaut_constant, integrate_h, level_crossings_batch,
 )
 from randers.odesolve import (
-    _A, _A8, _A8_COLS, _B, _B8, _C, _C8, _D8, _D8_COLS, _E, _E3, _E5, MAX_TOL, MIN_TOL,
-    LevelEvent, _contd5, _contd8, _dense, _dense8, _initial_step, integrate, integrate_batch,
+    _A8, _A8_COLS, _B8, _C8, _D8, _D8_COLS, _E3, _E5, MAX_TOL, MIN_TOL,
+    LevelEvent, _contd8, _dense8, _initial_step, integrate, integrate_batch,
 )
 from randers.profile import SurfacePoint, gauss_curvature, roots_on_grid
 
@@ -181,11 +181,12 @@ def test_projected_state_ends_each_step():
     assert np.array_equal(sol(sol.s[1:-1]), sol.y[1:-1])
 
 
-def _dopri5_row(f, s0, y0, s_end, tol, events):
-    """One row of integrate_batch as a plain loop: the Dormand-Prince 5(4)
-    stages, controller and continuous extension, and integrate's rule for
-    events (a sign change between step ends, refined on the step's
-    interpolant).  Returns (status, s, y, roots of each event)."""
+def _dop853_row(f, s0, y0, s_end, tol, events):
+    """One row of integrate_batch as a plain loop: the DOP853 stages, the
+    controller on the 5th-order error estimate alone, the dense output, and
+    integrate's rule for events (a sign change between step ends, refined
+    on the step's interpolant).  Returns (status, s, y, roots of each
+    event)."""
     y, s = np.asarray(y0, dtype=float), float(s0)
     fs = f(s, y)
     h = min(_initial_step(y, fs), s_end - s)
@@ -193,19 +194,21 @@ def _dopri5_row(f, s0, y0, s_end, tol, events):
     while s < s_end:
         h = min(h, s_end - s)
         k = [fs]
-        for i in range(1, 6):
-            k.append(f(s + _C[i] * h, y + h * sum(a * kj for a, kj in zip(_A[i], k))))
-        y_new = y + h * sum(b * kj for b, kj in zip(_B, k))
-        k.append(f(s + h, y_new))
-        err = h * sum(e * kj for e, kj in zip(_E, k))
+        for i in range(1, 12):
+            k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
+        y_new = y + h * _row(_B8, _A8_COLS[12], k)
+        err = h * _row(_E5, _A8_COLS[12], k)
         ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
         enorm = math.sqrt(float(ratio @ ratio) / y.size)
-        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.2))
+        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.125))
         if enorm <= 1.0:
-            coeffs = _contd5(h, y, y_new, k[6], k)
+            k.append(f(s + h, y_new))
+            for i in (13, 14, 15):
+                k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
+            coeffs = _contd8(h, y, y_new, k[0], k[12], [k[j] for j in _D8_COLS])
 
             def at(sq, _s=s, _h=h, _y=y):
-                return _dense((sq - _s) / _h, _y, *coeffs)
+                return _dense8((sq - _s) / _h, _y, *coeffs)
 
             stop, status = None, None
             for i, ev in enumerate(events):
@@ -220,7 +223,7 @@ def _dopri5_row(f, s0, y0, s_end, tol, events):
             if stop is not None:
                 return status, stop, at(stop), {i: [r for r in rs if r <= stop]
                                                 for i, rs in roots.items()}
-            s, y, fs = s + h, y_new, k[6]
+            s, y, fs = s + h, y_new, k[12]
         h *= factor
     return "completed", s, y, roots
 
@@ -231,7 +234,7 @@ def test_batch_rows_match_scalar_integrator():
     batch = integrate_batch(_oscillator_rows, 0.0, y0, 12.0, tol=1e-11, events=events)
     zero_rows, zero_s, zero_y = batch.events[0]
     for i, row in enumerate(y0):
-        status, s_end, y_end, roots = _dopri5_row(_oscillator, 0.0, row, 12.0, 1e-11, events)
+        status, s_end, y_end, roots = _dop853_row(_oscillator, 0.0, row, 12.0, 1e-11, events)
         assert batch.status[i] == status
         assert batch.s[i] == pytest.approx(s_end, abs=1e-10)
         np.testing.assert_allclose(batch.y[i], y_end, atol=1e-10)

@@ -150,7 +150,7 @@ def _spy(monkeypatch, name, log):
      np.concatenate([np.linspace(-math.pi, math.pi, 49), [math.pi - 1e-10]]), 6.0, 1.0,
      None),
     (20.0, SurfacePoint(1.146, 2.86), np.linspace(-math.pi, math.pi, 97), 3.0, 1.8,
-     (1496, 18)),
+     (738, 0)),
 ])
 def test_fan_rows_do_not_depend_on_each_other(monkeypatch, r_max, q, headings, horizon,
                                               r_level, steps):
@@ -219,10 +219,8 @@ def _dop853_crossings(profile, q, chi, r_level, horizon):
 
 @pytest.mark.parametrize("r_level", [0.5, 2.0])
 def test_vertex_pass_on_the_paraboloid_matches_dop853(parab, r_level):
-    # near the vertex the rays bend (K = 3 there).  A ray about 1e-4 off the
-    # meridian errs most: the vertex chart's steps grow on it as on a
-    # straight line, and its angle (and h-velocity) at the level err by up
-    # to about 10 tol, where the polar chart's err by about tol
+    # near the vertex the rays bend (K = 3 there), and the vertex chart's
+    # step over the pass is about as long as the ray is nearly straight
     q = SurfacePoint(1.0, 0.3)
     headings = np.array(NEAR_MERIDIAN + [-chi for chi in NEAR_MERIDIAN])
     batch = _by_row(level_crossings_batch(parab, _fan(parab, q, headings), 6.0, r_level,
@@ -238,11 +236,29 @@ def test_vertex_pass_on_the_paraboloid_matches_dop853(parab, r_level):
                                    atol=10.0 * SCAN_TOL)
 
 
+@pytest.mark.parametrize("r_level", [2.0, 3.5])
+def test_vertex_pass_crossings_within_tol_of_the_oracle(parab, r_level):
+    # headings pi - 10^-k, k = 2..10, pass the vertex at about 10^-k from
+    # q: the vertex chart takes the pass in one step about 1.1 long, and
+    # each crossing beyond it must still hold its parameter and its angle
+    # to tol (9.1e-9 at worst)
+    q = SurfacePoint(1.0, 0.3)
+    headings = np.array([math.pi - 10.0 ** -k for k in range(2, 11)])
+    batch = _by_row(level_crossings_batch(parab, _fan(parab, q, headings), 6.0, r_level,
+                                          SCAN_TOL), headings.size)
+    for chi, (s_c, y_c) in zip(headings, batch):
+        expected = _oracle(parab, q, chi, 6.0, r_level)[1]
+        assert len(s_c) == len(expected) == 1
+        np.testing.assert_allclose(s_c, expected[:, 0], atol=SCAN_TOL)
+        np.testing.assert_allclose(wrap_angles(y_c[:, 1] - expected[:, 2]), 0.0, atol=SCAN_TOL)
+
+
 def test_fan_iteration_budget(monkeypatch, parab):
     # verify_cut_point's fan from (1, 0) to r = 2: in the vertex chart every
-    # row settles in a few dozen steps, so the batch runs a few dozen
-    # iterations of 7 right-hand-side calls (155 calls); in the polar chart
-    # the rows that pass near the vertex took about 120 iterations
+    # row settles in a few steps, so the batch runs ten iterations of 13
+    # right-hand-side calls, plus the extra stages of the steps that cross
+    # the level (149 calls); in the polar chart the rows that pass near the
+    # vertex took about 120 iterations
     calls = []
     real = odesolve.integrate_batch
 
