@@ -443,6 +443,18 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     that leaves r <= r_max keeps the crossings before its exit.  Nothing
     blows up at the vertex in this chart, so there is no floor event; a row
     stopped by max_steps raises NumericalBlowupError.
+
+    Where the warp increases on all of (0, r_max]
+    (Profile.increasing_radius = r_max) a row is retired, ended at the end
+    of an accepted step without a root refined past it, once it lies above
+    the level and moves outward, rho > r_level^2 and d > 0: by Clairaut's
+    relation r'' = nu^2 m' / m^3 >= 0, so r is convex along the ray, r'
+    stays positive and r never comes back down to r_level (do Carmo,
+    Differential Geometry of Curves and Surfaces, section 4-4).  The
+    crossings inside that last step, a pair where rho turns included, are
+    still refined, so the crossings are those of the rows run to the
+    horizon.  On a warp where m' <= 0 somewhere, as on the sphere, every
+    row runs to the horizon.
     """
     _check_length_tol(length, tol)
     y0 = np.array(states0, dtype=float).reshape(-1, 4)
@@ -476,11 +488,17 @@ def level_crossings_batch(profile: Profile, states0, length: float,
         # its event level exactly
         start = np.column_stack(_chart_state(r, dr, dth, np.cos(th), np.sin(th)))
         rhs, renormalize = _vertex_chart(profile)
+        rho_level = r_level * r_level
         events = [odesolve.LevelEvent(4, profile.r_max * profile.r_max, terminal=True,
                                       direction=1),
-                  odesolve.LevelEvent(4, r_level * r_level)]
+                  odesolve.LevelEvent(4, rho_level)]
+        retire = None
+        if profile.increasing_radius == profile.r_max:
+            def retire(s, y):
+                # above the level and moving outward: rho > r_level^2, d > 0
+                return (y[:, 4] > rho_level) & (y[:, 0] * y[:, 2] + y[:, 1] * y[:, 3] > 0.0)
         sol = odesolve.integrate_batch(rhs, 0.0, start, length, tol=tol,
-                                       post_step=renormalize, events=events)
+                                       post_step=renormalize, events=events, retire=retire)
         if "max_steps" in sol.status:
             raise NumericalBlowupError(
                 f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps")

@@ -320,7 +320,7 @@ class TwoRadiusConnectors:
             raise InvalidParameterError(
                 f"connectors join two radii > 0, got {r1} and {r2}")
         self._lo, self._hi = lo, np.maximum(r1, np.ravel(r2)).astype(float)
-        if not _check_increasing_warp(profile, float(self._hi.max())):
+        if not self._hi.max() <= profile.increasing_radius:
             raise InvalidParameterError(
                 f"connector tables need a warp that increases on [0, {self._hi.max()}]")
         # m(r_lo) once per distinct r_lo, so that the climbs sharing it group
@@ -504,11 +504,6 @@ def _turning_points(profile: Profile, r_lo, m_lo, nu, disc):
     raise InternalConsistencyError(f"turning radii did not settle: {y.tolist()}")
 
 
-def _check_increasing_warp(profile: Profile, r_hi: float) -> bool:
-    rr = np.linspace(0.0, min(r_hi, profile.r_max), 128)[1:]
-    return bool(np.all(np.asarray(profile.m1(rr), dtype=float) > 0.0))
-
-
 def h_distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
                tol: float = 1e-10) -> float:
     """Background (Riemannian) distance between two points."""
@@ -544,7 +539,7 @@ def _distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint, mu: float,
     m_mid = float(profile.m(r_mid))
     if math.hypot(q2.r - q1.r, m_mid * dtheta) < 1e-5 and abs(dtheta) < 1e-4:
         return F_from_warp(mu, m_mid, r_mid, Tangent(q2.r - q1.r, dtheta)), 0
-    if not _check_increasing_warp(profile, max(q1.r, q2.r)):
+    if not max(q1.r, q2.r) <= profile.increasing_radius:
         return _h_distance_shooting(profile, q1, q2, twist_mu=mu), 0
     table = TwoRadiusConnectors(profile, q1.r, q2.r, tol=tol)
     cands = table.connectors(q2.theta - q1.theta, mu)
@@ -603,12 +598,15 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     so a ray that passes the vertex crosses on, and its crossings' theta is
     known mod 2 pi only, which the wrapped miss absorbs; a ray that leaves
     r <= r_max keeps the crossings it made before.  Where the warp
-    increases on (0, r_max] and r* = r_target lies below q_from, only
-    Clairaut's cone cos chi < 0, |sin chi| <= m(r*) / m(rho) (widened by
-    _CONE_MARGIN) is integrated: a geodesic lives where m >= |nu| =
-    m(rho) |sin chi|, and r'' = nu^2 m' / m^3 >= 0 keeps an outward ray from
-    coming back down; the other headings have no crossing, as a ray that
-    misses has.  Crossings are indexed in parameter order, their wrapped
+    increases on (0, r_max] (Profile.increasing_radius = r_max) Clairaut's
+    relation r'' = nu^2 m' / m^3 >= 0 keeps an outward ray from coming
+    back down, which prunes the scan twice.  Where r* = r_target lies below
+    q_from, only Clairaut's cone cos chi < 0, |sin chi| <= m(r*) / m(rho)
+    (widened by _CONE_MARGIN) is integrated: a geodesic lives where
+    m >= |nu| = m(rho) |sin chi|, so the other headings have no crossing,
+    as a ray that misses has.  And the fan retires each ray once it lies
+    above r* and moves outward, after the crossings of that step.
+    Crossings are indexed in parameter order, their wrapped
     angular misses and parameters scattered into one matrix each, and the
     miss of the k-th crossing is bracketed between consecutive headings, then
     refined by roots_on_grid in the heading, each iterate one integrate_h
@@ -634,7 +632,7 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
         return s_c, y_c[:, 1] + twist_mu * s_c
 
     shoot = np.arange(headings.size)
-    if 0.0 < r_target < q_from.r and _check_increasing_warp(profile, profile.r_max):
+    if 0.0 < r_target < q_from.r and profile.increasing_radius == profile.r_max:
         band = float(profile.m(r_target)) / m_at * (1.0 + _CONE_MARGIN)
         shoot = np.flatnonzero((np.cos(headings) < 0.0) & (np.abs(np.sin(headings)) <= band))
     fan = np.column_stack([np.full(shoot.size, q_from.r),

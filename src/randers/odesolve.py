@@ -23,10 +23,12 @@ more evaluations of f for a step that is read.
   stages, update and error are sums over the rows of the tableau by
   _stage_sum, as the extra stages and the dense output are.  Each row keeps
   its own step size and is accepted or rejected under a mask; the FSAL
-  stage is evaluated for accepted rows only, and the extra stages for the
-  rows whose step may cross an event.  Rows leave the active set when they
-  reach s_end or a terminal event.  No dense output is stored, so memory
-  stays O(n_rows) plus the event crossings.
+  stage (where a projection moved the end state) and the extra stages are
+  evaluated only for the steps that may cross an event, whose stages are
+  kept for one dense-output pass after the run.  Rows leave the active set
+  when they reach s_end or a terminal event, or when the caller's retire
+  test says they can meet no event again.  No dense output is stored for
+  the other steps, so memory stays O(n_rows) plus the candidate steps.
 
 The two differ in one line.  ``integrate`` controls dop853's blend of the
 5th- and 3rd-order error estimates, err5^2 / sqrt(err5^2 + 0.01 err3^2);
@@ -260,10 +262,9 @@ class ODESolution:
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
-        k = _extra_stages(_per_row(self.rhs), self.seg_s, self.seg_h, self.seg_y0,
-                          [self.seg_f0, *[None] * 4, *self.seg_k.transpose(1, 0, 2)])
-        return np.array(_contd8(self.seg_h[:, None], self.seg_y0, self.seg_y1, self.seg_f0,
-                                self.seg_f1, [k[j] for j in _D8_COLS]))
+        return np.array(_step_coeffs(_per_row(self.rhs), self.seg_s, self.seg_h, self.seg_y0,
+                                     self.seg_y1, self.seg_f0, self.seg_f1,
+                                     self.seg_k.transpose(1, 0, 2)))
 
     def __call__(self, s):
         """Dense evaluation on the dense output of the step that holds each
@@ -315,6 +316,15 @@ def _contd8(h, y0, y1, f0, f1, k):
     d = y1 - y0
     col = _D8_T.reshape(_D8_T.shape + (1,) * np.ndim(k[0]))
     return (d, h * f0 - d, 2.0 * d - h * (f1 + f0), *(h * _stage_sum(col, k)))
+
+
+def _step_coeffs(f, s, h, y0, y1, f0, f1, k):
+    """_contd8's coefficients of DOP853 steps from s of size h, one row per
+    step: start and end states y0 and y1, end slopes f0 and f1, and k the
+    stages k5, ..., k12; the extra stages are evaluated here, by the rows
+    evaluator f."""
+    k = _extra_stages(f, s, h, y0, [f0, *[None] * 4, *k])
+    return _contd8(h[:, None], y0, y1, f0, f1, [k[j] for j in _D8_COLS])
 
 
 def _dense8(t, y0, F0, F1, F2, F3, F4, F5, F6):
@@ -518,12 +528,10 @@ def integrate(
                     or (ev.direction <= 0 and g_old > 0.0 >= g_new)):
                 if seg_eval is None:
                     y_old = array(y)
-                    stages = array([k0, k1, k2, k3, k4, k5, k6, k7, k8, k9, k10, k11, k12],
-                                   dtype=float)
-                    k = _extra_stages(_per_row(f), array([s]), array([h]), y_old[None],
-                                      [stages[j:j + 1] for j in range(13)])
-                    coeffs = _contd8(h, y_old, *(array(v, dtype=float) for v in (
-                        y_new, k0, f_new)), [k[j][0] for j in _D8_COLS])
+                    coeffs = [c[0] for c in _step_coeffs(
+                        _per_row(f), array([s]), array([h]), y_old[None],
+                        *(array([v], dtype=float) for v in (y_new, k0, f_new)),
+                        array([k5, k6, k7, k8, k9, k10, k11, k12], dtype=float)[:, None])]
 
                     def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
                         return _dense8((sq - _s) / _h, _y, *_c)
@@ -590,7 +598,8 @@ class BatchSolution:
     """Where each row of a batch integration ended, and the event roots.
 
     status[i] is ``completed``, ``event:k`` for the terminal event k that
-    stopped row i, or ``max_steps``.  events[k] is a triple of arrays
+    stopped row i, ``retired`` for a row the caller's retire test ended, or
+    ``max_steps``.  events[k] is a triple of arrays
     (rows, s, y): the batch row, parameter and state of every root of event
     k, each row's roots in parameter order.
     """
@@ -679,6 +688,7 @@ def integrate_batch(
     post_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
     events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
+    retire: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> BatchSolution:
     """Integrate y' = f(s, y) from s0 to s_end (s_end > s0) for every row of
     the (n_rows, dim) array y0.
@@ -692,6 +702,17 @@ def integrate_batch(
     parameter (_Levels.roots), each row's from that row alone; a terminal
     root ends its row's step, and later events are looked for in that step
     only before it.
+
+    The FSAL stage at a projected end and the extra stages are evaluated
+    only for the steps that may hold a root, whose dense output is built
+    in one pass after the run (in their iteration, for a terminal event).
+
+    retire(s, y), if given, marks the rows that are finished at the ends s
+    and states y of their accepted steps: a marked row ends there, with
+    status ``retired``; the roots inside that last step are still found.
+    It is for rows the caller knows can meet no event again
+    (geodesics.level_crossings_batch retires rays that move away from
+    their level where r is convex).
     """
     _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
@@ -707,18 +728,22 @@ def integrate_batch(
     crossed: list = []    # candidate steps of non-terminal events, refined after the run
     s_out = np.empty(n)
     y_out = np.empty((n, dim))
-    why = np.full(n, -1)  # -1: completed, -2: max_steps, k >= 0: event k
+    why = np.full(n, -1)  # -1: completed, -2: max_steps, -3: retired, k >= 0: event k
     nsteps = nrejected = tries = 0
     root_n = math.sqrt(float(dim))
 
-    def segments(hit):
-        # start states and dense-output coefficients of the accepted steps
-        # hit, with their extra stages, from the current iteration's arrays
+    def steps(hit):
+        # the accepted steps hit as _step_coeffs reads them: s, h, the end
+        # states and slopes, and the stages k5, ..., k12, with k12 evaluated
+        # here where the projection moved the end state
         i = acc[hit]
-        k = _extra_stages(f, sa[hit], ha[hit], ya[hit],
-                          [fa[hit], *[None] * 4, *(k[i] for k in stages[5:]), k12[hit]])
-        return (ya[hit], *_contd8(ha[hit, None], ya[hit], y1[hit], fa[hit], f1[hit],
-                                  [k[j] for j in _D8_COLS]))
+        k12 = f1[hit] if y1 is y_stage else f(sa[hit] + ha[hit], y_stage[hit])
+        return (sa[hit], ha[hit], ya[hit], y1[hit], fa[hit], f1[hit],
+                *(k[i] for k in stages[5:]), k12)
+
+    def dense(step):
+        # start states and _contd8 coefficients of the steps from steps()
+        return (step[2], *_step_coeffs(f, *step[:6], step[6:]))
 
     while rows.size:
         if tries > max_steps:   # every active row has had one try per iteration
@@ -759,16 +784,16 @@ def integrate_batch(
             continue
 
         # the accepted rows: views when every row is accepted, else copies;
-        # their FSAL stage k12, then project, then look for events on the
-        # projected step
+        # project, then look for events on the projected step.  The FSAL
+        # stage is f at the unprojected end y_stage, which steps() reads
         cols = slice(None) if acc.size == rows.size else acc
         sa, ha, ya, fa, s1, y1 = s[cols], h[cols], y[cols], fs[cols], s_new[cols], y_new[cols]
-        k12 = f1 = f(s1, y1)
+        y_stage = y1
         if post_step is not None:
             y_proj = post_step(s1, y1)
             if y_proj is not None:
                 y1 = np.asarray(y_proj, dtype=float)
-                f1 = f(s1, y1)
+        f1 = f(s1, y1)
         # the earliest terminal root ends a row's step at theta = t_end,
         # where the row's state is y_end (the first event on a tie); the
         # steps it cuts are searched again up to it
@@ -777,7 +802,7 @@ def integrate_batch(
         stop = watch.terminal[j]
         if stop.any():
             j, hit = j[stop], hit[stop]
-            k, root, y_root = watch.roots(j, segments(hit), g0[stop], g1[stop],
+            k, root, y_root = watch.roots(j, dense(steps(hit)), g0[stop], g1[stop],
                                           np.ones(hit.size), ha[hit])
             j, hit = j[k], hit[k]
             order = np.lexsort((j, root, hit))
@@ -794,9 +819,8 @@ def integrate_batch(
         keep = ~watch.terminal[j]
         if keep.any():
             hit = hit[keep]
-            crossed.append((j[keep], rows[acc[hit]], sa[hit], ha[hit], g0[keep], g1[keep],
-                            np.ones(hit.size) if t_end is None else t_end[hit],
-                            *segments(hit)))
+            crossed.append((j[keep], rows[acc[hit]], g0[keep], g1[keep],
+                            np.ones(hit.size) if t_end is None else t_end[hit], *steps(hit)))
 
         h = h_next
         if cols is acc:
@@ -806,6 +830,10 @@ def integrate_batch(
         done = s1 >= s_end
         if cut is not None:
             done[cut] = True
+        if retire is not None:
+            ends = retire(s1, y_end) & ~done
+            why[rows[acc[ends]]] = -3
+            done |= ends
         if done.any():
             gone = acc[done]
             s_out[rows[gone]], y_out[rows[gone]] = s1[done], y_end[done]
@@ -814,9 +842,9 @@ def integrate_batch(
             rows, s, y, fs, h = rows[keep], s[keep], y[keep], fs[keep], h[keep]
 
     if crossed:
-        ev, r, sa, ha, g0, g1, t_end, *seg = (np.concatenate(a) for a in zip(*crossed))
-        k, t, y_root = watch.roots(ev, seg, g0, g1, t_end, ha)
-        found.append((ev[k], r[k], sa[k] + t * ha[k], y_root))
+        ev, r, g0, g1, t_end, *step = (np.concatenate(a) for a in zip(*crossed))
+        k, t, y_root = watch.roots(ev, dense(step), g0, g1, t_end, step[1])
+        found.append((ev[k], r[k], step[0][k] + t * step[1][k], y_root))
     ev, r, sr, yr = ((np.concatenate(a) for a in zip(*found)) if found else
                      (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
                       np.empty(0), np.empty((0, dim))))
@@ -824,10 +852,10 @@ def integrate_batch(
     order = np.lexsort((sr, r, ev))
     ev, r, sr, yr = ev[order], r[order], sr[order], yr[order]
     bounds = np.searchsorted(ev, np.arange(len(events) + 1))
+    status = {-1: "completed", -2: "max_steps", -3: "retired"}
     return BatchSolution(
         s=s_out, y=y_out,
-        status=["completed" if k == -1 else "max_steps" if k == -2 else f"event:{k}"
-                for k in why.tolist()],
+        status=[status.get(k, f"event:{k}") for k in why.tolist()],
         events={i: (r[a:b], sr[a:b], yr[a:b])
                 for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))},
         nsteps=nsteps, nrejected=nrejected,

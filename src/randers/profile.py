@@ -173,17 +173,43 @@ class Profile:
         is the refined end on the inner side, so that m > r / sqrt(2) on
         all of (0, R].  Computed on first use and kept on the instance.
         """
-        ratio, xtol = math.sqrt(0.5), 1e-12
+        ratio = math.sqrt(0.5)
         rr = np.linspace(0.0, self.r_max, _EMBED_GRID)
         gap = np.empty(rr.size)
         gap[0] = float(self.m1(0.0)) - ratio
         gap[1:] = as_float_array(self.m(rr[1:]), rr[1:].shape) / rr[1:] - ratio
-        low = np.flatnonzero(gap <= 0.0)
+        return self._positive_up_to(lambda r: float(self.m(r)) / r - ratio, rr, gap, 1e-12)
+
+    @cached_property
+    def increasing_radius(self) -> float:
+        """Radius R up to which the warp increases: the first r in
+        (0, r_max] where m'(r) <= 0, or r_max if m' stays positive there
+        (the paraboloid and the plane).  Where m' >= 0 the radius of an
+        h-geodesic is convex, r'' = nu^2 m' / m^3, so a ray moving outward
+        never comes back down; measure's connector families and shoot_hits'
+        cone, and the row retirement of geodesics.level_crossings_batch,
+        rest on it.
+
+        Found as vertex_chart_radius is: the grid of embeddable_radius
+        brackets the first radius where m' is not positive (m'(0) = 1), and
+        roots_on_grid refines it to 2.5e-13, R taken on the inner side, so
+        that m' > 0 on all of (0, R] and R lies within 1e-12 of the root.
+        Computed on first use and kept on the instance.
+        """
+        rr = np.linspace(0.0, self.r_max, _EMBED_GRID)
+        slope = as_float_array(self.m1(rr), rr.shape)
+        return self._positive_up_to(lambda r: float(self.m1(r)), rr, slope, 2.5e-13)
+
+    def _positive_up_to(self, f, rr, values, xtol: float) -> float:
+        """r_max if the values of f on the grid rr of [0, r_max] are all
+        positive, else the root of f bracketed by the first value that is
+        not and the one before it, refined by roots_on_grid to xtol and
+        moved to the inner side, where f > 0.  values[0] must be positive."""
+        low = np.flatnonzero(values <= 0.0)
         if low.size == 0:
             return self.r_max
         i = int(low[0])
-        f = lambda r: float(self.m(r)) / r - ratio
-        root = roots_on_grid(f, rr[i - 1:i + 1], gap[i - 1:i + 1], xtol=xtol)[0]
+        root = roots_on_grid(f, rr[i - 1:i + 1], values[i - 1:i + 1], xtol=xtol)[0]
         return root if f(root) > 0.0 else root - 2.0 * xtol
 
     @cached_property

@@ -33,7 +33,6 @@ from randers.measure import (
     meeting_point,
     momentum_p2,
     parallel_loop_report,
-    _check_increasing_warp,
     _h_distance_shooting,
 )
 
@@ -386,13 +385,16 @@ def test_distance_F_report_root_at_the_bound(parab):
 
 @pytest.mark.parametrize("name", ["parab", "flat", "sphere", "bump"])
 def test_increasing_warp_check_matches_pointwise(name, request):
+    # the connectors' gate, r_hi <= Profile.increasing_radius, against m' > 0
+    # at 127 points of (0, r_hi]
     profile = request.getfixturevalue(name)
     for r_hi in (0.5, 1.0, 1.7, 2.5, 30.0):
-        rr = np.linspace(0.0, min(r_hi, profile.r_max), 128)[1:]
+        r_hi = min(r_hi, profile.r_max)
+        rr = np.linspace(0.0, r_hi, 128)[1:]
         pointwise = all(float(profile.m1(r)) > 0.0 for r in rr)
-        assert _check_increasing_warp(profile, r_hi) is pointwise
+        assert (r_hi <= profile.increasing_radius) is pointwise
     if name == "bump":
-        assert not _check_increasing_warp(profile, 1.8)
+        assert not 1.8 <= profile.increasing_radius
 
 
 def test_distance_F_quasi_metric(parab, rng):

@@ -99,11 +99,14 @@ def test_max_steps_status():
     assert rows.status == ["max_steps", "max_steps"]
 
 
-def test_max_steps_stop_raises(monkeypatch):
+def test_max_steps_stop_raises(monkeypatch, sphere):
     # a max_steps stop is no finished path: each caller raises on it (the
-    # geodesic takes 32 DOP853 steps, the Jacobi field 48 and 4 rejections)
+    # geodesic takes 32 DOP853 steps, the Jacobi field 48 and 4 rejections).
+    # The fan runs on the sphere, where m' < 0 past pi/2 and no row is
+    # retired, so that its row still runs into the stop
     parab = make_paraboloid(1.0)
     state = GeodesicState(1.0, 0.0, math.cos(0.7), math.sin(0.7) / float(parab.m(1.0)))
+    on_sphere = GeodesicState(1.0, 0.0, math.cos(0.7), math.sin(0.7) / float(sphere.m(1.0)))
     meridian = integrate_h(parab, GeodesicState(0.0, 0.0, 1.0, 0.0), 20.0)  # analytic
     monkeypatch.setattr(odesolve, "integrate",
                         functools.partial(odesolve.integrate, max_steps=20))
@@ -112,7 +115,7 @@ def test_max_steps_stop_raises(monkeypatch):
     with pytest.raises(NumericalBlowupError):
         integrate_h(parab, state, 15.0, tol=1e-12)
     with pytest.raises(NumericalBlowupError):
-        level_crossings_batch(parab, [state.as_array()], 15.0, 1.5, tol=1e-12)
+        level_crossings_batch(sphere, [on_sphere.as_array()], 15.0, 1.5, tol=1e-12)
     with pytest.raises(NumericalBlowupError):
         jacobi_integrate(parab, meridian, 0.0, 1.0, 20.0)
 

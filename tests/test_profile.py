@@ -121,6 +121,16 @@ def test_geodesic_parallels(parab, bump):
     assert geodesic_parallels(bump, [0.5]) == []
 
 
+def test_increasing_radius(parab, flat, sphere, bump):
+    # m' > 0 on all of (0, r_max] gives r_max; else the first zero of m',
+    # taken on its inner side: cos r at pi/2, 1 - r^4/4 at sqrt(2)
+    assert parab.increasing_radius == parab.r_max
+    assert flat.increasing_radius == flat.r_max
+    for profile, root in ((sphere, 0.5 * math.pi), (bump, math.sqrt(2.0))):
+        assert profile.increasing_radius == pytest.approx(root, abs=1e-12)
+        assert float(profile.m1(profile.increasing_radius)) > 0.0
+
+
 def test_roots_on_grid():
     grid = np.linspace(0.0, 3.0, 7)
     # an exact zero at a grid point is kept as it stands

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from randers import SurfacePoint, make_paraboloid, measure, odesolve
 from randers.errors import InvalidParameterError, VertexSingularError
@@ -65,11 +66,13 @@ def _polar_rhs(profile):
 
 def _oracle(profile, q, chi, horizon, r_level):
     """Crossings of one ray, independent of the engine: the polar geodesic
-    equations integrated by scipy's DOP853 at rtol = atol = 1e-13, its
-    crossings of r_level found as events on its dense output, and a start
-    on the level a crossing at s = 0, until the ray leaves r <= r_max (a
-    terminal event) or reaches the horizon.  A meridian (|sin chi| < 1e-11)
-    is the closed form r = |r0 +- s| along theta0, and theta0 + pi past the
+    equations integrated by scipy's DOP853 at rtol = atol = 1e-13, until the
+    ray leaves r <= r_max (a terminal event) or reaches the horizon.  The
+    crossings of r_level are the sign changes of r - r_level on the step
+    ends and the turns of r (events of dr = 0), so that a pair inside one
+    step is seen, refined by brentq on the dense output; a start on the
+    level is a crossing at s = 0.  A meridian (|sin chi| < 1e-11) is the
+    closed form r = |r0 +- s| along theta0, and theta0 + pi past the
     vertex.  Returns the path's exit_reason and rows (s, r, theta, dr,
     dtheta)."""
     if abs(math.sin(chi)) < 1e-11:
@@ -83,14 +86,21 @@ def _oracle(profile, q, chi, horizon, r_level):
     def leaves(s, y):
         return y[0] - profile.r_max
 
+    def turns(s, y):
+        return y[2]
+
     leaves.terminal, leaves.direction = True, 1.0
     start = [q.r, q.theta, math.cos(chi), math.sin(chi) / float(profile.m(q.r))]
     sol = solve_ivp(_polar_rhs(profile), (0.0, horizon), start, method="DOP853",
-                    rtol=1e-13, atol=1e-13, events=[lambda s, y: y[0] - r_level, leaves])
+                    rtol=1e-13, atol=1e-13, dense_output=True, events=[leaves, turns])
     assert sol.success
-    rows = np.column_stack([sol.t_events[0], sol.y_events[0]]).reshape(-1, 5)
+    grid = np.unique(np.concatenate([sol.t, sol.t_events[1]]))
+    g = sol.sol(grid)[0] - r_level
+    s_c = [brentq(lambda s: sol.sol(s)[0] - r_level, a, b, xtol=1e-15)
+           for a, b, ga, gb in zip(grid[:-1], grid[1:], g[:-1], g[1:]) if ga * gb < 0.0]
+    rows = np.array([[s, *sol.sol(s)] for s in s_c]).reshape(-1, 5)
     if q.r == r_level:
-        rows = np.vstack([[0.0, *start], rows[rows[:, 0] > 0.0]])
+        rows = np.vstack([[0.0, *start], rows])
     return ("domain-exit" if sol.status == 1 else "completed"), rows
 
 
@@ -150,7 +160,7 @@ def _spy(monkeypatch, name, log):
      np.concatenate([np.linspace(-math.pi, math.pi, 49), [math.pi - 1e-10]]), 6.0, 1.0,
      None),
     (20.0, SurfacePoint(1.146, 2.86), np.linspace(-math.pi, math.pi, 97), 3.0, 1.8,
-     (738, 0)),
+     (586, 0)),
 ])
 def test_fan_rows_do_not_depend_on_each_other(monkeypatch, r_max, q, headings, horizon,
                                               r_level, steps):
@@ -174,6 +184,90 @@ def test_fan_rows_do_not_depend_on_each_other(monkeypatch, r_max, q, headings, h
     assert counts == (sum(b.nsteps for b in batches[1:]), sum(b.nrejected for b in batches[1:]))
     if steps is not None:
         assert counts == steps
+
+
+def _statuses(monkeypatch, retire=True):
+    """Spy on odesolve.integrate_batch: the list of status lists of the
+    runs it makes, with the retire test dropped when retire is False."""
+    runs = []
+    real = odesolve.integrate_batch
+
+    def spy(*args, **kwargs):
+        if not retire:
+            kwargs.pop("retire")
+        sol = real(*args, **kwargs)
+        runs.append(sol.status)
+        return sol
+
+    monkeypatch.setattr(odesolve, "integrate_batch", spy)
+    return runs
+
+
+def _grazing(profile, q, r_level, offsets):
+    """Headings from q, above r_level, of the inward rays whose turning
+    radius is r_level + offset, m(r_t) = m(q.r) |sin chi|, on both sides."""
+    chi = [math.pi - math.asin(float(profile.m(r_level + d)) / float(profile.m(q.r)))
+           for d in offsets]
+    return chi + [-c for c in chi]
+
+
+def test_retired_rows_drop_no_crossing(monkeypatch):
+    # on the paraboloid m' > 0, so a row above the level that moves outward
+    # is retired: rows from below, on and above r = 1.5, rows that pass the
+    # vertex, and rows from above that turn within 1e-9 of the level, just
+    # inside it (two crossings, most likely in one step) or just outside
+    # (none).  At tol 1e-10 the grazing pairs are resolved (at SCAN_TOL a
+    # turn errs by more than 1e-9), and every crossing matches the oracle;
+    # at SCAN_TOL the fan gives the crossings of a run without retirement
+    # bit for bit
+    profile = make_paraboloid(1.0)
+    r_level, horizon = 1.5, 8.0
+    graze = (1e-9, 1e-10, 0.0, -1e-10, -1e-9)
+    fans = []
+    for q in (SurfacePoint(1.0, 0.3), SurfacePoint(1.5, 0.3), SurfacePoint(2.5, 0.3)):
+        headings = np.concatenate([np.linspace(-math.pi, math.pi, 25),
+                                   [math.pi - 1e-3, -(math.pi - 1e-6)],
+                                   _grazing(profile, q, r_level, graze) if q.r > r_level else []])
+        fans.append((q, headings, _fan(profile, q, headings)))
+    fan = np.vstack([f for _, _, f in fans])
+    runs = _statuses(monkeypatch)
+    batch = _by_row(level_crossings_batch(profile, fan, horizon, r_level, 1e-10), len(fan))
+    assert "retired" in runs[0]
+    i, pairs = 0, 0
+    for q, headings, _ in fans:
+        for chi in headings:
+            s_c, y_c = batch[i]
+            expected = _oracle(profile, q, chi, horizon, r_level)[1]
+            _assert_crossings(s_c, y_c, expected, r_level, SCAN_TOL)
+            pairs += len(s_c) == 2 and s_c[1] - s_c[0] < 1e-3
+            i += 1
+    assert pairs >= 4   # the grazing rows that turn inside the level
+    retired = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
+    assert runs[1].count("retired") > len(fan) // 4
+    runs = _statuses(monkeypatch, retire=False)
+    kept = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
+    assert "retired" not in runs[0]
+    for a, b in zip(retired, kept):
+        assert np.array_equal(a, b)
+
+
+def test_fan_on_a_warp_that_turns_down_retires_no_row(monkeypatch, sphere):
+    # m = sin r: m' < 0 past pi/2, where great circles come back down, so
+    # no row may be retired.  From (1, 0.3) the rays with |sin chi| in
+    # (0.4, 1) stay inside r_max = 2.8 and cross r = 1.2 twice per turn
+    # round the sphere, three or four times within the horizon
+    q, r_level, horizon = SurfacePoint(1.0, 0.3), 1.2, 10.0
+    headings = np.linspace(-math.pi, math.pi, 37)
+    runs = _statuses(monkeypatch)
+    batch = _by_row(level_crossings_batch(sphere, _fan(sphere, q, headings), horizon,
+                                          r_level, 1e-10), headings.size)
+    assert "retired" not in runs[0]
+    many = 0
+    for chi, (s_c, y_c) in zip(headings, batch):
+        expected = _oracle(sphere, q, chi, horizon, r_level)[1]
+        _assert_crossings(s_c, y_c, expected, r_level, SCAN_TOL)
+        many += len(s_c) >= 3
+    assert many >= 10
 
 
 # headings that pass the vertex at about 1e-2 to 1e-9 from q below
@@ -255,10 +349,12 @@ def test_vertex_pass_crossings_within_tol_of_the_oracle(parab, r_level):
 
 def test_fan_iteration_budget(monkeypatch, parab):
     # verify_cut_point's fan from (1, 0) to r = 2: in the vertex chart every
-    # row settles in a few steps, so the batch runs ten iterations of 13
-    # right-hand-side calls, plus the extra stages of the steps that cross
-    # the level (149 calls); in the polar chart the rows that pass near the
-    # vertex took about 120 iterations
+    # row settles in a few steps, and a row above the level that moves
+    # outward is retired, so the batch runs ten iterations of 13
+    # right-hand-side calls, plus the FSAL stage and the extra stages of
+    # the steps that cross the level (118 calls; 149 when every row ran to
+    # the horizon); in the polar chart the rows that pass near the vertex
+    # took about 120 iterations
     calls = []
     real = odesolve.integrate_batch
 
@@ -268,7 +364,7 @@ def test_fan_iteration_budget(monkeypatch, parab):
     monkeypatch.setattr(odesolve, "integrate_batch", counted)
     level_crossings_batch(parab, _fan(parab, Q, np.linspace(-math.pi, math.pi, 721)),
                           1.05 * (Q.r + 2.0) + 0.5, 2.0, SCAN_TOL)
-    assert 0 < len(calls) <= 8 * 30
+    assert 0 < len(calls) <= 120
 
 
 @pytest.mark.parametrize("target", [CUT_POINT, CONTROL])
