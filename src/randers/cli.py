@@ -162,7 +162,8 @@ def cmd_info(args) -> int:
         print("geodesic parallels at r = " + ", ".join(_g(r) for r in parallels))
     else:
         print("geodesic parallels: none")
-    for r in sorted({0.0, 1.0, profile.r_max / 2.0, profile.r_max}):
+    for r in sorted({r for r in (0.0, 1.0, profile.r_max / 2.0, profile.r_max)
+                     if r <= profile.r_max}):
         print(f"  m({_g(r)}) = {_g(float(profile.m(r)))}   "
               f"G({_g(r)}) = {_g(gauss_curvature(profile, r))}")
     return EXIT_OK

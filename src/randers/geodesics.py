@@ -493,7 +493,7 @@ def level_crossings_batch(profile: Profile, states0, length: float,
                                       direction=1),
                   odesolve.LevelEvent(4, rho_level)]
         retire = None
-        if profile.increasing_radius == profile.r_max:
+        if profile.increases_to(profile.r_max):
             def retire(s, y):
                 # above the level and moving outward: rho > r_level^2, d > 0
                 return (y[:, 4] > rho_level) & (y[:, 0] * y[:, 2] + y[:, 1] * y[:, 3] > 0.0)

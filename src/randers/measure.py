@@ -320,7 +320,7 @@ class TwoRadiusConnectors:
             raise InvalidParameterError(
                 f"connectors join two radii > 0, got {r1} and {r2}")
         self._lo, self._hi = lo, np.maximum(r1, np.ravel(r2)).astype(float)
-        if not self._hi.max() <= profile.increasing_radius:
+        if not profile.increases_to(self._hi.max()):
             raise InvalidParameterError(
                 f"connector tables need a warp that increases on [0, {self._hi.max()}]")
         # m(r_lo) once per distinct r_lo, so that the climbs sharing it group
@@ -539,7 +539,7 @@ def _distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint, mu: float,
     m_mid = float(profile.m(r_mid))
     if math.hypot(q2.r - q1.r, m_mid * dtheta) < 1e-5 and abs(dtheta) < 1e-4:
         return F_from_warp(mu, m_mid, r_mid, Tangent(q2.r - q1.r, dtheta)), 0
-    if not max(q1.r, q2.r) <= profile.increasing_radius:
+    if not profile.increases_to(max(q1.r, q2.r)):
         return _h_distance_shooting(profile, q1, q2, twist_mu=mu), 0
     table = TwoRadiusConnectors(profile, q1.r, q2.r, tol=tol)
     cands = table.connectors(q2.theta - q1.theta, mu)
@@ -632,7 +632,7 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
         return s_c, y_c[:, 1] + twist_mu * s_c
 
     shoot = np.arange(headings.size)
-    if 0.0 < r_target < q_from.r and profile.increasing_radius == profile.r_max:
+    if 0.0 < r_target < q_from.r and profile.increases_to(profile.r_max):
         band = float(profile.m(r_target)) / m_at * (1.0 + _CONE_MARGIN)
         shoot = np.flatnonzero((np.cos(headings) < 0.0) & (np.abs(np.sin(headings)) <= band))
     fan = np.column_stack([np.full(shoot.size, q_from.r),

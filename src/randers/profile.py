@@ -200,6 +200,12 @@ class Profile:
         slope = as_float_array(self.m1(rr), rr.shape)
         return self._positive_up_to(lambda r: float(self.m1(r)), rr, slope, 2.5e-13)
 
+    def increases_to(self, r: float) -> bool:
+        """Whether m' > 0 on all of (0, min(r, r_max)]: a radius past r_max,
+        such as rho + r_max - rho rounded up by one ulp, is checked on the
+        profile's whole domain."""
+        return min(r, self.r_max) <= self.increasing_radius
+
     def _positive_up_to(self, f, rr, values, xtol: float) -> float:
         """r_max if the values of f on the grid rr of [0, r_max] are all
         positive, else the root of f bracketed by the first value that is

@@ -33,9 +33,11 @@ def test_info_custom_surface(tmp_path, capsys):
     assert "geodesic parallels at r = 1.414213" in out
 
 
-@pytest.mark.parametrize("r_max,radii", [(2.0, ["0", "1", "2"]), (1.0, ["0", "0.5", "1"])])
+@pytest.mark.parametrize("r_max,radii", [(2.0, ["0", "1", "2"]), (1.0, ["0", "0.5", "1"]),
+                                         (0.5, ["0", "0.25", "0.5"])])
 def test_info_prints_each_radius_once(tmp_path, capsys, r_max, radii):
-    # the radii 0, 1, r_max / 2 and r_max repeat where r_max is 2 or 1
+    # the radii 0, 1, r_max / 2 and r_max repeat where r_max is 2 or 1, and
+    # r = 1 lies outside the profile where r_max < 1
     cfg = tmp_path / "hyperbolic.json"
     cfg.write_text(json.dumps({"kind": "custom", "m": "sinh(r)", "m1": "cosh(r)",
                                "m2": "sinh(r)", "mu": 0.2, "r_max": r_max}))

@@ -144,6 +144,15 @@ def test_cut_locus_at_the_horizon():
     assert arc.s[0] == arc.c and arc.s[-1] == 0.051 + p.r_max
 
 
+def test_cut_locus_last_radius_rounded_past_r_max():
+    # the arc's last sample is (rho + r_max) - rho = 20 + 2^-48 at rho = 12.7,
+    # one ulp past r_max; the connector tables still take it
+    p = make_paraboloid(1.0)
+    assert (12.7 + p.r_max) - 12.7 > p.r_max
+    arc = cut_locus(p, SurfacePoint(12.7, 0.0))
+    assert arc.s[-1] == 12.7 + p.r_max
+
+
 def test_first_conjugate_sphere_to_the_closed_form(sphere):
     # on m = sin r the quadrature gives -cot w - cot rho = 0: c = pi
     for rho in (0.6, 1.0, 2.0):

@@ -385,16 +385,16 @@ def test_distance_F_report_root_at_the_bound(parab):
 
 @pytest.mark.parametrize("name", ["parab", "flat", "sphere", "bump"])
 def test_increasing_warp_check_matches_pointwise(name, request):
-    # the connectors' gate, r_hi <= Profile.increasing_radius, against m' > 0
-    # at 127 points of (0, r_hi]
+    # the connectors' gate, Profile.increases_to, against m' > 0 at 127
+    # points of (0, min(r_hi, r_max)]: a radius past r_max is checked on the
+    # whole domain
     profile = request.getfixturevalue(name)
-    for r_hi in (0.5, 1.0, 1.7, 2.5, 30.0):
-        r_hi = min(r_hi, profile.r_max)
-        rr = np.linspace(0.0, r_hi, 128)[1:]
+    for r_hi in (0.5, 1.0, 1.7, 2.5, 30.0, np.nextafter(profile.r_max, np.inf)):
+        rr = np.linspace(0.0, min(r_hi, profile.r_max), 128)[1:]
         pointwise = all(float(profile.m1(r)) > 0.0 for r in rr)
-        assert (r_hi <= profile.increasing_radius) is pointwise
+        assert profile.increases_to(r_hi) is pointwise
     if name == "bump":
-        assert not 1.8 <= profile.increasing_radius
+        assert not profile.increases_to(1.8)
 
 
 def test_distance_F_quasi_metric(parab, rng):
