@@ -323,7 +323,9 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
     warp only the headings of Clairaut's cone, which can come down to the
     target radius, are integrated.  A segment within _CUT_TOL = 1e-5 of
     distance_F (at tol 1e-9) minimizes, and two minimizers whose lengths
-    differ by at most _CUT_TOL verify the cut point.
+    differ by at most _CUT_TOL verify the cut point.  A segment that grazes
+    the target's radius, turning within about 1e-8 of it, can be missed by
+    the fan at tol 3e-7 (shoot_hits).
     """
     horizon = 1.05 * (q.r + target.r) + 0.5
     headings = np.linspace(-math.pi, math.pi, 721)

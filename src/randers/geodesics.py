@@ -454,7 +454,11 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     crossings inside that last step, a pair where rho turns included, are
     still refined, so the crossings are those of the rows run to the
     horizon.  On a warp where m' <= 0 somewhere, as on the sphere, every
-    row runs to the horizon.
+    row runs to the horizon.  The polar form is taken at r_level, but rho is
+    reset to x^2 + y^2 only after each accepted step, so at a root read
+    from the dense output hypot(x, y) differs from r_level by O(tol), up to
+    7.7e-8 at tol 3e-7 (the benchmark's cutlocus-shoot seeds 1-3, rounds
+    0-2), and dr and dtheta mix the two.
     """
     _check_length_tol(length, tol)
     y0 = np.array(states0, dtype=float).reshape(-1, 4)

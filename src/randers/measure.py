@@ -613,7 +613,11 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     ray at refine_tol, which crosses the vertex in the fan's chart too; a
     bracket whose refined ray loses its k-th crossing (or stops at the
     integrator's max_steps) is dropped.  Brackets with a miss above 2.5 rad are skipped, so that the
-    angle wrap at +-pi does not pass for a zero.
+    angle wrap at +-pi does not pass for a zero.  A segment that grazes
+    r_target, turning within about 1e-8 of it, can be missed at tol 3e-7:
+    the fan places a turning radius no closer than about 1e-9, and a
+    grazing pair's crossings move like the square root of that error, so
+    its ray may show no crossing, or a pair 1e-4 off.
     """
     if q_from.r <= 0.0:
         raise VertexSingularError("headings do not parametrize rays from the vertex")

@@ -14,10 +14,12 @@ more evaluations of f for a step that is read.
   step at once on the first dense read, so a solution that is never read
   never pays for them, and at once for a step that crosses an event.
   The state is a handful of numbers, so the stages, the solution update and
-  the error terms run on Python floats, each sum over the nonzero
-  coefficients of its row in column order.  f is called with the state as
-  a list of Python floats and may return any sequence of dim numbers; a
-  tuple of floats is the cheapest, and an ndarray is converted to floats.
+  the error terms run on Python floats, in a step generated from the
+  tableau for the state's dimension (_float_step) that writes each sum out
+  per component over the nonzero coefficients of its row in column order.
+  f is called with the state as a list of Python floats and returns a
+  sequence of exactly dim numbers; a tuple of floats is the cheapest, and
+  an ndarray is converted to floats.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
   on an (n_rows, dim) state, as the shooting fan does at tol 3e-7.  Its
   stages, update and error are sums over the rows of the tableau by
@@ -78,17 +80,19 @@ same two hooks:
   crosses a level twice and ends on the side it started;
   geodesics.level_crossings looks for them on its dense output.
 
-Both accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps``
-after max_steps tries, or at once when a step no longer advances s
-(s + h == s, as the controller's shrinking leaves it where the right-hand
-side has turned NaN), a safety stop that callers report as an error.
+Both grow no step right after a rejection, as HNW's codes do: the step
+accepted after one keeps at most its size (per row, in a batch).  Both
+accept tol in [MIN_TOL, MAX_TOL] and stop with status ``max_steps`` after
+max_steps tries, or at once when a step no longer advances s (s + h == s,
+as the controller's shrinking leaves it where the right-hand side has
+turned NaN), a safety stop that callers report as an error.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -352,6 +356,48 @@ def _initial_step(y0, f0):
     return 0.01 * d0 / d1
 
 
+@cache
+def _float_step(dim: int) -> Callable:
+    """integrate's DOP853 step on dim Python floats, generated from the
+    tableau on the first call for dim: step(f, s, h, y, k0, tol) returns
+    (y_new, err5, err3, k), k the components of k5, ..., k11 in turn.  Each
+    stage state, the update and both error terms are written out per
+    component, y + h * (a0 * p0 + a1 * p1 + ...) over the nonzero
+    coefficients in column order as _stage_sum adds them, the scale as
+    tol + tol * (a if a > b else b), which keeps the NaN of a y_new that
+    left f's domain where max() would drop it, and each norm as math.hypot
+    of its scaled terms.  A slope of another length fails to unpack
+    (ValueError).  The source holds only dim and the tableau's literals,
+    whose repr reads back exactly: exec sees no input of a caller's."""
+    comps = range(dim)
+
+    def row(coeffs, cols, i):
+        return " + ".join(f"{a!r} * k{j}_{i}" for a, j in zip(coeffs, cols))
+
+    def names(fmt):
+        return "".join(fmt.format(i) + ", " for i in comps)
+
+    lines = ["def step(f, s, h, y, k0, tol):",
+             f"    {names('y_{}')}= y",
+             f"    {names('k0_{}')}= k0"]
+    for j in range(1, 12):
+        states = "".join(f"y_{i} + h * ({row(_A8[j], _A8_COLS[j], i)}), " for i in comps)
+        lines.append(f"    {names(f'k{j}_{{}}')}= f(s + {_C8[j]!r} * h, [{states}])")
+    cols = _A8_COLS[12]
+    for i in comps:
+        lines += [f"    n_{i} = y_{i} + h * ({row(_B8, cols, i)})",
+                  f"    a, b = abs(y_{i}), abs(n_{i})",
+                  f"    w_{i} = tol + tol * (a if a > b else b)"]
+    for name, coeffs in (("err5", _E5), ("err3", _E3)):
+        terms = "".join(f"({row(coeffs, cols, i)}) / w_{i}, " for i in comps)
+        lines.append(f"    {name} = hypot({terms})")
+    stages = "".join(names(f"k{j}_{{}}") for j in range(5, 12))
+    lines.append(f"    return [{names('n_{}')}], err5, err3, ({stages})")
+    namespace = {"hypot": math.hypot}
+    exec(compile("\n".join(lines), f"<DOP853 float step, dim {dim}>", "exec"), namespace)
+    return namespace["step"]
+
+
 def check_tol(tol) -> None:
     """InvalidParameterError unless MIN_TOL <= tol <= MAX_TOL."""
     if not MIN_TOL <= tol <= MAX_TOL:
@@ -379,16 +425,18 @@ def integrate(
     DOP853.
 
     f is called with a float and the state as a list of dim Python floats,
-    and returns the derivative components as any sequence of numbers (a
-    tuple of floats is the cheapest; an ndarray is converted to floats).
-    post_step gets the same list and returns a replacement sequence or
-    None; neither may mutate the list.  The stages, the solution update and
-    the error terms run on Python floats, and the event arrays are built
-    only for a step that crosses an event.  tol (in [MIN_TOL, MAX_TOL]) is
-    used as both absolute and relative per-step tolerance and alone sets
-    the step size; a bad range or tol raises
-    InvalidParameterError.  An accepted step costs twelve evaluations of
-    f, thirteen after a projection, and a rejected one eleven.
+    and returns the derivative components as a sequence of dim numbers (a
+    tuple of floats is the cheapest; an ndarray is converted to floats); a
+    sequence of another length raises ValueError.  post_step gets the same
+    list and returns a replacement sequence or None; neither may mutate the
+    list.  The stages, the solution update and the error terms run on
+    Python floats in _float_step(dim), compiled on the first integration of
+    a dim-component state, and the event arrays are built only for a step
+    that crosses an event.  tol (in [MIN_TOL, MAX_TOL]) is used as both
+    absolute and relative per-step tolerance and alone sets the step size;
+    a bad range or tol raises InvalidParameterError.  An accepted step
+    costs twelve evaluations of f, thirteen after a projection, and a
+    rejected one eleven.
 
     Returns an ODESolution whose status is ``completed``, the name of a
     terminal event, or ``max_steps`` (after max_steps tries, or where a
@@ -422,20 +470,10 @@ def integrate(
     status = "completed"
 
     h = float(min(_initial_step(y_arr, np.asarray(fs, dtype=float)), s_end - s0))
-    nsteps = 0
-    nrejected = 0
+    nsteps = nrejected = 0
     root_n = math.sqrt(float(dim))
-    c1, c2, c3, c4, c5, c6, c7, c8, c9, c10 = _C8[1:11]
-    (a10,), (a20, a21), (a30, a32), (a40, a42, a43), (a50, a53, a54) = _A8[1:6]
-    a60, a63, a64, a65 = _A8[6]
-    a70, a73, a74, a75, a76 = _A8[7]
-    a80, a83, a84, a85, a86, a87 = _A8[8]
-    a90, a93, a94, a95, a96, a97, a98 = _A8[9]
-    a100, a103, a104, a105, a106, a107, a108, a109 = _A8[10]
-    a110, a113, a114, a115, a116, a117, a118, a119, a1110 = _A8[11]
-    b0, b5, b6, b7, b8, b9, b10, b11 = _B8
-    e0, e5, e6, e7, e8, e9, e10, e11 = _E5
-    g0, g5, g6, g7, g8, g9, g10, g11 = _E3
+    step = _float_step(dim)
+    grow = _MAX_FACTOR   # 1 right after a rejection: HNW's codes grow no step then
     array = np.array
 
     while s < s_end:
@@ -444,65 +482,19 @@ def integrate(
             status = "max_steps"
             break
 
-        # unrolled DOP853 stages on floats, each sum over the nonzero
-        # coefficients of its row in column order
-        k0 = fs
-        k1 = f(s + c1 * h, [y_ + h * (a10 * p0) for y_, p0 in zip(y, k0)])
-        k2 = f(s + c2 * h, [y_ + h * (a20 * p0 + a21 * p1) for y_, p0, p1 in zip(y, k0, k1)])
-        k3 = f(s + c3 * h, [y_ + h * (a30 * p0 + a32 * p2) for y_, p0, p2 in zip(y, k0, k2)])
-        k4 = f(s + c4 * h, [y_ + h * (a40 * p0 + a42 * p2 + a43 * p3)
-                            for y_, p0, p2, p3 in zip(y, k0, k2, k3)])
-        k5 = f(s + c5 * h, [y_ + h * (a50 * p0 + a53 * p3 + a54 * p4)
-                            for y_, p0, p3, p4 in zip(y, k0, k3, k4)])
-        k6 = f(s + c6 * h, [y_ + h * (a60 * p0 + a63 * p3 + a64 * p4 + a65 * p5)
-                            for y_, p0, p3, p4, p5 in zip(y, k0, k3, k4, k5)])
-        k7 = f(s + c7 * h, [y_ + h * (a70 * p0 + a73 * p3 + a74 * p4 + a75 * p5 + a76 * p6)
-                            for y_, p0, p3, p4, p5, p6 in zip(y, k0, k3, k4, k5, k6)])
-        k8 = f(s + c8 * h, [
-            y_ + h * (a80 * p0 + a83 * p3 + a84 * p4 + a85 * p5 + a86 * p6 + a87 * p7)
-            for y_, p0, p3, p4, p5, p6, p7 in zip(y, k0, k3, k4, k5, k6, k7)])
-        k9 = f(s + c9 * h, [
-            y_ + h * (a90 * p0 + a93 * p3 + a94 * p4 + a95 * p5 + a96 * p6 + a97 * p7
-                      + a98 * p8)
-            for y_, p0, p3, p4, p5, p6, p7, p8 in zip(y, k0, k3, k4, k5, k6, k7, k8)])
-        k10 = f(s + c10 * h, [
-            y_ + h * (a100 * p0 + a103 * p3 + a104 * p4 + a105 * p5 + a106 * p6 + a107 * p7
-                      + a108 * p8 + a109 * p9)
-            for y_, p0, p3, p4, p5, p6, p7, p8, p9 in zip(y, k0, k3, k4, k5, k6, k7, k8, k9)])
-        s_new = s + h
-        k11 = f(s_new, [
-            y_ + h * (a110 * p0 + a113 * p3 + a114 * p4 + a115 * p5 + a116 * p6 + a117 * p7
-                      + a118 * p8 + a119 * p9 + a1110 * p10)
-            for y_, p0, p3, p4, p5, p6, p7, p8, p9, p10 in zip(y, k0, k3, k4, k5, k6, k7, k8,
-                                                                k9, k10)])
-        y_new = [y_ + h * (b0 * p0 + b5 * p5 + b6 * p6 + b7 * p7 + b8 * p8 + b9 * p9 + b10 * p10
-                           + b11 * p11)
-                 for y_, p0, p5, p6, p7, p8, p9, p10, p11 in zip(y, k0, k5, k6, k7, k8, k9, k10,
-                                                                 k11)]
-        # the 5th- and 3rd-order error terms over the scale
-        # tol + tol * max(|y|, |y_new|); the max takes the NaN of a y_new
-        # that left f's domain, as np.maximum does
-        scale = [tol + tol * (a if a > b else b) for a, b in zip(map(abs, y), map(abs, y_new))]
-        err5 = math.hypot(*[
-            (e0 * p0 + e5 * p5 + e6 * p6 + e7 * p7 + e8 * p8 + e9 * p9 + e10 * p10
-             + e11 * p11) / w
-            for w, p0, p5, p6, p7, p8, p9, p10, p11 in zip(scale, k0, k5, k6, k7, k8, k9, k10,
-                                                           k11)])
-        err3 = math.hypot(*[
-            (g0 * p0 + g5 * p5 + g6 * p6 + g7 * p7 + g8 * p8 + g9 * p9 + g10 * p10
-             + g11 * p11) / w
-            for w, p0, p5, p6, p7, p8, p9, p10, p11 in zip(scale, k0, k5, k6, k7, k8, k9, k10,
-                                                           k11)])
+        y_new, err5, err3, stages = step(f, s, h, y, fs, tol)
         # h err5^2 / sqrt(dim (err5^2 + 0.01 err3^2)), HNW's blend
         enorm = h * err5 * (err5 / math.hypot(err5, 0.1 * err3)) / root_n if err5 else 0.0
 
         if not enorm <= 1.0:  # a NaN norm (a stage left f's domain) rejects too
             nrejected += 1
             h *= max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8)
+            grow = 1.0
             continue
 
         # accept
         nsteps += 1
+        s_new = s + h
         k12 = f_new = f(s_new, y_new)  # the FSAL stage
         if post_step is not None:
             y_proj = post_step(s_new, y_new)
@@ -514,9 +506,10 @@ def integrate(
         seg_h.append(h)
         seg_y0 += y
         seg_y1 += y_new
-        seg_f0 += k0
+        seg_f0 += fs
         seg_f1 += f_new
-        seg_k += (*k5, *k6, *k7, *k8, *k9, *k10, *k11, *k12)
+        seg_k += stages
+        seg_k += k12
 
         stop_at = None
         seg_eval = None
@@ -530,8 +523,8 @@ def integrate(
                     y_old = array(y)
                     coeffs = [c[0] for c in _step_coeffs(
                         _per_row(f), array([s]), array([h]), y_old[None],
-                        *(array([v], dtype=float) for v in (y_new, k0, f_new)),
-                        array([k5, k6, k7, k8, k9, k10, k11, k12], dtype=float)[:, None])]
+                        *(array([v], dtype=float) for v in (y_new, fs, f_new)),
+                        array([*stages, *k12], dtype=float).reshape(8, 1, dim))]
 
                     def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
                         return _dense8((sq - _s) / _h, _y, *_c)
@@ -560,31 +553,17 @@ def integrate(
         ss.append(s)
         ys += y
 
-        if enorm == 0.0:
-            factor = _MAX_FACTOR
-        else:
-            factor = min(_MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8))
-        h *= factor
+        h *= min(grow, max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8)) if enorm else grow
+        grow = _MAX_FACTOR
 
     def stacked(flat, *shape):
         return np.array(flat, dtype=float).reshape(-1, *shape, dim)
 
     return ODESolution(
-        s=np.array(ss),
-        y=stacked(ys),
-        seg_s=np.array(seg_s),
-        seg_h=np.array(seg_h),
-        seg_y0=stacked(seg_y0),
-        seg_y1=stacked(seg_y1),
-        seg_f0=stacked(seg_f0),
-        seg_f1=stacked(seg_f1),
-        seg_k=stacked(seg_k, 8),
-        rhs=f,
-        status=status,
-        events={i: recs for i, recs in ev_records.items()},
-        nsteps=nsteps,
-        nrejected=nrejected,
-    )
+        s=np.array(ss), y=stacked(ys), seg_s=np.array(seg_s), seg_h=np.array(seg_h),
+        seg_y0=stacked(seg_y0), seg_y1=stacked(seg_y1), seg_f0=stacked(seg_f0),
+        seg_f1=stacked(seg_f1), seg_k=stacked(seg_k, 8), rhs=f, status=status,
+        events=ev_records, nsteps=nsteps, nrejected=nrejected)
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +710,7 @@ def integrate_batch(
     why = np.full(n, -1)  # -1: completed, -2: max_steps, -3: retired, k >= 0: event k
     nsteps = nrejected = tries = 0
     root_n = math.sqrt(float(dim))
+    grow = np.full(n, _MAX_FACTOR)   # per row, as in integrate
 
     def steps(hit):
         # the accepted steps hit as _step_coeffs reads them: s, h, the end
@@ -755,7 +735,7 @@ def integrate_batch(
         if stuck.any():
             # steps too small to advance s end their rows as max_steps does
             s_out[rows[stuck]], y_out[rows[stuck]], why[rows[stuck]] = s[stuck], y[stuck], -2
-            rows, s, y, fs, h = (v[~stuck] for v in (rows, s, y, fs, h))
+            rows, s, y, fs, h, grow = (v[~stuck] for v in (rows, s, y, fs, h, grow))
             if not rows.size:
                 break
         hc = h[:, None]
@@ -774,8 +754,10 @@ def integrate_batch(
         # fmax/fmin: a NaN error norm (a stage left f's domain) rejects the
         # step and shrinks it, as in integrate
         with np.errstate(divide="ignore"):
-            factor = np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8))
-        acc = np.flatnonzero(enorm <= 1.0)
+            factor = np.fmin(grow, np.fmax(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8))
+        ok = enorm <= 1.0
+        acc = np.flatnonzero(ok)
+        grow = np.where(ok, _MAX_FACTOR, 1.0)
         nsteps += acc.size
         nrejected += rows.size - acc.size
         h_next = h * factor
@@ -839,7 +821,7 @@ def integrate_batch(
             s_out[rows[gone]], y_out[rows[gone]] = s1[done], y_end[done]
             keep = np.ones(rows.size, dtype=bool)
             keep[gone] = False
-            rows, s, y, fs, h = rows[keep], s[keep], y[keep], fs[keep], h[keep]
+            rows, s, y, fs, h, grow = (v[keep] for v in (rows, s, y, fs, h, grow))
 
     if crossed:
         ev, r, g0, g1, t_end, *step = (np.concatenate(a) for a in zip(*crossed))

@@ -50,16 +50,29 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_engine_paths_load_no_scipy():
+def _last_line(script):
+    """The last line a fresh interpreter prints running script, with the
+    checkout's src/ and bench/ on its path."""
     env = dict(os.environ)
     paths = [str(ROOT / "src"), str(ROOT / "bench")]
     if env.get("PYTHONPATH"):
         paths.append(env["PYTHONPATH"])
     env["PYTHONPATH"] = os.pathsep.join(paths)
-    proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_engine_paths_load_no_scipy():
+    assert _last_line(SCRIPT) == "[]"
+
+
+def test_import_compiles_no_integrator_step():
+    # odesolve generates integrate's float step per state dimension on its
+    # first call, so that importing randers builds none
+    assert _last_line("import randers; from randers.odesolve import _float_step; "
+                      "print(_float_step.cache_info().currsize)") == "0"
 
 
 def test_quad_is_scipy_quad():

@@ -9,11 +9,12 @@ from randers import (
 )
 from randers.conjugate import jacobi_integrate
 from randers.geodesics import (
-    GeodesicState, clairaut_constant, integrate_h, level_crossings_batch,
+    GeodesicState, _chart_state, _vertex_chart, clairaut_constant, integrate_h,
+    level_crossings_batch,
 )
 from randers.odesolve import (
     _A8, _A8_COLS, _B8, _C8, _D8, _D8_COLS, _E3, _E5, MAX_TOL, MIN_TOL,
-    LevelEvent, _contd8, _dense8, _initial_step, integrate, integrate_batch,
+    LevelEvent, _contd8, _dense8, _float_step, _initial_step, integrate, integrate_batch,
 )
 from randers.profile import SurfacePoint, gauss_curvature, roots_on_grid
 
@@ -189,11 +190,13 @@ def _dop853_row(f, s0, y0, s_end, tol, events):
     controller on the 5th-order error estimate alone, the dense output, and
     integrate's rule for events (a sign change between step ends, refined
     on the step's interpolant).  Returns (status, s, y, roots of each
-    event)."""
+    event, (accepted steps, rejected steps))."""
     y, s = np.asarray(y0, dtype=float), float(s0)
     fs = f(s, y)
     h = min(_initial_step(y, fs), s_end - s)
     roots = {i: [] for i in range(len(events))}
+    grow = 5.0   # no step growth right after a rejection
+    nsteps = nrejected = 0
     while s < s_end:
         h = min(h, s_end - s)
         k = [fs]
@@ -203,8 +206,11 @@ def _dop853_row(f, s0, y0, s_end, tol, events):
         err = h * _row(_E5, _A8_COLS[12], k)
         ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
         enorm = math.sqrt(float(ratio @ ratio) / y.size)
-        factor = 5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.125))
+        factor = grow if enorm == 0.0 else min(grow, max(0.2, 0.9 * enorm**-0.125))
+        grow = 5.0 if enorm <= 1.0 else 1.0
+        nrejected += not enorm <= 1.0
         if enorm <= 1.0:
+            nsteps += 1
             k.append(f(s + h, y_new))
             for i in (13, 14, 15):
                 k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
@@ -225,10 +231,10 @@ def _dop853_row(f, s0, y0, s_end, tol, events):
                         stop, status = root, f"event:{i}"
             if stop is not None:
                 return status, stop, at(stop), {i: [r for r in rs if r <= stop]
-                                                for i, rs in roots.items()}
+                                                for i, rs in roots.items()}, (nsteps, nrejected)
             s, y, fs = s + h, y_new, k[12]
         h *= factor
-    return "completed", s, y, roots
+    return "completed", s, y, roots, (nsteps, nrejected)
 
 
 def test_batch_rows_match_scalar_integrator():
@@ -237,7 +243,8 @@ def test_batch_rows_match_scalar_integrator():
     batch = integrate_batch(_oscillator_rows, 0.0, y0, 12.0, tol=1e-11, events=events)
     zero_rows, zero_s, zero_y = batch.events[0]
     for i, row in enumerate(y0):
-        status, s_end, y_end, roots = _dop853_row(_oscillator, 0.0, row, 12.0, 1e-11, events)
+        status, s_end, y_end, roots, _ = _dop853_row(_oscillator, 0.0, row, 12.0, 1e-11,
+                                                     events)
         assert batch.status[i] == status
         assert batch.s[i] == pytest.approx(s_end, abs=1e-10)
         np.testing.assert_allclose(batch.y[i], y_end, atol=1e-10)
@@ -392,6 +399,7 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, post_step=None, events=(),
     h = min(_initial_step(y, fs), s_end - s0)
     nsteps = nrejected = 0
     root_n = math.sqrt(float(y.size))
+    grow = 5.0   # no step growth right after a rejection
     while s < s_end:
         if nsteps + nrejected > max_steps:
             status = "max_steps"
@@ -408,6 +416,7 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, post_step=None, events=(),
         if not enorm <= 1.0:
             nrejected += 1
             h *= max(0.2, 0.9 * enorm**-0.125)
+            grow = 1.0
             continue
         nsteps += 1
         s_new = s + h
@@ -452,7 +461,8 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, post_step=None, events=(),
         s, y, fs = s_new, y_new, f_new
         ss.append(s)
         ys.append(y)
-        h *= (5.0 if enorm == 0.0 else min(5.0, max(0.2, 0.9 * enorm**-0.125)))
+        h *= (grow if enorm == 0.0 else min(grow, max(0.2, 0.9 * enorm**-0.125)))
+        grow = 5.0
     return ss, ys, seg, ev_records, status, nsteps, nrejected
 
 
@@ -630,6 +640,52 @@ def test_float_stages_match_array_loop_on_the_jacobi_rhs():
     assert jac.first_zero == ev_records[0][0][0]
 
 
+def test_float_stages_match_array_loop_on_the_vertex_chart_rhs():
+    # integrate_h's normal coordinates at the vertex, five components
+    # (x, y, x', y', rho), with its unit-speed projection and its exit
+    # through r = vertex_chart_radius; the array loop reads the same float
+    # right-hand side
+    profile = make_paraboloid(1.0)
+    rhs, unit = _vertex_chart(profile)
+    r0, phi = 0.5, math.pi - 0.3
+    y0 = _chart_state(r0, math.cos(phi), math.sin(phi) / float(profile.m(r0)), 1.0, 0.0)
+    events = [LevelEvent(4, profile.vertex_chart_radius ** 2, terminal=True, direction=1)]
+    ref = _array_integrate(lambda s, y: np.array(rhs(s, y.tolist())), 0.0, y0, 3.0,
+                           tol=1e-12, post_step=lambda s, y: np.array(unit(s, y.tolist())),
+                           events=events)
+    assert ref[4] == "event:0" and ref[5] > 5
+    _assert_same_solution(integrate(rhs, 0.0, y0, 3.0, tol=1e-12, post_step=unit,
+                                    events=events), ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_float_step_matches_array_loop_in_every_dimension(dim):
+    # a linear system y' = A y on the step generated for dim components,
+    # with an event at a level between y_0's start and end values; the step
+    # is made once per dim
+    a = np.random.default_rng(dim).normal(size=(dim, dim)).tolist()
+
+    def f(s, y):
+        return tuple(sum(c * v for c, v in zip(row, y)) for row in a)
+
+    def f_array(s, y):
+        return np.array(f(s, y.tolist()))
+
+    y0 = [1.0] * dim
+    end = _array_integrate(f_array, 0.0, y0, 2.0, tol=1e-11)[1][-1][0]
+    events = [LevelEvent(0, 0.5 * (1.0 + end))]
+    ref = _array_integrate(f_array, 0.0, y0, 2.0, tol=1e-11, events=events)
+    assert ref[3][0]
+    _assert_same_solution(integrate(f, 0.0, y0, 2.0, tol=1e-11, events=events), ref)
+    assert _float_step(dim) is _float_step(dim)
+
+
+@pytest.mark.parametrize("slope", [lambda s, y: (y[1], -y[0], 0.0), lambda s, y: (y[1],)])
+def test_a_slope_of_the_wrong_length_raises(slope):
+    with pytest.raises(ValueError):
+        integrate(slope, 0.0, [0.0, 1.0], 1.0)
+
+
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-12])
 def test_run_ends_where_the_right_hand_side_turns_nan(tol):
     # past s = 0.5 every stage is NaN, so every step that reaches it is
@@ -656,6 +712,20 @@ def test_run_ends_where_the_right_hand_side_turns_nan(tol):
     assert rows.status == ["max_steps", "max_steps"]
     np.testing.assert_allclose(rows.s, 0.5, atol=1e-15)
     assert len(calls) <= 2000
+
+
+def test_batch_row_takes_the_plain_loops_steps_where_steps_are_rejected():
+    # steps into the NaN region past y = 1.2 are rejected, and a row grows
+    # no step right after a rejection, as the plain loop and integrate do
+    def f(s, y):
+        return np.where(np.asarray(y) < 1.2, 1.0, np.nan)
+
+    events = [LevelEvent(0, 1.0, terminal=True)]
+    rows = integrate_batch(f, 0.0, [[0.0]], 5.0, tol=1e-9, events=events)
+    status, s_end, _, _, counts = _dop853_row(f, 0.0, [0.0], 5.0, 1e-9, events)
+    assert rows.status == [status] == ["event:0"]
+    assert counts[1] > 0 and (rows.nsteps, rows.nrejected) == counts
+    assert rows.s[0] == pytest.approx(s_end, abs=1e-12)
 
 
 def test_float_stages_match_array_loop_outside_the_domain():
