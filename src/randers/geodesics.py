@@ -121,8 +121,8 @@ def _classify(profile: Profile, state: GeodesicState) -> str:
 
 
 def _sample_grid(length: float, h_cap: float) -> np.ndarray:
-    n = max(2, int(math.ceil(length / h_cap)) + 1)
-    return np.linspace(0.0, length, n)
+    # one point for length 0, as for a meridian launched outward on r_max
+    return np.linspace(0.0, length, int(math.ceil(length / h_cap)) + 1)
 
 
 def _meridian_path(profile: Profile, state0: GeodesicState, length: float,
@@ -207,9 +207,10 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     meridians (dtheta = 0) are integrated analytically, continuing through
     the vertex with a theta jump of pi, and sampled every _h_max.  If the
     path leaves the numerical domain r <= r_max it is truncated there and
-    flagged with exit_reason = "domain-exit".  A start at the vertex with
-    angular speed raises VertexSingularError, and a run that reaches the
-    integrator's max_steps stop NumericalBlowupError.
+    flagged with exit_reason = "domain-exit"; a ray launched on r = r_max
+    that moves outward has the start as its one sample.  A start at the
+    vertex with angular speed raises VertexSingularError, and a run that
+    reaches the integrator's max_steps stop NumericalBlowupError.
     """
     _check_length_tol(length, tol)
     if not all(map(math.isfinite, (state0.r, state0.theta, state0.dr, state0.dtheta))):
@@ -225,6 +226,18 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     if state0.r == 0.0:
         raise VertexSingularError("cannot start at the vertex with nonzero angular speed")
     nu0 = clairaut_constant(profile, state0)
+    r_chart, r_max = profile.vertex_chart_radius, profile.r_max
+    if state0.r == r_max and (state0.dr > 0.0 or (state0.dr == 0.0
+                                                  and float(profile.m1(r_max)) > 0.0)):
+        # the exit event needs r < r_max at a step start: a ray launched on
+        # r_max that moves outward, r' > 0, or r' = 0 and r'' = m m'
+        # theta'^2 > 0, leaves the domain at once
+        states = state0.as_array()[None]
+        return GeodesicPath(
+            s=np.zeros(1), states=states, nu=nu0, metric_tag="h",
+            kind=_classify(profile, state0), mu=profile.mu, tol=tol,
+            dense=lambda s: np.broadcast_to(states[0], np.shape(s) + (4,)).copy(),
+            exit_reason="domain-exit")
     m_fn, m1_fn = profile.m, profile.m1
     # (r, m(r), m'(r)) of the last right-hand side call: the FSAL stage, the
     # projection and the derivative after it share r.  One tuple, replaced
@@ -263,7 +276,6 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
                                                / math.hypot(unit[2], unit[3]) - 1.0))
         return unit
 
-    r_chart, r_max = profile.vertex_chart_radius, profile.r_max
     in_chart = state0.r < r_chart or (state0.r == r_chart and state0.dr < 0.0)
     s, y, runs = 0.0, [state0.r, state0.theta, state0.dr, state0.dtheta], []
     while True:
@@ -419,8 +431,9 @@ def level_crossings_batch(profile: Profile, states0, length: float,
                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """level_crossings of the h-geodesic from every row (r, theta, dr,
     dtheta) of states0 over [0, length], without building the paths, as
-    flat arrays (rows, s, y): the crossing at parameter s with state y[k]
-    belongs to the row rows[k] of states0, sorted by row and then by s.
+    flat arrays (rows, s, theta): the crossing at parameter s and angle
+    theta[k] belongs to the row rows[k] of states0, sorted by row and then
+    by s.
 
     Exact meridians take the analytic path of integrate_h, so that the
     chain through the vertex keeps theta0 and theta0 + pi exactly.  All
@@ -429,36 +442,30 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     rho = x^2 + y^2 as a fifth component (_vertex_chart): a ray that passes
     near the vertex is nearly straight there, where in the polar chart it
     sweeps nearly pi in theta.  After each accepted step (x', y') is
-    rescaled to unit h-speed and rho reset to x^2 + y^2.  The events are
-    rho crossing r_max^2 (terminal, outward) and r_level^2.  Each crossing
-    is refined on the dense output of its step, on its own, so a
-    row's crossings do not depend on the other rows of states0, and is
-    returned in polar form (r_level, atan2(y, x), d / r_level,
-    c / r_level^2), with d = x x' + y y' and c = x y' - y x': its theta is
-    known only mod 2 pi.  A row that starts exactly on the level crosses
-    at s = 0 with its own state.  A row whose rho turns inside a step, as
-    on a pass by the vertex, has both crossings of the level there seen
-    (integrate_batch's check of a component that turns); level_crossings,
-    which reads sign changes between samples, misses such a pair.  A row
-    that leaves r <= r_max keeps the crossings before its exit.  Nothing
-    blows up at the vertex in this chart, so there is no floor event; a row
-    stopped by max_steps raises NumericalBlowupError.
+    rescaled to unit h-speed and rho reset to x^2 + y^2.  The crossings are
+    those of rho through r_level^2, each refined on the dense output of its
+    step, on its own, so a row's crossings do not depend on the other rows
+    of states0; theta = atan2(y, x) is known only mod 2 pi.  A row that
+    starts exactly on the level crosses at s = 0.  A row whose rho turns
+    inside a step, as on a pass by the vertex, has both crossings of the
+    level there seen (integrate_batch's check of a component that turns);
+    level_crossings, which reads sign changes between samples, misses such
+    a pair.  Nothing blows up at the vertex in this chart, so there is no
+    floor; a row stopped by max_steps raises NumericalBlowupError.
 
-    Where the warp increases on all of (0, r_max]
-    (Profile.increasing_radius = r_max) a row is retired, ended at the end
-    of an accepted step without a root refined past it, once it lies above
-    the level and moves outward, rho > r_level^2 and d > 0: by Clairaut's
-    relation r'' = nu^2 m' / m^3 >= 0, so r is convex along the ray, r'
-    stays positive and r never comes back down to r_level (do Carmo,
-    Differential Geometry of Curves and Surfaces, section 4-4).  The
-    crossings inside that last step, a pair where rho turns included, are
-    still refined, so the crossings are those of the rows run to the
-    horizon.  On a warp where m' <= 0 somewhere, as on the sphere, every
-    row runs to the horizon.  The polar form is taken at r_level, but rho is
-    reset to x^2 + y^2 only after each accepted step, so at a root read
-    from the dense output hypot(x, y) differs from r_level by O(tol), up to
-    7.7e-8 at tol 3e-7 (the benchmark's cutlocus-shoot seeds 1-3, rounds
-    0-2), and dr and dtheta mix the two.
+    A row is retired, ended at the end of an accepted step without a
+    crossing refined past it, once rho >= r_max^2: it has left the domain,
+    and keeps the crossings it made before, those of its last step
+    included; a row launched outward on r_max ends after its first step.
+    Where the warp increases on all of (0, r_max] (Profile.increases_to) a
+    row is also retired once it lies above the level and moves outward,
+    rho > r_level^2 and d = x x' + y y' > 0: by Clairaut's relation
+    r'' = nu^2 m' / m^3 >= 0, so r is convex along the ray, r' stays
+    positive and r never comes back down to r_level (do Carmo, Differential
+    Geometry of Curves and Surfaces, section 4-4).  The crossings inside
+    that last step, a pair where rho turns included, are still refined, so
+    the crossings are those of the rows run to the horizon.  On a warp
+    where m' <= 0 somewhere, as on the sphere, only the exit retires a row.
     """
     _check_length_tol(length, tol)
     y0 = np.array(states0, dtype=float).reshape(-1, 4)
@@ -471,48 +478,50 @@ def level_crossings_batch(profile: Profile, states0, length: float,
     if np.any(y0[~meridian, 0] <= 0.0):
         raise VertexSingularError(
             "cannot start at the vertex with nonzero angular speed")
-    rows, s_c, y_c = [], [], []
+    rows, s_c, th_c = [], [], []
     for i in np.flatnonzero(meridian).tolist():
         s_i, y_i = level_crossings(
             _meridian_path(profile, GeodesicState(*y0[i].tolist()), length, tol), r_level)
         rows.append(np.full(s_i.size, i))
         s_c.append(s_i)
-        y_c.append(y_i)
+        th_c.append(y_i[:, 1])
     ode = np.flatnonzero(~meridian)
     # a start exactly on the level is a crossing for level_crossings (a
-    # sample with value zero), not for the event, which needs a strict sign
+    # sample with value zero), not for the batch, which needs a strict sign
     # at the step start
     on_level = ode[y0[ode, 0] == r_level]
     rows.append(on_level)
     s_c.append(np.zeros(on_level.size))
-    y_c.append(y0[on_level])
+    th_c.append(y0[on_level, 1])
     if ode.size:
         r, th, dr, dth = y0[ode].T
         # rho starts as r^2, so that a row launched on the level starts on
-        # its event level exactly
+        # it exactly
         start = np.column_stack(_chart_state(r, dr, dth, np.cos(th), np.sin(th)))
         rhs, renormalize = _vertex_chart(profile)
-        rho_level = r_level * r_level
-        events = [odesolve.LevelEvent(4, profile.r_max * profile.r_max, terminal=True,
-                                      direction=1),
-                  odesolve.LevelEvent(4, rho_level)]
-        retire = None
-        if profile.increases_to(profile.r_max):
-            def retire(s, y):
-                # above the level and moving outward: rho > r_level^2, d > 0
-                return (y[:, 4] > rho_level) & (y[:, 0] * y[:, 2] + y[:, 1] * y[:, 3] > 0.0)
-        sol = odesolve.integrate_batch(rhs, 0.0, start, length, tol=tol,
-                                       post_step=renormalize, events=events, retire=retire)
+        rho_level, rho_max = r_level * r_level, profile.r_max * profile.r_max
+        convex = profile.increases_to(profile.r_max)
+
+        def retire(s, y):
+            # out of the domain; or, where r is convex along every ray,
+            # above the level and moving outward: rho > r_level^2, d > 0
+            out = y[:, 4] >= rho_max
+            if convex:
+                out |= (y[:, 4] > rho_level) & (y[:, 0] * y[:, 2] + y[:, 1] * y[:, 3] > 0.0)
+            return out
+
+        sol = odesolve.integrate_batch(rhs, 0.0, start, length, 4, rho_level, tol=tol,
+                                       post_step=renormalize, retire=retire)
         if "max_steps" in sol.status:
             raise NumericalBlowupError(
                 f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps")
-        row, s_e, y_e = sol.events[1]
+        row, s_e, y_e = sol.crossings
         rows.append(ode[row])
         s_c.append(s_e)
-        y_c.append(_polar_state(y_e, np.arctan2(y_e[:, 1], y_e[:, 0]), float(r_level)))
-    rows, s_c, y_c = np.concatenate(rows), np.concatenate(s_c), np.vstack(y_c)
+        th_c.append(np.arctan2(y_e[:, 1], y_e[:, 0]))
+    rows, s_c, th_c = np.concatenate(rows), np.concatenate(s_c), np.concatenate(th_c)
     order = np.lexsort((s_c, rows))
-    return rows[order], s_c[order], y_c[order]
+    return rows[order], s_c[order], th_c[order]
 
 
 def _vertex_chart(profile: Profile):
@@ -600,13 +609,12 @@ def _chart_state(r, dr, dtheta, cos, sin):
     return [r * cos, r * sin, dr * cos - r * dtheta * sin, dr * sin + r * dtheta * cos, r * r]
 
 
-def _polar_state(rows, theta, r=None):
+def _polar_state(rows, theta):
     """Rows (r, theta, dr, dtheta) of the vertex-chart rows (x, y, x', y',
-    ...), whose angle theta the caller knows, at the radius r, by default
-    hypot(x, y): with d = x x' + y y' and c = x y' - y x', dr = d / r and
-    dtheta = c / r^2."""
+    ...), whose angle theta the caller knows: with r = hypot(x, y),
+    d = x x' + y y' and c = x y' - y x', dr = d / r and dtheta = c / r^2."""
     x, y, vx, vy = np.moveaxis(rows[..., :4], -1, 0)
-    r = np.hypot(x, y) if r is None else np.full(x.shape, r)
+    r = np.hypot(x, y)
     return np.stack([r, theta, (x * vx + y * vy) / r, (x * vy - y * vx) / r / r], axis=-1)
 
 

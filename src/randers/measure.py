@@ -597,10 +597,11 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     (geodesics.level_crossings_batch), in normal coordinates at the vertex,
     so a ray that passes the vertex crosses on, and its crossings' theta is
     known mod 2 pi only, which the wrapped miss absorbs; a ray that leaves
-    r <= r_max keeps the crossings it made before.  Where the warp
-    increases on (0, r_max] (Profile.increasing_radius = r_max) Clairaut's
-    relation r'' = nu^2 m' / m^3 >= 0 keeps an outward ray from coming
-    back down, which prunes the scan twice.  Where r* = r_target lies below
+    r <= r_max ends at the end of that step, with the crossings it made
+    before (a ray launched outward on r_max after its first step).  Where
+    the warp increases on (0, r_max] (Profile.increasing_radius = r_max)
+    Clairaut's relation r'' = nu^2 m' / m^3 >= 0 keeps an outward ray from
+    coming back down, which prunes the scan twice.  Where r* = r_target lies below
     q_from, only Clairaut's cone cos chi < 0, |sin chi| <= m(r*) / m(rho)
     (widened by _CONE_MARGIN) is integrated: a geodesic lives where
     m >= |nu| = m(rho) |sin chi|, so the other headings have no crossing,
@@ -642,7 +643,7 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     fan = np.column_stack([np.full(shoot.size, q_from.r),
                            np.full(shoot.size, q_from.theta),
                            np.cos(headings[shoot]), np.sin(headings[shoot]) / m_at])
-    rows, s_c, y_c = level_crossings_batch(profile, fan, horizon, r_target, tol)
+    rows, s_c, th_c = level_crossings_batch(profile, fan, horizon, r_target, tol)
     rows = shoot[rows]
     # the index of each crossing in its row, which runs in parameter order
     nth = np.arange(rows.size) - np.searchsorted(rows, rows)
@@ -652,7 +653,7 @@ def shoot_hits(profile: Profile, q_from: SurfacePoint, r_target: float,
     param = np.full((headings.size, nth.max(initial=-1) + 1), np.nan)
     param[rows, nth] = s_c
     miss = np.full(param.shape, np.nan)
-    miss[rows, nth] = y_c[:, 1] + twist_mu * s_c
+    miss[rows, nth] = th_c + twist_mu * s_c
     miss = wrap_angles(miss - theta_target)
     ga, gb = miss[:-1], miss[1:]
     # a sign change or a zero (a superset of what roots_on_grid refines),

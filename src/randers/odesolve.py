@@ -21,16 +21,17 @@ more evaluations of f for a step that is read.
   sequence of exactly dim numbers; a tuple of floats is the cheapest, and
   an ndarray is converted to floats.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
-  on an (n_rows, dim) state, as the shooting fan does at tol 3e-7.  Its
-  stages, update and error are sums over the rows of the tableau by
-  _stage_sum, as the extra stages and the dense output are.  Each row keeps
-  its own step size and is accepted or rejected under a mask; the FSAL
-  stage (where a projection moved the end state) and the extra stages are
-  evaluated only for the steps that may cross an event, whose stages are
-  kept for one dense-output pass after the run.  Rows leave the active set
-  when they reach s_end or a terminal event, or when the caller's retire
-  test says they can meet no event again.  No dense output is stored for
-  the other steps, so memory stays O(n_rows) plus the candidate steps.
+  on an (n_rows, dim) state, as the shooting fan does at tol 3e-7, and
+  finds where one state component crosses one level.  Its stages, update
+  and error are sums over the rows of the tableau by _stage_sum, as the
+  extra stages and the dense output are.  Each row keeps its own step size
+  and is accepted or rejected under a mask; the FSAL stage (where a
+  projection moved the end state) and the extra stages are evaluated only
+  for the steps that may cross the level, whose stages are kept for one
+  dense-output pass after the run.  Rows leave the active set when they
+  reach s_end, or when the caller's retire test ends them at the end of an
+  accepted step.  No dense output is stored for the other steps, so memory
+  stays O(n_rows) plus the candidate steps.
 
 The two differ in one line.  ``integrate`` controls dop853's blend of the
 5th- and 3rd-order error estimates, err5^2 / sqrt(err5^2 + 0.01 err3^2);
@@ -45,7 +46,7 @@ and angle, and by up to 1.5e-8 to 1.0e-7 under err5 alone.
 The dense output passes through the step's end state whatever ``post_step``
 made of it, and errs between step ends by about what the step errs at
 them.  The tolerance alone sets the step size.  Both integrators take the
-same two hooks:
+same projection hook, and both find level crossings:
 
 * ``post_step(s, y) -> y_new | None`` runs after every accepted step and may
   project the state back onto an invariant manifold (the geodesic integrators
@@ -58,27 +59,24 @@ same two hooks:
   output passes through the sampled states; the stages and the extra
   stages keep the unprojected ones, which moves the interpolant by the
   O(tol) of the projection.
-* Events.  Both take LevelEvents, crossings of one state component
-  through one level; g is the component minus the level.  A crossing
-  counts when g goes from one strict sign to zero or the other sign.
-  ``integrate`` refines each root by roots_on_grid on g over the dense
-  output of the step that crosses.  ``integrate_batch`` finds its roots as
-  geodesics.level_crossings does on a path, with roots_on_grids on the
-  dense output of each candidate step: a step where g changes sign, or,
-  for a non-terminal event, where g heads for zero at the step start and
-  away from it at the end (the component's end slopes), so that it turns
-  inside the step and may cross the level twice.  The turn of the
-  component, the zero of its slope, is inserted into the step's grid, or
-  the middle of the step where the slope keeps its sign, and every sign
-  change on that grid is refined, with the same 10 xtol merge of near
-  roots as level_crossings; a root's direction is the sign of g at the
-  start of its bracket.  Terminal roots are found in the iteration that
-  crosses them, every other root in one pass after the run.  Terminal
-  events stop the integration (a single row, in a batch) at the root
+* Crossings.  ``integrate`` takes LevelEvents, crossings of one state
+  component through one level; g is the component minus the level.  A
+  crossing counts when g goes from one strict sign to zero or the other
+  sign, and is refined by roots_on_grid on g over the dense output of the
+  step that crosses.  A terminal event stops the integration at its root
   inside the step, whose interpolant is kept whole; roots of other events
   past it are dropped.  ``integrate`` sees neither crossing of a step that
   crosses a level twice and ends on the side it started;
   geodesics.level_crossings looks for them on its dense output.
+  ``integrate_batch`` finds its crossings of its one level as
+  level_crossings does on a path, with roots_on_grids on the dense output
+  of each candidate step: a step where g changes sign, or where g heads for
+  zero at the step start and away from it at the end (the component's end
+  slopes), so that it turns inside the step and may cross the level twice.
+  The turn of the component, the zero of its slope, is inserted into the
+  step's grid [0, 1], or the middle of the step where the slope keeps its
+  sign, and every sign change on that grid is refined, with the same 10
+  xtol merge of near roots as level_crossings, in one pass after the run.
 
 Both grow no step right after a rejection, as HNW's codes do: the step
 accepted after one keeps at most its size (per row, in a batch).  Both
@@ -574,88 +572,66 @@ _ROOT_XTOL = 1e-12
 
 @dataclass
 class BatchSolution:
-    """Where each row of a batch integration ended, and the event roots.
+    """Where each row of a batch integration ended, and its crossings.
 
-    status[i] is ``completed``, ``event:k`` for the terminal event k that
-    stopped row i, ``retired`` for a row the caller's retire test ended, or
-    ``max_steps``.  events[k] is a triple of arrays
-    (rows, s, y): the batch row, parameter and state of every root of event
-    k, each row's roots in parameter order.
+    status[i] is ``completed``, ``retired`` for a row the caller's retire
+    test ended, or ``max_steps``.  crossings is a triple of arrays
+    (rows, s, y): the batch row, parameter and state of every crossing of
+    the level, sorted by row and then by parameter.
     """
 
     s: np.ndarray
     y: np.ndarray
     status: list
-    events: dict
+    crossings: tuple
     nsteps: int = 0      # accepted steps, summed over rows
     nrejected: int = 0
 
 
-class _Levels:
-    """The LevelEvents of a batch: their components, levels, allowed
-    directions and terminal flags."""
+def _candidates(c, level, y0, y1, f0, f1):
+    """The steps from the states y0 to y1, with slopes f0 and f1 there, that
+    may cross the level with component c, and g, the component minus the
+    level, at both ends.  A step is a candidate when g goes from a strict
+    sign at y0 to zero or the other sign at y1, or when g heads for zero at
+    y0 and away from it at y1: it turns inside the step, and may cross the
+    level twice."""
+    g0, g1 = y0[:, c] - level, y1[:, c] - level
+    hit = np.flatnonzero(((g0 < 0.0) & (g1 >= 0.0)) | ((g0 > 0.0) & (g1 <= 0.0))
+                         | ((g0 * f0[:, c] < 0.0) & (g1 * f1[:, c] > 0.0)))
+    return hit, g0[hit], g1[hit]
 
-    def __init__(self, events):
-        self.comp = np.array([ev.component for ev in events], dtype=np.int64)
-        self.level = np.array([ev.level for ev in events], dtype=float)
-        self.up = np.array([ev.direction >= 0 for ev in events], dtype=bool)
-        self.down = np.array([ev.direction <= 0 for ev in events], dtype=bool)
-        self.terminal = np.array([ev.terminal for ev in events], dtype=bool)
 
-    def candidates(self, y0, y1, f0, f1):
-        """(event, row) pairs of the steps from the states y0 to y1, with
-        slopes f0 and f1 there, that may hold a root, and g, the event's
-        component minus its level, at both ends.  A step is a candidate
-        when g goes from a strict sign at y0 to zero or the other sign at
-        y1, or, for a non-terminal event, when g heads for zero at y0 and
-        away from it at y1: it turns inside the step, and may cross the
-        level twice."""
-        g0 = y0.T[self.comp] - self.level[:, None]
-        g1 = y1.T[self.comp] - self.level[:, None]
-        change = ((g0 < 0.0) & (g1 >= 0.0)) | ((g0 > 0.0) & (g1 <= 0.0))
-        turn = ((g0 * f0.T[self.comp] < 0.0) & (g1 * f1.T[self.comp] > 0.0)
-                & ~self.terminal[:, None])
-        j, hit = np.nonzero(change | turn)
-        return j, hit, g0[j, hit], g1[j, hit]
+def _crossings(level, y0, coeffs, g0, g1, h):
+    """The crossings of the level on candidate steps of sizes h, one row
+    each, as geodesics.level_crossings finds them on a path: y0 and coeffs
+    hold the component's start value and _contd8 coefficients, and g0 and g1
+    its offset from the level at theta = 0 and 1.  The grid [0, 1] of each
+    step gets one point inserted: the turn of the component, the zero of its
+    slope, or the middle of the step where the slope keeps its sign.  Every
+    sign change on that grid is refined by roots_on_grids to _ROOT_XTOL in
+    the parameter; a grid point on the level is a crossing, and a crossing
+    within 10 xtol of the one before it in its step is dropped.  Returns
+    (k, t): the candidate and theta of every crossing, sorted by candidate
+    and then by theta."""
+    k = np.arange(h.size)
+    xtol = _ROOT_XTOL / h
 
-    def roots(self, j, seg, g0, g1, t_end, h):
-        """The roots of events j on their candidate steps, one row each, as
-        geodesics.level_crossings finds them on a path.  seg holds the
-        steps' start states and _contd8 coefficients, h their sizes, and g0
-        and g1 the offset component at theta = 0 and t_end.  The grid
-        [0, t_end] of each step gets one point inserted: the turn of the
-        component, the zero of its slope, or the middle of the step where
-        the slope keeps its sign.  Every sign change on that grid is
-        refined by roots_on_grids to _ROOT_XTOL in the parameter; a grid
-        point on the level is a root, and a root within 10 xtol of the one
-        before it in its step is dropped.  A root rises through the level
-        where g is negative at the start of its bracket.  Returns (k, t, y):
-        the candidate, theta and state of every root that its event's
-        direction allows, sorted by candidate and then by theta."""
-        k = np.arange(j.size)
-        level = self.level[j]
-        y0, *coeffs = (a[k, self.comp[j]] for a in seg)
-        xtol = _ROOT_XTOL / h
+    def g(i, t):
+        return _dense8(t, y0[i], *(c[i] for c in coeffs)) - level
 
-        def g(i, t):
-            return _dense8(t, y0[i], *(c[i] for c in coeffs)) - level[i]
+    def slope(i, t):
+        return _dense8_slope(t, *(c[i] for c in coeffs))
 
-        def slope(i, t):
-            return _dense8_slope(t, *(c[i] for c in coeffs))
+    zero, one = np.zeros(h.size), np.ones(h.size)
+    turning, t_turn = roots_on_grids(slope, np.column_stack([zero, one]),
+                                     np.column_stack([slope(k, zero), slope(k, one)]), xtol)
+    split = np.full(h.size, 0.5)
+    split[turning] = t_turn
+    return roots_on_grids(g, np.column_stack([zero, split, one]),
+                          np.column_stack([g0, g(k, split), g1]), xtol)
 
-        zero = np.zeros(j.size)
-        turning, t_turn = roots_on_grids(slope, np.column_stack([zero, t_end]),
-                                         np.column_stack([slope(k, zero), slope(k, t_end)]),
-                                         xtol)
-        split = 0.5 * t_end
-        split[turning] = t_turn
-        grid = np.column_stack([zero, split, t_end])
-        values = np.column_stack([g0, g(k, split), g1])
-        k, t = roots_on_grids(g, grid, values, xtol)
-        start = np.maximum(np.sum(grid[k] < t[:, None], axis=1) - 1, 0)
-        keep = np.where(values[k, start] < 0.0, self.up[j[k]], self.down[j[k]])
-        k, t = k[keep], t[keep]
-        return k, t, _dense8(t[:, None], *(a[k] for a in seg))
+
+_STATUS = ("completed", "max_steps", "retired")
 
 
 def integrate_batch(
@@ -663,35 +639,33 @@ def integrate_batch(
     s0: float,
     y0,
     s_end: float,
+    component: int,
+    level: float,
     tol: float = 1e-10,
     post_step: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-    events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
     retire: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
 ) -> BatchSolution:
     """Integrate y' = f(s, y) from s0 to s_end (s_end > s0) for every row of
-    the (n_rows, dim) array y0.
+    the (n_rows, dim) array y0, and find every crossing of the state
+    component ``component`` through ``level``.
 
     f and post_step are called with the parameters (k,) and states (k, dim)
     of the rows still active and return arrays of the states' shape; rows
     never interact.  tol and max_steps (per row) mean what they mean for
     integrate, but the step size follows the 5th-order error estimate alone
     (see the module docstring).  An iteration that accepts every row works
-    on its step arrays as they are.  Event roots are refined to 1e-12 in the
-    parameter (_Levels.roots), each row's from that row alone; a terminal
-    root ends its row's step, and later events are looked for in that step
-    only before it.
-
-    The FSAL stage at a projected end and the extra stages are evaluated
-    only for the steps that may hold a root, whose dense output is built
-    in one pass after the run (in their iteration, for a terminal event).
+    on its step arrays as they are.  Crossings are refined to 1e-12 in the
+    parameter (_crossings), each row's from that row alone.  The FSAL stage
+    at a projected end and the extra stages are evaluated only for the
+    candidate steps (_candidates), whose dense output is built in one pass
+    after the run.
 
     retire(s, y), if given, marks the rows that are finished at the ends s
     and states y of their accepted steps: a marked row ends there, with
-    status ``retired``; the roots inside that last step are still found.
-    It is for rows the caller knows can meet no event again
-    (geodesics.level_crossings_batch retires rays that move away from
-    their level where r is convex).
+    status ``retired``, and the crossings inside that last step are still
+    found.  geodesics.level_crossings_batch retires the rays that left the
+    domain, and those that move away from their level where r is convex.
     """
     _check_span_tol(s0, s_end, tol)
     y = np.array(y0, dtype=float)
@@ -702,39 +676,24 @@ def integrate_batch(
     s = np.full(n, float(s0))
     fs = f(s, y)
     h = np.minimum(_initial_step(y, fs), s_end - s0)
-    watch = _Levels(events)
-    found: list = []      # (event, rows, s, y) of terminal roots
-    crossed: list = []    # candidate steps of non-terminal events, refined after the run
+    crossed: list = []    # candidate steps, refined after the run
     s_out = np.empty(n)
     y_out = np.empty((n, dim))
-    why = np.full(n, -1)  # -1: completed, -2: max_steps, -3: retired, k >= 0: event k
+    why = np.zeros(n, dtype=np.int64)   # the index in _STATUS of each row's end
     nsteps = nrejected = tries = 0
     root_n = math.sqrt(float(dim))
     grow = np.full(n, _MAX_FACTOR)   # per row, as in integrate
 
-    def steps(hit):
-        # the accepted steps hit as _step_coeffs reads them: s, h, the end
-        # states and slopes, and the stages k5, ..., k12, with k12 evaluated
-        # here where the projection moved the end state
-        i = acc[hit]
-        k12 = f1[hit] if y1 is y_stage else f(sa[hit] + ha[hit], y_stage[hit])
-        return (sa[hit], ha[hit], ya[hit], y1[hit], fa[hit], f1[hit],
-                *(k[i] for k in stages[5:]), k12)
-
-    def dense(step):
-        # start states and _contd8 coefficients of the steps from steps()
-        return (step[2], *_step_coeffs(f, *step[:6], step[6:]))
-
     while rows.size:
         if tries > max_steps:   # every active row has had one try per iteration
-            s_out[rows], y_out[rows], why[rows] = s, y, -2
+            s_out[rows], y_out[rows], why[rows] = s, y, 1
             break
         tries += 1
         h = np.minimum(h, s_end - s)
         stuck = s + h == s
         if stuck.any():
             # steps too small to advance s end their rows as max_steps does
-            s_out[rows[stuck]], y_out[rows[stuck]], why[rows[stuck]] = s[stuck], y[stuck], -2
+            s_out[rows[stuck]], y_out[rows[stuck]], why[rows[stuck]] = s[stuck], y[stuck], 1
             rows, s, y, fs, h, grow = (v[~stuck] for v in (rows, s, y, fs, h, grow))
             if not rows.size:
                 break
@@ -766,8 +725,7 @@ def integrate_batch(
             continue
 
         # the accepted rows: views when every row is accepted, else copies;
-        # project, then look for events on the projected step.  The FSAL
-        # stage is f at the unprojected end y_stage, which steps() reads
+        # project, then look for crossings on the projected step
         cols = slice(None) if acc.size == rows.size else acc
         sa, ha, ya, fa, s1, y1 = s[cols], h[cols], y[cols], fs[cols], s_new[cols], y_new[cols]
         y_stage = y1
@@ -776,69 +734,42 @@ def integrate_batch(
             if y_proj is not None:
                 y1 = np.asarray(y_proj, dtype=float)
         f1 = f(s1, y1)
-        # the earliest terminal root ends a row's step at theta = t_end,
-        # where the row's state is y_end (the first event on a tie); the
-        # steps it cuts are searched again up to it
-        t_end, y_end, cut = None, y1, None
-        j, hit, g0, g1 = watch.candidates(ya, y1, fa, f1)
-        stop = watch.terminal[j]
-        if stop.any():
-            j, hit = j[stop], hit[stop]
-            k, root, y_root = watch.roots(j, dense(steps(hit)), g0[stop], g1[stop],
-                                          np.ones(hit.size), ha[hit])
-            j, hit = j[k], hit[k]
-            order = np.lexsort((j, root, hit))
-            first = order[np.unique(hit[order], return_index=True)[1]]
-            cut = hit[first]
-            t_end = np.ones(acc.size)
-            t_end[cut] = root[first]
-            s1[cut] = sa[cut] + root[first] * ha[cut]
-            y_end = y1.copy()
-            y_end[cut] = y_root[first]
-            why[rows[acc[cut]]] = j[first]
-            found.append((j[first], rows[acc[cut]], s1[cut], y_end[cut]))
-            j, hit, g0, g1 = watch.candidates(ya, y_end, fa, f1)
-        keep = ~watch.terminal[j]
-        if keep.any():
-            hit = hit[keep]
-            crossed.append((j[keep], rows[acc[hit]], g0[keep], g1[keep],
-                            np.ones(hit.size) if t_end is None else t_end[hit], *steps(hit)))
+        hit, g0, g1 = _candidates(component, level, ya, y1, fa, f1)
+        if hit.size:
+            # the candidate steps as _step_coeffs reads them: s, h, the end
+            # states and slopes, and the stages k5, ..., k12, with k12, the
+            # FSAL stage, evaluated at the unprojected end y_stage
+            i = acc[hit]
+            k12 = f1[hit] if y1 is y_stage else f(s1[hit], y_stage[hit])
+            crossed.append((rows[i], g0, g1, sa[hit], ha[hit], ya[hit], y1[hit], fa[hit],
+                            f1[hit], *(k[i] for k in stages[5:]), k12))
 
         h = h_next
         if cols is acc:
-            s[acc], y[acc], fs[acc] = s1, y_end, f1
+            s[acc], y[acc], fs[acc] = s1, y1, f1
         else:
-            s, y, fs = s1, y_end, f1
+            s, y, fs = s1, y1, f1
         done = s1 >= s_end
-        if cut is not None:
-            done[cut] = True
         if retire is not None:
-            ends = retire(s1, y_end) & ~done
-            why[rows[acc[ends]]] = -3
+            ends = retire(s1, y1) & ~done
+            why[rows[acc[ends]]] = 2
             done |= ends
         if done.any():
             gone = acc[done]
-            s_out[rows[gone]], y_out[rows[gone]] = s1[done], y_end[done]
+            s_out[rows[gone]], y_out[rows[gone]] = s1[done], y1[done]
             keep = np.ones(rows.size, dtype=bool)
             keep[gone] = False
             rows, s, y, fs, h, grow = (v[keep] for v in (rows, s, y, fs, h, grow))
 
+    r, sr, yr = np.empty(0, dtype=np.int64), np.empty(0), np.empty((0, dim))
     if crossed:
-        ev, r, g0, g1, t_end, *step = (np.concatenate(a) for a in zip(*crossed))
-        k, t, y_root = watch.roots(ev, dense(step), g0, g1, t_end, step[1])
-        found.append((ev[k], r[k], step[0][k] + t * step[1][k], y_root))
-    ev, r, sr, yr = ((np.concatenate(a) for a in zip(*found)) if found else
-                     (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64),
-                      np.empty(0), np.empty((0, dim))))
-    # by event, then by row, then by parameter
-    order = np.lexsort((sr, r, ev))
-    ev, r, sr, yr = ev[order], r[order], sr[order], yr[order]
-    bounds = np.searchsorted(ev, np.arange(len(events) + 1))
-    status = {-1: "completed", -2: "max_steps", -3: "retired"}
-    return BatchSolution(
-        s=s_out, y=y_out,
-        status=[status.get(k, f"event:{k}") for k in why.tolist()],
-        events={i: (r[a:b], sr[a:b], yr[a:b])
-                for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))},
-        nsteps=nsteps, nrejected=nrejected,
-    )
+        r, g0, g1, *step = (np.concatenate(a) for a in zip(*crossed))
+        sa, ha, ya = step[:3]
+        coeffs = _step_coeffs(f, *step[:6], step[6:])
+        k, t = _crossings(level, ya[:, component], [c[:, component] for c in coeffs],
+                          g0, g1, ha)
+        r, sr, yr = r[k], sa[k] + t * ha[k], _dense8(t[:, None], ya[k], *(c[k] for c in coeffs))
+        order = np.lexsort((sr, r))
+        r, sr, yr = r[order], sr[order], yr[order]
+    return BatchSolution(s=s_out, y=y_out, status=[_STATUS[k] for k in why.tolist()],
+                         crossings=(r, sr, yr), nsteps=nsteps, nrejected=nrejected)

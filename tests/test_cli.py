@@ -285,5 +285,21 @@ def test_cutlocus_needs_an_increasing_warp(tmp_path, capsys):
     assert "increases" in capsys.readouterr().err
 
 
+def test_geodesic_launched_outward_on_r_max(tmp_path, capsys):
+    # the ray leaves the domain at once: one sample on r_max, exported,
+    # Clairaut-checked and swept for self-intersections
+    cfg = tmp_path / "sphere.json"
+    cfg.write_text(json.dumps({"kind": "custom", "m": "sin(r)", "m1": "cos(r)",
+                               "m2": "-sin(r)", "mu": 0.2, "r_max": 2.8}))
+    assert run(["geodesic", "--surface", str(cfg), "--r0", "2.8", "--heading", "0.3",
+                "--length", "6", "--embed", "--out", str(tmp_path)]) == 0
+    assert "self-intersections within length 6: 0" in capsys.readouterr().out
+    meta = json.loads((tmp_path / "geodesic_h.json").read_text())
+    assert meta["exit_reason"] == "domain-exit" and meta["s_end"] == 0.0
+    rows = (tmp_path / "geodesic_h.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [2.8]
+    assert (tmp_path / "clairaut_report.json").exists()
+
+
 def test_negative_seed_is_a_usage_error(tmp_path):
     assert run(["geodesic", "--embed", "--seed", "-2", "--out", str(tmp_path)]) == 1

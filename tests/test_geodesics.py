@@ -282,6 +282,27 @@ def test_meridian_domain_exit_truncates(parab):
     assert inside.exit_reason == "completed" and inside.s[-1] == 23.0
 
 
+def test_ray_launched_outward_on_r_max_exits_at_once(sphere, parab):
+    # the polar exit event needs r < r_max at a step start, so a ray launched
+    # outward on r_max ran on past it: on the sphere (r_max = 2.8) from
+    # (2.8, 0) at heading 0.3 it reached r = 3.04 and read "completed"
+    m = math.sin(2.8)
+    state = GeodesicState(2.8, 0.0, math.cos(0.3), math.sin(0.3) / m)
+    path = integrate_h(sphere, state, 6.0)
+    assert path.exit_reason == "domain-exit" and path.s.tolist() == [0.0]
+    assert np.all(path.states[:, 0] <= sphere.r_max)
+    assert np.array_equal(path.dense(np.array([0.0, 1.0])), [state.as_array()] * 2)
+    # r' = 0 where m' > 0: r'' = m m' theta'^2 > 0 takes the ray out too
+    tangent = GeodesicState(parab.r_max, 0.0, 0.0, 1.0 / float(parab.m(parab.r_max)))
+    assert integrate_h(parab, tangent, 3.0).exit_reason == "domain-exit"
+    # the analytic meridian stops there too, with the same one sample
+    meridian = integrate_h(parab, GeodesicState(parab.r_max, 0.0, 1.0, 0.0), 3.0)
+    assert meridian.exit_reason == "domain-exit" and meridian.s.tolist() == [0.0]
+    # inward from r_max the ray runs, over the vertex to the far side
+    inward = integrate_h(sphere, GeodesicState(2.8, 0.0, -math.cos(0.3), math.sin(0.3) / m), 6.0)
+    assert inward.length > 5.0 and np.all(inward.states[:, 0] <= sphere.r_max)
+
+
 def test_twist_is_algebraic(parab60):
     h_path = integrate_h(parab60, _launch(parab60, 2.0, 1.0), 20.0, tol=1e-10)
     f_path = twist(h_path, parab60.mu)

@@ -95,7 +95,7 @@ def test_max_steps_status():
     sol = integrate(_oscillator, 0.0, [0.0, 1.0], 1e9, tol=1e-6,
                     max_steps=50)
     assert sol.status == "max_steps"
-    rows = integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0], [1.0, 0.0]], 1e9,
+    rows = integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0], [1.0, 0.0]], 1e9, 0, 0.0,
                            tol=1e-6, max_steps=50)
     assert rows.status == ["max_steps", "max_steps"]
 
@@ -125,9 +125,9 @@ def test_rejects_backward_range():
     with pytest.raises(ValueError):
         integrate(_oscillator, 1.0, [0.0, 1.0], 0.5)
     with pytest.raises(ValueError):
-        integrate_batch(_oscillator_rows, 1.0, [[0.0, 1.0]], 0.5)
+        integrate_batch(_oscillator_rows, 1.0, [[0.0, 1.0]], 0.5, 0, 0.0)
     with pytest.raises(ValueError):  # one row needs shape (1, dim)
-        integrate_batch(_oscillator_rows, 0.0, [0.0, 1.0], 0.5)
+        integrate_batch(_oscillator_rows, 0.0, [0.0, 1.0], 0.5, 0, 0.0)
 
 
 @pytest.mark.parametrize("s_end,tol", [
@@ -139,7 +139,7 @@ def test_rejects_non_finite_range_and_bad_tol(s_end, tol):
     with pytest.raises(InvalidParameterError):
         integrate(_oscillator, 0.0, [0.0, 1.0], s_end, tol=tol)
     with pytest.raises(InvalidParameterError):
-        integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], s_end, tol=tol)
+        integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], s_end, 0, 0.0, tol=tol)
 
 
 def test_rejects_tol_above_max():
@@ -153,7 +153,7 @@ def test_rejects_tol_above_max():
         with pytest.raises(InvalidParameterError):
             integrate(_oscillator, 0.0, [0.0, 1.0], 1.0, tol=tol)
         with pytest.raises(InvalidParameterError):
-            integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], 1.0, tol=tol)
+            integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], 1.0, 0, 0.0, tol=tol)
         with pytest.raises(InvalidParameterError):
             integrate_h(bump, state, 10.0, tol=tol)
 
@@ -168,7 +168,7 @@ def test_rejects_tol_below_min():
         with pytest.raises(InvalidParameterError):
             integrate(_oscillator, 0.0, [0.0, 1.0], 1.0, tol=tol)
         with pytest.raises(InvalidParameterError):
-            integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], 1.0, tol=tol)
+            integrate_batch(_oscillator_rows, 0.0, [[0.0, 1.0]], 1.0, 0, 0.0, tol=tol)
         with pytest.raises(InvalidParameterError):
             integrate_h(bump, state, 1.0, tol=tol)
 
@@ -185,16 +185,17 @@ def test_projected_state_ends_each_step():
     assert np.array_equal(sol(sol.s[1:-1]), sol.y[1:-1])
 
 
-def _dop853_row(f, s0, y0, s_end, tol, events):
+def _dop853_row(f, s0, y0, s_end, tol, component, level, retire=None):
     """One row of integrate_batch as a plain loop: the DOP853 stages, the
-    controller on the 5th-order error estimate alone, the dense output, and
-    integrate's rule for events (a sign change between step ends, refined
-    on the step's interpolant).  Returns (status, s, y, roots of each
-    event, (accepted steps, rejected steps))."""
+    controller on the 5th-order error estimate alone, the dense output,
+    integrate's rule for crossings of the level (a sign change between step
+    ends, refined on the step's interpolant), and the retire test at the
+    end of each accepted step.  Returns (status, s, y, crossings,
+    (accepted steps, rejected steps))."""
     y, s = np.asarray(y0, dtype=float), float(s0)
     fs = f(s, y)
     h = min(_initial_step(y, fs), s_end - s)
-    roots = {i: [] for i in range(len(events))}
+    roots = []
     grow = 5.0   # no step growth right after a rejection
     nsteps = nrejected = 0
     while s < s_end:
@@ -204,9 +205,14 @@ def _dop853_row(f, s0, y0, s_end, tol, events):
             k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
         y_new = y + h * _row(_B8, _A8_COLS[12], k)
         err = h * _row(_E5, _A8_COLS[12], k)
-        ratio = err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new)))
-        enorm = math.sqrt(float(ratio @ ratio) / y.size)
-        factor = grow if enorm == 0.0 else min(grow, max(0.2, 0.9 * enorm**-0.125))
+        ratio = (err / (tol + tol * np.maximum(np.abs(y), np.abs(y_new))))[None]
+        # on a one-row array, rounded as the batch rounds its rows: the
+        # error estimate cancels to about 1e-5 of its terms, so a last-bit
+        # difference in the factor moves later step ends by 1e-9 to 1e-7
+        enorm = np.sqrt(np.einsum("ij,ij->i", ratio, ratio)) / math.sqrt(y.size)
+        with np.errstate(divide="ignore"):
+            factor = float(np.fmin(grow, np.fmax(0.2, 0.9 * enorm**-0.125))[0])
+        enorm = float(enorm[0])
         grow = 5.0 if enorm <= 1.0 else 1.0
         nrejected += not enorm <= 1.0
         if enorm <= 1.0:
@@ -215,72 +221,61 @@ def _dop853_row(f, s0, y0, s_end, tol, events):
             for i in (13, 14, 15):
                 k.append(f(s + _C8[i] * h, y + h * _row(_A8[i], _A8_COLS[i], k)))
             coeffs = _contd8(h, y, y_new, k[0], k[12], [k[j] for j in _D8_COLS])
-
-            def at(sq, _s=s, _h=h, _y=y):
-                return _dense8((sq - _s) / _h, _y, *coeffs)
-
-            stop, status = None, None
-            for i, ev in enumerate(events):
-                g0, g1 = y[ev.component] - ev.level, y_new[ev.component] - ev.level
-                if ((ev.direction >= 0 and g0 < 0.0 <= g1)
-                        or (ev.direction <= 0 and g0 > 0.0 >= g1)):
-                    root = roots_on_grid(lambda sq: at(sq)[ev.component] - ev.level,
-                                         (s, s + h), (g0, g1), xtol=1e-12)[0]
-                    roots[i].append(root)
-                    if ev.terminal and (stop is None or root < stop):
-                        stop, status = root, f"event:{i}"
-            if stop is not None:
-                return status, stop, at(stop), {i: [r for r in rs if r <= stop]
-                                                for i, rs in roots.items()}, (nsteps, nrejected)
+            g0, g1 = y[component] - level, y_new[component] - level
+            if g0 < 0.0 <= g1 or g0 > 0.0 >= g1:
+                roots += roots_on_grid(
+                    lambda sq: _dense8((sq - s) / h, y, *coeffs)[component] - level,
+                    (s, s + h), (g0, g1), xtol=1e-12)
             s, y, fs = s + h, y_new, k[12]
+            if retire is not None and s < s_end and retire(s, y):
+                return "retired", s, y, roots, (nsteps, nrejected)
         h *= factor
     return "completed", s, y, roots, (nsteps, nrejected)
 
 
 def test_batch_rows_match_scalar_integrator():
+    # crossings of x = 0, and rows retired at the end of the step that
+    # takes them to x <= -0.5
     y0 = np.array([[0.0, 1.0], [1.0, 0.0], [0.3, -0.8], [0.0, 0.2]])
-    events = [LevelEvent(0, 0.0), LevelEvent(0, -0.5, terminal=True, direction=-1)]
-    batch = integrate_batch(_oscillator_rows, 0.0, y0, 12.0, tol=1e-11, events=events)
-    zero_rows, zero_s, zero_y = batch.events[0]
+    batch = integrate_batch(_oscillator_rows, 0.0, y0, 12.0, 0, 0.0, tol=1e-11,
+                            retire=lambda s, y: y[:, 0] <= -0.5)
+    zero_rows, zero_s, zero_y = batch.crossings
     for i, row in enumerate(y0):
-        status, s_end, y_end, roots, _ = _dop853_row(_oscillator, 0.0, row, 12.0, 1e-11,
-                                                     events)
+        status, s_end, y_end, roots, _ = _dop853_row(_oscillator, 0.0, row, 12.0, 1e-11, 0, 0.0,
+                                                     lambda s, y: y[0] <= -0.5)
         assert batch.status[i] == status
         assert batch.s[i] == pytest.approx(s_end, abs=1e-10)
         np.testing.assert_allclose(batch.y[i], y_end, atol=1e-10)
         mine = zero_rows == i
-        np.testing.assert_allclose(zero_s[mine], roots[0], atol=1e-10)
+        np.testing.assert_allclose(zero_s[mine], roots, atol=1e-10)
         np.testing.assert_allclose(zero_y[mine, 0], 0.0, atol=1e-12)
     assert batch.status[3] == "completed"   # amplitude 0.2 never reaches -0.5
+    assert batch.status[:3] == ["retired"] * 3
     assert batch.nsteps > 0
 
 
 def test_batch_projection():
     y0 = np.array([[0.0, 1.0], [0.6, 0.8]])
-    sol = integrate_batch(_oscillator_rows, 0.0, y0, 30.0, tol=1e-6,
+    sol = integrate_batch(_oscillator_rows, 0.0, y0, 30.0, 0, 0.0, tol=1e-6,
                           post_step=lambda s, y: y / np.hypot(y[:, 0], y[:, 1])[:, None])
     np.testing.assert_allclose(np.hypot(sol.y[:, 0], sol.y[:, 1]), 1.0, atol=1e-15)
     assert sol.status == ["completed", "completed"]
 
 
+def _ones(s, y):
+    return np.ones_like(y)
+
+
 def test_batch_events_inside_one_step():
     # y' = 1 is integrated exactly, so steps grow fivefold and the one over
-    # [1.56, 7.81] crosses every level below: the earlier terminal root
-    # ends the row, whatever the order of the events, and only crossings
-    # before it are kept
-    events = [LevelEvent(0, 3.0, terminal=True), LevelEvent(0, 5.0, terminal=True),
-              LevelEvent(0, 2.0), LevelEvent(0, 4.0)]
-    for order in (events, [events[1], events[0], *events[2:]]):
-        sol = integrate_batch(lambda s, y: np.ones_like(y), 0.0, [[0.0]], 10.0,
-                              tol=1e-9, events=order)
-        assert sol.nsteps == 5
-        assert sol.status == [f"event:{order.index(events[0])}"]
-        assert sol.s[0] == pytest.approx(3.0, abs=1e-12)
-        assert sol.y[0, 0] == pytest.approx(3.0, abs=1e-12)
-        found = {ev.level: sol.events[i][1].tolist() for i, ev in enumerate(order)}
-        assert found[3.0] == pytest.approx([3.0], abs=1e-12)
-        assert found[2.0] == pytest.approx([2.0], abs=1e-12)
-        assert found[5.0] == found[4.0] == []
+    # [1.56, 7.81] crosses every level below: each is found inside it
+    for level in (2.0, 3.0, 5.0, 7.0):
+        sol = integrate_batch(_ones, 0.0, [[0.0]], 10.0, 0, level, tol=1e-9)
+        assert sol.nsteps == 6 and sol.status == ["completed"]
+        rows, s_c, y_c = sol.crossings
+        assert rows.tolist() == [0]
+        assert s_c == pytest.approx([level], abs=1e-12)
+        assert y_c[:, 0] == pytest.approx([level], abs=1e-12)
 
 
 def _line_past_the_origin(s, y):
@@ -289,80 +284,73 @@ def _line_past_the_origin(s, y):
     return np.column_stack([np.ones(len(y)), 2.0 * y[:, 0]])
 
 
-_PAIR = (1.0 - math.sqrt(0.28), 1.0 + math.sqrt(0.28))
-
-
-@pytest.mark.parametrize("direction,roots", [(0, _PAIR), (-1, _PAIR[:1]), (1, _PAIR[1:])])
-def test_batch_sees_two_crossings_where_the_component_turns_inside_a_step(direction, roots):
+def test_batch_sees_two_crossings_where_the_component_turns_inside_a_step():
     # rho = (s - 1)^2 + 0.36 falls to its minimum at s = 1 and rises again.
     # The step over [0.37, 1.84] holds the minimum: rho = 1 is crossed in
     # the step before it and once inside it, rho = 0.64 twice inside it,
     # and rho = 0.3 never
-    sol = integrate_batch(_line_past_the_origin, 0.0, [[-1.0, 1.36]], 4.0, tol=1e-9,
-                          events=[LevelEvent(1, 0.64, direction=direction),
-                                  LevelEvent(1, 1.0), LevelEvent(1, 0.3)])
-    assert sol.nsteps == 5 and sol.status == ["completed"]
-    assert sol.events[0][1] == pytest.approx(roots, abs=1e-12)
-    np.testing.assert_allclose(sol.events[0][2][:, 1], 0.64, atol=1e-12)
-    assert sol.events[1][1] == pytest.approx([0.2, 1.8], abs=1e-12)
-    assert sol.events[2][1].size == 0
+    pair = (1.0 - math.sqrt(0.28), 1.0 + math.sqrt(0.28))
+    for level, roots in ((0.64, pair), (1.0, (0.2, 1.8)), (0.3, ())):
+        sol = integrate_batch(_line_past_the_origin, 0.0, [[-1.0, 1.36]], 4.0, 1, level,
+                              tol=1e-9)
+        assert sol.nsteps == 5 and sol.status == ["completed"]
+        assert sol.crossings[1] == pytest.approx(roots, abs=1e-12)
+        np.testing.assert_allclose(sol.crossings[2][:, 1], level, atol=1e-12)
 
 
-_FALL_THEN_RISE = (1.0 - math.sqrt(0.39), 1.0 + math.sqrt(0.39))
-
-
-@pytest.mark.parametrize("direction,roots", [
-    (0, _FALL_THEN_RISE), (-1, _FALL_THEN_RISE[:1]), (1, _FALL_THEN_RISE[1:]),
-])
-def test_batch_step_that_turns_and_changes_sign(direction, roots):
+def test_batch_step_that_turns_and_changes_sign():
     # rho = (s - 1)^2 + 0.36 again, from s = -0.5, so that the step over
     # [-0.13, 1.38] holds the minimum: it falls through rho = 0.75 before
     # the turn and ends below it, and the next step rises through it
-    sol = integrate_batch(_line_past_the_origin, -0.5, [[-1.5, 2.61]], 3.0, tol=1e-9,
-                          events=[LevelEvent(1, 0.75, direction=direction)])
+    sol = integrate_batch(_line_past_the_origin, -0.5, [[-1.5, 2.61]], 3.0, 1, 0.75, tol=1e-9)
     assert sol.nsteps == 5 and sol.status == ["completed"]
-    assert sol.events[0][1] == pytest.approx(roots, abs=1e-12)
-    np.testing.assert_allclose(sol.events[0][2][:, 1], 0.75, atol=1e-12)
+    assert sol.crossings[1] == pytest.approx((1.0 - math.sqrt(0.39), 1.0 + math.sqrt(0.39)),
+                                             abs=1e-12)
+    np.testing.assert_allclose(sol.crossings[2][:, 1], 0.75, atol=1e-12)
 
 
 def test_roots_past_a_terminal_root_are_dropped():
     # the step over [1.56, 7.81] crosses y = 3, where the terminal event
-    # ends the solution, and y = 4 beyond it: neither integrator keeps 4
+    # ends the solution, and y = 4 beyond it: integrate does not keep 4
     one = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9,
                     events=[LevelEvent(0, 3.0, terminal=True), LevelEvent(0, 4.0)])
-    rows = integrate_batch(lambda s, y: np.ones_like(y), 0.0, [[0.0]], 10.0, tol=1e-9,
-                           events=[LevelEvent(0, 3.0, terminal=True), LevelEvent(0, 4.0)])
-    assert one.status == rows.status[0] == "event:0"
+    assert one.status == "event:0"
     assert one.s[-1] == pytest.approx(3.0, abs=1e-10)
     assert [s for s, _ in one.events[0]] == pytest.approx([3.0], abs=1e-10)
     assert one.events[1] == []
-    assert rows.events[0][1] == pytest.approx([3.0], abs=1e-12)
-    assert rows.events[1][1].size == 0
 
 
 def test_terminal_root_on_a_step_end_stops_the_row():
-    # the level is where y' = 1 ends its first step, so g reaches zero there
+    # the level is where y' = 1 ends its first step, so g reaches zero
+    # there: integrate's terminal event stops there, and the batch finds
+    # one crossing there and retires the row at that step end
     level = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9).y[1, 0]
-    rows = integrate_batch(lambda s, y: np.ones_like(y), 0.0, [[0.0]], 10.0, tol=1e-9,
-                           events=[LevelEvent(0, level, terminal=True)])
-    assert rows.status == ["event:0"]
+    one = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9,
+                    events=[LevelEvent(0, level, terminal=True)])
+    assert one.status == "event:0" and one.s[-1] == pytest.approx(level, abs=1e-15)
+    rows = integrate_batch(_ones, 0.0, [[0.0]], 10.0, 0, level, tol=1e-9,
+                           retire=lambda s, y: y[:, 0] >= level)
+    assert rows.status == ["retired"]
     assert rows.s[0] == pytest.approx(level, abs=1e-15)
-    assert rows.events[0][1] == pytest.approx([level], abs=1e-15)
+    assert rows.crossings[1] == pytest.approx([level], abs=1e-15)
+
+
+def _undefined_past_1_2(s, y):
+    return np.where(np.asarray(y) < 1.2, 1.0, np.nan)
 
 
 def test_steps_that_leave_the_domain_are_rejected():
     # the RHS is undefined beyond y = 1.2; steps that reach there are
-    # rejected and shrunk until the terminal event at y = 1 stops the run
-    def f(s, y):
-        return np.where(np.asarray(y) < 1.2, 1.0, np.nan)
-
-    one = integrate(f, 0.0, [0.0], 5.0, tol=1e-9,
+    # rejected and shrunk until the terminal event at y = 1 stops the run,
+    # or, in the batch, the retire test at the end of the step past it
+    one = integrate(_undefined_past_1_2, 0.0, [0.0], 5.0, tol=1e-9,
                     events=[LevelEvent(0, 1.0, terminal=True)])
-    rows = integrate_batch(f, 0.0, [[0.0]], 5.0, tol=1e-9,
-                           events=[LevelEvent(0, 1.0, terminal=True)])
-    assert one.status == rows.status[0] == "event:0"
+    rows = integrate_batch(_undefined_past_1_2, 0.0, [[0.0]], 5.0, 0, 1.0, tol=1e-9,
+                           retire=lambda s, y: y[:, 0] >= 1.0)
+    assert one.status == "event:0" and rows.status == ["retired"]
     assert one.s[-1] == pytest.approx(1.0, abs=1e-10)
-    assert rows.s[0] == pytest.approx(1.0, abs=1e-12)
+    assert rows.crossings[1] == pytest.approx([1.0], abs=1e-12)
+    assert 1.0 <= rows.s[0] < 1.2
     assert one.nrejected < 100 and rows.nrejected < 100
 
 
@@ -708,7 +696,7 @@ def test_run_ends_where_the_right_hand_side_turns_nan(tol):
     assert sol.status == "max_steps" and sol.s[-1] == pytest.approx(0.5, abs=1e-15)
     assert sol.nsteps + sol.nrejected <= 200 and len(calls) <= 2000
     calls.clear()
-    rows = integrate_batch(f_rows, 0.0, [[0.0, 1.0], [1.0, 0.0]], 2.0, tol=tol)
+    rows = integrate_batch(f_rows, 0.0, [[0.0, 1.0], [1.0, 0.0]], 2.0, 0, 0.0, tol=tol)
     assert rows.status == ["max_steps", "max_steps"]
     np.testing.assert_allclose(rows.s, 0.5, atol=1e-15)
     assert len(calls) <= 2000
@@ -717,22 +705,18 @@ def test_run_ends_where_the_right_hand_side_turns_nan(tol):
 def test_batch_row_takes_the_plain_loops_steps_where_steps_are_rejected():
     # steps into the NaN region past y = 1.2 are rejected, and a row grows
     # no step right after a rejection, as the plain loop and integrate do
-    def f(s, y):
-        return np.where(np.asarray(y) < 1.2, 1.0, np.nan)
-
-    events = [LevelEvent(0, 1.0, terminal=True)]
-    rows = integrate_batch(f, 0.0, [[0.0]], 5.0, tol=1e-9, events=events)
-    status, s_end, _, _, counts = _dop853_row(f, 0.0, [0.0], 5.0, 1e-9, events)
-    assert rows.status == [status] == ["event:0"]
+    rows = integrate_batch(_undefined_past_1_2, 0.0, [[0.0]], 5.0, 0, 1.0, tol=1e-9,
+                           retire=lambda s, y: y[:, 0] >= 1.0)
+    status, s_end, _, _, counts = _dop853_row(_undefined_past_1_2, 0.0, [0.0], 5.0, 1e-9, 0,
+                                              1.0, lambda s, y: y[0] >= 1.0)
+    assert rows.status == [status] == ["retired"]
     assert counts[1] > 0 and (rows.nsteps, rows.nrejected) == counts
     assert rows.s[0] == pytest.approx(s_end, abs=1e-12)
 
 
 def test_float_stages_match_array_loop_outside_the_domain():
-    def f(s, y):
-        return np.where(np.asarray(y) < 1.2, 1.0, np.nan)
-
     events = [LevelEvent(0, 1.0, terminal=True)]
-    ref = _array_integrate(f, 0.0, [0.0], 5.0, tol=1e-9, events=events)
+    ref = _array_integrate(_undefined_past_1_2, 0.0, [0.0], 5.0, tol=1e-9, events=events)
     assert ref[6] > 0   # steps into the NaN region were rejected
-    _assert_same_solution(integrate(f, 0.0, [0.0], 5.0, tol=1e-9, events=events), ref)
+    _assert_same_solution(integrate(_undefined_past_1_2, 0.0, [0.0], 5.0, tol=1e-9,
+                                    events=events), ref)

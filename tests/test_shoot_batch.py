@@ -48,10 +48,10 @@ def _fan(profile, q, headings):
 
 
 def _by_row(crossings, n):
-    """level_crossings_batch's flat (rows, s, y) as one (s, y) pair for each
-    of the n rows of its fan."""
-    rows, s_c, y_c = crossings
-    return [(s_c[rows == i], y_c[rows == i]) for i in range(n)]
+    """level_crossings_batch's flat (rows, s, theta) as one (s, theta) pair
+    for each of the n rows of its fan."""
+    rows, s_c, th_c = crossings
+    return [(s_c[rows == i], th_c[rows == i]) for i in range(n)]
 
 
 def _polar_rhs(profile):
@@ -104,14 +104,12 @@ def _oracle(profile, q, chi, horizon, r_level):
     return ("domain-exit" if sol.status == 1 else "completed"), rows
 
 
-def _assert_crossings(s_c, y_c, expected, r_level, atol):
-    """Parameters, angles mod 2 pi and polar velocities of a row's
-    crossings against expected rows (s, r, theta, dr, dtheta)."""
+def _assert_crossings(s_c, th_c, expected, atol):
+    """Parameters and angles mod 2 pi of a row's crossings against expected
+    rows (s, r, theta, dr, dtheta)."""
     assert len(s_c) == len(expected)
     np.testing.assert_allclose(s_c, expected[:, 0], atol=atol)
-    np.testing.assert_allclose(y_c[:, 0], r_level, atol=1e-9)
-    np.testing.assert_allclose(wrap_angles(y_c[:, 1] - expected[:, 2]), 0.0, atol=atol)
-    np.testing.assert_allclose(y_c[:, 2:], expected[:, 3:], atol=atol)
+    np.testing.assert_allclose(wrap_angles(th_c - expected[:, 2]), 0.0, atol=atol)
 
 
 @pytest.mark.parametrize("r_level", [2.0, 0.5, 1.0])
@@ -129,7 +127,7 @@ def test_batch_fan_matches_per_ray_oracle(r_level):
     batch = _by_row(level_crossings_batch(profile, _fan(profile, q, headings), horizon,
                                           r_level, SCAN_TOL), headings.size)
     seen = set()
-    for chi, (s_c, y_c) in zip(headings, batch):
+    for chi, (s_c, th_c) in zip(headings, batch):
         why, expected = _oracle(profile, q, chi, horizon, r_level)
         if abs(math.sin(chi)) < 1e-11:
             why = "meridian"
@@ -138,7 +136,7 @@ def test_batch_fan_matches_per_ray_oracle(r_level):
         elif why == "domain-exit" and expected.size:
             why = "exit-with-crossings"
         seen.add(why)
-        _assert_crossings(s_c, y_c, expected, r_level, 1e-6)
+        _assert_crossings(s_c, th_c, expected, 1e-6)
     assert {"meridian", "vertex-pass", "exit-with-crossings"} <= seen
 
 
@@ -171,23 +169,23 @@ def test_fan_rows_do_not_depend_on_each_other(monkeypatch, r_max, q, headings, h
     fan = _fan(profile, q, headings)
     batches = []
     _spy(monkeypatch, "integrate_batch", batches)
-    rows, s_all, y_all = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
+    rows, s_all, th_all = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
     assert np.all(np.diff(rows) >= 0)   # sorted by row, then by s
     assert np.all(np.diff(s_all)[np.diff(rows) == 0] > 0.0)
     for i, row in enumerate(fan):
-        rows_1, s_1, y_1 = level_crossings_batch(profile, row[None], horizon, r_level,
-                                                 SCAN_TOL)
+        rows_1, s_1, th_1 = level_crossings_batch(profile, row[None], horizon, r_level,
+                                                  SCAN_TOL)
         assert np.array_equal(rows_1, np.zeros(s_1.size, dtype=int))
         assert np.array_equal(s_all[rows == i], s_1)
-        assert np.array_equal(y_all[rows == i], y_1)
+        assert np.array_equal(th_all[rows == i], th_1)
     counts = (batches[0].nsteps, batches[0].nrejected)
     assert counts == (sum(b.nsteps for b in batches[1:]), sum(b.nrejected for b in batches[1:]))
     if steps is not None:
         assert counts == steps
 
 
-def _statuses(monkeypatch, retire=True):
-    """Spy on odesolve.integrate_batch: the list of status lists of the
+def _runs(monkeypatch, retire=True):
+    """Spy on odesolve.integrate_batch: the list of the solutions of the
     runs it makes, with the retire test dropped when retire is False."""
     runs = []
     real = odesolve.integrate_batch
@@ -196,7 +194,7 @@ def _statuses(monkeypatch, retire=True):
         if not retire:
             kwargs.pop("retire")
         sol = real(*args, **kwargs)
-        runs.append(sol.status)
+        runs.append(sol)
         return sol
 
     monkeypatch.setattr(odesolve, "integrate_batch", spy)
@@ -230,44 +228,65 @@ def test_retired_rows_drop_no_crossing(monkeypatch):
                                    _grazing(profile, q, r_level, graze) if q.r > r_level else []])
         fans.append((q, headings, _fan(profile, q, headings)))
     fan = np.vstack([f for _, _, f in fans])
-    runs = _statuses(monkeypatch)
+    runs = _runs(monkeypatch)
     batch = _by_row(level_crossings_batch(profile, fan, horizon, r_level, 1e-10), len(fan))
-    assert "retired" in runs[0]
+    assert "retired" in runs[0].status
     i, pairs = 0, 0
     for q, headings, _ in fans:
         for chi in headings:
-            s_c, y_c = batch[i]
+            s_c, th_c = batch[i]
             expected = _oracle(profile, q, chi, horizon, r_level)[1]
-            _assert_crossings(s_c, y_c, expected, r_level, SCAN_TOL)
+            _assert_crossings(s_c, th_c, expected, SCAN_TOL)
             pairs += len(s_c) == 2 and s_c[1] - s_c[0] < 1e-3
             i += 1
     assert pairs >= 4   # the grazing rows that turn inside the level
     retired = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
-    assert runs[1].count("retired") > len(fan) // 4
-    runs = _statuses(monkeypatch, retire=False)
+    assert runs[1].status.count("retired") > len(fan) // 4
+    # r_max = 20 lies far beyond the horizon, so without the retire test
+    # every row runs to the horizon
+    runs = _runs(monkeypatch, retire=False)
     kept = level_crossings_batch(profile, fan, horizon, r_level, SCAN_TOL)
-    assert "retired" not in runs[0]
+    assert "retired" not in runs[0].status
     for a, b in zip(retired, kept):
         assert np.array_equal(a, b)
 
 
 def test_fan_on_a_warp_that_turns_down_retires_no_row(monkeypatch, sphere):
     # m = sin r: m' < 0 past pi/2, where great circles come back down, so
-    # no row may be retired.  From (1, 0.3) the rays with |sin chi| in
-    # (0.4, 1) stay inside r_max = 2.8 and cross r = 1.2 twice per turn
+    # no row may be retired inside the domain: the retired rows are those
+    # that left it, rho >= r_max^2.  From (1, 0.3) the rays with |sin chi|
+    # in (0.4, 1) stay inside r_max = 2.8 and cross r = 1.2 twice per turn
     # round the sphere, three or four times within the horizon
     q, r_level, horizon = SurfacePoint(1.0, 0.3), 1.2, 10.0
     headings = np.linspace(-math.pi, math.pi, 37)
-    runs = _statuses(monkeypatch)
+    runs = _runs(monkeypatch)
     batch = _by_row(level_crossings_batch(sphere, _fan(sphere, q, headings), horizon,
                                           r_level, 1e-10), headings.size)
-    assert "retired" not in runs[0]
+    retired = np.array(runs[0].status) == "retired"
+    assert 0 < retired.sum() < headings.size // 2
+    assert np.all(runs[0].y[retired, 4] >= sphere.r_max ** 2)
     many = 0
-    for chi, (s_c, y_c) in zip(headings, batch):
+    for chi, (s_c, th_c) in zip(headings, batch):
         expected = _oracle(sphere, q, chi, horizon, r_level)[1]
-        _assert_crossings(s_c, y_c, expected, r_level, SCAN_TOL)
+        _assert_crossings(s_c, th_c, expected, SCAN_TOL)
         many += len(s_c) >= 3
     assert many >= 10
+
+
+def test_rays_that_leave_the_domain_cross_no_more(sphere):
+    # from (2.8, 0) on r_max = 2.8 the rays at chi = 0.3 and 0.05 head out
+    # and leave the domain in their first step.  The exit was a terminal
+    # event, which needs rho < r_max^2 at a step start, so these rows ran
+    # on and crossed r = 2 at s = 1.467 and 5.471; shoot_hits returned a
+    # second hit, (0.12188, 5.48122), along such a ray
+    q = SurfacePoint(2.8, 0.0)
+    rows, s_c, th_c = level_crossings_batch(sphere, _fan(sphere, q, np.array([0.3, 0.05])),
+                                            6.0, 2.0, 1e-9)
+    assert rows.size == s_c.size == th_c.size == 0
+    hits = shoot_hits(sphere, q, 2.0, 1.0, np.linspace(-math.pi, math.pi, 361), 6.0,
+                      twist_mu=0.2, tol=1e-9)
+    assert len(hits) == 1
+    assert hits[0] == pytest.approx((2.16637, 0.92596), abs=1e-5)
 
 
 # headings that pass the vertex at about 1e-2 to 1e-9 from q below
@@ -295,10 +314,10 @@ def test_vertex_pass_on_the_plane_is_a_straight_line(flat, r_level):
     headings = np.array(NEAR_MERIDIAN + [-chi for chi in NEAR_MERIDIAN])
     batch = _by_row(level_crossings_batch(flat, _fan(flat, q, headings), 6.0, r_level,
                                           SCAN_TOL), headings.size)
-    for chi, (s_c, y_c) in zip(headings, batch):
+    for chi, (s_c, th_c) in zip(headings, batch):
         expected = _line_crossings(q, chi, r_level, 6.0)
         assert len(expected) == (2 if r_level < q.r else 1)
-        _assert_crossings(s_c, y_c, expected, r_level, 1e-6)
+        _assert_crossings(s_c, th_c, expected, 1e-6)
 
 
 def _dop853_crossings(profile, q, chi, r_level, horizon):
@@ -319,14 +338,11 @@ def test_vertex_pass_on_the_paraboloid_matches_dop853(parab, r_level):
     headings = np.array(NEAR_MERIDIAN + [-chi for chi in NEAR_MERIDIAN])
     batch = _by_row(level_crossings_batch(parab, _fan(parab, q, headings), 6.0, r_level,
                                           SCAN_TOL), headings.size)
-    for chi, (s_c, y_c) in zip(headings, batch):
+    for chi, (s_c, th_c) in zip(headings, batch):
         expected = _dop853_crossings(parab, q, chi, r_level, 6.0)
         assert len(expected) == (2 if r_level < q.r else 1)
         np.testing.assert_allclose(s_c, expected[:, 0], atol=1e-6)
-        np.testing.assert_allclose(wrap_angles(y_c[:, 1] - expected[:, 2]), 0.0,
-                                   atol=10.0 * SCAN_TOL)
-        m = float(parab.m(r_level))
-        np.testing.assert_allclose(y_c[:, 2:] * [1.0, m], expected[:, 3:] * [1.0, m],
+        np.testing.assert_allclose(wrap_angles(th_c - expected[:, 2]), 0.0,
                                    atol=10.0 * SCAN_TOL)
 
 
@@ -340,11 +356,11 @@ def test_vertex_pass_crossings_within_tol_of_the_oracle(parab, r_level):
     headings = np.array([math.pi - 10.0 ** -k for k in range(2, 11)])
     batch = _by_row(level_crossings_batch(parab, _fan(parab, q, headings), 6.0, r_level,
                                           SCAN_TOL), headings.size)
-    for chi, (s_c, y_c) in zip(headings, batch):
+    for chi, (s_c, th_c) in zip(headings, batch):
         expected = _oracle(parab, q, chi, 6.0, r_level)[1]
         assert len(s_c) == len(expected) == 1
         np.testing.assert_allclose(s_c, expected[:, 0], atol=SCAN_TOL)
-        np.testing.assert_allclose(wrap_angles(y_c[:, 1] - expected[:, 2]), 0.0, atol=SCAN_TOL)
+        np.testing.assert_allclose(wrap_angles(th_c - expected[:, 2]), 0.0, atol=SCAN_TOL)
 
 
 def test_fan_iteration_budget(monkeypatch, parab):
@@ -406,8 +422,8 @@ def test_dropped_brackets_straddle_the_wrap(parab, target):
     scan = _by_row(level_crossings_batch(parab, _fan(parab, Q, headings),
                                          1.05 * (Q.r + target[0]) + 0.5, target[0], SCAN_TOL),
                    headings.size)
-    miss = [[wrap_angle(y[1] + parab.mu * s - target[1]) for s, y in zip(s_c, y_c)]
-            for s_c, y_c in scan]
+    miss = [[wrap_angle(th + parab.mu * s - target[1]) for s, th in zip(s_c, th_c)]
+            for s_c, th_c in scan]
     dropped = straddles = 0
     for ca, cb in zip(miss, miss[1:]):
         for ga, gb in zip(ca, cb):
