@@ -321,11 +321,14 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
     near the vertex and the polar chart away from it, the exact meridians
     at +-pi analytically; for a target below q on an increasing
     warp only the headings of Clairaut's cone, which can come down to the
-    target radius, are integrated.  A segment within _CUT_TOL = 1e-5 of
-    distance_F (at tol 1e-9) minimizes, and two minimizers whose lengths
-    differ by at most _CUT_TOL verify the cut point.  A segment that grazes
-    the target's radius, turning within about 1e-8 of it, can be missed by
-    the fan at tol 3e-7 (shoot_hits).
+    target radius, are integrated.  The grid is symmetric to 4 ulp(pi), so
+    the fan integrates only the headings >= 0 and reads each heading below
+    0 as the mirror image of its partner in the meridian through q (361 of
+    721 rows); each refinement ray is integrated at its own heading.  A
+    segment within _CUT_TOL = 1e-5 of distance_F (at tol 1e-9) minimizes,
+    and two minimizers whose lengths differ by at most _CUT_TOL verify the
+    cut point.  A segment that grazes the target's radius, turning within
+    about 1e-8 of it, can be missed by the fan at tol 3e-7 (shoot_hits).
     """
     horizon = 1.05 * (q.r + target.r) + 0.5
     headings = np.linspace(-math.pi, math.pi, 721)

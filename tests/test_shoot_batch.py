@@ -461,8 +461,11 @@ def test_skipped_headings_truly_miss(monkeypatch, mu, rho):
     monkeypatch.setattr(measure, "level_crossings_batch", spy)
     shoot_hits(profile, q, r_target, q.theta + math.pi, headings, horizon,
                twist_mu=mu, tol=SCAN_TOL, refine_tol=1e-10)
+    # the fan integrates one heading of each mirror pair chi, -chi and reads
+    # the other's crossings from it: both count as shot
     inside = np.zeros(headings.size, dtype=bool)
-    inside[np.rint((shot[0] + math.pi) / (2.0 * math.pi) * (headings.size - 1)).astype(int)] = True
+    ran = np.rint((shot[0] + math.pi) / (2.0 * math.pi) * (headings.size - 1)).astype(int)
+    inside[ran] = inside[headings.size - 1 - ran] = True
     assert 0 < inside.sum() < headings.size // 2
     edges = np.flatnonzero(~inside & (np.roll(inside, 1) | np.roll(inside, -1)))
     band = float(profile.m(r_target)) / float(profile.m(q.r))
@@ -474,6 +477,54 @@ def test_skipped_headings_truly_miss(monkeypatch, mu, rho):
         path = integrate_h(profile, st, horizon, tol=1e-11)
         assert level_crossings(path, r_target)[0].size == 0
         assert path.states[:, 0].min() > r_target
+
+
+@pytest.mark.parametrize("surface,q,r_level,horizon", [
+    ("parab", Q, CUT_POINT[0], 1.05 * (Q.r + CUT_POINT[0]) + 0.5),
+    ("parab", Q, CONTROL[0], 1.05 * (Q.r + CONTROL[0]) + 0.5),
+    # from r = 2.7 on the sphere, whose r_max is 2.8, the outward rows leave
+    # the domain
+    ("sphere", SurfacePoint(2.7, 0.3), 2.0, 6.0),
+])
+def test_mirror_headings_reflect_each_other(request, monkeypatch, surface, q, r_level,
+                                            horizon):
+    """Reflection in the meridian through q is an isometry, so the ray at
+    heading -chi is the mirror image of the ray at chi: on a grid symmetric
+    about 0, the crossings (s, theta) of heading i's partner n - 1 - i, read
+    as (s, 2 theta_q - theta), are heading i's own within the scan tol."""
+    profile = request.getfixturevalue(surface)
+    headings = np.linspace(-math.pi, math.pi, 361)
+    runs = _runs(monkeypatch)
+    scan = _by_row(level_crossings_batch(profile, _fan(profile, q, headings), horizon,
+                                         r_level, SCAN_TOL), headings.size)
+    if surface == "sphere":
+        assert np.sum(runs[0].y[:, 4] >= profile.r_max ** 2) > 0
+    assert sum(len(s_c) for s_c, _ in scan) > headings.size // 4
+    for i, (s_c, th_c) in enumerate(scan):
+        s_m, th_m = scan[headings.size - 1 - i]
+        assert len(s_m) == len(s_c)
+        np.testing.assert_allclose(s_m, s_c, atol=SCAN_TOL)
+        np.testing.assert_allclose(wrap_angles(2.0 * q.theta - th_m - th_c), 0.0,
+                                   atol=SCAN_TOL)
+
+
+@pytest.mark.parametrize("shift,rows", [(0.0, 361), (1e-9, 721)])
+def test_shoot_hits_integrates_one_heading_per_mirror_pair(monkeypatch, parab, shift, rows):
+    # verify_cut_point's grid is symmetric to 2 ulps: its 360 headings below
+    # 0 read their partners' crossings, and only 0 and the 360 above are
+    # integrated; shifted by 1e-9 it is not, and every heading is
+    fans = []
+    real = measure.level_crossings_batch
+    monkeypatch.setattr(measure, "level_crossings_batch",
+                        lambda prof, fan, *a, **k: fans.append(len(fan)) or real(prof, fan, *a, **k))
+    hits = shoot_hits(parab, Q, *CUT_POINT, np.linspace(-math.pi, math.pi, 721) + shift,
+                      1.05 * (Q.r + CUT_POINT[0]) + 0.5, twist_mu=parab.mu, tol=SCAN_TOL,
+                      refine_tol=1e-10)
+    assert fans == [rows]
+    assert len(hits) == len(REFERENCE_HITS[CUT_POINT])
+    for (chi, s), (chi_ref, s_ref) in zip(hits, REFERENCE_HITS[CUT_POINT]):
+        assert abs(wrap_angle(chi - chi_ref)) <= 1e-9
+        assert s == pytest.approx(s_ref, abs=1e-9)
 
 
 def test_fan_input_checks(parab):
