@@ -42,7 +42,8 @@ from .errors import (
     SearchHorizonError,
 )
 from .geodesics import GeodesicPath, GeodesicState, integrate_h
-from .measure import TwoRadiusConnectors, distance_F, shoot_hits
+# shoot_hits is unused here; only bench/tracer.py reads conjugate.shoot_hits, to wrap it
+from .measure import TwoRadiusConnectors, shoot_hits  # noqa: F401
 from .profile import (
     Profile,
     SurfacePoint,
@@ -51,6 +52,7 @@ from .profile import (
     halved_integral,
     is_von_mangoldt,
     roots_on_grid,
+    wrap_angle,
 )
 
 
@@ -280,7 +282,7 @@ def cut_locus(profile: Profile, q: SurfacePoint,
 
 @dataclass(frozen=True)
 class CutPointCheck:
-    """Outcome of shooting verification at a candidate cut point."""
+    """Outcome of verify_cut_point; ray_miss is the largest end miss of its rays."""
 
     q: tuple
     target: tuple
@@ -290,6 +292,7 @@ class CutPointCheck:
     equal_length_gap: float | None
     verified: bool
     reason: str
+    ray_miss: float
 
     def to_dict(self) -> dict:
         return {
@@ -301,59 +304,56 @@ class CutPointCheck:
             "equal_length_gap": self.equal_length_gap,
             "verified": self.verified,
             "reason": self.reason,
+            "ray_miss": self.ray_miss,
         }
 
 
-# verify_cut_point's tolerance on segment lengths
+# verify_cut_point's tolerances on segment lengths and on the end miss of a ray
 _CUT_TOL = 1e-5
+_RAY_MISS_TOL = 1e-8
 
 
 def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) -> CutPointCheck:
-    """Shoot F-geodesics from q over a full fan of headings and look for two
-    distinct segments reaching the target with equal F-length.
+    """Find the F-geodesic segments from q to the target and check that two
+    distinct ones of equal F-length minimize, as at an interior cut point;
+    elsewhere one minimizer appears.  Finding fewer is reported, not raised.
 
-    A genuine interior cut point is hit by two minimizing segments whose
-    lengths agree to solver precision; elsewhere exactly one minimizer
-    appears.  Failure to bracket two solutions is reported, not raised.
-    The fan is shoot_hits over 721 headings of [-pi, pi], scanned at tol
-    3e-7 in normal coordinates at the vertex (so rays that pass it need no
-    small steps) and refined at 1e-10 by integrate_h, in the same chart
-    near the vertex and the polar chart away from it, the exact meridians
-    at +-pi analytically; for a target below q on an increasing
-    warp only the headings of Clairaut's cone, which can come down to the
-    target radius, are integrated.  The grid is symmetric to 4 ulp(pi), so
-    the fan integrates only the headings >= 0 and reads each heading below
-    0 as the mirror image of its partner in the meridian through q (361 of
-    721 rows); each refinement ray is integrated at its own heading.  A
-    segment within _CUT_TOL = 1e-5 of distance_F (at tol 1e-9) minimizes,
-    and two minimizers whose lengths differ by at most _CUT_TOL verify the
-    cut point.  A segment that grazes the target's radius, turning within
-    about 1e-8 of it, can be missed by the fan at tol 3e-7 (shoot_hits).
+    The segments are the roots of one TwoRadiusConnectors query at tol 1e-10
+    up to the horizon 1.05 (q.r + target.r) + 0.5; the shortest is d_F, and
+    a segment within _CUT_TOL of it minimizes.  A heading is the angle at q
+    from the outward meridian: sigma chi from the lower radius, sigma
+    (pi - arcsin(|nu| / m(q.r))) from the higher.  Each segment's integrate_h
+    ray from q at tol 1e-12, twisted by mu times its length, must end within
+    _RAY_MISS_TOL in h chart distance of the target, else
+    InternalConsistencyError.  Radii in (0, r_max] on a warp that increases
+    on [0, max(q.r, target.r)], cut_locus' domain, or InvalidParameterError.
     """
+    profile.check_radius(target.r)
     horizon = 1.05 * (q.r + target.r) + 0.5
-    headings = np.linspace(-math.pi, math.pi, 721)
-    hits = shoot_hits(profile, q, target.r, target.theta, headings, horizon,
-                      twist_mu=profile.mu, tol=3e-7, refine_tol=1e-10)
-    segments = sorted(((h, s) for h, s in hits), key=lambda t: t[1])
-    d_f = distance_F(profile, q, target, tol=1e-9)
-    n_min = sum(1 for _, ln in segments if ln <= d_f + _CUT_TOL)
-    if len(segments) >= 2:
-        gap = segments[1][1] - segments[0][1]
-        verified = gap <= _CUT_TOL and n_min >= 2
-        reason = "two equal-length segments found" if verified else (
-            f"two segments found but length gap {gap} exceeds tol"
-        )
-    else:
-        gap = None
-        verified = False
-        reason = "shooting bracketed fewer than two segments"
-    return CutPointCheck(
-        q=(q.r, q.theta), target=(target.r, target.theta),
-        segments=[(float(h), float(ln)) for h, ln in segments],
-        d_F=float(d_f), n_minimizers=int(n_min),
-        equal_length_gap=None if gap is None else float(gap),
-        verified=bool(verified), reason=reason,
-    )
+    roots = sorted(TwoRadiusConnectors(profile, q.r, target.r, tol=1e-10).connectors(
+        target.theta - q.theta, profile.mu), key=lambda con: con.length)
+    m_q, m_t = float(profile.m(q.r)), float(profile.m(target.r))
+    segments, ray_miss = [], 0.0
+    for con in (con for con in roots if con.length <= horizon):
+        # the chain has nu = 0 and chi = pi, so both forms give it pi
+        heading = math.copysign(con.chi if q.r <= target.r
+                                else math.pi - math.asin(abs(con.nu) / m_q), con.nu)
+        end = integrate_h(profile, GeodesicState(q.r, q.theta, math.cos(heading),
+                                                 math.sin(heading) / m_q),
+                          con.length, tol=1e-12).states[-1]
+        miss = math.hypot(end[0] - target.r, m_t * wrap_angle(
+            end[1] + profile.mu * con.length - target.theta))
+        if not miss <= _RAY_MISS_TOL:
+            raise InternalConsistencyError(f"ray at heading {heading} misses by {miss}")
+        ray_miss = max(ray_miss, miss)
+        segments.append((heading, con.length))
+    n_min = sum(1 for _, ln in segments if ln <= roots[0].length + _CUT_TOL)
+    gap = segments[1][1] - segments[0][1] if len(segments) >= 2 else None
+    reason = ("two equal-length segments found" if n_min >= 2 else
+              "fewer than two segments reach the target" if gap is None else
+              f"two segments found but length gap {gap} exceeds tol")
+    return CutPointCheck((q.r, q.theta), (target.r, target.theta), segments,
+                         roots[0].length, n_min, gap, n_min >= 2, reason, ray_miss)
 
 
 @dataclass(frozen=True)

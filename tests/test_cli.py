@@ -136,6 +136,7 @@ def test_cutlocus_command(tmp_path, capsys):
     assert doc["c"] == pytest.approx(2.0, abs=1e-7)
     chk = json.loads((tmp_path / "cutpoint_check.json").read_text())
     assert chk["verified"] is True
+    assert chk["ray_miss"] <= 1e-8
     # the echo lists what the command read: its surface, no seed or tol_ode
     assert chk["config"] == {"engine_version": chk["config"]["engine_version"],
                              "command": "cutlocus",

@@ -19,8 +19,9 @@ from randers.conjugate import (
     jacobi_integrate,
     verify_cut_point,
 )
-from randers.geodesics import GeodesicState, integrate_h, twist
-from randers.measure import TwoRadiusConnectors, distance_F
+from randers.geodesics import GeodesicState, integrate_h, quadrature_segment, twist
+from randers.measure import TwoRadiusConnectors, distance_F, shoot_hits
+from randers.profile import wrap_angle
 
 
 def opposite_meridian_chain(profile, q, length):
@@ -355,6 +356,79 @@ def test_verify_cut_point_negative_control(parab):
     assert not chk.verified
     assert chk.n_minimizers == 1
     assert chk.d_F == pytest.approx(1.5, abs=1e-8)
+    assert chk.ray_miss <= 1e-8
+
+
+def test_verify_cut_point_finds_the_grazing_segment(parab):
+    # the h-geodesic from q at heading pi - arcsin(m(1.5) / m(2.5)) turns at
+    # r = 1.5; its turning point, twisted by mu L, is reached by a segment
+    # tangent to the target's radius, which a fan of rays at tol 3e-7 missed
+    # (it listed only the segments of lengths 1.0205 and 4.0231)
+    q = SurfacePoint(2.5, 0.3)
+    m_t = float(parab.m(1.5))
+    swept, length, _ = quadrature_segment(parab, 1.5, 2.5, m_t, 1)
+    heading = math.pi - math.asin(m_t / float(parab.m(2.5)))
+    chk = verify_cut_point(parab, q, SurfacePoint(1.5, q.theta + swept + parab.mu * length))
+    assert len(chk.segments) == 3 and chk.n_minimizers == 1 and not chk.verified
+    graze = min(chk.segments, key=lambda seg: abs(seg[0] - heading))
+    assert graze[0] == pytest.approx(2.030586584372241, abs=1e-9)
+    assert graze[1] == pytest.approx(3.60555127546399, abs=1e-9)
+    assert chk.ray_miss <= 1e-8
+
+
+def _cut_targets():
+    # three arc samples from each base point (from (2.5, 0.4) at mu = 0.5 the
+    # first lies below q), the twisted opposite meridian halfway between the
+    # vertex pass and c (below q), and the twisted outward meridian through q
+    # at parameter 1.5 (above q, one minimizer at heading 0)
+    for mu, q, picks in ((1.0, SurfacePoint(1.0, 0.0), (1, 20, 63)),
+                         (0.5, SurfacePoint(2.5, 0.4), (1, 5, 40))):
+        arc = cut_locus(make_paraboloid(mu), q)
+        for i in picks:
+            yield pytest.param(mu, q, arc.point_at_index(i), None, id=f"mu{mu}-arc{i}")
+    s = 1.5   # halfway between the vertex pass (s = 1) and c = 2 from (1, 0)
+    yield pytest.param(1.0, SurfacePoint(1.0, 0.0),
+                       SurfacePoint(s - 1.0, math.pi + s), math.pi, id="opposite-meridian")
+    yield pytest.param(1.0, SurfacePoint(1.0, 0.0), SurfacePoint(1.0 + s, s), 0.0,
+                       id="outward-meridian")
+
+
+@pytest.mark.parametrize("mu,q,target,meridian", list(_cut_targets()))
+def test_verify_cut_point_matches_the_fan(mu, q, target, meridian):
+    """The segments of one connector query against an independent method:
+    shoot_hits' fan of 721 headings at tol 3e-7, refined at 1e-10.  The
+    segments are paired by heading, as the mirror minimizers tie in length,
+    and by length among the segments that leave q at the same heading."""
+    profile = make_paraboloid(mu)
+    chk = verify_cut_point(profile, q, target)
+    hits = shoot_hits(profile, q, target.r, target.theta, np.linspace(-math.pi, math.pi, 721),
+                      1.05 * (q.r + target.r) + 0.5, twist_mu=mu, tol=3e-7, refine_tol=1e-10)
+    assert len(chk.segments) == len(hits)
+    rest = list(chk.segments)
+    for heading, length in hits:
+        seg = min(rest, key=lambda seg: (abs(wrap_angle(seg[0] - heading)) > 1e-6,
+                                         abs(seg[1] - length)))
+        rest.remove(seg)
+        assert abs(wrap_angle(seg[0] - heading)) <= 1e-6
+        assert seg[1] == pytest.approx(length, abs=1e-8)
+    if meridian is None:
+        assert chk.verified and chk.n_minimizers == 2
+        assert chk.equal_length_gap <= 1e-10
+    else:
+        # the one minimizer is the twisted meridian of length 1.5
+        assert not chk.verified and chk.n_minimizers == 1
+        assert abs(wrap_angle(chk.segments[0][0] - meridian)) <= 1e-12
+        assert chk.d_F == pytest.approx(1.5, abs=1e-9)
+    assert chk.ray_miss <= 1e-8
+
+
+@pytest.mark.parametrize("surface,target", [
+    ("sphere", SurfacePoint(2.0, 1.0)),   # m = sin r decreases past pi/2, short of r = 2
+    ("parab", SurfacePoint(25.0, 1.0)),   # past r_max = 20
+])
+def test_verify_cut_point_outside_its_domain_raises(request, surface, target):
+    with pytest.raises(InvalidParameterError):
+        verify_cut_point(request.getfixturevalue(surface), SurfacePoint(1.0, 0.0), target)
 
 
 def test_sub_ray_property(parab):

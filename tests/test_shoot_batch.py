@@ -364,7 +364,7 @@ def test_vertex_pass_crossings_within_tol_of_the_oracle(parab, r_level):
 
 
 def test_fan_iteration_budget(monkeypatch, parab):
-    # verify_cut_point's fan from (1, 0) to r = 2: in the vertex chart every
+    # the 721-heading fan from (1, 0) to r = 2: in the vertex chart every
     # row settles in a few steps, and a row above the level that moves
     # outward is retired, so the batch runs ten iterations of 13
     # right-hand-side calls, plus the FSAL stage and the extra stages of
@@ -510,7 +510,7 @@ def test_mirror_headings_reflect_each_other(request, monkeypatch, surface, q, r_
 
 @pytest.mark.parametrize("shift,rows", [(0.0, 361), (1e-9, 721)])
 def test_shoot_hits_integrates_one_heading_per_mirror_pair(monkeypatch, parab, shift, rows):
-    # verify_cut_point's grid is symmetric to 2 ulps: its 360 headings below
+    # the 721-heading grid is symmetric to 2 ulps: its 360 headings below
     # 0 read their partners' crossings, and only 0 and the 360 above are
     # integrated; shifted by 1e-9 it is not, and every heading is
     fans = []
