@@ -265,7 +265,8 @@ def cut_locus(profile: Profile, q: SurfacePoint,
             f"the cut locus starts at the horizon {c}: no arc lies inside r_max",
             lower_bound=c)
     ss = np.linspace(c, s_export_max, n_samples)
-    rr = ss - rho
+    # rho + r_max - rho may round one ulp past r_max
+    rr = np.minimum(ss - rho, profile.r_max)
     best = [min(cands, key=lambda con: con.length) for cands in
             TwoRadiusConnectors(profile, rho, rr, tol=1e-10).connectors(math.pi)]
     dist = np.array([con.length for con in best])

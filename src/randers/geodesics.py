@@ -697,6 +697,11 @@ _LEG_SPLITS = 12
 _LEG_BLOCK = 192
 _LEG_T, _LEG_W = np.polynomial.legendre.leggauss(_LEG_NODES)
 _LEG_GRADING = np.linspace(0.0, 1.0, _LEG_PANELS)
+# The rounding level of a leg's integrals, per unit of their magnitude.
+_LEG_ROUNDING = 64.0 * float(np.finfo(float).eps)
+# Odd 64-bit multipliers of _all_distinct's row hash.
+_ROW_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                      0x27D4EB2F165667C5], dtype=np.uint64).view(np.int64)
 
 
 def _cumulative_weights(t: np.ndarray) -> np.ndarray:
@@ -733,6 +738,10 @@ def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
     moves after _LEG_SPLITS halvings raises InternalConsistencyError.
     Blocks of whole groups bound the memory of a call however many legs it
     has; a leg's values depend on its group, not on its block or the order.
+    Where no two legs share a key (_all_distinct), every leg is a group of
+    its own, whose breaks are 0 and the graded ones: the call then skips the
+    sorts that group the legs and merge their breaks, with the same values
+    bit for bit.
     """
     ra, width, nu, disc, sigma = np.broadcast_arrays(ra, width, nu, disc, sigma)
     shape = ra.shape
@@ -742,10 +751,15 @@ def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
         return angle.reshape(shape), length.reshape(shape)
     keys = np.stack([np.asarray(v, dtype=float).ravel()[todo] for v in (ra, sigma, nu, disc)], 1)
     bits = keys.view(np.int64)
-    one, group = _distinct(bits, np.lexsort(bits.T))
-    keys, top, n = keys[one].T, np.sqrt(np.asarray(width, dtype=float).ravel()[todo]), one.size
-    widest = np.zeros(n)
-    np.maximum.at(widest, group, top)
+    top = np.sqrt(np.asarray(width, dtype=float).ravel()[todo])
+    lone = _all_distinct(bits)
+    if lone:
+        keys, widest, n = keys.T, top, todo.size
+    else:
+        one, group = _distinct(bits, np.lexsort(bits.T))
+        keys, n = keys[one].T, one.size
+        widest = np.zeros(n)
+        np.maximum.at(widest, group, top)
     m_a = as_float_array(profile.m(keys[0]), (n,))
     # D leaves disc at u^2 ~ disc / (2 m m'); from a turning radius the angle
     # integrand peaks at u^2 ~ 2 m / m'.  Below 1e-12 of the leg the D scale
@@ -755,6 +769,17 @@ def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
     first = np.clip(scale, 1e-12 * widest, widest / _LEG_PANELS)
     graded = first[:, None] * (widest / first)[:, None] ** _LEG_GRADING
     graded[:, -1] = widest
+    if lone:
+        # each leg its own group: its breaks are 0 and the graded ones, the
+        # last its top; blocks of _LEG_BLOCK legs
+        breaks = np.hstack([np.zeros((n, 1)), graded])
+        for b in range(0, n, _LEG_BLOCK):
+            k = slice(b, b + _LEG_BLOCK)
+            legs = todo[k]
+            angle[legs], length[legs] = _clairaut_block(
+                profile, [*keys[:, k], m_a[k]], breaks[k], np.arange(legs.size),
+                np.full(legs.size, _LEG_PANELS), tol)
+        return angle.reshape(shape), length.reshape(shape)
     # each group's breaks, sorted without repeats: 0, the graded ones and the
     # tops of its legs; col is the break at which each leg ends
     owner = np.concatenate([np.repeat(np.arange(n), _LEG_PANELS + 1), group])
@@ -774,6 +799,14 @@ def clairaut_angles(profile: Profile, ra, width, nu, disc, tol: float,
         angle[todo[k]], length[todo[k]] = _clairaut_block(
             profile, [*keys[:, g], m_a[g]], rows, np.searchsorted(g, group[k]), col[k], tol)
     return angle.reshape(shape), length.reshape(shape)
+
+
+def _all_distinct(bits) -> bool:
+    """Whether the rows of the int64 array bits are all distinct, from one
+    sort of a wrapping hash of each row: distinct hashes prove it, and a
+    repeated hash, whether of a repeated row or a collision, answers False."""
+    h = np.sort((bits * _ROW_HASH[:bits.shape[1]]).sum(axis=1))
+    return bool(np.all(h[1:] != h[:-1]))
 
 
 def _distinct(values, order):
@@ -796,7 +829,7 @@ def _clairaut_block(profile: Profile, keys, breaks, row, col, tol: float):
     def rule(breaks, keys):
         """Prefix sums of the angle and length over the panels of every group."""
         ra, sigma, nu, disc, m_a = (v[:, None, None] for v in keys)
-        half = 0.5 * np.diff(breaks, axis=1)[..., None]
+        half = 0.5 * (breaks[:, 1:] - breaks[:, :-1])[..., None]
         u = 0.5 * (breaks[:, 1:] + breaks[:, :-1])[..., None] + half * _LEG_T
         r = ra + sigma * (u * u)
         dm = (2.0 * sigma * half) * u * as_float_array(
@@ -816,7 +849,7 @@ def _clairaut_block(profile: Profile, keys, breaks, row, col, tol: float):
         fine = rule(halved, keys)
         a, s = (v[row, 2 * col - 1] for v in fine)
         was_a, was_s = (v[row, col - 1] for v in coarse)
-        bound = np.maximum(tol, 64.0 * np.finfo(float).eps * (np.abs(a) + s))
+        bound = np.maximum(tol, _LEG_ROUNDING * (np.abs(a) + s))
         keep = np.zeros(breaks.shape[0], dtype=bool)
         keep[row[~((np.abs(a - was_a) <= bound) & (np.abs(s - was_s) <= bound))]] = True
         done = ~keep[row]

@@ -278,8 +278,9 @@ _TABLE_PSI = np.unique(np.concatenate([np.linspace(0.0, 0.5 * math.pi, 16),
 
 class TwoRadiusConnectors:
     """Geodesic connectors between the radius r1 and the radius r2, or each
-    radius of an array r2, reusable over many sweep targets; the warp must
-    increase on [0, max(r1, r2)].
+    radius of an array r2, reusable over many sweep targets; every radius
+    must lie in (0, r_max] (Profile.check_radius) and the warp must increase
+    on [0, max(r1, r2)], else InvalidParameterError.
 
     The connectors of one pair, from its lower radius r_lo to its higher
     r_hi, form one family in the heading chi in [0, pi] at r_lo, measured
@@ -301,8 +302,11 @@ class TwoRadiusConnectors:
     within tol / 8, each iteration one clairaut_angles call over all open
     brackets, and accepts a root only where |sweep - delta| <= tol; with a
     wind, sweep - delta becomes the miss of the twisted end angle (see
-    connectors).  One query serves every pair: conjugate.cut_locus queries
-    all of its samples at once.
+    connectors).  The table's headings start each bracket close to its root
+    (the polynomial start of roots_on_grids), so a query takes two or three
+    iterations; their legs, one heading each, seldom share a key and skip
+    clairaut_angles' grouping.  One query serves every pair:
+    conjugate.cut_locus queries all of its samples at once.
 
     r_lo, r_hi, m_lo and xtol have the shape of r2; sweeps and lengths add
     the heading axis of chis.
@@ -311,6 +315,8 @@ class TwoRadiusConnectors:
     def __init__(self, profile: Profile, r1: float, r2, tol: float = 1e-10):
         if not (math.isfinite(tol) and tol > 0.0):
             raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
+        for r in [r1, *np.ravel(r2).tolist()]:
+            profile.check_radius(r)
         self.profile = profile
         self.r1, self.r2 = r1, r2
         self.tol = tol
@@ -374,14 +380,14 @@ class TwoRadiusConnectors:
         climbs r_lo -> r_hi of the pairs c_pair at the headings c_psi, and
         of the drops r_t -> r_lo of the pairs d_pair at the headings
         pi - d_psi, which a turning connector runs twice."""
-        lo, m_lo = self._lo, self._m_lo
-        nu = np.concatenate([m_lo[c_pair] * np.sin(c_psi), m_lo[d_pair] * np.sin(d_psi)])
-        r_t, x_t = _turning_points(self.profile, lo[d_pair], m_lo[d_pair], nu[c_psi.size:],
-                                   (m_lo[d_pair] * np.cos(d_psi)) ** 2)
+        c_lo, c_m, d_m = self._lo[c_pair], self._m_lo[c_pair], self._m_lo[d_pair]
+        nu = np.concatenate([c_m * np.sin(c_psi), d_m * np.sin(d_psi)])
+        r_t, x_t = _turning_points(self.profile, self._lo[d_pair], d_m, nu[c_psi.size:],
+                                   (d_m * np.cos(d_psi)) ** 2)
         angle, length = clairaut_angles(
-            self.profile, np.concatenate([lo[c_pair], r_t]),
-            np.concatenate([self._hi[c_pair] - lo[c_pair], x_t]), nu,
-            np.concatenate([(m_lo[c_pair] * np.cos(c_psi)) ** 2, np.zeros(d_psi.size)]),
+            self.profile, np.concatenate([c_lo, r_t]),
+            np.concatenate([self._hi[c_pair] - c_lo, x_t]), nu,
+            np.concatenate([(c_m * np.cos(c_psi)) ** 2, np.zeros(d_psi.size)]),
             self.tol / 3.0)
         k = c_psi.size
         return angle[:k], length[:k], angle[k:], length[k:]
@@ -445,25 +451,34 @@ class TwoRadiusConnectors:
         rows, chis = roots_on_grids(miss, self.chis, values, self._xtol[pair])
         # a root where miss never ran is a grid point: its values are in the table
         grid = np.minimum(np.searchsorted(self.chis, chis), self.chis.size - 1)
+        # the connectors are built from Python floats, row by row
+        pairs, signs, targets = pair.tolist(), sign.tolist(), target.tolist()
+        m_lo, pi, sin, tol = self._m_lo.tolist(), math.pi, math.sin, self.tol
         out: list[list[HConnector]] = [[] for _ in range(n)]
         for row, chi, j in zip(rows.tolist(), chis.tolist(), grid.tolist()):
-            p, s = int(pair[row]), float(sign[row])
-            if chi in (0.0, math.pi) and any(c.chi == chi for c in out[p]):
+            p, s = pairs[row], signs[row]
+            if (chi == 0.0 or chi == pi) and any(c.chi == chi for c in out[p]):
                 continue   # the meridian or the chain, once per orientation
-            sweep, length = seen.get((p, chi), (float(sweeps[p, j]), float(lengths[p, j])))
-            if not abs(g(row, sweep, length)) <= self.tol:
+            sweep, length = seen.get((p, chi)) or (float(sweeps[p, j]), float(lengths[p, j]))
+            off = s * sweep + mu * length - targets[row]
+            if not abs(off) <= tol:
                 raise InternalConsistencyError(
-                    f"connector at chi = {chi} misses dtheta = {dtheta} by "
-                    f"{g(row, sweep, length)}, more than {self.tol}")
-            kind = ("meridian" if chi == 0.0 else "chain" if chi == math.pi
-                    else "direct" if chi <= 0.5 * math.pi else "turning")
-            nu = 0.0 if kind == "chain" else s * float(self._m_lo[p]) * math.sin(chi)
+                    f"connector at chi = {chi} misses dtheta = {dtheta} by {off}, more than {tol}")
+            if chi == pi:
+                kind, nu = "chain", 0.0
+            else:
+                kind = "meridian" if chi == 0.0 else "direct" if chi <= 0.5 * pi else "turning"
+                nu = s * m_lo[p] * sin(chi)
             out[p].append(HConnector(kind, nu, length, s * sweep, chi))
         for p, cands in enumerate(out):
             if not cands:
                 raise InternalConsistencyError(f"no connector between radii {lo[p]} and "
                                                f"{hi[p]} meets dtheta = {dtheta} at mu = {mu}")
         return out if np.ndim(self.r2) else out[0]
+
+
+# Ulps of a turning radius or drop within which its last step settles it.
+_TURN_ULPS = 4.0 * float(np.finfo(float).eps)
 
 
 def _turning_points(profile: Profile, r_lo, m_lo, nu, disc):
@@ -473,31 +488,45 @@ def _turning_points(profile: Profile, r_lo, m_lo, nu, disc):
     r_lo - r_t rounds to r_lo, the drop x is solved for, from
     m(r_lo)^2 - m(r_lo - x)^2 = disc with the difference of m the panel
     rule profile.gauss_legendre of m'; deeper down r_t is, from
-    m(r_t) = nu.  Newton steps, kept inside [0, r_lo] by bisection, from
-    the quadratic Taylor model of m^2 at r_lo and from the secant
-    r_t = nu r_lo / m(r_lo) respectively."""
+    m(r_t) = nu.  Halley steps, kept inside [0, r_lo] by bisection, from
+    the quadratic Taylor model of m^2 at r_lo and from the cubic Hermite
+    model of the inverse of m on [0, m(r_lo)] (m(0) = 0 and m'(0) = 1 at
+    the vertex) respectively."""
     if nu.size == 0:
         return nu, nu
     m1, m2 = (as_float_array(f(r_lo), r_lo.shape) for f in (profile.m1, profile.m2))
     a, b = 2.0 * m_lo * m1, m1 * m1 + m_lo * m2
     x = 2.0 * disc / (a + np.sqrt(np.maximum(a * a - 4.0 * b * disc, 0.0)))
     near = x <= 0.25 * r_lo
-    y = np.where(near, x, nu * (r_lo / m_lo))
+    # r(m) of the cubic Hermite through r(0) = 0, r'(0) = 1 and r(m_lo) = r_lo,
+    # r'(m_lo) = 1 / m'(r_lo), at m = nu
+    s = nu / m_lo
+    far = s * (m_lo * (1.0 - s) ** 2 + s * (r_lo * (3.0 - 2.0 * s) + (m_lo / m1) * (s - 1.0)))
+    y = np.where(near, x, np.clip(far, 0.0, r_lo))
     lo, hi = np.zeros_like(y), r_lo.copy()
+    some_near, all_near, twice_m_lo = near.any(), near.all(), 2.0 * m_lo
     for _ in range(100):
         r = np.where(near, r_lo - y, y)
-        m1_r = as_float_array(profile.m1(r), r.shape)
+        m1_r, m2_r = (as_float_array(f(r), r.shape) for f in (profile.m1, profile.m2))
         dm = g = 0.0
-        if near.any():
+        if some_near:
             w = np.where(near, y, 0.0)[:, None]
             dm = gauss_legendre(profile.m1, r_lo[:, None] - w, w)
-            g = dm * (2.0 * m_lo - dm) - disc
-        if not near.all():
+            g = dm * (twice_m_lo - dm) - disc
+        if not all_near:
             g = np.where(near, g, as_float_array(profile.m(r), r.shape) - nu)
         lo, hi = np.where(g < 0.0, y, lo), np.where(g > 0.0, y, hi)
-        step = y - g / np.where(near, 2.0 * (m_lo - dm) * m1_r, m1_r)
-        step = np.where((lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        settled = np.all((np.abs(step - y) <= 4.0 * np.finfo(float).eps * y) | (g == 0.0))
+        # g' and g'' in y: 2 m m' and -2 (m'^2 + m m'') at r near, m' and m'' far
+        m_r = m_lo - dm
+        d1 = np.where(near, 2.0 * m_r * m1_r, m1_r)
+        d2 = np.where(near, -2.0 * (m1_r * m1_r + m_r * m2_r), m2_r)
+        step = y - 2.0 * g * d1 / (2.0 * d1 * d1 - g * d2)
+        # settled where the step moves y by a few ulps, or where g is rounding
+        # noise and the bracket has shrunk to a few ulps; any other step out of
+        # the bracket bisects it
+        small = np.abs(step - y) <= _TURN_ULPS * y
+        step = np.where(small | ((lo < step) & (step < hi)), step, 0.5 * (lo + hi))
+        settled = np.all(small | (hi - lo <= _TURN_ULPS * y) | (g == 0.0))
         y = np.where(g == 0.0, y, step)
         if settled:
             return np.where(near, r_lo - y, y), np.where(near, y, r_lo - y)

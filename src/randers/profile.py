@@ -20,6 +20,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple
@@ -44,6 +45,11 @@ _EMBED_GRID = 10_000
 # Iterations roots_on_grids allows a bracket: bisection alone halves a
 # bracket of width pi to 1e-16 in 55.
 _ROOT_MAXITER = 100
+# Grid points around a bracket whose interpolating polynomials start it, and
+# the Newton steps on the cubic through the middle four, from the secant;
+# half as many follow on each wider polynomial.
+_START_POINTS = 8
+_START_STEPS = 4
 # Ulps of the bracket ends added to a root's xtol.
 _ROOT_ULPS = 4.0 * float(np.finfo(float).eps)
 
@@ -66,18 +72,32 @@ class SurfacePoint:
 
     theta is stored unreduced (it may accumulate many windings along twisted
     geodesics); reduce mod 2*pi only when comparing or exporting.  At r = 0
-    every theta denotes the vertex.
+    every theta denotes the vertex.  Both coordinates are stored as Python
+    floats.
     """
 
     r: float
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.r) and math.isfinite(self.theta)):
-            raise InvalidParameterError(
-                f"point coordinates must be finite, got ({self.r}, {self.theta})")
-        if self.r < 0:
-            raise InvalidParameterError(f"radius must be >= 0, got {self.r}")
+        r, theta = as_float(self.r), as_float(self.theta)
+        if not (math.isfinite(r) and math.isfinite(theta)):
+            raise InvalidParameterError(f"point coordinates must be finite, got ({r}, {theta})")
+        if r < 0:
+            raise InvalidParameterError(f"radius must be >= 0, got {r}")
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "theta", theta)
+
+
+def as_float(value) -> float:
+    """A real number as a Python float: a float as it is, any other real
+    number (np.float64 included) by float().  Anything else, a string
+    among them, raises InvalidParameterError rather than being parsed."""
+    if type(value) is float:
+        return value
+    if isinstance(value, numbers.Real):
+        return float(value)
+    raise InvalidParameterError(f"expected a real number, got {value!r}")
 
 
 def as_float_array(values, shape) -> np.ndarray:
@@ -571,6 +591,106 @@ class PanelTable:
         return self.values[i] + float(gauss_legendre(self.f, edge, r - edge))
 
 
+def _newton_form(xs, fs):
+    """(nodes, c) of the polynomial through the points (xs[k], fs[k]) in
+    Newton form, sum_k c[k] prod_{j<k} (t - nodes[j]), in the variable
+    t = (x - xs[0]) / (xs[1] - xs[0]).  Floats or arrays alike."""
+    nodes = [(x - xs[0]) / (xs[1] - xs[0]) for x in xs]
+    c = list(fs)
+    for level in range(1, len(c)):
+        for k in range(len(c) - 1, level - 1, -1):
+            c[k] = (c[k] - c[k - 1]) / (nodes[k] - nodes[k - level])
+    return nodes, c
+
+
+def _newton_steps(nodes, c, t, steps: int):
+    """(t, slope): t after that many Newton steps on the polynomial of
+    _newton_form with the coefficients c, its value and slope by Horner's
+    rule, and the slope of the last step."""
+    for _ in range(steps):
+        value, slope = c[-1], 0.0
+        for ck, node in zip(c[-2::-1], nodes[len(c) - 2::-1]):
+            slope = slope * (t - node) + value
+            value = value * (t - node) + ck
+        t = t - value / slope
+    return t, slope
+
+
+def _monotone(fs):
+    """Whether the values fs are strictly monotone; floats or arrays."""
+    up = down = True
+    for f0, f1 in zip(fs, fs[1:]):
+        up, down = up & (f0 < f1), down & (f0 > f1)
+    return up | down
+
+
+def _chandrupatla_start(xs, fs):
+    """(t, slope) for the first point in the middle bracket of a window of
+    _START_POINTS grid points xs (an end repeated where the grid ends) with
+    the values fs: t for _chandrupatla_point, and the slope in t of the
+    polynomial it came from, for _chandrupatla_model.  t is the root in the
+    bracket of the polynomials through the middle 4, 6, ... points in turn,
+    each while those values are strictly monotone: _START_STEPS Newton steps
+    on the cubic from the secant, then _START_STEPS / 2 on each wider one
+    from the root before.  A root that leaves the bracket, and every wider
+    one, falls back to the root before, the first to the secant, whose
+    slope is NaN.  Floats or arrays alike: on arrays a repeated point or a
+    zero slope turns a root to inf or NaN, which leaves the bracket; floats
+    take a division by zero for that."""
+    half = len(xs) // 2
+    a = half - 1   # the bracket is [xs[a], xs[a + 1]]
+    arrays = isinstance(xs[0], np.ndarray)
+    secant, nan = fs[a] / (fs[a] - fs[a + 1]), math.nan
+    # on floats, only the widest middle window of monotone values
+    n = len(xs) if arrays else 2
+    while not arrays and n < len(xs) and _monotone(fs[a - n // 2:half + 1 + n // 2]):
+        n += 2
+    # the nodes in the order the Newton form adds them: the bracket, then
+    # outward, so each polynomial's coefficients lead the next one's; on
+    # floats, nodes that round together drop the widest polynomials
+    order = [a, a + 1] + [k for j in range(1, half) for k in (a - j, a + 1 + j)]
+    while n > 2:
+        try:
+            nodes, c = _newton_form([xs[k] for k in order[:n]], [fs[k] for k in order[:n]])
+            break
+        except ZeroDivisionError:
+            n -= 2
+    else:
+        return secant, nan
+    t, slope, held, steps = secant, nan, True, _START_STEPS
+    for k in range(2, n // 2 + 1):
+        try:
+            root, root_slope = _newton_steps(nodes, c[:2 * k], t, steps)
+        except ZeroDivisionError:
+            break
+        held = held & (0.0 < root) & (root < 1.0)
+        if arrays:
+            held = held & _monotone(fs[half - k:half + k])
+            t, slope = np.where(held, root, t), np.where(held, root_slope, slope)
+        elif held:
+            t, slope = root, root_slope
+        else:
+            break
+        steps = _START_STEPS // 2
+    return t, slope
+
+
+def _chandrupatla_model(x1, x2, f1, width, slope, t):
+    """The t of _chandrupatla_point after the first point x1 of a bracket:
+    the Newton step from x1 with the slope of the polynomial that placed x1
+    (slope per unit of t, width the grid bracket's), where it lands inside
+    the bracket [x1, x2]; else t, the step of _chandrupatla_fraction.  On
+    the tables of cut_locus' connectors x1 lies a median 1e-8 from the
+    root (5e-7 on the turning connectors); this step then ends 86% of the
+    brackets at their second point, inverse quadratic interpolation through
+    the grid ends 42%.  Floats or arrays alike."""
+    u = -f1 * width / (slope * (x2 - x1))
+    inside = (0.0 < u) & (u < 1.0)
+    if isinstance(x1, np.ndarray):
+        return np.where(inside, u, t)
+    return u if inside else t
+
+
 def _chandrupatla_point(x1, x2, t, xtol):
     """Where Chandrupatla's method evaluates next in the bracket [x1, x2]
     (x1 its newest point): the fraction t of the way from x1 to x2, kept
@@ -584,6 +704,21 @@ def _chandrupatla_point(x1, x2, t, xtol):
     tol = xtol + _ROOT_ULPS * max(abs(x1), abs(x2))
     edge = 0.5 * tol / abs(width)
     return x1 + min(max(t, edge), 1.0 - edge) * width, tol
+
+
+def _chandrupatla_settled(x1, x2, x3, f1, f2, f3, tol, xtol):
+    """Whether the bracket [x1, x2] is settled after f ran at x1 (x3 the
+    point dropped, on the far side of x1 from the root): it is narrower than
+    tol, f1 is 0, or both secants from x1, to x2 across the root and to x3
+    behind it, put the root within xtol / 2 of x1.  Where f' is monotone
+    over [x3, x2], the slope from x1 to the root lies between the two
+    secants' slopes, so the farther estimate bounds the distance; a secant
+    to x2 alone underestimates it where f' grows across the bracket.  Floats
+    or arrays alike, with no division: repeated values fail the test."""
+    half = 0.5 * xtol
+    return ((abs(x2 - x1) < tol) | (f1 == 0.0)
+            | ((abs(f1 * (x2 - x1)) <= half * abs(f2 - f1))
+               & (abs(f1 * (x3 - x1)) <= half * abs(f3 - f1))))
 
 
 def _chandrupatla_fraction(x1, x2, x3, f1, f2, f3):
@@ -607,23 +742,29 @@ def _chandrupatla_fraction(x1, x2, x3, f1, f2, f3):
     return np.where(interpolate, t, 0.5) if arrays else t
 
 
-def _chandrupatla(f, x1, x2, f1, f2, xtol: float) -> float:
-    """One bracket [x1, x2] with values f1, f2 of opposite signs, refined
-    on floats by the steps roots_on_grids takes on arrays."""
-    x3, f3 = x2, f2
-    x, tol = _chandrupatla_point(x1, x2, f1 / (f1 - f2), xtol)
+def _chandrupatla(f, xs, fs, xtol: float) -> float:
+    """The middle bracket of the window xs of _chandrupatla_start, with
+    values of opposite signs in fs, refined on floats by the steps
+    roots_on_grids takes on arrays."""
+    half = len(xs) // 2
+    x1, x2, f1, f2 = xs[half - 1], xs[half], fs[half - 1], fs[half]
+    x3, f3, width = x2, f2, x2 - x1
+    t, slope = _chandrupatla_start(xs, fs)
+    x, tol = _chandrupatla_point(x1, x2, t, xtol)
     # a grid bracket narrower than tol is settled before f runs
     if abs(x2 - x1) >= tol:
-        for _ in range(_ROOT_MAXITER):
+        for evaluations in range(_ROOT_MAXITER):
             y = float(f(x))
             if (y > 0.0 and f1 > 0.0) or (y < 0.0 and f1 < 0.0):
                 x3, f3 = x1, f1
             else:
                 x3, f3, x2, f2 = x2, f2, x1, f1
             x1, f1 = x, y
-            if abs(x2 - x1) < tol or y == 0.0:
+            if _chandrupatla_settled(x1, x2, x3, f1, f2, f3, tol, xtol):
                 break
             t = _chandrupatla_fraction(x1, x2, x3, f1, f2, f3)
+            if evaluations == 0:
+                t = _chandrupatla_model(x1, x2, f1, width, slope, t)
             x, tol = _chandrupatla_point(x1, x2, t, xtol)
         else:
             raise InternalConsistencyError(
@@ -636,8 +777,9 @@ def roots_on_grid(f, grid, values, xtol: float) -> list[float]:
 
     values[i] is f(grid[i]), or a value the caller already holds with the
     same sign.  Each sign change between neighbouring grid points is refined
-    to xtol by the Chandrupatla iteration of roots_on_grids, on floats and
-    step for step, so both return the same roots; f runs only inside
+    to xtol by the Chandrupatla iteration of roots_on_grids, started from
+    the same grid values around it and ended by the same tests, on floats
+    and step for step, so both return the same roots; f runs only inside
     brackets, and the bracket keeps the signs the caller saw.  Grid points
     with value exactly zero are roots as they stand.  A root within
     10 * xtol of the previous one is dropped: adjacent brackets around one
@@ -649,8 +791,10 @@ def roots_on_grid(f, grid, values, xtol: float) -> list[float]:
         if v == 0.0:
             root = float(grid[i])
         elif i < last and v * values[i + 1] < 0.0:
-            root = _chandrupatla(f, float(grid[i]), float(grid[i + 1]),
-                                 float(v), float(values[i + 1]), xtol)
+            around = [min(max(j, 0), last) for j in range(i + 1 - _START_POINTS // 2,
+                                                          i + 1 + _START_POINTS // 2)]
+            root = _chandrupatla(f, [float(grid[j]) for j in around],
+                                 [float(values[j]) for j in around], xtol)
         else:
             continue
         if not roots or abs(root - roots[-1]) > 10.0 * xtol:
@@ -666,12 +810,22 @@ def roots_on_grids(f, grid, values, xtol):
     f(rows, x) evaluates the functions rows[k] at x[k]; it runs once per
     iteration, over every bracket not yet settled.  Each sign change is
     refined by Chandrupatla's method (inverse quadratic interpolation where
-    the last three points allow it, else bisection; the first step is a
-    secant step), which keeps every iterate at least half the tolerance
-    inside its bracket, until the bracket is narrower than xtol plus a few
-    ulps of the root; a grid bracket already that narrow is settled before
-    f runs.  The end with the smaller |f| is the root, so a root is a point
-    where f ran or a grid point.  Grid points
+    the last three points allow it, else bisection), which keeps every
+    iterate at least half the tolerance inside its bracket, with two steps
+    of its own at the start, both from the grid values around the bracket
+    (_START_POINTS of them).  The first point is the root of the widest
+    polynomial through the middle 4, 6, ... of them whose values are
+    monotone (_chandrupatla_start), else the secant step; the second is the
+    Newton step from the first with that polynomial's slope
+    (_chandrupatla_model), where it stays inside the bracket.  A bracket
+    ends once it is narrower than xtol plus a few ulps of the root, once f
+    is 0 at its newest point, or once the secant estimates of that point's
+    distance to the root, to the bracket's far end and to the point dropped
+    behind it, are both at most xtol / 2 (_chandrupatla_settled): a point
+    that lands on the root ends its bracket without the steps that would
+    close the bracket around it.  A grid bracket already narrower than the
+    tolerance is settled before f runs.  The end with the smaller |f| is the
+    root, so a root is a point where f ran or a grid point.  Grid points
     with value exactly zero are roots as they stand, and a root within
     10 * xtol of the previous root of its row is dropped, as in
     roots_on_grid.  Returns (rows, roots), sorted by row and then by root;
@@ -686,17 +840,22 @@ def roots_on_grids(f, grid, values, xtol):
     # state of the brackets still open, numbered live: x1 is the newest
     # point, [x1, x2] the bracket, x3 the point dropped last
     live = np.arange(rows.size)
-    x1, x2 = grid[rows, col], grid[rows, col + 1]
-    f1, f2 = values[rows, col], values[rows, col + 1]
-    x3, f3, xtol_k = x2, f2, xtol[rows]
-    x, tol = _chandrupatla_point(x1, x2, f1 / (f1 - f2), xtol_k)
+    half = _START_POINTS // 2
+    around = np.clip(col[:, None] + np.arange(1 - half, 1 + half), 0, values.shape[1] - 1)
+    xs, fs = list(grid[rows[:, None], around].T), list(values[rows[:, None], around].T)
+    x1, x2, f1, f2 = xs[half - 1], xs[half], fs[half - 1], fs[half]
+    x3, f3, xtol_k, width = x2, f2, xtol[rows], x2 - x1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t, slope = _chandrupatla_start(xs, fs)
+        x, tol = _chandrupatla_point(x1, x2, t, xtol_k)
     # a grid bracket narrower than tol is settled before f runs
     done = np.abs(x2 - x1) < tol
     for evaluations in range(_ROOT_MAXITER + 1):
         if done.any():
             found[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
-            live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k = (
-                v[~done] for v in (live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k))
+            open_ = ~done
+            live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k, width, slope = (
+                v[open_] for v in (live, x, tol, x1, x2, x3, f1, f2, f3, xtol_k, width, slope))
         if live.size == 0 or evaluations == _ROOT_MAXITER:
             break
         y = np.asarray(f(rows[live], x), dtype=float)
@@ -704,11 +863,13 @@ def roots_on_grids(f, grid, values, xtol):
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, y
-        done = (np.abs(x2 - x1) < tol) | (y == 0.0)
+        done = _chandrupatla_settled(x1, x2, x3, f1, f2, f3, tol, xtol_k)
         with np.errstate(divide="ignore", invalid="ignore"):
             # settled rows may divide by zero; their next point is dropped
-            x, tol = _chandrupatla_point(
-                x1, x2, _chandrupatla_fraction(x1, x2, x3, f1, f2, f3), xtol_k)
+            t = _chandrupatla_fraction(x1, x2, x3, f1, f2, f3)
+            if evaluations == 0:
+                t = _chandrupatla_model(x1, x2, f1, width, slope, t)
+            x, tol = _chandrupatla_point(x1, x2, t, xtol_k)
     if live.size:
         raise InternalConsistencyError(
             f"{live.size} brackets did not settle in {_ROOT_MAXITER} iterations, "
@@ -716,10 +877,12 @@ def roots_on_grids(f, grid, values, xtol):
     zr, zc = np.nonzero(values == 0.0)
     rows = np.concatenate([rows, zr])
     roots = np.concatenate([found, grid[zr, zc]])
+    order = np.lexsort((roots, rows))
+    rows, roots = rows[order], roots[order]
     keep: list[int] = []
-    for i in np.lexsort((roots, rows)).tolist():
-        if not (keep and rows[i] == rows[keep[-1]]
-                and abs(roots[i] - roots[keep[-1]]) <= 10.0 * xtol[rows[i]]):
+    row_list, root_list = rows.tolist(), roots.tolist()
+    for i, (row, root, near) in enumerate(zip(row_list, root_list, (10.0 * xtol[rows]).tolist())):
+        if not (keep and row == row_list[keep[-1]] and abs(root - root_list[keep[-1]]) <= near):
             keep.append(i)
     return rows[keep], roots[keep]
 

@@ -31,7 +31,7 @@ from .errors import (
     MetricDegenerateError,
     VertexSingularError,
 )
-from .profile import Profile, SurfacePoint
+from .profile import Profile, SurfacePoint, as_float
 
 _DUAL_RTOL = 1e-12
 
@@ -49,15 +49,18 @@ class RandersData:
 
 @dataclass(frozen=True)
 class Tangent:
-    """Tangent vector y = y1 * d/dr + y2 * d/dtheta."""
+    """Tangent vector y = y1 * d/dr + y2 * d/dtheta, its components stored
+    as Python floats."""
 
     y1: float
     y2: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.y1) and math.isfinite(self.y2)):
-            raise InvalidParameterError(
-                f"tangent components must be finite, got ({self.y1}, {self.y2})")
+        y1, y2 = as_float(self.y1), as_float(self.y2)
+        if not (math.isfinite(y1) and math.isfinite(y2)):
+            raise InvalidParameterError(f"tangent components must be finite, got ({y1}, {y2})")
+        object.__setattr__(self, "y1", y1)
+        object.__setattr__(self, "y2", y2)
 
     def is_zero(self) -> bool:
         return self.y1 == 0.0 and self.y2 == 0.0

@@ -318,6 +318,30 @@ def test_grouped_legs_are_bit_identical_under_permutations_and_blocks(monkeypatc
         np.testing.assert_array_equal(got[1], one[1][perm])
 
 
+def test_lone_legs_skip_the_grouping_bit_for_bit(monkeypatch):
+    # legs with distinct keys take clairaut_angles' path without the grouping
+    # sorts; beside a pair that shares a key, the same legs go through the
+    # grouping, each a group of one, to the same bits
+    p = make_paraboloid(1.0)
+    rng = np.random.default_rng(17)
+    ra = rng.uniform(0.2, 3.0, 40)
+    m_a = np.asarray(p.m(ra))
+    chi = rng.uniform(0.0, 0.5 * math.pi, 40)
+    chi[::5] = 0.5 * math.pi
+    legs = [ra, rng.uniform(0.1, 2.0, 40), m_a * np.sin(chi),
+            np.where(chi == 0.5 * math.pi, 0.0, (m_a * np.cos(chi)) ** 2)]
+    calls, distinct = [], geodesics._distinct
+    monkeypatch.setattr(geodesics, "_distinct", lambda *a: calls.append(1) or distinct(*a))
+    lone = clairaut_angles(p, *legs, 1e-10 / 3.0)
+    assert not calls
+    shared = [np.append(v, v[0]) for v in legs]
+    shared[1][-1] = 0.5 * shared[1][0]
+    grouped = clairaut_angles(p, *shared, 1e-10 / 3.0)
+    assert calls
+    for got, want in zip(grouped, lone):
+        np.testing.assert_array_equal(got[1:-1], want[1:])
+
+
 def test_cut_locus_table_shares_its_climbs():
     # the cost of a cut_locus table in m' nodes, counted without timing: the
     # climbs from the shared lower radius are integrated once per heading
@@ -463,3 +487,83 @@ def test_cut_points_have_a_mirror_pair_of_F_connectors():
 def test_connectors_reject_bad_queries(dtheta, mu):
     with pytest.raises(InvalidParameterError):
         TwoRadiusConnectors(make_paraboloid(1.0), 1.0, 2.0).connectors(dtheta, mu)
+
+
+def _bisected(table, pair, chi, sign, target, mu, xtol):
+    """Roots of sign * sweep + mu * length - target for the pairs pair of
+    table, by bisection on its sweep_length legs to 1e-15 in chi: each
+    bracket starts 2 xtol on either side of chi and widens eightfold until
+    its ends differ in sign."""
+    def miss(x):
+        sweep, length = table._at(pair, x)
+        return sign * sweep + mu * length - target
+
+    width = np.full(chi.shape, 2.0 * xtol)
+    for _ in range(8):
+        lo, hi = np.maximum(chi - width, 0.0), np.minimum(chi + width, math.pi)
+        f_lo = miss(lo)
+        bracketed = np.sign(f_lo) != np.sign(miss(hi))
+        if bracketed.all():
+            break
+        width = np.where(bracketed, width, 8.0 * width)
+    assert bracketed.all(), chi[~bracketed]
+    while np.max(hi - lo) > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            break
+        f_mid = miss(mid)
+        left = np.sign(f_mid) == np.sign(f_lo)
+        lo, f_lo, hi = np.where(left, mid, lo), np.where(left, f_mid, f_lo), np.where(left, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def _check_against_bisection(table, cands, dtheta, mu):
+    """Every connector of one query (cands[p] for the pair p) lies within
+    its xtol, plus the ulps of its bracket, of a bisected root of its own
+    orientation and turn, and its length within tol of the length there;
+    the meridian and the chain are grid values and are left out."""
+    rows = [(p, c) for p, cs in enumerate(cands) for c in cs if 0.0 < c.chi < math.pi]
+    pair = np.array([p for p, _ in rows])
+    chi = np.array([c.chi for _, c in rows])
+    sign = np.array([math.copysign(1.0, c.swept) for _, c in rows])
+    twisted = np.array([c.swept + mu * c.length for _, c in rows])
+    target = dtheta + 2.0 * math.pi * np.round((twisted - dtheta) / (2.0 * math.pi))
+    xtol = np.ravel(table.xtol)[pair]
+    root = _bisected(table, pair, chi, sign, target, mu, xtol)
+    assert np.all(np.abs(chi - root) <= xtol + 4.0 * np.finfo(float).eps * math.pi + 1e-15)
+    length = table._at(pair, root)[1]
+    assert np.all(np.abs(np.array([c.length for _, c in rows]) - length) <= table.tol)
+
+
+@pytest.mark.parametrize("mu,rho", [(1.0, 1.0), (1.0, 1.2), (0.5, 1.8), (0.5, 2.3)])
+def test_cut_locus_connectors_meet_bisection(mu, rho):
+    """The connectors of cut_locus' one query, at the base points of
+    tests/test_conjugate.py, against bisection on the same legs."""
+    p = make_paraboloid(mu)
+    arc = cut_locus(p, SurfacePoint(rho, 0.0))
+    table = TwoRadiusConnectors(p, rho, arc.r, tol=1e-10)
+    cands = table.connectors(math.pi)
+    assert np.array_equal(arc.dist, [min(c.length for c in cs) for cs in cands])
+    _check_against_bisection(table, cands, math.pi, 0.0)
+
+
+def test_wind_connectors_meet_bisection_in_few_iterations():
+    """Forty seeded pairs on the paraboloid under its wind, as distance_F
+    queries them at tol 1e-9: every connector against bisection, and a
+    median of at most three refinement iterations per query."""
+    p = make_paraboloid(1.0)
+    rng = np.random.default_rng(2015)
+    iterations = []
+    for r1, r2, dtheta in zip(*rng.uniform([0.3, 0.3, -math.pi], [3.0, 3.0, math.pi], (40, 3)).T):
+        table = TwoRadiusConnectors(p, float(r1), float(r2), tol=1e-9)
+        cands = table.connectors(float(dtheta), p.mu)
+        iterations.append(table.iterations)
+        _check_against_bisection(table, [cands], float(dtheta), p.mu)
+    assert np.median(iterations) <= 3
+
+
+@pytest.mark.parametrize("r1,r2", [(1.0, 25.0), (20.5, 1.0), (1.0, [2.0, 20.0 + 1e-9, 3.0])])
+def test_connectors_reject_radii_past_r_max(r1, r2):
+    # r_max = 20: the tables check every radius, as distance_F does
+    with pytest.raises(InvalidParameterError, match="r_max"):
+        TwoRadiusConnectors(make_paraboloid(1.0), r1, np.array(r2) if isinstance(r2, list) else r2)

@@ -244,6 +244,29 @@ def test_pullback_check_equals_the_embedding_residual(parab60):
             assert full <= 1e-12
 
 
+def test_points_and_tangents_from_state_rows_hold_floats(parab60):
+    # the rows of path.states are np.float64; the point and the tangent hold
+    # Python floats, and the certificate reads the same value bit for bit
+    path = _embed_launch(parab60, 1.4, 0.6, 2.2, 5.0)
+    for row, floats in zip(path.states, path.states.tolist()):
+        assert type(row[0]) is np.float64
+        q, v = SurfacePoint(max(row[0], 0.0), row[1]), Tangent(row[2], row[3])
+        assert all(type(x) is float for x in (q.r, q.theta, v.y1, v.y2))
+        assert (q.r, q.theta, v.y1, v.y2) == (max(floats[0], 0.0), *floats[1:])
+        want = pullback_check(parab60, SurfacePoint(max(floats[0], 0.0), floats[1]),
+                              Tangent(floats[2], floats[3]))
+        assert pullback_check(parab60, q, v) == want
+
+
+@pytest.mark.parametrize("bad", ["1.0", None, [1.0], np.array([1.0]), 1 + 0j])
+def test_points_and_tangents_reject_non_numbers(bad):
+    # no string or container is read as a number
+    for build in (lambda: SurfacePoint(bad, 0.0), lambda: SurfacePoint(1.0, bad),
+                  lambda: Tangent(bad, 0.0), lambda: Tangent(0.0, bad)):
+        with pytest.raises(InvalidParameterError):
+            build()
+
+
 @given(x=st.floats(-0.7, 0.7), y=st.floats(-0.7, 0.7), z=st.floats(-50.0, 50.0),
        Y=st.tuples(*[st.floats(-3.0, 3.0)] * 3).filter(lambda Y: any(Y)))
 @settings(max_examples=200)

@@ -188,6 +188,44 @@ def test_roots_on_grids_matches_roots_on_grid():
     assert rows.size == roots.size == 0 and not calls
 
 
+# Closed-form roots on grids that bracket them: (f, grid, roots).  The
+# polynomials' roots fall between grid points, except the ones the grid holds;
+# the cube has a slope of 3e-6 at its root and of 0.75 across its bracket, so
+# a secant across the bracket underestimates the distance to the root.
+_ORACLES = {
+    "cubic": (lambda x: (x + 0.5) * (x - 1.0) * (x - 2.0), np.linspace(-2.0, 3.0, 12),
+              [-0.5, 1.0, 2.0]),
+    "cube-root-of-2": (lambda x: x ** 3 - 2.0, np.linspace(0.0, 3.0, 7), [2.0 ** (1.0 / 3.0)]),
+    "flat-cube": (lambda x: x ** 3 - 1e-9, np.linspace(-1.0, 1.5, 6), [1e-3]),
+    "cos": (math.cos, np.linspace(0.0, 10.0, 23), [0.5 * math.pi, 1.5 * math.pi, 2.5 * math.pi]),
+    "slope-1e-8": (lambda x: 1e-8 * (math.exp(x) - 2.0), np.linspace(0.0, 2.0, 9), [math.log(2.0)]),
+    "slope-1e8": (lambda x: 1e8 * (math.exp(x) - 2.0), np.linspace(0.0, 2.0, 9), [math.log(2.0)]),
+    "on-the-grid": (lambda x: (x - 1.0) * (x - 2.0), np.linspace(0.0, 3.0, 7), [1.0, 2.0]),
+    "neighbouring-brackets": (lambda x: (x - 0.93) * (x - 1.07), np.linspace(0.8, 1.2, 5),
+                              [0.93, 1.07]),
+}
+
+
+@pytest.mark.parametrize("xtol", [1e-12, 1e-9, 1e-6])
+@pytest.mark.parametrize("name", list(_ORACLES))
+def test_roots_on_grid_meet_closed_forms(name, xtol):
+    """Both forms find every closed-form root within xtol plus the ulps of
+    the bracket, and nothing else."""
+    f, grid, want = _ORACLES[name]
+    values = [f(x) for x in grid.tolist()]
+    single = roots_on_grid(f, grid, values, xtol)
+    rows, roots = roots_on_grids(
+        lambda rows, x: np.array([f(v) for v in x.tolist()]), grid, [values], xtol)
+    assert rows.tolist() == [0] * len(want)
+    bound = xtol + 4.0 * np.finfo(float).eps * np.max(np.abs(grid))
+    for found in (single, roots.tolist()):
+        assert len(found) == len(want)
+        assert max(abs(a - b) for a, b in zip(found, want)) <= bound
+    # roots the grid holds are returned as they stand
+    if name == "on-the-grid":
+        assert single == want
+
+
 def _wave(w, p, v, q):
     """(1.5 + sin(v x + q)) sin(w x + p): an oscillating function whose
     roots are those of sin(w x + p)."""
