@@ -115,7 +115,9 @@ def _build_parser() -> _Parser:
                    metavar=("R", "THETA"))
     c.add_argument("--s-max", type=float, default=None)
     c.add_argument("--skip-verify", action="store_true",
-                   help="skip the interior-point shooting verification")
+                   help="skip the interior-point check (verify_cut_point: the "
+                        "connector roots to a point of the arc, each confirmed by one "
+                        "ray; writes cutpoint_check.json)")
 
     v = sub.add_parser("verify", parents=[out], help="run the full verification suite")
     v.add_argument("--seed", type=_seed, default=0)

@@ -74,9 +74,11 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
     On a meridian base, the meridian chain through the vertex included, the
     radius is r(s) = |r0 + s dr0| on Python floats, the value its dense
     output gives; on any other base it is read from the dense output.  The
-    first sign change of y for s > 0 is refined to 1e-10 on the dense
-    output of its step and reported as first_zero (None if y keeps its
-    sign over [0, upto]).  The integrator's max_steps stop raises
+    first sign change of y between samples, from a strict sign to zero or
+    the other sign, is refined to 1e-10 by roots_on_grid on the dense
+    output of that one step (ODESolution.step) and reported as first_zero
+    (None if y keeps its sign over [0, upto]; the start y0 = 0 of a field
+    from a point is no sign change).  The integrator's max_steps stop raises
     NumericalBlowupError.  first_conjugate answers by quadrature; this
     integration is its independent check (certify_pole, the
     jacobi-pole-identity acceptance check and the tests).
@@ -102,17 +104,20 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
         y, yp = z
         return (yp, -gauss_curvature(profile, radius(s)) * y)
 
-    sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=1e-12,
-                             events=[odesolve.LevelEvent(0, 0.0)])
+    sol = odesolve.integrate(rhs, 0.0, np.array([y0, yp0]), upto, tol=1e-12)
     if sol.status == "max_steps":
         raise NumericalBlowupError(
             f"Jacobi integration stopped after {sol.nsteps} steps, at s = {sol.s[-1]} "
             f"of {upto}")
-    zeros = [s for s, _ in sol.events.get(0, []) if s > 1e-12]
-    return JacobiSolution(
-        s=sol.s, y=sol.y[:, 0], yp=sol.y[:, 1],
-        first_zero=float(zeros[0]) if zeros else None,
-    )
+    y = sol.y[:, 0]
+    # a strict sign at one sample, zero or the other sign at the next
+    changes = np.flatnonzero(((y[:-1] < 0.0) & (y[1:] >= 0.0)) | ((y[:-1] > 0.0) & (y[1:] <= 0.0)))
+    first_zero = None
+    if changes.size:
+        step = sol.step(int(changes[0]))
+        first_zero = roots_on_grid(lambda s: float(step(s)[0]), step.s, step.y[:, 0],
+                                   xtol=1e-10)[0]
+    return JacobiSolution(s=sol.s, y=y, yp=sol.y[:, 1], first_zero=first_zero)
 
 
 def _vm_grid(profile: Profile) -> np.ndarray:

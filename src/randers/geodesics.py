@@ -195,8 +195,10 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     at the vertex (_vertex_chart), where a ray that passes near the vertex
     is nearly straight, and above R in the polar chart, where the same ray
     would sweep nearly pi in theta on tiny steps.  Each stretch in one
-    chart is one DOP853 run, ended where the ray crosses r = R by a
-    terminal event, and the next run starts from its root.  Samples, dense
+    chart is one DOP853 run.  integrate's retire hook ends it at the first
+    accepted step that ends past R, rho > R^2 in the vertex chart and r < R
+    in the polar one, and the next run starts from that projected step
+    end; the charts switch at step ends only.  Samples, dense
     output, nu and the drift metrics are polar in both charts: theta is
     continuous and runs monotonically in the sense of nu, the vertex
     chart's angle about the vertex unwound from where the ray entered it.
@@ -207,8 +209,11 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     meridians (dtheta = 0) are integrated analytically, continuing through
     the vertex with a theta jump of pi, and sampled every _h_max.  If the
     path leaves the numerical domain r <= r_max it is truncated there and
-    flagged with exit_reason = "domain-exit"; a ray launched on r = r_max
-    that moves outward has the start as its one sample.  A start at the
+    flagged with exit_reason = "domain-exit": the run that left ends at the
+    first step end past r_max, and its last sample is moved back to the
+    crossing of r_max on the dense output of that step (_exit_sample).  A
+    ray launched on r = r_max that moves outward has the start as its one
+    sample.  A start at the
     vertex with angular speed raises VertexSingularError, and a run that
     reaches the integrator's max_steps stop NumericalBlowupError.
     """
@@ -229,9 +234,9 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     r_chart, r_max = profile.vertex_chart_radius, profile.r_max
     if state0.r == r_max and (state0.dr > 0.0 or (state0.dr == 0.0
                                                   and float(profile.m1(r_max)) > 0.0)):
-        # the exit event needs r < r_max at a step start: a ray launched on
-        # r_max that moves outward, r' > 0, or r' = 0 and r'' = m m'
-        # theta'^2 > 0, leaves the domain at once
+        # a ray launched on r_max that moves outward, r' > 0, or r' = 0 and
+        # r'' = m m' theta'^2 > 0, leaves the domain at once: its exit root
+        # is its start
         states = state0.as_array()[None]
         return GeodesicPath(
             s=np.zeros(1), states=states, nu=nu0, metric_tag="h",
@@ -276,6 +281,14 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
                                                / math.hypot(unit[2], unit[3]) - 1.0))
         return unit
 
+    rho_chart, rho_max = r_chart * r_chart, r_max * r_max
+
+    def chart_retire(s: float, y: list) -> bool:
+        return y[4] > rho_chart
+
+    def polar_retire(s: float, y: list) -> bool:
+        return not r_chart <= y[0] <= r_max
+
     in_chart = state0.r < r_chart or (state0.r == r_chart and state0.dr < 0.0)
     s, y, runs = 0.0, [state0.r, state0.theta, state0.dr, state0.dtheta], []
     while True:
@@ -284,35 +297,29 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
             r, theta_in = y[0], y[1]
             sol = odesolve.integrate(
                 chart_rhs, s, _chart_state(r, y[2], y[3], 1.0, 0.0), length, tol=tol,
-                post_step=chart_renormalize,
-                events=[odesolve.LevelEvent(4, r_chart * r_chart, terminal=True, direction=1)])
-            leaves = sol.status == "event:0" and r_chart < r_max
-            exits = sol.status == "event:0" and not leaves
-            if leaves:
-                # the root is read off the dense output: project it too
-                sol.y[-1] = chart_unit(sol.s[-1], sol.y[-1].tolist())
+                post_step=chart_renormalize, retire=chart_retire)
+            exits = sol.status == "retired" and sol.y[-1, 4] > rho_max
+            if exits:
+                _exit_sample(sol, 4, rho_max)
             piece = _ChartPiece(sol, theta_in, math.copysign(1.0, state0.dtheta))
             rows = piece.states
             m = as_float_array(m_fn(rows[1:, 0]), rows[1:, 0].shape)
             drift["clairaut"] = max(drift["clairaut"],
                                     float(np.max(np.abs(m * m * rows[1:, 3] - nu0))))
         else:
-            sol = odesolve.integrate(
-                rhs, s, y, length, tol=tol, post_step=renormalize,
-                events=[odesolve.LevelEvent(0, r_max, terminal=True, direction=1),
-                        odesolve.LevelEvent(0, r_chart, terminal=True, direction=-1)])
-            leaves, exits = sol.status == "event:1", sol.status == "event:0"
-            if leaves:
-                sol.y[-1] = renormalize(sol.s[-1], sol.y[-1].tolist())
+            sol = odesolve.integrate(rhs, s, y, length, tol=tol, post_step=renormalize,
+                                     retire=polar_retire)
+            exits = sol.status == "retired" and sol.y[-1, 0] > r_max
+            if exits:
+                _exit_sample(sol, 0, r_max)
             piece, rows = sol, sol.y
         if sol.status == "max_steps":
             raise NumericalBlowupError(
                 f"geodesic integration at tol {tol} stopped after {sol.nsteps} steps, "
                 f"at s = {sol.s[-1]} of {length}")
-        if sol.s[-1] > s:   # a run whose event root is its start adds nothing
-            runs.append((s, piece, sol.s, rows))
-            s, y = float(sol.s[-1]), rows[-1].tolist()
-        if not (leaves and s < length):
+        runs.append((s, piece, sol.s, rows))
+        s, y = float(sol.s[-1]), rows[-1].tolist()
+        if sol.status != "retired" or exits:
             break
         in_chart = not in_chart
     if len(runs) == 1:
@@ -324,7 +331,7 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         dense = _stitched([run[:2] for run in runs])
     states[0] = state0.as_array()   # not its image through the vertex chart
     if exits:
-        # the exit sample lies on r = r_max; the event root leaves ~1e-15
+        # the exit sample lies on r = r_max; its root leaves ~1e-15
         states[-1, 0] = r_max
     return GeodesicPath(
         s=ss, states=states, nu=nu0, metric_tag="h",
@@ -332,6 +339,17 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         max_unit_drift=drift["unit"], max_clairaut_drift=drift["clairaut"],
         exit_reason="domain-exit" if exits else "completed",
     )
+
+
+def _exit_sample(sol: odesolve.ODESolution, c: int, level: float) -> None:
+    """Move the last sample of a run that left the domain in its last step
+    back onto the level of component c it crossed there: to the root of the
+    component minus the level on the dense output of that step, refined to
+    1e-10 by roots_on_grid."""
+    last = sol.step(sol.seg_s.size - 1)
+    root = roots_on_grid(lambda x: float(last(x)[c]) - level, last.s, last.y[:, c] - level,
+                         xtol=1e-10)[0]
+    sol.s[-1], sol.y[-1] = root, last(root)
 
 
 class _ChartPiece:
@@ -383,7 +401,7 @@ def _stitched(pieces):
         reads.append(odesolve.ODESolution(
             s=None, y=None, rhs=polar[0].rhs,
             **{key: np.concatenate([getattr(sol, key) for sol in polar])
-               for key in ("seg_s", "seg_h", "seg_y0", "seg_y1", "seg_f0", "seg_f1", "seg_k")}))
+               for key in odesolve.SEGMENTS}))
     # the index in reads of the reader of each piece
     reader = np.where(is_polar, len(reads) - 1, np.cumsum(~is_polar) - 1)
 

@@ -548,8 +548,10 @@ def _distance(profile: Profile, q1: SurfacePoint, q2: SurfacePoint, mu: float,
     vertex gives the path through it, and a pair within h chart distance
     1e-5 and 1e-4 in angle the near-field rule, F of the chart step
     (r2 - r1, wrap(theta2 - theta1)) at the midpoint radius, under the wind
-    mu or none (both 0 iterations); a radius beyond r_max raises
-    InvalidParameterError."""
+    mu or none (both 0 iterations); a tol that is not finite and > 0, or a
+    radius beyond r_max, raises InvalidParameterError, whatever the pair."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     profile.check_radius(q1.r)
     profile.check_radius(q2.r)
     if min(q1.r, q2.r) <= 0.5 * tol:
@@ -768,8 +770,6 @@ def distance_F_report(profile: Profile, q1: SurfacePoint, q2: SurfacePoint,
     """Navigation distance d_F(q1, q2) with diagnostics: iterations counts
     the refinement iterations in chi of _distance, and bracket is the
     through-vertex interval (0, r1 + r2) that holds d_F."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidParameterError(f"tol must be finite and > 0, got {tol}")
     d, iterations = _distance(profile, q1, q2, profile.mu, tol)
     return DistanceReport((q1.r, q1.theta), (q2.r, q2.theta), d, tol, iterations,
                           (0.0, q1.r + q2.r), True)

@@ -1,4 +1,4 @@
-"""Adaptive embedded Runge-Kutta integration with dense output and events.
+"""Adaptive embedded Runge-Kutta integration with dense output.
 
 One pair runs every integration: DOP853, Dormand and Prince's 8(5,3) pair
 (Hairer, Norsett and Wanner, Solving ODEs I, 2nd ed., section II.10,
@@ -12,14 +12,13 @@ more evaluations of f for a step that is read.
 * ``integrate`` runs one trajectory, as the engine's geodesics and Jacobi
   fields do at tol 1e-10 to 1e-12.  The extra stages are made for every
   step at once on the first dense read, so a solution that is never read
-  never pays for them, and at once for a step that crosses an event.
-  The state is a handful of numbers, so the stages, the solution update and
-  the error terms run on Python floats, in a step generated from the
-  tableau for the state's dimension (_float_step) that writes each sum out
-  per component over the nonzero coefficients of its row in column order.
-  f is called with the state as a list of Python floats and returns a
-  sequence of exactly dim numbers; a tuple of floats is the cheapest, and
-  an ndarray is converted to floats.
+  never pays for them.  The state is a handful of numbers, so the stages,
+  the solution update and the error terms run on Python floats, in a step
+  generated from the tableau for the state's dimension (_float_step) that
+  writes each sum out per component over the nonzero coefficients of its
+  row in column order.  f is called with the state as a list of Python
+  floats and returns a sequence of exactly dim numbers; a tuple of floats
+  is the cheapest, and an ndarray is converted to floats.
 * ``integrate_batch`` runs many independent trajectories of one ODE at once
   on an (n_rows, dim) state, as the shooting fan does at tol 3e-7, and
   finds where one state component crosses one level.  Its stages, update
@@ -28,10 +27,8 @@ more evaluations of f for a step that is read.
   and is accepted or rejected under a mask; the FSAL stage (where a
   projection moved the end state) and the extra stages are evaluated only
   for the steps that may cross the level, whose stages are kept for one
-  dense-output pass after the run.  Rows leave the active set when they
-  reach s_end, or when the caller's retire test ends them at the end of an
-  accepted step.  No dense output is stored for the other steps, so memory
-  stays O(n_rows) plus the candidate steps.
+  dense-output pass after the run.  No dense output is stored for the
+  other steps, so memory stays O(n_rows) plus the candidate steps.
 
 The two differ in one line.  ``integrate`` controls dop853's blend of the
 5th- and 3rd-order error estimates, err5^2 / sqrt(err5^2 + 0.01 err3^2);
@@ -46,37 +43,38 @@ and angle, and by up to 1.5e-8 to 1.0e-7 under err5 alone.
 The dense output passes through the step's end state whatever ``post_step``
 made of it, and errs between step ends by about what the step errs at
 them.  The tolerance alone sets the step size.  Both integrators take the
-same projection hook, and both find level crossings:
+same two hooks, called after every accepted step:
 
-* ``post_step(s, y) -> y_new | None`` runs after every accepted step and may
-  project the state back onto an invariant manifold (the geodesic integrators
-  renormalize unit speed there).  It is called with the state as f is, a
-  list of floats in ``integrate`` and an array in ``integrate_batch``, and
-  must return a replacement state (any sequence in ``integrate``, an array
-  in ``integrate_batch``), or None to keep the state; it must not mutate
-  its argument.  After a replacement the FSAL derivative is recomputed, and
+* ``post_step(s, y) -> y_new | None`` may project the state back onto an
+  invariant manifold (the geodesic integrators renormalize unit speed
+  there).  It is called with the state as f is, a list of floats in
+  ``integrate`` and an array in ``integrate_batch``, and must return a
+  replacement state (any sequence in ``integrate``, an array in
+  ``integrate_batch``), or None to keep the state; it must not mutate its
+  argument.  After a replacement the FSAL derivative is recomputed, and
   the step's end state and derivative are the projected ones, so the dense
   output passes through the sampled states; the stages and the extra
   stages keep the unprojected ones, which moves the interpolant by the
   O(tol) of the projection.
-* Crossings.  ``integrate`` takes LevelEvents, crossings of one state
-  component through one level; g is the component minus the level.  A
-  crossing counts when g goes from one strict sign to zero or the other
-  sign, and is refined by roots_on_grid on g over the dense output of the
-  step that crosses.  A terminal event stops the integration at its root
-  inside the step, whose interpolant is kept whole; roots of other events
-  past it are dropped.  ``integrate`` sees neither crossing of a step that
-  crosses a level twice and ends on the side it started;
-  geodesics.level_crossings looks for them on its dense output.
-  ``integrate_batch`` finds its crossings of its one level as
-  level_crossings does on a path, with roots_on_grids on the dense output
-  of each candidate step: a step where g changes sign, or where g heads for
-  zero at the step start and away from it at the end (the component's end
-  slopes), so that it turns inside the step and may cross the level twice.
-  The turn of the component, the zero of its slope, is inserted into the
-  step's grid [0, 1], or the middle of the step where the slope keeps its
-  sign, and every sign change on that grid is refined, with the same 10
-  xtol merge of near roots as level_crossings, in one pass after the run.
+* ``retire(s, y)`` is the one way to end a run short of s_end.  It is
+  called with the projected end state of each accepted step and marks the
+  run (in ``integrate``) or the rows (in ``integrate_batch``) that end
+  there, with status ``retired``; a run ends at a step end, never inside a
+  step.
+
+Only ``integrate_batch`` finds crossings.  It finds those of its one level
+as geodesics.level_crossings does on a path, with roots_on_grids on the
+dense output of each candidate step: a step where g, the component minus
+the level, changes sign, or where g heads for zero at the step start and
+away from it at the end (the component's end slopes), so that it turns
+inside the step and may cross the level twice.  The turn of the
+component, the zero of its slope, is inserted into the step's grid
+[0, 1], or the middle of the step where the slope keeps its sign, and
+every sign change on that grid is refined, with the same 10 xtol merge of
+near roots as level_crossings, in one pass after the run; the crossings
+inside a retired row's last step are found too.  A caller of
+``integrate`` that needs a level's root reads it off the dense output of
+the step that holds it.
 
 Both grow no step right after a rejection, as HNW's codes do: the step
 accepted after one keeps at most its size (per row, in a batch).  Both
@@ -96,7 +94,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .profile import roots_on_grid, roots_on_grids
+from .profile import roots_on_grids
 
 # DOP853 coefficients, copied from scipy/integrate/_ivp/dop853_coefficients.py
 # (scipy 1.17), which transcribes Hairer's dop853.f.  Stage i evaluates f at
@@ -222,22 +220,16 @@ MAX_TOL = 1e-2
 MIN_TOL = 1e-15
 
 
-@dataclass
-class LevelEvent:
-    """Crossing of state component ``component`` through ``level``."""
-
-    component: int
-    level: float
-    terminal: bool = False
-    direction: int = 0  # +1: only -..+ crossings, -1: only +..-, 0: both
+# the ODESolution fields that hold one row per step
+SEGMENTS = ("seg_s", "seg_h", "seg_y0", "seg_y1", "seg_f0", "seg_f1", "seg_k")
 
 
 @dataclass
 class ODESolution:
     """Samples and dense output of one integration.
 
-    s and y hold the step ends; after a terminal event the last sample is
-    its root, inside the last step.  Step i starts at seg_s[i] with size
+    s and y hold the step ends, a retired run's last one included.  Step i
+    starts at seg_s[i] with size
     seg_h[i], end states seg_y0[i] and seg_y1[i] and end derivatives
     seg_f0[i] and seg_f1[i] (the projected ones, after post_step), and
     seg_k[i] holds the stages k5, ..., k12 that the dense output reads, one
@@ -258,9 +250,15 @@ class ODESolution:
     seg_k: np.ndarray
     rhs: Callable = field(default=None, repr=False)
     status: str = "completed"
-    events: dict = field(default_factory=dict)
     nsteps: int = 0
     nrejected: int = 0
+
+    def step(self, i: int) -> "ODESolution":
+        """Step i alone, whose dense output builds the coefficients of that
+        one step: three evaluations of rhs, where a read of the whole
+        solution builds them for every step."""
+        return ODESolution(s=self.s[i:i + 2], y=self.y[i:i + 2], rhs=self.rhs,
+                           **{key: getattr(self, key)[i:i + 1] for key in SEGMENTS})
 
     @cached_property
     def _coeffs(self) -> np.ndarray:
@@ -416,8 +414,8 @@ def integrate(
     s_end: float,
     tol: float = 1e-10,
     post_step: Callable[[float, list], Sequence[float] | None] | None = None,
-    events: Sequence[LevelEvent] = (),
     max_steps: int = 2_000_000,
+    retire: Callable[[float, list], bool] | None = None,
 ) -> ODESolution:
     """Integrate y' = f(s, y) from s0 to s_end (s_end > s0, both finite) by
     DOP853.
@@ -429,20 +427,25 @@ def integrate(
     list and returns a replacement sequence or None; neither may mutate the
     list.  The stages, the solution update and the error terms run on
     Python floats in _float_step(dim), compiled on the first integration of
-    a dim-component state, and the event arrays are built only for a step
-    that crosses an event.  tol (in [MIN_TOL, MAX_TOL]) is used as both
+    a dim-component state.  tol (in [MIN_TOL, MAX_TOL]) is used as both
     absolute and relative per-step tolerance and alone sets the step size;
     a bad range or tol raises InvalidParameterError.  An accepted step
     costs twelve evaluations of f, thirteen after a projection, and a
     rejected one eleven.
 
-    Returns an ODESolution whose status is ``completed``, the name of a
-    terminal event, or ``max_steps`` (after max_steps tries, or where a
-    step no longer advances s); called with parameters, it reads the
-    dense output of its steps.  Event roots are refined to 1e-10 by
-    roots_on_grid on the event's component, minus its level, over the
-    dense output of the step that crosses; a terminal event ends the
-    samples at its root, and roots past it are dropped.
+    retire(s, y), if given, is called with the end s and the state y (the
+    list of floats, after post_step) of every accepted step short of s_end,
+    and must not mutate y; the first step it marks ends the run there, with
+    status ``retired``, as a row of integrate_batch ends.  The run up to
+    that step is the one an unretired run takes.  Where a caller needs the
+    crossing of a level inside the last step, it finds it on the dense
+    output (geodesics.integrate_h's domain exit, conjugate.jacobi_integrate's
+    first zero).
+
+    Returns an ODESolution whose status is ``completed``, ``retired`` or
+    ``max_steps`` (after max_steps tries, or where a step no longer
+    advances s); called with parameters, it reads the dense output of its
+    steps.
     """
     _check_span_tol(s0, s_end, tol)
     y_arr = np.asarray(y0, dtype=float).copy()
@@ -463,8 +466,6 @@ def integrate(
     ss = [s]
     ys = list(y)
     seg_s, seg_h, seg_y0, seg_y1, seg_f0, seg_f1, seg_k = [], [], [], [], [], [], []
-    ev_values = [y[ev.component] - ev.level for ev in events]
-    ev_records: dict = {i: [] for i in range(len(events))}
     status = "completed"
 
     h = float(min(_initial_step(y_arr, np.asarray(fs, dtype=float)), s_end - s0))
@@ -472,7 +473,6 @@ def integrate(
     root_n = math.sqrt(float(dim))
     step = _float_step(dim)
     grow = _MAX_FACTOR   # 1 right after a rejection: HNW's codes grow no step then
-    array = np.array
 
     while s < s_end:
         h = min(h, s_end - s)
@@ -509,47 +509,12 @@ def integrate(
         seg_k += stages
         seg_k += k12
 
-        stop_at = None
-        seg_eval = None
-        for i, ev in enumerate(events):
-            c, level = ev.component, ev.level
-            g_new = y_new[c] - level
-            g_old = ev_values[i]
-            if ((ev.direction >= 0 and g_old < 0.0 <= g_new)
-                    or (ev.direction <= 0 and g_old > 0.0 >= g_new)):
-                if seg_eval is None:
-                    y_old = array(y)
-                    coeffs = [c[0] for c in _step_coeffs(
-                        _per_row(f), array([s]), array([h]), y_old[None],
-                        *(array([v], dtype=float) for v in (y_new, fs, f_new)),
-                        array([*stages, *k12], dtype=float).reshape(8, 1, dim))]
-
-                    def seg_eval(sq, _s=s, _h=h, _y=y_old, _c=coeffs):
-                        return _dense8((sq - _s) / _h, _y, *_c)
-
-                # the dense output's row c alone, on floats: the same sums
-                # as seg_eval's, without an array per iterate
-                y_c, coeffs_c = y[c], [float(v[c]) for v in coeffs]
-                root = roots_on_grid(lambda sq: _dense8((sq - s) / h, y_c, *coeffs_c) - level,
-                                     (s, s_new), (g_old, g_new), xtol=1e-10)[0]
-                ev_records[i].append((root, seg_eval(root)))
-                if ev.terminal and (stop_at is None or root < stop_at):
-                    stop_at, y_stop = root, ev_records[i][-1][1]
-                    status = f"event:{i}"
-            ev_values[i] = g_new
-
-        if stop_at is not None:
-            # the solution ends at the root: drop the roots past it
-            for recs in ev_records.values():
-                if recs and recs[-1][0] > stop_at:
-                    recs.pop()
-            ss.append(stop_at)
-            ys += y_stop.tolist()
-            break
-
         s, y, fs = s_new, y_new, f_new
         ss.append(s)
         ys += y
+        if retire is not None and s < s_end and retire(s, y):
+            status = "retired"
+            break
 
         h *= min(grow, max(_MIN_FACTOR, _SAFETY * enorm**_ORDER_EXP8)) if enorm else grow
         grow = _MAX_FACTOR
@@ -561,7 +526,7 @@ def integrate(
         s=np.array(ss), y=stacked(ys), seg_s=np.array(seg_s), seg_h=np.array(seg_h),
         seg_y0=stacked(seg_y0), seg_y1=stacked(seg_y1), seg_f0=stacked(seg_f0),
         seg_f1=stacked(seg_f1), seg_k=stacked(seg_k, 8), rhs=f, status=status,
-        events=ev_records, nsteps=nsteps, nrejected=nrejected)
+        nsteps=nsteps, nrejected=nrejected)
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,9 @@ class Profile:
         vertex: the first radius where m(r) <= r / sqrt(2), or r_max if m
         stays above that on [0, r_max] (the plane's m = r does).  m / r is
         how far the circles have shrunk from the plane's, and up to R the
-        chart's angular metric is within a factor 2 of the true one.
+        chart's angular metric is within a factor 2 of the true one.  The
+        charts switch at the first accepted step end past R, so a ray runs
+        up to one step beyond R in the chart it is leaving.
 
         The grid of embeddable_radius brackets the first radius where
         m(r) / r - 1 / sqrt(2) is not positive (its limit at the vertex is

@@ -418,6 +418,23 @@ def test_quadrature_segment_vs_ode(parab):
     assert dp2 == dth + parab.mu * ds
 
 
+def test_integrate_h_from_turning_radii_agrees_with_quadrature(parab60):
+    # randers verify's ode-quadrature-agreement setup on a fixed grid: rays
+    # launched along the parallel at the turning radius of nu in
+    # [0.05, 0.65], at tol 1e-11.  The vertex chart runs from R = 1 (these
+    # radii lie at 0.05-0.86); a switch at a step end keeps the polar
+    # angle to 6.5e-12 of quadrature_segment, where a switch at the
+    # crossing of R, read off the dense output, left 6.8e-11
+    worst = 0.0
+    for nu, length in zip(np.linspace(0.05, 0.65, 13), np.linspace(8.0, 2.0, 13)):
+        rt = brentq(lambda r: float(parab60.m(r)) - nu, 1e-12, 59.0, xtol=1e-15)
+        st = GeodesicState(rt, 0.0, 0.0, 1.0 / float(parab60.m(rt)))
+        path = integrate_h(parab60, st, length, tol=1e-11)
+        dth, ds, _ = quadrature_segment(parab60, rt, float(path.states[-1, 0]), nu, 1)
+        worst = max(worst, abs(dth - path.states[-1, 1]), abs(ds - length))
+    assert worst <= 2e-11
+
+
 def test_quadrature_segment_turning_on_the_right(bump):
     # past the bump's maximum at sqrt(2) the warp decreases, so a geodesic
     # turns at the right end of its leg, or at both ends
@@ -610,11 +627,13 @@ def test_flat_ray_past_the_vertex_is_a_straight_line(flat):
 @pytest.mark.parametrize("chi", [math.pi - 0.3, -(math.pi - 0.3)])
 def test_chart_switch_keeps_the_dense_output_continuous(parab, chi):
     # from r = 2 inward to the turning radius 0.27 and out again: the ray
-    # crosses the vertex chart's radius twice, and is read from three runs.
-    # Across each switch the dense output's difference quotients match its
-    # own derivatives, and theta runs in the sense of nu along the whole ray
+    # crosses the vertex chart's radius twice, and is read from three runs,
+    # which switch at the first step end past it.  Across each switch the
+    # dense output's difference quotients match its own derivatives, and
+    # theta runs in the sense of nu along the whole ray
     path = integrate_h(parab, _launch(parab, 2.0, chi), 5.0, tol=1e-10)
-    switches, _ = level_crossings(path, parab.vertex_chart_radius)
+    above = path.states[:, 0] > parab.vertex_chart_radius
+    switches = path.s[1:][above[1:] != above[:-1]]
     assert switches.size == 2
     for s_switch in switches:
         s = s_switch + np.linspace(-1e-4, 1e-4, 41)

@@ -612,6 +612,17 @@ def test_bad_input_raises_invalid_parameter(parab, call):
         call(parab)
 
 
+@pytest.mark.parametrize("distance", [h_distance, distance_F])
+@pytest.mark.parametrize("q2", [(1.0, 0.0), (1.0 + 1e-7, 0.0), (2.0, 1.0)],
+                         ids=["same-point", "near-field", "connectors"])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
+def test_bad_distance_tol_raises_whatever_the_pair(parab, distance, q2, tol):
+    # the same point and the near-field pair once answered 0 and 1e-7
+    # before the connectors, the only branch that checked tol, were reached
+    with pytest.raises(InvalidParameterError):
+        distance(parab, SurfacePoint(1.0, 0.0), SurfacePoint(*q2), tol)
+
+
 def test_distance_of_a_flat_pair_in_the_connector_gap(flat):
     # nearly equal radii whose distance_F root search queried sweeps that
     # no connector reached while the Clairaut constant was capped

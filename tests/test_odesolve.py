@@ -13,8 +13,8 @@ from randers.geodesics import (
     level_crossings_batch,
 )
 from randers.odesolve import (
-    _A8, _A8_COLS, _B8, _C8, _D8, _D8_COLS, _E3, _E5, MAX_TOL, MIN_TOL,
-    LevelEvent, _contd8, _dense8, _float_step, _initial_step, integrate, integrate_batch,
+    _A8, _A8_COLS, _B8, _C8, _D8, _D8_COLS, _E3, _E5, MAX_TOL, MIN_TOL, SEGMENTS,
+    _contd8, _dense8, _float_step, _initial_step, integrate, integrate_batch,
 )
 from randers.profile import SurfacePoint, gauss_curvature, roots_on_grid
 
@@ -56,27 +56,39 @@ def test_dop853_coefficients_are_scipys():
     assert np.array_equal(d, ref.D) and np.array_equal(_B8, ref.B[list(_A8_COLS[12])])
 
 
-def test_terminal_event_root():
-    sol = integrate(_oscillator, 0.0, [0.0, 1.0], 10.0, tol=1e-12,
-                    events=[LevelEvent(0, 0.0, terminal=True, direction=-1)])
-    assert sol.status == "event:0"
-    assert sol.s[-1] == pytest.approx(math.pi, abs=1e-9)
+def test_retire_ends_the_run_at_the_first_marked_step():
+    # sin s turns negative past pi: the first step end past it ends the
+    # run, which up to there is the unretired run bit for bit.  retire sees
+    # every accepted step end until then, and the caller finds the level's
+    # root on the dense output of the last step
+    full = integrate(_oscillator, 0.0, [0.0, 1.0], 10.0, tol=1e-12)
+    seen = []
+
+    def below(s, y):
+        seen.append(s)
+        return y[0] < 0.0
+
+    sol = integrate(_oscillator, 0.0, [0.0, 1.0], 10.0, tol=1e-12, retire=below)
+    n = int(np.flatnonzero(full.y[:, 0] < 0.0)[0]) + 1
+    assert sol.status == "retired" and sol.s.size == n and sol.nsteps == n - 1
+    assert seen == full.s[1:n].tolist()
+    assert np.array_equal(sol.s, full.s[:n]) and np.array_equal(sol.y, full.y[:n])
+    for key in SEGMENTS:
+        assert np.array_equal(getattr(sol, key), getattr(full, key)[:n - 1]), key
+    grid = np.linspace(0.0, sol.s[-1], 301)
+    assert np.array_equal(sol(grid), full(grid))
+    last = sol.step(n - 2)
+    inside = grid[grid >= last.s[0]]
+    assert inside.size > 10 and np.array_equal(last(inside), sol(inside))
+    (root,) = roots_on_grid(lambda x: float(last(x)[0]), last.s, last.y[:, 0], xtol=1e-10)
+    assert root == pytest.approx(math.pi, abs=1e-10)
 
 
-def test_non_terminal_event_records_all_roots():
-    sol = integrate(_oscillator, 0.0, [0.0, 1.0], 10.0, tol=1e-12,
-                    events=[LevelEvent(0, 0.0)])
-    roots = [s for s, _ in sol.events[0]]
-    assert len(roots) == 3
-    np.testing.assert_allclose(roots, [math.pi, 2 * math.pi, 3 * math.pi],
-                               atol=1e-8)
-
-
-def test_event_direction_filter():
-    up_only = integrate(_oscillator, 0.0, [0.0, 1.0], 10.0, tol=1e-10,
-                        events=[LevelEvent(0, 0.0, direction=1)])
-    roots = [s for s, _ in up_only.events[0]]
-    np.testing.assert_allclose(roots, [2 * math.pi], atol=1e-7)
+def test_retire_is_not_asked_at_s_end():
+    # a run that reaches s_end completes, whatever retire would say there
+    sol = integrate(_oscillator, 0.0, [0.0, 1.0], 4.0, tol=1e-9,
+                    retire=lambda s, y: s >= 4.0)
+    assert sol.status == "completed" and sol.s[-1] == 4.0
 
 
 def test_post_step_projection_runs():
@@ -309,25 +321,14 @@ def test_batch_step_that_turns_and_changes_sign():
     np.testing.assert_allclose(sol.crossings[2][:, 1], 0.75, atol=1e-12)
 
 
-def test_roots_past_a_terminal_root_are_dropped():
-    # the step over [1.56, 7.81] crosses y = 3, where the terminal event
-    # ends the solution, and y = 4 beyond it: integrate does not keep 4
-    one = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9,
-                    events=[LevelEvent(0, 3.0, terminal=True), LevelEvent(0, 4.0)])
-    assert one.status == "event:0"
-    assert one.s[-1] == pytest.approx(3.0, abs=1e-10)
-    assert [s for s, _ in one.events[0]] == pytest.approx([3.0], abs=1e-10)
-    assert one.events[1] == []
-
-
 def test_terminal_root_on_a_step_end_stops_the_row():
     # the level is where y' = 1 ends its first step, so g reaches zero
-    # there: integrate's terminal event stops there, and the batch finds
-    # one crossing there and retires the row at that step end
+    # there: integrate and the batch both retire the run at that step end,
+    # and the batch finds one crossing there
     level = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9).y[1, 0]
     one = integrate(lambda s, y: (1.0,), 0.0, [0.0], 10.0, tol=1e-9,
-                    events=[LevelEvent(0, level, terminal=True)])
-    assert one.status == "event:0" and one.s[-1] == pytest.approx(level, abs=1e-15)
+                    retire=lambda s, y: y[0] >= level)
+    assert one.status == "retired" and one.y[-1, 0] == level and one.nsteps == 1
     rows = integrate_batch(_ones, 0.0, [[0.0]], 10.0, 0, level, tol=1e-9,
                            retire=lambda s, y: y[:, 0] >= level)
     assert rows.status == ["retired"]
@@ -341,14 +342,14 @@ def _undefined_past_1_2(s, y):
 
 def test_steps_that_leave_the_domain_are_rejected():
     # the RHS is undefined beyond y = 1.2; steps that reach there are
-    # rejected and shrunk until the terminal event at y = 1 stops the run,
-    # or, in the batch, the retire test at the end of the step past it
+    # rejected and shrunk until the retire test at the end of the step
+    # past y = 1 stops the run
     one = integrate(_undefined_past_1_2, 0.0, [0.0], 5.0, tol=1e-9,
-                    events=[LevelEvent(0, 1.0, terminal=True)])
+                    retire=lambda s, y: y[0] >= 1.0)
     rows = integrate_batch(_undefined_past_1_2, 0.0, [[0.0]], 5.0, 0, 1.0, tol=1e-9,
                            retire=lambda s, y: y[:, 0] >= 1.0)
-    assert one.status == "event:0" and rows.status == ["retired"]
-    assert one.s[-1] == pytest.approx(1.0, abs=1e-10)
+    assert one.status == "retired" and rows.status == ["retired"]
+    assert 1.0 <= one.s[-1] < 1.2 and one.y[-2, 0] < 1.0
     assert rows.crossings[1] == pytest.approx([1.0], abs=1e-12)
     assert 1.0 <= rows.s[0] < 1.2
     assert one.nrejected < 100 and rows.nrejected < 100
@@ -363,7 +364,8 @@ def test_steps_that_leave_the_domain_are_rejected():
 # as the step is taken.  integrate runs the stages on Python floats in the
 # same order of operations and builds the extra stages and the dense output
 # for all steps on the first read, so its steps, samples, dense-output
-# segments, stages, coefficients and event roots must be exactly equal.
+# segments, stages and coefficients must be exactly equal, and a run ends
+# at the same step end where both ask the same retire test.
 
 
 def _row(coeffs, cols, k):
@@ -374,15 +376,13 @@ def _row(coeffs, cols, k):
     return acc
 
 
-def _array_integrate(f, s0, y0, s_end, tol=1e-10, post_step=None, events=(),
-                     max_steps=2_000_000):
+def _array_integrate(f, s0, y0, s_end, tol=1e-10, post_step=None, max_steps=2_000_000,
+                     retire=None):
     y = np.asarray(y0, dtype=float).copy()
     s = float(s0)
     fs = f(s, y)
     ss, ys = [s], [y.copy()]
     seg = {k: [] for k in ("s", "h", "y0", "y1", "f0", "f1", "k", "coeffs")}
-    ev_values = [y[ev.component] - ev.level for ev in events]
-    ev_records = {i: [] for i in range(len(events))}
     status = "completed"
     h = min(_initial_step(y, fs), s_end - s0)
     nsteps = nrejected = 0
@@ -420,42 +420,30 @@ def _array_integrate(f, s0, y0, s_end, tol=1e-10, post_step=None, events=(),
         coeffs = _contd8(h, y, y_new, k[0], f_new, [k[j] for j in _D8_COLS])
         for key, val in zip(seg, (s, h, y, y_new, k[0], f_new, k[5:13], coeffs)):
             seg[key].append(val)
-
-        def seg_eval(sq, _s=s, _h=h, _y=y, _c=coeffs):
-            return _dense8((sq - _s) / _h, _y, *_c)
-
-        stop_at = None
-        for i, ev in enumerate(events):
-            g_new, g_old = y_new[ev.component] - ev.level, ev_values[i]
-            crossed = (g_old < 0.0 <= g_new) or (g_old > 0.0 >= g_new)
-            if crossed and ev.direction > 0 and not g_old < 0.0:
-                crossed = False
-            if crossed and ev.direction < 0 and not g_old > 0.0:
-                crossed = False
-            if crossed:
-                root = roots_on_grid(lambda sq: seg_eval(sq)[ev.component] - ev.level,
-                                     (s, s_new), (g_old, g_new), xtol=1e-10)[0]
-                ev_records[i].append((root, seg_eval(root)))
-                if ev.terminal and (stop_at is None or root < stop_at):
-                    stop_at, status = root, f"event:{i}"
-            ev_values[i] = g_new
-        if stop_at is not None:
-            for recs in ev_records.values():
-                if recs and recs[-1][0] > stop_at:
-                    recs.pop()
-            ss.append(stop_at)
-            ys.append(seg_eval(stop_at))
-            break
         s, y, fs = s_new, y_new, f_new
         ss.append(s)
         ys.append(y)
+        if retire is not None and s < s_end and retire(s, y):
+            status = "retired"
+            break
         h *= (grow if enorm == 0.0 else min(grow, max(0.2, 0.9 * enorm**-0.125)))
         grow = 5.0
-    return ss, ys, seg, ev_records, status, nsteps, nrejected
+    return ss, ys, seg, status, nsteps, nrejected
+
+
+def _dense_root(ref, i, c, level):
+    """The root of component c minus the level on the dense output of step
+    i of an _array_integrate run, refined to 1e-10 by roots_on_grid."""
+    seg = ref[2]
+    s, h, y, coeffs = (seg[key][i] for key in ("s", "h", "y0", "coeffs"))
+    g = [ref[1][i][c] - level, ref[1][i + 1][c] - level]
+    (root,) = roots_on_grid(lambda sq: _dense8((sq - s) / h, y, *coeffs)[c] - level,
+                            ref[0][i:i + 2], g, xtol=1e-10)
+    return root, _dense8((root - s) / h, y, *coeffs)
 
 
 def _assert_same_solution(sol, ref):
-    ss, ys, seg, ev_records, status, nsteps, nrejected = ref
+    ss, ys, seg, status, nsteps, nrejected = ref
     assert sol.status == status
     assert (sol.nsteps, sol.nrejected) == (nsteps, nrejected)
     assert np.array_equal(sol.s, np.array(ss))
@@ -466,12 +454,6 @@ def _assert_same_solution(sol, ref):
             assert np.array_equal(sol._coeffs, np.array(val).transpose(1, 0, 2)), key
         else:
             assert np.array_equal(getattr(sol, "seg_" + key), np.array(val)), key
-    assert sol.events.keys() == ev_records.keys()
-    for i, recs in ev_records.items():
-        assert len(sol.events[i]) == len(recs)
-        for (s_new, y_new), (s_ref, y_ref) in zip(sol.events[i], recs):
-            assert s_new == s_ref
-            assert np.array_equal(y_new, y_ref)
 
 
 def _oscillator_tuple(s, y):
@@ -484,19 +466,21 @@ def test_float_stages_match_array_loop_on_the_oscillator(f):
     def proj(s, y):
         return np.asarray(y) / math.hypot(y[0], y[1])
 
-    events = [LevelEvent(0, 0.0), LevelEvent(1, 0.0, direction=1),
-              LevelEvent(0, -0.5, terminal=True, direction=-1)]
+    def retire(s, y):
+        return y[0] < -0.5
+
     for kwargs in ({"tol": 1e-11}, {"tol": 1e-7, "post_step": proj},
-                   {"tol": 1e-12, "events": events}, {"tol": 1e-6, "max_steps": 40}):
+                   {"tol": 1e-12, "retire": retire}, {"tol": 1e-6, "max_steps": 40}):
         _assert_same_solution(integrate(f, 0.0, [0.0, 1.0], 60.0, **kwargs),
                               _array_integrate(_oscillator, 0.0, [0.0, 1.0], 60.0,
                                                **kwargs))
 
 
 def test_callbacks_see_float_lists_and_may_return_any_sequence():
-    # f and post_step are called with the state as a list of floats, never
-    # an ndarray; a tuple, list or ndarray from f, and a list, ndarray or
-    # None from post_step, give the array loop's solution bit for bit
+    # f, post_step and retire are called with the state as a list of
+    # floats, never an ndarray; a tuple, list or ndarray from f, and a
+    # list, ndarray or None from post_step, give the array loop's solution
+    # bit for bit
     seen = set()
 
     def watched(fn):
@@ -513,23 +497,29 @@ def test_callbacks_see_float_lists_and_may_return_any_sequence():
     def proj_array(s, y):
         return np.asarray(y) / math.hypot(y[0], y[1])
 
-    kwargs = {"tol": 1e-9, "events": [LevelEvent(0, 0.0), LevelEvent(1, 0.0, direction=1)]}
-    plain = _array_integrate(_oscillator, 0.0, [0.6, 0.8], 20.0, **kwargs)
+    def retire(s, y):
+        return y[1] < -0.9
+
+    kwargs = {"tol": 1e-9}
+    plain = _array_integrate(_oscillator, 0.0, [0.6, 0.8], 20.0, retire=retire, **kwargs)
     projected = _array_integrate(_oscillator, 0.0, [0.6, 0.8], 20.0, post_step=proj_array,
-                                 **kwargs)
+                                 retire=retire, **kwargs)
+    assert plain[3] == projected[3] == "retired"
     for f in (_oscillator_tuple, lambda s, y: [y[1], -y[0]], _oscillator):
         for post_step, ref in ((None, plain), (lambda s, y: None, plain),
                                (proj_list, projected), (proj_array, projected)):
             sol = integrate(watched(f), 0.0, [0.6, 0.8], 20.0,
-                            post_step=post_step and watched(post_step), **kwargs)
+                            post_step=post_step and watched(post_step),
+                            retire=watched(retire), **kwargs)
             _assert_same_solution(sol, ref)
     assert seen == {list, float}
 
 
-def _geodesic_system(profile, nu0, r_floor):
+def _geodesic_system(profile, r_floor):
     """The right-hand side and unit-speed projection of the geodesic
-    integrator's polar chart, in array form, with two terminal events: the
-    domain exit and a floor that an inward ray reaches."""
+    integrator's polar chart, in array form, and a retire test that ends a
+    ray past the domain's r_max or below a floor that an inward ray
+    reaches."""
     def rhs(s, y):
         r, _, dr, dth = y
         m, m1 = float(profile.m(r)), float(profile.m1(r))
@@ -542,37 +532,42 @@ def _geodesic_system(profile, nu0, r_floor):
         out[3] /= norm
         return out
 
-    events = [LevelEvent(0, profile.r_max, terminal=True, direction=1),
-              LevelEvent(0, r_floor, terminal=True, direction=-1)]
-    return rhs, renormalize, events
+    def retire(s, y):
+        return not r_floor <= y[0] <= profile.r_max
+
+    return rhs, renormalize, retire
 
 
-def _assert_geodesic_matches_array_loop(profile, r0, phi, length, status):
+def _assert_geodesic_matches_array_loop(profile, r0, phi, length, end):
     """integrate and integrate_h against _array_integrate on the geodesic
-    system from (r0, 0.4) at heading phi; status "event:1" sets the blow-up
-    floor at r = 1.2, so an inward ray stops there."""
+    system from (r0, 0.4) at heading phi, which ends by leaving the domain
+    (end "exit"), at a floor set at r = 1.2 that an inward ray stops at
+    (end "floor"), or at the full length (end "completed")."""
     state0 = GeodesicState(r0, 0.4, math.cos(phi), math.sin(phi) / float(profile.m(r0)))
     nu0 = clairaut_constant(profile, state0)
-    floor = 1.2 if status == "event:1" else max(1e-14, 1e-3 * abs(nu0))
-    rhs, renormalize, events = _geodesic_system(profile, nu0, floor)
+    floor = 1.2 if end == "floor" else max(1e-14, 1e-3 * abs(nu0))
+    rhs, renormalize, retire = _geodesic_system(profile, floor)
     ref = _array_integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12,
-                           post_step=renormalize, events=events)
-    assert ref[4] == status
+                           post_step=renormalize, retire=retire)
+    assert ref[3] == ("completed" if end == "completed" else "retired")
     sol = integrate(rhs, 0.0, state0.as_array(), length, tol=1e-12,
-                    post_step=renormalize, events=events)
+                    post_step=renormalize, retire=retire)
     _assert_same_solution(sol, ref)
-    if status != "event:1":
+    if end != "floor":
         path = integrate_h(profile, state0, length, tol=1e-12)
         ss, ys = np.array(ref[0]), np.array(ref[1])
-        if status == "event:0":
+        if end == "exit":
+            # the exit sample: the crossing of r_max on the last step's
+            # dense output, put on r_max
+            ss[-1], ys[-1] = _dense_root(ref, len(ss) - 2, 0, profile.r_max)
             ys[-1, 0] = profile.r_max
-        assert path.exit_reason == ("completed" if status == "completed" else "domain-exit")
+        assert path.exit_reason == ("completed" if end == "completed" else "domain-exit")
         if r0 >= profile.vertex_chart_radius:
             # above the vertex chart, integrate_h runs the same system on
             # its float right-hand side (these rays never come down to it)
             assert np.array_equal(path.s, ss)
             assert np.array_equal(path.states, ys)
-            assert (path.dense.nsteps, path.dense.nrejected) == ref[5:]
+            assert (path.dense.nsteps, path.dense.nrejected) == ref[4:]
         else:
             # below it, integrate_h starts in normal coordinates at the
             # vertex: the same geodesic, to the tolerance
@@ -581,32 +576,33 @@ def _assert_geodesic_matches_array_loop(profile, r0, phi, length, status):
             np.testing.assert_allclose(path.states[-1], ys[-1], rtol=0, atol=1e-9)
 
 
-@pytest.mark.parametrize("r0,phi,length,status", [
-    (1.0, 0.7, 40.0, "event:0"),     # leaves the domain through r_max
-    (2.5, 2.9, 6.0, "event:1"),      # inward, stopped by a floor set at r = 1.2
+@pytest.mark.parametrize("r0,phi,length,end", [
+    (1.0, 0.7, 40.0, "exit"),        # leaves the domain through r_max
+    (2.5, 2.9, 6.0, "floor"),        # inward, stopped by a floor set at r = 1.2
     (1.3, 1.2, 25.0, "completed"),
 ])
-def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, status):
-    _assert_geodesic_matches_array_loop(make_paraboloid(1.0), r0, phi, length, status)
+def test_float_stages_match_array_loop_on_the_geodesic_rhs(r0, phi, length, end):
+    _assert_geodesic_matches_array_loop(make_paraboloid(1.0), r0, phi, length, end)
 
 
-@pytest.mark.parametrize("r0,phi,length,status", [
+@pytest.mark.parametrize("r0,phi,length,end", [
     # the sphere's vertex chart ends at 1.39, so integrate_h starts the two
     # rays from r = 1 there
-    (1.0, 0.3, 10.0, "event:0"),     # out over the equator to r_max = 2.8
-    (2.5, 2.9, 6.0, "event:1"),
+    (1.0, 0.3, 10.0, "exit"),        # out over the equator to r_max = 2.8
+    (2.5, 2.9, 6.0, "floor"),
     (1.0, 1.2, 12.0, "completed"),   # between the turning radii 0.90 and 2.24
 ])
 def test_float_stages_match_array_loop_on_an_expression_profile(sphere, r0, phi, length,
-                                                                 status):
+                                                                 end):
     # the conftest sphere's m and m1 are compiled from the expressions
     # "sin(r)" and "cos(r)", not a closure warp like the paraboloid's
-    _assert_geodesic_matches_array_loop(sphere, r0, phi, length, status)
+    _assert_geodesic_matches_array_loop(sphere, r0, phi, length, end)
 
 
 def test_float_stages_match_array_loop_on_the_jacobi_rhs():
     # the Jacobi field y(0) = 0, y'(0) = 1 along the paraboloid's meridian
-    # chain through the vertex, with its zeros as a level event
+    # chain through the vertex; its first zero is the root on the dense
+    # output of the first step over which y changes sign
     profile = make_paraboloid(1.0)
     q = SurfacePoint(1.2, 0.0)
     horizon = q.r + profile.r_max
@@ -618,39 +614,43 @@ def test_float_stages_match_array_loop_on_the_jacobi_rhs():
         y, yp = z
         return np.array([yp, -gauss_curvature(profile, abs(r0 + dr0 * s)) * y])
 
-    ss, ys, _, ev_records, status, _, _ = _array_integrate(
-        rhs, 0.0, [0.0, 1.0], horizon, tol=1e-12, events=[LevelEvent(0, 0.0)])
-    assert status == "completed"
-    ys = np.array(ys)
-    assert np.array_equal(jac.s, np.array(ss))
+    ref = _array_integrate(rhs, 0.0, [0.0, 1.0], horizon, tol=1e-12)
+    assert ref[3] == "completed"
+    ss, ys = np.array(ref[0]), np.array(ref[1])
+    assert np.array_equal(jac.s, ss)
     assert np.array_equal(jac.y, ys[:, 0])
     assert np.array_equal(jac.yp, ys[:, 1])
-    assert jac.first_zero == ev_records[0][0][0]
+    i = int(np.flatnonzero(ys[1:, 0] <= 0.0)[0])
+    assert jac.first_zero == _dense_root(ref, i, 0, 0.0)[0]
+    assert jac.first_zero == pytest.approx(q.r + 1.0 / q.r, abs=1e-9)   # rho + 1 / (mu^2 rho)
 
 
 def test_float_stages_match_array_loop_on_the_vertex_chart_rhs():
     # integrate_h's normal coordinates at the vertex, five components
     # (x, y, x', y', rho), with its unit-speed projection and its exit
-    # through r = vertex_chart_radius; the array loop reads the same float
+    # past r = vertex_chart_radius; the array loop reads the same float
     # right-hand side
     profile = make_paraboloid(1.0)
     rhs, unit = _vertex_chart(profile)
     r0, phi = 0.5, math.pi - 0.3
     y0 = _chart_state(r0, math.cos(phi), math.sin(phi) / float(profile.m(r0)), 1.0, 0.0)
-    events = [LevelEvent(4, profile.vertex_chart_radius ** 2, terminal=True, direction=1)]
+
+    def retire(s, y):
+        return y[4] > profile.vertex_chart_radius ** 2
+
     ref = _array_integrate(lambda s, y: np.array(rhs(s, y.tolist())), 0.0, y0, 3.0,
                            tol=1e-12, post_step=lambda s, y: np.array(unit(s, y.tolist())),
-                           events=events)
-    assert ref[4] == "event:0" and ref[5] > 5
+                           retire=retire)
+    assert ref[3] == "retired" and ref[4] > 5
     _assert_same_solution(integrate(rhs, 0.0, y0, 3.0, tol=1e-12, post_step=unit,
-                                    events=events), ref)
+                                    retire=retire), ref)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_float_step_matches_array_loop_in_every_dimension(dim):
     # a linear system y' = A y on the step generated for dim components,
-    # with an event at a level between y_0's start and end values; the step
-    # is made once per dim
+    # retired once y_0 passes a level between its start and end values; the
+    # step is made once per dim
     a = np.random.default_rng(dim).normal(size=(dim, dim)).tolist()
 
     def f(s, y):
@@ -661,10 +661,14 @@ def test_float_step_matches_array_loop_in_every_dimension(dim):
 
     y0 = [1.0] * dim
     end = _array_integrate(f_array, 0.0, y0, 2.0, tol=1e-11)[1][-1][0]
-    events = [LevelEvent(0, 0.5 * (1.0 + end))]
-    ref = _array_integrate(f_array, 0.0, y0, 2.0, tol=1e-11, events=events)
-    assert ref[3][0]
-    _assert_same_solution(integrate(f, 0.0, y0, 2.0, tol=1e-11, events=events), ref)
+    level = 0.5 * (1.0 + end)
+
+    def retire(s, y):
+        return (y[0] - level) * (1.0 - level) < 0.0
+
+    ref = _array_integrate(f_array, 0.0, y0, 2.0, tol=1e-11, retire=retire)
+    assert ref[3] == "retired"
+    _assert_same_solution(integrate(f, 0.0, y0, 2.0, tol=1e-11, retire=retire), ref)
     assert _float_step(dim) is _float_step(dim)
 
 
@@ -715,8 +719,10 @@ def test_batch_row_takes_the_plain_loops_steps_where_steps_are_rejected():
 
 
 def test_float_stages_match_array_loop_outside_the_domain():
-    events = [LevelEvent(0, 1.0, terminal=True)]
-    ref = _array_integrate(_undefined_past_1_2, 0.0, [0.0], 5.0, tol=1e-9, events=events)
-    assert ref[6] > 0   # steps into the NaN region were rejected
+    def retire(s, y):
+        return y[0] >= 1.0
+
+    ref = _array_integrate(_undefined_past_1_2, 0.0, [0.0], 5.0, tol=1e-9, retire=retire)
+    assert ref[5] > 0   # steps into the NaN region were rejected
     _assert_same_solution(integrate(_undefined_past_1_2, 0.0, [0.0], 5.0, tol=1e-9,
-                                    events=events), ref)
+                                    retire=retire), ref)
