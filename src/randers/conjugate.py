@@ -75,8 +75,8 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
     radius is r(s) = |r0 + s dr0| on Python floats, the value its dense
     output gives; on any other base it is read from the dense output.  The
     first sign change of y between samples, from a strict sign to zero or
-    the other sign, is refined to 1e-10 by roots_on_grid on the dense
-    output of that one step (ODESolution.step) and reported as first_zero
+    the other sign, is refined to 1e-10 on the dense output of that one
+    step (ODESolution.root) and reported as first_zero
     (None if y keeps its sign over [0, upto]; the start y0 = 0 of a field
     from a point is no sign change).  The integrator's max_steps stop raises
     NumericalBlowupError.  first_conjugate answers by quadrature; this
@@ -112,11 +112,7 @@ def jacobi_integrate(profile: Profile, base: GeodesicPath, y0: float,
     y = sol.y[:, 0]
     # a strict sign at one sample, zero or the other sign at the next
     changes = np.flatnonzero(((y[:-1] < 0.0) & (y[1:] >= 0.0)) | ((y[:-1] > 0.0) & (y[1:] <= 0.0)))
-    first_zero = None
-    if changes.size:
-        step = sol.step(int(changes[0]))
-        first_zero = roots_on_grid(lambda s: float(step(s)[0]), step.s, step.y[:, 0],
-                                   xtol=1e-10)[0]
+    first_zero = sol.root(int(changes[0]), 0, 0.0)[0] if changes.size else None
     return JacobiSolution(s=sol.s, y=y, yp=sol.y[:, 1], first_zero=first_zero)
 
 

@@ -210,12 +210,12 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
     the vertex with a theta jump of pi, and sampled every _h_max.  If the
     path leaves the numerical domain r <= r_max it is truncated there and
     flagged with exit_reason = "domain-exit": the run that left ends at the
-    first step end past r_max, and its last sample is moved back to the
-    crossing of r_max on the dense output of that step (_exit_sample).  A
-    ray launched on r = r_max that moves outward has the start as its one
-    sample.  A start at the
-    vertex with angular speed raises VertexSingularError, and a run that
-    reaches the integrator's max_steps stop NumericalBlowupError.
+    first step end past r_max, or at length if that step is its last, and
+    its last sample is moved back to the crossing of r_max on the dense
+    output of that step (_exit_sample).  A ray launched on r = r_max that
+    moves outward has the start as its one sample.  A start at the vertex
+    with angular speed raises VertexSingularError, and a run that reaches
+    the integrator's max_steps stop NumericalBlowupError.
     """
     _check_length_tol(length, tol)
     if not all(map(math.isfinite, (state0.r, state0.theta, state0.dr, state0.dtheta))):
@@ -298,7 +298,7 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
             sol = odesolve.integrate(
                 chart_rhs, s, _chart_state(r, y[2], y[3], 1.0, 0.0), length, tol=tol,
                 post_step=chart_renormalize, retire=chart_retire)
-            exits = sol.status == "retired" and sol.y[-1, 4] > rho_max
+            exits = sol.y[-1, 4] > rho_max
             if exits:
                 _exit_sample(sol, 4, rho_max)
             piece = _ChartPiece(sol, theta_in, math.copysign(1.0, state0.dtheta))
@@ -309,7 +309,7 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
         else:
             sol = odesolve.integrate(rhs, s, y, length, tol=tol, post_step=renormalize,
                                      retire=polar_retire)
-            exits = sol.status == "retired" and sol.y[-1, 0] > r_max
+            exits = sol.y[-1, 0] > r_max
             if exits:
                 _exit_sample(sol, 0, r_max)
             piece, rows = sol, sol.y
@@ -343,13 +343,8 @@ def integrate_h(profile: Profile, state0: GeodesicState, length: float,
 
 def _exit_sample(sol: odesolve.ODESolution, c: int, level: float) -> None:
     """Move the last sample of a run that left the domain in its last step
-    back onto the level of component c it crossed there: to the root of the
-    component minus the level on the dense output of that step, refined to
-    1e-10 by roots_on_grid."""
-    last = sol.step(sol.seg_s.size - 1)
-    root = roots_on_grid(lambda x: float(last(x)[c]) - level, last.s, last.y[:, c] - level,
-                         xtol=1e-10)[0]
-    sol.s[-1], sol.y[-1] = root, last(root)
+    back onto the level of component c it crossed there (ODESolution.root)."""
+    sol.s[-1], sol.y[-1] = sol.root(sol.seg_s.size - 1, c, level)
 
 
 class _ChartPiece:

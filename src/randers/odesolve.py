@@ -74,7 +74,7 @@ every sign change on that grid is refined, with the same 10 xtol merge of
 near roots as level_crossings, in one pass after the run; the crossings
 inside a retired row's last step are found too.  A caller of
 ``integrate`` that needs a level's root reads it off the dense output of
-the step that holds it.
+the step that holds it (ODESolution.root).
 
 Both grow no step right after a rejection, as HNW's codes do: the step
 accepted after one keeps at most its size (per row, in a batch).  Both
@@ -259,6 +259,16 @@ class ODESolution:
         solution builds them for every step."""
         return ODESolution(s=self.s[i:i + 2], y=self.y[i:i + 2], rhs=self.rhs,
                            **{key: getattr(self, key)[i:i + 1] for key in SEGMENTS})
+
+    def root(self, i: int, c: int, level: float) -> tuple[float, np.ndarray]:
+        """The parameter where component c crosses level inside step i, whose
+        end values lie on either side of it (or on it), and the state there:
+        the root on the dense output of that step alone, refined to 1e-10 by
+        roots_on_grids."""
+        step = self.step(i)
+        _, roots = roots_on_grids(lambda _, s: step(s)[:, c] - level, step.s,
+                                  step.y[None, :, c] - level, 1e-10)
+        return float(roots[0]), step(float(roots[0]))
 
     @cached_property
     def _coeffs(self) -> np.ndarray:

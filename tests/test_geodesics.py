@@ -268,6 +268,26 @@ def test_domain_exit_truncates(parab):
     assert path.s[-1] < 50.0
 
 
+@pytest.mark.parametrize("surface, r0, phi", [("parab", 2.0, math.pi / 4.0),
+                                              ("flat", 5.0, 0.3)])
+def test_domain_exit_in_the_last_step_truncates(surface, r0, phi, request):
+    # a length that ends the step in which the ray crosses r_max, in the
+    # polar chart (paraboloid) and in the vertex chart (the plane, whose R is
+    # r_max): the crossing is the last sample, as it is for a longer length
+    profile = request.getfixturevalue(surface)
+    state = _launch(profile, r0, phi)
+    longer = integrate_h(profile, state, 50.0)
+    sol = getattr(longer.dense, "sol", longer.dense)
+    assert longer.exit_reason == "domain-exit"
+    assert sol.seg_s[-1] < longer.s[-1] < sol.seg_s[-1] + sol.seg_h[-1]
+    length = 0.5 * (longer.s[-1] + sol.seg_s[-1] + sol.seg_h[-1])
+    path = integrate_h(profile, state, length)
+    assert path.exit_reason == "domain-exit" and path.states[-1, 0] == profile.r_max
+    assert np.all(path.states[:, 0] <= profile.r_max)
+    assert np.array_equal(path.s[:-1], longer.s[:-1])
+    assert path.s[-1] == pytest.approx(longer.s[-1], abs=1e-9)
+
+
 def test_meridian_domain_exit_truncates(parab):
     # the analytic meridians stop at r_max too, outward and through the vertex
     out = integrate_h(parab, GeodesicState(0.0, 0.0, 1.0, 0.0), 40.0)
@@ -283,9 +303,8 @@ def test_meridian_domain_exit_truncates(parab):
 
 
 def test_ray_launched_outward_on_r_max_exits_at_once(sphere, parab):
-    # the polar exit event needs r < r_max at a step start, so a ray launched
-    # outward on r_max ran on past it: on the sphere (r_max = 2.8) from
-    # (2.8, 0) at heading 0.3 it reached r = 3.04 and read "completed"
+    # a ray launched outward on r_max is its start alone: on the sphere
+    # (r_max = 2.8) from (2.8, 0) at heading 0.3
     m = math.sin(2.8)
     state = GeodesicState(2.8, 0.0, math.cos(0.3), math.sin(0.3) / m)
     path = integrate_h(sphere, state, 6.0)
@@ -422,9 +441,7 @@ def test_integrate_h_from_turning_radii_agrees_with_quadrature(parab60):
     # randers verify's ode-quadrature-agreement setup on a fixed grid: rays
     # launched along the parallel at the turning radius of nu in
     # [0.05, 0.65], at tol 1e-11.  The vertex chart runs from R = 1 (these
-    # radii lie at 0.05-0.86); a switch at a step end keeps the polar
-    # angle to 6.5e-12 of quadrature_segment, where a switch at the
-    # crossing of R, read off the dense output, left 6.8e-11
+    # radii lie at 0.05-0.86), and the charts switch at step ends
     worst = 0.0
     for nu, length in zip(np.linspace(0.05, 0.65, 13), np.linspace(8.0, 2.0, 13)):
         rt = brentq(lambda r: float(parab60.m(r)) - nu, 1e-12, 59.0, xtol=1e-15)

@@ -617,8 +617,8 @@ def test_bad_input_raises_invalid_parameter(parab, call):
                          ids=["same-point", "near-field", "connectors"])
 @pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0])
 def test_bad_distance_tol_raises_whatever_the_pair(parab, distance, q2, tol):
-    # the same point and the near-field pair once answered 0 and 1e-7
-    # before the connectors, the only branch that checked tol, were reached
+    # tol is checked before any branch: the same point, the near field and
+    # the connectors
     with pytest.raises(InvalidParameterError):
         distance(parab, SurfacePoint(1.0, 0.0), SurfacePoint(*q2), tol)
 

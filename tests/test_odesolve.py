@@ -82,6 +82,9 @@ def test_retire_ends_the_run_at_the_first_marked_step():
     assert inside.size > 10 and np.array_equal(last(inside), sol(inside))
     (root,) = roots_on_grid(lambda x: float(last(x)[0]), last.s, last.y[:, 0], xtol=1e-10)
     assert root == pytest.approx(math.pi, abs=1e-10)
+    # ODESolution.root finds the same root, and the state there, on that step
+    at, state = sol.root(n - 2, 0, 0.0)
+    assert at == root and np.array_equal(state, last(root))
 
 
 def test_retire_is_not_asked_at_s_end():
