@@ -4,6 +4,12 @@ Subcommands: info, geodesic, distance, cutlocus, verify.  Exit codes:
 0 success, 1 usage error, 2 domain or configuration error, 3 verification
 failure.  Floating-point console output uses 17 significant digits so values
 round-trip exactly.
+
+Every file the commands write, except the OBJ mesh of embed.export_mesh_obj,
+goes through one of two writers here: _write_json, which appends the
+command's config echo to the engine's data form (a to_dict, path_metadata or
+pullback_report), and _write_csv, which writes every value at 17 significant
+digits.  The engine modules write no JSON or CSV.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ from .geodesics import (
     integrate_h,
     on_export_grid,
     path_metadata,
-    path_to_csv,
     twist,
 )
 from .profile import (
@@ -125,12 +130,11 @@ def _build_parser() -> _Parser:
 
 
 def _load_profile(args):
-    if args.surface:
-        profile = load_surface(args.surface)
-        if args.mu is not None and profile.source.get("kind") == "paraboloid":
-            profile = make_paraboloid(args.mu, r_max=profile.r_max)
-        return profile
-    return make_paraboloid(args.mu if args.mu is not None else 1.0)
+    if not args.surface:
+        return make_paraboloid(args.mu if args.mu is not None else 1.0)
+    profile = load_surface(args.surface)
+    # --mu rebuilds the surface from its own definition at that wind
+    return profile if args.mu is None else load_surface({**profile.source, "mu": args.mu})
 
 
 def _config_echo(args) -> dict:
@@ -139,11 +143,29 @@ def _config_echo(args) -> dict:
     if "surface" in args:
         echo["surface"] = args.surface or {"kind": "paraboloid",
                                            "mu": args.mu if args.mu is not None else 1.0}
+        if args.mu is not None:
+            echo["mu"] = args.mu
     if getattr(args, "seed", None) is not None:
         echo["seed"] = args.seed
     if "tol_ode" in args:
         echo["tolerances"] = {"tol_ode": args.tol_ode}
     return echo
+
+
+def _write_json(path: Path, doc: dict, args) -> Path:
+    """Write doc with the command's config echo appended as its last key."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({**doc, "config": _config_echo(args)}, fh, indent=1)
+    return path
+
+
+def _write_csv(path: Path, header, rows) -> Path:
+    """Write the header, then each row of numbers at 17 significant digits."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(_g, row)) + "\n")
+    return path
 
 
 def cmd_info(args) -> int:
@@ -171,35 +193,32 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
-def _export_paths(profile, tag, h_path, f_path, outdir, fmt, echo):
+def _export_paths(profile, tag, h_path, f_path, outdir, args):
+    """Each path on the export grid: its rows (s, r, theta, dr, dtheta) go
+    to a CSV file, or with --format json into its metadata sidecar."""
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
     for label, path in (("h", h_path), ("F", f_path)):
         path = on_export_grid(profile, path)
         base = outdir / f"{tag}_{label}"
-        if fmt == "csv":
-            path_to_csv(path, base.with_suffix(".csv"))
-            written.append(base.with_suffix(".csv"))
+        rows = [[s, *row] for s, row in zip(path.s.tolist(), path.states.tolist())]
         meta = path_metadata(path)
-        meta["config"] = echo
-        with open(base.with_suffix(".json"), "w", encoding="utf-8") as fh:
-            json.dump(meta if fmt != "json" else
-                      {**meta, "samples": [[float(s), *map(float, row)]
-                                           for s, row in zip(path.s, path.states)]},
-                      fh, indent=1)
-        written.append(base.with_suffix(".json"))
+        if args.format == "csv":
+            written.append(_write_csv(base.with_suffix(".csv"),
+                                      ("s", "r", "theta", "dr", "dtheta"), rows))
+        else:
+            meta["samples"] = rows
+        written.append(_write_json(base.with_suffix(".json"), meta, args))
     return written
 
 
 def _export_embedded_polyline(profile, path, filename):
     """The embedded image of the path, on the export grid."""
     path = on_export_grid(profile, path)
-    with open(filename, "w", encoding="utf-8") as fh:
-        fh.write("s,x,y,z\n")
-        for s, row in zip(path.s, path.states):
-            q = SurfacePoint(max(row[0], 0.0), row[1])
-            pt = embed.embed_point(profile, q)
-            fh.write(f"{s:.17g},{pt.x:.17g},{pt.y:.17g},{pt.z:.17g}\n")
+    points = (embed.embed_point(profile, SurfacePoint(max(row[0], 0.0), row[1]))
+              for row in path.states)
+    return _write_csv(filename, ("s", "x", "y", "z"),
+                      ((s, pt.x, pt.y, pt.z) for s, pt in zip(path.s, points)))
 
 
 def _export_pullback_report(profile, args, outdir):
@@ -208,10 +227,8 @@ def _export_pullback_report(profile, args, outdir):
     r_hi = min(5.0, profile.embeddable_radius)
     report = embed.pullback_report(profile, seed=args.seed,
                                    r_range=(min(0.1, r_hi), r_hi))
-    name = outdir / "pullback_report.json"
-    embed.write_pullback_report({**report, "config": _config_echo(args)}, name)
     print(f"pullback max residual = {_g(report['max_residual'])}")
-    return name
+    return _write_json(outdir / "pullback_report.json", report, args)
 
 
 def cmd_geodesic(args) -> int:
@@ -232,25 +249,21 @@ def cmd_geodesic(args) -> int:
             setattr(args, name, default)
     profile = _load_profile(args)
     outdir = Path(args.out)
-    echo = _config_echo(args)
     written = []
     if args.fan > 0:
         outdir.mkdir(parents=True, exist_ok=True)
         mer = integrate_h(profile, GeodesicState(0.0, 0.0, 1.0, 0.0),
                           args.length, tol=args.tol_ode)
-        written += _export_paths(profile, "meridian", mer, twist(mer, 0.0),
-                                 outdir, args.format, echo)
+        written += _export_paths(profile, "meridian", mer, twist(mer, 0.0), outdir, args)
         for k in range(args.fan):
             theta0 = k * math.pi / 4.0
             base = integrate_h(profile, GeodesicState(0.0, theta0, 1.0, 0.0),
                                args.length, tol=args.tol_ode)
             f_path = twist(base, profile.mu)
-            written += _export_paths(profile, f"twisted_{k}", base, f_path,
-                                     outdir, args.format, echo)
+            written += _export_paths(profile, f"twisted_{k}", base, f_path, outdir, args)
             if args.embed:
-                name = outdir / f"twisted_{k}_F_xyz.csv"
-                _export_embedded_polyline(profile, f_path, name)
-                written.append(name)
+                written.append(_export_embedded_polyline(
+                    profile, f_path, outdir / f"twisted_{k}_F_xyz.csv"))
         if args.embed:
             mesh = outdir / "surface.obj"
             embed.export_mesh_obj(profile, mesh,
@@ -272,16 +285,12 @@ def cmd_geodesic(args) -> int:
             f_path = integrate_F(profile, q, Tangent(u.y1 / F0, u.y2 / F0),
                                  args.length, tol=args.tol_ode)
         h_path = f_path.h_preimage
-        written += _export_paths(profile, "geodesic", h_path, f_path, outdir,
-                                 args.format, echo)
+        written += _export_paths(profile, "geodesic", h_path, f_path, outdir, args)
         report = measure.clairaut_verify(profile, f_path)
-        with open(outdir / "clairaut_report.json", "w", encoding="utf-8") as fh:
-            json.dump({**report.to_dict(), "config": echo}, fh, indent=1)
-        written.append(outdir / "clairaut_report.json")
+        written.append(_write_json(outdir / "clairaut_report.json", report.to_dict(), args))
         if args.embed:
-            name = outdir / "geodesic_F_xyz.csv"
-            _export_embedded_polyline(profile, f_path, name)
-            written.append(name)
+            written.append(_export_embedded_polyline(profile, f_path,
+                                                     outdir / "geodesic_F_xyz.csv"))
             written.append(_export_pullback_report(profile, args, outdir))
         print(f"nu = {_g(f_path.nu)}  kind = {f_path.kind}  "
               f"clairaut_drift = {_g(f_path.max_clairaut_drift)}")
@@ -300,15 +309,10 @@ def cmd_distance(args) -> int:
     report = measure.distance_F_report(
         profile, SurfacePoint(*args.q1), SurfacePoint(*args.q2),
         tol=args.tol_root)
-    doc = report.to_dict()
-    doc["config"] = _config_echo(args)
     print(f"d_F = {_g(report.distance)}  (iterations: {report.iterations})")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    out = outdir / "distance.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    print(f"wrote {out}")
+    print(f"wrote {_write_json(outdir / 'distance.json', report.to_dict(), args)}")
     return EXIT_OK
 
 
@@ -318,24 +322,22 @@ def cmd_cutlocus(args) -> int:
     arc = conjugate.cut_locus(profile, q, s_export_max=args.s_max)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    arc.to_json(outdir / "cutlocus.json")
-    arc.to_csv(outdir / "cutlocus.csv")
+    written = [_write_json(outdir / "cutlocus.json", arc.to_dict(), args),
+               _write_csv(outdir / "cutlocus.csv", ("s", "r", "theta"),
+                          zip(arc.s, arc.r, arc.theta))]
     print(f"rho = {_g(arc.rho)}  first conjugate parameter c = {_g(arc.c)}")
     print(f"arc start (r, theta) = ({_g(arc.r[0])}, {_g(arc.theta[0])})")
-    print(f"wrote {outdir / 'cutlocus.json'}")
-    print(f"wrote {outdir / 'cutlocus.csv'}")
+    for w in written:
+        print(f"wrote {w}")
     if not args.skip_verify:
         i = int(np.argmin(np.abs(arc.s - (arc.c + 1.0))))
         i = max(i, 1)
         chk = conjugate.verify_cut_point(profile, q, arc.point_at_index(i))
-        doc = chk.to_dict()
-        doc["config"] = _config_echo(args)
-        with open(outdir / "cutpoint_check.json", "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
+        name = _write_json(outdir / "cutpoint_check.json", chk.to_dict(), args)
         print(f"interior point check: verified={chk.verified} "
               f"minimizers={chk.n_minimizers} "
               f"gap={_g(chk.equal_length_gap or float('nan'))}")
-        print(f"wrote {outdir / 'cutpoint_check.json'}")
+        print(f"wrote {name}")
         if not chk.verified:
             return EXIT_VERIFY
     return EXIT_OK
@@ -347,7 +349,6 @@ def cmd_verify(args) -> int:
         print(res.line())
     n_fail = sum(1 for r in results if not r.passed)
     doc = {
-        "config": _config_echo(args),
         "results": [{
             "name": r.name, "passed": r.passed, "value": r.value,
             "threshold": r.threshold, "details": {
@@ -358,9 +359,7 @@ def cmd_verify(args) -> int:
     }
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    with open(outdir / "verify.json", "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-    print(f"wrote {outdir / 'verify.json'}")
+    print(f"wrote {_write_json(outdir / 'verify.json', doc, args)}")
     if n_fail:
         print(f"{n_fail} check(s) failed")
         return EXIT_VERIFY

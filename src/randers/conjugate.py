@@ -27,7 +27,6 @@ rules out rays that are not twisted meridians.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -217,16 +216,6 @@ class CutArc:
             "kind": list(self.kind),
         }
 
-    def to_json(self, filename) -> None:
-        with open(filename, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    def to_csv(self, filename) -> None:
-        with open(filename, "w", encoding="utf-8") as fh:
-            fh.write("s,r,theta\n")
-            for a, b, g in zip(self.s, self.r, self.theta):
-                fh.write(f"{a:.17g},{b:.17g},{g:.17g}\n")
-
 
 def cut_locus(profile: Profile, q: SurfacePoint,
               s_export_max: float | None = None, n_samples: int = 64) -> CutArc:
@@ -327,7 +316,8 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
     (pi - arcsin(|nu| / m(q.r))) from the higher.  Each segment's integrate_h
     ray from q at tol 1e-12, twisted by mu times its length, must end within
     _RAY_MISS_TOL in h chart distance of the target, else
-    InternalConsistencyError.  Radii in (0, r_max] on a warp that increases
+    InternalConsistencyError; at the target q the one segment has length 0
+    and no ray.  Radii in (0, r_max] on a warp that increases
     on [0, max(q.r, target.r)], cut_locus' domain, or InvalidParameterError.
     """
     profile.check_radius(target.r)
@@ -340,6 +330,9 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
         # the chain has nu = 0 and chi = pi, so both forms give it pi
         heading = math.copysign(con.chi if q.r <= target.r
                                 else math.pi - math.asin(abs(con.nu) / m_q), con.nu)
+        segments.append((heading, con.length))
+        if con.length == 0.0:
+            continue   # the target is q: no ray to confirm
         end = integrate_h(profile, GeodesicState(q.r, q.theta, math.cos(heading),
                                                  math.sin(heading) / m_q),
                           con.length, tol=1e-12).states[-1]
@@ -348,7 +341,6 @@ def verify_cut_point(profile: Profile, q: SurfacePoint, target: SurfacePoint) ->
         if not miss <= _RAY_MISS_TOL:
             raise InternalConsistencyError(f"ray at heading {heading} misses by {miss}")
         ray_miss = max(ray_miss, miss)
-        segments.append((heading, con.length))
     n_min = sum(1 for _, ln in segments if ln <= roots[0].length + _CUT_TOL)
     gap = segments[1][1] - segments[0][1] if len(segments) >= 2 else None
     reason = ("two equal-length segments found" if n_min >= 2 else

@@ -35,7 +35,6 @@ not validated there.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -266,8 +265,3 @@ def export_mesh_obj(profile: Profile, filename, r_max: float) -> None:
             lines.append(f"f {v01} {v11} {v10}")
     with open(filename, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_pullback_report(report: dict, filename) -> None:
-    with open(filename, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=1)

@@ -1021,13 +1021,6 @@ def count_self_intersections(path: GeodesicPath) -> int:
     return count
 
 
-def path_to_csv(path: GeodesicPath, filename) -> None:
-    with open(filename, "w", encoding="utf-8") as fh:
-        fh.write("s,r,theta,dr,dtheta\n")
-        for sk, row in zip(path.s, path.states):
-            fh.write(",".join(f"{v:.17g}" for v in (sk, *row)) + "\n")
-
-
 def path_metadata(path: GeodesicPath) -> dict:
     return {
         "nu": path.nu,

@@ -405,7 +405,9 @@ class TwoRadiusConnectors:
         accepted where |g| <= tol; swept and nu carry sigma, and
         self.iterations counts the refinement iterations.  At mu = 0: the
         h-connectors that sweep |wrap(dtheta)|, sigma = +1 and k = 0 only.
-        Raises InternalConsistencyError where a pair has none."""
+        Where dtheta wraps to 0, the meridian is the one connector at mu = 0
+        and between equal radii, where it has length 0.  Raises
+        InternalConsistencyError where a pair has none."""
         if not (math.isfinite(dtheta) and math.isfinite(mu)):
             raise InvalidParameterError(f"dtheta and mu must be finite, got {dtheta}, {mu}")
         lo, hi, n = self._lo.tolist(), self._hi.tolist(), self._lo.size
@@ -414,9 +416,14 @@ class TwoRadiusConnectors:
         dtheta = wrap_angle(dtheta)
         if mu == 0.0:
             dtheta = abs(dtheta)
-            if dtheta == 0.0:
-                out = [[HConnector("meridian", 0.0, b - a, 0.0, 0.0)] for a, b in zip(lo, hi)]
-                return out if np.ndim(self.r2) else out[0]
+        # at dtheta = 0 the meridian answers alone at mu = 0, and between equal
+        # radii, where every climb has zero width and would be a root
+        trivial = [dtheta == 0.0 and (mu == 0.0 or a == b) for a, b in zip(lo, hi)]
+        out: list[list[HConnector]] = [[HConnector("meridian", 0.0, b - a, 0.0, 0.0)] if t
+                                       else [] for t, a, b in zip(trivial, lo, hi)]
+        if all(trivial):
+            return out if np.ndim(self.r2) else out[0]
+        if mu == 0.0:
             if abs(dtheta - math.pi) <= 1e-14:
                 dtheta = math.pi   # the chain's grid value, at chi = pi, is then a root
             turns = [(p, 0) for p in range(n)]
@@ -426,7 +433,7 @@ class TwoRadiusConnectors:
             v = np.concatenate([sweeps, -sweeps]) + mu * np.concatenate([lengths, lengths]) - dtheta
             turns = [(i, k) for i, (a, b) in enumerate(zip(v.min(axis=1) / (2.0 * math.pi),
                                                           v.max(axis=1) / (2.0 * math.pi)))
-                     for k in range(math.ceil(a), math.floor(b) + 1)]
+                     if not trivial[i % n] for k in range(math.ceil(a), math.floor(b) + 1)]
         i, k = np.array(turns, dtype=int).reshape(-1, 2).T
         pair, sign, target = i % n, np.where(i < n, 1.0, -1.0), dtheta + 2.0 * math.pi * k
         seen = {}
@@ -454,7 +461,6 @@ class TwoRadiusConnectors:
         # the connectors are built from Python floats, row by row
         pairs, signs, targets = pair.tolist(), sign.tolist(), target.tolist()
         m_lo, pi, sin, tol = self._m_lo.tolist(), math.pi, math.sin, self.tol
-        out: list[list[HConnector]] = [[] for _ in range(n)]
         for row, chi, j in zip(rows.tolist(), chis.tolist(), grid.tolist()):
             p, s = pairs[row], signs[row]
             if (chi == 0.0 or chi == pi) and any(c.chi == chi for c in out[p]):

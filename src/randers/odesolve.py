@@ -94,7 +94,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InvalidParameterError
-from .profile import roots_on_grids
+from .profile import roots_on_grid, roots_on_grids
 
 # DOP853 coefficients, copied from scipy/integrate/_ivp/dop853_coefficients.py
 # (scipy 1.17), which transcribes Hairer's dop853.f.  Stage i evaluates f at
@@ -264,11 +264,11 @@ class ODESolution:
         """The parameter where component c crosses level inside step i, whose
         end values lie on either side of it (or on it), and the state there:
         the root on the dense output of that step alone, refined to 1e-10 by
-        roots_on_grids."""
+        roots_on_grid."""
         step = self.step(i)
-        _, roots = roots_on_grids(lambda _, s: step(s)[:, c] - level, step.s,
-                                  step.y[None, :, c] - level, 1e-10)
-        return float(roots[0]), step(float(roots[0]))
+        root = roots_on_grid(lambda s: float(step(s)[c]) - level, step.s,
+                             step.y[:, c] - level, 1e-10)[0]
+        return root, step(root)
 
     @cached_property
     def _coeffs(self) -> np.ndarray:

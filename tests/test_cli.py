@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from randers import cli
+from randers import SurfacePoint, cli
+from randers.conjugate import cut_locus
+from randers.embed import pullback_report
 
 
 def run(argv):
@@ -304,3 +306,84 @@ def test_geodesic_launched_outward_on_r_max(tmp_path, capsys):
 
 def test_negative_seed_is_a_usage_error(tmp_path):
     assert run(["geodesic", "--embed", "--seed", "-2", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("surface,mu", [
+    ({"kind": "custom", "m": "sin(r)", "m1": "cos(r)", "m2": "-sin(r)", "mu": 0.2,
+      "r_max": 2.8}, "0.5"),
+    ({"kind": "paraboloid", "r_max": 20.0}, "0.7"),
+], ids=["sphere", "paraboloid"])
+def test_mu_overrides_the_wind_of_a_surface_file(tmp_path, capsys, surface, mu):
+    # --mu rebuilds the file's surface at that wind, and is echoed
+    given, at_mu = tmp_path / "given.json", tmp_path / "at_mu.json"
+    given.write_text(json.dumps(surface))
+    at_mu.write_text(json.dumps({**surface, "mu": float(mu)}))
+    assert run(["info", "--surface", str(given), "--mu", mu]) == 0
+    assert f"mu: {float(mu):.17g}" in capsys.readouterr().out.splitlines()
+    docs = []
+    for name, flags in (("a", ["--surface", str(given), "--mu", mu]),
+                        ("b", ["--surface", str(at_mu)])):
+        assert run(["distance", *flags, "--from", "1", "0", "--to", "1", "1",
+                    "--out", str(tmp_path / name)]) == 0
+        docs.append(json.loads((tmp_path / name / "distance.json").read_text()))
+    assert docs[0]["distance"] == docs[1]["distance"]
+    assert docs[0]["config"]["mu"] == float(mu) and "mu" not in docs[1]["config"]
+    assert docs[0]["config"]["surface"] == str(given)
+
+
+@pytest.mark.parametrize("argv", [
+    ["geodesic", "--r0", "1", "--heading", "0.6", "--length", "2", "--embed"],
+    ["geodesic", "--r0", "1", "--heading", "0.6", "--length", "2", "--format", "json"],
+    ["geodesic", "--fan", "2", "--length", "2", "--embed"],
+    ["distance", "--from", "1", "0", "--to", "1", "1"],
+    ["cutlocus", "--q", "1", "0", "--s-max", "3.2"],
+    ["verify"],
+])
+def test_every_json_file_carries_the_config_echo(tmp_path, argv):
+    assert run([*argv, "--out", str(tmp_path)]) == 0
+    files = sorted(tmp_path.glob("*.json"))
+    assert files
+    for name in files:
+        doc = json.loads(name.read_text())
+        assert list(doc)[-1] == "config", name
+        assert doc["config"]["command"] == argv[0], name
+
+
+def test_cutlocus_files_hold_the_arc(tmp_path, capsys, parab):
+    assert run(["cutlocus", "--q", "1", "0", "--s-max", "3.0", "--skip-verify",
+                "--out", str(tmp_path)]) == 0
+    arc = cut_locus(parab, SurfacePoint(1.0, 0.0), s_export_max=3.0)
+    doc = json.loads((tmp_path / "cutlocus.json").read_text())
+    assert doc["q"] == {"r": 1.0, "theta": 0.0}
+    assert doc["rho"] == 1.0
+    assert doc["c"] == pytest.approx(2.0, abs=1e-8)
+    assert len(doc["samples"]) == 64 and len(doc["samples"][0]) == 3
+    assert doc["chi"] == arc.chi.tolist() and doc["kind"] == arc.kind
+    assert doc["kind"][0] == "chain" and len(doc["chi"]) == 64
+    lines = (tmp_path / "cutlocus.csv").read_text().strip().splitlines()
+    assert lines[0] == "s,r,theta" and len(lines) == 65
+    # 17 significant digits: the CSV rows are the JSON samples, bit for bit
+    assert [[float(v) for v in line.split(",")] for line in lines[1:]] == doc["samples"]
+
+
+def test_pullback_report_file_is_the_report(tmp_path, capsys, parab):
+    assert run(["geodesic", "--fan", "1", "--length", "2", "--embed", "--seed", "1",
+                "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "pullback_report.json").read_text())
+    assert doc.pop("config")["seed"] == 1
+    assert doc == pullback_report(parab, seed=1, r_range=(0.1, 5.0))
+    assert doc["samples"] == 1000 and doc["max_residual"] <= 1e-9
+
+
+def test_path_rows_are_the_same_in_either_format(tmp_path, capsys):
+    argv = ["geodesic", "--r0", "1", "--heading", "0.6", "--length", "2"]
+    assert run([*argv, "--out", str(tmp_path / "csv")]) == 0
+    assert run([*argv, "--format", "json", "--out", str(tmp_path / "json")]) == 0
+    for label in ("h", "F"):
+        lines = (tmp_path / "csv" / f"geodesic_{label}.csv").read_text().strip().splitlines()
+        doc = json.loads((tmp_path / "json" / f"geodesic_{label}.json").read_text())
+        assert lines[0] == "s,r,theta,dr,dtheta"
+        assert len(lines) == doc["n_samples"] + 1
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert rows[0][:2] == [0.0, 1.0]
+        assert rows == doc["samples"]

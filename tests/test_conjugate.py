@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -315,24 +314,6 @@ def test_cut_locus_reports_minimizing_connectors(parab):
     assert np.all(arc.chi[1:][~turning[1:]] <= 0.5 * math.pi)
 
 
-def test_cut_locus_exports(tmp_path, parab):
-    arc = cut_locus(parab, SurfacePoint(1.0, 0.0), s_export_max=3.0,
-                    n_samples=5)
-    js = tmp_path / "arc.json"
-    arc.to_json(js)
-    doc = json.loads(js.read_text())
-    assert doc["q"] == {"r": 1.0, "theta": 0.0}
-    assert doc["rho"] == 1.0
-    assert doc["c"] == pytest.approx(2.0, abs=1e-8)
-    assert len(doc["samples"]) == 5 and len(doc["samples"][0]) == 3
-    assert doc["chi"] == arc.chi.tolist() and doc["kind"] == arc.kind
-    assert doc["kind"][0] == "chain" and len(doc["chi"]) == 5
-    csv = tmp_path / "arc.csv"
-    arc.to_csv(csv)
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "s,r,theta" and len(lines) == 6
-
-
 def test_verify_cut_point_positive(parab):
     q = SurfacePoint(1.0, 0.0)
     arc = cut_locus(parab, q, s_export_max=3.5, n_samples=7)
@@ -346,6 +327,15 @@ def test_verify_cut_point_positive(parab):
     assert h1 == pytest.approx(-h2, abs=1e-5)
     d = chk.to_dict()
     assert d["verified"] is True and len(d["segments"]) == len(chk.segments)
+
+
+def test_verify_cut_point_at_its_base_point(parab):
+    # the one connector from q to itself has length 0, and needs no ray
+    for target in (SurfacePoint(1.0, 0.0), SurfacePoint(1.0, 2.0 * math.pi)):
+        chk = verify_cut_point(parab, SurfacePoint(1.0, 0.0), target)
+        assert chk.d_F == 0.0 and chk.n_minimizers == 1 and not chk.verified
+        assert chk.segments == [(0.0, 0.0)] and chk.equal_length_gap is None
+        assert chk.ray_miss == 0.0
 
 
 def test_verify_cut_point_negative_control(parab):

@@ -360,6 +360,20 @@ def test_cut_locus_table_shares_its_climbs():
     assert sum(nodes) <= 150_000
 
 
+@pytest.mark.parametrize("mu", [0.0, 1.0])
+def test_equal_radii_at_zero_angle_have_the_trivial_connector_once(mu):
+    # every climb between equal radii has zero width, so at dtheta = 0 each
+    # table heading of a climb would be a root of length 0
+    trivial = TwoRadiusConnectors(make_paraboloid(1.0), 1.0, 1.0)
+    assert trivial.connectors(0.0, mu) == trivial.connectors(2.0 * math.pi, mu)
+    (con,) = trivial.connectors(0.0, mu)
+    assert (con.kind, con.nu, con.length, con.swept, con.chi) == ("meridian", 0.0, 0.0, 0.0, 0.0)
+    # over an array, the pair of unequal radii keeps its own query
+    both = TwoRadiusConnectors(make_paraboloid(1.0), 1.0, np.array([1.0, 1.2])).connectors(0.0, mu)
+    assert both[0] == [con]
+    assert both[1] == TwoRadiusConnectors(make_paraboloid(1.0), 1.0, 1.2).connectors(0.0, mu)
+
+
 @pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-10, float("inf")])
 def test_connectors_reject_bad_tol(tol):
     with pytest.raises(InvalidParameterError):

@@ -26,7 +26,6 @@ from randers.embed import (
     pullback_check,
     pullback_report,
     pushforward,
-    write_pullback_report,
 )
 from randers.geodesics import (
     GeodesicState, cumulative_path_integral, integrate_F, integrate_h, twist,
@@ -208,15 +207,6 @@ def test_mesh_export(tmp_path, parab):
     fa = [int(i) - 1 for i in faces[0].split()[1:]]
     n_apex = np.cross(vv[fa[1]] - vv[fa[0]], vv[fa[2]] - vv[fa[0]])
     assert n_apex[2] < 0.0
-
-
-def test_write_report(tmp_path, parab):
-    rep = pullback_report(parab, seed=1)
-    fn = tmp_path / "rep.json"
-    write_pullback_report(rep, fn)
-    import json
-    doc = json.loads(fn.read_text())
-    assert doc["samples"] == 1000 and "max_residual" in doc
 
 
 def _embed_launch(profile, r0, theta0, phi, length):

@@ -27,7 +27,6 @@ from randers.geodesics import (
     integrate_F,
     integrate_h,
     level_crossings,
-    path_to_csv,
     quadrature_segment,
     twist,
 )
@@ -556,17 +555,6 @@ def test_self_intersections_against_quadrature_count(parab):
     r_common = min(r0, float(h.states[-1, 0]))
     _, _, dp2 = quadrature_segment(parab, rt, r_common, nu, 1)
     assert n_sweep == int((2.0 * dp2) // (2.0 * math.pi))
-
-
-def test_path_exports(tmp_path, parab):
-    path = twist(integrate_h(parab, _launch(parab, 1.0, 0.6), 2.0), parab.mu)
-    csv = tmp_path / "path.csv"
-    path_to_csv(path, csv)
-    lines = csv.read_text().strip().splitlines()
-    assert lines[0] == "s,r,theta,dr,dtheta"
-    assert len(lines) == len(path.s) + 1
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[0] == 0.0 and first[1] == 1.0
 
 
 def test_start_next_to_the_vertex_runs_in_the_vertex_chart(parab):
